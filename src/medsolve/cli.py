@@ -29,8 +29,8 @@ from .gram import (
     Ensemble,
     GramMatrix,
     ensemble_from_gram,
-    gram_from_ensemble,
     random_ensemble,
+    raw_gram,
 )
 from .homotopy import RunReport, Trajectory, drag_between, rk4_drag
 from .measurement import FRAME_AMBIENT, FRAME_DUAL, povm_from_unitary
@@ -92,7 +92,7 @@ def _load_problem(path: Path) -> GramMatrix | Ensemble:
 def _as_gram(problem: GramMatrix | Ensemble) -> GramMatrix:
     if isinstance(problem, GramMatrix):
         return problem
-    return gram_from_ensemble(problem).raw
+    return raw_gram(problem)
 
 
 def _out_dir(args) -> Path:
@@ -109,48 +109,42 @@ def _check_solver_args(args) -> None:
         )
 
 
-def _solve_one(problem: GramMatrix | Ensemble, args, g_via: GramMatrix | None) -> RunReport:
-    gram = _as_gram(problem)
+def _solver_options(args) -> dict:
+    return dict(
+        steps=args.steps, h=args.h, polish=args.polish, polish_every=args.polish_every,
+        tol_stat=args.tol_stat, tol_glb=args.tol_glb,
+    )
+
+
+def _drag_from_identity(gram: GramMatrix, args) -> RunReport:
+    return rk4_drag(Trajectory(GramMatrix(np.eye(gram.m) / gram.m), gram), **_solver_options(args))
+
+
+def _solve_one(gram: GramMatrix, args, g_via: GramMatrix | None) -> RunReport:
     try:
         if g_via is None:
-            report = rk4_drag(
-                Trajectory(GramMatrix(np.eye(gram.m) / gram.m), gram),
-                steps=args.steps, h=args.h,
-                polish=args.polish, polish_every=args.polish_every,
-                tol_stat=args.tol_stat, tol_glb=args.tol_glb,
-            )
-        else:
-            leg = rk4_drag(
-                Trajectory(GramMatrix(np.eye(g_via.m) / g_via.m), g_via),
-                steps=args.steps, h=args.h,
-                polish=args.polish, polish_every=args.polish_every,
-                tol_stat=args.tol_stat, tol_glb=args.tol_glb,
-            )
-            report = drag_between(
-                g_via, leg.final_state, gram,
-                steps=args.steps, h=args.h,
-                polish=args.polish, polish_every=args.polish_every,
-                tol_stat=args.tol_stat, tol_glb=args.tol_glb,
-            )
+            return _drag_from_identity(gram, args)
+        leg = _drag_from_identity(g_via, args)
+        return drag_between(g_via, leg.final_state, gram, **_solver_options(args))
     except MedError as exc:
         raise _CliFailure(EXIT_FAILED, f"solver failed: {exc}") from exc
-    return report
 
 
-def _report_payload(report: RunReport, problem: GramMatrix | Ensemble) -> dict:
+def _report_payload(report: RunReport, problem: GramMatrix | Ensemble, gram: GramMatrix) -> dict:
     payload = run_report_to_dict(report)
     if isinstance(problem, Ensemble):
-        # re-express the measurement in the ensemble's own space
-        state = report.final_state
-        gram = _as_gram(problem)
-        u = gram.inv_sqrt() @ np.linalg.solve(np.diag(state.a), state.matrix)
+        # re-express the measurement in the ensemble's own space; the dual
+        # frame vectors of the report are the polar-snapped U of the drag
+        u = report.final_povm.vectors
         payload["final_povm"] = povm_to_dict(povm_from_unitary(gram, u, ensemble=problem))
     return payload
 
 
-def _write_solve_outputs(report: RunReport, problem, out: Path, stem: str) -> Path:
+def _write_solve_outputs(
+    report: RunReport, problem: GramMatrix | Ensemble, gram: GramMatrix, out: Path, stem: str
+) -> Path:
     report_path = out / f"{stem}-report.json"
-    write_json(report_path, _report_payload(report, problem))
+    write_json(report_path, _report_payload(report, problem, gram))
     write_trace_csv(out / f"{stem}-trace.csv", report.trace)
     return report_path
 
@@ -176,7 +170,8 @@ def cmd_solve(args) -> int:
     for path in inputs:
         try:
             problem = _load_problem(path)
-            report = _solve_one(problem, args, g_via)
+            gram = _as_gram(problem)
+            report = _solve_one(gram, args, g_via)
         except _CliFailure as exc:
             if not args.batch:
                 raise
@@ -184,7 +179,7 @@ def cmd_solve(args) -> int:
             print(f"{path.stem}: failed ({exc.code})")
             worst = max(worst, exc.code)
             continue
-        report_path = _write_solve_outputs(report, problem, out, path.stem)
+        report_path = _write_solve_outputs(report, problem, gram, out, path.stem)
         cert = report.certificate
         print(
             f"{path.stem}: {cert.status} p_success={cert.p_success:.12f} -> {report_path}"
@@ -280,17 +275,9 @@ def cmd_generate(args) -> int:
 def cmd_reproduce_fig1(args) -> int:
     _check_solver_args(args)
     gram = reference_five_state_gram()
-    try:
-        report = rk4_drag(
-            Trajectory(GramMatrix(np.eye(gram.m) / gram.m), gram),
-            steps=args.steps, h=args.h,
-            polish=args.polish, polish_every=args.polish_every,
-            tol_stat=args.tol_stat, tol_glb=args.tol_glb,
-        )
-    except MedError as exc:
-        raise _CliFailure(EXIT_FAILED, f"solver failed: {exc}") from exc
+    report = _solve_one(gram, args, None)
     out = _out_dir(args)
-    report_path = _write_solve_outputs(report, gram, out, "fig1")
+    report_path = _write_solve_outputs(report, gram, gram, out, "fig1")
     cert = report.certificate
     lg = np.log10(np.maximum(report.trace[:, 2], 1e-320))
     print(
@@ -375,6 +362,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CliFailure as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except MedError as exc:
+        print(f"medsolve: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
 

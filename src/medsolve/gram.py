@@ -245,16 +245,20 @@ def canonicalize(entries: np.ndarray | GramMatrix) -> CanonicalizedGram:
     )
 
 
+def raw_gram(ensemble: Ensemble) -> GramMatrix:
+    """Gram matrix G_ij = sqrt(p_i p_j) <psi_i|psi_j> in the ensemble's own indexing."""
+    scaled = ensemble.scaled_states
+    return GramMatrix(hermitize(scaled.conj().T @ scaled))
+
+
 def gram_from_ensemble(ensemble: Ensemble) -> CanonicalizedGram:
     """Gram matrix of the scaled states, in canonical form.
 
-    The raw matrix G_ij = sqrt(p_i p_j) <psi_i|psi_j> is kept alongside the
-    canonical representative together with the permutation and phases that
-    relate the two.
+    The raw matrix (``raw_gram``) is kept alongside the canonical
+    representative together with the permutation and phases that relate
+    the two.
     """
-    scaled = ensemble.scaled_states
-    raw = hermitize(scaled.conj().T @ scaled)
-    return canonicalize(raw)
+    return canonicalize(raw_gram(ensemble))
 
 
 def dual_basis(ensemble: Ensemble) -> DualBasis:

@@ -7,7 +7,7 @@ import pytest
 
 import medsolve as ms
 from conftest import random_gram, solve_direct
-from medsolve import serialize
+from medsolve import cli, serialize
 from medsolve.cli import main
 
 
@@ -79,6 +79,49 @@ class TestSolve:
         assert report["certificate"]["p_success"] == pytest.approx(
             direct.certificate.p_success, abs=1e-8
         )
+
+    def test_large_ensemble_measurement_is_snapped_to_unitary(self, tmp_path, capsys):
+        # the drag ends off unitarity by ~6e-9 here; written measurements must
+        # use the polar-snapped U instead of failing the 1e-10 unitarity gate
+        ens = ms.random_ensemble(10, seed=5, spread=0.6)
+        path = tmp_path / "ens10.json"
+        serialize.write_json(path, serialize.ensemble_to_dict(ens))
+        code = main(["solve", str(path), "--out", str(tmp_path), "--steps", "200", "--h", "5e-3"])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "ens10-report.json").read_text())
+        povm = serialize.povm_from_dict(report["final_povm"])
+        assert ms.certify_povm(ens, povm).is_optimal
+
+    def test_repeated_ensemble_solve_is_byte_identical(self, tmp_path):
+        ens = ms.random_ensemble(4, seed=811, spread=0.6)
+        path = tmp_path / "ens.json"
+        serialize.write_json(path, serialize.ensemble_to_dict(ens))
+        for name in ("a", "b"):
+            main(["solve", str(path), "--out", str(tmp_path / name), "--steps", "250", "--h", "4e-3"])
+        for suffix in ("report.json", "trace.csv"):
+            a = (tmp_path / "a" / f"ens-{suffix}").read_bytes()
+            assert a == (tmp_path / "b" / f"ens-{suffix}").read_bytes()
+
+    def test_ensemble_gram_is_raw_matrix_without_canonicalizing(self):
+        # tied priors: the canonical form permutes, the raw matrix must not
+        states = ms.random_ensemble(5, seed=812, spread=0.7).states
+        ens = ms.Ensemble(states, np.full(5, 0.2))
+        gram = cli._as_gram(ens)
+        assert np.array_equal(gram.entries, ms.gram_from_ensemble(ens).raw.entries)
+
+    def test_escaping_toolkit_error_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ms.NotUnitary("matrix is not unitary (residual 1.0e-03)")
+
+        monkeypatch.setattr(cli, "povm_from_unitary", broken)
+        ens = ms.random_ensemble(3, seed=813, spread=0.5)
+        path = tmp_path / "ens.json"
+        serialize.write_json(path, serialize.ensemble_to_dict(ens))
+        code = main(["solve", str(path), "--out", str(tmp_path), "--steps", "100", "--h", "1e-2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "NotUnitary" in err and "Traceback" not in err
 
     def test_batch_mode(self, tmp_path):
         batch = tmp_path / "batch"

@@ -5,6 +5,7 @@ import pytest
 
 import medsolve as ms
 from conftest import identity_gram, overlap_gram_m3, random_gram, solve_direct
+from medsolve.homotopy import _factor, _newton_correction, _rate, _triu
 
 
 class TestInitialState:
@@ -57,8 +58,6 @@ class TestDerivative:
             g = np.array([[rng.uniform(0.2, 0.8), g01], [np.conj(g01), rng.uniform(0.2, 0.8)]])
             gd01 = rng.normal() + 1j * rng.normal()
             gdot = np.array([[rng.normal(), gd01], [np.conj(gd01), rng.normal()]])
-
-            from medsolve.homotopy import _rate, _triu
 
             iu, ju = _triu(2)
             da, df = _rate(a, np.array([f12]), g, gdot, 0.0, iu, ju)
@@ -181,3 +180,80 @@ class TestDragBetween:
         g_b = random_gram(3, seed=97, spread=0.7)
         with pytest.raises(ms.NotCertified):
             ms.drag_between(g_a, ms.initial_state(3), g_b, steps=100, h=1e-2)
+
+
+def _random_point(rng, m, real, indefinite):
+    """Random a > 0, strict upper triangle f, Gram-like g and hermitian gdot,
+    redrawn until F is definite or indefinite as asked and its Lyapunov
+    spectrum |l_i + l_j| stays clear of zero."""
+    iu, ju = _triu(m)
+    cplx = 0.0 if real else 1.0
+    f_scale = 0.8 if indefinite else 0.05
+    while True:
+        z = rng.normal(size=(m, m)) + cplx * 1j * rng.normal(size=(m, m))
+        g = z @ z.conj().T
+        g = g / np.trace(g).real
+        gd = rng.normal(size=(m, m)) + cplx * 1j * rng.normal(size=(m, m))
+        gd = gd + gd.conj().T
+        a = rng.uniform(0.3, 1.0, m)
+        f = f_scale * (rng.normal(size=iu.size) + cplx * 1j * rng.normal(size=iu.size))
+        lam = np.linalg.eigvalsh(_factor(a, f, iu, ju))
+        if (lam[0] < 0.0) == indefinite and np.min(np.abs(lam[:, None] + lam[None, :])) > 0.05:
+            return a, f, g.astype(complex), gd.astype(complex)
+
+
+class TestTangentSolve:
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("indefinite", [False, True])
+    def test_satisfies_hermitian_equation(self, m, real, indefinite):
+        rng = np.random.default_rng(100 * m + 10 * real + indefinite)
+        a, f, g, gdot = _random_point(rng, m, real, indefinite)
+        iu, ju = _triu(m)
+        da, df = _rate(a, f, g, gdot, 0.0, iu, ju)
+        fmat = _factor(a, f, iu, ju)
+        dfmat = _factor(np.ones(m), df, iu, ju)
+        dfmat[np.diag_indices(m)] = 2.0 * a * da
+        d, dd = np.diag(a), np.diag(da)
+        lhs = dfmat @ fmat + fmat @ dfmat - dd @ g @ d - d @ g @ dd
+        rhs = d @ gdot @ d
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        if real:
+            assert np.max(np.abs(df.imag)) < 1e-14
+
+    def test_singular_factor_raises_with_t(self):
+        a = np.array([0.8, 0.5])
+        f = np.array([0.8 * 0.5 * np.exp(0.3j)])  # |f12|^2 = a1^2 a2^2: det F = 0
+        g = np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)
+        gdot = np.array([[0.1, 0.2], [0.2, -0.1]], dtype=complex)
+        with pytest.raises(ms.SingularJacobian, match=r"t=0\.250000"):
+            _rate(a, f, g, gdot, 0.25, *_triu(2))
+
+    def test_newton_correction_reduces_residual(self):
+        gram = random_gram(4, seed=150, spread=0.7)
+        state = solve_direct(gram).final_state
+        rng = np.random.default_rng(151)
+        a = state.a + 1e-4 * rng.normal(size=4)
+        f = state.f + 1e-4 * (rng.normal(size=6) + 1j * rng.normal(size=6))
+        before = ms.SolverState(t=1.0, a=a, f=f).residual(gram)
+        a2, f2 = _newton_correction(a, f, gram.entries, 1.0, *_triu(4))
+        after = ms.SolverState(t=1.0, a=a2, f=f2).residual(gram)
+        assert before > 1e-5
+        assert after < 1e-3 * before
+
+
+class TestTrajectoryAdmissibility:
+    def test_min_eigenvalue_never_dips_below_endpoints(self):
+        # lambda_min is concave along a linear path, which is why rk4_drag
+        # does not re-check G(t) at every step
+        rng = np.random.default_rng(160)
+        ts = np.linspace(0.0, 1.0, 101)
+        for k in range(20):
+            m = int(rng.integers(2, 9))
+            spreads = rng.uniform(0.2, 0.95, 2)
+            g0 = random_gram(m, seed=1600 + 2 * k, spread=spreads[0], real=bool(k % 2))
+            g1 = random_gram(m, seed=1601 + 2 * k, spread=spreads[1])
+            floor = min(g0.min_eigenvalue(), g1.min_eigenvalue())
+            traj = ms.Trajectory(g0, g1)
+            lows = [np.linalg.eigvalsh(traj(t))[0] for t in ts]
+            assert min(lows) >= floor - 1e-15
