@@ -12,6 +12,7 @@ raises stderr verbosity and never touches stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -83,6 +84,8 @@ def _load_problem(path: Path) -> GramMatrix | Ensemble:
     try:
         data = read_json(path)
         return load_gram_or_ensemble(data, context=str(path))
+    except OSError as exc:
+        raise _CliFailure(EXIT_USAGE, f"{path}: cannot read input ({exc.strerror})") from exc
     except SchemaError as exc:
         raise _CliFailure(EXIT_USAGE, str(exc)) from exc
     except (MedError, ValueError) as exc:
@@ -97,16 +100,23 @@ def _as_gram(problem: GramMatrix | Ensemble) -> GramMatrix:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _CliFailure(
+            EXIT_USAGE, f"{out}: cannot create output directory ({exc.strerror})"
+        ) from exc
     return out
 
 
 def _check_solver_args(args) -> None:
-    if abs(args.steps * args.h - 1.0) > 1e-9:
+    if args.steps < 1 or not abs(args.steps * args.h - 1.0) <= 1e-9:
         raise _CliFailure(
             EXIT_USAGE,
             f"--steps and --h must cover the unit interval: {args.steps} * {args.h} != 1",
         )
+    if args.polish_every < 1:
+        raise _CliFailure(EXIT_USAGE, f"--polish-every must be positive, got {args.polish_every}")
 
 
 def _solver_options(args) -> dict:
@@ -195,6 +205,8 @@ def _load_certify_input(path: Path):
             raise SchemaError(f"{path}: need fields 'ensemble' and 'povm'")
         problem = load_gram_or_ensemble(data["ensemble"], context=f"{path}:ensemble")
         povm = povm_from_dict(data["povm"], context=f"{path}:povm")
+    except OSError as exc:
+        raise _CliFailure(EXIT_USAGE, f"{path}: cannot read input ({exc.strerror})") from exc
     except SchemaError as exc:
         raise _CliFailure(EXIT_USAGE, str(exc)) from exc
     except (MedError, ValueError) as exc:
@@ -353,11 +365,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The parser of ``main``, built once per process: parse_args keeps no
+    state between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except _CliFailure as exc:
         print(str(exc), file=sys.stderr)

@@ -15,12 +15,13 @@ with F'_ii = 2 a_i a_i', F'_ij = f_ij', D' = diag(a_i').  In F' this is a
 Lyapunov equation, solved in closed form in the eigenbasis of F (Bartels &
 Stewart 1972); the m scales a' then follow from an m x m Schur system, so
 one evaluation costs O(m^4) rather than the O(m^6) of the equivalent
-m^2 x m^2 real system.  Starting from the
-equiprobable orthogonal ensemble (G = I/m, a_i = 1/sqrt(m), f = 0), where
-the solution is trivial, a classical fixed-step RK4 integration of this
-system carries the optimum to any linearly independent target.  The
-Hilbert-Schmidt norm of F^2 - DGD measures the accumulated error at every
-step without reference to any other solver.
+m^2 x m^2 real system.  Starting from the equiprobable orthogonal ensemble
+(G = I/m, a_i = 1/sqrt(m), f = 0), where the solution is trivial, a
+classical fixed-step RK4 integration of this system carries the optimum to
+any linearly independent target.  The Hilbert-Schmidt norm of F^2 - DGD
+measures the accumulated error at every step without reference to any other
+solver.  The eigendecomposition of F taken after each step for the
+positivity check also serves the first stage of the next step.
 
 Hermiticity is preserved structurally: the state stores a_i and the strict
 upper triangle of F, so a_i stays real and f_ji = conj(f_ij) exactly.
@@ -28,17 +29,14 @@ upper triangle of F, so a_i stays real and f_ji = conj(f_ij) exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .certify import TOL_GLB, TOL_STAT, Certificate, certify_gram
 from .exceptions import (
-    NearLinearDependence,
-    NotCertified,
-    PositivityLost,
-    ResidualTooLarge,
-    SingularJacobian,
+    NearLinearDependence, NotCertified, PositivityLost, ResidualTooLarge, SingularJacobian,
 )
 from .gram import GramMatrix
 from .linalg import hs_norm, polar_unitary, read_only
@@ -57,6 +55,16 @@ EPS_A = 1e-6
 
 def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(m, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _gather(m: int) -> np.ndarray:
+    """Index of each entry of F in the vector (a^2, f, conj f)."""
+    iu, ju = _triu(m)
+    idx = np.diag(np.arange(m))
+    idx[iu, ju] = m + np.arange(iu.size)
+    idx[ju, iu] = m + iu.size + np.arange(iu.size)
+    return read_only(idx)
 
 
 @dataclass(frozen=True)
@@ -97,8 +105,7 @@ class SolverState:
         """HS norm of F^2 - D G D at this state."""
         g = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram)
         f = self.matrix
-        d = np.diag(self.a)
-        return hs_norm(f @ f - d @ g @ d)
+        return hs_norm(f @ f - self.a[:, None] * g * self.a)
 
 
 @dataclass(frozen=True)
@@ -161,33 +168,35 @@ def initial_state(m: int) -> SolverState:
 
 
 def _factor(a: np.ndarray, f: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
-    """The hermitian factor F with F_ii = a_i^2 and strict upper triangle f."""
-    m = a.shape[0]
-    out = np.zeros((m, m), dtype=complex)
-    out.flat[:: m + 1] = a * a
-    out[iu, ju] = f
-    out[ju, iu] = f.conj()
-    return out
+    """The hermitian factor F with F_ii = a_i^2 and strict upper triangle f at
+    (iu, ju), which must be _triu(m): the cached gather index encodes it."""
+    return np.concatenate((a * a, f, f.conj()))[_gather(a.shape[0])]
+
+
+def _pair_sums(lam: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """lam_i + lam_j and its smallest and largest modulus; lam is ascending, so
+    the largest is 2|lam| at one end of the spectrum."""
+    s = lam[:, None] + lam
+    return s, np.abs(s).min(), 2.0 * max(-lam[0], lam[-1])
 
 
 def _tangent_solve(
-    a: np.ndarray, fmat: np.ndarray, g: np.ndarray, rhs: np.ndarray, t: float
+    a: np.ndarray, eig: tuple[np.ndarray, np.ndarray], g: np.ndarray, rhs: np.ndarray, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve F' F + F F' - D' G D - D G D' = rhs for (a', F') in the eigenbasis of F.
+    """Solve F'F + FF' - D'GD - DGD' = rhs for (a', F'), with (lam, V) = eig = eigh(F).
 
-    With F = V diag(lam) V^dag the Lyapunov operator X -> XF + FX has the
-    inverse L^-1(C) = V [(V^dag C V)_ij / (lam_i + lam_j)] V^dag, so
+    The Lyapunov operator X -> XF + FX has the inverse
+    L^-1(C) = V [(V^dag C V)_ij w_ij] V^dag with w_ij = 1/(lam_i + lam_j), so
     F' = L^-1(rhs + D'GD + DGD') is linear in a'.  The m conditions
     F'_nn = 2 a_n a'_n then form the real Schur system
-    (2 diag(a) - M) a' = diag L^-1(rhs), M_nk = diag L^-1(E_kk GD + DG E_kk)_n.
+    (2 diag(a) - M) a' = diag L^-1(rhs), M_nk = diag L^-1(E_kk GD + DG E_kk)_n;
+    both sides contract B_nij = V_ni conj(V_nj) w_ij.
     Raises SingularJacobian when either operator is too ill-conditioned.
     """
+    lam, v = eig
     m = a.shape[0]
-    lam, v = np.linalg.eigh(fmat)
     vh = v.conj().T
-    s = lam[:, None] + lam[None, :]
-    s_abs = np.abs(s)
-    s_min, s_max = s_abs.min(), s_abs.max()
+    s, s_min, s_max = _pair_sums(lam)
     if not s_max <= COND_MAX * s_min:
         raise SingularJacobian(
             f"Lyapunov spectrum ratio max|l_i+l_j|/min|l_i+l_j| = {s_max:.3e}/{s_min:.3e} "
@@ -195,15 +204,15 @@ def _tangent_solve(
         )
     w = 1.0 / s
     p = (g * a) @ v
-    # M_nk = 2 Re sum_ij V_ni conj(V_nj) w_ij conj(V_ki) P_kj with P = G D V
-    q = ((vh.T[:, None, :] * w).reshape(m * m, m) @ p.T).reshape(m, m, m)
-    schur = -2.0 * np.sum(v[:, :, None] * q * vh, axis=1).real
+    bnij = (v[:, :, None] * (vh.T[:, None, :] * w)).reshape(m, m * m)
+    # M_nk = 2 Re sum_ij B_nij conj(V_ki) P_kj with P = G D V
+    schur = -2.0 * (bnij @ (vh.T[:, :, None] * p[:, None, :]).reshape(m, m * m).T).real
     schur.flat[:: m + 1] += 2.0 * a
-    rhs_w = (vh @ rhs @ v) * w
-    b = np.sum((v @ rhs_w) * v.conj(), axis=1).real
+    y = vh @ rhs @ v
+    b = (bnij @ y.ravel()).real
     try:
         schur_inv = np.linalg.inv(schur)
-        cond = np.abs(schur).sum(axis=0).max() * np.abs(schur_inv).sum(axis=0).max()
+        cond = np.abs((schur, schur_inv)).sum(axis=1).max(axis=1).prod()
     except np.linalg.LinAlgError:
         cond = np.inf
     if not cond <= COND_MAX:
@@ -214,19 +223,16 @@ def _tangent_solve(
     da = schur_inv @ b
     # V^dag (D'GD + DGD') V = X + X^dag with X = V^dag D' P
     x = (vh * da) @ p
-    return da, v @ (rhs_w + (x + x.conj().T) * w) @ vh
+    return da, v @ ((y + x + x.conj().T) * w) @ vh
 
 
 def _rate(
-    a: np.ndarray,
-    f: np.ndarray,
-    g: np.ndarray,
-    gdot: np.ndarray,
-    t: float,
-    iu: np.ndarray,
-    ju: np.ndarray,
+    a: np.ndarray, f: np.ndarray, g: np.ndarray, gdot: np.ndarray, t: float,
+    iu: np.ndarray, ju: np.ndarray, eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    da, dfmat = _tangent_solve(a, _factor(a, f, iu, ju), g, a[:, None] * gdot * a, t)
+    """(a', f') at (a, f); ``eig`` is eigh(F) when the caller already has it."""
+    eig = np.linalg.eigh(_factor(a, f, iu, ju)) if eig is None else eig
+    da, dfmat = _tangent_solve(a, eig, g, a[:, None] * gdot * a, t)
     return da, dfmat[iu, ju]
 
 
@@ -249,7 +255,7 @@ def _newton_correction(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Newton step back onto the constraint F^2 - DGD = 0 at fixed t."""
     fmat = _factor(a, f, iu, ju)
-    da, dfmat = _tangent_solve(a, fmat, g, a[:, None] * g * a - fmat @ fmat, t)
+    da, dfmat = _tangent_solve(a, np.linalg.eigh(fmat), g, a[:, None] * g * a - fmat @ fmat, t)
     return a + da, f + dfmat[iu, ju]
 
 
@@ -288,16 +294,16 @@ def rk4_drag(
         initial = initial_state(m)
     if initial.m != m:
         raise ValueError("initial state dimension does not match trajectory")
-    a = initial.a.copy()
-    f = initial.f.copy()
+    a, f = initial.a, initial.f
     gdot = trajectory.tangent()
 
     trace = np.empty((steps, 5))
     t = 0.0
     g_now = trajectory(t)
+    eig = None  # eigh(F) at (a, f), shared by the step check and the next k1
     for it in range(1, steps + 1):
         g_mid = trajectory(t + 0.5 * h)
-        k1 = _rate(a, f, g_now, gdot, t, iu, ju)
+        k1 = _rate(a, f, g_now, gdot, t, iu, ju, eig=eig)
         k2 = _rate(a + 0.5 * h * k1[0], f + 0.5 * h * k1[1], g_mid, gdot, t, iu, ju)
         k3 = _rate(a + 0.5 * h * k2[0], f + 0.5 * h * k2[1], g_mid, gdot, t, iu, ju)
         k4 = _rate(a + h * k3[0], f + h * k3[1], trajectory(t + h), gdot, t, iu, ju)
@@ -311,19 +317,19 @@ def rk4_drag(
         if polish and it % polish_every == 0:
             a, f = _newton_correction(a, f, g_now, t, iu, ju)
 
-        if np.min(a) <= EPS_A:
+        if a.min() <= EPS_A:
             raise NearLinearDependence(
-                f"scale a_{int(np.argmin(a))} fell to {np.min(a):.3e} at t={t:.6f}; "
+                f"scale a_{int(np.argmin(a))} fell to {a.min():.3e} at t={t:.6f}; "
                 "target is too close to linear dependence"
             )
         fmat = _factor(a, f, iu, ju)
-        f_min = float(np.linalg.eigvalsh(fmat)[0])
+        eig = np.linalg.eigh(fmat)
+        f_min = float(eig[0][0])
         if f_min < 0.0:
             raise PositivityLost(
                 f"factor F lost positive definiteness at t={t:.6f} (min eig {f_min:.3e})"
             )
-        d = np.diag(a)
-        resid = hs_norm(fmat @ fmat - d @ g_now @ d)
+        resid = hs_norm(fmat @ fmat - a[:, None] * g_now * a)
         trace[it - 1] = (it, t, resid, f_min, float(np.sum(a**2)))
 
     final = SolverState(t=1.0, a=a, f=f)
@@ -333,14 +339,8 @@ def rk4_drag(
     # G and D; snap to the nearest unitary, exactly as certification does
     final_povm = povm_from_unitary(trajectory.g_end, polar_unitary(u))
     return RunReport(
-        steps=steps,
-        h=h,
-        polish=polish,
-        polish_every=polish_every,
-        trace=read_only(trace),
-        final_state=final,
-        final_povm=final_povm,
-        certificate=certificate,
+        steps=steps, h=h, polish=polish, polish_every=polish_every, trace=read_only(trace),
+        final_state=final, final_povm=final_povm, certificate=certificate,
     )
 
 

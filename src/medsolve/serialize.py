@@ -84,7 +84,10 @@ def load_gram_or_ensemble(data: dict, context: str = "input") -> GramMatrix | En
         )
         return GramMatrix(entries)
     if "states_re" in data:
-        probs = np.asarray(_need(data, "probs", context), dtype=float)
+        try:
+            probs = np.asarray(_need(data, "probs", context), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{context}: field 'probs' is not numeric") from exc
         if probs.shape != (m,):
             raise SchemaError(f"{context}: field 'probs' must have length {m}")
         states = _matrix_field(data, "states_re", m, context) + 1j * _matrix_field(
@@ -197,7 +200,7 @@ def write_json(path: str | Path, payload: dict) -> None:
 def read_json(path: str | Path) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")

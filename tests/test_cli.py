@@ -260,3 +260,63 @@ class TestUsage:
 
     def test_missing_input_exits_64(self):
         assert main(["solve"]) == 64
+
+    def test_unreadable_input_exits_64(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 64
+        assert main(["certify", str(tmp_path), "--out", str(tmp_path)]) == 64
+        assert "cannot read input" in capsys.readouterr().err
+
+    def test_output_path_on_a_file_exits_64(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["generate", "--m", "2", "--seed", "1", "--out", str(blocker)]) == 64
+        assert "cannot create output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--steps", "0", "--h", "inf"],
+                                       ["--steps", "-1", "--h", "-1"],
+                                       ["--h", "nan"],
+                                       ["--polish", "--polish-every", "0"]])
+    def test_degenerate_solver_flags_exit_64(self, tmp_path, flags):
+        inp = write_gram(tmp_path / "g.json", random_gram(2, seed=821))
+        assert main(["solve", inp, "--out", str(tmp_path)] + flags) == 64
+
+    def test_undecodable_input_exits_64_like_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe\xfa")
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == 64
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_non_numeric_probs_exit_64(self, tmp_path):
+        path = tmp_path / "ens.json"
+        serialize.write_json(path, {"m": 2, "probs": {"a": 1}, "states_re": [[1, 0], [0, 1]],
+                                    "states_im": [[0, 0], [0, 0]]})
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == 64
+
+
+class TestParserReuse:
+    def test_each_call_sees_only_its_own_flags(self, tmp_path, capsys):
+        gram = random_gram(2, seed=822)
+        inp = write_gram(tmp_path / "g.json", gram)
+        solve = ["solve", inp, "--steps", "100", "--h", "1e-2"]
+        assert main(solve + ["--polish", "--polish-every", "5", "--out", str(tmp_path / "p")]) == 0
+        assert main(solve + ["--out", str(tmp_path / "q")]) == 0
+        polished = json.loads((tmp_path / "p" / "g-report.json").read_text())
+        plain = json.loads((tmp_path / "q" / "g-report.json").read_text())
+        assert (polished["polish"], polished["polish_every"]) == (True, 5)
+        assert (plain["polish"], plain["polish_every"]) == (False, 10)
+
+        check = tmp_path / "check.json"
+        serialize.write_json(check, {"ensemble": serialize.gram_to_dict(gram),
+                                     "povm": plain["final_povm"]})
+        assert main(["certify", str(check), "--out", str(tmp_path / "c")]) == 0
+        assert (tmp_path / "c" / "check-certificate.json").exists()
+        assert main(["certify", str(check), "--steps", "100"]) == 64
+        assert main(["generate", "--m", "2", "--seed", "3", "--out", str(tmp_path / "d")]) == 0
+        assert cli._parser() is cli._parser()
+        assert "unrecognized arguments: --steps 100" in capsys.readouterr().err
+
+    def test_parse_is_independent_of_earlier_calls(self):
+        first = cli._parser().parse_args(["solve", "x.json", "--polish", "--from", "v.json"])
+        second = cli._parser().parse_args(["solve", "x.json"])
+        assert first.polish and getattr(first, "from") == "v.json"
+        assert vars(second) == vars(cli.build_parser().parse_args(["solve", "x.json"]))
