@@ -12,7 +12,6 @@ raises stderr verbosity and never touches stdout.
 from __future__ import annotations
 
 import argparse
-import functools
 import logging
 import os
 import sys
@@ -109,16 +108,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _check_solver_args(args) -> None:
-    if args.steps < 1 or not abs(args.steps * args.h - 1.0) <= 1e-9:
-        raise _CliFailure(
-            EXIT_USAGE,
-            f"--steps and --h must cover the unit interval: {args.steps} * {args.h} != 1",
-        )
-    if args.polish_every < 1:
-        raise _CliFailure(EXIT_USAGE, f"--polish-every must be positive, got {args.polish_every}")
-
-
 def _solver_options(args) -> dict:
     return dict(
         steps=args.steps, h=args.h, polish=args.polish, polish_every=args.polish_every,
@@ -138,6 +127,10 @@ def _solve_one(gram: GramMatrix, args, g_via: GramMatrix | None) -> RunReport:
         return drag_between(g_via, leg.final_state, gram, **_solver_options(args))
     except MedError as exc:
         raise _CliFailure(EXIT_FAILED, f"solver failed: {exc}") from exc
+    except ValueError as exc:
+        # the drag rejects --steps/--h/--polish-every it cannot run and a --from
+        # matrix of another dimension
+        raise _CliFailure(EXIT_USAGE, f"invalid solver arguments: {exc}") from exc
 
 
 def _report_payload(report: RunReport, problem: GramMatrix | Ensemble, gram: GramMatrix) -> dict:
@@ -160,7 +153,6 @@ def _write_solve_outputs(
 
 
 def cmd_solve(args) -> int:
-    _check_solver_args(args)
     out = _out_dir(args)
     g_via = _load_problem(Path(getattr(args, "from"))) if getattr(args, "from") else None
     if g_via is not None:
@@ -285,7 +277,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_reproduce_fig1(args) -> int:
-    _check_solver_args(args)
     gram = reference_five_state_gram()
     report = _solve_one(gram, args, None)
     out = _out_dir(args)
@@ -365,17 +356,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser() -> _Parser:
-    """The parser of ``main``, built once per process: parse_args keeps no
-    state between calls."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
         return args.fn(args)
     except _CliFailure as exc:
         print(str(exc), file=sys.stderr)

@@ -29,14 +29,17 @@ upper triangle of F, so a_i stays real and f_ji = conj(f_ij) exactly.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .certify import TOL_GLB, TOL_STAT, Certificate, certify_gram
 from .exceptions import (
-    NearLinearDependence, NotCertified, PositivityLost, ResidualTooLarge, SingularJacobian,
+    NearLinearDependence,
+    NotCertified,
+    PositivityLost,
+    ResidualTooLarge,
+    SingularJacobian,
 )
 from .gram import GramMatrix
 from .linalg import hs_norm, polar_unitary, read_only
@@ -55,16 +58,6 @@ EPS_A = 1e-6
 
 def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(m, 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _gather(m: int) -> np.ndarray:
-    """Index of each entry of F in the vector (a^2, f, conj f)."""
-    iu, ju = _triu(m)
-    idx = np.diag(np.arange(m))
-    idx[iu, ju] = m + np.arange(iu.size)
-    idx[ju, iu] = m + iu.size + np.arange(iu.size)
-    return read_only(idx)
 
 
 @dataclass(frozen=True)
@@ -168,16 +161,13 @@ def initial_state(m: int) -> SolverState:
 
 
 def _factor(a: np.ndarray, f: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
-    """The hermitian factor F with F_ii = a_i^2 and strict upper triangle f at
-    (iu, ju), which must be _triu(m): the cached gather index encodes it."""
-    return np.concatenate((a * a, f, f.conj()))[_gather(a.shape[0])]
-
-
-def _pair_sums(lam: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """lam_i + lam_j and its smallest and largest modulus; lam is ascending, so
-    the largest is 2|lam| at one end of the spectrum."""
-    s = lam[:, None] + lam
-    return s, np.abs(s).min(), 2.0 * max(-lam[0], lam[-1])
+    """The hermitian factor F with F_ii = a_i^2 and strict upper triangle f."""
+    m = a.shape[0]
+    out = np.zeros((m, m), dtype=complex)
+    out.flat[:: m + 1] = a * a
+    out[iu, ju] = f
+    out[ju, iu] = f.conj()
+    return out
 
 
 def _tangent_solve(
@@ -196,7 +186,9 @@ def _tangent_solve(
     lam, v = eig
     m = a.shape[0]
     vh = v.conj().T
-    s, s_min, s_max = _pair_sums(lam)
+    s = lam[:, None] + lam[None, :]
+    s_abs = np.abs(s)
+    s_min, s_max = s_abs.min(), s_abs.max()
     if not s_max <= COND_MAX * s_min:
         raise SingularJacobian(
             f"Lyapunov spectrum ratio max|l_i+l_j|/min|l_i+l_j| = {s_max:.3e}/{s_min:.3e} "
@@ -212,7 +204,7 @@ def _tangent_solve(
     b = (bnij @ y.ravel()).real
     try:
         schur_inv = np.linalg.inv(schur)
-        cond = np.abs((schur, schur_inv)).sum(axis=1).max(axis=1).prod()
+        cond = np.abs(schur).sum(axis=0).max() * np.abs(schur_inv).sum(axis=0).max()
     except np.linalg.LinAlgError:
         cond = np.inf
     if not cond <= COND_MAX:
@@ -227,8 +219,14 @@ def _tangent_solve(
 
 
 def _rate(
-    a: np.ndarray, f: np.ndarray, g: np.ndarray, gdot: np.ndarray, t: float,
-    iu: np.ndarray, ju: np.ndarray, eig: tuple[np.ndarray, np.ndarray] | None = None,
+    a: np.ndarray,
+    f: np.ndarray,
+    g: np.ndarray,
+    gdot: np.ndarray,
+    t: float,
+    iu: np.ndarray,
+    ju: np.ndarray,
+    eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(a', f') at (a, f); ``eig`` is eigh(F) when the caller already has it."""
     eig = np.linalg.eigh(_factor(a, f, iu, ju)) if eig is None else eig
@@ -286,8 +284,10 @@ def rk4_drag(
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    if abs(steps * h - 1.0) > 1e-9:
+    if not abs(steps * h - 1.0) <= 1e-9:
         raise ValueError(f"steps*h must equal 1, got {steps} * {h} = {steps * h}")
+    if polish and polish_every < 1:
+        raise ValueError(f"polish_every must be at least 1, got {polish_every}")
     m = trajectory.m
     iu, ju = _triu(m)
     if initial is None:
@@ -339,8 +339,14 @@ def rk4_drag(
     # G and D; snap to the nearest unitary, exactly as certification does
     final_povm = povm_from_unitary(trajectory.g_end, polar_unitary(u))
     return RunReport(
-        steps=steps, h=h, polish=polish, polish_every=polish_every, trace=read_only(trace),
-        final_state=final, final_povm=final_povm, certificate=certificate,
+        steps=steps,
+        h=h,
+        polish=polish,
+        polish_every=polish_every,
+        trace=read_only(trace),
+        final_state=final,
+        final_povm=final_povm,
+        certificate=certificate,
     )
 
 

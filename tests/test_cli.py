@@ -276,9 +276,22 @@ class TestUsage:
                                        ["--steps", "-1", "--h", "-1"],
                                        ["--h", "nan"],
                                        ["--polish", "--polish-every", "0"]])
-    def test_degenerate_solver_flags_exit_64(self, tmp_path, flags):
+    def test_degenerate_solver_flags_exit_64(self, tmp_path, capsys, flags):
         inp = write_gram(tmp_path / "g.json", random_gram(2, seed=821))
         assert main(["solve", inp, "--out", str(tmp_path)] + flags) == 64
+        assert "invalid solver arguments" in capsys.readouterr().err
+
+    def test_polish_interval_is_unused_without_polish(self, tmp_path):
+        inp = write_gram(tmp_path / "g.json", random_gram(2, seed=821))
+        assert main(["solve", inp, "--out", str(tmp_path), "--steps", "100", "--h", "1e-2",
+                     "--polish-every", "0"]) == 0
+
+    def test_intermediate_gram_of_another_size_exits_64(self, tmp_path, capsys):
+        via = write_gram(tmp_path / "via.json", random_gram(2, seed=823))
+        inp = write_gram(tmp_path / "g.json", random_gram(3, seed=824))
+        assert main(["solve", inp, "--from", via, "--out", str(tmp_path),
+                     "--steps", "100", "--h", "1e-2"]) == 64
+        assert "invalid solver arguments" in capsys.readouterr().err
 
     def test_undecodable_input_exits_64_like_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bytes.json"
@@ -293,7 +306,7 @@ class TestUsage:
         assert main(["solve", str(path), "--out", str(tmp_path)]) == 64
 
 
-class TestParserReuse:
+class TestRepeatedCalls:
     def test_each_call_sees_only_its_own_flags(self, tmp_path, capsys):
         gram = random_gram(2, seed=822)
         inp = write_gram(tmp_path / "g.json", gram)
@@ -312,11 +325,5 @@ class TestParserReuse:
         assert (tmp_path / "c" / "check-certificate.json").exists()
         assert main(["certify", str(check), "--steps", "100"]) == 64
         assert main(["generate", "--m", "2", "--seed", "3", "--out", str(tmp_path / "d")]) == 0
-        assert cli._parser() is cli._parser()
         assert "unrecognized arguments: --steps 100" in capsys.readouterr().err
 
-    def test_parse_is_independent_of_earlier_calls(self):
-        first = cli._parser().parse_args(["solve", "x.json", "--polish", "--from", "v.json"])
-        second = cli._parser().parse_args(["solve", "x.json"])
-        assert first.polish and getattr(first, "from") == "v.json"
-        assert vars(second) == vars(cli.build_parser().parse_args(["solve", "x.json"]))

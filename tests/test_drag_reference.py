@@ -1,10 +1,11 @@
 """The RK4 drag against a plain reference implementation, and its guards.
 
 ``_reference_drag`` is the straightforward form of the step: every stage
-assembles F entry by entry and decomposes it, and the step check runs its
-own ``eigvalsh``.  The solver shares one eigendecomposition per step and
-contracts the Schur system from one tensor instead, which reorders roundoff
-only; the tolerances below were fixed before that rewrite.
+decomposes F itself, the Schur system and its right-hand side are reduced
+separately, and the step check runs its own ``eigvalsh``.  The solver shares
+one eigendecomposition per step and contracts the Schur system and its
+right-hand side from one tensor instead, which reorders roundoff only; the
+tolerances below were fixed before that rewrite.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import medsolve as ms
 from conftest import identity_gram, seeded_grams
-from medsolve.homotopy import COND_MAX, EPS_A, _pair_sums
+from medsolve.homotopy import COND_MAX, EPS_A
 
 
 def _reference_factor(a, f, iu, ju):
@@ -134,19 +135,3 @@ class TestGuards:
                            match=r"a_0 fell to 9\.000e-07 at t=0\.100000"):
             ms.rk4_drag(_constant(np.diag([0.7, 0.3])), steps=10, h=0.1, initial=start)
 
-
-def test_pair_sum_extremes_match_full_pairwise():
-    rng = np.random.default_rng(2100)
-    for k in range(100):
-        m = int(rng.integers(2, 10))
-        lam = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
-        if k % 4 == 0:
-            lam = np.abs(lam)  # definite
-        elif k % 4 == 1:
-            lam = -np.abs(lam)  # negative definite
-        lam = np.sort(lam)  # ascending, as eigh returns it
-        s, s_min, s_max = _pair_sums(lam)
-        full = np.abs(lam[:, None] + lam[None, :])
-        assert np.array_equal(s, lam[:, None] + lam[None, :])
-        assert s_min == full.min()
-        assert s_max == full.max()

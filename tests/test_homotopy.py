@@ -105,6 +105,14 @@ class TestRk4Drag:
         g = random_gram(3, seed=91)
         with pytest.raises(ValueError):
             ms.rk4_drag(ms.Trajectory(identity_gram(3), g), steps=100, h=1e-3)
+        with pytest.raises(ValueError, match="steps\\*h must equal 1"):
+            ms.rk4_drag(ms.Trajectory(identity_gram(3), g), steps=100, h=float("nan"))
+
+    def test_polish_interval_must_be_positive_when_polishing(self):
+        traj = ms.Trajectory(identity_gram(2), random_gram(2, seed=96))
+        with pytest.raises(ValueError, match="polish_every must be at least 1, got 0"):
+            ms.rk4_drag(traj, steps=100, h=1e-2, polish=True, polish_every=0)
+        assert ms.rk4_drag(traj, steps=100, h=1e-2, polish_every=0).polish_every == 0
 
     def test_hermiticity_is_structural(self):
         report = solve_direct(random_gram(4, seed=92))
