@@ -300,7 +300,8 @@ def _add_common(sub: argparse.ArgumentParser, solver: bool = False) -> None:
         sub.add_argument("--steps", type=int, default=1000, help="integration steps")
         sub.add_argument("--h", type=float, default=1e-3, help="step size (steps*h must be 1)")
         sub.add_argument("--polish", action="store_true",
-                         help="re-project onto the constraint during integration")
+                         help="re-project onto the constraint during integration and "
+                              "finish with Newton corrections at t = 1")
         sub.add_argument("--polish-every", type=int, default=10,
                          help="steps between re-projections")
 

@@ -27,7 +27,7 @@ def anti_hermitian_norm(mat: np.ndarray) -> float:
 
 def hs_norm(mat: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(mat))
+    return float(np.sqrt(np.vdot(mat, mat).real))
 
 
 def sqrtm_psd(mat: np.ndarray, floor: float = 0.0) -> np.ndarray:

@@ -3,7 +3,9 @@
 Two routes that share no code with the continuation solver: the closed-form
 two-state optimum, and direct maximization of the success probability over
 the unitary group by Riemannian gradient ascent (restricted to small
-dimensions, where exhaustive restarts are cheap).
+dimensions, where exhaustive restarts are cheap).  The random restarts of
+the ascent advance together as one stack of unitaries; each keeps its own
+start, step and stopping test, so batching them changes roundoff only.
 """
 
 from __future__ import annotations
@@ -79,6 +81,80 @@ def helstrom_angle_scan(
     return float(np.max(ps))
 
 
+def _value(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_i |(R U)_ii|^2 for each unitary U of the stack ``u``."""
+    return np.sum(np.abs(np.einsum("ij,...ji->...i", r, u)) ** 2, axis=-1)
+
+
+def _ascend(
+    r: np.ndarray, u0: np.ndarray, max_iter: int, gtol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Riemannian gradient ascent from every unitary of the stack ``u0`` at once.
+
+    Each lane runs its own ascent with its own step: it stops when its
+    gradient norm falls below ``gtol``, where 60 halvings of its step find
+    no ascent, or after ``max_iter`` iterations.  Stopped lanes leave the
+    stack.  Returns each lane's final unitary, iteration count and last
+    gradient norm.
+    """
+    u_out = u0.copy()
+    iters_out = np.full(u0.shape[0], max_iter)
+    grad_out = np.full(u0.shape[0], np.inf)
+    lanes = np.arange(u0.shape[0])  # index in u0 of each running lane
+    u = u0
+    step = np.ones(u0.shape[0])
+    prev_u = prev_grad = None
+    rh = r.conj().T
+    for it in range(1, max_iter + 1):
+        w = np.einsum("ij,kji->ki", r, u)  # diagonals of R U
+        # project the euclidean gradient R^dag diag(w) onto the tangent space at U
+        lam = np.swapaxes(u.conj(), 1, 2) @ (rh * w[:, None, :])
+        rgrad = u @ (0.5 * (lam - np.swapaxes(lam.conj(), 1, 2)))
+        grad_norm = np.sqrt(np.sum(np.abs(rgrad) ** 2, axis=(1, 2)))
+        done = grad_norm < gtol
+        # spectral (Barzilai-Borwein) step adapts to weakly curved
+        # directions where any fixed step crawls
+        if prev_u is not None:
+            s_vec = (u - prev_u).reshape(lanes.size, -1)
+            y_vec = (rgrad - prev_grad).reshape(lanes.size, -1)
+            denom = np.sum(s_vec.conj() * y_vec, axis=1).real
+            usable = np.abs(denom) > 1e-300
+            ss = np.sum(np.abs(s_vec) ** 2, axis=1)
+            step = np.where(usable, np.abs(ss / np.where(usable, denom, 1.0)), step)
+            step = np.clip(step, 1e-3, 1e8)
+        current = np.sum(np.abs(w) ** 2, axis=1)
+        # backtrack each unconverged lane until its step ascends
+        trial = step.copy()
+        u_next = np.empty_like(u)
+        pending = np.flatnonzero(~done)
+        for _ in range(60):
+            if pending.size == 0:
+                break
+            candidate = polar_unitary(u[pending] + trial[pending, None, None] * rgrad[pending])
+            ascended = _value(r, candidate) > current[pending] + 1e-15
+            u_next[pending[ascended]] = candidate[ascended]
+            pending = pending[~ascended]
+            trial[pending] *= 0.5
+        # converged lanes and lanes whose backtracking ran out stop where they are
+        done[pending] = True
+        if done.any():
+            stopped = lanes[done]
+            u_out[stopped] = u[done]
+            iters_out[stopped] = it
+            grad_out[stopped] = grad_norm[done]
+            keep = ~done
+            if not keep.any():
+                return u_out, iters_out, grad_out
+            lanes, u, u_next, rgrad, grad_norm, step = (
+                x[keep] for x in (lanes, u, u_next, rgrad, grad_norm, step)
+            )
+        prev_u, prev_grad = u, rgrad
+        u = u_next
+    u_out[lanes] = u
+    grad_out[lanes] = grad_norm
+    return u_out, iters_out, grad_out
+
+
 def search_optimum(
     gram: GramMatrix,
     seed: int,
@@ -91,70 +167,30 @@ def search_optimum(
     Riemannian gradient ascent: the euclidean gradient R^dag diag(w) (with
     R = G^{1/2}, w the diagonal of RU) is projected onto the tangent space
     of the unitary group and the iterate is retracted by polar
-    decomposition; the step grows after success and backtracks otherwise.
-    Random restarts guard against the non-global stationary points.
-    Deterministic in ``seed``; restricted to m <= 4 where restarts are
-    cheap.  Raises NoConvergence if the best run keeps a gradient norm
-    above ``gtol``.
+    decomposition; each step is a Barzilai-Borwein step, halved until it
+    ascends.  ``restarts`` random starts guard against the non-global
+    stationary points; they advance together as one stack of unitaries,
+    each with its own step and stopping test, and the best value wins
+    (the first one on ties).  Deterministic in ``seed``; restricted to
+    m <= 4 where restarts are cheap.  Raises NoConvergence if the best run
+    keeps a gradient norm above ``gtol``.
     """
     m = gram.m
     if m > 4:
         raise ValueError("direct search is cost-guarded to m <= 4")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     r = gram.sqrt()
-    rng = np.random.default_rng(seed)
-
-    def value(u: np.ndarray) -> float:
-        return float(np.sum(np.abs(np.diagonal(r @ u)) ** 2))
-
-    best_val = -np.inf
-    best_u: np.ndarray | None = None
-    best_stats = SearchStats(iterations=0, grad_norm=np.inf)
-    for _ in range(restarts):
-        z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        u = polar_unitary(z)
-        step = 1.0
-        grad_norm = np.inf
-        iters = 0
-        prev_u = prev_grad = None
-        for iters in range(1, max_iter + 1):
-            w = np.diagonal(r @ u)
-            egrad = r.conj().T @ np.diag(w)
-            lam = u.conj().T @ egrad
-            rgrad = u @ (0.5 * (lam - lam.conj().T))
-            grad_norm = float(np.linalg.norm(rgrad))
-            if grad_norm < gtol:
-                break
-            # spectral (Barzilai-Borwein) step adapts to weakly curved
-            # directions where any fixed step crawls
-            if prev_grad is not None:
-                s_vec = (u - prev_u).ravel()
-                y_vec = (rgrad - prev_grad).ravel()
-                denom = np.vdot(s_vec, y_vec).real
-                if abs(denom) > 1e-300:
-                    step = abs(np.vdot(s_vec, s_vec).real / denom)
-                step = float(min(max(step, 1e-3), 1e8))
-            current = value(u)
-            trial_step = step
-            for _ in range(60):
-                candidate = polar_unitary(u + trial_step * rgrad)
-                if value(candidate) > current + 1e-15:
-                    break
-                trial_step *= 0.5
-            else:
-                break
-            prev_u, prev_grad = u, rgrad
-            u = candidate
-        val = value(u)
-        if val > best_val:
-            best_val = val
-            best_u = u
-            best_stats = SearchStats(iterations=iters, grad_norm=grad_norm)
-
-    if best_stats.grad_norm > gtol:
-        raise NoConvergence(
-            f"best ascent stalled with gradient norm {best_stats.grad_norm:.3e}"
-        )
-    povm = povm_from_unitary(gram, best_u)
+    z = np.random.default_rng(seed).normal(size=(restarts, 2, m, m))
+    u, iterations, grad_norm = _ascend(r, polar_unitary(z[:, 0] + 1j * z[:, 1]), max_iter, gtol)
+    values = _value(r, u)
+    best = int(np.argmax(values))
+    stats = SearchStats(iterations=int(iterations[best]), grad_norm=float(grad_norm[best]))
+    if stats.grad_norm > gtol:
+        raise NoConvergence(f"best ascent stalled with gradient norm {stats.grad_norm:.3e}")
+    povm = povm_from_unitary(gram, u[best])
     return OracleResult(
-        p_success=best_val, povm=povm, method="search", convergence=best_stats
+        p_success=float(values[best]), povm=povm, method="search", convergence=stats
     )

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, files, pipelines."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import medsolve as ms
 from conftest import random_gram, solve_direct
 from medsolve import cli, serialize
 from medsolve.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_gram(path, gram):
@@ -92,6 +95,20 @@ class TestSolve:
         report = json.loads((tmp_path / "ens10-report.json").read_text())
         povm = serialize.povm_from_dict(report["final_povm"])
         assert ms.certify_povm(ens, povm).is_optimal
+
+    def test_polished_near_dependent_gram_reports_the_attained_value(self, tmp_path):
+        # min eig 2.1e-4: one correction at t = 1 left Tr F 1.3e-8 above the
+        # success probability of the written measurement
+        path = DATA / "near-dependent-m8-gram.json"
+        code = main(["solve", str(path), "--out", str(tmp_path), "--steps", "200", "--h", "5e-3",
+                     "--polish"])
+        assert code == 0
+        report = json.loads((tmp_path / "near-dependent-m8-gram-report.json").read_text())
+        gram = serialize.load_gram_or_ensemble(serialize.read_json(path))
+        again = ms.certify_povm(ms.ensemble_from_gram(gram),
+                                serialize.povm_from_dict(report["final_povm"]))
+        assert report["certificate"]["status"] == "optimal" and again.is_optimal
+        assert abs(again.p_success - report["certificate"]["p_success"]) <= 1e-12
 
     def test_repeated_ensemble_solve_is_byte_identical(self, tmp_path):
         ens = ms.random_ensemble(4, seed=811, spread=0.6)
