@@ -48,15 +48,12 @@ from .exceptions import (
 )
 from .gram import (
     EPS_LI,
-    CanonicalizedGram,
-    DualBasis,
     Ensemble,
     GramMatrix,
-    canonicalize,
     dual_basis,
     ensemble_from_gram,
-    gram_from_ensemble,
     random_ensemble,
+    raw_gram,
 )
 from .homotopy import (
     COND_MAX,
@@ -87,9 +84,7 @@ __all__ = [
     "AuditFailure",
     "AuditReport",
     "COND_MAX",
-    "CanonicalizedGram",
     "Certificate",
-    "DualBasis",
     "EPS_A",
     "EPS_LI",
     "Ensemble",
@@ -120,7 +115,6 @@ __all__ = [
     "TOL_STAT",
     "Trajectory",
     "UnitarityLost",
-    "canonicalize",
     "certify_gram",
     "certify_povm",
     "classify_landscape",
@@ -130,13 +124,13 @@ __all__ = [
     "ensemble_from_gram",
     "geometric_audit",
     "global_check",
-    "gram_from_ensemble",
     "helstrom",
     "helstrom_angle_scan",
     "initial_state",
     "pgm",
     "povm_from_unitary",
     "random_ensemble",
+    "raw_gram",
     "reference_five_state_gram",
     "rk4_drag",
     "root_to_povm",

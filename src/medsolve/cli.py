@@ -78,17 +78,23 @@ def _configure_logging() -> None:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
 
 
-def _load_problem(path: Path) -> GramMatrix | Ensemble:
-    """Read a Gram-or-ensemble JSON file, mapping failures to exit codes."""
+def _read_input(path: Path, parse):
+    """Read a JSON file and ``parse`` its data, mapping failures to exit codes:
+    an unreadable file or a schema violation is a usage error, invalid
+    numbers are invalid data."""
     try:
-        data = read_json(path)
-        return load_gram_or_ensemble(data, context=str(path))
+        return parse(read_json(path))
     except OSError as exc:
         raise _CliFailure(EXIT_USAGE, f"{path}: cannot read input ({exc.strerror})") from exc
     except SchemaError as exc:
         raise _CliFailure(EXIT_USAGE, str(exc)) from exc
     except (MedError, ValueError) as exc:
         raise _CliFailure(EXIT_DATA, f"{path}: {exc}") from exc
+
+
+def _load_problem(path: Path) -> GramMatrix | Ensemble:
+    """Read a Gram-or-ensemble JSON file."""
+    return _read_input(path, lambda data: load_gram_or_ensemble(data, context=str(path)))
 
 
 def _as_gram(problem: GramMatrix | Ensemble) -> GramMatrix:
@@ -191,18 +197,13 @@ def cmd_solve(args) -> int:
 
 
 def _load_certify_input(path: Path):
-    try:
-        data = read_json(path)
+    def parse(data):
         if "ensemble" not in data or "povm" not in data:
             raise SchemaError(f"{path}: need fields 'ensemble' and 'povm'")
         problem = load_gram_or_ensemble(data["ensemble"], context=f"{path}:ensemble")
-        povm = povm_from_dict(data["povm"], context=f"{path}:povm")
-    except OSError as exc:
-        raise _CliFailure(EXIT_USAGE, f"{path}: cannot read input ({exc.strerror})") from exc
-    except SchemaError as exc:
-        raise _CliFailure(EXIT_USAGE, str(exc)) from exc
-    except (MedError, ValueError) as exc:
-        raise _CliFailure(EXIT_DATA, f"{path}: {exc}") from exc
+        return problem, povm_from_dict(data["povm"], context=f"{path}:povm")
+
+    problem, povm = _read_input(path, parse)
     if isinstance(problem, Ensemble):
         if povm.frame != FRAME_AMBIENT:
             raise _CliFailure(

@@ -7,16 +7,13 @@ works on the Gram matrix of the probability-scaled states
     |psi~_i> = sqrt(p_i) |psi_i>,      G_ij = <psi~_i | psi~_j>,
 
 which is hermitian, has trace 1 (G_ii = p_i) and is positive definite
-exactly when the states are linearly independent.  Two Gram matrices that
-differ only by a simultaneous reindexing of the states and by per-state
-phases describe the same physical ensemble; ``canonicalize`` picks a unique
-representative of that equivalence class.
+exactly when the states are linearly independent.  ``raw_gram`` builds it
+in the ensemble's own order of states.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +80,9 @@ class Ensemble:
 class GramMatrix:
     """Trace-one positive definite hermitian matrix of scaled-state overlaps.
 
-    Any matrix satisfying those three conditions is accepted; being in
-    canonical (ordering + phase) form is not required here, so solver
-    routines can run directly on user-supplied matrices.
+    Any matrix satisfying those three conditions is accepted, in whatever
+    order and phases it comes, so solver routines run directly on
+    user-supplied matrices.
     """
 
     entries: np.ndarray
@@ -127,123 +124,6 @@ class GramMatrix:
     def inv(self) -> np.ndarray:
         return np.linalg.inv(self.entries)
 
-    @property
-    def is_canonical(self) -> bool:
-        """Non-increasing diagonal and real non-negative superdiagonal."""
-        g = self.entries
-        d = np.diagonal(g).real
-        if np.any(np.diff(d) > _ATOL_TRACE):
-            return False
-        sup = np.diagonal(g, 1)
-        return bool(np.all(np.abs(sup.imag) <= _ATOL_HERM) and np.all(sup.real >= -_ATOL_HERM))
-
-
-@dataclass(frozen=True)
-class DualBasis:
-    """Vectors |u_j> biorthogonal to the scaled states: <psi~_i|u_j> = delta_ij."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", read_only(np.array(self.vectors, dtype=complex)))
-
-    @property
-    def m(self) -> int:
-        return self.vectors.shape[0]
-
-
-@dataclass(frozen=True)
-class CanonicalizedGram:
-    """A canonical Gram matrix together with the mapping back to raw indexing.
-
-    ``gram`` is the canonical representative; ``raw`` is the matrix actually
-    computed from the input.  They are related by
-
-        gram = diag(e^{-i phases}) . raw[perm, perm] . diag(e^{i phases})
-
-    so results computed against ``gram`` can be mapped back: outcome i of a
-    canonical-frame measurement corresponds to input index permutation[i].
-    """
-
-    gram: GramMatrix
-    permutation: np.ndarray
-    phases: np.ndarray
-    raw: GramMatrix = field(repr=False)
-
-    def to_raw_entries(self) -> np.ndarray:
-        """Reconstruct the raw matrix from the canonical one (inverse map)."""
-        phase = np.exp(1j * self.phases)
-        undone = (phase[:, None] * self.gram.entries) * phase.conj()[None, :]
-        inv = np.argsort(self.permutation)
-        return undone[np.ix_(inv, inv)]
-
-
-def _tie_blocks(diag: np.ndarray, order: np.ndarray) -> list[list[int]]:
-    """Group consecutive sorted positions whose diagonal values tie."""
-    blocks = [[0]]
-    for k in range(1, len(order)):
-        if abs(diag[order[k]] - diag[order[k - 1]]) <= _ATOL_TRACE:
-            blocks[-1].append(k)
-        else:
-            blocks.append([k])
-    return blocks
-
-
-def _canonical_key(g: np.ndarray) -> tuple:
-    """Ordering key: superdiagonal magnitudes first, then the remaining
-    upper triangle row-major.  Larger keys are preferred."""
-    m = g.shape[0]
-    sup = tuple(np.round(np.abs(np.diagonal(g, 1)), 12))
-    rest = tuple(
-        np.round(abs(g[i, j]), 12) for i in range(m) for j in range(i + 2, m)
-    )
-    return sup + rest
-
-
-def canonicalize(entries: np.ndarray | GramMatrix) -> CanonicalizedGram:
-    """Bring a valid Gram matrix into canonical form.
-
-    Ordering convention: diagonal entries non-increasing; ties broken by
-    preferring larger superdiagonal magnitudes, then lexicographically on
-    the remaining off-diagonal magnitudes.  Phase convention: conjugation
-    by a diagonal unitary makes every superdiagonal entry real non-negative.
-    The applied permutation and phases are returned so that results can be
-    mapped back to the original indexing.
-    """
-    raw = entries if isinstance(entries, GramMatrix) else GramMatrix(entries)
-    g = raw.entries
-    m = raw.m
-    diag = np.diagonal(g).real
-
-    base = np.argsort(-diag, kind="stable")
-    blocks = _tie_blocks(diag, base)
-    best_perm, best_key = None, None
-    # Ties are rare and blocks small, so brute-force the block permutations.
-    for combo in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        positions = [p for blk in combo for p in blk]
-        perm = base[list(positions)]
-        key = _canonical_key(g[np.ix_(perm, perm)])
-        if best_key is None or key > best_key:
-            best_perm, best_key = perm, key
-    perm = np.asarray(best_perm)
-    gp = g[np.ix_(perm, perm)]
-
-    # Chain of phases making the superdiagonal real non-negative.
-    theta = np.zeros(m)
-    for i in range(m - 1):
-        entry = gp[i, i + 1]
-        theta[i + 1] = theta[i] - (np.angle(entry) if abs(entry) > 1e-15 else 0.0)
-    phase = np.exp(1j * theta)
-    gc = (phase.conj()[:, None] * gp) * phase[None, :]
-    gc = hermitize(gc)
-    for i in range(m - 1):
-        val = abs(gp[i, i + 1])
-        gc[i, i + 1] = val
-        gc[i + 1, i] = val
-    return CanonicalizedGram(
-        gram=GramMatrix(gc), permutation=perm, phases=theta, raw=raw
-    )
-
 
 def raw_gram(ensemble: Ensemble) -> GramMatrix:
     """Gram matrix G_ij = sqrt(p_i p_j) <psi_i|psi_j> in the ensemble's own indexing."""
@@ -251,21 +131,11 @@ def raw_gram(ensemble: Ensemble) -> GramMatrix:
     return GramMatrix(hermitize(scaled.conj().T @ scaled))
 
 
-def gram_from_ensemble(ensemble: Ensemble) -> CanonicalizedGram:
-    """Gram matrix of the scaled states, in canonical form.
-
-    The raw matrix (``raw_gram``) is kept alongside the canonical
-    representative together with the permutation and phases that relate
-    the two.
-    """
-    return canonicalize(raw_gram(ensemble))
-
-
-def dual_basis(ensemble: Ensemble) -> DualBasis:
+def dual_basis(ensemble: Ensemble) -> np.ndarray:
     """The unique set {|u_j>} with <psi~_i|u_j> = delta_ij.
 
-    The columns of the inverse conjugate-transposed scaled-state matrix.
-    Its Gram matrix equals G^{-1}.
+    Returned as the columns of a read-only (m, m) array: the inverse of the
+    conjugate-transposed scaled-state matrix.  Its Gram matrix equals G^{-1}.
     """
     scaled = ensemble.scaled_states
     vectors = np.linalg.inv(scaled.conj().T)
@@ -274,7 +144,7 @@ def dual_basis(ensemble: Ensemble) -> DualBasis:
         raise NearLinearDependence(
             f"dual basis ill-conditioned (biorthogonality residual {resid:.3e})"
         )
-    return DualBasis(vectors)
+    return read_only(vectors)
 
 
 def ensemble_from_gram(gram: GramMatrix) -> Ensemble:

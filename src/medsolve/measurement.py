@@ -108,8 +108,7 @@ def povm_from_unitary(
         raise ValueError(
             f"gram matrix does not match the ensemble (max deviation {mismatch:.3e})"
         )
-    dual = dual_basis(ensemble).vectors
-    vectors = dual @ (gram.sqrt() @ u)
+    vectors = dual_basis(ensemble) @ (gram.sqrt() @ u)
     return Povm(vectors, frame=FRAME_AMBIENT)
 
 

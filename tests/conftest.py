@@ -10,9 +10,9 @@ def identity_gram(m: int) -> ms.GramMatrix:
 
 
 def random_gram(m: int, seed: int, spread: float = 0.6, real: bool = False) -> ms.GramMatrix:
-    """Raw (uncanonicalized) Gram matrix of a seeded random ensemble."""
+    """Gram matrix of a seeded random ensemble, in the ensemble's own order."""
     ensemble = ms.random_ensemble(m, seed, spread, real=real)
-    return ms.gram_from_ensemble(ensemble).raw
+    return ms.raw_gram(ensemble)
 
 
 def solve_direct(gram: ms.GramMatrix, steps: int = 500, h: float = 2e-3, **kwargs) -> ms.RunReport:

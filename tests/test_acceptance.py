@@ -47,7 +47,7 @@ def test_criterion_2_two_state_closed_form_agreement():
     worst = 0.0
     for seed in range(50):
         ens = ms.random_ensemble(2, seed=seed, spread=0.2 + 0.015 * seed)
-        gram = ms.gram_from_ensemble(ens).raw
+        gram = ms.raw_gram(ens)
         overlap = np.vdot(ens.states[:, 0], ens.states[:, 1])
         closed = ms.helstrom(ens.probs[0], ens.probs[1], overlap).p_success
         solved = solve_direct(gram, steps=500, h=2e-3).certificate.p_success

@@ -118,7 +118,7 @@ class TestCertifyGram:
         # the index-swapped two-state stationary point has a hermitian
         # factor with one negative eigenvalue: stationary, not optimal
         ens, result = helstrom_setup()
-        gram = ms.gram_from_ensemble(ens).raw
+        gram = ms.raw_gram(ens)
         swapped = ms.Povm(result.povm.vectors[:, ::-1], frame=ms.FRAME_AMBIENT)
         overlaps = ens.scaled_states.conj().T @ swapped.vectors
         diag = np.diagonal(overlaps)

@@ -120,12 +120,15 @@ class TestSolve:
             a = (tmp_path / "a" / f"ens-{suffix}").read_bytes()
             assert a == (tmp_path / "b" / f"ens-{suffix}").read_bytes()
 
-    def test_ensemble_gram_is_raw_matrix_without_canonicalizing(self):
-        # tied priors: the canonical form permutes, the raw matrix must not
+    def test_ensemble_gram_is_inner_products_in_input_order(self):
+        # tied priors: no reordering of the states may creep in
         states = ms.random_ensemble(5, seed=812, spread=0.7).states
         ens = ms.Ensemble(states, np.full(5, 0.2))
         gram = cli._as_gram(ens)
-        assert np.array_equal(gram.entries, ms.gram_from_ensemble(ens).raw.entries)
+        for i in range(5):
+            for j in range(5):
+                expected = np.sqrt(0.2 * 0.2) * np.vdot(states[:, i], states[:, j])
+                assert abs(gram.entries[i, j] - expected) < 1e-14
 
     def test_escaping_toolkit_error_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -127,7 +127,7 @@ class TestClassifyLandscape:
             [[1.0, c, 0.0], [0.0, np.sqrt(1 - c * c), 0.0], [0.0, 0.0, 1.0]]
         )
         ens = ms.Ensemble(states, np.array([0.4, 0.4, 0.2]))
-        gram = ms.gram_from_ensemble(ens).raw
+        gram = ms.raw_gram(ens)
         landscape = ms.classify_landscape(gram)
         real_ps = sorted(r.p_success for r in landscape.roots if r.is_real)
         helstrom = ms.helstrom(0.5, 0.5, c).p_success

@@ -1,21 +1,24 @@
-"""Property tests of the CLI exit-code contract on malformed input.
+"""Property tests of the CLI exit-code contract.
 
 Every argv below ends in one of the documented exit codes and never in a
-traceback.  The inputs are missing paths, directories, garbage files and
-out-of-range generator arguments.  No drawn file is a valid problem: a unit
-trace or probabilities summing to one cannot be formed from the numbers
-drawn (integers, 2.5, 1e308, -1e-300, infinities), so no command reaches a
-drag.
+traceback.  Most inputs are malformed: missing paths, directories, garbage
+files and out-of-range generator arguments.  No such file is a valid
+problem: a unit trace or probabilities summing to one cannot be formed from
+the numbers drawn (integers, 2.5, 1e308, -1e-300, infinities), so no command
+reaches a drag.  The last test feeds valid problems close to linear
+dependence to ``solve``, where the drag itself runs near its limits.
 """
 
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from medsolve import cli
+import medsolve as ms
+from medsolve import cli, serialize
 
 EXIT_CODES = {0, 2, 3, 64, 65}
 SETTINGS = settings(
@@ -113,3 +116,45 @@ def test_generate_ranges_end_in_documented_codes(m, spread, seed, real):
     assert first == again
     in_range = m >= 2 and 0.0 < spread <= 1.0 and seed >= 0
     assert first == (0 if in_range else 65)
+
+
+def _near_floor_gram(m, seed, real, factor):
+    """A Gram matrix whose smallest eigenvalue is ``factor`` * EPS_LI."""
+    vals, vecs = np.linalg.eigh(ms.raw_gram(ms.random_ensemble(m, seed, 0.6, real=real)).entries)
+    vals[0] = factor * ms.EPS_LI
+    vals[1:] *= (1.0 - vals[0]) / vals[1:].sum()
+    entries = (vecs * vals) @ vecs.conj().T
+    return (entries + entries.conj().T) / 2
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.integers(2, 5),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.97, 1.0),
+    st.booleans(),
+    st.floats(0.5, 0.9) | st.floats(1.1, 2.0),
+)
+def test_solve_near_dependence_ends_in_documented_codes(m, seed, spread, real, factor):
+    solve = ["--steps", "100", "--h", "1e-2"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        code = cli.main(["generate", f"--m={m}", f"--seed={seed}", f"--spread={spread!r}",
+                         "--out", str(tmp)] + (["--real"] if real else []))
+        assert code in (0, 65)
+        if code == 0:
+            ensemble = tmp / f"ensemble-m{m}-seed{seed}.json"
+            assert cli.main(["solve", str(ensemble), "--out", str(tmp)] + solve) in (0, 2, 3)
+        # the raw dict: a GramMatrix below the floor cannot be constructed
+        entries = _near_floor_gram(m, seed, real, factor)
+        gram = tmp / "gram.json"
+        serialize.write_json(gram, {"m": m, "gram_re": entries.real.tolist(),
+                                    "gram_im": entries.imag.tolist()})
+        code = cli.main(["solve", str(gram), "--out", str(tmp)] + solve)
+        assert code == 65 if factor < 1.0 else code in (0, 2, 3)

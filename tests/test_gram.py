@@ -15,19 +15,13 @@ def orthogonal_ensemble(m, probs=None):
 class TestGramFromEnsemble:
     def test_orthogonal_pair_gives_diagonal(self):
         ens = orthogonal_ensemble(2)
-        res = ms.gram_from_ensemble(ens)
-        assert np.allclose(res.gram.entries, np.diag([0.5, 0.5]), atol=1e-14)
-        assert np.allclose(res.raw.entries, np.diag([0.5, 0.5]), atol=1e-14)
+        assert np.allclose(ms.raw_gram(ens).entries, np.diag([0.5, 0.5]), atol=1e-14)
 
     def test_reference_five_state_matrix_reproduced_verbatim(self):
         gram = ms.reference_five_state_gram()
         assert abs(np.trace(gram.entries).real - 1.0) < 1e-14
         ens = ms.ensemble_from_gram(gram)
-        res = ms.gram_from_ensemble(ens)
-        # the raw matrix reproduces the input exactly, and the canonical
-        # form maps back to it through the recorded permutation and phases
-        assert np.max(np.abs(res.raw.entries - gram.entries)) < 1e-12
-        assert np.max(np.abs(res.to_raw_entries() - gram.entries)) < 1e-12
+        assert np.max(np.abs(ms.raw_gram(ens).entries - gram.entries)) < 1e-12
 
     def test_real_three_state_arithmetic(self):
         # states with pairwise overlap 0.2, priors (1/2, 1/4, 1/4)
@@ -35,16 +29,15 @@ class TestGramFromEnsemble:
         states = np.linalg.cholesky(overlap).T.conj()
         probs = np.array([0.5, 0.25, 0.25])
         ens = ms.Ensemble(states, probs)
-        res = ms.gram_from_ensemble(ens)
-        g = res.gram.entries
+        g = ms.raw_gram(ens).entries
         assert np.allclose(np.diagonal(g).real, [0.5, 0.25, 0.25], atol=1e-12)
         assert abs(g[0, 1] - np.sqrt(1 / 8) * 0.2) < 1e-12
-        # brute-force inner products reproduce every raw entry
+        # brute-force inner products reproduce every entry
         scaled = ens.scaled_states
         for i in range(3):
             for j in range(3):
                 acc = sum(np.conj(scaled[k, i]) * scaled[k, j] for k in range(3))
-                assert abs(res.raw.entries[i, j] - acc) < 1e-12
+                assert abs(g[i, j] - acc) < 1e-12
 
     def test_rejects_near_dependence(self):
         states = np.eye(3)
@@ -53,58 +46,28 @@ class TestGramFromEnsemble:
         with pytest.raises(ms.NearLinearDependence):
             ms.Ensemble(states, np.full(3, 1 / 3))
 
-
-class TestCanonicalization:
-    def test_idempotent(self):
-        for seed in range(5):
-            gram = random_gram(4, seed)
-            once = ms.canonicalize(gram)
-            twice = ms.canonicalize(once.gram)
-            assert np.max(np.abs(twice.gram.entries - once.gram.entries)) < 1e-12
-            assert list(twice.permutation) == [0, 1, 2, 3]
-
-    def test_canonical_form_conventions(self):
-        for seed in range(5):
-            res = ms.canonicalize(random_gram(5, seed + 10))
-            g = res.gram.entries
-            d = np.diagonal(g).real
-            assert np.all(np.diff(d) <= 1e-12)
-            sup = np.diagonal(g, 1)
-            assert np.max(np.abs(sup.imag)) < 1e-12
-            assert np.min(sup.real) > -1e-12
-            assert res.gram.is_canonical
-
-    def test_round_trip_to_raw(self):
-        for seed in range(5):
-            gram = random_gram(4, seed + 20)
-            res = ms.canonicalize(gram)
-            assert np.max(np.abs(res.to_raw_entries() - gram.entries)) < 1e-12
-
     def test_diagonal_is_probability_vector(self):
         ens = ms.random_ensemble(4, seed=3, spread=0.7)
-        res = ms.gram_from_ensemble(ens)
-        assert np.allclose(np.sort(res.gram.probs)[::-1], res.gram.probs)
-        assert np.allclose(np.sort(ens.probs)[::-1], np.sort(res.raw.probs)[::-1], atol=1e-14)
-        assert np.allclose(res.raw.probs, ens.probs, atol=1e-14)
+        assert np.allclose(ms.raw_gram(ens).probs, ens.probs, atol=1e-14)
 
 
 class TestDualBasis:
     def test_orthonormal_scaled_states_scale_by_sqrt_m(self):
         ens = orthogonal_ensemble(3)
         dual = ms.dual_basis(ens)
-        assert np.allclose(dual.vectors, np.sqrt(3) * ens.states, atol=1e-12)
+        assert np.allclose(dual, np.sqrt(3) * ens.states, atol=1e-12)
 
     def test_biorthogonality_residual(self):
         ens = ms.random_ensemble(2, seed=5, spread=0.8)
         dual = ms.dual_basis(ens)
-        resid = np.max(np.abs(ens.scaled_states.conj().T @ dual.vectors - np.eye(2)))
+        resid = np.max(np.abs(ens.scaled_states.conj().T @ dual - np.eye(2)))
         assert resid < 1e-12
 
     def test_dual_gram_is_inverse(self):
         ens = ms.random_ensemble(4, seed=11, spread=0.6)
         dual = ms.dual_basis(ens)
-        dual_gram = dual.vectors.conj().T @ dual.vectors
-        g = ms.gram_from_ensemble(ens).raw.entries
+        dual_gram = dual.conj().T @ dual
+        g = ms.raw_gram(ens).entries
         assert np.max(np.abs(dual_gram - np.linalg.inv(g))) < 1e-10
 
 
@@ -117,7 +80,7 @@ class TestEnsembleFromGram:
 
     def test_reference_round_trip(self):
         gram = ms.reference_five_state_gram()
-        back = ms.gram_from_ensemble(ms.ensemble_from_gram(gram)).raw
+        back = ms.raw_gram(ms.ensemble_from_gram(gram))
         assert np.linalg.norm(back.entries - gram.entries) < 1e-10
 
     def test_probability_readoff(self):
@@ -128,7 +91,7 @@ class TestEnsembleFromGram:
     def test_round_trip_property(self):
         for seed in range(8):
             gram = random_gram(3 + seed % 3, seed + 40, spread=0.5 + 0.05 * seed)
-            back = ms.gram_from_ensemble(ms.ensemble_from_gram(gram)).raw
+            back = ms.raw_gram(ms.ensemble_from_gram(gram))
             assert np.linalg.norm(back.entries - gram.entries) < 1e-10
 
 
@@ -142,11 +105,11 @@ class TestRandomEnsemble:
     def test_small_spread_approaches_orthogonal(self):
         for seed in (0, 1, 2):
             ens = ms.random_ensemble(2, seed=seed, spread=1e-6)
-            g = ms.gram_from_ensemble(ens).raw.entries
+            g = ms.raw_gram(ens).entries
             assert np.max(np.abs(g - np.eye(2) / 2)) < 1e-5
 
     def test_large_spread_stays_independent(self):
-        g = ms.gram_from_ensemble(ms.random_ensemble(5, seed=1, spread=0.9)).raw
+        g = ms.raw_gram(ms.random_ensemble(5, seed=1, spread=0.9))
         assert g.min_eigenvalue() > ms.EPS_LI
 
     def test_rejects_bad_arguments(self):

@@ -76,7 +76,7 @@ class TestSearchOptimum:
     def test_matches_helstrom_across_seeds(self):
         for seed in range(50):
             ens = ms.random_ensemble(2, seed=seed, spread=0.25 + 0.014 * seed)
-            gram = ms.gram_from_ensemble(ens).raw
+            gram = ms.raw_gram(ens)
             overlap = np.vdot(ens.states[:, 0], ens.states[:, 1])
             closed = ms.helstrom(ens.probs[0], ens.probs[1], overlap).p_success
             searched = ms.search_optimum(gram, seed=seed).p_success

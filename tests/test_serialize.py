@@ -1,9 +1,13 @@
 """JSON/CSV schemas, round trips and determinism."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import medsolve as ms
 from conftest import random_gram, solve_direct
@@ -30,6 +34,45 @@ class TestRoundTrips:
         back = serialize.povm_from_dict(serialize.povm_to_dict(povm))
         assert back.frame == povm.frame
         assert np.max(np.abs(back.vectors - povm.vectors)) == 0.0
+
+
+def _through_file(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "payload.json"
+        serialize.write_json(path, payload)
+        return serialize.read_json(path)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.integers(2, 6),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 1.0),
+    st.booleans(),
+)
+def test_round_trips_are_exact(m, seed, spread, real):
+    ens = ms.random_ensemble(m, seed, spread, real=real)
+    gram = ms.raw_gram(ens)
+
+    back = serialize.load_gram_or_ensemble(_through_file(serialize.ensemble_to_dict(ens)))
+    assert isinstance(back, ms.Ensemble)
+    assert np.array_equal(back.states, ens.states)
+    assert np.array_equal(back.probs, ens.probs)
+
+    back = serialize.load_gram_or_ensemble(_through_file(serialize.gram_to_dict(gram)))
+    assert isinstance(back, ms.GramMatrix)
+    assert np.array_equal(back.entries, gram.entries)
+
+    for povm in (ms.pgm(gram), ms.pgm(gram, ens)):
+        back = serialize.povm_from_dict(_through_file(serialize.povm_to_dict(povm)))
+        assert back.frame == povm.frame
+        assert np.array_equal(back.vectors, povm.vectors)
 
 
 class TestSchemaErrors:
