@@ -19,7 +19,6 @@ from .certify import (
     Certificate,
     certify_gram,
     certify_povm,
-    global_check,
     stationarity_check,
     z_operator,
 )
@@ -37,7 +36,6 @@ from .exceptions import (
     NoConvergence,
     NotCertified,
     NotRealRoot,
-    NotStationary,
     NotUnitary,
     PositivityLost,
     ResidualTooLarge,
@@ -97,7 +95,6 @@ __all__ = [
     "NoConvergence",
     "NotCertified",
     "NotRealRoot",
-    "NotStationary",
     "NotUnitary",
     "OracleResult",
     "PositivityLost",
@@ -123,7 +120,6 @@ __all__ = [
     "dual_basis",
     "ensemble_from_gram",
     "geometric_audit",
-    "global_check",
     "helstrom",
     "helstrom_angle_scan",
     "initial_state",

@@ -31,7 +31,6 @@ import numpy as np
 from .certify import z_operator
 from .exceptions import AuditFailure
 from .gram import Ensemble
-from .linalg import hermitize
 from .measurement import Povm
 
 
@@ -124,7 +123,6 @@ class AuditReport:
 def geometric_audit(
     ensemble: Ensemble,
     povm: Povm,
-    z: np.ndarray | None = None,
     tol: float = 1e-8,
     raise_on_failure: bool = True,
 ) -> AuditReport:
@@ -151,9 +149,7 @@ def geometric_audit(
     """
     if ensemble.m != 3 or povm.m != 3:
         raise ValueError("the geometric audit is defined for three states")
-    if z is None:
-        z, _anti = z_operator(ensemble, povm)
-    z = hermitize(np.asarray(z, dtype=complex))
+    z, _anti = z_operator(ensemble, povm)
 
     probs = ensemble.probs
     k0 = float(np.trace(z).real)
@@ -169,7 +165,7 @@ def geometric_audit(
         rho = np.outer(psi, psi.conj())
         n_vecs.append(to_bloch(rho))
         sigma = (z - probs[i] * rho) / kappas[i]
-        s_vecs.append(to_bloch(hermitize(sigma)))
+        s_vecs.append(to_bloch(sigma))
         t_vecs.append(to_bloch(povm.projector(i)))
 
     residuals["sigma_boundary"] = max(abs(boundary_form(s) - 1.0) for s in s_vecs)

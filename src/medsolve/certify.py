@@ -11,26 +11,24 @@ Z = sum_k p_k rho_k Pi_k dominates every weighted state:
     Z - p_i rho_i >= 0   for all i.
 
 There is no duality gap, so at the optimum Tr(Z) equals the success
-probability.  At the Gram level the same stationarity reads, with
-W = G^{1/2} U,
-
-    W_jj W_jk^* = W_kj W_kk^*   for all j, k,
-
-and the optimum is the unique stationary point whose hermitian factor
-F = D W (D the diagonal of the phase-fixed W) is positive definite --
-equivalently, F is the positive square root of D G D.
+probability.  Every field is read off the overlap matrix O = S^dag V,
+O_ij = <psi~_i|v_j> (scaled states and measurement basis as columns): the
+stationarity block has HS norm |O_jj O_jk^* - O_kj O_kk^*|, Z equals
+S diag(O) V^dag, and the optimum is the unique stationary point whose
+hermitian factor F = D O (O phase-fixed to a non-negative diagonal D) is
+positive definite -- equivalently, F is the positive square root of D G D.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import NotStationary, ResidualTooLarge
-from .gram import GramMatrix, Ensemble, ensemble_from_gram
+from .exceptions import ResidualTooLarge
+from .gram import GramMatrix, Ensemble
 from .linalg import anti_hermitian_norm, hermitize, hs_norm, polar_unitary
-from .measurement import Povm, povm_from_unitary
+from .measurement import Povm
 
 #: default stationarity tolerance: one order above the observed integration
 #: error floor (~1e-15), with margin for dimensions up to ~8
@@ -94,6 +92,16 @@ def _overlaps(ensemble: Ensemble, povm: Povm) -> np.ndarray:
     return ensemble.scaled_states.conj().T @ povm.vectors
 
 
+def _stationarity_residual(o: np.ndarray) -> float:
+    d = np.diagonal(o)
+    return float(np.max(np.abs(d[:, None] * o.conj() - o.T * d.conj()[None, :])))
+
+
+def _raw_z(scaled: np.ndarray, vectors: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Z = sum_i |psi~_i><psi~_i|v_i><v_i| = S diag(O) V^dag, before hermitizing."""
+    return (scaled * np.diagonal(o)) @ vectors.conj().T
+
+
 def z_operator(ensemble: Ensemble, povm: Povm) -> tuple[np.ndarray, float]:
     """Dual operator Z = sum_i p_i rho_i Pi_i, hermitized.
 
@@ -101,68 +109,24 @@ def z_operator(ensemble: Ensemble, povm: Povm) -> tuple[np.ndarray, float]:
     anti-hermitian part; the latter vanishes (to tolerance) exactly at
     stationary measurements, where the two operator orderings coincide.
     """
-    scaled = ensemble.scaled_states
-    z = np.zeros((ensemble.m, ensemble.m), dtype=complex)
-    for i in range(ensemble.m):
-        rho_w = np.outer(scaled[:, i], scaled[:, i].conj())
-        z += rho_w @ povm.projector(i)
+    z = _raw_z(ensemble.scaled_states, povm.vectors, _overlaps(ensemble, povm))
     return hermitize(z), anti_hermitian_norm(z)
 
 
 def stationarity_check(ensemble: Ensemble, povm: Povm) -> float:
     """Maximum stationarity violation over all outcome pairs.
 
-    Computed two ways -- as the norm of Pi_j (p_j rho_j - p_i rho_i) Pi_i
-    from the explicit operators, and as the Gram-level residual
-    |O_jj O_jk^* - O_kj O_kk^*| from the overlap matrix -- which must agree
-    to 1e-10; the operator-level value is returned.
+    The HS norm of Pi_j (p_j rho_j - p_k rho_k) Pi_k, maximized over j, k;
+    for rank-one projectors it equals |O_jj O_jk^* - O_kj O_kk^*| with O
+    the overlap matrix, which is how it is computed.
     """
-    m = ensemble.m
-    scaled = ensemble.scaled_states
-    projs = [povm.projector(i) for i in range(m)]
-    weighted = [np.outer(scaled[:, i], scaled[:, i].conj()) for i in range(m)]
-    op_resid = 0.0
-    for j in range(m):
-        for i in range(m):
-            block = projs[j] @ (weighted[j] - weighted[i]) @ projs[i]
-            op_resid = max(op_resid, hs_norm(block))
-
-    o = _overlaps(ensemble, povm)
-    d = np.diagonal(o)
-    gram_resid = float(np.max(np.abs(d[:, None] * o.conj() - o.T * d.conj()[None, :])))
-
-    if abs(op_resid - gram_resid) > 1e-10:
-        raise ResidualTooLarge(
-            "operator-level and Gram-level stationarity residuals disagree "
-            f"by {abs(op_resid - gram_resid):.3e}"
-        )
-    return op_resid
+    return _stationarity_residual(_overlaps(ensemble, povm))
 
 
-def global_check(
-    ensemble: Ensemble, povm: Povm, tol_stat: float = TOL_STAT
-) -> float:
-    """Minimum eigenvalue of Z - p_i rho_i over all i.
-
-    A value >= -tol certifies the stationary measurement as the global
-    optimum.  Z is only well defined (hermitian) at stationary points, so a
-    large anti-hermitian part is rejected.
-    """
-    z, anti = z_operator(ensemble, povm)
-    if anti > 10.0 * tol_stat:
-        raise NotStationary(
-            f"Z has anti-hermitian part {anti:.3e}; measurement is not stationary"
-        )
-    return _global_min_eig(ensemble, z)
-
-
-def _global_min_eig(ensemble: Ensemble, z: np.ndarray) -> float:
-    scaled = ensemble.scaled_states
-    worst = np.inf
-    for i in range(ensemble.m):
-        gap = z - np.outer(scaled[:, i], scaled[:, i].conj())
-        worst = min(worst, float(np.linalg.eigvalsh(hermitize(gap))[0]))
-    return worst
+def _global_min_eig(scaled: np.ndarray, z: np.ndarray) -> float:
+    """Minimum eigenvalue of Z - |psi~_i><psi~_i| over all i."""
+    weighted = scaled.T[:, :, None] * scaled.conj().T[:, None, :]
+    return float(np.min(np.linalg.eigvalsh(z - weighted)[:, 0]))
 
 
 def _hermitian_factor(overlaps: np.ndarray) -> np.ndarray:
@@ -176,22 +140,17 @@ def _hermitian_factor(overlaps: np.ndarray) -> np.ndarray:
     return hermitize(np.diag(d) @ w)
 
 
-def certify_povm(
-    ensemble: Ensemble,
-    povm: Povm,
-    tol_stat: float = TOL_STAT,
-    tol_glb: float = TOL_GLB,
+def _certify(
+    scaled: np.ndarray, vectors: np.ndarray, tol_stat: float, tol_glb: float
 ) -> Certificate:
-    """Full certificate for an explicit (ensemble, measurement) pair."""
-    resid = stationarity_check(ensemble, povm)
-    z, _anti = z_operator(ensemble, povm)
-    global_min = _global_min_eig(ensemble, z)
-    o = _overlaps(ensemble, povm)
-    f = _hermitian_factor(o)
-    f_eigs = np.linalg.eigvalsh(f)
+    """Certificate of the basis ``vectors`` against the scaled states, every
+    field computed from one overlap matrix."""
+    o = scaled.conj().T @ vectors
+    z = hermitize(_raw_z(scaled, vectors, o))
+    f_eigs = np.linalg.eigvalsh(_hermitian_factor(o))
     return Certificate(
-        stationarity_residual=float(resid),
-        global_min_eig=float(global_min),
+        stationarity_residual=_stationarity_residual(o),
+        global_min_eig=_global_min_eig(scaled, z),
         f_min_eig=float(f_eigs[0]),
         f_positive=bool(f_eigs[0] > 0.0),
         p_success=float(np.sum(np.abs(np.diagonal(o)) ** 2)),
@@ -199,6 +158,18 @@ def certify_povm(
         tol_stat=tol_stat,
         tol_glb=tol_glb,
     )
+
+
+def certify_povm(
+    ensemble: Ensemble,
+    povm: Povm,
+    tol_stat: float = TOL_STAT,
+    tol_glb: float = TOL_GLB,
+) -> Certificate:
+    """Full certificate for an explicit (ensemble, measurement) pair."""
+    if ensemble.m != povm.m:
+        raise ValueError("ensemble and measurement dimensions differ")
+    return _certify(ensemble.scaled_states, povm.vectors, tol_stat, tol_glb)
 
 
 def certify_gram(
@@ -209,12 +180,15 @@ def certify_gram(
 ) -> Certificate:
     """Certificate for a hermitian factor F offered as a solution at G.
 
-    Checks that F^2 = D G D holds with D = diag(sqrt(F_ii)) (rejecting if
-    the residual exceeds RESIDUAL_GATE), reconstructs the measurement via
-    U = G^{-1/2} D^{-1} F, and certifies it against the canonical
-    realization of the ensemble.  The success probability is Tr(F).
+    Rejects F unless it is finite and hermitian and F^2 = D G D holds with
+    D = diag(sqrt(F_ii)) to RESIDUAL_GATE, then certifies the nearest
+    unitary to U = G^{-1/2} D^{-1} F against the columns of G^{1/2}, the
+    scaled states of the canonical realization.  The success probability
+    and the factor fields come from F itself.
     """
     f = np.asarray(f, dtype=complex)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("factor F must be finite")
     if np.max(np.abs(f - f.conj().T)) > 1e-10:
         raise ValueError("factor F must be hermitian")
     a_sq = np.diagonal(f).real
@@ -226,21 +200,14 @@ def certify_gram(
         raise ResidualTooLarge(
             f"F^2 - DGD has HS norm {resid:.3e} (gate {RESIDUAL_GATE:.1e})"
         )
-    u = gram.inv_sqrt() @ np.linalg.solve(d, f)
     # The factorization residual leaks into unitarity at the same order;
-    # snap to the nearest unitary before building the measurement.
-    u = polar_unitary(u)
-    realization = ensemble_from_gram(gram)
-    povm = povm_from_unitary(gram, u)
-    cert = certify_povm(realization, povm, tol_stat=tol_stat, tol_glb=tol_glb)
+    # snap to the nearest unitary before certifying.
+    u = polar_unitary(gram.inv_sqrt() @ np.linalg.solve(d, f))
+    cert = _certify(gram.sqrt(), u, tol_stat, tol_glb)
     f_eigs = np.linalg.eigvalsh(hermitize(f))
-    return Certificate(
-        stationarity_residual=cert.stationarity_residual,
-        global_min_eig=cert.global_min_eig,
+    return replace(
+        cert,
         f_min_eig=float(f_eigs[0]),
         f_positive=bool(f_eigs[0] > 0.0),
         p_success=float(np.sum(a_sq)),
-        tr_z=cert.tr_z,
-        tol_stat=tol_stat,
-        tol_glb=tol_glb,
     )

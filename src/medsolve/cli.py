@@ -204,21 +204,14 @@ def _load_certify_input(path: Path):
         return problem, povm_from_dict(data["povm"], context=f"{path}:povm")
 
     problem, povm = _read_input(path, parse)
-    if isinstance(problem, Ensemble):
-        if povm.frame != FRAME_AMBIENT:
-            raise _CliFailure(
-                EXIT_USAGE,
-                f"{path}: an ensemble input needs a measurement in the "
-                f"'{FRAME_AMBIENT}' frame, got '{povm.frame}'",
-            )
-        return problem, povm
-    if povm.frame != FRAME_DUAL:
+    is_ensemble = isinstance(problem, Ensemble)
+    kind, frame = ("an ensemble", FRAME_AMBIENT) if is_ensemble else ("a gram-matrix", FRAME_DUAL)
+    if povm.frame != frame:
         raise _CliFailure(
             EXIT_USAGE,
-            f"{path}: a gram-matrix input needs a measurement in the "
-            f"'{FRAME_DUAL}' frame, got '{povm.frame}'",
+            f"{path}: {kind} input needs a measurement in the '{frame}' frame, got '{povm.frame}'",
         )
-    return ensemble_from_gram(problem), povm
+    return (problem if is_ensemble else ensemble_from_gram(problem)), povm
 
 
 def cmd_certify(args) -> int:
@@ -268,7 +261,7 @@ def cmd_audit(args) -> int:
 def cmd_generate(args) -> int:
     try:
         ensemble = random_ensemble(args.m, args.seed, args.spread, real=args.real)
-    except (MedError, ValueError) as exc:
+    except (MedError, ValueError, MemoryError) as exc:
         raise _CliFailure(EXIT_DATA, f"generation failed: {exc}") from exc
     out = _out_dir(args)
     path = out / f"ensemble-m{args.m}-seed{args.seed}.json"
@@ -291,13 +284,17 @@ def cmd_reproduce_fig1(args) -> int:
     return cert.exit_code
 
 
-def _add_common(sub: argparse.ArgumentParser, solver: bool = False) -> None:
-    sub.add_argument("--out", default=".", help="output directory (default: current)")
+def _add_tolerances(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol-stat", type=float, default=TOL_STAT,
                      help="stationarity tolerance")
     sub.add_argument("--tol-glb", type=float, default=TOL_GLB,
                      help="global-optimality tolerance")
+
+
+def _add_common(sub: argparse.ArgumentParser, solver: bool = False) -> None:
+    sub.add_argument("--out", default=".", help="output directory (default: current)")
     if solver:
+        _add_tolerances(sub)
         sub.add_argument("--steps", type=int, default=1000, help="integration steps")
         sub.add_argument("--h", type=float, default=1e-3, help="step size (steps*h must be 1)")
         sub.add_argument("--polish", action="store_true",
@@ -325,6 +322,7 @@ def build_parser() -> _Parser:
                         help="certify a measurement against an ensemble")
     p.add_argument("input", help="JSON file with fields 'ensemble' and 'povm'")
     _add_common(p)
+    _add_tolerances(p)
     p.set_defaults(fn=cmd_certify)
 
     p = subs.add_parser("enumerate",
@@ -332,6 +330,7 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="gram-or-ensemble JSON file")
     p.add_argument("--seed", type=int, default=8128, help="start-point seed")
     _add_common(p)
+    _add_tolerances(p)
     p.set_defaults(fn=cmd_enumerate)
 
     p = subs.add_parser("audit",

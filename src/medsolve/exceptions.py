@@ -13,10 +13,6 @@ class NotUnitary(MedError):
     """A matrix that must be unitary (or an orthonormal basis) is not."""
 
 
-class NotStationary(MedError):
-    """A certification step requires a stationary measurement but got none."""
-
-
 class ResidualTooLarge(MedError):
     """A candidate solution violates its defining matrix equation."""
 

@@ -50,6 +50,8 @@ class Ensemble:
         m = states.shape[0]
         if probs.shape != (m,):
             raise ValueError(f"probs must have length {m}")
+        if not (np.all(np.isfinite(states)) and np.all(np.isfinite(probs))):
+            raise ValueError("states and probabilities must be finite")
         norms = np.linalg.norm(states, axis=0)
         if np.max(np.abs(norms - 1.0)) > _ATOL_UNIT:
             raise ValueError("every state must have unit norm")
@@ -91,6 +93,8 @@ class GramMatrix:
         entries = np.array(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("gram matrix must be square")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("gram matrix entries must be finite")
         if np.max(np.abs(entries - entries.conj().T)) > _ATOL_HERM:
             raise ValueError("gram matrix must be hermitian")
         if abs(np.trace(entries).real - 1.0) > _ATOL_TRACE:
@@ -120,9 +124,6 @@ class GramMatrix:
 
     def inv_sqrt(self) -> np.ndarray:
         return invsqrtm_psd(self.entries, floor=EPS_LI)
-
-    def inv(self) -> np.ndarray:
-        return np.linalg.inv(self.entries)
 
 
 def raw_gram(ensemble: Ensemble) -> GramMatrix:

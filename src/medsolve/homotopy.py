@@ -80,6 +80,8 @@ class SolverState:
             raise ValueError("f must hold the strict upper triangle of F")
         if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
             raise ValueError("all scales a_i must be positive and finite")
+        if not np.all(np.isfinite(f)):
+            raise ValueError("off-diagonal entries f must be finite")
         object.__setattr__(self, "a", read_only(a))
         object.__setattr__(self, "f", read_only(f))
 

@@ -69,6 +69,7 @@ def haar_unitary(rng: np.random.Generator, m: int, real: bool = False) -> np.nda
 
 
 def unitarity_residual(mat: np.ndarray) -> float:
-    """HS distance of U^dag U from the identity."""
+    """HS distance of U^dag U from the identity (NaN or inf, silently, if U is not finite)."""
     mat = np.asarray(mat)
-    return float(np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0])))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0])))

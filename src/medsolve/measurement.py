@@ -50,7 +50,7 @@ class Povm:
         if self.frame not in (FRAME_AMBIENT, FRAME_DUAL):
             raise ValueError(f"unknown frame {self.frame!r}")
         resid = unitarity_residual(vectors)
-        if resid > _ATOL_ONB:
+        if not resid <= _ATOL_ONB:  # also rejects NaN and inf entries
             raise NotUnitary(f"basis is not orthonormal (residual {resid:.3e})")
         object.__setattr__(self, "vectors", read_only(vectors))
 
@@ -84,7 +84,7 @@ def _check_unitary(u: np.ndarray, m: int) -> np.ndarray:
     if u.shape != (m, m):
         raise ValueError(f"unitary must be {m}x{m}")
     resid = unitarity_residual(u)
-    if resid > _ATOL_ONB:
+    if not resid <= _ATOL_ONB:
         raise NotUnitary(f"matrix is not unitary (residual {resid:.3e})")
     return u
 

@@ -79,24 +79,23 @@ class TestStationarityCheck:
 class TestGlobalCheck:
     def test_orthogonal_case_sits_on_boundary(self):
         ens, povm = orthogonal_setup()
-        val = ms.global_check(ens, povm)
-        assert abs(val) < 1e-12
+        cert = ms.certify_povm(ens, povm)
+        assert abs(cert.global_min_eig) < 1e-12
+        assert cert.status == "optimal"
 
     def test_two_state_optimum_certifies(self):
         ens, result = helstrom_setup()
-        assert ms.global_check(ens, result.povm) >= -1e-10
+        cert = ms.certify_povm(ens, result.povm)
+        assert cert.global_min_eig >= -1e-10
+        assert cert.status == "optimal"
 
     def test_swapped_two_state_point_is_stationary_but_not_global(self):
         ens, result = helstrom_setup()
         swapped = ms.Povm(result.povm.vectors[:, ::-1], frame=ms.FRAME_AMBIENT)
         assert ms.stationarity_check(ens, swapped) < 1e-10
-        assert ms.global_check(ens, swapped) < -1e-3
-
-    def test_rejects_nonstationary_input(self):
-        ens = ms.ensemble_from_gram(random_gram(3, seed=72))
-        u = haar_unitary(np.random.default_rng(7), 3)
-        with pytest.raises(ms.NotStationary):
-            ms.global_check(ens, ms.Povm(u, frame=ms.FRAME_DUAL))
+        cert = ms.certify_povm(ens, swapped)
+        assert cert.global_min_eig < -1e-3
+        assert cert.status == "stationary"
 
 
 class TestCertifyGram:
@@ -130,6 +129,13 @@ class TestCertifyGram:
         assert not cert.f_positive
         assert not cert.is_optimal
         assert cert.exit_code == 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_factor(self, value):
+        f = np.eye(3) / 3
+        f[0, 1] = f[1, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            ms.certify_gram(identity_gram(3), f)
 
     def test_rejects_large_residual(self):
         with pytest.raises(ms.ResidualTooLarge):

@@ -1,0 +1,138 @@
+"""The certificate against a plain operator-level reference.
+
+``_reference_certificate`` builds every field the straightforward way: the
+stationarity residual as the HS norm of Pi_j (p_j rho_j - p_k rho_k) Pi_k over
+all outcome pairs, Z as the sum of m operator products, and the global
+condition from one eigendecomposition per weighted state.  The library reads
+the same quantities off the overlap matrix O = S^dag V, which reorders
+roundoff only: every field must agree to 1e-14, and the fields the library
+computes exactly as the reference does (the factor F and the success
+probability) bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+import medsolve as ms
+from conftest import random_gram, solve_direct
+from medsolve.linalg import anti_hermitian_norm, haar_unitary, hermitize, hs_norm, polar_unitary
+
+ATOL = 1e-14
+
+
+def _reference_z(ensemble, povm):
+    scaled = ensemble.scaled_states
+    z = np.zeros((ensemble.m, ensemble.m), dtype=complex)
+    for i in range(ensemble.m):
+        rho_w = np.outer(scaled[:, i], scaled[:, i].conj())
+        z += rho_w @ povm.projector(i)
+    return hermitize(z), anti_hermitian_norm(z)
+
+
+def _reference_stationarity(ensemble, povm):
+    m = ensemble.m
+    scaled = ensemble.scaled_states
+    projs = [povm.projector(i) for i in range(m)]
+    weighted = [np.outer(scaled[:, i], scaled[:, i].conj()) for i in range(m)]
+    resid = 0.0
+    for j in range(m):
+        for i in range(m):
+            block = projs[j] @ (weighted[j] - weighted[i]) @ projs[i]
+            resid = max(resid, hs_norm(block))
+    return resid
+
+
+def _reference_global_min_eig(ensemble, z):
+    scaled = ensemble.scaled_states
+    worst = np.inf
+    for i in range(ensemble.m):
+        gap = z - np.outer(scaled[:, i], scaled[:, i].conj())
+        worst = min(worst, float(np.linalg.eigvalsh(hermitize(gap))[0]))
+    return worst
+
+
+def _reference_factor(overlaps):
+    diag = np.diagonal(overlaps).copy()
+    diag[np.abs(diag) < 1e-15] = 1.0
+    phases = diag / np.abs(diag)
+    w = overlaps * phases.conj()[None, :]
+    d = np.diagonal(w).real
+    return hermitize(np.diag(d) @ w)
+
+
+def _reference_certificate(ensemble, povm):
+    z, _anti = _reference_z(ensemble, povm)
+    o = ensemble.scaled_states.conj().T @ povm.vectors
+    f_eigs = np.linalg.eigvalsh(_reference_factor(o))
+    return ms.Certificate(
+        stationarity_residual=_reference_stationarity(ensemble, povm),
+        global_min_eig=_reference_global_min_eig(ensemble, z),
+        f_min_eig=float(f_eigs[0]),
+        f_positive=bool(f_eigs[0] > 0.0),
+        p_success=float(np.sum(np.abs(np.diagonal(o)) ** 2)),
+        tr_z=float(np.trace(z).real),
+    )
+
+
+def _cases(m, real):
+    """(label, ensemble, povm) in both frames at the optimum, the point with
+    outcomes 0 and 1 swapped, and a Haar-random basis."""
+    seed = 900 + 10 * m + real
+    ambient = ms.random_ensemble(m, seed, 0.6, real=real)
+    gram = ms.raw_gram(ambient)
+    u_opt = solve_direct(gram).final_povm.vectors
+    swap = np.arange(m)
+    swap[[0, 1]] = [1, 0]
+    points = {
+        "optimum": u_opt,
+        "swapped": u_opt[:, swap],
+        "random": haar_unitary(np.random.default_rng(seed), m, real=real),
+    }
+    dual = ms.ensemble_from_gram(gram)
+    for label, u in points.items():
+        yield f"{label}/dual", dual, ms.Povm(u, frame=ms.FRAME_DUAL)
+        yield f"{label}/ambient", ambient, ms.povm_from_unitary(gram, u, ensemble=ambient)
+
+
+def _assert_matches(cert, ref, label):
+    for field in ("stationarity_residual", "global_min_eig", "tr_z"):
+        got, want = getattr(cert, field), getattr(ref, field)
+        assert abs(got - want) <= ATOL, f"{label}: {field} {got!r} vs {want!r}"
+    for field in ("f_min_eig", "f_positive", "p_success"):
+        assert getattr(cert, field) == getattr(ref, field), f"{label}: {field}"
+    assert cert.status == ref.status, label
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_certify_povm_matches_reference(m, real):
+    statuses = set()
+    for label, ensemble, povm in _cases(m, real):
+        cert = ms.certify_povm(ensemble, povm)
+        _assert_matches(cert, _reference_certificate(ensemble, povm), label)
+        assert ms.stationarity_check(ensemble, povm) == cert.stationarity_residual
+        z, anti = ms.z_operator(ensemble, povm)
+        z_ref, anti_ref = _reference_z(ensemble, povm)
+        assert np.max(np.abs(z - z_ref)) <= ATOL, label
+        assert abs(anti - anti_ref) <= ATOL, label
+        statuses.add(cert.status)
+    # the inputs reach every branch of the status logic that m allows
+    assert statuses == ({"optimal", "stationary", "nonstationary"} if m == 2
+                        else {"optimal", "nonstationary"})
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_certify_gram_matches_reference_route(m):
+    # the operator-level route: the polar-snapped U as a dual-frame Povm,
+    # certified against the realization built by ensemble_from_gram
+    gram = random_gram(m, seed=950 + m)
+    state = solve_direct(gram).final_state
+    cert = ms.certify_gram(gram, state.matrix)
+    f = state.matrix
+    d = np.diag(np.sqrt(np.diagonal(f).real))
+    u = polar_unitary(gram.inv_sqrt() @ np.linalg.solve(d, f))
+    ref = _reference_certificate(ms.ensemble_from_gram(gram), ms.Povm(u, frame=ms.FRAME_DUAL))
+    for field in ("stationarity_residual", "global_min_eig", "tr_z"):
+        assert abs(getattr(cert, field) - getattr(ref, field)) <= ATOL, field
+    assert cert.p_success == state.p_success
+    assert cert.status == ref.status == "optimal"

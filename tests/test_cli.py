@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, files, pipelines."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,13 @@ from medsolve import cli, serialize
 from medsolve.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = str(Path(ms.__file__).resolve().parents[1])
+
+
+def run_python(*args):
+    """Run a fresh interpreter on the package under test, as a user would."""
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
 
 
 def write_gram(path, gram):
@@ -202,6 +212,28 @@ class TestCertify:
         assert main(["certify", inp, "--out", str(tmp_path)]) == 64
 
 
+    @pytest.mark.parametrize("command", ["certify", "audit"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_basis_is_invalid_data(self, tmp_path, command, value):
+        ens = ms.random_ensemble(3, seed=808, spread=0.5)
+        payload = {"ensemble": serialize.ensemble_to_dict(ens),
+                   "povm": serialize.povm_to_dict(ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))}
+        payload["povm"]["basis_re"][0][1] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))  # json writes the NaN / Infinity tokens
+        run = run_python("-m", "medsolve.cli", command, str(path), "--out", str(tmp_path))
+        assert run.returncode == 65
+        assert len(run.stderr.splitlines()) == 1
+        assert "not orthonormal" in run.stderr
+
+    def test_tolerance_flags_reach_the_certificate(self, tmp_path):
+        ens = ms.Ensemble(np.eye(3), np.full(3, 1 / 3))
+        inp = certify_payload(tmp_path / "ok.json", ens, ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))
+        assert main(["certify", inp, "--out", str(tmp_path), "--tol-stat", "1e-3"]) == 0
+        cert = json.loads((tmp_path / "ok-certificate.json").read_text())
+        assert cert["tol_stat"] == 0.001
+
+
 class TestEnumerate:
     def test_symmetric_case_reports_five_real_roots(self, tmp_path):
         inp = write_gram(tmp_path / "id3.json", ms.GramMatrix(np.eye(3) / 3))
@@ -274,6 +306,17 @@ class TestReproduceFig1:
 class TestUsage:
     def test_unknown_flag_exits_64(self, capsys):
         assert main(["solve", "--no-such-flag"]) == 64
+
+    @pytest.mark.parametrize("flag", ["--tol-stat", "--tol-glb"])
+    @pytest.mark.parametrize("argv", [["audit", "in.json"], ["generate", "--m", "2", "--seed", "1"]])
+    def test_tolerance_flags_are_rejected_where_unused(self, tmp_path, capsys, argv, flag):
+        assert main(argv + ["--out", str(tmp_path), flag, "1e-3"]) == 64
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_unloaded(self):
+        run = run_python("-c", "import sys, medsolve.cli; print('scipy' in sys.modules)")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

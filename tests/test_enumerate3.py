@@ -90,7 +90,9 @@ class TestRootToPovm:
                 continue
             povm = ms.root_to_povm(gram, root)
             assert ms.stationarity_check(realization, povm) < 1e-8
-            assert ms.global_check(realization, povm) < -1e-6
+            cert = ms.certify_povm(realization, povm)
+            assert cert.global_min_eig < -1e-6
+            assert cert.status == "stationary"
             found_non_global = True
         assert found_non_global
 

@@ -118,6 +118,15 @@ def test_generate_ranges_end_in_documented_codes(m, spread, seed, real):
     assert first == (0 if in_range else 65)
 
 
+def test_generate_beyond_the_address_space_is_invalid_data(capsys):
+    # the m x m state matrix would take 71 PiB, more than a process can
+    # address, so numpy refuses it before touching memory
+    with tempfile.TemporaryDirectory() as tmp:
+        code = cli.main(["generate", "--m", "100000000", "--seed", "1", "--out", tmp])
+    assert code == 65
+    assert "generation failed" in capsys.readouterr().err
+
+
 def _near_floor_gram(m, seed, real, factor):
     """A Gram matrix whose smallest eigenvalue is ``factor`` * EPS_LI."""
     vals, vecs = np.linalg.eigh(ms.raw_gram(ms.random_ensemble(m, seed, 0.6, real=real)).entries)

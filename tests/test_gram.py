@@ -144,6 +144,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             ms.Ensemble(states, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_are_rejected(self, value):
+        entries = np.eye(2) / 2
+        entries[0, 1] = entries[1, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            ms.GramMatrix(entries)
+        with pytest.raises(ValueError, match="finite"):
+            ms.Ensemble(np.eye(2), np.array([value, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            ms.Ensemble(np.array([[1.0, value], [0.0, 1.0]]), np.array([0.5, 0.5]))
+
     def test_arrays_are_immutable(self):
         gram = identity_gram(3)
         with pytest.raises(ValueError):

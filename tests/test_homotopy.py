@@ -22,6 +22,12 @@ class TestInitialState:
         assert state.residual(identity_gram(4)) == 0.0
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_state(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            ms.SolverState(t=0.0, a=[0.5, 0.5], f=[value])
+
+
 class TestDerivative:
     def test_zero_for_constant_trajectory(self):
         g = random_gram(3, seed=90)

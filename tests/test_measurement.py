@@ -34,6 +34,13 @@ class TestPovmFromUnitary:
         with pytest.raises(ms.NotUnitary):
             ms.povm_from_unitary(identity_gram(3), np.eye(3) * 1.01)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        with pytest.raises(ms.NotUnitary):
+            ms.Povm(np.full((3, 3), value))
+        with pytest.raises(ms.NotUnitary):
+            ms.povm_from_unitary(identity_gram(3), np.full((3, 3), value))
+
     def test_phase_freedom_leaves_success_unchanged(self):
         g = random_gram(3, seed=4)
         rng = np.random.default_rng(1)
