@@ -42,7 +42,6 @@ from .exceptions import (
     RootCountAnomaly,
     SchemaError,
     SingularJacobian,
-    UnitarityLost,
 )
 from .gram import (
     EPS_LI,
@@ -111,7 +110,6 @@ __all__ = [
     "TOL_GLB",
     "TOL_STAT",
     "Trajectory",
-    "UnitarityLost",
     "certify_gram",
     "certify_povm",
     "classify_landscape",

@@ -177,14 +177,14 @@ def certify_gram(
     f: np.ndarray,
     tol_stat: float = TOL_STAT,
     tol_glb: float = TOL_GLB,
-) -> Certificate:
-    """Certificate for a hermitian factor F offered as a solution at G.
+) -> tuple[Certificate, Povm]:
+    """(Certificate, dual-frame Povm) for a hermitian factor F offered as a solution at G.
 
     Rejects F unless it is finite and hermitian and F^2 = D G D holds with
     D = diag(sqrt(F_ii)) to RESIDUAL_GATE, then certifies the nearest
     unitary to U = G^{-1/2} D^{-1} F against the columns of G^{1/2}, the
-    scaled states of the canonical realization.  The success probability
-    and the factor fields come from F itself.
+    scaled states of the canonical realization, and returns U as the Povm.
+    The success probability and the factor fields come from F itself.
     """
     f = np.asarray(f, dtype=complex)
     if not np.all(np.isfinite(f)):
@@ -203,11 +203,11 @@ def certify_gram(
     # The factorization residual leaks into unitarity at the same order;
     # snap to the nearest unitary before certifying.
     u = polar_unitary(gram.inv_sqrt() @ np.linalg.solve(d, f))
-    cert = _certify(gram.sqrt(), u, tol_stat, tol_glb)
     f_eigs = np.linalg.eigvalsh(hermitize(f))
-    return replace(
-        cert,
+    cert = replace(
+        _certify(gram.sqrt(), u, tol_stat, tol_glb),
         f_min_eig=float(f_eigs[0]),
         f_positive=bool(f_eigs[0] > 0.0),
         p_success=float(np.sum(a_sq)),
     )
+    return cert, Povm(u)

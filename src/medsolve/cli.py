@@ -32,7 +32,7 @@ from .gram import (
     random_ensemble,
     raw_gram,
 )
-from .homotopy import RunReport, Trajectory, drag_between, rk4_drag
+from .homotopy import RunReport, SolverState, Trajectory, drag_between, rk4_drag
 from .measurement import FRAME_AMBIENT, FRAME_DUAL, povm_from_unitary
 from .serialize import (
     audit_to_dict,
@@ -125,12 +125,29 @@ def _drag_from_identity(gram: GramMatrix, args) -> RunReport:
     return rk4_drag(Trajectory(GramMatrix(np.eye(gram.m) / gram.m), gram), **_solver_options(args))
 
 
-def _solve_one(gram: GramMatrix, args, g_via: GramMatrix | None) -> RunReport:
+class _ViaLeg:
+    """The identity -> --from drag, run on first use; later inputs reuse its
+    final state or re-raise its failure."""
+
+    def __init__(self, gram: GramMatrix, args):
+        self.gram, self._args, self._outcome = gram, args, None
+
+    def final_state(self) -> SolverState:
+        if self._outcome is None:
+            try:
+                self._outcome = _drag_from_identity(self.gram, self._args).final_state
+            except (MedError, ValueError) as exc:
+                self._outcome = exc
+        if isinstance(self._outcome, Exception):
+            raise self._outcome
+        return self._outcome
+
+
+def _solve_one(gram: GramMatrix, args, via: _ViaLeg | None) -> RunReport:
     try:
-        if g_via is None:
+        if via is None:
             return _drag_from_identity(gram, args)
-        leg = _drag_from_identity(g_via, args)
-        return drag_between(g_via, leg.final_state, gram, **_solver_options(args))
+        return drag_between(via.gram, via.final_state(), gram, **_solver_options(args))
     except MedError as exc:
         raise _CliFailure(EXIT_FAILED, f"solver failed: {exc}") from exc
     except ValueError as exc:
@@ -160,9 +177,8 @@ def _write_solve_outputs(
 
 def cmd_solve(args) -> int:
     out = _out_dir(args)
-    g_via = _load_problem(Path(getattr(args, "from"))) if getattr(args, "from") else None
-    if g_via is not None:
-        g_via = _as_gram(g_via)
+    via_path = getattr(args, "from")
+    via = _ViaLeg(_as_gram(_load_problem(Path(via_path))), args) if via_path else None
 
     inputs: list[Path]
     if args.batch:
@@ -179,7 +195,7 @@ def cmd_solve(args) -> int:
         try:
             problem = _load_problem(path)
             gram = _as_gram(problem)
-            report = _solve_one(gram, args, g_via)
+            report = _solve_one(gram, args, via)
         except _CliFailure as exc:
             if not args.batch:
                 raise
@@ -285,10 +301,16 @@ def cmd_reproduce_fig1(args) -> int:
 
 
 def _add_tolerances(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol-stat", type=float, default=TOL_STAT,
-                     help="stationarity tolerance")
-    sub.add_argument("--tol-glb", type=float, default=TOL_GLB,
-                     help="global-optimality tolerance")
+    def tolerance(text: str) -> float:
+        value = float(text)
+        if not 0.0 <= value < np.inf:  # also rejects NaN
+            raise ValueError(text)
+        return value
+
+    sub.add_argument("--tol-stat", type=tolerance, default=TOL_STAT,
+                     help="stationarity tolerance (finite, >= 0)")
+    sub.add_argument("--tol-glb", type=tolerance, default=TOL_GLB,
+                     help="global-optimality tolerance (finite, >= 0)")
 
 
 def _add_common(sub: argparse.ArgumentParser, solver: bool = False) -> None:

@@ -9,7 +9,8 @@ symmetric unit-diagonal matrix
 the matrix identity M H M = D^{-2} must hold with D^{-2} diagonal.  Its
 three off-diagonal entries give three coupled quadratics in (a, b, c)
 whose complex solution set is finite (degree bound 8); the diagonal
-entries then determine D and hence the measurement.  Complex roots do not
+entries then determine D and the factor F = D M D, which ``certify_gram``
+turns into the measurement and its certificate.  Complex roots do not
 correspond to measurements and are discarded; every real root is a
 stationary point of the success probability on the manifold of rank-one
 projective measurements, and exactly one of them -- the one with M
@@ -27,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import TOL_GLB, TOL_STAT, Certificate, certify_povm
-from .exceptions import NotRealRoot, RootCountAnomaly, UnitarityLost
-from .gram import GramMatrix, ensemble_from_gram
-from .linalg import polar_unitary, read_only, unitarity_residual
-from .measurement import Povm, povm_from_unitary
+from .certify import TOL_GLB, TOL_STAT, Certificate, certify_gram
+from .exceptions import NotRealRoot, RootCountAnomaly
+from .gram import GramMatrix
+from .linalg import read_only
+from .measurement import Povm
 
 #: total-degree bound on the number of isolated complex roots
 DEGREE_BOUND = 8
@@ -228,25 +229,23 @@ def _classify_root(v: np.ndarray, h: np.ndarray, gram: GramMatrix) -> Stationary
     )
 
 
-def root_to_povm(gram: GramMatrix, root: StationaryRoot) -> Povm:
-    """Measurement attached to a real stationary root.
-
-    U = G^{-1/2} (M D) is unitary at an exact root; small numerical drift
-    (residual up to 1e-6) is repaired by polar decomposition, anything
-    larger is rejected.
-    """
+def _root_factor(root: StationaryRoot) -> np.ndarray:
+    """F = D M D, D = diag(d_inv_sq)^{-1/2}: F^2 - DGD = D (M D^2 M - G) D is 0 iff M H M = D^-2."""
     if not root.is_real or root.d_inv_sq is None:
         raise NotRealRoot("complex stationary roots do not correspond to measurements")
     if np.any(root.d_inv_sq <= 0.0):
         raise NotRealRoot("root has non-positive inverse squared scales")
-    d = np.diag(1.0 / np.sqrt(root.d_inv_sq))
-    u = gram.inv_sqrt() @ (root.symmetric_matrix.real @ d)
-    resid = unitarity_residual(u)
-    if resid > 1e-6:
-        raise UnitarityLost(f"reconstructed basis off unitarity by {resid:.3e}")
-    if resid > 1e-10:
-        u = polar_unitary(u)
-    return povm_from_unitary(gram, u)
+    d = 1.0 / np.sqrt(root.d_inv_sq)
+    return d[:, None] * root.symmetric_matrix.real * d[None, :]
+
+
+def root_to_povm(gram: GramMatrix, root: StationaryRoot) -> Povm:
+    """Measurement attached to a real stationary root.
+
+    The polar-snapped U = G^{-1/2} M D that ``certify_gram`` forms from the
+    factor F = D M D; it raises ResidualTooLarge for a root that is not one.
+    """
+    return certify_gram(gram, _root_factor(root))[1]
 
 
 LABEL_GLOBAL = "global maximum"
@@ -287,7 +286,6 @@ def classify_landscape(
     success probabilities chart the optimization landscape.
     """
     roots = solve_stationary(gram, n_starts=n_starts, seed=seed)
-    realization = ensemble_from_gram(gram)
     labels: list[str] = []
     certs: list[Certificate | None] = []
     for root in roots:
@@ -295,7 +293,6 @@ def classify_landscape(
             labels.append(LABEL_COMPLEX)
             certs.append(None)
             continue
-        povm = root_to_povm(gram, root)
-        certs.append(certify_povm(realization, povm, tol_stat=tol_stat, tol_glb=tol_glb))
+        certs.append(certify_gram(gram, _root_factor(root), tol_stat, tol_glb)[0])
         labels.append(LABEL_GLOBAL if root.is_positive_definite else LABEL_STATIONARY)
     return LandscapeSummary(gram=gram, roots=roots, labels=labels, certificates=certs)

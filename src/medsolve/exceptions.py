@@ -36,10 +36,6 @@ class NotRealRoot(MedError):
     """A complex stationary root cannot be converted to a measurement."""
 
 
-class UnitarityLost(MedError):
-    """A reconstructed measurement basis is too far from orthonormal."""
-
-
 class NoConvergence(MedError):
     """An iterative search exhausted its budget without converging."""
 

@@ -14,11 +14,12 @@ in the ensemble's own order of states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import NearLinearDependence
-from .linalg import haar_unitary, hermitize, invsqrtm_psd, read_only, sqrtm_psd
+from .linalg import haar_unitary, hermitize, read_only
 
 # Smallest admissible eigenvalue of a Gram matrix.  Below this the ensemble
 # is treated as linearly dependent: the continuation method needs headroom
@@ -118,12 +119,20 @@ class GramMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
+    @cached_property
+    def _roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (G^{1/2}, G^{-1/2}) from one hermitian eigendecomposition,
+        eigenvalues clamped at EPS_LI so rounding-level values cannot leak in."""
+        w, v = np.linalg.eigh(hermitize(self.entries))
+        r = np.sqrt(np.clip(w, EPS_LI, None))
+        return read_only((v * r) @ v.conj().T), read_only((v / r) @ v.conj().T)
+
     def sqrt(self) -> np.ndarray:
         """Principal (positive) square root via hermitian eigendecomposition."""
-        return sqrtm_psd(self.entries, floor=EPS_LI)
+        return self._roots[0]
 
     def inv_sqrt(self) -> np.ndarray:
-        return invsqrtm_psd(self.entries, floor=EPS_LI)
+        return self._roots[1]
 
 
 def raw_gram(ensemble: Ensemble) -> GramMatrix:

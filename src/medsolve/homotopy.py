@@ -33,17 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import TOL_GLB, TOL_STAT, Certificate, certify_gram
-from .exceptions import (
-    NearLinearDependence,
-    NotCertified,
-    PositivityLost,
-    ResidualTooLarge,
-    SingularJacobian,
-)
+from .certify import RESIDUAL_GATE, TOL_GLB, TOL_STAT, Certificate, certify_gram
+from .exceptions import NearLinearDependence, NotCertified, PositivityLost, SingularJacobian
 from .gram import GramMatrix
-from .linalg import hs_norm, polar_unitary, read_only
-from .measurement import Povm, povm_from_unitary
+from .linalg import hs_norm, read_only
+from .measurement import Povm
 
 #: condition-number ceiling for the tangent solve (the spread of the Lyapunov
 #: spectrum lam_i + lam_j, and the Schur system for a'); beyond this the
@@ -303,8 +297,8 @@ def rk4_drag(
     NEWTON_FINISH times, while each correction at least halves the
     residual, so that Tr F matches the value the measurement attains.
 
-    The final measurement is assembled via U = G(1)^{-1/2} D^{-1} F and
-    certified; the certificate is attached to the report.  A run that
+    ``certify_gram`` turns the final F into the certificate and the measurement
+    it certified, U = G(1)^{-1/2} D^{-1} F snapped to unitary.  A run that
     drifted too far off the constraint to certify (targets close to the
     near-dependence floor) raises ResidualTooLarge instead of returning.
     """
@@ -361,11 +355,7 @@ def rk4_drag(
         trace[it - 1] = (it, t, resid, f_min, float(np.sum(a**2)))
 
     final = SolverState(t=1.0, a=a, f=f)
-    certificate = certify_gram(trajectory.g_end, final.matrix, tol_stat=tol_stat, tol_glb=tol_glb)
-    u = trajectory.g_end.inv_sqrt() @ np.linalg.solve(np.diag(a), final.matrix)
-    # residual drift leaks into unitarity amplified by the conditioning of
-    # G and D; snap to the nearest unitary, exactly as certification does
-    final_povm = povm_from_unitary(trajectory.g_end, polar_unitary(u))
+    certificate, final_povm = certify_gram(trajectory.g_end, final.matrix, tol_stat, tol_glb)
     return RunReport(
         steps=steps,
         h=h,
@@ -391,15 +381,17 @@ def drag_between(
 ) -> RunReport:
     """Continue an already-solved state at ``g_from`` to the target ``g_to``.
 
-    The starting state must actually solve its Gram matrix (factorization
-    residual below the certification gate), otherwise NotCertified is
-    raised.  Segments may be chained; by uniqueness of the optimum the
+    The starting state must have the dimension of ``g_from`` and solve it
+    (HS norm of F^2 - D G D at most RESIDUAL_GATE), otherwise NotCertified
+    is raised.  Segments may be chained; by uniqueness of the optimum the
     result is independent of the path taken through admissible matrices.
     """
-    try:
-        certify_gram(g_from, state_from.matrix, tol_stat=tol_stat, tol_glb=tol_glb)
-    except (ResidualTooLarge, ValueError) as exc:
-        raise NotCertified(f"starting state is not a solution at g_from: {exc}") from exc
+    if state_from.m != g_from.m:
+        raise NotCertified(f"starting state has dimension {state_from.m}, g_from has {g_from.m}")
+    resid = state_from.residual(g_from)
+    if not resid <= RESIDUAL_GATE:
+        raise NotCertified(f"starting state is not a solution at g_from: F^2 - DGD has HS "
+                           f"norm {resid:.3e} (gate {RESIDUAL_GATE:.1e})")
     start = SolverState(t=0.0, a=state_from.a, f=state_from.f)
     return rk4_drag(
         Trajectory(g_from, g_to),

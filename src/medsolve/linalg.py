@@ -30,23 +30,6 @@ def hs_norm(mat: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(mat, mat).real))
 
 
-def sqrtm_psd(mat: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Principal square root of a hermitian positive semidefinite matrix.
-
-    Uses the hermitian eigendecomposition; eigenvalues below ``floor`` are
-    clamped to ``floor`` so that rounding-level negative values cannot leak
-    into the square root.
-    """
-    w, v = np.linalg.eigh(hermitize(np.asarray(mat, dtype=complex)))
-    return (v * np.sqrt(np.clip(w, floor, None))) @ v.conj().T
-
-
-def invsqrtm_psd(mat: np.ndarray, floor: float = 1e-14) -> np.ndarray:
-    """Inverse principal square root of a hermitian positive definite matrix."""
-    w, v = np.linalg.eigh(hermitize(np.asarray(mat, dtype=complex)))
-    return (v / np.sqrt(np.clip(w, floor, None))) @ v.conj().T
-
-
 def polar_unitary(mat: np.ndarray) -> np.ndarray:
     """Unitary factor of the polar decomposition (closest unitary in HS norm)."""
     u, _, vh = np.linalg.svd(mat)

@@ -99,9 +99,11 @@ def povm_from_unitary(
     vectors reduce to the columns of U itself.  With an ensemble the vectors
     are expressed in its ambient space.
     """
-    u = _check_unitary(u, gram.m)
     if ensemble is None:
-        return Povm(u.copy(), frame=FRAME_DUAL)
+        if np.shape(u) != (gram.m, gram.m):
+            raise ValueError(f"unitary must be {gram.m}x{gram.m}")
+        return Povm(u, frame=FRAME_DUAL)
+    u = _check_unitary(u, gram.m)
     scaled = ensemble.scaled_states
     mismatch = np.max(np.abs(scaled.conj().T @ scaled - gram.entries))
     if mismatch > 1e-10:

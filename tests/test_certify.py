@@ -100,7 +100,7 @@ class TestGlobalCheck:
 
 class TestCertifyGram:
     def test_trivial_factor(self):
-        cert = ms.certify_gram(identity_gram(4), np.eye(4) / 4)
+        cert, _ = ms.certify_gram(identity_gram(4), np.eye(4) / 4)
         assert cert.is_optimal
         assert cert.p_success == pytest.approx(1.0, abs=1e-12)
         assert cert.f_positive
@@ -108,7 +108,7 @@ class TestCertifyGram:
     def test_reference_final_factor(self):
         gram = ms.reference_five_state_gram()
         report = solve_direct(gram, steps=1000, h=1e-3)
-        cert = ms.certify_gram(gram, report.final_state.matrix)
+        cert, _ = ms.certify_gram(gram, report.final_state.matrix)
         assert cert.is_optimal
         assert cert.f_positive
         assert report.final_state.residual(gram) < 1e-14
@@ -124,7 +124,7 @@ class TestCertifyGram:
         w = overlaps * (diag / np.abs(diag)).conj()[None, :]
         factor = np.diag(np.diagonal(w).real) @ w
         assert np.max(np.abs(factor - factor.conj().T)) < 1e-10
-        cert = ms.certify_gram(gram, factor)
+        cert, _ = ms.certify_gram(gram, factor)
         assert cert.is_stationary
         assert not cert.f_positive
         assert not cert.is_optimal

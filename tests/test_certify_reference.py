@@ -7,7 +7,10 @@ condition from one eigendecomposition per weighted state.  The library reads
 the same quantities off the overlap matrix O = S^dag V, which reorders
 roundoff only: every field must agree to 1e-14, and the fields the library
 computes exactly as the reference does (the factor F and the success
-probability) bit for bit.
+probability) bit for bit.  The last test holds ``classify_landscape``, which
+certifies each root's factor through ``certify_gram``, to the former root
+route: U = G^{-1/2} M D certified against the ``ensemble_from_gram``
+realization.
 """
 
 import numpy as np
@@ -15,7 +18,14 @@ import pytest
 
 import medsolve as ms
 from conftest import random_gram, solve_direct
-from medsolve.linalg import anti_hermitian_norm, haar_unitary, hermitize, hs_norm, polar_unitary
+from medsolve.linalg import (
+    anti_hermitian_norm,
+    haar_unitary,
+    hermitize,
+    hs_norm,
+    polar_unitary,
+    unitarity_residual,
+)
 
 ATOL = 1e-14
 
@@ -127,7 +137,7 @@ def test_certify_gram_matches_reference_route(m):
     # certified against the realization built by ensemble_from_gram
     gram = random_gram(m, seed=950 + m)
     state = solve_direct(gram).final_state
-    cert = ms.certify_gram(gram, state.matrix)
+    cert, _ = ms.certify_gram(gram, state.matrix)
     f = state.matrix
     d = np.diag(np.sqrt(np.diagonal(f).real))
     u = polar_unitary(gram.inv_sqrt() @ np.linalg.solve(d, f))
@@ -136,3 +146,37 @@ def test_certify_gram_matches_reference_route(m):
         assert abs(getattr(cert, field) - getattr(ref, field)) <= ATOL, field
     assert cert.p_success == state.p_success
     assert cert.status == ref.status == "optimal"
+
+
+def _reference_root_certificate(gram, root):
+    # the former root route: U = G^{-1/2} M D, polar-snapped above 1e-10,
+    # certified as a dual-frame Povm against the ensemble_from_gram realization
+    d = np.diag(1.0 / np.sqrt(root.d_inv_sq))
+    u = gram.inv_sqrt() @ (root.symmetric_matrix.real @ d)
+    resid = unitarity_residual(u)
+    assert resid <= 1e-6
+    if resid > 1e-10:
+        u = polar_unitary(u)
+    return ms.certify_povm(ms.ensemble_from_gram(gram), ms.Povm(u, frame=ms.FRAME_DUAL))
+
+
+@pytest.mark.parametrize("spread", [0.3, 0.9])
+def test_landscape_certificates_match_reference_root_route(spread):
+    fields = ("stationarity_residual", "global_min_eig", "f_min_eig", "p_success", "tr_z")
+    statuses = set()
+    for seed in range(30):
+        gram = random_gram(3, seed, spread=spread, real=True)
+        landscape = ms.classify_landscape(gram)
+        for root, cert in zip(landscape.roots, landscape.certificates):
+            if not root.is_real:
+                assert cert is None
+                continue
+            ref = _reference_root_certificate(gram, root)
+            label = f"seed {seed}: root {root.values.real}"
+            for field in fields:
+                got, want = getattr(cert, field), getattr(ref, field)
+                assert abs(got - want) <= ATOL, f"{label}: {field} {got!r} vs {want!r}"
+            assert cert.f_positive == ref.f_positive == root.is_positive_definite, label
+            assert cert.status == ref.status, label
+            statuses.add(cert.status)
+    assert statuses == {"optimal", "stationary"}

@@ -177,6 +177,41 @@ class TestSolve:
         assert (out / "good-report.json").exists()
         assert "broken: failed (64)" in capsys.readouterr().out
 
+    @staticmethod
+    def _batch_via(tmp_path, monkeypatch, drag):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        for name, seed in (("a", 820), ("b", 821), ("c", 822)):
+            write_gram(batch / f"{name}.json", random_gram(2, seed=seed))
+        via = write_gram(tmp_path / "via.json", random_gram(2, seed=823, spread=0.3))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return drag(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "rk4_drag", counted)
+        code = main(["solve", "--batch", str(batch), "--from", via, "--out", str(tmp_path / "out"),
+                     "--steps", "100", "--h", "1e-2"])
+        return code, len(calls)
+
+    def test_batch_drags_the_via_leg_once(self, tmp_path, monkeypatch, capsys):
+        code, legs = self._batch_via(tmp_path, monkeypatch, cli.rk4_drag)
+        assert (code, legs) == (0, 1)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["a", "b", "c"]
+        assert all(": optimal p_success=" in line for line in lines)
+
+    def test_failed_via_leg_fails_every_input(self, tmp_path, monkeypatch, capsys, caplog):
+        def failing(*args, **kwargs):
+            raise ms.PositivityLost("factor F lost positive definiteness at t=0.5")
+
+        code, legs = self._batch_via(tmp_path, monkeypatch, failing)
+        assert (code, legs) == (3, 1)
+        assert capsys.readouterr().out.splitlines() == [
+            "a: failed (3)", "b: failed (3)", "c: failed (3)"]
+        assert caplog.text.count("solver failed: factor F lost positive definiteness") == 3
+
 
 class TestCertify:
     def test_orthogonal_projectors_certify(self, tmp_path):

@@ -106,7 +106,7 @@ class TestRootTampering:
         bent = np.array(root.symmetric_matrix)
         bent[0, 1] = bent[1, 0] = bent[0, 1] + 0.05
         bad = dataclasses.replace(root, alpha=root.alpha + 0.05, symmetric_matrix=bent)
-        with pytest.raises(ms.UnitarityLost):
+        with pytest.raises(ms.ResidualTooLarge):
             ms.root_to_povm(gram, bad)
 
 

@@ -14,6 +14,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +126,30 @@ def test_generate_beyond_the_address_space_is_invalid_data(capsys):
         code = cli.main(["generate", "--m", "100000000", "--seed", "1", "--out", tmp])
     assert code == 65
     assert "generation failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-12", "tight"])
+@pytest.mark.parametrize("flag", ["--tol-stat", "--tol-glb"])
+@pytest.mark.parametrize("argv", [["solve", "in.json"], ["reproduce-fig1"],
+                                  ["certify", "in.json"], ["enumerate", "in.json"]],
+                         ids=["solve", "reproduce-fig1", "certify", "enumerate"])
+def test_invalid_tolerances_are_usage_errors(capsys, argv, flag, value):
+    # "--flag=value" keeps argparse from reading -inf or -1e-12 as a flag
+    assert cli.main(argv + [f"{flag}={value}"]) == 64
+    assert f"argument {flag}: invalid tolerance value: '{value}'" in capsys.readouterr().err
+
+
+def test_zero_tolerances_are_accepted(tmp_path):
+    ens = ms.Ensemble(np.eye(3), np.full(3, 1 / 3))
+    serialize.write_json(tmp_path / "ok.json", {
+        "ensemble": serialize.ensemble_to_dict(ens),
+        "povm": serialize.povm_to_dict(ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT)),
+    })
+    code = cli.main(["certify", str(tmp_path / "ok.json"), "--out", str(tmp_path),
+                     "--tol-stat=0", "--tol-glb=0"])
+    assert code in (0, 2, 3)
+    cert = json.loads((tmp_path / "ok-certificate.json").read_text())
+    assert (cert["tol_stat"], cert["tol_glb"]) == (0.0, 0.0)
 
 
 def _near_floor_gram(m, seed, real, factor):

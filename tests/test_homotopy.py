@@ -5,6 +5,7 @@ import pytest
 
 import medsolve as ms
 from conftest import identity_gram, overlap_gram_m3, random_gram, solve_direct
+from medsolve.certify import RESIDUAL_GATE
 from medsolve.homotopy import _factor, _newton_correction, _rate, _triu
 
 
@@ -93,6 +94,15 @@ class TestRk4Drag:
         assert np.all(lg[:10] >= -17.3) and np.all(lg[:10] <= -16.3)
         assert np.all(lg[979:] >= -16.2) and np.all(lg[979:] <= -15.2)
         assert report.certificate.is_optimal
+
+    @pytest.mark.parametrize("polish", [False, True], ids=["raw", "polish"])
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    def test_final_povm_is_the_certified_measurement(self, m, polish):
+        gram = random_gram(m, seed=160 + m)
+        report = solve_direct(gram, polish=polish)
+        _, certified = ms.certify_gram(gram, report.final_state.matrix)
+        assert np.array_equal(report.final_povm.vectors, certified.vectors)
+        assert report.final_povm.frame == ms.FRAME_DUAL
 
     def test_two_state_matches_closed_form(self):
         entries = 0.5 * np.array([[1.0, 0.6], [0.6, 1.0]])
@@ -194,6 +204,27 @@ class TestDragBetween:
         g_b = random_gram(3, seed=97, spread=0.7)
         with pytest.raises(ms.NotCertified):
             ms.drag_between(g_a, ms.initial_state(3), g_b, steps=100, h=1e-2)
+
+    def test_start_of_another_dimension_is_rejected(self):
+        with pytest.raises(ms.NotCertified, match="dimension 3, g_from has 4"):
+            ms.drag_between(identity_gram(4), ms.initial_state(3), identity_gram(4),
+                            steps=100, h=1e-2)
+
+    @pytest.mark.parametrize("ratio", [0.99, 1.01])
+    def test_start_residual_is_gated_at_residual_gate(self, ratio):
+        # the exact state at I/4 (a = 1/2, F = I/4) offered at I/4 + delta
+        # diag(1, -1, 0, 0), where its residual is delta * sqrt(2) / 4
+        delta = ratio * RESIDUAL_GATE * 4.0 / np.sqrt(2.0)
+        g_from = ms.GramMatrix(np.eye(4) / 4 + delta * np.diag([1.0, -1.0, 0.0, 0.0]))
+        start = ms.initial_state(4)
+        assert start.residual(g_from) == pytest.approx(ratio * RESIDUAL_GATE, rel=1e-6)
+        g_to = random_gram(4, seed=100, spread=0.3)
+        if ratio > 1.0:
+            with pytest.raises(ms.NotCertified, match="gate 1.0e-08"):
+                ms.drag_between(g_from, start, g_to, steps=100, h=1e-2)
+        else:
+            # accepted: the drag runs (its start error is carried, not certified)
+            assert ms.drag_between(g_from, start, g_to, steps=100, h=1e-2).trace.shape == (100, 5)
 
 
 def _random_point(rng, m, real, indefinite):
