@@ -59,7 +59,6 @@ from .homotopy import (
     SolverState,
     Trajectory,
     derivative,
-    drag_between,
     initial_state,
     rk4_drag,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "certify_povm",
     "classify_landscape",
     "derivative",
-    "drag_between",
     "dual_basis",
     "ensemble_from_gram",
     "geometric_audit",

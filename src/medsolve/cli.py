@@ -32,7 +32,7 @@ from .gram import (
     random_ensemble,
     raw_gram,
 )
-from .homotopy import RunReport, SolverState, Trajectory, drag_between, rk4_drag
+from .homotopy import RunReport, SolverState, Trajectory, rk4_drag
 from .measurement import FRAME_AMBIENT, FRAME_DUAL, povm_from_unitary
 from .serialize import (
     audit_to_dict,
@@ -121,10 +121,6 @@ def _solver_options(args) -> dict:
     )
 
 
-def _drag_from_identity(gram: GramMatrix, args) -> RunReport:
-    return rk4_drag(Trajectory(GramMatrix(np.eye(gram.m) / gram.m), gram), **_solver_options(args))
-
-
 class _ViaLeg:
     """The identity -> --from drag, run on first use; later inputs reuse its
     final state or re-raise its failure."""
@@ -135,8 +131,8 @@ class _ViaLeg:
     def final_state(self) -> SolverState:
         if self._outcome is None:
             try:
-                self._outcome = _drag_from_identity(self.gram, self._args).final_state
-            except (MedError, ValueError) as exc:
+                self._outcome = _solve_one(self.gram, self._args, None).final_state
+            except _CliFailure as exc:
                 self._outcome = exc
         if isinstance(self._outcome, Exception):
             raise self._outcome
@@ -144,15 +140,23 @@ class _ViaLeg:
 
 
 def _solve_one(gram: GramMatrix, args, via: _ViaLeg | None) -> RunReport:
+    """Drag to ``gram`` from the known optimum at I/m, or from the solved
+    --from matrix when ``via`` is given."""
+    if via is not None and via.gram.m != gram.m:
+        raise _CliFailure(
+            EXIT_USAGE, f"--from matrix has {via.gram.m} states but the input has {gram.m}"
+        )
     try:
         if via is None:
-            return _drag_from_identity(gram, args)
-        return drag_between(via.gram, via.final_state(), gram, **_solver_options(args))
+            g_start, start = GramMatrix(np.eye(gram.m) / gram.m), None
+        else:
+            g_start, start = via.gram, via.final_state()
+        return rk4_drag(Trajectory(g_start, gram), initial=start, **_solver_options(args))
     except MedError as exc:
         raise _CliFailure(EXIT_FAILED, f"solver failed: {exc}") from exc
-    except ValueError as exc:
-        # the drag rejects --steps/--h/--polish-every it cannot run and a --from
-        # matrix of another dimension
+    except (ValueError, MemoryError) as exc:
+        # the drag rejects --steps/--h/--polish-every it cannot run, and a
+        # --steps whose trace cannot be allocated
         raise _CliFailure(EXIT_USAGE, f"invalid solver arguments: {exc}") from exc
 
 

@@ -174,6 +174,8 @@ def solve_stationary(
     RootCountAnomaly warning is issued (symmetric ensembles genuinely push
     roots to infinity, so this is informational, not an error).
     """
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     h = _check_real_m3(gram).astype(complex)
     rng = np.random.default_rng(seed)
     radius = rng.uniform(0.0, 10.0, size=(n_starts, 3))

@@ -18,10 +18,12 @@ one evaluation costs O(m^4) rather than the O(m^6) of the equivalent
 m^2 x m^2 real system.  Starting from the equiprobable orthogonal ensemble
 (G = I/m, a_i = 1/sqrt(m), f = 0), where the solution is trivial, a
 classical fixed-step RK4 integration of this system carries the optimum to
-any linearly independent target.  The Hilbert-Schmidt norm of F^2 - DGD
-measures the accumulated error at every step without reference to any other
-solver.  The eigendecomposition of F taken after each step for the
-positivity check also serves the first stage of the next step.
+any linearly independent target; the flow keeps F^2 - DG(t)D constant, so
+``rk4_drag`` checks that its start solves the path's first matrix.  The
+Hilbert-Schmidt norm of F^2 - DGD measures the accumulated error at every
+step without reference to any other solver.  The eigendecomposition of F
+taken after each step for the positivity check also serves the first stage
+of the next step.
 
 Hermiticity is preserved structurally: the state stores a_i and the strict
 upper triangle of F, so a_i stays real and f_ji = conj(f_ij) exactly.
@@ -287,6 +289,13 @@ def rk4_drag(
 ) -> RunReport:
     """Integrate the implicit system from t=0 to t=1 with fixed-step RK4.
 
+    The start ``initial`` (default ``initial_state(m)``, the solution at I/m)
+    must solve ``trajectory.g_start``: the same dimension and HS norm of
+    F^2 - D G D at most RESIDUAL_GATE there, else NotCertified is raised
+    before the first step.  Passing an earlier run's ``final_state`` chains
+    segments; by uniqueness of the optimum the result is independent of the
+    path taken through admissible matrices.
+
     ``steps * h`` must equal 1 so the run covers the whole trajectory.  The
     four stage derivatives use the exact trajectory values G(t), G(t+h/2),
     G(t+h).  After every step the run records the HS residual of
@@ -309,12 +318,36 @@ def rk4_drag(
     if polish and polish_every < 1:
         raise ValueError(f"polish_every must be at least 1, got {polish_every}")
     m = trajectory.m
-    iu, ju = _triu(m)
-    if initial is None:
-        initial = initial_state(m)
-    if initial.m != m:
-        raise ValueError("initial state dimension does not match trajectory")
-    a, f = initial.a, initial.f
+    start = initial_state(m) if initial is None else initial
+    if start.m != m:
+        raise NotCertified(f"starting state has dimension {start.m}, g_start has {m}")
+    resid = start.residual(trajectory.g_start)
+    if not resid <= RESIDUAL_GATE:
+        raise NotCertified(f"starting state is not a solution at g_start: F^2 - DGD has HS "
+                           f"norm {resid:.3e} (gate {RESIDUAL_GATE:.1e})")
+    a, f, trace = _integrate(trajectory, start.a, start.f, steps, h, polish, polish_every)
+
+    final = SolverState(t=1.0, a=a, f=f)
+    certificate, final_povm = certify_gram(trajectory.g_end, final.matrix, tol_stat, tol_glb)
+    return RunReport(
+        steps=steps,
+        h=h,
+        polish=polish,
+        polish_every=polish_every,
+        trace=read_only(trace),
+        final_state=final,
+        final_povm=final_povm,
+        certificate=certificate,
+    )
+
+
+def _integrate(
+    trajectory: Trajectory, a: np.ndarray, f: np.ndarray, steps: int, h: float, polish: bool,
+    polish_every: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The RK4 loop of ``rk4_drag`` from (a, f) at t = 0, unchecked: (a, f) at
+    t = 1 and the trace."""
+    iu, ju = _triu(trajectory.m)
     gdot = trajectory.tangent()
 
     trace = np.empty((steps, 5))
@@ -353,53 +386,4 @@ def rk4_drag(
             )
         resid = _residual(a, fmat, g_now)
         trace[it - 1] = (it, t, resid, f_min, float(np.sum(a**2)))
-
-    final = SolverState(t=1.0, a=a, f=f)
-    certificate, final_povm = certify_gram(trajectory.g_end, final.matrix, tol_stat, tol_glb)
-    return RunReport(
-        steps=steps,
-        h=h,
-        polish=polish,
-        polish_every=polish_every,
-        trace=read_only(trace),
-        final_state=final,
-        final_povm=final_povm,
-        certificate=certificate,
-    )
-
-
-def drag_between(
-    g_from: GramMatrix,
-    state_from: SolverState,
-    g_to: GramMatrix,
-    steps: int = 1000,
-    h: float = 1e-3,
-    polish: bool = False,
-    polish_every: int = 10,
-    tol_stat: float = TOL_STAT,
-    tol_glb: float = TOL_GLB,
-) -> RunReport:
-    """Continue an already-solved state at ``g_from`` to the target ``g_to``.
-
-    The starting state must have the dimension of ``g_from`` and solve it
-    (HS norm of F^2 - D G D at most RESIDUAL_GATE), otherwise NotCertified
-    is raised.  Segments may be chained; by uniqueness of the optimum the
-    result is independent of the path taken through admissible matrices.
-    """
-    if state_from.m != g_from.m:
-        raise NotCertified(f"starting state has dimension {state_from.m}, g_from has {g_from.m}")
-    resid = state_from.residual(g_from)
-    if not resid <= RESIDUAL_GATE:
-        raise NotCertified(f"starting state is not a solution at g_from: F^2 - DGD has HS "
-                           f"norm {resid:.3e} (gate {RESIDUAL_GATE:.1e})")
-    start = SolverState(t=0.0, a=state_from.a, f=state_from.f)
-    return rk4_drag(
-        Trajectory(g_from, g_to),
-        steps=steps,
-        h=h,
-        polish=polish,
-        polish_every=polish_every,
-        initial=start,
-        tol_stat=tol_stat,
-        tol_glb=tol_glb,
-    )
+    return a, f, trace

@@ -171,7 +171,8 @@ def test_criterion_8_path_independence():
         g_a = random_gram(m, s_a, spread=0.45)
         g_b = random_gram(m, s_b, spread=0.75)
         leg1 = solve_direct(g_a)
-        chained = ms.drag_between(g_a, leg1.final_state, g_b, steps=500, h=2e-3)
+        chained = ms.rk4_drag(ms.Trajectory(g_a, g_b), steps=500, h=2e-3,
+                              initial=leg1.final_state)
         direct = solve_direct(g_b)
         gap = abs(chained.certificate.p_success - direct.certificate.p_success)
         worst = max(worst, gap)

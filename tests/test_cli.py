@@ -178,36 +178,49 @@ class TestSolve:
         assert "broken: failed (64)" in capsys.readouterr().out
 
     @staticmethod
-    def _batch_via(tmp_path, monkeypatch, drag):
+    def _batch_via(tmp_path, monkeypatch, drag, sizes=(2, 2, 2)):
+        """Run ``solve --batch --from`` over inputs a, b, c of the given sizes
+        and a 2-state --from matrix; returns the exit code and the end matrix
+        and start of every drag, in call order (start None: from I/m)."""
         batch = tmp_path / "batch"
         batch.mkdir()
-        for name, seed in (("a", 820), ("b", 821), ("c", 822)):
-            write_gram(batch / f"{name}.json", random_gram(2, seed=seed))
+        for name, m, seed in zip("abc", sizes, (820, 821, 822)):
+            write_gram(batch / f"{name}.json", random_gram(m, seed=seed))
         via = write_gram(tmp_path / "via.json", random_gram(2, seed=823, spread=0.3))
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return drag(*args, **kwargs)
+        def counted(trajectory, **kwargs):
+            calls.append((trajectory.g_end.m, kwargs.get("initial")))
+            return drag(trajectory, **kwargs)
 
         monkeypatch.setattr(cli, "rk4_drag", counted)
         code = main(["solve", "--batch", str(batch), "--from", via, "--out", str(tmp_path / "out"),
                      "--steps", "100", "--h", "1e-2"])
-        return code, len(calls)
+        return code, calls
 
     def test_batch_drags_the_via_leg_once(self, tmp_path, monkeypatch, capsys):
-        code, legs = self._batch_via(tmp_path, monkeypatch, cli.rk4_drag)
-        assert (code, legs) == (0, 1)
+        code, calls = self._batch_via(tmp_path, monkeypatch, cli.rk4_drag)
+        legs = sum(start is None for _, start in calls)
+        assert (code, legs, len(calls)) == (0, 1, 4)
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == ["a", "b", "c"]
         assert all(": optimal p_success=" in line for line in lines)
+
+    def test_batch_drags_only_inputs_of_the_via_size(self, tmp_path, monkeypatch, capsys):
+        code, calls = self._batch_via(tmp_path, monkeypatch, cli.rk4_drag, sizes=(3, 2, 3))
+        assert code == 64
+        # b is the one input of the --from size: the leg, then b's segment
+        assert [(m, start is None) for m, start in calls] == [(2, True), (2, False)]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "a: failed (64)" and lines[2] == "c: failed (64)"
+        assert lines[1].startswith("b: optimal p_success=")
 
     def test_failed_via_leg_fails_every_input(self, tmp_path, monkeypatch, capsys, caplog):
         def failing(*args, **kwargs):
             raise ms.PositivityLost("factor F lost positive definiteness at t=0.5")
 
-        code, legs = self._batch_via(tmp_path, monkeypatch, failing)
-        assert (code, legs) == (3, 1)
+        code, calls = self._batch_via(tmp_path, monkeypatch, failing)
+        assert (code, len(calls)) == (3, 1)
         assert capsys.readouterr().out.splitlines() == [
             "a: failed (3)", "b: failed (3)", "c: failed (3)"]
         assert caplog.text.count("solver failed: factor F lost positive definiteness") == 3
@@ -384,12 +397,16 @@ class TestUsage:
         assert main(["solve", inp, "--out", str(tmp_path), "--steps", "100", "--h", "1e-2",
                      "--polish-every", "0"]) == 0
 
-    def test_intermediate_gram_of_another_size_exits_64(self, tmp_path, capsys):
+    def test_intermediate_gram_of_another_size_exits_64(self, tmp_path, monkeypatch, capsys):
+        def no_drag(*args, **kwargs):
+            raise AssertionError("a --from size mismatch must be caught before any drag")
+
+        monkeypatch.setattr(cli, "rk4_drag", no_drag)
         via = write_gram(tmp_path / "via.json", random_gram(2, seed=823))
         inp = write_gram(tmp_path / "g.json", random_gram(3, seed=824))
         assert main(["solve", inp, "--from", via, "--out", str(tmp_path),
                      "--steps", "100", "--h", "1e-2"]) == 64
-        assert "invalid solver arguments" in capsys.readouterr().err
+        assert "--from matrix has 2 states but the input has 3" in capsys.readouterr().err
 
     def test_undecodable_input_exits_64_like_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bytes.json"

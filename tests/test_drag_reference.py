@@ -13,7 +13,7 @@ import pytest
 
 import medsolve as ms
 from conftest import identity_gram, seeded_grams
-from medsolve.homotopy import COND_MAX, EPS_A
+from medsolve.homotopy import COND_MAX, EPS_A, _integrate
 
 
 def _reference_factor(a, f, iu, ju):
@@ -101,9 +101,14 @@ def test_drag_matches_reference(m, real, polish):
     assert np.max(np.abs(report.trace[:, 3:] - trace[:, 3:])) <= 1e-13
 
 
-def _constant(entries):
+def _drag_unchecked(entries, start):
+    """Ten RK4 steps from ``start`` along the constant path at ``entries``.
+
+    None of the starts below solves its path, so ``rk4_drag`` would reject
+    them before the first step; the guards are those of the loop itself."""
     g = ms.GramMatrix(np.asarray(entries, dtype=complex))
-    return ms.Trajectory(g, g)
+    return _integrate(ms.Trajectory(g, g), start.a, start.f, steps=10, h=0.1, polish=False,
+                      polish_every=10)
 
 
 class TestGuards:
@@ -111,7 +116,7 @@ class TestGuards:
         # |f12|^2 = a1^2 a2^2: F is singular and lam_i + lam_j reaches zero
         start = ms.SolverState(t=0.0, a=[0.8, 0.5], f=[0.4])
         with pytest.raises(ms.SingularJacobian, match=r"Lyapunov spectrum ratio.*t=0\.000000"):
-            ms.rk4_drag(_constant(np.eye(2) / 2), steps=10, h=0.1, initial=start)
+            _drag_unchecked(np.eye(2) / 2, start)
 
     @pytest.mark.parametrize("a0", [0.5, 0.5 + 1e-14])
     def test_singular_schur_system_stops_the_drag(self, a0):
@@ -120,12 +125,12 @@ class TestGuards:
         start = ms.SolverState(t=0.0, a=[a0, 0.8], f=[0.0])
         with pytest.raises(ms.SingularJacobian,
                            match=r"Schur system condition number .* at t=0\.000000"):
-            ms.rk4_drag(_constant(np.eye(2) / 2), steps=10, h=0.1, initial=start)
+            _drag_unchecked(np.eye(2) / 2, start)
 
     def test_indefinite_factor_loses_positivity_after_the_first_step(self):
         start = ms.SolverState(t=0.0, a=[0.8, 0.5], f=[0.6])  # det F < 0
         with pytest.raises(ms.PositivityLost, match=r"t=0\.100000 \(min eig -"):
-            ms.rk4_drag(_constant(np.eye(2) / 2), steps=10, h=0.1, initial=start)
+            _drag_unchecked(np.eye(2) / 2, start)
 
     def test_vanishing_scale_is_near_linear_dependence(self):
         # a constant path leaves a_0 = 9e-7 below EPS_A after the first step
@@ -133,5 +138,5 @@ class TestGuards:
         assert start.a[0] <= EPS_A
         with pytest.raises(ms.NearLinearDependence,
                            match=r"a_0 fell to 9\.000e-07 at t=0\.100000"):
-            ms.rk4_drag(_constant(np.diag([0.7, 0.3])), steps=10, h=0.1, initial=start)
+            _drag_unchecked(np.diag([0.7, 0.3]), start)
 

@@ -65,6 +65,13 @@ class TestSolveStationary:
         with pytest.raises(ValueError):
             ms.solve_stationary(random_gram(3, seed=1, real=False))
 
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_needs_at_least_one_start(self, n_starts):
+        gram = random_gram(3, seed=1, real=True)
+        for enumerate_roots in (ms.solve_stationary, ms.classify_landscape):
+            with pytest.raises(ValueError, match=f"n_starts must be at least 1, got {n_starts}"):
+                enumerate_roots(gram, n_starts=n_starts)
+
 
 class TestRootToPovm:
     def test_trivial_root_gives_standard_basis(self):

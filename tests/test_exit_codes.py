@@ -128,6 +128,19 @@ def test_generate_beyond_the_address_space_is_invalid_data(capsys):
     assert "generation failed" in capsys.readouterr().err
 
 
+def test_solve_beyond_the_address_space_is_a_usage_error(tmp_path, capsys):
+    # a trace of 1e15 rows takes 35.5 PiB, more than a process can address,
+    # so numpy refuses it before the first step
+    inp = tmp_path / "g.json"
+    serialize.write_json(inp, serialize.gram_to_dict(ms.GramMatrix(np.eye(2) / 2)))
+    code = cli.main(["solve", str(inp), "--out", str(tmp_path),
+                     "--steps", "1000000000000000", "--h", "1e-15"])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("invalid solver arguments: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-12", "tight"])
 @pytest.mark.parametrize("flag", ["--tol-stat", "--tol-glb"])
 @pytest.mark.parametrize("argv", [["solve", "in.json"], ["reproduce-fig1"],

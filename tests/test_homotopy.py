@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import medsolve as ms
+from medsolve import homotopy
 from conftest import identity_gram, overlap_gram_m3, random_gram, solve_direct
 from medsolve.certify import RESIDUAL_GATE
 from medsolve.homotopy import _factor, _newton_correction, _rate, _triu
@@ -168,26 +169,44 @@ class TestRk4Drag:
         assert report.residual_trace[0][0] == 1
 
 
+@pytest.fixture
+def rate_calls(monkeypatch):
+    """Counts the tangent evaluations of the drags a test runs."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _rate(*args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "_rate", counted)
+    return calls
+
+
 class TestDragBetween:
+    """Drags between two solved matrices: ``rk4_drag`` with ``initial=``, which
+    continues only a start that solves the path's first matrix."""
+
     def test_chained_equals_direct(self):
         g_a = random_gram(3, seed=96, spread=0.4)
         g_b = random_gram(3, seed=97, spread=0.7)
         leg1 = solve_direct(g_a)
-        chained = ms.drag_between(g_a, leg1.final_state, g_b, steps=500, h=2e-3)
+        chained = ms.rk4_drag(ms.Trajectory(g_a, g_b), steps=500, h=2e-3,
+                              initial=leg1.final_state)
         direct = solve_direct(g_b)
         assert abs(chained.certificate.p_success - direct.certificate.p_success) < 1e-8
 
     def test_reverse_drag_recovers_trivial_state(self):
         g = random_gram(4, seed=98)
         forward = solve_direct(g)
-        back = ms.drag_between(g, forward.final_state, identity_gram(4), steps=500, h=2e-3)
+        back = ms.rk4_drag(ms.Trajectory(g, identity_gram(4)), steps=500, h=2e-3,
+                           initial=forward.final_state)
         assert np.max(np.abs(back.final_state.a - 0.5)) < 1e-8
         assert np.max(np.abs(back.final_state.f)) < 1e-8
 
     def test_zero_length_segment(self):
         g = random_gram(3, seed=99)
         solved = solve_direct(g)
-        again = ms.drag_between(g, solved.final_state, g, steps=100, h=1e-2)
+        again = ms.rk4_drag(ms.Trajectory(g, g), steps=100, h=1e-2, initial=solved.final_state)
         assert np.max(np.abs(again.final_state.a - solved.final_state.a)) < 1e-12
 
     def test_near_dependent_target_aborts_with_diagnostic(self):
@@ -199,16 +218,28 @@ class TestDragBetween:
         with pytest.raises(ms.MedError):
             ms.rk4_drag(ms.Trajectory(identity_gram(3), gram), steps=250, h=4e-3)
 
-    def test_uncertified_start_is_rejected(self):
+    def test_uncertified_start_is_rejected(self, rate_calls):
         g_a = random_gram(3, seed=96, spread=0.4)
         g_b = random_gram(3, seed=97, spread=0.7)
-        with pytest.raises(ms.NotCertified):
-            ms.drag_between(g_a, ms.initial_state(3), g_b, steps=100, h=1e-2)
+        with pytest.raises(ms.NotCertified, match="not a solution at g_start"):
+            ms.rk4_drag(ms.Trajectory(g_a, g_b), steps=100, h=1e-2, initial=ms.initial_state(3))
+        assert rate_calls == []
 
-    def test_start_of_another_dimension_is_rejected(self):
-        with pytest.raises(ms.NotCertified, match="dimension 3, g_from has 4"):
-            ms.drag_between(identity_gram(4), ms.initial_state(3), identity_gram(4),
-                            steps=100, h=1e-2)
+    @pytest.mark.parametrize("polish", [False, True])
+    def test_default_start_serves_only_paths_from_identity(self, rate_calls, polish):
+        # the default start solves I/4, not g_a; unchecked, the plain drag ends
+        # in PositivityLost at t = 0.615 and the polished one certifies by luck
+        g_a = ms.raw_gram(ms.random_ensemble(4, 1, 0.5))
+        g_b = ms.raw_gram(ms.random_ensemble(4, 2, 0.5))
+        with pytest.raises(ms.NotCertified, match="not a solution at g_start"):
+            ms.rk4_drag(ms.Trajectory(g_a, g_b), polish=polish)
+        assert rate_calls == []
+
+    def test_start_of_another_dimension_is_rejected(self, rate_calls):
+        with pytest.raises(ms.NotCertified, match="dimension 3, g_start has 4"):
+            ms.rk4_drag(ms.Trajectory(identity_gram(4), identity_gram(4)), steps=100, h=1e-2,
+                        initial=ms.initial_state(3))
+        assert rate_calls == []
 
     @pytest.mark.parametrize("ratio", [0.99, 1.01])
     def test_start_residual_is_gated_at_residual_gate(self, ratio):
@@ -218,13 +249,15 @@ class TestDragBetween:
         g_from = ms.GramMatrix(np.eye(4) / 4 + delta * np.diag([1.0, -1.0, 0.0, 0.0]))
         start = ms.initial_state(4)
         assert start.residual(g_from) == pytest.approx(ratio * RESIDUAL_GATE, rel=1e-6)
-        g_to = random_gram(4, seed=100, spread=0.3)
-        if ratio > 1.0:
-            with pytest.raises(ms.NotCertified, match="gate 1.0e-08"):
-                ms.drag_between(g_from, start, g_to, steps=100, h=1e-2)
-        else:
-            # accepted: the drag runs (its start error is carried, not certified)
-            assert ms.drag_between(g_from, start, g_to, steps=100, h=1e-2).trace.shape == (100, 5)
+        trajectory = ms.Trajectory(g_from, random_gram(4, seed=100, spread=0.3))
+        for initial in (start, None):
+            if ratio > 1.0:
+                with pytest.raises(ms.NotCertified, match="gate 1.0e-08"):
+                    ms.rk4_drag(trajectory, steps=100, h=1e-2, initial=initial)
+            else:
+                # accepted: the drag runs (its start error is carried, not certified)
+                report = ms.rk4_drag(trajectory, steps=100, h=1e-2, initial=initial)
+                assert report.trace.shape == (100, 5)
 
 
 def _random_point(rng, m, real, indefinite):
