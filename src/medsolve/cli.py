@@ -354,7 +354,8 @@ def build_parser() -> _Parser:
     p = subs.add_parser("enumerate",
                         help="enumerate all stationary measurements (m=3, real)")
     p.add_argument("input", help="gram-or-ensemble JSON file")
-    p.add_argument("--seed", type=int, default=8128, help="start-point seed")
+    p.add_argument("--seed", type=int, default=8128,
+                   help="seed of the homotopy's random complex gamma")
     _add_common(p)
     _add_tolerances(p)
     p.set_defaults(fn=cmd_enumerate)

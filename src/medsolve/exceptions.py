@@ -56,4 +56,9 @@ class SchemaError(MedError):
 
 
 class RootCountAnomaly(UserWarning):
-    """Fewer stationary roots were found than the degree bound predicts."""
+    """Fewer distinct stationary roots exist than the degree bound of 8.
+
+    Every path of the total-degree homotopy is tracked to its end, so the
+    shortfall is genuine: the remaining roots are at infinity (their paths
+    diverge, as for symmetric ensembles) or coincide at a singular root.
+    It does not signal a missed root."""

@@ -292,6 +292,18 @@ class TestEnumerate:
         assert len(real) == 5
         assert sum(r["is_positive_definite"] for r in real) == 1
 
+    def test_debug_log_is_one_line_and_outputs_repeat(self, tmp_path, monkeypatch):
+        inp = write_gram(tmp_path / "g3.json", random_gram(3, seed=6, spread=0.9, real=True))
+        monkeypatch.setenv("MED_LOG", "debug")
+        for name in ("a", "b"):
+            run = run_python("-m", "medsolve.cli", "enumerate", inp, "--out", str(tmp_path / name))
+            assert run.returncode == 0
+            [line] = run.stderr.splitlines()
+            assert line.startswith("DEBUG homotopy: 8 paths, steps per path [")
+            assert line.endswith("], 0 re-tracked, 0 at infinity")
+        a = (tmp_path / "a" / "g3-landscape.json").read_bytes()
+        assert a == (tmp_path / "b" / "g3-landscape.json").read_bytes()
+
 
 class TestAudit:
     def test_solved_three_state_passes(self, tmp_path):

@@ -1,10 +1,15 @@
 """Stationary-point enumeration for three real states."""
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import medsolve as ms
 from conftest import identity_gram, random_gram, solve_direct
+from medsolve import enumerate3
 
 
 def sorted_real_roots(roots):
@@ -65,12 +70,44 @@ class TestSolveStationary:
         with pytest.raises(ValueError):
             ms.solve_stationary(random_gram(3, seed=1, real=False))
 
-    @pytest.mark.parametrize("n_starts", [0, -1])
-    def test_needs_at_least_one_start(self, n_starts):
-        gram = random_gram(3, seed=1, real=True)
-        for enumerate_roots in (ms.solve_stationary, ms.classify_landscape):
-            with pytest.raises(ValueError, match=f"n_starts must be at least 1, got {n_starts}"):
-                enumerate_roots(gram, n_starts=n_starts)
+    def test_all_eight_roots_on_generic_problems(self):
+        grams = [random_gram(3, seed, spread=0.3, real=True) for seed in range(30)]
+        grams.append(random_gram(3, 6, spread=0.9, real=True))
+        for k, gram in enumerate(grams):
+            assert len(ms.solve_stationary(gram)) == enumerate3.DEGREE_BOUND, f"problem {k}"
+
+    # Without the first-correction guard and without re-tracking, one path of
+    # this problem jumps onto a neighbour's nonsingular root and 7 roots remain.
+    JUMPY = dict(seed=5312, spread=0.4964, real=True)
+
+    def test_guard_alone_keeps_the_path(self, monkeypatch):
+        monkeypatch.setattr(enumerate3, "_RETRACKS", 0)
+        assert len(ms.solve_stationary(random_gram(3, **self.JUMPY))) == 8
+        monkeypatch.setattr(enumerate3, "_GUARD", np.inf)
+        with pytest.warns(ms.RootCountAnomaly):
+            assert len(ms.solve_stationary(random_gram(3, **self.JUMPY))) == 7
+
+    def test_retracking_alone_recovers_the_jumped_path(self, monkeypatch, caplog):
+        monkeypatch.setattr(enumerate3, "_GUARD", np.inf)
+        caplog.set_level(logging.DEBUG, logger="medsolve.enumerate3")
+        assert len(ms.solve_stationary(random_gram(3, **self.JUMPY))) == 8
+        assert caplog.records[-1].getMessage().endswith(", 2 re-tracked, 0 at infinity")
+
+    def test_debug_log_reports_the_paths(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="medsolve.enumerate3")
+        with pytest.warns(ms.RootCountAnomaly):
+            ms.solve_stationary(identity_gram(3))
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert message.startswith("homotopy: 8 paths, steps per path [")
+        assert message.endswith("], 0 re-tracked, 3 at infinity")
+
+    def test_exactly_singular_lane_solves_to_nan(self):
+        a = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)]).astype(complex)
+        y = enumerate3._solve(a, np.ones((3, 3, 1), dtype=complex))
+        assert np.all(np.isnan(y[1]))
+        assert np.allclose(y[0], 1.0) and np.allclose(y[2], 0.5)
 
 
 class TestRootToPovm:
@@ -148,7 +185,7 @@ class TestClassifyLandscape:
     def test_exactly_one_positive_definite_root_across_seeds(self):
         for seed in range(100):
             gram = random_gram(3, seed + 400, real=True, spread=0.4 + 0.005 * seed)
-            roots = ms.solve_stationary(gram, n_starts=120, seed=seed)
+            roots = ms.solve_stationary(gram, seed=seed)
             pd = [r for r in roots if r.is_positive_definite]
             assert len(pd) == 1, f"seed {seed}: {len(pd)} positive definite roots"
             real_ps = [r.p_success for r in roots if r.is_real]
@@ -161,3 +198,17 @@ class TestClassifyLandscape:
             best = landscape.roots[landscape.global_index]
             hom = solve_direct(gram)
             assert abs(best.p_success - hom.certificate.p_success) < 1e-8
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10_000), st.floats(0.1, 0.9), st.permutations(range(3)))
+def test_relabelling_keeps_the_landscape(seed, spread, perm):
+    gram = random_gram(3, seed, spread=spread, real=True)
+    relabelled = ms.GramMatrix(gram.entries[np.ix_(perm, perm)])
+    original, permuted = ms.classify_landscape(gram), ms.classify_landscape(relabelled)
+    assert len(permuted.roots) == len(original.roots)
+    values = [sorted(r.p_success for r in ls.roots if r.is_real) for ls in (original, permuted)]
+    np.testing.assert_allclose(values[1], values[0], rtol=0, atol=1e-10)
+    best = [ls.roots[ls.global_index].p_success for ls in (original, permuted)]
+    assert best[1] == pytest.approx(best[0], abs=1e-10)
