@@ -11,17 +11,9 @@ enumeration for three real states, a Bloch-geometry audit for qutrits, a
 closed form for two states, and direct search over the unitary group.
 """
 
-from .bloch3 import AuditReport, geometric_audit, star, to_bloch, to_density
+from .bloch3 import AuditReport, geometric_audit
 from .cases import reference_five_state_gram
-from .certify import (
-    TOL_GLB,
-    TOL_STAT,
-    Certificate,
-    certify_gram,
-    certify_povm,
-    stationarity_check,
-    z_operator,
-)
+from .certify import TOL_GLB, TOL_STAT, Certificate, certify_gram, certify_povm
 from .enumerate3 import (
     LandscapeSummary,
     StationaryRoot,
@@ -30,7 +22,6 @@ from .enumerate3 import (
     solve_stationary,
 )
 from .exceptions import (
-    AuditFailure,
     MedError,
     NearLinearDependence,
     NoConvergence,
@@ -62,22 +53,12 @@ from .homotopy import (
     initial_state,
     rk4_drag,
 )
-from .measurement import (
-    FRAME_AMBIENT,
-    FRAME_DUAL,
-    Povm,
-    SuccessReport,
-    pgm,
-    povm_from_unitary,
-    success_of_povm,
-    success_probability,
-)
-from .oracle import OracleResult, SearchStats, helstrom, helstrom_angle_scan, search_optimum
+from .measurement import FRAME_AMBIENT, FRAME_DUAL, Povm, povm_from_unitary
+from .oracle import OracleResult, SearchStats, helstrom, search_optimum
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditFailure",
     "AuditReport",
     "COND_MAX",
     "Certificate",
@@ -105,7 +86,6 @@ __all__ = [
     "SingularJacobian",
     "SolverState",
     "StationaryRoot",
-    "SuccessReport",
     "TOL_GLB",
     "TOL_STAT",
     "Trajectory",
@@ -117,9 +97,7 @@ __all__ = [
     "ensemble_from_gram",
     "geometric_audit",
     "helstrom",
-    "helstrom_angle_scan",
     "initial_state",
-    "pgm",
     "povm_from_unitary",
     "random_ensemble",
     "raw_gram",
@@ -128,11 +106,4 @@ __all__ = [
     "root_to_povm",
     "search_optimum",
     "solve_stationary",
-    "stationarity_check",
-    "star",
-    "success_of_povm",
-    "success_probability",
-    "to_bloch",
-    "to_density",
-    "z_operator",
 ]

@@ -28,8 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .certify import z_operator
-from .exceptions import AuditFailure
+from .certify import check_tolerance, z_operator
 from .gram import Ensemble
 from .measurement import Povm
 
@@ -77,14 +76,6 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
     return (np.sqrt(3.0) / 2.0) * np.einsum("kab,ba->k", gell_mann(), rho).real
 
 
-def to_density(n: np.ndarray) -> np.ndarray:
-    """Inverse map: rho = (I + sqrt(3) n.lambda)/3."""
-    n = np.asarray(n, dtype=float)
-    if n.shape != (8,):
-        raise ValueError("expected an 8-vector")
-    return (np.eye(3, dtype=complex) + np.sqrt(3.0) * np.tensordot(n, gell_mann(), axes=1)) / 3.0
-
-
 def star(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     """Symmetric bilinear product (n1*n2)_l = sqrt(3) d_jkl n1_j n2_k."""
     return np.sqrt(3.0) * np.einsum("jkl,j,k->l", d_tensor(), n1, n2)
@@ -114,18 +105,8 @@ class AuditReport:
             v > 0.0 for v in self.strict_margins.values()
         )
 
-    def failures(self) -> list[str]:
-        bad = [f"{k}={v:.3e}" for k, v in self.residuals.items() if v > self.tol]
-        bad += [f"{k} margin={v:.3e}" for k, v in self.strict_margins.items() if v <= 0.0]
-        return bad
 
-
-def geometric_audit(
-    ensemble: Ensemble,
-    povm: Povm,
-    tol: float = 1e-8,
-    raise_on_failure: bool = True,
-) -> AuditReport:
+def geometric_audit(ensemble: Ensemble, povm: Povm, tol: float = 1e-8) -> AuditReport:
     """Check every Bloch-geometry identity a certified optimum must satisfy.
 
     With Z the dual operator, k0 = Tr(Z) and kappa_i = k0 - p_i, the
@@ -144,12 +125,13 @@ def geometric_audit(
     - ``dual_bounds``:     max_i p_i <= k0 <= 1, k.k < 1 and the cubic
       form of k at most 1, for k the Bloch vector of Z/k0.
 
-    Raises AuditFailure listing the violated identities unless
-    ``raise_on_failure`` is false.
+    Returns the report whether or not it passed; ``tol`` must be finite
+    and >= 0.
     """
     if ensemble.m != 3 or povm.m != 3:
         raise ValueError("the geometric audit is defined for three states")
-    z, _anti = z_operator(ensemble, povm)
+    check_tolerance("tol", tol)
+    z = z_operator(ensemble, povm)
 
     probs = ensemble.probs
     k0 = float(np.trace(z).real)
@@ -193,9 +175,4 @@ def geometric_audit(
     margins["dual_norm_interior"] = 1.0 - float(k_vec @ k_vec)
     margins["dual_boundary"] = 1.0 - boundary_form(k_vec) + tol
 
-    report = AuditReport(k0=k0, residuals=residuals, strict_margins=margins, tol=tol)
-    if raise_on_failure and not report.passed:
-        raise AuditFailure(
-            "geometric audit failed: " + ", ".join(report.failures()), report=report
-        )
-    return report
+    return AuditReport(k0=k0, residuals=residuals, strict_margins=margins, tol=tol)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import ResidualTooLarge
 from .gram import GramMatrix, Ensemble
-from .linalg import anti_hermitian_norm, hermitize, hs_norm, polar_unitary
+from .linalg import hermitize, hs_norm, polar_unitary
 from .measurement import Povm
 
 #: default stationarity tolerance: one order above the observed integration
@@ -44,6 +44,13 @@ _STATUS_STATIONARY = "stationary"
 _STATUS_NONSTATIONARY = "nonstationary"
 
 _EXIT_CODES = {_STATUS_OPTIMAL: 0, _STATUS_STATIONARY: 2, _STATUS_NONSTATIONARY: 3}
+
+
+def check_tolerance(name: str, value: float) -> float:
+    """``value`` if it is finite and >= 0, else ValueError naming ``name``."""
+    if not 0.0 <= value < np.inf:  # also rejects NaN
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -102,25 +109,9 @@ def _raw_z(scaled: np.ndarray, vectors: np.ndarray, o: np.ndarray) -> np.ndarray
     return (scaled * np.diagonal(o)) @ vectors.conj().T
 
 
-def z_operator(ensemble: Ensemble, povm: Povm) -> tuple[np.ndarray, float]:
-    """Dual operator Z = sum_i p_i rho_i Pi_i, hermitized.
-
-    Returns the hermitian part and the HS norm of the discarded
-    anti-hermitian part; the latter vanishes (to tolerance) exactly at
-    stationary measurements, where the two operator orderings coincide.
-    """
-    z = _raw_z(ensemble.scaled_states, povm.vectors, _overlaps(ensemble, povm))
-    return hermitize(z), anti_hermitian_norm(z)
-
-
-def stationarity_check(ensemble: Ensemble, povm: Povm) -> float:
-    """Maximum stationarity violation over all outcome pairs.
-
-    The HS norm of Pi_j (p_j rho_j - p_k rho_k) Pi_k, maximized over j, k;
-    for rank-one projectors it equals |O_jj O_jk^* - O_kj O_kk^*| with O
-    the overlap matrix, which is how it is computed.
-    """
-    return _stationarity_residual(_overlaps(ensemble, povm))
+def z_operator(ensemble: Ensemble, povm: Povm) -> np.ndarray:
+    """Dual operator Z = sum_i p_i rho_i Pi_i, hermitized."""
+    return hermitize(_raw_z(ensemble.scaled_states, povm.vectors, _overlaps(ensemble, povm)))
 
 
 def _global_min_eig(scaled: np.ndarray, z: np.ndarray) -> float:
@@ -145,6 +136,8 @@ def _certify(
 ) -> Certificate:
     """Certificate of the basis ``vectors`` against the scaled states, every
     field computed from one overlap matrix."""
+    check_tolerance("tol_stat", tol_stat)
+    check_tolerance("tol_glb", tol_glb)
     o = scaled.conj().T @ vectors
     z = hermitize(_raw_z(scaled, vectors, o))
     f_eigs = np.linalg.eigvalsh(_hermitian_factor(o))

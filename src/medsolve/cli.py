@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .bloch3 import geometric_audit
 from .cases import reference_five_state_gram
-from .certify import TOL_GLB, TOL_STAT, certify_povm
+from .certify import TOL_GLB, TOL_STAT, certify_povm, check_tolerance
 from .enumerate3 import classify_landscape
 from .exceptions import MedError, SchemaError
 from .gram import (
@@ -267,7 +267,7 @@ def cmd_enumerate(args) -> int:
 def cmd_audit(args) -> int:
     ensemble, povm = _load_certify_input(Path(args.input))
     try:
-        report = geometric_audit(ensemble, povm, raise_on_failure=False)
+        report = geometric_audit(ensemble, povm)
     except (MedError, ValueError) as exc:
         raise _CliFailure(EXIT_DATA, f"audit failed to run: {exc}") from exc
     out = _out_dir(args)
@@ -306,10 +306,7 @@ def cmd_reproduce_fig1(args) -> int:
 
 def _add_tolerances(sub: argparse.ArgumentParser) -> None:
     def tolerance(text: str) -> float:
-        value = float(text)
-        if not 0.0 <= value < np.inf:  # also rejects NaN
-            raise ValueError(text)
-        return value
+        return check_tolerance("tolerance", float(text))
 
     sub.add_argument("--tol-stat", type=tolerance, default=TOL_STAT,
                      help="stationarity tolerance (finite, >= 0)")

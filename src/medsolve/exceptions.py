@@ -40,17 +40,6 @@ class NoConvergence(MedError):
     """An iterative search exhausted its budget without converging."""
 
 
-class AuditFailure(MedError):
-    """One or more geometric optimality identities failed.
-
-    The failing report is attached as the ``report`` attribute.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class SchemaError(MedError):
     """An input file does not match the expected JSON schema."""
 

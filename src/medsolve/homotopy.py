@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import RESIDUAL_GATE, TOL_GLB, TOL_STAT, Certificate, certify_gram
+from .certify import RESIDUAL_GATE, TOL_GLB, TOL_STAT, Certificate, certify_gram, check_tolerance
 from .exceptions import NearLinearDependence, NotCertified, PositivityLost, SingularJacobian
 from .gram import GramMatrix
 from .linalg import hs_norm, read_only
@@ -144,10 +144,6 @@ class RunReport:
     final_state: SolverState
     final_povm: Povm
     certificate: Certificate
-
-    @property
-    def residual_trace(self) -> list[tuple[int, float]]:
-        return [(int(row[0]), float(row[2])) for row in self.trace]
 
 
 def initial_state(m: int) -> SolverState:
@@ -296,9 +292,10 @@ def rk4_drag(
     segments; by uniqueness of the optimum the result is independent of the
     path taken through admissible matrices.
 
-    ``steps * h`` must equal 1 so the run covers the whole trajectory.  The
-    four stage derivatives use the exact trajectory values G(t), G(t+h/2),
-    G(t+h).  After every step the run records the HS residual of
+    ``steps * h`` must equal 1 so the run covers the whole trajectory, and
+    the tolerances must be finite and >= 0; both are checked before step 1.
+    The four stage derivatives use the exact trajectory values G(t),
+    G(t+h/2), G(t+h).  After every step the run records the HS residual of
     F^2 - D G(t) D, the minimum eigenvalue of F and the partial success
     probability.  ``polish`` applies one Newton re-projection onto the
     constraint every ``polish_every`` steps (off by default, leaving the raw
@@ -317,6 +314,8 @@ def rk4_drag(
         raise ValueError(f"steps*h must equal 1, got {steps} * {h} = {steps * h}")
     if polish and polish_every < 1:
         raise ValueError(f"polish_every must be at least 1, got {polish_every}")
+    check_tolerance("tol_stat", tol_stat)
+    check_tolerance("tol_glb", tol_glb)
     m = trajectory.m
     start = initial_state(m) if initial is None else initial
     if start.m != m:

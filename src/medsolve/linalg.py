@@ -20,11 +20,6 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-def anti_hermitian_norm(mat: np.ndarray) -> float:
-    """Hilbert-Schmidt norm of the anti-hermitian part of a square matrix."""
-    return float(np.linalg.norm(0.5 * (mat - mat.conj().T)))
-
-
 def hs_norm(mat: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.sqrt(np.vdot(mat, mat).real))

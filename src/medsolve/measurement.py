@@ -8,7 +8,8 @@ can be written as
 with {|u_j>} the dual basis and U unitary; U carries the entire freedom of
 the measurement.  The overlap matrix is then <psi~_i|v_j> = (G^{1/2} U)_{ij},
 so the average success probability of the measurement {|v_i><v_i|} is
-sum_i |(G^{1/2} U)_{ii}|^2.  U = identity gives the pretty good measurement.
+sum_i |(G^{1/2} U)_{ii}|^2; ``certify_povm`` reports it with the
+certificate.  U = identity gives the pretty good measurement.
 """
 
 from __future__ import annotations
@@ -63,22 +64,6 @@ class Povm:
         return np.outer(v, v.conj())
 
 
-@dataclass(frozen=True)
-class SuccessReport:
-    """Outcome statistics of a measurement on an ensemble.
-
-    ``per_outcome[i, j]`` is the joint probability that state i was sent and
-    outcome j fired, |(G^{1/2} U)_{ij}|^2; row sums reproduce the priors and
-    the diagonal sums to ``p_success``.
-    """
-
-    p_success: float
-    per_outcome: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_outcome", read_only(np.array(self.per_outcome, dtype=float)))
-
-
 def _check_unitary(u: np.ndarray, m: int) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (m, m):
@@ -112,23 +97,3 @@ def povm_from_unitary(
         )
     vectors = dual_basis(ensemble) @ (gram.sqrt() @ u)
     return Povm(vectors, frame=FRAME_AMBIENT)
-
-
-def pgm(gram: GramMatrix, ensemble: Ensemble | None = None) -> Povm:
-    """The pretty good measurement: the U = identity member of the family."""
-    return povm_from_unitary(gram, np.eye(gram.m, dtype=complex), ensemble=ensemble)
-
-
-def success_probability(gram: GramMatrix, u: np.ndarray) -> SuccessReport:
-    """Success probability and per-outcome statistics of the measurement U."""
-    u = _check_unitary(u, gram.m)
-    w = gram.sqrt() @ u
-    per_outcome = np.abs(w) ** 2
-    return SuccessReport(p_success=float(np.trace(per_outcome)), per_outcome=per_outcome)
-
-
-def success_of_povm(ensemble: Ensemble, povm: Povm) -> SuccessReport:
-    """Same statistics computed directly from overlaps <psi~_i|v_j>."""
-    overlaps = ensemble.scaled_states.conj().T @ povm.vectors
-    per_outcome = np.abs(overlaps) ** 2
-    return SuccessReport(p_success=float(np.trace(per_outcome)), per_outcome=per_outcome)

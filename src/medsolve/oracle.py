@@ -46,10 +46,10 @@ def helstrom(p1: float, p2: float, overlap: complex) -> OracleResult:
     eigenbasis of p1 rho_1 - p2 rho_2.  The measurement is returned in an
     explicit two-dimensional realization of the pair.
     """
-    if abs(p1 + p2 - 1.0) > 1e-12 or p1 <= 0.0 or p2 <= 0.0:
+    if not (abs(p1 + p2 - 1.0) <= 1e-12 and p1 > 0.0 and p2 > 0.0):  # also rejects NaN
         raise ValueError("priors must be positive and sum to 1")
     c = complex(overlap)
-    if abs(c) >= 1.0:
+    if not abs(c) < 1.0:
         raise ValueError("|overlap| must be < 1 for distinct states")
     p_success = 0.5 * (1.0 + np.sqrt(1.0 - 4.0 * p1 * p2 * abs(c) ** 2))
 
@@ -61,24 +61,6 @@ def helstrom(p1: float, p2: float, overlap: complex) -> OracleResult:
     basis = eigvecs[:, ::-1] if eigvals[1] > 0 else eigvecs
     povm = Povm(basis, frame="ambient")
     return OracleResult(p_success=float(p_success), povm=povm, method="closed_form")
-
-
-def helstrom_angle_scan(
-    p1: float, p2: float, overlap: complex, n_points: int = 1_000_000
-) -> float:
-    """Brute-force two-state optimum by scanning rank-one projective
-    measurements in the real span of the pair.
-
-    The overlap phase can be absorbed into one state, and for a real pair
-    the optimal basis is real, so a dense scan of the rotation angle is an
-    exhaustive and entirely independent check of the closed form.
-    """
-    c = abs(complex(overlap))
-    s = np.sqrt(1.0 - c * c)
-    theta = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    # basis v1 = (cos, sin), v2 = (-sin, cos); states (1,0) and (c, s)
-    ps = p1 * np.cos(theta) ** 2 + p2 * (s * np.cos(theta) - c * np.sin(theta)) ** 2
-    return float(np.max(ps))
 
 
 def _value(r: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -172,8 +154,8 @@ def search_optimum(
     stationary points; they advance together as one stack of unitaries,
     each with its own step and stopping test, and the best value wins
     (the first one on ties).  Deterministic in ``seed``; restricted to
-    m <= 4 where restarts are cheap.  Raises NoConvergence if the best run
-    keeps a gradient norm above ``gtol``.
+    m <= 4 where restarts are cheap.  ``gtol`` must be finite and > 0;
+    NoConvergence is raised if the best run keeps a gradient norm above it.
     """
     m = gram.m
     if m > 4:
@@ -182,6 +164,8 @@ def search_optimum(
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0.0 < gtol < np.inf:  # also rejects NaN
+        raise ValueError(f"gtol must be finite and > 0, got {gtol}")
     r = gram.sqrt()
     z = np.random.default_rng(seed).normal(size=(restarts, 2, m, m))
     u, iterations, grad_norm = _ascend(r, polar_unitary(z[:, 0] + 1j * z[:, 1]), max_iter, gtol)

@@ -45,6 +45,24 @@ def seeded_grams(
     return grams
 
 
+def helstrom_angle_scan(
+    p1: float, p2: float, overlap: complex, n_points: int = 1_000_000
+) -> float:
+    """Reference for ``ms.helstrom``: the brute-force two-state optimum by
+    scanning rank-one projective measurements in the real span of the pair.
+
+    The overlap phase can be absorbed into one state, and for a real pair
+    the optimal basis is real, so a dense scan of the rotation angle is an
+    exhaustive and entirely independent check of the closed form.
+    """
+    c = abs(complex(overlap))
+    s = np.sqrt(1.0 - c * c)
+    theta = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
+    # basis v1 = (cos, sin), v2 = (-sin, cos); states (1,0) and (c, s)
+    ps = p1 * np.cos(theta) ** 2 + p2 * (s * np.cos(theta) - c * np.sin(theta)) ** 2
+    return float(np.max(ps))
+
+
 def overlap_gram_m3(c: float, probs=(0.4, 0.35, 0.25)) -> ms.GramMatrix:
     """Three real states with a strongly overlapping pair; steep ensembles
     for integration-order measurements (min Gram eigenvalue shrinks with c)."""

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 import medsolve as ms
-from conftest import overlap_gram_m3, random_gram, seeded_grams, solve_direct
+from conftest import helstrom_angle_scan, overlap_gram_m3, random_gram, seeded_grams, solve_direct
 from medsolve.cli import main
 
 
@@ -41,7 +41,7 @@ def test_criterion_2_two_state_closed_form_agreement():
     itself pre-verified against a 1e6-point brute-force scan to 1e-6."""
     scan_cases = [(0.5, 0.5, 0.6), (0.9, 0.1, 0.5), (0.65, 0.35, 0.3 + 0.4j)]
     for p1, p2, c in scan_cases:
-        scan = ms.helstrom_angle_scan(p1, p2, c, n_points=1_000_000)
+        scan = helstrom_angle_scan(p1, p2, c, n_points=1_000_000)
         closed = ms.helstrom(p1, p2, c).p_success
         assert abs(scan - closed) < 1e-6
     worst = 0.0

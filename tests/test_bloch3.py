@@ -5,7 +5,7 @@ import pytest
 
 import medsolve as ms
 from conftest import random_gram, solve_direct
-from medsolve.bloch3 import boundary_form, d_tensor, gell_mann
+from medsolve.bloch3 import boundary_form, d_tensor, gell_mann, star, to_bloch
 
 
 def random_pure_qutrit(seed):
@@ -13,6 +13,11 @@ def random_pure_qutrit(seed):
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
     psi /= np.linalg.norm(psi)
     return np.outer(psi, psi.conj())
+
+
+def to_density(n):
+    """Inverse of ``to_bloch``: rho = (I + sqrt(3) n.lambda)/3."""
+    return (np.eye(3) + np.sqrt(3.0) * np.tensordot(n, gell_mann(), axes=1)) / 3.0
 
 
 class TestBasis:
@@ -31,16 +36,16 @@ class TestBasis:
 
 class TestBlochMap:
     def test_maximally_mixed_maps_to_zero(self):
-        assert np.max(np.abs(ms.to_bloch(np.eye(3) / 3))) < 1e-14
+        assert np.max(np.abs(to_bloch(np.eye(3) / 3))) < 1e-14
 
     def test_basis_state_saturates_both_constraints(self):
-        n = ms.to_bloch(np.diag([1.0, 0.0, 0.0]).astype(complex))
+        n = to_bloch(np.diag([1.0, 0.0, 0.0]).astype(complex))
         assert abs(n @ n - 1.0) < 1e-12
         assert abs(boundary_form(n) - 1.0) < 1e-12
 
     def test_random_pure_states_saturate_both_constraints(self):
         for seed in range(10):
-            n = ms.to_bloch(random_pure_qutrit(seed))
+            n = to_bloch(random_pure_qutrit(seed))
             assert abs(n @ n - 1.0) < 1e-10
             assert abs(boundary_form(n) - 1.0) < 1e-10
 
@@ -48,30 +53,30 @@ class TestBlochMap:
         for seed in range(5):
             rho = random_pure_qutrit(seed)
             mixed = 0.6 * rho + 0.4 * np.eye(3) / 3
-            assert np.max(np.abs(ms.to_density(ms.to_bloch(mixed)) - mixed)) < 1e-12
+            assert np.max(np.abs(to_density(to_bloch(mixed)) - mixed)) < 1e-12
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            ms.to_bloch(np.eye(3))  # trace 3
+            to_bloch(np.eye(3))  # trace 3
 
 
 class TestStarProduct:
     def test_zero_annihilates(self):
-        n = ms.to_bloch(random_pure_qutrit(0))
-        assert np.max(np.abs(ms.star(n, np.zeros(8)))) < 1e-15
+        n = to_bloch(random_pure_qutrit(0))
+        assert np.max(np.abs(star(n, np.zeros(8)))) < 1e-15
 
     def test_bilinear_and_symmetric(self):
         rng = np.random.default_rng(9)
         x, y, z = rng.normal(size=(3, 8))
-        assert np.max(np.abs(ms.star(x, y) - ms.star(y, x))) < 1e-12
-        lhs = ms.star(x, 2.0 * y + z)
-        rhs = 2.0 * ms.star(x, y) + ms.star(x, z)
+        assert np.max(np.abs(star(x, y) - star(y, x))) < 1e-12
+        lhs = star(x, 2.0 * y + z)
+        rhs = 2.0 * star(x, y) + star(x, z)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_pure_state_cubic_identity(self):
         for seed in range(5):
-            n = ms.to_bloch(random_pure_qutrit(seed + 20))
-            assert abs((3.0 * n - 2.0 * ms.star(n, n)) @ n - 1.0) < 1e-10
+            n = to_bloch(random_pure_qutrit(seed + 20))
+            assert abs((3.0 * n - 2.0 * star(n, n)) @ n - 1.0) < 1e-10
 
 
 class TestGeometricAudit:
@@ -111,9 +116,16 @@ class TestGeometricAudit:
         w, v = np.linalg.eigh(1j * k)
         q = (v * np.exp(-1j * 1e-3 * w)) @ v.conj().T
         bent = ms.Povm(q @ report.final_povm.vectors, frame=ms.FRAME_DUAL)
-        with pytest.raises(ms.AuditFailure) as err:
-            ms.geometric_audit(realization, bent)
-        assert err.value.report.residuals["orthogonality"] > 1e-4
+        audit = ms.geometric_audit(realization, bent)
+        assert not audit.passed
+        assert audit.residuals["orthogonality"] > 1e-4
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8])
+    def test_rejects_bad_tolerance(self, tol):
+        ens = ms.Ensemble(np.eye(3), np.full(3, 1 / 3))
+        povm = ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT)
+        with pytest.raises(ValueError, match="tol"):
+            ms.geometric_audit(ens, povm, tol=tol)
 
     def test_requires_three_states(self):
         ens = ms.Ensemble(np.eye(2), np.array([0.5, 0.5]))

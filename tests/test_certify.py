@@ -5,6 +5,7 @@ import pytest
 
 import medsolve as ms
 from conftest import identity_gram, random_gram, solve_direct
+from medsolve.certify import z_operator
 from medsolve.linalg import haar_unitary
 
 
@@ -25,35 +26,34 @@ def helstrom_setup(p1=0.6, overlap=0.45):
 class TestZOperator:
     def test_orthogonal_ensemble(self):
         ens, povm = orthogonal_setup()
-        z, anti = ms.z_operator(ens, povm)
-        assert anti < 1e-14
+        z = z_operator(ens, povm)
         assert np.max(np.abs(z - np.eye(3) / 3)) < 1e-14
         assert abs(np.trace(z).real - 1.0) < 1e-14
 
     def test_two_state_optimum_has_no_duality_gap(self):
         ens, result = helstrom_setup()
-        z, anti = ms.z_operator(ens, result.povm)
-        assert anti < 1e-12
+        z = z_operator(ens, result.povm)
         assert abs(np.trace(z).real - result.p_success) < 1e-10
 
     def test_random_basis_is_not_stationary(self):
         ens = ms.ensemble_from_gram(random_gram(3, seed=70))
         u = haar_unitary(np.random.default_rng(5), 3)
         povm = ms.Povm(u, frame=ms.FRAME_DUAL)
-        _z, anti = ms.z_operator(ens, povm)
-        assert anti > 1e-9
+        cert = ms.certify_povm(ens, povm)
+        assert abs(np.trace(z_operator(ens, povm)).real - cert.p_success) < 1e-12
+        assert cert.stationarity_residual > 1e-9
 
 
 class TestStationarityCheck:
     def test_orthogonal_case_is_exact(self):
         ens, povm = orthogonal_setup()
-        assert ms.stationarity_check(ens, povm) < 1e-14
+        assert ms.certify_povm(ens, povm).stationarity_residual < 1e-14
 
     def test_solver_output_on_reference_case(self):
         gram = ms.reference_five_state_gram()
         report = solve_direct(gram, steps=1000, h=1e-3)
         realization = ms.ensemble_from_gram(gram)
-        resid = ms.stationarity_check(realization, report.final_povm)
+        resid = ms.certify_povm(realization, report.final_povm).stationarity_residual
         assert resid < 1e-10
 
     def test_rotation_grows_residual_linearly(self):
@@ -67,9 +67,8 @@ class TestStationarityCheck:
         def rotated_residual(eps):
             w, v = np.linalg.eigh(1j * k)
             q = (v * np.exp(-1j * eps * w)) @ v.conj().T
-            return ms.stationarity_check(
-                realization, ms.Povm(q @ report.final_povm.vectors, frame=ms.FRAME_DUAL)
-            )
+            bent = ms.Povm(q @ report.final_povm.vectors, frame=ms.FRAME_DUAL)
+            return ms.certify_povm(realization, bent).stationarity_residual
 
         r1, r2 = rotated_residual(1e-4), rotated_residual(2e-4)
         assert r1 > 1e-7
@@ -92,8 +91,8 @@ class TestGlobalCheck:
     def test_swapped_two_state_point_is_stationary_but_not_global(self):
         ens, result = helstrom_setup()
         swapped = ms.Povm(result.povm.vectors[:, ::-1], frame=ms.FRAME_AMBIENT)
-        assert ms.stationarity_check(ens, swapped) < 1e-10
         cert = ms.certify_povm(ens, swapped)
+        assert cert.stationarity_residual < 1e-10
         assert cert.global_min_eig < -1e-3
         assert cert.status == "stationary"
 
@@ -142,6 +141,25 @@ class TestCertifyGram:
             ms.certify_gram(random_gram(3, seed=73), np.eye(3) / 3)
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("name", ["tol_stat", "tol_glb"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1e-9])
+    def test_every_certifying_route_rejects_a_bad_tolerance(self, name, value):
+        ens, povm = orthogonal_setup()
+        match = f"{name} must be finite and >= 0"
+        with pytest.raises(ValueError, match=match):
+            ms.certify_povm(ens, povm, **{name: value})
+        with pytest.raises(ValueError, match=match):
+            ms.certify_gram(identity_gram(3), np.eye(3) / 3, **{name: value})
+        with pytest.raises(ValueError, match=match):
+            ms.classify_landscape(random_gram(3, seed=82, real=True), **{name: value})
+
+    def test_zero_is_a_tolerance(self):
+        ens, povm = orthogonal_setup()
+        cert = ms.certify_povm(ens, povm, tol_stat=0.0, tol_glb=0.0)
+        assert (cert.tol_stat, cert.tol_glb) == (0.0, 0.0)
+
+
 class TestCertificateConsistency:
     def test_values_agree_at_optimum(self):
         for seed in range(3):
@@ -149,7 +167,7 @@ class TestCertificateConsistency:
             report = solve_direct(gram)
             cert = report.certificate
             realization = ms.ensemble_from_gram(gram)
-            ps_report = ms.success_of_povm(realization, report.final_povm).p_success
+            ps_report = ms.certify_povm(realization, report.final_povm).p_success
             assert abs(cert.p_success - cert.tr_z) < 1e-9
             assert abs(cert.p_success - ps_report) < 1e-9
             assert abs(cert.p_success - report.final_state.p_success) < 1e-12

@@ -125,6 +125,14 @@ class TestRk4Drag:
         with pytest.raises(ValueError, match="steps\\*h must equal 1"):
             ms.rk4_drag(ms.Trajectory(identity_gram(3), g), steps=100, h=float("nan"))
 
+    @pytest.mark.parametrize("name", ["tol_stat", "tol_glb"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1e-9])
+    def test_bad_tolerance_fails_before_the_first_step(self, rate_calls, name, value):
+        # NaN compares false, so a NaN tol_stat would report a certified optimum as nonstationary
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            solve_direct(random_gram(3, seed=91), **{name: value})
+        assert rate_calls == []
+
     def test_polish_interval_must_be_positive_when_polishing(self):
         traj = ms.Trajectory(identity_gram(2), random_gram(2, seed=96))
         with pytest.raises(ValueError, match="polish_every must be at least 1, got 0"):
@@ -151,7 +159,7 @@ class TestRk4Drag:
         report = solve_direct(random_gram(3, seed=94))
         gram = random_gram(3, seed=94)
         realization = ms.ensemble_from_gram(gram)
-        ps_povm = ms.success_of_povm(realization, report.final_povm).p_success
+        ps_povm = ms.certify_povm(realization, report.final_povm).p_success
         assert abs(report.final_state.p_success - ps_povm) < 1e-9
 
     def test_polish_tightens_hard_runs(self):
@@ -166,7 +174,6 @@ class TestRk4Drag:
         assert report.trace.shape == (100, 5)
         assert report.trace[0, 0] == 1 and report.trace[-1, 0] == 100
         assert report.trace[-1, 1] == pytest.approx(1.0, abs=1e-12)
-        assert report.residual_trace[0][0] == 1
 
 
 @pytest.fixture

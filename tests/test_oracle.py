@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import medsolve as ms
-from conftest import identity_gram, random_gram
+from conftest import helstrom_angle_scan, identity_gram, random_gram
 
 
 class TestHelstrom:
@@ -31,9 +31,8 @@ class TestHelstrom:
             psi1 = np.array([1.0, 0.0], dtype=complex)
             psi2 = np.array([c, np.sqrt(1.0 - abs(c) ** 2)], dtype=complex)
             ens = ms.Ensemble(np.stack([psi1, psi2], axis=1), np.array([p1, 1.0 - p1]))
-            achieved = ms.success_of_povm(ens, result.povm).p_success
-            assert abs(achieved - result.p_success) < 1e-12
             cert = ms.certify_povm(ens, result.povm)
+            assert abs(cert.p_success - result.p_success) < 1e-12
             assert cert.stationarity_residual < 1e-6
             assert cert.global_min_eig > -1e-6
 
@@ -43,13 +42,23 @@ class TestHelstrom:
         with pytest.raises(ValueError):
             ms.helstrom(0.5, 0.5, 1.0)
 
+    @pytest.mark.parametrize("p1, p2", [(np.nan, 0.5), (0.5, np.nan), (np.nan, np.nan)])
+    def test_rejects_nan_priors(self, p1, p2):
+        with pytest.raises(ValueError, match="priors"):
+            ms.helstrom(p1, p2, 0.3)
+
+    @pytest.mark.parametrize("overlap", [complex("nan"), np.nan, complex(0.3, np.nan)])
+    def test_rejects_nan_overlap(self, overlap):
+        with pytest.raises(ValueError, match="overlap"):
+            ms.helstrom(0.5, 0.5, overlap)
+
 
 class TestAngleScan:
     def test_closed_form_pre_verification(self):
         # brute force over rank-one projective measurements in the real span
         cases = [(0.5, 0.5, 0.6), (0.9, 0.1, 0.5), (0.65, 0.35, 0.3 + 0.4j)]
         for p1, p2, c in cases:
-            scan = ms.helstrom_angle_scan(p1, p2, c, n_points=1_000_000)
+            scan = helstrom_angle_scan(p1, p2, c, n_points=1_000_000)
             closed = ms.helstrom(p1, p2, c).p_success
             assert abs(scan - closed) < 1e-6
             assert scan <= closed + 1e-12
@@ -87,9 +96,16 @@ class TestSearchOptimum:
         with pytest.raises(ms.NoConvergence):
             ms.search_optimum(g, seed=0, restarts=1, max_iter=1)
 
+    @pytest.mark.parametrize("gtol", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_gtol(self, gtol):
+        # NaN compares false: a NaN gtol would switch off the stopping test and the
+        # NoConvergence gate, and return an unconverged ascent
+        with pytest.raises(ValueError, match="gtol"):
+            ms.search_optimum(random_gram(3, seed=620), seed=0, restarts=2, max_iter=5, gtol=gtol)
+
     def test_output_is_always_stationary(self):
         for seed in range(5):
             gram = random_gram(3, seed + 610)
             result = ms.search_optimum(gram, seed=seed)
             realization = ms.ensemble_from_gram(gram)
-            assert ms.stationarity_check(realization, result.povm) < 1e-6
+            assert ms.certify_povm(realization, result.povm).stationarity_residual < 1e-6

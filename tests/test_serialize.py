@@ -69,7 +69,8 @@ def test_round_trips_are_exact(m, seed, spread, real):
     assert isinstance(back, ms.GramMatrix)
     assert np.array_equal(back.entries, gram.entries)
 
-    for povm in (ms.pgm(gram), ms.pgm(gram, ens)):
+    pgm = (ms.povm_from_unitary(gram, np.eye(m)), ms.povm_from_unitary(gram, np.eye(m), ens))
+    for povm in pgm:
         back = serialize.povm_from_dict(_through_file(serialize.povm_to_dict(povm)))
         assert back.frame == povm.frame
         assert np.array_equal(back.vectors, povm.vectors)
