@@ -21,7 +21,7 @@ positive definite -- equivalently, F is the positive square root of D G D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,21 +132,21 @@ def _hermitian_factor(overlaps: np.ndarray) -> np.ndarray:
 
 
 def _certify(
-    scaled: np.ndarray, vectors: np.ndarray, tol_stat: float, tol_glb: float
+    scaled: np.ndarray, vectors: np.ndarray, o: np.ndarray, f: np.ndarray, p_success: float,
+    tol_stat: float, tol_glb: float,
 ) -> Certificate:
-    """Certificate of the basis ``vectors`` against the scaled states, every
-    field computed from one overlap matrix."""
+    """Certificate of the basis ``vectors`` against the scaled states, from
+    their overlap matrix ``o``, the hermitian factor ``f`` and ``p_success``."""
     check_tolerance("tol_stat", tol_stat)
     check_tolerance("tol_glb", tol_glb)
-    o = scaled.conj().T @ vectors
     z = hermitize(_raw_z(scaled, vectors, o))
-    f_eigs = np.linalg.eigvalsh(_hermitian_factor(o))
+    f_min = float(np.linalg.eigvalsh(f)[0])
     return Certificate(
         stationarity_residual=_stationarity_residual(o),
         global_min_eig=_global_min_eig(scaled, z),
-        f_min_eig=float(f_eigs[0]),
-        f_positive=bool(f_eigs[0] > 0.0),
-        p_success=float(np.sum(np.abs(np.diagonal(o)) ** 2)),
+        f_min_eig=f_min,
+        f_positive=f_min > 0.0,
+        p_success=p_success,
         tr_z=float(np.trace(z).real),
         tol_stat=tol_stat,
         tol_glb=tol_glb,
@@ -160,9 +160,10 @@ def certify_povm(
     tol_glb: float = TOL_GLB,
 ) -> Certificate:
     """Full certificate for an explicit (ensemble, measurement) pair."""
-    if ensemble.m != povm.m:
-        raise ValueError("ensemble and measurement dimensions differ")
-    return _certify(ensemble.scaled_states, povm.vectors, tol_stat, tol_glb)
+    o = _overlaps(ensemble, povm)
+    p_success = float(np.sum(np.abs(np.diagonal(o)) ** 2))
+    return _certify(ensemble.scaled_states, povm.vectors, o, _hermitian_factor(o), p_success,
+                    tol_stat, tol_glb)
 
 
 def certify_gram(
@@ -196,11 +197,6 @@ def certify_gram(
     # The factorization residual leaks into unitarity at the same order;
     # snap to the nearest unitary before certifying.
     u = polar_unitary(gram.inv_sqrt() @ np.linalg.solve(d, f))
-    f_eigs = np.linalg.eigvalsh(hermitize(f))
-    cert = replace(
-        _certify(gram.sqrt(), u, tol_stat, tol_glb),
-        f_min_eig=float(f_eigs[0]),
-        f_positive=bool(f_eigs[0] > 0.0),
-        p_success=float(np.sum(a_sq)),
-    )
+    r = gram.sqrt()
+    cert = _certify(r, u, r.conj().T @ u, hermitize(f), float(np.sum(a_sq)), tol_stat, tol_glb)
     return cert, Povm(u)

@@ -32,7 +32,7 @@ from .gram import (
     random_ensemble,
     raw_gram,
 )
-from .homotopy import RunReport, SolverState, Trajectory, rk4_drag
+from .homotopy import POLISH_EVERY, RunReport, SolverState, Trajectory, rk4_drag
 from .measurement import FRAME_AMBIENT, FRAME_DUAL, povm_from_unitary
 from .serialize import (
     audit_to_dict,
@@ -115,10 +115,8 @@ def _out_dir(args) -> Path:
 
 
 def _solver_options(args) -> dict:
-    return dict(
-        steps=args.steps, h=args.h, polish=args.polish, polish_every=args.polish_every,
-        tol_stat=args.tol_stat, tol_glb=args.tol_glb,
-    )
+    return dict(steps=args.steps, h=args.h, polish=args.polish,
+                tol_stat=args.tol_stat, tol_glb=args.tol_glb)
 
 
 class _ViaLeg:
@@ -155,8 +153,8 @@ def _solve_one(gram: GramMatrix, args, via: _ViaLeg | None) -> RunReport:
     except MedError as exc:
         raise _CliFailure(EXIT_FAILED, f"solver failed: {exc}") from exc
     except (ValueError, MemoryError) as exc:
-        # the drag rejects --steps/--h/--polish-every it cannot run, and a
-        # --steps whose trace cannot be allocated
+        # the drag rejects --steps/--h it cannot run, and a --steps whose
+        # trace cannot be allocated
         raise _CliFailure(EXIT_USAGE, f"invalid solver arguments: {exc}") from exc
 
 
@@ -321,10 +319,8 @@ def _add_common(sub: argparse.ArgumentParser, solver: bool = False) -> None:
         sub.add_argument("--steps", type=int, default=1000, help="integration steps")
         sub.add_argument("--h", type=float, default=1e-3, help="step size (steps*h must be 1)")
         sub.add_argument("--polish", action="store_true",
-                         help="re-project onto the constraint during integration and "
+                         help=f"re-project onto the constraint every {POLISH_EVERY} steps and "
                               "finish with Newton corrections at t = 1")
-        sub.add_argument("--polish-every", type=int, default=10,
-                         help="steps between re-projections")
 
 
 def build_parser() -> _Parser:

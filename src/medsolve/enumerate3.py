@@ -285,7 +285,7 @@ def solve_stationary(gram: GramMatrix, seed: int = 8128) -> list[StationaryRoot]
     """All stationary roots of the three-state system, classified.
 
     The eight paths of the total-degree homotopy are tracked from the start
-    roots (+-1, +-1, +-1) with a complex gamma drawn from ``seed``; their
+    roots (+-1, +-1, +-1) with a complex gamma drawn from ``seed`` (>= 0); their
     endpoints are polished by Newton on the system itself, kept when the
     residual is below 1e-9 relative to the size of the terms, and
     deduplicated at distance 1e-7.  Paths whose endpoints coincide at a
@@ -294,6 +294,8 @@ def solve_stationary(gram: GramMatrix, seed: int = 8128) -> list[StationaryRoot]
     RootCountAnomaly warning is issued: some roots are at infinity (as for
     symmetric ensembles) or singular, which is informational, not an error.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     h = _check_real_m3(gram)
     q = _coefficients(h)
     gamma = np.exp(2j * np.pi * np.random.default_rng(seed).uniform())

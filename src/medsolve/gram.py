@@ -36,8 +36,9 @@ class Ensemble:
     """m pure states (columns of ``states``) with prior probabilities ``probs``.
 
     Invariants enforced at construction: every state has unit norm, the
-    probabilities are positive and sum to one, and the scaled states are
-    linearly independent (smallest Gram eigenvalue > EPS_LI).
+    probabilities are positive and sum to one, and the Gram matrix of the
+    scaled states passes the checks of ``GramMatrix`` (trace one, smallest
+    eigenvalue > EPS_LI).
     """
 
     states: np.ndarray
@@ -60,12 +61,9 @@ class Ensemble:
             raise ValueError("every probability must be positive")
         if abs(probs.sum() - 1.0) > _ATOL_TRACE:
             raise ValueError("probabilities must sum to 1")
+        # valid only if its Gram matrix is, which every solver route builds
         scaled = states * np.sqrt(probs)
-        min_eig = float(np.linalg.eigvalsh(hermitize(scaled.conj().T @ scaled))[0])
-        if min_eig <= EPS_LI:
-            raise NearLinearDependence(
-                f"states are nearly linearly dependent (min Gram eigenvalue {min_eig:.3e})"
-            )
+        GramMatrix(hermitize(scaled.conj().T @ scaled))
         object.__setattr__(self, "states", read_only(states))
         object.__setattr__(self, "probs", read_only(probs))
 
@@ -182,6 +180,8 @@ def random_ensemble(
     """
     if m < 2:
         raise ValueError("need at least two states")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 < spread <= 1.0:
         raise ValueError("spread must lie in (0, 1]")
     rng = np.random.default_rng(seed)

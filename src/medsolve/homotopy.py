@@ -47,6 +47,9 @@ from .measurement import Povm
 #: near-dependence) and the run aborts
 COND_MAX = 1e12
 
+#: steps between the Newton re-projections of a polished run
+POLISH_EVERY = 10
+
 #: most Newton corrections a polished run applies at t = 1
 NEWTON_FINISH = 3
 
@@ -95,10 +98,9 @@ class SolverState:
         """Tr(F) = sum a_i^2, the running optimal success probability."""
         return float(np.sum(self.a**2))
 
-    def residual(self, gram: GramMatrix | np.ndarray) -> float:
+    def residual(self, gram: GramMatrix) -> float:
         """HS norm of F^2 - D G D at this state."""
-        g = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram)
-        return _residual(self.a, self.matrix, g)
+        return _residual(self.a, self.matrix, gram.entries)
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,6 @@ class RunReport:
     steps: int
     h: float
     polish: bool
-    polish_every: int
     trace: np.ndarray = field(repr=False)
     final_state: SolverState
     final_povm: Povm
@@ -235,18 +236,16 @@ def _rate(
     return da, dfmat[iu, ju]
 
 
-def derivative(
-    state: SolverState, trajectory: Trajectory, t: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def derivative(state: SolverState, trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative (da/dt, df/dt) of the implicit variables at ``state``.
 
-    Solves the tangent equation at G(t) in the eigenbasis of F: a Lyapunov
-    solve plus an m x m Schur system for a', O(m^4) work.  Raises
+    Solves the tangent equation at G(state.t) in the eigenbasis of F: a
+    Lyapunov solve plus an m x m Schur system for a', O(m^4) work.  Raises
     SingularJacobian if either is conditioned beyond COND_MAX.  The returned
     direction preserves hermiticity exactly (a' real, upper triangle only).
     """
-    tt = state.t if t is None else t
-    return _rate(state.a, state.f, trajectory(tt), trajectory.tangent(), tt, *_triu(state.m))
+    t = state.t
+    return _rate(state.a, state.f, trajectory(t), trajectory.tangent(), t, *_triu(state.m))
 
 
 def _newton_correction(
@@ -278,7 +277,6 @@ def rk4_drag(
     steps: int = 1000,
     h: float = 1e-3,
     polish: bool = False,
-    polish_every: int = 10,
     initial: SolverState | None = None,
     tol_stat: float = TOL_STAT,
     tol_glb: float = TOL_GLB,
@@ -298,7 +296,7 @@ def rk4_drag(
     G(t+h/2), G(t+h).  After every step the run records the HS residual of
     F^2 - D G(t) D, the minimum eigenvalue of F and the partial success
     probability.  ``polish`` applies one Newton re-projection onto the
-    constraint every ``polish_every`` steps (off by default, leaving the raw
+    constraint every POLISH_EVERY steps (off by default, leaving the raw
     integrator behavior observable), and at t = 1 keeps correcting, up to
     NEWTON_FINISH times, while each correction at least halves the
     residual, so that Tr F matches the value the measurement attains.
@@ -312,8 +310,6 @@ def rk4_drag(
         raise ValueError("need at least one step")
     if not abs(steps * h - 1.0) <= 1e-9:
         raise ValueError(f"steps*h must equal 1, got {steps} * {h} = {steps * h}")
-    if polish and polish_every < 1:
-        raise ValueError(f"polish_every must be at least 1, got {polish_every}")
     check_tolerance("tol_stat", tol_stat)
     check_tolerance("tol_glb", tol_glb)
     m = trajectory.m
@@ -324,7 +320,7 @@ def rk4_drag(
     if not resid <= RESIDUAL_GATE:
         raise NotCertified(f"starting state is not a solution at g_start: F^2 - DGD has HS "
                            f"norm {resid:.3e} (gate {RESIDUAL_GATE:.1e})")
-    a, f, trace = _integrate(trajectory, start.a, start.f, steps, h, polish, polish_every)
+    a, f, trace = _integrate(trajectory, start.a, start.f, steps, h, polish)
 
     final = SolverState(t=1.0, a=a, f=f)
     certificate, final_povm = certify_gram(trajectory.g_end, final.matrix, tol_stat, tol_glb)
@@ -332,7 +328,6 @@ def rk4_drag(
         steps=steps,
         h=h,
         polish=polish,
-        polish_every=polish_every,
         trace=read_only(trace),
         final_state=final,
         final_povm=final_povm,
@@ -341,8 +336,7 @@ def rk4_drag(
 
 
 def _integrate(
-    trajectory: Trajectory, a: np.ndarray, f: np.ndarray, steps: int, h: float, polish: bool,
-    polish_every: int,
+    trajectory: Trajectory, a: np.ndarray, f: np.ndarray, steps: int, h: float, polish: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The RK4 loop of ``rk4_drag`` from (a, f) at t = 0, unchecked: (a, f) at
     t = 1 and the trace."""
@@ -366,7 +360,7 @@ def _integrate(
         # no admissibility check on G(t): its smallest eigenvalue is concave in t,
         # and GramMatrix already holds both endpoints above EPS_LI
         g_now = trajectory(t)
-        if polish and it % polish_every == 0:
+        if polish and it % POLISH_EVERY == 0:
             a, f = _newton_correction(a, f, g_now, t, iu, ju)
         if polish and it == steps:
             a, f = _newton_finish(a, f, g_now, t, iu, ju)

@@ -19,6 +19,10 @@ from .gram import GramMatrix
 from .linalg import polar_unitary
 from .measurement import Povm, povm_from_unitary
 
+#: random starts of the direct search, iteration budget of each, and the
+#: gradient norm below which an ascent has converged
+_RESTARTS = 20
+_MAX_ITER = 500
 _GTOL = 1e-7
 
 
@@ -137,42 +141,30 @@ def _ascend(
     return u_out, iters_out, grad_out
 
 
-def search_optimum(
-    gram: GramMatrix,
-    seed: int,
-    restarts: int = 20,
-    max_iter: int = 500,
-    gtol: float = _GTOL,
-) -> OracleResult:
+def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
     """Maximize sum_i |(G^{1/2} U)_{ii}|^2 over unitary U directly.
 
     Riemannian gradient ascent: the euclidean gradient R^dag diag(w) (with
     R = G^{1/2}, w the diagonal of RU) is projected onto the tangent space
     of the unitary group and the iterate is retracted by polar
     decomposition; each step is a Barzilai-Borwein step, halved until it
-    ascends.  ``restarts`` random starts guard against the non-global
+    ascends.  _RESTARTS random starts guard against the non-global
     stationary points; they advance together as one stack of unitaries,
-    each with its own step and stopping test, and the best value wins
-    (the first one on ties).  Deterministic in ``seed``; restricted to
-    m <= 4 where restarts are cheap.  ``gtol`` must be finite and > 0;
-    NoConvergence is raised if the best run keeps a gradient norm above it.
+    each with its own step, _MAX_ITER iterations and stopping test, and the
+    best value wins (the first one on ties).  Deterministic in ``seed``;
+    restricted to m <= 4 where restarts are cheap.  NoConvergence is raised
+    if the best run keeps a gradient norm above _GTOL.
     """
     m = gram.m
     if m > 4:
         raise ValueError("direct search is cost-guarded to m <= 4")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not 0.0 < gtol < np.inf:  # also rejects NaN
-        raise ValueError(f"gtol must be finite and > 0, got {gtol}")
     r = gram.sqrt()
-    z = np.random.default_rng(seed).normal(size=(restarts, 2, m, m))
-    u, iterations, grad_norm = _ascend(r, polar_unitary(z[:, 0] + 1j * z[:, 1]), max_iter, gtol)
+    z = np.random.default_rng(seed).normal(size=(_RESTARTS, 2, m, m))
+    u, iterations, grad_norm = _ascend(r, polar_unitary(z[:, 0] + 1j * z[:, 1]), _MAX_ITER, _GTOL)
     values = _value(r, u)
     best = int(np.argmax(values))
     stats = SearchStats(iterations=int(iterations[best]), grad_norm=float(grad_norm[best]))
-    if stats.grad_norm > gtol:
+    if stats.grad_norm > _GTOL:
         raise NoConvergence(f"best ascent stalled with gradient norm {stats.grad_norm:.3e}")
     povm = povm_from_unitary(gram, u[best])
     return OracleResult(

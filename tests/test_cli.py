@@ -29,6 +29,15 @@ def write_gram(path, gram):
     return str(path)
 
 
+def write_scaled_ensemble(path, ensemble, scale):
+    """An ensemble file whose states are all multiplied by ``scale``."""
+    states = (ensemble.states * scale).T
+    serialize.write_json(path, {"m": ensemble.m, "probs": ensemble.probs.tolist(),
+                                "states_re": states.real.tolist(),
+                                "states_im": states.imag.tolist()})
+    return str(path)
+
+
 def certify_payload(path, ensemble, povm):
     serialize.write_json(
         path,
@@ -64,6 +73,16 @@ class TestSolve:
         code = main(["solve", str(path), "--out", str(tmp_path)])
         assert code == 65
         assert "positive definite" in capsys.readouterr().err
+
+    def test_ensemble_without_a_unit_trace_gram_is_invalid_data(self, tmp_path, capsys):
+        # norms off by 0.9e-12 pass the unit-norm check, the Gram trace 1 + 1.8e-12 does not
+        ens = ms.random_ensemble(3, seed=802, spread=0.6)
+        path = write_scaled_ensemble(tmp_path / "ens.json", ens, 1.0 + 0.9e-12)
+        via = write_gram(tmp_path / "via.json", random_gram(3, seed=803))
+        for extra in ([], ["--from", path]):
+            assert main(["solve", via if extra else path, "--out", str(tmp_path)] + extra) == 65
+            [line] = capsys.readouterr().err.splitlines()
+            assert line == f"{path}: gram matrix must have trace 1"
 
     def test_steps_h_mismatch_is_usage_error(self, tmp_path):
         inp = write_gram(tmp_path / "g.json", random_gram(3, seed=800))
@@ -292,6 +311,13 @@ class TestEnumerate:
         assert len(real) == 5
         assert sum(r["is_positive_definite"] for r in real) == 1
 
+    def test_ensemble_without_a_unit_trace_gram_is_invalid_data(self, tmp_path, capsys):
+        ens = ms.random_ensemble(3, seed=804, spread=0.6, real=True)
+        path = write_scaled_ensemble(tmp_path / "ens.json", ens, 1.0 + 0.9e-12)
+        assert main(["enumerate", path, "--out", str(tmp_path)]) == 65
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"{path}: gram matrix must have trace 1"
+
     def test_debug_log_is_one_line_and_outputs_repeat(self, tmp_path, monkeypatch):
         inp = write_gram(tmp_path / "g3.json", random_gram(3, seed=6, spread=0.9, real=True))
         monkeypatch.setenv("MED_LOG", "debug")
@@ -398,16 +424,11 @@ class TestUsage:
     @pytest.mark.parametrize("flags", [["--steps", "0", "--h", "inf"],
                                        ["--steps", "-1", "--h", "-1"],
                                        ["--h", "nan"],
-                                       ["--polish", "--polish-every", "0"]])
+                                       ["--steps", "100", "--h", "0.02"]])
     def test_degenerate_solver_flags_exit_64(self, tmp_path, capsys, flags):
         inp = write_gram(tmp_path / "g.json", random_gram(2, seed=821))
         assert main(["solve", inp, "--out", str(tmp_path)] + flags) == 64
         assert "invalid solver arguments" in capsys.readouterr().err
-
-    def test_polish_interval_is_unused_without_polish(self, tmp_path):
-        inp = write_gram(tmp_path / "g.json", random_gram(2, seed=821))
-        assert main(["solve", inp, "--out", str(tmp_path), "--steps", "100", "--h", "1e-2",
-                     "--polish-every", "0"]) == 0
 
     def test_intermediate_gram_of_another_size_exits_64(self, tmp_path, monkeypatch, capsys):
         def no_drag(*args, **kwargs):
@@ -438,12 +459,13 @@ class TestRepeatedCalls:
         gram = random_gram(2, seed=822)
         inp = write_gram(tmp_path / "g.json", gram)
         solve = ["solve", inp, "--steps", "100", "--h", "1e-2"]
-        assert main(solve + ["--polish", "--polish-every", "5", "--out", str(tmp_path / "p")]) == 0
+        assert main(solve + ["--polish", "--out", str(tmp_path / "p")]) == 0
         assert main(solve + ["--out", str(tmp_path / "q")]) == 0
         polished = json.loads((tmp_path / "p" / "g-report.json").read_text())
         plain = json.loads((tmp_path / "q" / "g-report.json").read_text())
-        assert (polished["polish"], polished["polish_every"]) == (True, 5)
+        assert (polished["polish"], polished["polish_every"]) == (True, 10)
         assert (plain["polish"], plain["polish_every"]) == (False, 10)
+        assert polished["final_state"] != plain["final_state"]
 
         check = tmp_path / "check.json"
         serialize.write_json(check, {"ensemble": serialize.gram_to_dict(gram),

@@ -107,8 +107,7 @@ def _drag_unchecked(entries, start):
     None of the starts below solves its path, so ``rk4_drag`` would reject
     them before the first step; the guards are those of the loop itself."""
     g = ms.GramMatrix(np.asarray(entries, dtype=complex))
-    return _integrate(ms.Trajectory(g, g), start.a, start.f, steps=10, h=0.1, polish=False,
-                      polish_every=10)
+    return _integrate(ms.Trajectory(g, g), start.a, start.f, steps=10, h=0.1, polish=False)
 
 
 class TestGuards:

@@ -117,6 +117,8 @@ class TestRandomEnsemble:
             ms.random_ensemble(1, seed=0, spread=0.5)
         with pytest.raises(ValueError):
             ms.random_ensemble(3, seed=0, spread=0.0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ms.random_ensemble(3, seed=-1, spread=0.5)
 
 
 class TestValidation:

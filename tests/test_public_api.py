@@ -1,8 +1,12 @@
-"""The package root exports exactly the names in ``medsolve.__all__``."""
+"""The package root exports exactly the names in ``medsolve.__all__``, and
+the CLI and the solver entry points take exactly the pinned options."""
 
+import argparse
+import inspect
 import types
 
 import medsolve as ms
+from medsolve import cli
 
 PUBLIC = {
     "AuditReport",
@@ -67,3 +71,34 @@ def test_root_namespace_is_all():
 def test_all_is_the_pinned_surface():
     assert len(ms.__all__) == len(PUBLIC) == 47
     assert set(ms.__all__) == PUBLIC
+
+
+_SOLVER_FLAGS = {"--out", "--tol-stat", "--tol-glb", "--steps", "--h", "--polish"}
+CLI_OPTIONS = {
+    "solve": _SOLVER_FLAGS | {"--batch", "--from"},
+    "certify": {"--out", "--tol-stat", "--tol-glb"},
+    "enumerate": {"--out", "--tol-stat", "--tol-glb", "--seed"},
+    "audit": {"--out"},
+    "generate": {"--out", "--m", "--seed", "--spread", "--real"},
+    "reproduce-fig1": _SOLVER_FLAGS,
+}
+
+
+def test_cli_options_are_the_pinned_surface():
+    parser = cli.build_parser()
+    [subs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in subs.choices.items()
+    }
+    assert options == CLI_OPTIONS
+
+
+def test_solver_entry_points_take_the_pinned_parameters():
+    params = {f.__name__: list(inspect.signature(f).parameters)
+              for f in (ms.rk4_drag, ms.search_optimum, ms.derivative)}
+    assert params == {
+        "rk4_drag": ["trajectory", "steps", "h", "polish", "initial", "tol_stat", "tol_glb"],
+        "search_optimum": ["gram", "seed"],
+        "derivative": ["state", "trajectory"],
+    }

@@ -103,10 +103,3 @@ def test_stalled_lane_stops_where_it_is():
     u, iterations, _ = _ascend(r, u_opt, max_iter=50, gtol=0.0)
     assert np.all(iterations < 50)
     assert np.max(np.abs(u - u_opt)) <= 1e-6
-
-
-@pytest.mark.parametrize("argument", ["restarts", "max_iter"])
-def test_budget_arguments_below_one_are_rejected(argument):
-    gram = seeded_grams(3, 1, base_seed=3300)[0]
-    with pytest.raises(ValueError, match=f"{argument} must be at least 1, got 0"):
-        ms.search_optimum(gram, seed=0, **{argument: 0})
