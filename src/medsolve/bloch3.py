@@ -17,7 +17,9 @@ one while staying strictly inside the norm ball.
 
 This module never solves anything in these coordinates.  It re-derives the
 optimality structure of a solved three-state problem in the 8-dimensional
-geometry and checks every identity the optimum must satisfy, giving a
+geometry and checks the conditions that separate the optimum from other
+measurements -- the complements Z - p_i rho_i are rank two and orthogonal
+to their outcomes, and the dual operator Z meets its bounds -- giving a
 representation-independent audit of solver output.
 """
 
@@ -88,7 +90,7 @@ def boundary_form(n: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Residuals of every geometric identity at a claimed optimum.
+    """Residuals and margins of the geometric optimality conditions.
 
     Each entry of ``residuals`` must be <= tol, and each entry of
     ``strict_margins`` must be positive, for the audit to pass.
@@ -107,26 +109,26 @@ class AuditReport:
 
 
 def geometric_audit(ensemble: Ensemble, povm: Povm, tol: float = 1e-8) -> AuditReport:
-    """Check every Bloch-geometry identity a certified optimum must satisfy.
+    """Check the Bloch-geometry conditions that single out the optimum.
 
     With Z the dual operator, k0 = Tr(Z) and kappa_i = k0 - p_i, the
-    normalized complements sigma_i = (Z - p_i rho_i)/kappa_i are rank-two
-    density operators whose Bloch vectors s_i, together with the
-    measurement vectors t_i and the state vectors n_i, must satisfy:
+    normalized complements sigma_i = (Z - p_i rho_i)/kappa_i have Bloch
+    vectors s_i and the measurement projectors have Bloch vectors t_i.  At
+    the optimum:
 
-    - ``sigma_boundary``:  (3 s - 2 s*s).s = 1 with s.s strictly < 1,
-    - ``povm_boundary``:   (3 t - 2 t*t).t = 1 with t.t = 1,
-    - ``orthogonality``:   s + t + t*s = 0 for every outcome,
-    - ``completeness``:    sum_i t_i = 0,
-    - ``weight_mirror``:   p_i - p_j = kappa_j - kappa_i,
-    - ``moment_mirror``:   p_i n_i - p_j n_j = kappa_j s_j - kappa_i s_i
-      (the weighted state polytope and its image are congruent, one being
-      a displaced mirror image of the other),
-    - ``dual_bounds``:     max_i p_i <= k0 <= 1, k.k < 1 and the cubic
-      form of k at most 1, for k the Bloch vector of Z/k0.
+    - the complements are rank two: ``sigma_boundary`` is the residual of
+      (3 s - 2 s*s).s = 1, and ``sigma_norm_interior`` the margin of
+      s.s < 1;
+    - each complement is orthogonal to its outcome: ``orthogonality`` is
+      the residual of s + t + t*s = 0;
+    - the dual bounds hold: max_i p_i <= k0 (``dual_weight_lower``), and
+      for k the Bloch vector of Z/k0, k.k < 1 (``dual_norm_interior``) and
+      its cubic form is at most 1 (``dual_boundary``).
 
-    Returns the report whether or not it passed; ``tol`` must be finite
-    and >= 0.
+    Conditions that every orthonormal basis satisfies (pure outcome
+    vectors, sum_i t_i = 0, k0 <= 1, the mirror relations between the
+    kappa_i s_i and the p_i n_i) are not checked.  Returns the report
+    whether or not it passed; ``tol`` must be finite and >= 0.
     """
     if ensemble.m != 3 or povm.m != 3:
         raise ValueError("the geometric audit is defined for three states")
@@ -135,44 +137,25 @@ def geometric_audit(ensemble: Ensemble, povm: Povm, tol: float = 1e-8) -> AuditR
 
     probs = ensemble.probs
     k0 = float(np.trace(z).real)
-    kappas = k0 - probs
     k_vec = to_bloch(z / k0)
 
-    residuals: dict[str, float] = {}
-    margins: dict[str, float] = {}
-
-    n_vecs, s_vecs, t_vecs = [], [], []
+    s_vecs, t_vecs = [], []
     for i in range(3):
         psi = ensemble.states[:, i]
-        rho = np.outer(psi, psi.conj())
-        n_vecs.append(to_bloch(rho))
-        sigma = (z - probs[i] * rho) / kappas[i]
+        sigma = (z - probs[i] * np.outer(psi, psi.conj())) / (k0 - probs[i])
         s_vecs.append(to_bloch(sigma))
         t_vecs.append(to_bloch(povm.projector(i)))
 
-    residuals["sigma_boundary"] = max(abs(boundary_form(s) - 1.0) for s in s_vecs)
-    margins["sigma_norm_interior"] = min(1.0 - float(s @ s) for s in s_vecs)
-    residuals["povm_boundary"] = max(abs(boundary_form(t) - 1.0) for t in t_vecs)
-    residuals["povm_norm"] = max(abs(float(t @ t) - 1.0) for t in t_vecs)
-    residuals["orthogonality"] = max(
-        float(np.max(np.abs(s + t + star(t, s)))) for s, t in zip(s_vecs, t_vecs)
-    )
-    residuals["completeness"] = float(np.max(np.abs(sum(t_vecs))))
-
-    weight = 0.0
-    moment = 0.0
-    for i in range(3):
-        for j in range(3):
-            weight = max(weight, abs((probs[i] - probs[j]) - (kappas[j] - kappas[i])))
-            lhs = probs[i] * n_vecs[i] - probs[j] * n_vecs[j]
-            rhs = kappas[j] * s_vecs[j] - kappas[i] * s_vecs[i]
-            moment = max(moment, float(np.max(np.abs(lhs - rhs))))
-    residuals["weight_mirror"] = weight
-    residuals["moment_mirror"] = moment
-
-    margins["dual_weight_lower"] = k0 - float(np.max(probs)) + tol
-    margins["dual_weight_upper"] = 1.0 - k0 + tol
-    margins["dual_norm_interior"] = 1.0 - float(k_vec @ k_vec)
-    margins["dual_boundary"] = 1.0 - boundary_form(k_vec) + tol
-
+    residuals = {
+        "sigma_boundary": max(abs(boundary_form(s) - 1.0) for s in s_vecs),
+        "orthogonality": max(
+            float(np.max(np.abs(s + t + star(t, s)))) for s, t in zip(s_vecs, t_vecs)
+        ),
+    }
+    margins = {
+        "sigma_norm_interior": min(1.0 - float(s @ s) for s in s_vecs),
+        "dual_weight_lower": k0 - float(np.max(probs)) + tol,
+        "dual_norm_interior": 1.0 - float(k_vec @ k_vec),
+        "dual_boundary": 1.0 - boundary_form(k_vec) + tol,
+    }
     return AuditReport(k0=k0, residuals=residuals, strict_margins=margins, tol=tol)

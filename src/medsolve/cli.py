@@ -229,6 +229,9 @@ def _load_certify_input(path: Path):
             EXIT_USAGE,
             f"{path}: {kind} input needs a measurement in the '{frame}' frame, got '{povm.frame}'",
         )
+    if povm.m != problem.m:
+        raise _CliFailure(EXIT_USAGE, f"{path}: the ensemble has {problem.m} states "
+                                      f"but the measurement {povm.m} outcomes")
     return (problem if is_ensemble else ensemble_from_gram(problem)), povm
 
 

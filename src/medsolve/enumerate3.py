@@ -332,28 +332,18 @@ def _root_order(root: StationaryRoot):
 
 
 def _classify_root(v: np.ndarray, resid: float, jac: np.ndarray, h: np.ndarray) -> StationaryRoot:
-    resid = float(resid)
     is_real = bool(np.max(np.abs(v.imag)) < _REAL_TOL)
-    rank = int(np.linalg.matrix_rank(jac, tol=1e-8))
-    if is_real:
-        vr = v.real
-        m_mat = np.array([[1.0, vr[0], vr[1]], [vr[0], 1.0, vr[2]], [vr[1], vr[2], 1.0]])
-        d_inv_sq = np.diagonal(m_mat @ h @ m_mat).copy()
-        is_pd = bool(np.all(np.linalg.eigvalsh(m_mat) > 0.0))
-        # W = M D is unit-diagonal times D, so P_s = sum_i D_ii^2.
-        p_success = float(np.sum(1.0 / d_inv_sq))
-        return StationaryRoot(
-            alpha=complex(vr[0]), beta=complex(vr[1]), gamma=complex(vr[2]),
-            residual=resid, is_real=True, symmetric_matrix=m_mat,
-            d_inv_sq=d_inv_sq, is_positive_definite=is_pd,
-            p_success=p_success, jacobian_rank=rank,
-        )
-    m_mat = np.array([[1.0, v[0], v[1]], [v[0], 1.0, v[2]], [v[1], v[2], 1.0]])
+    x = v.real if is_real else v
+    m_mat = np.tensordot(np.r_[1.0, x], _BASIS, 1)
+    d_inv_sq = np.diagonal(m_mat @ h @ m_mat).copy() if is_real else None
     return StationaryRoot(
-        alpha=complex(v[0]), beta=complex(v[1]), gamma=complex(v[2]),
-        residual=resid, is_real=False, symmetric_matrix=m_mat,
-        d_inv_sq=None, is_positive_definite=False,
-        p_success=None, jacobian_rank=rank,
+        alpha=complex(x[0]), beta=complex(x[1]), gamma=complex(x[2]),
+        residual=float(resid), is_real=is_real, symmetric_matrix=m_mat,
+        d_inv_sq=d_inv_sq,
+        is_positive_definite=is_real and bool(np.all(np.linalg.eigvalsh(m_mat) > 0.0)),
+        # W = M D is unit-diagonal times D, so P_s = sum_i D_ii^2.
+        p_success=float(np.sum(1.0 / d_inv_sq)) if is_real else None,
+        jacobian_rank=int(np.linalg.matrix_rank(jac, tol=1e-8)),
     )
 
 

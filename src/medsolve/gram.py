@@ -7,8 +7,8 @@ works on the Gram matrix of the probability-scaled states
     |psi~_i> = sqrt(p_i) |psi_i>,      G_ij = <psi~_i | psi~_j>,
 
 which is hermitian, has trace 1 (G_ii = p_i) and is positive definite
-exactly when the states are linearly independent.  ``raw_gram`` builds it
-in the ensemble's own order of states.
+exactly when the states are linearly independent.  ``raw_gram`` returns it,
+built once with the ensemble, in the ensemble's own order of states.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ class Ensemble:
             raise ValueError("every probability must be positive")
         if abs(probs.sum() - 1.0) > _ATOL_TRACE:
             raise ValueError("probabilities must sum to 1")
-        # valid only if its Gram matrix is, which every solver route builds
+        # valid only if its Gram matrix is; kept for raw_gram, which every
+        # solver route calls
         scaled = states * np.sqrt(probs)
-        GramMatrix(hermitize(scaled.conj().T @ scaled))
+        object.__setattr__(self, "_gram", GramMatrix(hermitize(scaled.conj().T @ scaled)))
         object.__setattr__(self, "states", read_only(states))
         object.__setattr__(self, "probs", read_only(probs))
 
@@ -134,9 +135,9 @@ class GramMatrix:
 
 
 def raw_gram(ensemble: Ensemble) -> GramMatrix:
-    """Gram matrix G_ij = sqrt(p_i p_j) <psi_i|psi_j> in the ensemble's own indexing."""
-    scaled = ensemble.scaled_states
-    return GramMatrix(hermitize(scaled.conj().T @ scaled))
+    """Gram matrix G_ij = sqrt(p_i p_j) <psi_i|psi_j> in the ensemble's own indexing,
+    the one validated when the ensemble was built."""
+    return ensemble._gram
 
 
 def dual_basis(ensemble: Ensemble) -> np.ndarray:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import medsolve as ms
-from conftest import random_gram, solve_direct
+from conftest import random_gram, seeded_grams, solve_direct
 from medsolve.bloch3 import boundary_form, d_tensor, gell_mann, star, to_bloch
+from medsolve.linalg import haar_unitary
 
 
 def random_pure_qutrit(seed):
@@ -59,6 +60,14 @@ class TestBlochMap:
         with pytest.raises(ValueError):
             to_bloch(np.eye(3))  # trace 3
 
+    def test_orthonormal_basis_vectors_sum_to_zero(self):
+        # the projectors sum to I, and I/3 maps to 0
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            v = haar_unitary(rng, 3)
+            total = sum(to_bloch(np.outer(v[:, i], v[:, i].conj())) for i in range(3))
+            assert np.max(np.abs(total)) < 1e-14
+
 
 class TestStarProduct:
     def test_zero_annihilates(self):
@@ -86,8 +95,31 @@ class TestGeometricAudit:
         report = ms.geometric_audit(ens, povm)
         assert report.passed
         assert report.k0 == pytest.approx(1.0, abs=1e-12)
-        # kappa_i = k0 - p_i = 2/3 shows up in the margins being exact
-        assert report.residuals["weight_mirror"] < 1e-12
+        # Z = I/3, so sigma_i = (I - rho_i)/2 has s_i = -n_i/2 and k = 0
+        margins = report.strict_margins
+        assert margins["sigma_norm_interior"] == pytest.approx(0.75, abs=1e-12)
+        assert margins["dual_weight_lower"] == pytest.approx(2 / 3 + report.tol, abs=1e-12)
+        assert margins["dual_norm_interior"] == pytest.approx(1.0, abs=1e-12)
+        assert margins["dual_boundary"] == pytest.approx(1.0 + report.tol, abs=1e-12)
+
+    def test_reports_exactly_the_conditions_that_can_fail(self):
+        ens = ms.Ensemble(np.eye(3), np.full(3, 1 / 3))
+        report = ms.geometric_audit(ens, ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))
+        assert set(report.residuals) == {"sigma_boundary", "orthogonality"}
+        assert set(report.strict_margins) == {
+            "sigma_norm_interior", "dual_weight_lower", "dual_norm_interior", "dual_boundary",
+        }
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_only_the_optimum_passes(self, real):
+        rng = np.random.default_rng(12)
+        for gram in seeded_grams(3, 12, 1300 if real else 1400, real=real):
+            realization = ms.ensemble_from_gram(gram)
+            v = solve_direct(gram, steps=100, h=1e-2, polish=True).final_povm.vectors
+            assert ms.geometric_audit(realization, ms.Povm(v)).passed
+            assert not ms.geometric_audit(realization, ms.Povm(v[:, [1, 2, 0]])).passed
+            haar = ms.Povm(haar_unitary(rng, 3, real=real))
+            assert not ms.geometric_audit(realization, haar).passed
 
     def test_solver_output_passes(self):
         for seed, real in ((0, True), (1, False), (2, True)):

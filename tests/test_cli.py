@@ -278,6 +278,14 @@ class TestCertify:
         inp = certify_payload(tmp_path / "frame.json", ens, povm)
         assert main(["certify", inp, "--out", str(tmp_path)]) == 64
 
+    @pytest.mark.parametrize("command", ["certify", "audit"])
+    def test_measurement_of_another_size_is_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "sizes.json"
+        serialize.write_json(path, {"ensemble": serialize.gram_to_dict(random_gram(3, seed=810)),
+                                    "povm": serialize.povm_to_dict(ms.Povm(np.eye(2)))})
+        assert main([command, str(path), "--out", str(tmp_path)]) == 64
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"{path}: the ensemble has 3 states but the measurement 2 outcomes"
 
     @pytest.mark.parametrize("command", ["certify", "audit"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -46,6 +46,19 @@ class TestGramFromEnsemble:
         with pytest.raises(ms.NearLinearDependence):
             ms.Ensemble(states, np.full(3, 1 / 3))
 
+    def test_one_ensemble_validates_one_gram_matrix(self, monkeypatch):
+        calls = []
+        check = ms.GramMatrix.__post_init__
+
+        def counted(self):
+            calls.append(1)
+            check(self)
+
+        monkeypatch.setattr(ms.GramMatrix, "__post_init__", counted)
+        ens = ms.random_ensemble(5, seed=4, spread=0.7)
+        assert ms.raw_gram(ens) is ms.raw_gram(ens)
+        assert len(calls) == 1
+
     def test_diagonal_is_probability_vector(self):
         ens = ms.random_ensemble(4, seed=3, spread=0.7)
         assert np.allclose(ms.raw_gram(ens).probs, ens.probs, atol=1e-14)
