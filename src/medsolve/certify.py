@@ -61,6 +61,10 @@ class Certificate:
     Z - p_i rho_i over i (>= -tol_glb certifies global optimality), the
     minimum eigenvalue and positivity flag of the hermitian factor F, the
     success probability and the dual value Tr(Z).
+
+    The tolerances decide only ``status``.  The certifiers judge at TOL_STAT
+    and TOL_GLB; ``dataclasses.replace(cert, tol_stat=..., tol_glb=...)``
+    judges at others.  Each must be finite and >= 0, else ValueError names it.
     """
 
     stationarity_residual: float
@@ -71,6 +75,10 @@ class Certificate:
     tr_z: float
     tol_stat: float = TOL_STAT
     tol_glb: float = TOL_GLB
+
+    def __post_init__(self):
+        check_tolerance("tol_stat", self.tol_stat)
+        check_tolerance("tol_glb", self.tol_glb)
 
     @property
     def is_stationary(self) -> bool:
@@ -132,13 +140,10 @@ def _hermitian_factor(overlaps: np.ndarray) -> np.ndarray:
 
 
 def _certify(
-    scaled: np.ndarray, vectors: np.ndarray, o: np.ndarray, f: np.ndarray, p_success: float,
-    tol_stat: float, tol_glb: float,
+    scaled: np.ndarray, vectors: np.ndarray, o: np.ndarray, f: np.ndarray, p_success: float
 ) -> Certificate:
     """Certificate of the basis ``vectors`` against the scaled states, from
     their overlap matrix ``o``, the hermitian factor ``f`` and ``p_success``."""
-    check_tolerance("tol_stat", tol_stat)
-    check_tolerance("tol_glb", tol_glb)
     z = hermitize(_raw_z(scaled, vectors, o))
     f_min = float(np.linalg.eigvalsh(f)[0])
     return Certificate(
@@ -148,37 +153,26 @@ def _certify(
         f_positive=f_min > 0.0,
         p_success=p_success,
         tr_z=float(np.trace(z).real),
-        tol_stat=tol_stat,
-        tol_glb=tol_glb,
     )
 
 
-def certify_povm(
-    ensemble: Ensemble,
-    povm: Povm,
-    tol_stat: float = TOL_STAT,
-    tol_glb: float = TOL_GLB,
-) -> Certificate:
-    """Full certificate for an explicit (ensemble, measurement) pair."""
+def certify_povm(ensemble: Ensemble, povm: Povm) -> Certificate:
+    """Full certificate for an explicit (ensemble, measurement) pair, judged at
+    TOL_STAT and TOL_GLB."""
     o = _overlaps(ensemble, povm)
     p_success = float(np.sum(np.abs(np.diagonal(o)) ** 2))
-    return _certify(ensemble.scaled_states, povm.vectors, o, _hermitian_factor(o), p_success,
-                    tol_stat, tol_glb)
+    return _certify(ensemble.scaled_states, povm.vectors, o, _hermitian_factor(o), p_success)
 
 
-def certify_gram(
-    gram: GramMatrix,
-    f: np.ndarray,
-    tol_stat: float = TOL_STAT,
-    tol_glb: float = TOL_GLB,
-) -> tuple[Certificate, Povm]:
+def certify_gram(gram: GramMatrix, f: np.ndarray) -> tuple[Certificate, Povm]:
     """(Certificate, dual-frame Povm) for a hermitian factor F offered as a solution at G.
 
     Rejects F unless it is finite and hermitian and F^2 = D G D holds with
     D = diag(sqrt(F_ii)) to RESIDUAL_GATE, then certifies the nearest
     unitary to U = G^{-1/2} D^{-1} F against the columns of G^{1/2}, the
     scaled states of the canonical realization, and returns U as the Povm.
-    The success probability and the factor fields come from F itself.
+    The success probability and the factor fields come from F itself; the
+    certificate is judged at TOL_STAT and TOL_GLB.
     """
     f = np.asarray(f, dtype=complex)
     if not np.all(np.isfinite(f)):
@@ -198,5 +192,5 @@ def certify_gram(
     # snap to the nearest unitary before certifying.
     u = polar_unitary(gram.inv_sqrt() @ np.linalg.solve(d, f))
     r = gram.sqrt()
-    cert = _certify(r, u, r.conj().T @ u, hermitize(f), float(np.sum(a_sq)), tol_stat, tol_glb)
+    cert = _certify(r, u, r.conj().T @ u, hermitize(f), float(np.sum(a_sq)))
     return cert, Povm(u)

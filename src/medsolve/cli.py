@@ -15,6 +15,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .bloch3 import geometric_audit
 from .cases import reference_five_state_gram
-from .certify import TOL_GLB, TOL_STAT, certify_povm, check_tolerance
+from .certify import TOL_GLB, TOL_STAT, Certificate, certify_povm, check_tolerance
 from .enumerate3 import classify_landscape
 from .exceptions import MedError, SchemaError
 from .gram import (
@@ -114,9 +115,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _solver_options(args) -> dict:
-    return dict(steps=args.steps, h=args.h, polish=args.polish,
-                tol_stat=args.tol_stat, tol_glb=args.tol_glb)
+def _judged(cert: Certificate, args) -> Certificate:
+    """``cert`` judged at the --tol-stat and --tol-glb tolerances."""
+    return replace(cert, tol_stat=args.tol_stat, tol_glb=args.tol_glb)
 
 
 class _ViaLeg:
@@ -149,13 +150,15 @@ def _solve_one(gram: GramMatrix, args, via: _ViaLeg | None) -> RunReport:
             g_start, start = GramMatrix(np.eye(gram.m) / gram.m), None
         else:
             g_start, start = via.gram, via.final_state()
-        return rk4_drag(Trajectory(g_start, gram), initial=start, **_solver_options(args))
+        report = rk4_drag(Trajectory(g_start, gram), steps=args.steps, h=args.h,
+                          polish=args.polish, initial=start)
     except MedError as exc:
         raise _CliFailure(EXIT_FAILED, f"solver failed: {exc}") from exc
     except (ValueError, MemoryError) as exc:
         # the drag rejects --steps/--h it cannot run, and a --steps whose
         # trace cannot be allocated
         raise _CliFailure(EXIT_USAGE, f"invalid solver arguments: {exc}") from exc
+    return replace(report, certificate=_judged(report.certificate, args))
 
 
 def _report_payload(report: RunReport, problem: GramMatrix | Ensemble, gram: GramMatrix) -> dict:
@@ -187,10 +190,8 @@ def cmd_solve(args) -> int:
         inputs = sorted(Path(args.batch).glob("*.json"))
         if not inputs:
             raise _CliFailure(EXIT_USAGE, f"no .json inputs in {args.batch}")
-    elif args.input:
-        inputs = [Path(args.input)]
     else:
-        raise _CliFailure(EXIT_USAGE, "solve needs an input file or --batch")
+        inputs = [Path(args.input)]
 
     worst = EXIT_OK
     for path in inputs:
@@ -238,7 +239,7 @@ def _load_certify_input(path: Path):
 def cmd_certify(args) -> int:
     ensemble, povm = _load_certify_input(Path(args.input))
     try:
-        cert = certify_povm(ensemble, povm, tol_stat=args.tol_stat, tol_glb=args.tol_glb)
+        cert = _judged(certify_povm(ensemble, povm), args)
     except MedError as exc:
         raise _CliFailure(EXIT_FAILED, f"certification failed: {exc}") from exc
     out = _out_dir(args)
@@ -252,11 +253,12 @@ def cmd_enumerate(args) -> int:
     problem = _load_problem(Path(args.input))
     gram = _as_gram(problem)
     try:
-        summary = classify_landscape(
-            gram, seed=args.seed, tol_stat=args.tol_stat, tol_glb=args.tol_glb
-        )
+        summary = classify_landscape(gram, seed=args.seed)
     except (MedError, ValueError) as exc:
         raise _CliFailure(EXIT_DATA, f"enumeration failed: {exc}") from exc
+    summary = replace(summary, certificates=[
+        None if cert is None else _judged(cert, args) for cert in summary.certificates
+    ])
     out = _out_dir(args)
     path = out / f"{Path(args.input).stem}-landscape.json"
     write_json(path, landscape_to_dict(summary))
@@ -333,8 +335,9 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("solve",
                         help="drag the known optimum to a target ensemble")
-    p.add_argument("input", nargs="?", help="gram-or-ensemble JSON file")
-    p.add_argument("--batch", help="directory of input JSON files")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("input", nargs="?", help="gram-or-ensemble JSON file")
+    source.add_argument("--batch", help="directory of input JSON files")
     p.add_argument("--from", dest="from", default=None, metavar="GRAM.json",
                    help="route the drag through this gram matrix")
     _add_common(p, solver=True)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import TOL_GLB, TOL_STAT, Certificate, certify_gram
+from .certify import Certificate, certify_gram
 from .exceptions import NotRealRoot, RootCountAnomaly
 from .gram import GramMatrix
 from .linalg import read_only
@@ -390,17 +390,14 @@ class LandscapeSummary:
         return self.labels.index(LABEL_GLOBAL)
 
 
-def classify_landscape(
-    gram: GramMatrix,
-    seed: int = 8128,
-    tol_stat: float = TOL_STAT,
-    tol_glb: float = TOL_GLB,
-) -> LandscapeSummary:
+def classify_landscape(gram: GramMatrix, seed: int = 8128) -> LandscapeSummary:
     """Enumerate, convert and certify every stationary point.
 
     The unique positive definite root is labeled as the global maximum;
     remaining real roots are certified stationary-non-global points whose
-    success probabilities chart the optimization landscape.
+    success probabilities chart the optimization landscape.  The labels come
+    from the roots alone; the certificates are judged at the default
+    tolerances (see ``Certificate``).
     """
     roots = solve_stationary(gram, seed=seed)
     labels: list[str] = []
@@ -410,6 +407,6 @@ def classify_landscape(
             labels.append(LABEL_COMPLEX)
             certs.append(None)
             continue
-        certs.append(certify_gram(gram, _root_factor(root), tol_stat, tol_glb)[0])
+        certs.append(certify_gram(gram, _root_factor(root))[0])
         labels.append(LABEL_GLOBAL if root.is_positive_definite else LABEL_STATIONARY)
     return LandscapeSummary(gram=gram, roots=roots, labels=labels, certificates=certs)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import RESIDUAL_GATE, TOL_GLB, TOL_STAT, Certificate, certify_gram, check_tolerance
+from .certify import RESIDUAL_GATE, Certificate, certify_gram
 from .exceptions import NearLinearDependence, NotCertified, PositivityLost, SingularJacobian
 from .gram import GramMatrix
 from .linalg import hs_norm, read_only
@@ -278,8 +278,6 @@ def rk4_drag(
     h: float = 1e-3,
     polish: bool = False,
     initial: SolverState | None = None,
-    tol_stat: float = TOL_STAT,
-    tol_glb: float = TOL_GLB,
 ) -> RunReport:
     """Integrate the implicit system from t=0 to t=1 with fixed-step RK4.
 
@@ -290,19 +288,19 @@ def rk4_drag(
     segments; by uniqueness of the optimum the result is independent of the
     path taken through admissible matrices.
 
-    ``steps * h`` must equal 1 so the run covers the whole trajectory, and
-    the tolerances must be finite and >= 0; both are checked before step 1.
-    The four stage derivatives use the exact trajectory values G(t),
-    G(t+h/2), G(t+h).  After every step the run records the HS residual of
-    F^2 - D G(t) D, the minimum eigenvalue of F and the partial success
-    probability.  ``polish`` applies one Newton re-projection onto the
+    ``steps * h`` must equal 1 so the run covers the whole trajectory, as
+    is checked before step 1.  The four stage derivatives use the exact
+    trajectory values G(t), G(t+h/2), G(t+h).  After every step the run
+    records the HS residual of F^2 - D G(t) D, the minimum eigenvalue of F
+    and the partial success probability.  ``polish`` applies one Newton re-projection onto the
     constraint every POLISH_EVERY steps (off by default, leaving the raw
     integrator behavior observable), and at t = 1 keeps correcting, up to
     NEWTON_FINISH times, while each correction at least halves the
     residual, so that Tr F matches the value the measurement attains.
 
     ``certify_gram`` turns the final F into the certificate and the measurement
-    it certified, U = G(1)^{-1/2} D^{-1} F snapped to unitary.  A run that
+    it certified, U = G(1)^{-1/2} D^{-1} F snapped to unitary; the certificate
+    is judged at the default tolerances (see ``Certificate``).  A run that
     drifted too far off the constraint to certify (targets close to the
     near-dependence floor) raises ResidualTooLarge instead of returning.
     """
@@ -310,8 +308,6 @@ def rk4_drag(
         raise ValueError("need at least one step")
     if not abs(steps * h - 1.0) <= 1e-9:
         raise ValueError(f"steps*h must equal 1, got {steps} * {h} = {steps * h}")
-    check_tolerance("tol_stat", tol_stat)
-    check_tolerance("tol_glb", tol_glb)
     m = trajectory.m
     start = initial_state(m) if initial is None else initial
     if start.m != m:
@@ -323,7 +319,7 @@ def rk4_drag(
     a, f, trace = _integrate(trajectory, start.a, start.f, steps, h, polish)
 
     final = SolverState(t=1.0, a=a, f=f)
-    certificate, final_povm = certify_gram(trajectory.g_end, final.matrix, tol_stat, tol_glb)
+    certificate, final_povm = certify_gram(trajectory.g_end, final.matrix)
     return RunReport(
         steps=steps,
         h=h,

@@ -64,16 +64,6 @@ class Povm:
         return np.outer(v, v.conj())
 
 
-def _check_unitary(u: np.ndarray, m: int) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (m, m):
-        raise ValueError(f"unitary must be {m}x{m}")
-    resid = unitarity_residual(u)
-    if not resid <= _ATOL_ONB:
-        raise NotUnitary(f"matrix is not unitary (residual {resid:.3e})")
-    return u
-
-
 def povm_from_unitary(
     gram: GramMatrix, u: np.ndarray, ensemble: Ensemble | None = None
 ) -> Povm:
@@ -84,16 +74,16 @@ def povm_from_unitary(
     vectors reduce to the columns of U itself.  With an ensemble the vectors
     are expressed in its ambient space.
     """
+    if np.shape(u) != (gram.m, gram.m):
+        raise ValueError(f"unitary must be {gram.m}x{gram.m}")
+    dual = Povm(u, frame=FRAME_DUAL)
     if ensemble is None:
-        if np.shape(u) != (gram.m, gram.m):
-            raise ValueError(f"unitary must be {gram.m}x{gram.m}")
-        return Povm(u, frame=FRAME_DUAL)
-    u = _check_unitary(u, gram.m)
+        return dual
     scaled = ensemble.scaled_states
     mismatch = np.max(np.abs(scaled.conj().T @ scaled - gram.entries))
     if mismatch > 1e-10:
         raise ValueError(
             f"gram matrix does not match the ensemble (max deviation {mismatch:.3e})"
         )
-    vectors = dual_basis(ensemble) @ (gram.sqrt() @ u)
+    vectors = dual_basis(ensemble) @ (gram.sqrt() @ dual.vectors)
     return Povm(vectors, frame=FRAME_AMBIENT)

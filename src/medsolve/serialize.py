@@ -27,7 +27,7 @@ from .enumerate3 import LandscapeSummary, StationaryRoot
 from .exceptions import SchemaError
 from .gram import Ensemble, GramMatrix
 from .homotopy import POLISH_EVERY, RunReport, SolverState
-from .measurement import Povm
+from .measurement import FRAME_AMBIENT, FRAME_DUAL, Povm
 
 _LOG_FLOOR = 1e-320  # keeps log10 finite for identically-zero residuals
 
@@ -117,6 +117,8 @@ def povm_from_dict(data: dict, context: str = "povm") -> Povm:
         data, "basis_im", m, context
     )
     frame = _need(data, "frame", context)
+    if frame not in (FRAME_DUAL, FRAME_AMBIENT):
+        raise SchemaError(f"{context}: field 'frame' must be 'dual' or 'ambient', got {frame!r}")
     return Povm(basis.T, frame=frame)
 
 

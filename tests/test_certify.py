@@ -1,5 +1,7 @@
 """Stationarity and global-optimality certification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -142,22 +144,35 @@ class TestCertifyGram:
 
 
 class TestTolerances:
+    """The tolerances belong to the Certificate: set at construction, or
+    through dataclasses.replace to judge the same measurement at others."""
+
     @pytest.mark.parametrize("name", ["tol_stat", "tol_glb"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -1e-9])
     def test_every_certifying_route_rejects_a_bad_tolerance(self, name, value):
         ens, povm = orthogonal_setup()
+        cert = ms.certify_povm(ens, povm)
+        fields = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
         match = f"{name} must be finite and >= 0"
         with pytest.raises(ValueError, match=match):
-            ms.certify_povm(ens, povm, **{name: value})
+            ms.Certificate(**dict(fields, **{name: value}))
         with pytest.raises(ValueError, match=match):
-            ms.certify_gram(identity_gram(3), np.eye(3) / 3, **{name: value})
-        with pytest.raises(ValueError, match=match):
-            ms.classify_landscape(random_gram(3, seed=82, real=True), **{name: value})
+            dataclasses.replace(cert, **{name: value})
 
     def test_zero_is_a_tolerance(self):
         ens, povm = orthogonal_setup()
-        cert = ms.certify_povm(ens, povm, tol_stat=0.0, tol_glb=0.0)
+        cert = dataclasses.replace(ms.certify_povm(ens, povm), tol_stat=0.0, tol_glb=0.0)
         assert (cert.tol_stat, cert.tol_glb) == (0.0, 0.0)
+
+    def test_replaced_tolerances_change_only_the_status(self):
+        cert = solve_direct(random_gram(3, seed=83)).certificate
+        assert cert.status == "optimal" and 0.0 < cert.stationarity_residual
+        assert cert.global_min_eig < 0.0  # the optimum's minimum sits at rounding level
+        tight_stat = dataclasses.replace(cert, tol_stat=0.0)
+        tight_glb = dataclasses.replace(cert, tol_glb=0.0)
+        assert (tight_stat.status, tight_stat.exit_code) == ("nonstationary", 3)
+        assert (tight_glb.status, tight_glb.exit_code) == ("stationary", 2)
+        assert dataclasses.replace(tight_stat, tol_stat=ms.TOL_STAT) == cert
 
 
 class TestCertificateConsistency:

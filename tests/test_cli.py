@@ -11,8 +11,9 @@ import pytest
 
 import medsolve as ms
 from conftest import random_gram, solve_direct
-from medsolve import cli, serialize
+from medsolve import cli, homotopy, serialize
 from medsolve.cli import main
+from medsolve.homotopy import _rate
 
 DATA = Path(__file__).parent / "data"
 SRC = str(Path(ms.__file__).resolve().parents[1])
@@ -184,6 +185,29 @@ class TestSolve:
         assert (out / "a-report.json").exists()
         assert (out / "b-trace.csv").exists()
 
+    def test_input_and_batch_together_is_usage_error(self, tmp_path, capsys):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        write_gram(batch / "a.json", random_gram(2, seed=804))
+        inp = write_gram(tmp_path / "g.json", random_gram(2, seed=805))
+        out = tmp_path / "out"
+        assert main(["solve", inp, "--batch", str(batch), "--out", str(out)]) == 64
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "medsolve solve: argument --batch: not allowed with argument input"
+        assert not out.exists()
+
+    def test_bad_tolerance_fails_before_the_drag(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return _rate(*args, **kwargs)
+
+        monkeypatch.setattr(homotopy, "_rate", counted)
+        inp = write_gram(tmp_path / "g.json", random_gram(3, seed=806))
+        assert main(["solve", inp, "--out", str(tmp_path), "--tol-stat", "nan"]) == 64
+        assert calls == []
+
     def test_batch_mode_continues_past_bad_inputs(self, tmp_path, capsys):
         batch = tmp_path / "batch"
         batch.mkdir()
@@ -286,6 +310,18 @@ class TestCertify:
         assert main([command, str(path), "--out", str(tmp_path)]) == 64
         [line] = capsys.readouterr().err.splitlines()
         assert line == f"{path}: the ensemble has 3 states but the measurement 2 outcomes"
+
+    @pytest.mark.parametrize("command", ["certify", "audit"])
+    def test_unknown_frame_is_usage_error(self, tmp_path, capsys, command):
+        ens = ms.random_ensemble(3, seed=808, spread=0.5)
+        payload = {"ensemble": serialize.ensemble_to_dict(ens),
+                   "povm": serialize.povm_to_dict(ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))}
+        payload["povm"]["frame"] = "bogus"
+        path = tmp_path / "frame.json"
+        serialize.write_json(path, payload)
+        assert main([command, str(path), "--out", str(tmp_path)]) == 64
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"{path}:povm: field 'frame' must be 'dual' or 'ambient', got 'bogus'"
 
     @pytest.mark.parametrize("command", ["certify", "audit"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

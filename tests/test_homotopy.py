@@ -125,14 +125,6 @@ class TestRk4Drag:
         with pytest.raises(ValueError, match="steps\\*h must equal 1"):
             ms.rk4_drag(ms.Trajectory(identity_gram(3), g), steps=100, h=float("nan"))
 
-    @pytest.mark.parametrize("name", ["tol_stat", "tol_glb"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -1e-9])
-    def test_bad_tolerance_fails_before_the_first_step(self, rate_calls, name, value):
-        # NaN compares false, so a NaN tol_stat would report a certified optimum as nonstationary
-        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
-            solve_direct(random_gram(3, seed=91), **{name: value})
-        assert rate_calls == []
-
     def test_hermiticity_is_structural(self):
         report = solve_direct(random_gram(4, seed=92))
         f = report.final_state.matrix

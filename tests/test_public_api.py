@@ -96,9 +96,13 @@ def test_cli_options_are_the_pinned_surface():
 
 def test_solver_entry_points_take_the_pinned_parameters():
     params = {f.__name__: list(inspect.signature(f).parameters)
-              for f in (ms.rk4_drag, ms.search_optimum, ms.derivative)}
+              for f in (ms.rk4_drag, ms.search_optimum, ms.derivative,
+                        ms.certify_povm, ms.certify_gram, ms.classify_landscape)}
     assert params == {
-        "rk4_drag": ["trajectory", "steps", "h", "polish", "initial", "tol_stat", "tol_glb"],
+        "rk4_drag": ["trajectory", "steps", "h", "polish", "initial"],
         "search_optimum": ["gram", "seed"],
         "derivative": ["state", "trajectory"],
+        "certify_povm": ["ensemble", "povm"],
+        "certify_gram": ["gram", "f"],
+        "classify_landscape": ["gram", "seed"],
     }

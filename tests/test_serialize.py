@@ -95,6 +95,11 @@ class TestSchemaErrors:
                 {"m": 2, "gram_re": [["x", 0], [0, 0.5]], "gram_im": [[0, 0], [0, 0]]}
             )
 
+    def test_unknown_frame_is_a_schema_error(self):
+        data = dict(serialize.povm_to_dict(ms.Povm(np.eye(2))), frame="bogus")
+        with pytest.raises(ms.SchemaError, match="field 'frame' must be 'dual' or 'ambient'"):
+            serialize.povm_from_dict(data)
+
 
 class TestDeterminism:
     def test_json_output_is_byte_identical(self, tmp_path):
