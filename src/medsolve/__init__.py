@@ -18,7 +18,6 @@ from .enumerate3 import (
     LandscapeSummary,
     StationaryRoot,
     classify_landscape,
-    root_to_povm,
     solve_stationary,
 )
 from .exceptions import (
@@ -26,7 +25,6 @@ from .exceptions import (
     NearLinearDependence,
     NoConvergence,
     NotCertified,
-    NotRealRoot,
     NotUnitary,
     PositivityLost,
     ResidualTooLarge,
@@ -73,7 +71,6 @@ __all__ = [
     "NearLinearDependence",
     "NoConvergence",
     "NotCertified",
-    "NotRealRoot",
     "NotUnitary",
     "OracleResult",
     "PositivityLost",
@@ -103,7 +100,6 @@ __all__ = [
     "raw_gram",
     "reference_five_state_gram",
     "rk4_drag",
-    "root_to_povm",
     "search_optimum",
     "solve_stationary",
 ]

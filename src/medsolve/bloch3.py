@@ -75,7 +75,21 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
         raise ValueError("expected a hermitian matrix")
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ValueError("expected trace 1")
+    return _coordinates(rho)
+
+
+def _coordinates(rho: np.ndarray) -> np.ndarray:
     return (np.sqrt(3.0) / 2.0) * np.einsum("kab,ba->k", gell_mann(), rho).real
+
+
+def _normalized_coordinates(c: np.ndarray, weight: float, tol: float) -> np.ndarray:
+    """Bloch coordinates of c / weight for a hermitian c of trace ``weight``,
+    unchecked, since rounding in c over a small weight can trip the checks of
+    ``to_bloch``.  A weight within tol of 0 leaves nothing to normalize and
+    gives the centre 0: the maximally mixed state, which misses rank two by 1."""
+    if abs(weight) <= tol:
+        return np.zeros(8)
+    return _coordinates(c / weight)
 
 
 def star(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
@@ -127,8 +141,10 @@ def geometric_audit(ensemble: Ensemble, povm: Povm, tol: float = 1e-8) -> AuditR
 
     Conditions that every orthonormal basis satisfies (pure outcome
     vectors, sum_i t_i = 0, k0 <= 1, the mirror relations between the
-    kappa_i s_i and the p_i n_i) are not checked.  Returns the report
-    whether or not it passed; ``tol`` must be finite and >= 0.
+    kappa_i s_i and the p_i n_i) are not checked.  A complement or Z with
+    |trace| <= tol (kappa_i = 0 when Z = p_i rho_i) has no Bloch vector and
+    gets the centre 0, so the report fails with finite entries.  Returns
+    the report whether or not it passed; ``tol`` must be finite and >= 0.
     """
     if ensemble.m != 3 or povm.m != 3:
         raise ValueError("the geometric audit is defined for three states")
@@ -137,13 +153,13 @@ def geometric_audit(ensemble: Ensemble, povm: Povm, tol: float = 1e-8) -> AuditR
 
     probs = ensemble.probs
     k0 = float(np.trace(z).real)
-    k_vec = to_bloch(z / k0)
+    k_vec = _normalized_coordinates(z, k0, tol)
 
     s_vecs, t_vecs = [], []
     for i in range(3):
         psi = ensemble.states[:, i]
-        sigma = (z - probs[i] * np.outer(psi, psi.conj())) / (k0 - probs[i])
-        s_vecs.append(to_bloch(sigma))
+        complement = z - probs[i] * np.outer(psi, psi.conj())
+        s_vecs.append(_normalized_coordinates(complement, k0 - probs[i], tol))
         t_vecs.append(to_bloch(povm.projector(i)))
 
     residuals = {

@@ -24,7 +24,7 @@ from . import __version__
 from .bloch3 import geometric_audit
 from .cases import reference_five_state_gram
 from .certify import TOL_GLB, TOL_STAT, Certificate, certify_povm, check_tolerance
-from .enumerate3 import classify_landscape
+from .enumerate3 import DEFAULT_SEED, classify_landscape
 from .exceptions import MedError, SchemaError
 from .gram import (
     Ensemble,
@@ -353,7 +353,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("enumerate",
                         help="enumerate all stationary measurements (m=3, real)")
     p.add_argument("input", help="gram-or-ensemble JSON file")
-    p.add_argument("--seed", type=int, default=8128,
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed of the homotopy's random complex gamma")
     _add_common(p)
     _add_tolerances(p)

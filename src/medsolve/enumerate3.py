@@ -8,13 +8,14 @@ symmetric unit-diagonal matrix
 
 the matrix identity M H M = D^{-2} must hold with D^{-2} diagonal.  Its
 three off-diagonal entries give three coupled quadratics E(x) = 0 in
-x = (a, b, c), whose complex solution set is finite (Bezout bound 8); the
-diagonal entries then determine D and the factor F = D M D, which
-``certify_gram`` turns into the measurement and its certificate.  Complex
-roots do not correspond to measurements and are discarded; every real root
-is a stationary point of the success probability on the manifold of
-rank-one projective measurements, and exactly one of them -- the one with
-M positive definite -- is the global optimum.
+x = (a, b, c), whose complex solution set is finite (Bezout bound 8).  A
+``StationaryRoot`` stores x alone; M, and for a real root the diagonal D
+and the factor F = D M D, follow from it, and ``certify_gram(gram,
+root.factor)`` turns F into the root's certificate and measurement.
+Complex roots do not correspond to measurements and get neither; every
+real root is a stationary point of the success probability on the manifold
+of rank-one projective measurements, and exactly one of them -- the one
+with M positive definite -- is the global optimum.
 
 Roots are found by a total-degree homotopy with the "gamma trick" (Morgan,
 *Solving Polynomial Systems Using Continuation*, 1987; Sommese & Wampler,
@@ -40,15 +41,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import Certificate, certify_gram
-from .exceptions import NotRealRoot, RootCountAnomaly
+from .exceptions import RootCountAnomaly
 from .gram import GramMatrix
 from .linalg import read_only
-from .measurement import Povm
 
 log = logging.getLogger(__name__)
 
 #: total-degree bound on the number of isolated complex roots
 DEGREE_BOUND = 8
+#: seed of the homotopy's random complex gamma unless the caller gives one
+DEFAULT_SEED = 8128
 
 _REAL_TOL = 1e-9
 _DEDUP_TOL = 1e-7
@@ -90,33 +92,56 @@ _STARTS = np.array(
 
 @dataclass(frozen=True)
 class StationaryRoot:
-    """One solution of the stationarity system.
-
-    ``symmetric_matrix`` is the unit-diagonal matrix M built from the root;
-    ``d_inv_sq`` holds the diagonal of M H M (the inverse squared scales)
-    for real roots and is None otherwise.  Exactly one real root per
-    generic Gram matrix has ``is_positive_definite`` set.
+    """One solution of the stationarity system, stored as ``values``: the
+    unknowns x = (a, b, c) of M, complex, with a zero imaginary part exactly
+    when the root is real.  ``d_inv_sq`` holds the diagonal of M H M (the
+    inverse squared scales) of a real root and is None otherwise.  M
+    (``symmetric_matrix``) and F = D M D (``factor``, None for a complex root;
+    ``certify_gram(gram, root.factor)`` gives the root's certificate and
+    measurement) are derived.  Exactly one real root per generic Gram matrix
+    is positive definite.
     """
 
-    alpha: complex
-    beta: complex
-    gamma: complex
+    values: np.ndarray
     residual: float
-    is_real: bool
-    symmetric_matrix: np.ndarray
     d_inv_sq: np.ndarray | None
-    is_positive_definite: bool
-    p_success: float | None
     jacobian_rank: int
 
     def __post_init__(self):
-        object.__setattr__(self, "symmetric_matrix", read_only(np.array(self.symmetric_matrix)))
+        object.__setattr__(self, "values", read_only(np.array(self.values, dtype=complex)))
         if self.d_inv_sq is not None:
             object.__setattr__(self, "d_inv_sq", read_only(np.array(self.d_inv_sq, dtype=float)))
 
     @property
-    def values(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma])
+    def is_real(self) -> bool:
+        return not np.any(self.values.imag)
+
+    @property
+    def symmetric_matrix(self) -> np.ndarray:
+        """M, real for a real root."""
+        return _symmetric(self.values.real if self.is_real else self.values)
+
+    @property
+    def factor(self) -> np.ndarray | None:
+        """F = D M D, whose F^2 - DGD = D (M D^2 M - G) D is 0 iff M H M = D^-2."""
+        if self.d_inv_sq is None:
+            return None
+        d = 1.0 / np.sqrt(self.d_inv_sq)
+        return d[:, None] * self.symmetric_matrix * d[None, :]
+
+    @property
+    def is_positive_definite(self) -> bool:
+        return self.is_real and bool(np.all(np.linalg.eigvalsh(self.symmetric_matrix) > 0.0))
+
+    @property
+    def p_success(self) -> float | None:
+        """W = M D is unit-diagonal times D, so P_s = sum_i D_ii^2."""
+        return None if self.d_inv_sq is None else float(np.sum(1.0 / self.d_inv_sq))
+
+
+def _symmetric(x: np.ndarray) -> np.ndarray:
+    """M(x) = I + sum_k x_k B_{k+1}, the unit-diagonal matrix with x at _PAIRS."""
+    return np.tensordot(np.r_[1.0, x], _BASIS, 1)
 
 
 def _check_real_m3(gram: GramMatrix) -> np.ndarray:
@@ -281,7 +306,7 @@ def _endpoints(q, gamma):
     return x, steps, retracked, at_inf
 
 
-def solve_stationary(gram: GramMatrix, seed: int = 8128) -> list[StationaryRoot]:
+def solve_stationary(gram: GramMatrix, seed: int = DEFAULT_SEED) -> list[StationaryRoot]:
     """All stationary roots of the three-state system, classified.
 
     The eight paths of the total-degree homotopy are tracked from the start
@@ -334,36 +359,10 @@ def _root_order(root: StationaryRoot):
 def _classify_root(v: np.ndarray, resid: float, jac: np.ndarray, h: np.ndarray) -> StationaryRoot:
     is_real = bool(np.max(np.abs(v.imag)) < _REAL_TOL)
     x = v.real if is_real else v
-    m_mat = np.tensordot(np.r_[1.0, x], _BASIS, 1)
-    d_inv_sq = np.diagonal(m_mat @ h @ m_mat).copy() if is_real else None
-    return StationaryRoot(
-        alpha=complex(x[0]), beta=complex(x[1]), gamma=complex(x[2]),
-        residual=float(resid), is_real=is_real, symmetric_matrix=m_mat,
-        d_inv_sq=d_inv_sq,
-        is_positive_definite=is_real and bool(np.all(np.linalg.eigvalsh(m_mat) > 0.0)),
-        # W = M D is unit-diagonal times D, so P_s = sum_i D_ii^2.
-        p_success=float(np.sum(1.0 / d_inv_sq)) if is_real else None,
-        jacobian_rank=int(np.linalg.matrix_rank(jac, tol=1e-8)),
-    )
-
-
-def _root_factor(root: StationaryRoot) -> np.ndarray:
-    """F = D M D, D = diag(d_inv_sq)^{-1/2}: F^2 - DGD = D (M D^2 M - G) D is 0 iff M H M = D^-2."""
-    if not root.is_real or root.d_inv_sq is None:
-        raise NotRealRoot("complex stationary roots do not correspond to measurements")
-    if np.any(root.d_inv_sq <= 0.0):
-        raise NotRealRoot("root has non-positive inverse squared scales")
-    d = 1.0 / np.sqrt(root.d_inv_sq)
-    return d[:, None] * root.symmetric_matrix.real * d[None, :]
-
-
-def root_to_povm(gram: GramMatrix, root: StationaryRoot) -> Povm:
-    """Measurement attached to a real stationary root.
-
-    The polar-snapped U = G^{-1/2} M D that ``certify_gram`` forms from the
-    factor F = D M D; it raises ResidualTooLarge for a root that is not one.
-    """
-    return certify_gram(gram, _root_factor(root))[1]
+    m_mat = _symmetric(x)
+    return StationaryRoot(values=x, residual=float(resid),
+                          d_inv_sq=np.diagonal(m_mat @ h @ m_mat) if is_real else None,
+                          jacobian_rank=int(np.linalg.matrix_rank(jac, tol=1e-8)))
 
 
 LABEL_GLOBAL = "global maximum"
@@ -375,38 +374,36 @@ LABEL_COMPLEX = "complex (unphysical)"
 class LandscapeSummary:
     """All stationary points of one three-state problem, certified.
 
-    ``labels`` and ``certificates`` run parallel to ``roots`` (complex
-    roots carry no certificate).  Real entries are sorted by decreasing
-    success probability, so the global maximum comes first.
+    ``certificates`` runs parallel to ``roots``; a complex root carries no
+    certificate.  ``labels`` follow from the roots alone.  Real entries are
+    sorted by decreasing success probability, so the global maximum comes
+    first.
     """
 
     gram: GramMatrix
     roots: list[StationaryRoot]
-    labels: list[str]
     certificates: list[Certificate | None]
+
+    @property
+    def labels(self) -> list[str]:
+        return [LABEL_GLOBAL if r.is_positive_definite else LABEL_STATIONARY if r.is_real
+                else LABEL_COMPLEX for r in self.roots]
 
     @property
     def global_index(self) -> int:
         return self.labels.index(LABEL_GLOBAL)
 
 
-def classify_landscape(gram: GramMatrix, seed: int = 8128) -> LandscapeSummary:
-    """Enumerate, convert and certify every stationary point.
+def classify_landscape(gram: GramMatrix, seed: int = DEFAULT_SEED) -> LandscapeSummary:
+    """Enumerate and certify every stationary point.
 
-    The unique positive definite root is labeled as the global maximum;
-    remaining real roots are certified stationary-non-global points whose
-    success probabilities chart the optimization landscape.  The labels come
-    from the roots alone; the certificates are judged at the default
-    tolerances (see ``Certificate``).
+    Each real root's certificate is ``certify_gram(gram, root.factor)[0]``,
+    judged at the default tolerances (see ``Certificate``); the second item
+    of that pair is the root's measurement.  The unique positive definite
+    root is labeled as the global maximum; the remaining real roots are
+    certified stationary-non-global points whose success probabilities
+    chart the optimization landscape.
     """
     roots = solve_stationary(gram, seed=seed)
-    labels: list[str] = []
-    certs: list[Certificate | None] = []
-    for root in roots:
-        if not root.is_real:
-            labels.append(LABEL_COMPLEX)
-            certs.append(None)
-            continue
-        certs.append(certify_gram(gram, _root_factor(root))[0])
-        labels.append(LABEL_GLOBAL if root.is_positive_definite else LABEL_STATIONARY)
-    return LandscapeSummary(gram=gram, roots=roots, labels=labels, certificates=certs)
+    certs = [certify_gram(gram, root.factor)[0] if root.is_real else None for root in roots]
+    return LandscapeSummary(gram=gram, roots=roots, certificates=certs)

@@ -32,10 +32,6 @@ class NotCertified(MedError):
     solution at its starting Gram matrix."""
 
 
-class NotRealRoot(MedError):
-    """A complex stationary root cannot be converted to a measurement."""
-
-
 class NoConvergence(MedError):
     """An iterative search exhausted its budget without converging."""
 

@@ -115,9 +115,6 @@ class GramMatrix:
         """Diagonal of G, which equals the probability vector."""
         return np.diagonal(self.entries).real.copy()
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
     @cached_property
     def _roots(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (G^{1/2}, G^{-1/2}) from one hermitian eigendecomposition,

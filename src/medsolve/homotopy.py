@@ -93,11 +93,6 @@ class SolverState:
         """The hermitian factor F with F_ii = a_i^2."""
         return _factor(self.a, self.f, *_triu(self.m))
 
-    @property
-    def p_success(self) -> float:
-        """Tr(F) = sum a_i^2, the running optimal success probability."""
-        return float(np.sum(self.a**2))
-
     def residual(self, gram: GramMatrix) -> float:
         """HS norm of F^2 - D G D at this state."""
         return _residual(self.a, self.matrix, gram.entries)

@@ -161,10 +161,11 @@ def run_report_to_dict(report: RunReport) -> dict:
 
 
 def _root_to_dict(root: StationaryRoot) -> dict:
+    alpha, beta, gamma = root.values.tolist()
     return {
-        "alpha_re": root.alpha.real, "alpha_im": root.alpha.imag,
-        "beta_re": root.beta.real, "beta_im": root.beta.imag,
-        "gamma_re": root.gamma.real, "gamma_im": root.gamma.imag,
+        "alpha_re": alpha.real, "alpha_im": alpha.imag,
+        "beta_re": beta.real, "beta_im": beta.imag,
+        "gamma_re": gamma.real, "gamma_im": gamma.imag,
         "residual": root.residual,
         "is_real": root.is_real,
         "is_positive_definite": root.is_positive_definite,

@@ -40,7 +40,7 @@ def seeded_grams(
         spread = min(spread_min + spread_step * probe, 0.95)
         gram = random_gram(m, base_seed + probe, spread=spread, real=real)
         probe += 1
-        if gram.min_eigenvalue() > min_eig:
+        if np.linalg.eigvalsh(gram.entries)[0] > min_eig:
             grams.append(gram)
     return grams
 

@@ -185,13 +185,13 @@ class TestCertificateConsistency:
             ps_report = ms.certify_povm(realization, report.final_povm).p_success
             assert abs(cert.p_success - cert.tr_z) < 1e-9
             assert abs(cert.p_success - ps_report) < 1e-9
-            assert abs(cert.p_success - report.final_state.p_success) < 1e-12
+            assert abs(cert.p_success - np.sum(report.final_state.a**2)) < 1e-12
 
     def test_certified_optima_are_unique_up_to_phase(self):
         gram = random_gram(3, seed=81, real=True)
         povm_a = solve_direct(gram).final_povm
         landscape = ms.classify_landscape(gram)
         root = landscape.roots[landscape.global_index]
-        povm_b = ms.root_to_povm(gram, root)
+        _, povm_b = ms.certify_gram(gram, root.factor)
         overlaps = np.abs(povm_a.vectors.conj().T @ povm_b.vectors)
         assert np.max(np.abs(np.diagonal(overlaps) - 1.0)) < 1e-8

@@ -14,6 +14,7 @@ from conftest import random_gram, solve_direct
 from medsolve import cli, homotopy, serialize
 from medsolve.cli import main
 from medsolve.homotopy import _rate
+from medsolve.linalg import haar_unitary
 
 DATA = Path(__file__).parent / "data"
 SRC = str(Path(ms.__file__).resolve().parents[1])
@@ -400,6 +401,21 @@ class TestAudit:
         bent = ms.Povm(q @ report.final_povm.vectors, frame=ms.FRAME_AMBIENT)
         inp = certify_payload(tmp_path / "bent.json", realization, bent)
         assert main(["audit", inp, "--out", str(tmp_path)]) == 3
+
+    def test_measurement_keeping_one_state_fails_with_finite_entries(self, tmp_path, capsys):
+        # orthonormal states measured with outcomes 2 and 3 swapped: Z = p_1 rho_1,
+        # so the first complement Z - p_1 rho_1 has no trace to normalize
+        states = haar_unitary(np.random.default_rng(0), 3)
+        ens = ms.Ensemble(states, np.array([0.5, 0.3, 0.2]))
+        povm = ms.Povm(states[:, [0, 2, 1]], frame=ms.FRAME_AMBIENT)
+        inp = certify_payload(tmp_path / "swap.json", ens, povm)
+        assert main(["certify", inp, "--out", str(tmp_path)]) == 2
+        assert main(["audit", inp, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().out.splitlines()[-1].startswith("swap: audit FAILED -> ")
+        audit = json.loads((tmp_path / "swap-audit.json").read_text(),
+                           parse_constant=lambda name: pytest.fail(f"audit JSON holds {name}"))
+        assert audit["passed"] is False
+        assert audit["residuals"]["sigma_boundary"] >= 1.0
 
 
 class TestPipeline:

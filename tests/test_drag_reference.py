@@ -95,7 +95,7 @@ def test_drag_matches_reference(m, real, polish):
     report = ms.rk4_drag(trajectory, steps=200, h=5e-3, polish=polish)
     assert np.max(np.abs(report.final_state.a - a)) <= 1e-12
     assert np.max(np.abs(report.final_state.f - f)) <= 1e-12
-    assert abs(report.final_state.p_success - np.sum(a**2)) <= 1e-13
+    assert abs(np.sum(report.final_state.a**2) - np.sum(a**2)) <= 1e-13
     assert np.array_equal(report.trace[:, :2], trace[:, :2])
     assert np.max(np.abs(report.trace[:, 2] - trace[:, 2])) <= 1e-14
     assert np.max(np.abs(report.trace[:, 3:] - trace[:, 3:])) <= 1e-13

@@ -61,10 +61,11 @@ class TestSolveStationary:
             complex_roots = [r for r in roots if not r.is_real]
             if complex_roots:
                 for root in complex_roots:
-                    assert root.p_success is None
+                    assert root.p_success is None and root.d_inv_sq is None
                     assert not root.is_positive_definite
-                    with pytest.raises(ms.NotRealRoot):
-                        ms.root_to_povm(random_gram(3, seed + 300, real=True), root)
+                    assert root.factor is None
+                    with pytest.raises(ValueError, match="factor F must be finite"):
+                        ms.certify_gram(random_gram(3, seed + 300, real=True), root.factor)
                 return
         pytest.fail("no ensemble with complex stationary roots found in the scan")
 
@@ -119,7 +120,7 @@ class TestRootToPovm:
         with pytest.warns(ms.RootCountAnomaly):
             roots = ms.solve_stationary(identity_gram(3))
         root = [r for r in roots if r.is_positive_definite][0]
-        povm = ms.root_to_povm(identity_gram(3), root)
+        _, povm = ms.certify_gram(identity_gram(3), root.factor)
         assert np.max(np.abs(np.abs(povm.vectors) - np.eye(3))) < 1e-8
 
     def test_selected_root_is_certified_optimal(self):
@@ -136,7 +137,7 @@ class TestRootToPovm:
         for root in ms.solve_stationary(gram):
             if not root.is_real or root.is_positive_definite:
                 continue
-            povm = ms.root_to_povm(gram, root)
+            _, povm = ms.certify_gram(gram, root.factor)
             cert = ms.certify_povm(realization, povm)
             assert cert.stationarity_residual < 1e-8
             assert cert.global_min_eig < -1e-6
@@ -151,11 +152,10 @@ class TestRootTampering:
 
         gram = random_gram(3, seed=203, real=True)
         root = [r for r in ms.solve_stationary(gram) if r.is_positive_definite][0]
-        bent = np.array(root.symmetric_matrix)
-        bent[0, 1] = bent[1, 0] = bent[0, 1] + 0.05
-        bad = dataclasses.replace(root, alpha=root.alpha + 0.05, symmetric_matrix=bent)
+        bad = dataclasses.replace(root, values=root.values + [0.05, 0.0, 0.0])
+        assert bad.symmetric_matrix[0, 1] == bad.symmetric_matrix[1, 0] == bad.values[0].real
         with pytest.raises(ms.ResidualTooLarge):
-            ms.root_to_povm(gram, bad)
+            ms.certify_gram(gram, bad.factor)
 
 
 class TestClassifyLandscape:

@@ -53,7 +53,7 @@ def _rephased(gram, phases):
 def _drag_value(gram):
     report = solve_direct(gram, steps=200, h=5e-3, polish=True)
     assert report.certificate.is_optimal
-    return report.final_state.p_success
+    return float(np.sum(report.final_state.a**2))
 
 
 @_settings(12)

@@ -17,7 +17,7 @@ class TestInitialState:
         assert np.max(np.abs(state.matrix - np.eye(2) / 2)) < 1e-15
 
     def test_total_success_is_one(self):
-        assert ms.initial_state(5).p_success == pytest.approx(1.0, abs=1e-14)
+        assert np.sum(ms.initial_state(5).a**2) == pytest.approx(1.0, abs=1e-14)
 
     def test_residual_is_zero(self):
         state = ms.initial_state(4)
@@ -146,7 +146,7 @@ class TestRk4Drag:
         gram = random_gram(3, seed=94)
         realization = ms.ensemble_from_gram(gram)
         ps_povm = ms.certify_povm(realization, report.final_povm).p_success
-        assert abs(report.final_state.p_success - ps_povm) < 1e-9
+        assert abs(np.sum(report.final_state.a**2) - ps_povm) < 1e-9
 
     def test_polish_tightens_hard_runs(self):
         gram = overlap_gram_m3(0.95)
@@ -207,7 +207,7 @@ class TestDragBetween:
         # outside the method's accuracy range: the run must fail loudly,
         # not return a quietly wrong result
         gram = overlap_gram_m3(0.999999)
-        assert gram.min_eigenvalue() > ms.EPS_LI
+        assert np.linalg.eigvalsh(gram.entries)[0] > ms.EPS_LI
         with pytest.raises(ms.MedError):
             ms.rk4_drag(ms.Trajectory(identity_gram(3), gram), steps=250, h=4e-3)
 
@@ -324,7 +324,7 @@ class TestTrajectoryAdmissibility:
             spreads = rng.uniform(0.2, 0.95, 2)
             g0 = random_gram(m, seed=1600 + 2 * k, spread=spreads[0], real=bool(k % 2))
             g1 = random_gram(m, seed=1601 + 2 * k, spread=spreads[1])
-            floor = min(g0.min_eigenvalue(), g1.min_eigenvalue())
+            floor = min(np.linalg.eigvalsh(g.entries)[0] for g in (g0, g1))
             traj = ms.Trajectory(g0, g1)
             lows = [np.linalg.eigvalsh(traj(t))[0] for t in ts]
             assert min(lows) >= floor - 1e-15

@@ -1,7 +1,9 @@
-"""The package root exports exactly the names in ``medsolve.__all__``, and
-the CLI and the solver entry points take exactly the pinned options."""
+"""The package root exports exactly the names in ``medsolve.__all__``, the
+CLI and the solver entry points take exactly the pinned options, and the
+enumeration records hold exactly the pinned fields."""
 
 import argparse
+import dataclasses
 import inspect
 import types
 
@@ -23,7 +25,6 @@ PUBLIC = {
     "NearLinearDependence",
     "NoConvergence",
     "NotCertified",
-    "NotRealRoot",
     "NotUnitary",
     "OracleResult",
     "PositivityLost",
@@ -53,7 +54,6 @@ PUBLIC = {
     "raw_gram",
     "reference_five_state_gram",
     "rk4_drag",
-    "root_to_povm",
     "search_optimum",
     "solve_stationary",
 }
@@ -69,7 +69,7 @@ def test_root_namespace_is_all():
 
 
 def test_all_is_the_pinned_surface():
-    assert len(ms.__all__) == len(PUBLIC) == 47
+    assert len(ms.__all__) == len(PUBLIC) == 45
     assert set(ms.__all__) == PUBLIC
 
 
@@ -105,4 +105,14 @@ def test_solver_entry_points_take_the_pinned_parameters():
         "certify_povm": ["ensemble", "povm"],
         "certify_gram": ["gram", "f"],
         "classify_landscape": ["gram", "seed"],
+    }
+
+
+def test_enumeration_records_hold_the_pinned_fields():
+    # one stored form per quantity: M, F and the labels are derived
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in (ms.StationaryRoot, ms.LandscapeSummary)}
+    assert fields == {
+        "StationaryRoot": ["values", "residual", "d_inv_sq", "jacobian_rank"],
+        "LandscapeSummary": ["gram", "roots", "certificates"],
     }

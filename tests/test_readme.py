@@ -15,7 +15,7 @@ def test_python_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["optimal", "optimal", "optimal"]
+    assert [line.split()[0] for line in lines] == ["optimal"] * 4
 
 
 def test_usage_block_lists_every_flag():
