@@ -33,7 +33,7 @@ from .gram import (
     random_ensemble,
     raw_gram,
 )
-from .homotopy import POLISH_EVERY, RunReport, SolverState, Trajectory, rk4_drag
+from .homotopy import RunReport, SolverState, Trajectory, rk4_drag
 from .measurement import FRAME_AMBIENT, FRAME_DUAL, povm_from_unitary
 from .serialize import (
     audit_to_dict,
@@ -324,8 +324,7 @@ def _add_common(sub: argparse.ArgumentParser, solver: bool = False) -> None:
         sub.add_argument("--steps", type=int, default=1000, help="integration steps")
         sub.add_argument("--h", type=float, default=1e-3, help="step size (steps*h must be 1)")
         sub.add_argument("--polish", action="store_true",
-                         help=f"re-project onto the constraint every {POLISH_EVERY} steps and "
-                              "finish with Newton corrections at t = 1")
+                         help="finish with Newton on the m scales at t = 1")
 
 
 def build_parser() -> _Parser:

@@ -31,6 +31,7 @@ upper triangle of F, so a_i stays real and f_ji = conj(f_ij) exactly.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,17 +42,19 @@ from .gram import GramMatrix
 from .linalg import hs_norm, read_only
 from .measurement import Povm
 
+log = logging.getLogger(__name__)
+
 #: condition-number ceiling for the tangent solve (the spread of the Lyapunov
 #: spectrum lam_i + lam_j, and the Schur system for a'); beyond this the
 #: implicit function theorem no longer vouches for the step (bifurcation or
 #: near-dependence) and the run aborts
 COND_MAX = 1e12
 
-#: steps between the Newton re-projections of a polished run
-POLISH_EVERY = 10
+#: most Newton iterations on the m scales that a polished run applies at t = 1
+_NEWTON_MAX = 50
 
-#: most Newton corrections a polished run applies at t = 1
-NEWTON_FINISH = 3
+#: most step halvings one of those iterations tries before the finish stops
+_HALVINGS_MAX = 30
 
 #: floor on the diagonal scales a_i; one of them tending to zero signals the
 #: boundary of the admissible Gram region
@@ -216,14 +219,8 @@ def _tangent_solve(
 
 
 def _rate(
-    a: np.ndarray,
-    f: np.ndarray,
-    g: np.ndarray,
-    gdot: np.ndarray,
-    t: float,
-    iu: np.ndarray,
-    ju: np.ndarray,
-    eig: tuple[np.ndarray, np.ndarray] | None = None,
+    a: np.ndarray, f: np.ndarray, g: np.ndarray, gdot: np.ndarray, t: float, iu: np.ndarray,
+    ju: np.ndarray, eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(a', f') at (a, f); ``eig`` is eigh(F) when the caller already has it."""
     eig = np.linalg.eigh(_factor(a, f, iu, ju)) if eig is None else eig
@@ -243,28 +240,40 @@ def derivative(state: SolverState, trajectory: Trajectory) -> tuple[np.ndarray, 
     return _rate(state.a, state.f, trajectory(t), trajectory.tangent(), t, *_triu(state.m))
 
 
-def _newton_correction(
-    a: np.ndarray, f: np.ndarray, g: np.ndarray, t: float, iu: np.ndarray, ju: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Newton step back onto the constraint F^2 - DGD = 0 at fixed t."""
-    fmat = _factor(a, f, iu, ju)
-    da, dfmat = _tangent_solve(a, np.linalg.eigh(fmat), g, a[:, None] * g * a - fmat @ fmat, t)
-    return a + da, f + dfmat[iu, ju]
+def _positive_root(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, tuple, float]:
+    """F = (DGD)^{1/2}, its eigenpairs (s, V) from eigh(DGD) = (s^2, V), and ||Phi(a)||_2."""
+    lam, v = np.linalg.eigh(a[:, None] * g * a)
+    s = np.sqrt(np.maximum(lam, 0.0))
+    fmat = (v * s) @ v.conj().T
+    return fmat, (s, v), float(np.linalg.norm(fmat.diagonal().real - a * a))
 
 
-def _newton_finish(
-    a: np.ndarray, f: np.ndarray, g: np.ndarray, t: float, iu: np.ndarray, ju: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Newton corrections at fixed t for as long as each one at least halves
-    the residual of F^2 - DGD, at most NEWTON_FINISH of them."""
-    resid = _residual(a, _factor(a, f, iu, ju), g)
-    for _ in range(NEWTON_FINISH):
-        a_new, f_new = _newton_correction(a, f, g, t, iu, ju)
-        resid_new = _residual(a_new, _factor(a_new, f_new, iu, ju), g)
-        if not resid_new <= 0.5 * resid:
-            break
-        a, f, resid = a_new, f_new, resid_new
-    return a, f
+def _newton_correction(a: np.ndarray, g: np.ndarray, t: float, root: tuple) -> tuple | None:
+    """One Newton iteration on Phi(a) = diag (DGD)^{1/2} - a^2 from ``root`` at a, the
+    step halved until ||Phi|| drops and every a_i > 0: (a, its root, halvings), or
+    None when _HALVINGS_MAX halvings fail.  For E = diag Phi the Lyapunov solve of
+    EF + FE is E, so the tangent solve gives the step (its Schur matrix is -Phi')."""
+    fmat, eig, norm = root
+    phi = fmat.diagonal().real - a * a
+    da = _tangent_solve(a, eig, g, phi[:, None] * fmat + fmat * phi, t)[0]
+    for halvings in range(_HALVINGS_MAX + 1):
+        trial = a + 0.5**halvings * da
+        if trial.min() > 0.0 and (new := _positive_root(trial, g))[2] < norm:
+            return trial, new, halvings
+    return None
+
+
+def _finish(a: np.ndarray, g: np.ndarray, t: float, iu: np.ndarray, ju: np.ndarray) -> tuple:
+    """Newton on the m scales from the drag's end until no iteration lowers ||Phi||, at
+    most _NEWTON_MAX: the best a and the upper triangle of (DGD)^{1/2} there."""
+    root = _positive_root(a, g)
+    before, iterations, halvings = root[2], 0, 0
+    while iterations < _NEWTON_MAX and (step := _newton_correction(a, g, t, root)) is not None:
+        a, root, k = step
+        iterations, halvings = iterations + 1, halvings + k
+    log.debug("newton finish: %d iterations, %d halvings, |Phi| %.3e -> %.3e",
+              iterations, halvings, before, root[2])
+    return a, root[0][iu, ju]
 
 
 def rk4_drag(
@@ -287,11 +296,11 @@ def rk4_drag(
     is checked before step 1.  The four stage derivatives use the exact
     trajectory values G(t), G(t+h/2), G(t+h).  After every step the run
     records the HS residual of F^2 - D G(t) D, the minimum eigenvalue of F
-    and the partial success probability.  ``polish`` applies one Newton re-projection onto the
-    constraint every POLISH_EVERY steps (off by default, leaving the raw
-    integrator behavior observable), and at t = 1 keeps correcting, up to
-    NEWTON_FINISH times, while each correction at least halves the
-    residual, so that Tr F matches the value the measurement attains.
+    and the partial success probability.  ``polish`` (off by default,
+    leaving the raw integrator behavior observable) changes only the last
+    step: it finishes with Newton on the m scales at t = 1, driving
+    Phi(a) = diag (DGD)^{1/2} - a^2 to zero with the step halved until
+    ||Phi|| drops, and keeps F = (DGD)^{1/2} at the best a found.
 
     ``certify_gram`` turns the final F into the certificate and the measurement
     it certified, U = G(1)^{-1/2} D^{-1} F snapped to unitary; the certificate
@@ -315,15 +324,8 @@ def rk4_drag(
 
     final = SolverState(t=1.0, a=a, f=f)
     certificate, final_povm = certify_gram(trajectory.g_end, final.matrix)
-    return RunReport(
-        steps=steps,
-        h=h,
-        polish=polish,
-        trace=read_only(trace),
-        final_state=final,
-        final_povm=final_povm,
-        certificate=certificate,
-    )
+    return RunReport(steps=steps, h=h, polish=polish, trace=read_only(trace), final_state=final,
+                     final_povm=final_povm, certificate=certificate)
 
 
 def _integrate(
@@ -351,10 +353,8 @@ def _integrate(
         # no admissibility check on G(t): its smallest eigenvalue is concave in t,
         # and GramMatrix already holds both endpoints above EPS_LI
         g_now = trajectory(t)
-        if polish and it % POLISH_EVERY == 0:
-            a, f = _newton_correction(a, f, g_now, t, iu, ju)
         if polish and it == steps:
-            a, f = _newton_finish(a, f, g_now, t, iu, ju)
+            a, f = _finish(a, g_now, t, iu, ju)
 
         if a.min() <= EPS_A:
             raise NearLinearDependence(

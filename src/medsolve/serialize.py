@@ -26,7 +26,7 @@ from .certify import Certificate
 from .enumerate3 import LandscapeSummary, StationaryRoot
 from .exceptions import SchemaError
 from .gram import Ensemble, GramMatrix
-from .homotopy import POLISH_EVERY, RunReport, SolverState
+from .homotopy import RunReport, SolverState
 from .measurement import FRAME_AMBIENT, FRAME_DUAL, Povm
 
 _LOG_FLOOR = 1e-320  # keeps log10 finite for identically-zero residuals
@@ -151,7 +151,6 @@ def run_report_to_dict(report: RunReport) -> dict:
         "steps": report.steps,
         "h": report.h,
         "polish": report.polish,
-        "polish_every": POLISH_EVERY,
         "first_residual": float(trace[0, 2]),
         "final_residual": float(trace[-1, 2]),
         "final_state": solver_state_to_dict(report.final_state),

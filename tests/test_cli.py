@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,35 @@ class TestSolve:
                                 serialize.povm_from_dict(report["final_povm"]))
         assert report["certificate"]["status"] == "optimal" and again.is_optimal
         assert abs(again.p_success - report["certificate"]["p_success"]) <= 1e-12
+
+    def test_polished_near_dependent_pair_matches_helstrom(self, tmp_path):
+        # min eig G 2.5e-6: the 200-step drag ends at HS residual 2.5e-3, 2.5e5
+        # times the certificate's gate; the finish needs 18 Newton iterations
+        path = DATA / "near-dependent-m2-ensemble.json"
+        code = main(["solve", str(path), "--out", str(tmp_path), "--steps", "200", "--h", "5e-3",
+                     "--polish"])
+        assert code == 0
+        report = json.loads((tmp_path / "near-dependent-m2-ensemble-report.json").read_text())
+        ens = serialize.load_gram_or_ensemble(serialize.read_json(path))
+        closed = ms.helstrom(*ens.probs, np.vdot(ens.states[:, 0], ens.states[:, 1])).p_success
+        assert abs(report["certificate"]["p_success"] - closed) <= 1e-12
+
+    def test_debug_log_names_the_newton_finish(self, tmp_path, monkeypatch):
+        inp = write_gram(tmp_path / "g.json", random_gram(3, seed=823, spread=0.8))
+        solve = ["-m", "medsolve.cli", "solve", inp, "--steps", "100", "--h", "1e-2",
+                 "--out", str(tmp_path)]
+        names = ("g-report.json", "g-trace.csv")
+        quiet = run_python(*solve, "--polish")
+        files = [(tmp_path / name).read_bytes() for name in names]
+        monkeypatch.setenv("MED_LOG", "debug")
+        loud = run_python(*solve, "--polish")
+        assert (quiet.returncode, loud.returncode) == (0, 0)
+        assert (quiet.stdout, quiet.stderr) == (loud.stdout, "")
+        [line] = loud.stderr.splitlines()
+        assert re.fullmatch(r"DEBUG newton finish: \d+ iterations, \d+ halvings, "
+                            r"\|Phi\| \S+ -> \S+", line)
+        assert files == [(tmp_path / name).read_bytes() for name in names]
+        assert run_python(*solve).stderr == ""
 
     def test_repeated_ensemble_solve_is_byte_identical(self, tmp_path):
         ens = ms.random_ensemble(4, seed=811, spread=0.6)
@@ -523,8 +553,7 @@ class TestRepeatedCalls:
         assert main(solve + ["--out", str(tmp_path / "q")]) == 0
         polished = json.loads((tmp_path / "p" / "g-report.json").read_text())
         plain = json.loads((tmp_path / "q" / "g-report.json").read_text())
-        assert (polished["polish"], polished["polish_every"]) == (True, 10)
-        assert (plain["polish"], plain["polish_every"]) == (False, 10)
+        assert (polished["polish"], plain["polish"]) == (True, False)
         assert polished["final_state"] != plain["final_state"]
 
         check = tmp_path / "check.json"

@@ -5,11 +5,15 @@ decomposes F itself, the Schur system and its right-hand side are reduced
 separately, and the step check runs its own ``eigvalsh``.  The solver shares
 one eigendecomposition per step and contracts the Schur system and its
 right-hand side from one tensor instead, which reorders roundoff only; the
-tolerances below were fixed before that rewrite.
+tolerances below were fixed before that rewrite.  The polished drag's finish
+is checked against scipy: ``sqrtm`` for F = (DGD)^{1/2} and ``optimize.root``
+for the zero of Phi(a) = diag F - a^2.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
+from scipy.optimize import root
 
 import medsolve as ms
 from conftest import identity_gram, seeded_grams
@@ -50,7 +54,18 @@ def _reference_tangent_solve(a, fmat, g, rhs, t):
     return da, v @ (rhs_w + (x + x.conj().T) * w) @ vh
 
 
-def _reference_drag(trajectory, steps, h, polish, polish_every=10):
+def _reference_scales(g):
+    """The optimum's scales a, the zero of Phi(a) = diag sqrtm(DGD) - a^2, found by
+    scipy from the pretty-good-measurement scales a_i = sqrt((G^{1/2})_ii)."""
+    def phi(a):
+        return np.diagonal(sqrtm(a[:, None] * g * a)).real - a * a
+
+    sol = root(phi, np.sqrt(np.diagonal(sqrtm(g)).real), tol=1e-13)
+    assert np.max(np.abs(phi(sol.x))) <= 1e-13
+    return sol.x
+
+
+def _reference_drag(trajectory, steps, h, polish):
     m = trajectory.m
     iu, ju = np.triu_indices(m, 1)
     state = ms.initial_state(m)
@@ -74,10 +89,9 @@ def _reference_drag(trajectory, steps, h, polish, polish_every=10):
         f = f + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         t = it * h
         g = trajectory(t)
-        if polish and it % polish_every == 0:
-            fmat = _reference_factor(a, f, iu, ju)
-            da, dfmat = _reference_tangent_solve(a, fmat, g, a[:, None] * g * a - fmat @ fmat, t)
-            a, f = a + da, f + dfmat[iu, ju]
+        if polish and it == steps:
+            a = _reference_scales(g)
+            f = sqrtm(a[:, None] * g * a)[iu, ju]
         fmat = _reference_factor(a, f, iu, ju)
         d = np.diag(a)
         trace[it - 1] = (it, t, np.linalg.norm(fmat @ fmat - d @ g @ d),
@@ -99,6 +113,17 @@ def test_drag_matches_reference(m, real, polish):
     assert np.array_equal(report.trace[:, :2], trace[:, :2])
     assert np.max(np.abs(report.trace[:, 2] - trace[:, 2])) <= 1e-14
     assert np.max(np.abs(report.trace[:, 3:] - trace[:, 3:])) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+@pytest.mark.parametrize("real", [False, True])
+def test_polish_changes_only_the_last_row(m, real):
+    gram = seeded_grams(m, 1, base_seed=2000 + 10 * m, real=real)[0]
+    trajectory = ms.Trajectory(identity_gram(m), gram)
+    plain = ms.rk4_drag(trajectory, steps=200, h=5e-3)
+    polished = ms.rk4_drag(trajectory, steps=200, h=5e-3, polish=True)
+    assert np.array_equal(polished.trace[:-1], plain.trace[:-1])
+    assert not np.array_equal(polished.trace[-1], plain.trace[-1])
 
 
 def _drag_unchecked(entries, start):

@@ -1,13 +1,17 @@
 """Continuation solver: tangent system, RK4 drag, chaining."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import medsolve as ms
-from medsolve import homotopy
+from medsolve import homotopy, serialize
 from conftest import identity_gram, overlap_gram_m3, random_gram, solve_direct
 from medsolve.certify import RESIDUAL_GATE
-from medsolve.homotopy import _factor, _newton_correction, _rate, _triu
+from medsolve.homotopy import _factor, _finish, _newton_correction, _positive_root, _rate, _triu
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestInitialState:
@@ -154,6 +158,22 @@ class TestRk4Drag:
         polished = solve_direct(gram, steps=250, h=4e-3, polish=True)
         assert polished.trace[-1, 2] < raw.trace[-1, 2] * 1e-2
         assert polished.certificate.is_optimal
+
+    def test_polish_certifies_a_near_dependent_ensemble(self):
+        # min eig G 1.0e-6: the plain drag ends at HS residual 3.5e-6, 350 times
+        # the certificate's gate
+        gram = ms.raw_gram(ms.random_ensemble(8, seed=7, spread=0.5))
+        assert solve_direct(gram, steps=200, h=5e-3, polish=True).certificate.is_optimal
+
+    def test_finish_needs_its_step_halvings(self, monkeypatch):
+        # min eig G 2.5e-6: full Newton steps raise ||Phi|| once on the way, so a
+        # finish that stops at the first increase cannot certify
+        ens = serialize.load_gram_or_ensemble(
+            serialize.read_json(DATA / "near-dependent-m2-ensemble.json"))
+        assert solve_direct(ms.raw_gram(ens), steps=200, h=5e-3, polish=True).certificate.is_optimal
+        monkeypatch.setattr(homotopy, "_HALVINGS_MAX", 0)
+        with pytest.raises(ms.ResidualTooLarge):
+            solve_direct(ms.raw_gram(ens), steps=200, h=5e-3, polish=True)
 
     def test_trace_layout(self):
         report = solve_direct(random_gram(2, seed=95), steps=100, h=1e-2)
@@ -302,15 +322,21 @@ class TestTangentSolve:
 
     def test_newton_correction_reduces_residual(self):
         gram = random_gram(4, seed=150, spread=0.7)
-        state = solve_direct(gram).final_state
-        rng = np.random.default_rng(151)
-        a = state.a + 1e-4 * rng.normal(size=4)
-        f = state.f + 1e-4 * (rng.normal(size=6) + 1j * rng.normal(size=6))
-        before = ms.SolverState(t=1.0, a=a, f=f).residual(gram)
-        a2, f2 = _newton_correction(a, f, gram.entries, 1.0, *_triu(4))
-        after = ms.SolverState(t=1.0, a=a2, f=f2).residual(gram)
-        assert before > 1e-5
-        assert after < 1e-3 * before
+        a = solve_direct(gram).final_state.a
+        a = a + 1e-4 * np.random.default_rng(151).normal(size=4)
+        start = _positive_root(a, gram.entries)
+        _, root, halvings = _newton_correction(a, gram.entries, 1.0, start)
+        assert start[2] > 1e-5
+        assert root[2] < 1e-3 * start[2] and halvings == 0
+
+    def test_newton_finish_restores_a_perturbed_optimum(self):
+        gram = random_gram(4, seed=150, spread=0.7)
+        a = solve_direct(gram).final_state.a
+        a = a + 1e-4 * np.random.default_rng(151).normal(size=4)
+        f = _positive_root(a, gram.entries)[0][_triu(4)]
+        assert ms.SolverState(t=1.0, a=a, f=f).residual(gram) > 1e-5
+        a, f = _finish(a, gram.entries, 1.0, *_triu(4))
+        assert ms.SolverState(t=1.0, a=a, f=f).residual(gram) <= 1e-14
 
 
 class TestTrajectoryAdmissibility:
