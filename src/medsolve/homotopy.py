@@ -23,7 +23,10 @@ any linearly independent target; the flow keeps F^2 - DG(t)D constant, so
 Hilbert-Schmidt norm of F^2 - DGD measures the accumulated error at every
 step without reference to any other solver.  The eigendecomposition of F
 taken after each step for the positivity check also serves the first stage
-of the next step.
+of the next step.  When G_start, G_end and the start's f have imaginary
+parts that are exactly zero, the whole drag runs in real arithmetic (real
+``eigh`` and real products, cheaper than complex ones); a tolerance on the
+imaginary parts would instead change the problem being solved.
 
 Hermiticity is preserved structurally: the state stores a_i and the strict
 upper triangle of F, so a_i stays real and f_ji = conj(f_ij) exactly.
@@ -32,6 +35,7 @@ upper triangle of F, so a_i stays real and f_ji = conj(f_ij) exactly.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,9 +160,9 @@ def initial_state(m: int) -> SolverState:
 
 
 def _factor(a: np.ndarray, f: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
-    """The hermitian factor F with F_ii = a_i^2 and strict upper triangle f."""
+    """The hermitian factor F with F_ii = a_i^2 and strict upper triangle f, in f's dtype."""
     m = a.shape[0]
-    out = np.zeros((m, m), dtype=complex)
+    out = np.zeros((m, m), dtype=f.dtype)
     out.flat[:: m + 1] = a * a
     out[iu, ju] = f
     out[ju, iu] = f.conj()
@@ -251,13 +255,16 @@ def _positive_root(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, tuple, flo
 def _newton_correction(a: np.ndarray, g: np.ndarray, t: float, root: tuple) -> tuple | None:
     """One Newton iteration on Phi(a) = diag (DGD)^{1/2} - a^2 from ``root`` at a, the
     step halved until ||Phi|| drops and every a_i > 0: (a, its root, halvings), or
-    None when _HALVINGS_MAX halvings fail.  For E = diag Phi the Lyapunov solve of
-    EF + FE is E, so the tangent solve gives the step (its Schur matrix is -Phi')."""
+    None when _HALVINGS_MAX halvings fail or the halved step no longer moves a.  For
+    E = diag Phi the Lyapunov solve of EF + FE is E, so the tangent solve gives the
+    step (its Schur matrix is -Phi')."""
     fmat, eig, norm = root
     phi = fmat.diagonal().real - a * a
     da = _tangent_solve(a, eig, g, phi[:, None] * fmat + fmat * phi, t)[0]
     for halvings in range(_HALVINGS_MAX + 1):
         trial = a + 0.5**halvings * da
+        if np.array_equal(trial, a):  # every shorter step rounds to a as well
+            return None
         if trial.min() > 0.0 and (new := _positive_root(trial, g))[2] < norm:
             return trial, new, halvings
     return None
@@ -302,12 +309,20 @@ def rk4_drag(
     Phi(a) = diag (DGD)^{1/2} - a^2 to zero with the step halved until
     ||Phi|| drops, and keeps F = (DGD)^{1/2} at the best a found.
 
+    A path whose G_start, G_end and starting f have imaginary parts that are
+    all exactly zero (``-0.0`` included) is integrated in real arithmetic,
+    which changes only the rounding; any nonzero imaginary part keeps it
+    complex, since dropping it would change the problem.  Under
+    ``MED_LOG=info`` one log line names m, steps, polish, the arithmetic and
+    the wall seconds of the run.
+
     ``certify_gram`` turns the final F into the certificate and the measurement
     it certified, U = G(1)^{-1/2} D^{-1} F snapped to unitary; the certificate
     is judged at the default tolerances (see ``Certificate``).  A run that
     drifted too far off the constraint to certify (targets close to the
     near-dependence floor) raises ResidualTooLarge instead of returning.
     """
+    began = time.perf_counter()
     if steps < 1:
         raise ValueError("need at least one step")
     if not abs(steps * h - 1.0) <= 1e-9:
@@ -324,6 +339,8 @@ def rk4_drag(
 
     final = SolverState(t=1.0, a=a, f=f)
     certificate, final_povm = certify_gram(trajectory.g_end, final.matrix)
+    log.info("drag: m=%d steps=%d polish=%s arithmetic=%s %.3f s", m, steps, polish,
+             "complex" if np.iscomplexobj(f) else "real", time.perf_counter() - began)
     return RunReport(steps=steps, h=h, polish=polish, trace=read_only(trace), final_state=final,
                      final_povm=final_povm, certificate=certificate)
 
@@ -332,27 +349,35 @@ def _integrate(
     trajectory: Trajectory, a: np.ndarray, f: np.ndarray, steps: int, h: float, polish: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The RK4 loop of ``rk4_drag`` from (a, f) at t = 0, unchecked: (a, f) at
-    t = 1 and the trace."""
+    t = 1 and the trace.  f comes back real when the path and the start have no
+    imaginary part, complex otherwise."""
     iu, ju = _triu(trajectory.m)
-    gdot = trajectory.tangent()
+    g_start, g_end = trajectory.g_start.entries, trajectory.g_end.entries
+    if not (g_start.imag.any() or g_end.imag.any() or f.imag.any()):
+        # exact zeros only: the real parts are then the same path, so only rounding changes
+        g_start, g_end, f = g_start.real, g_end.real, f.real
 
+    def path(t: float) -> np.ndarray:  # Trajectory.__call__ in the dtype chosen above
+        return (1.0 - t) * g_start + t * g_end
+
+    gdot = g_end - g_start
     trace = np.empty((steps, 5))
     t = 0.0
-    g_now = trajectory(t)
+    g_now = path(t)
     eig = None  # eigh(F) at (a, f), shared by the step check and the next k1
     for it in range(1, steps + 1):
-        g_mid = trajectory(t + 0.5 * h)
+        g_mid = path(t + 0.5 * h)
         k1 = _rate(a, f, g_now, gdot, t, iu, ju, eig=eig)
         k2 = _rate(a + 0.5 * h * k1[0], f + 0.5 * h * k1[1], g_mid, gdot, t, iu, ju)
         k3 = _rate(a + 0.5 * h * k2[0], f + 0.5 * h * k2[1], g_mid, gdot, t, iu, ju)
-        k4 = _rate(a + h * k3[0], f + h * k3[1], trajectory(t + h), gdot, t, iu, ju)
+        k4 = _rate(a + h * k3[0], f + h * k3[1], path(t + h), gdot, t, iu, ju)
         a = a + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         f = f + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         t = it * h
 
         # no admissibility check on G(t): its smallest eigenvalue is concave in t,
         # and GramMatrix already holds both endpoints above EPS_LI
-        g_now = trajectory(t)
+        g_now = path(t)
         if polish and it == steps:
             a, f = _finish(a, g_now, t, iu, ju)
 

@@ -161,15 +161,24 @@ class TestSolve:
         names = ("g-report.json", "g-trace.csv")
         quiet = run_python(*solve, "--polish")
         files = [(tmp_path / name).read_bytes() for name in names]
+        monkeypatch.setenv("MED_LOG", "info")
+        info = run_python(*solve, "--polish")
+        assert files == [(tmp_path / name).read_bytes() for name in names]
         monkeypatch.setenv("MED_LOG", "debug")
         loud = run_python(*solve, "--polish")
-        assert (quiet.returncode, loud.returncode) == (0, 0)
+        assert (quiet.returncode, info.returncode, loud.returncode) == (0, 0, 0)
         assert (quiet.stdout, quiet.stderr) == (loud.stdout, "")
-        [line] = loud.stderr.splitlines()
+        assert info.stdout == quiet.stdout
+        drag = r"INFO drag: m=3 steps=100 polish=True arithmetic=complex \d+\.\d{3} s"
+        [line] = info.stderr.splitlines()
+        assert re.fullmatch(drag, line)
+        finish, line = loud.stderr.splitlines()
         assert re.fullmatch(r"DEBUG newton finish: \d+ iterations, \d+ halvings, "
-                            r"\|Phi\| \S+ -> \S+", line)
+                            r"\|Phi\| \S+ -> \S+", finish)
+        assert re.fullmatch(drag, line)
         assert files == [(tmp_path / name).read_bytes() for name in names]
-        assert run_python(*solve).stderr == ""
+        [line] = run_python(*solve).stderr.splitlines()
+        assert re.fullmatch(drag.replace("polish=True", "polish=False"), line)
 
     def test_repeated_ensemble_solve_is_byte_identical(self, tmp_path):
         ens = ms.random_ensemble(4, seed=811, spread=0.6)

@@ -5,9 +5,12 @@ decomposes F itself, the Schur system and its right-hand side are reduced
 separately, and the step check runs its own ``eigvalsh``.  The solver shares
 one eigendecomposition per step and contracts the Schur system and its
 right-hand side from one tensor instead, which reorders roundoff only; the
-tolerances below were fixed before that rewrite.  The polished drag's finish
-is checked against scipy: ``sqrtm`` for F = (DGD)^{1/2} and ``optimize.root``
-for the zero of Phi(a) = diag F - a^2.
+tolerances below were fixed before that rewrite.  The reference always
+works in complex arithmetic, so its ``real=True`` cases also pin the
+solver's real-arithmetic path, taken for real inputs, at the same
+tolerances.  The polished drag's finish is checked against scipy: ``sqrtm``
+for F = (DGD)^{1/2} and ``optimize.root`` for the zero of
+Phi(a) = diag F - a^2.
 """
 
 import numpy as np

@@ -1,5 +1,7 @@
 """Continuation solver: tangent system, RK4 drag, chaining."""
 
+import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +9,11 @@ import pytest
 
 import medsolve as ms
 from medsolve import homotopy, serialize
-from conftest import identity_gram, overlap_gram_m3, random_gram, solve_direct
+from conftest import identity_gram, overlap_gram_m3, random_gram, seeded_grams, solve_direct
 from medsolve.certify import RESIDUAL_GATE
-from medsolve.homotopy import _factor, _finish, _newton_correction, _positive_root, _rate, _triu
+from medsolve.homotopy import (
+    _factor, _finish, _integrate, _newton_correction, _positive_root, _rate, _triu,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -338,6 +342,22 @@ class TestTangentSolve:
         a, f = _finish(a, gram.entries, 1.0, *_triu(4))
         assert ms.SolverState(t=1.0, a=a, f=f).residual(gram) <= 1e-14
 
+    def test_finish_from_a_converged_optimum_stops_halving(self, monkeypatch):
+        # the last iteration cannot lower ||Phi||; its halvings stop once the halved
+        # step no longer moves a, instead of trying all _HALVINGS_MAX + 1 lengths
+        gram = random_gram(4, seed=150, spread=0.7)
+        a = solve_direct(gram, polish=True).final_state.a
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _positive_root(*args)
+
+        monkeypatch.setattr(homotopy, "_positive_root", counted)
+        again, _ = _finish(a, gram.entries, 1.0, *_triu(4))
+        assert np.array_equal(again, a)
+        assert len(calls) <= 10
+
 
 class TestTrajectoryAdmissibility:
     def test_min_eigenvalue_never_dips_below_endpoints(self):
@@ -354,3 +374,56 @@ class TestTrajectoryAdmissibility:
             traj = ms.Trajectory(g0, g1)
             lows = [np.linalg.eigvalsh(traj(t))[0] for t in ts]
             assert min(lows) >= floor - 1e-15
+
+
+class TestRealArithmetic:
+    """A path whose endpoints and start have no imaginary part is integrated in
+    real arithmetic; any nonzero imaginary part keeps it complex."""
+
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    def test_real_path_integrates_in_float64(self, negative_zero):
+        gram = random_gram(3, seed=170, real=True)
+        if negative_zero:  # conj turns every +0.0 imaginary part into -0.0
+            gram = ms.GramMatrix(gram.entries.conj())
+            assert np.signbit(gram.entries.imag).all()
+        start = ms.initial_state(3)
+        trajectory = ms.Trajectory(identity_gram(3), gram)
+        for polish in (False, True):
+            f = _integrate(trajectory, start.a, start.f, steps=100, h=1e-2, polish=polish)[1]
+            assert f.dtype == np.float64
+
+    def test_complex_path_stays_complex(self):
+        start = ms.initial_state(3)
+        trajectory = ms.Trajectory(identity_gram(3), random_gram(3, seed=170))
+        f = _integrate(trajectory, start.a, start.f, steps=100, h=1e-2, polish=True)[1]
+        assert f.dtype == np.complex128 and np.abs(f.imag).max() > 1e-3
+
+    def test_complex_start_on_a_real_path_stays_complex(self):
+        # the path is constant, so the drag must hand back its start unchanged
+        g = ms.GramMatrix(np.diag([0.6, 0.4]))
+        start = ms.SolverState(t=0.0, a=[0.8, 0.7], f=[0.05 + 0.1j])
+        f = _integrate(ms.Trajectory(g, g), start.a, start.f, steps=10, h=0.1, polish=False)[1]
+        assert f.dtype == np.complex128 and np.array_equal(f, start.f)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    @pytest.mark.parametrize("polish", [False, True])
+    def test_real_gram_agrees_with_its_complex_rephasing(self, m, polish):
+        # Phi G Phi^dag with Phi a diagonal of phases has the same optimal scales
+        # (F -> Phi F Phi^dag), but its drag runs in complex arithmetic
+        gram = seeded_grams(m, 1, base_seed=2000 + 10 * m, real=True)[0]
+        phases = np.exp(2j * np.pi * np.random.default_rng(171 + m).uniform(size=m))
+        rephased = ms.GramMatrix(phases[:, None] * gram.entries * phases.conj())
+        real, cplx = (ms.rk4_drag(ms.Trajectory(identity_gram(m), g), steps=200, h=5e-3,
+                                  polish=polish) for g in (gram, rephased))
+        assert np.max(np.abs(real.final_state.a - cplx.final_state.a)) <= 1e-12
+        assert abs(real.certificate.p_success - cplx.certificate.p_success) <= 1e-12
+        assert np.max(np.abs(real.trace[:, 2:] - cplx.trace[:, 2:])) <= 1e-14
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_info_log_names_the_arithmetic(self, caplog, real):
+        caplog.set_level(logging.INFO, logger="medsolve.homotopy")
+        solve_direct(random_gram(3, seed=172, real=real), steps=100, h=1e-2, polish=True)
+        [record] = caplog.records
+        arithmetic = "real" if real else "complex"
+        assert re.fullmatch(rf"drag: m=3 steps=100 polish=True arithmetic={arithmetic} "
+                            r"\d+\.\d{3} s", record.getMessage())
