@@ -7,11 +7,16 @@ diagnostics.  Exit codes: 0 certified optimal / success, 2 stationary but
 not global, 3 not stationary or solver failure, 64 usage or malformed
 input, 65 invalid data.  The MED_LOG environment variable (debug|info)
 raises stderr verbosity and never touches stdout.
+
+``main(argv)`` may be called repeatedly in one process: the parser is built
+once, on the first call, and each call parses into a fresh namespace and logs
+at its own MED_LOG to the stderr current at the time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -72,11 +77,31 @@ class _Parser(argparse.ArgumentParser):
         raise _CliFailure(EXIT_USAGE, f"{self.prog}: {message}")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is when the record is emitted."""
+
+    def __init__(self):
+        super().__init__()
+        self.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _):
+        pass
+
+
 def _configure_logging() -> None:
-    level = {"debug": logging.DEBUG, "info": logging.INFO}.get(
+    """Log the package at this call's MED_LOG.  The one handler sits on the
+    package logger, not on root, so records still propagate to the caller's
+    handlers."""
+    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
+        log.addHandler(_StderrHandler())
+    log.setLevel({"debug": logging.DEBUG, "info": logging.INFO}.get(
         os.environ.get("MED_LOG", "").lower(), logging.WARNING
-    )
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
+    ))
 
 
 def _read_input(path: Path, parse):
@@ -327,7 +352,9 @@ def _add_common(sub: argparse.ArgumentParser, solver: bool = False) -> None:
                          help="finish with Newton on the m scales at t = 1")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by later ones."""
     parser = _Parser(prog="medsolve", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"medsolve {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotUnitary
-from .gram import Ensemble, GramMatrix, dual_basis
-from .linalg import read_only, unitarity_residual
+from .gram import Ensemble, GramMatrix
+from .linalg import polar_unitary, read_only, unitarity_residual
 
 _ATOL_ONB = 1e-10
 
@@ -72,7 +72,10 @@ def povm_from_unitary(
     Without an ensemble the canonical realization is used: the scaled states
     are the columns of G^{1/2}, the dual basis is G^{-1/2}, and the basis
     vectors reduce to the columns of U itself.  With an ensemble the vectors
-    are expressed in its ambient space.
+    are expressed in its ambient space as W U, where W = S G^{-1/2} is the
+    polar factor of the scaled-state matrix S: the same basis as the dual
+    basis times G^{1/2} U, but orthonormal to rounding however small the
+    least eigenvalue of G.
     """
     if np.shape(u) != (gram.m, gram.m):
         raise ValueError(f"unitary must be {gram.m}x{gram.m}")
@@ -85,5 +88,5 @@ def povm_from_unitary(
         raise ValueError(
             f"gram matrix does not match the ensemble (max deviation {mismatch:.3e})"
         )
-    vectors = dual_basis(ensemble) @ (gram.sqrt() @ dual.vectors)
+    vectors = polar_unitary(scaled) @ dual.vectors
     return Povm(vectors, frame=FRAME_AMBIENT)

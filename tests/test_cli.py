@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, files, pipelines."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -153,6 +155,23 @@ class TestSolve:
         ens = serialize.load_gram_or_ensemble(serialize.read_json(path))
         closed = ms.helstrom(*ens.probs, np.vdot(ens.states[:, 0], ens.states[:, 1])).p_success
         assert abs(report["certificate"]["p_success"] - closed) <= 1e-12
+
+    def test_near_dependent_ensemble_writes_an_orthonormal_ambient_basis(self, tmp_path):
+        # min eig G 2.0e-8, just above EPS_LI: the ambient basis formed through
+        # the dual basis was off orthonormality by 2.8e-9 and solve exited 3
+        theta = 3.1e-4
+        ens = ms.Ensemble(np.array([[1.0, np.cos(theta)], [0.0, np.sin(theta)]]),
+                          np.array([0.3, 0.7]))
+        assert 1e-8 < np.linalg.eigvalsh(ms.raw_gram(ens).entries)[0] < 3e-8
+        path = tmp_path / "pair.json"
+        serialize.write_json(path, serialize.ensemble_to_dict(ens))
+        code = main(["solve", str(path), "--out", str(tmp_path), "--steps", "200", "--h", "5e-3",
+                     "--polish"])
+        assert code == 0
+        report = json.loads((tmp_path / "pair-report.json").read_text())
+        povm = serialize.povm_from_dict(report["final_povm"])
+        assert povm.frame == ms.FRAME_AMBIENT
+        assert ms.certify_povm(ens, povm).is_optimal
 
     def test_debug_log_names_the_newton_finish(self, tmp_path, monkeypatch):
         inp = write_gram(tmp_path / "g.json", random_gram(3, seed=823, spread=0.8))
@@ -574,3 +593,39 @@ class TestRepeatedCalls:
         assert main(["generate", "--m", "2", "--seed", "3", "--out", str(tmp_path / "d")]) == 0
         assert "unrecognized arguments: --steps 100" in capsys.readouterr().err
 
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_tolerance_flags_do_not_carry_over(self, tmp_path):
+        ens = ms.Ensemble(np.eye(3), np.full(3, 1 / 3))
+        inp = certify_payload(tmp_path / "ok.json", ens, ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))
+        cert_path = tmp_path / "ok-certificate.json"
+        assert main(["certify", inp, "--tol-stat", "1e-3", "--out", str(tmp_path)]) == 0
+        assert json.loads(cert_path.read_text())["tol_stat"] == 1e-3
+        assert main(["certify", inp, "--out", str(tmp_path)]) == 0
+        assert json.loads(cert_path.read_text())["tol_stat"] == ms.TOL_STAT
+
+    @pytest.mark.parametrize("first, code", [(["--version"], 0), (["--help"], 0), (["solve"], 64)])
+    def test_a_call_that_exits_early_leaves_the_next_one_intact(self, tmp_path, capsys,
+                                                                first, code):
+        assert main(first) == code
+        assert main(["generate", "--m", "2", "--seed", "3", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith(f"-> {tmp_path / 'ensemble-m2-seed3.json'}\n")
+
+    def test_each_call_logs_at_its_own_level_to_its_own_stderr(self, tmp_path, monkeypatch):
+        inp = write_gram(tmp_path / "g.json", random_gram(2, seed=824))
+        solve = ["solve", inp, "--steps", "100", "--h", "1e-2", "--out", str(tmp_path)]
+        first, second = io.StringIO(), io.StringIO()
+        monkeypatch.delenv("MED_LOG", raising=False)
+        with contextlib.redirect_stderr(first):
+            assert main(solve) == 0
+        monkeypatch.setenv("MED_LOG", "info")
+        with contextlib.redirect_stderr(second):
+            assert main(solve) == 0
+        monkeypatch.delenv("MED_LOG")
+        third = io.StringIO()
+        with contextlib.redirect_stderr(third):
+            assert main(solve) == 0
+        assert first.getvalue() == third.getvalue() == ""
+        [line] = second.getvalue().splitlines()
+        assert line.startswith("INFO drag: m=2 steps=100 polish=False ")

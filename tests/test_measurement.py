@@ -5,7 +5,7 @@ import pytest
 
 import medsolve as ms
 from conftest import identity_gram, random_gram
-from medsolve.linalg import haar_unitary
+from medsolve.linalg import haar_unitary, unitarity_residual
 
 
 def circulant_gram_m3(off=0.08):
@@ -25,6 +25,21 @@ class TestPovmFromUnitary:
         povm = ms.povm_from_unitary(identity_gram(3), np.eye(3), ensemble=ens)
         assert np.max(np.abs(povm.vectors - ens.states)) < 1e-12
         assert povm.frame == ms.FRAME_AMBIENT
+
+    def test_ambient_basis_is_the_dual_basis_times_sqrt_g_u(self):
+        ens = ms.random_ensemble(4, seed=22, spread=0.6)
+        g = ms.raw_gram(ens)
+        u = haar_unitary(np.random.default_rng(3), 4)
+        povm = ms.povm_from_unitary(g, u, ensemble=ens)
+        assert np.max(np.abs(povm.vectors - ms.dual_basis(ens) @ g.sqrt() @ u)) < 1e-13
+
+    def test_near_dependent_ambient_basis_stays_orthonormal(self):
+        # min eig G 2.0e-8: the dual basis times G^{1/2} U is off by 2.8e-9
+        theta = 3.1e-4
+        ens = ms.Ensemble(np.array([[1.0, np.cos(theta)], [0.0, np.sin(theta)]]),
+                          np.array([0.3, 0.7]))
+        povm = ms.povm_from_unitary(ms.raw_gram(ens), np.eye(2), ensemble=ens)
+        assert unitarity_residual(povm.vectors) < 1e-14
 
     def test_orthonormality_residual(self):
         rng = np.random.default_rng(0)
