@@ -28,12 +28,21 @@ parts that are exactly zero, the whole drag runs in real arithmetic (real
 ``eigh`` and real products, cheaper than complex ones); a tolerance on the
 imaginary parts would instead change the problem being solved.
 
+For m <= 8 a stage costs about as much as its numpy calls, so the stage is
+written to make few and cheap ones without changing any floating-point
+operation or its order: 2-D products go through ``ndarray.dot`` (the BLAS
+call of ``@`` with less dispatch), F is gathered by one ``take`` through a
+per-m index table, the Lyapunov check reads the extremes of a positive
+spectrum off the ends of the sorted eigenvalues, and the 1-norms of the
+Schur matrix and its inverse come from one reduction.
+
 Hermiticity is preserved structurally: the state stores a_i and the strict
 upper triangle of F, so a_i stays real and f_ji = conj(f_ij) exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -65,8 +74,23 @@ _HALVINGS_MAX = 30
 EPS_A = 1e-6
 
 
+@functools.cache
+def _layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index tables of an m x m hermitian factor: the strict upper
+    triangle (iu, ju), its flat positions iu*m + ju, and the (m, m) table that
+    ``take`` reads F from in concatenate((a*a, f, conj f))."""
+    iu, ju = np.triu_indices(m, 1)
+    upper = iu * m + ju
+    n = iu.size
+    build = np.empty((m, m), dtype=np.intp)
+    build.flat[:: m + 1] = np.arange(m)
+    build[iu, ju] = m + np.arange(n)
+    build[ju, iu] = m + n + np.arange(n)
+    return read_only(iu), read_only(ju), read_only(upper), read_only(build)
+
+
 def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(m, 1)
+    return _layout(m)[:2]
 
 
 @dataclass(frozen=True)
@@ -160,18 +184,16 @@ def initial_state(m: int) -> SolverState:
 
 
 def _factor(a: np.ndarray, f: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
-    """The hermitian factor F with F_ii = a_i^2 and strict upper triangle f, in f's dtype."""
-    m = a.shape[0]
-    out = np.zeros((m, m), dtype=f.dtype)
-    out.flat[:: m + 1] = a * a
-    out[iu, ju] = f
-    out[ju, iu] = f.conj()
-    return out
+    """The hermitian factor F with F_ii = a_i^2 and strict upper triangle f, in f's dtype.
+
+    (iu, ju) = _triu(m); the entries are gathered by one ``take`` through the
+    per-m table of ``_layout``, which lays them out in that same order."""
+    return np.concatenate((a * a, f, f.conj())).take(_layout(a.shape[0])[3])
 
 
 def _residual(a: np.ndarray, fmat: np.ndarray, g: np.ndarray) -> float:
     """HS norm of F^2 - D G D."""
-    return hs_norm(fmat @ fmat - a[:, None] * g * a)
+    return hs_norm(fmat.dot(fmat) - a[:, None] * g * a)
 
 
 def _tangent_solve(
@@ -189,26 +211,34 @@ def _tangent_solve(
     """
     lam, v = eig
     m = a.shape[0]
-    vh = v.conj().T
+    vc = v.conj()
+    vh = vc.T
     s = lam[:, None] + lam[None, :]
-    s_abs = np.abs(s)
-    s_min, s_max = s_abs.min(), s_abs.max()
-    if not s_max <= COND_MAX * s_min:
-        raise SingularJacobian(
-            f"Lyapunov spectrum ratio max|l_i+l_j|/min|l_i+l_j| = {s_max:.3e}/{s_min:.3e} "
-            f"exceeds {COND_MAX:.0e} at t={t:.6f} (bifurcation or near-dependence)"
-        )
+    # eigh sorts lam ascending and rounding is monotone, so for lam_0 > 0 the
+    # extremes of |l_i + l_j| are exactly 2 l_0 and 2 l_{m-1}; any other
+    # spectrum, or one that fails the check, takes the full reduction
+    if not (lam[0] > 0.0 and lam[-1] + lam[-1] <= COND_MAX * (lam[0] + lam[0])):
+        s_abs = np.abs(s)
+        s_min, s_max = s_abs.min(), s_abs.max()
+        if not s_max <= COND_MAX * s_min:
+            raise SingularJacobian(
+                f"Lyapunov spectrum ratio max|l_i+l_j|/min|l_i+l_j| = {s_max:.3e}/{s_min:.3e} "
+                f"exceeds {COND_MAX:.0e} at t={t:.6f} (bifurcation or near-dependence)"
+            )
     w = 1.0 / s
-    p = (g * a) @ v
-    bnij = (v[:, :, None] * (vh.T[:, None, :] * w)).reshape(m, m * m)
+    p = (g * a).dot(v)
+    bnij = (v[:, :, None] * (vc[:, None, :] * w)).reshape(m, m * m)
     # M_nk = 2 Re sum_ij B_nij conj(V_ki) P_kj with P = G D V
-    schur = -2.0 * (bnij @ (vh.T[:, :, None] * p[:, None, :]).reshape(m, m * m).T).real
-    schur.flat[:: m + 1] += 2.0 * a
-    y = vh @ rhs @ v
-    b = (bnij @ y.ravel()).real
+    schur = -2.0 * bnij.dot((vc[:, :, None] * p[:, None, :]).reshape(m, m * m).T).real
+    schur.ravel()[:: m + 1] += 2.0 * a  # a view: schur is contiguous
+    y = vh.dot(rhs).dot(v)
+    b = bnij.dot(y.ravel()).real
     try:
         schur_inv = np.linalg.inv(schur)
-        cond = np.abs(schur).sum(axis=0).max() * np.abs(schur_inv).sum(axis=0).max()
+        # the 1-norms of M and M^-1: column sums of |.|, both in one reduction
+        pair = np.abs(np.concatenate((schur, schur_inv))).reshape(2, m, m)
+        norms = pair.sum(axis=1).max(axis=1)
+        cond = norms[0] * norms[1]
     except np.linalg.LinAlgError:
         cond = np.inf
     if not cond <= COND_MAX:
@@ -216,10 +246,10 @@ def _tangent_solve(
             f"Schur system condition number {cond:.3e} exceeds {COND_MAX:.0e} "
             f"at t={t:.6f} (bifurcation or near-dependence)"
         )
-    da = schur_inv @ b
+    da = schur_inv.dot(b)
     # V^dag (D'GD + DGD') V = X + X^dag with X = V^dag D' P
-    x = (vh * da) @ p
-    return da, v @ ((y + x + x.conj().T) * w) @ vh
+    x = (vh * da).dot(p)
+    return da, v.dot((y + x + x.conj().T) * w).dot(vh)
 
 
 def _rate(
@@ -229,7 +259,7 @@ def _rate(
     """(a', f') at (a, f); ``eig`` is eigh(F) when the caller already has it."""
     eig = np.linalg.eigh(_factor(a, f, iu, ju)) if eig is None else eig
     da, dfmat = _tangent_solve(a, eig, g, a[:, None] * gdot * a, t)
-    return da, dfmat[iu, ju]
+    return da, dfmat.take(_layout(a.shape[0])[2])  # dfmat[iu, ju]
 
 
 def derivative(state: SolverState, trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -299,13 +329,14 @@ def rk4_drag(
     segments; by uniqueness of the optimum the result is independent of the
     path taken through admissible matrices.
 
-    ``steps * h`` must equal 1 so the run covers the whole trajectory, as
-    is checked before step 1.  The four stage derivatives use the exact
-    trajectory values G(t), G(t+h/2), G(t+h).  After every step the run
-    records the HS residual of F^2 - D G(t) D, the minimum eigenvalue of F
-    and the partial success probability.  ``polish`` (off by default,
-    leaving the raw integrator behavior observable) changes only the last
-    step: it finishes with Newton on the m scales at t = 1, driving
+    ``steps * h`` must equal 1 to within 1e-9 so the run covers the whole
+    trajectory, as is checked before step 1; the last step ends at t = 1
+    exactly.  The four stage derivatives use the exact trajectory values
+    G(t), G(t+h/2), G(t+h).  After every step the run records the HS
+    residual of F^2 - D G(t) D, the minimum eigenvalue of F and the partial
+    success probability.  ``polish`` (off by default, leaving the raw
+    integrator behavior observable) changes only the last step: it finishes
+    with Newton on the m scales at t = 1, driving
     Phi(a) = diag (DGD)^{1/2} - a^2 to zero with the step halved until
     ||Phi|| drops, and keeps F = (DGD)^{1/2} at the best a found.
 
@@ -365,15 +396,17 @@ def _integrate(
     t = 0.0
     g_now = path(t)
     eig = None  # eigh(F) at (a, f), shared by the step check and the next k1
+    half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k already rounds as (0.5 * h) * k
     for it in range(1, steps + 1):
-        g_mid = path(t + 0.5 * h)
+        g_mid = path(t + half)
         k1 = _rate(a, f, g_now, gdot, t, iu, ju, eig=eig)
-        k2 = _rate(a + 0.5 * h * k1[0], f + 0.5 * h * k1[1], g_mid, gdot, t, iu, ju)
-        k3 = _rate(a + 0.5 * h * k2[0], f + 0.5 * h * k2[1], g_mid, gdot, t, iu, ju)
+        k2 = _rate(a + half * k1[0], f + half * k1[1], g_mid, gdot, t, iu, ju)
+        k3 = _rate(a + half * k2[0], f + half * k2[1], g_mid, gdot, t, iu, ju)
         k4 = _rate(a + h * k3[0], f + h * k3[1], path(t + h), gdot, t, iu, ju)
-        a = a + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        f = f + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        t = it * h
+        a = a + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        f = f + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        # steps * h may miss 1 by up to 1e-9; the last step lands on t = 1 exactly
+        t = 1.0 if it == steps else it * h
 
         # no admissibility check on G(t): its smallest eigenvalue is concave in t,
         # and GramMatrix already holds both endpoints above EPS_LI

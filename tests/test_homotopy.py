@@ -133,6 +133,15 @@ class TestRk4Drag:
         with pytest.raises(ValueError, match="steps\\*h must equal 1"):
             ms.rk4_drag(ms.Trajectory(identity_gram(3), g), steps=100, h=float("nan"))
 
+    def test_last_step_lands_on_t_one(self):
+        # 3 * 0.3333333333 is within 1e-9 of 1 but not 1: the polished finish and
+        # the certificate must both work at G(1)
+        gram = ms.reference_five_state_gram()
+        report = solve_direct(gram, steps=3, h=0.3333333333, polish=True)
+        assert report.trace[-1, 1] == 1.0
+        reference = solve_direct(gram, steps=1000, h=1e-3, polish=True)
+        assert abs(report.certificate.p_success - reference.certificate.p_success) <= 1e-13
+
     def test_hermiticity_is_structural(self):
         report = solve_direct(random_gram(4, seed=92))
         f = report.final_state.matrix
@@ -295,6 +304,24 @@ def _random_point(rng, m, real, indefinite):
         lam = np.linalg.eigvalsh(_factor(a, f, iu, ju))
         if (lam[0] < 0.0) == indefinite and np.min(np.abs(lam[:, None] + lam[None, :])) > 0.05:
             return a, f, g.astype(complex), gd.astype(complex)
+
+
+class TestFactor:
+    @pytest.mark.parametrize("m", [2, 3, 8, 16])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_hermitian_layout(self, m, real):
+        rng = np.random.default_rng(200 + m)
+        iu, ju = _triu(m)
+        a = rng.uniform(0.3, 1.0, m)
+        f = rng.normal(size=iu.size) + (0.0 if real else 1j) * rng.normal(size=iu.size)
+        if real:
+            f = f.real
+        fmat = _factor(a, f, iu, ju)
+        assert fmat.shape == (m, m)
+        assert fmat.dtype == (np.float64 if real else np.complex128)
+        assert np.array_equal(fmat, fmat.conj().T)
+        assert np.array_equal(fmat.diagonal(), a * a)
+        assert np.array_equal(fmat[iu, ju], f)
 
 
 class TestTangentSolve:
