@@ -177,7 +177,8 @@ def _solve_one(gram: GramMatrix, args, via: _ViaLeg | None) -> RunReport:
             g_start, start = via.gram, via.final_state()
         report = rk4_drag(Trajectory(g_start, gram), steps=args.steps, h=args.h,
                           polish=args.polish, initial=start)
-    except MedError as exc:
+    except (MedError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError, but it is a numerical failure, not a bad argument
         raise _CliFailure(EXIT_FAILED, f"solver failed: {exc}") from exc
     except (ValueError, MemoryError) as exc:
         # the drag rejects --steps/--h it cannot run, and a --steps whose

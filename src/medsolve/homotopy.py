@@ -34,7 +34,15 @@ operation or its order: 2-D products go through ``ndarray.dot`` (the BLAS
 call of ``@`` with less dispatch), F is gathered by one ``take`` through a
 per-m index table, the Lyapunov check reads the extremes of a positive
 spectrum off the ends of the sorted eigenvalues, and the 1-norms of the
-Schur matrix and its inverse come from one reduction.
+Schur matrix and its inverse come from one reduction.  ``eigh`` and ``inv``
+call numpy's LAPACK gufuncs (``_umath_linalg.eigh_lo`` and ``.inv``, what
+``np.linalg.eigh`` and ``np.linalg.inv`` call) without the wrapper's
+per-call array checks, dtype casts and error-state context, which cost as
+much as the factorization itself at these sizes.  The wrapper's one other
+duty is kept: the kernel flags a singular Schur matrix as an invalid
+operation, which the solve raises as SingularJacobian without a warning.
+A non-finite F yields NaN eigenvalues rather than an error, which the
+Lyapunov check and the positivity check after each step reject.
 
 Hermiticity is preserved structurally: the state stores a_i and the strict
 upper triangle of F, so a_i stays real and f_ji = conj(f_ij) exactly.
@@ -48,6 +56,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+# the gufuncs behind np.linalg.eigh and np.linalg.inv, called without that
+# wrapper's per-call checks and casts: the same LAPACK call on the same data
+from numpy.linalg import _umath_linalg
 
 from .certify import RESIDUAL_GATE, Certificate, certify_gram
 from .exceptions import NearLinearDependence, NotCertified, PositivityLost, SingularJacobian
@@ -234,12 +245,15 @@ def _tangent_solve(
     y = vh.dot(rhs).dot(v)
     b = bnij.dot(y.ravel()).real
     try:
-        schur_inv = np.linalg.inv(schur)
+        # the kernel flags a singular matrix as an invalid operation (and
+        # returns NaNs), which np.linalg.inv raised as LinAlgError
+        with np.errstate(invalid="raise"):
+            schur_inv = _umath_linalg.inv(schur)
         # the 1-norms of M and M^-1: column sums of |.|, both in one reduction
         pair = np.abs(np.concatenate((schur, schur_inv))).reshape(2, m, m)
         norms = pair.sum(axis=1).max(axis=1)
         cond = norms[0] * norms[1]
-    except np.linalg.LinAlgError:
+    except FloatingPointError:
         cond = np.inf
     if not cond <= COND_MAX:
         raise SingularJacobian(
@@ -257,7 +271,7 @@ def _rate(
     ju: np.ndarray, eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(a', f') at (a, f); ``eig`` is eigh(F) when the caller already has it."""
-    eig = np.linalg.eigh(_factor(a, f, iu, ju)) if eig is None else eig
+    eig = _umath_linalg.eigh_lo(_factor(a, f, iu, ju)) if eig is None else eig
     da, dfmat = _tangent_solve(a, eig, g, a[:, None] * gdot * a, t)
     return da, dfmat.take(_layout(a.shape[0])[2])  # dfmat[iu, ju]
 
@@ -276,7 +290,7 @@ def derivative(state: SolverState, trajectory: Trajectory) -> tuple[np.ndarray, 
 
 def _positive_root(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, tuple, float]:
     """F = (DGD)^{1/2}, its eigenpairs (s, V) from eigh(DGD) = (s^2, V), and ||Phi(a)||_2."""
-    lam, v = np.linalg.eigh(a[:, None] * g * a)
+    lam, v = _umath_linalg.eigh_lo(a[:, None] * g * a)
     s = np.sqrt(np.maximum(lam, 0.0))
     fmat = (v * s) @ v.conj().T
     return fmat, (s, v), float(np.linalg.norm(fmat.diagonal().real - a * a))
@@ -420,9 +434,9 @@ def _integrate(
                 "target is too close to linear dependence"
             )
         fmat = _factor(a, f, iu, ju)
-        eig = np.linalg.eigh(fmat)
+        eig = _umath_linalg.eigh_lo(fmat)
         f_min = float(eig[0][0])
-        if f_min < 0.0:
+        if not f_min >= 0.0:  # a NaN spectrum fails here too
             raise PositivityLost(
                 f"factor F lost positive definiteness at t={t:.6f} (min eig {f_min:.3e})"
             )

@@ -280,6 +280,41 @@ class TestSolve:
         assert "broken: failed (64)" in capsys.readouterr().out
 
     @staticmethod
+    def _svd_fails_at(monkeypatch, m):
+        """Make the SVD of every m x m matrix (the polar snap of certify_gram) fail."""
+        svd = np.linalg.svd
+
+        def failing(mat, *args, **kwargs):
+            if mat.shape[0] == m:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+
+    def test_linalg_error_is_a_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, which --steps/--h rejections raise
+        self._svd_fails_at(monkeypatch, 3)
+        inp = write_gram(tmp_path / "g.json", random_gram(3, seed=814))
+        code = main(["solve", inp, "--out", str(tmp_path), "--steps", "100", "--h", "1e-2"])
+        assert code == 3
+        assert capsys.readouterr().err == "solver failed: SVD did not converge\n"
+        assert not (tmp_path / "g-report.json").exists()
+
+    def test_batch_goes_on_past_a_linalg_error(self, tmp_path, capsys, monkeypatch):
+        self._svd_fails_at(monkeypatch, 3)
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        write_gram(batch / "a.json", random_gram(3, seed=815))
+        write_gram(batch / "b.json", random_gram(2, seed=816))
+        out = tmp_path / "out"
+        code = main(["solve", "--batch", str(batch), "--out", str(out),
+                     "--steps", "100", "--h", "1e-2"])
+        assert code == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "a: failed (3)" and lines[1].startswith("b: optimal")
+        assert (out / "b-report.json").exists() and not (out / "a-report.json").exists()
+
+    @staticmethod
     def _batch_via(tmp_path, monkeypatch, drag, sizes=(2, 2, 2)):
         """Run ``solve --batch --from`` over inputs a, b, c of the given sizes
         and a 2-state --from matrix; returns the exit code and the end matrix

@@ -2,6 +2,7 @@
 
 import logging
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -188,11 +189,39 @@ class TestRk4Drag:
         with pytest.raises(ms.ResidualTooLarge):
             solve_direct(ms.raw_gram(ens), steps=200, h=5e-3, polish=True)
 
+    @pytest.mark.parametrize("step", [4, 10], ids=["mid-run", "last"])
+    def test_nan_spectrum_at_the_step_check_loses_positivity(self, monkeypatch, step):
+        # step 1 calls eigh for k1..k4 and the check, every later step for k2..k4 and
+        # the check (k1 reuses it): the check after ``step`` is call 5 + 4 (step - 1)
+        nan_at = _KernelsWithNanEigh(5 + 4 * (step - 1))
+        monkeypatch.setattr(homotopy, "_umath_linalg", nan_at)
+        t = f"{step / 10:.6f}"
+        with pytest.raises(ms.PositivityLost, match=rf"at t={t} \(min eig nan\)$"):
+            solve_direct(random_gram(3, seed=96), steps=10, h=0.1)
+        assert nan_at.calls == nan_at.nan_call
+
     def test_trace_layout(self):
         report = solve_direct(random_gram(2, seed=95), steps=100, h=1e-2)
         assert report.trace.shape == (100, 5)
         assert report.trace[0, 0] == 1 and report.trace[-1, 0] == 100
         assert report.trace[-1, 1] == pytest.approx(1.0, abs=1e-12)
+
+
+class _KernelsWithNanEigh:
+    """numpy's LAPACK gufuncs, except that call ``nan_call`` of eigh_lo returns NaNs."""
+
+    def __init__(self, nan_call):
+        self.nan_call, self.calls = nan_call, 0
+
+    def __getattr__(self, name):
+        return getattr(np.linalg._umath_linalg, name)
+
+    def eigh_lo(self, mat):
+        self.calls += 1
+        lam, v = np.linalg._umath_linalg.eigh_lo(mat)
+        if self.calls == self.nan_call:
+            return np.full_like(lam, np.nan), np.full_like(v, np.nan)
+        return lam, v
 
 
 @pytest.fixture
@@ -384,6 +413,44 @@ class TestTangentSolve:
         again, _ = _finish(a, gram.entries, 1.0, *_triu(4))
         assert np.array_equal(again, a)
         assert len(calls) <= 10
+
+
+class TestLapackKernels:
+    """The drag calls numpy's LAPACK gufuncs without np.linalg's wrapper: they must
+    exist and give the wrapper's results bit for bit, else a numpy upgrade changes
+    the drag's output or breaks it."""
+
+    @staticmethod
+    def _same(x, y):
+        return x.dtype == y.dtype and np.array_equal(x, y)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_kernels_match_the_wrappers(self, m, real):
+        rng = np.random.default_rng(230 + m + 100 * real)
+        z = rng.normal(size=(m, m)) + (0.0 if real else 1j) * rng.normal(size=(m, m))
+        if real:
+            z = z.real
+        herm = z + z.conj().T
+        lam, v = homotopy._umath_linalg.eigh_lo(herm)
+        want = np.linalg.eigh(herm)
+        assert self._same(lam, want.eigenvalues) and self._same(v, want.eigenvectors)
+        assert lam.dtype == np.float64 and v.dtype == z.dtype
+        assert self._same(homotopy._umath_linalg.inv(z), np.linalg.inv(z))
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_singular_schur_raises_without_a_warning(self, m):
+        # F = diag(a^2) at G = I/m: the Schur matrix diag(2 a_n - 1 / (m a_n)) has
+        # an exact zero in its first entry, which the bare inv flags as invalid
+        a = np.full(m, 0.8)
+        a[0] = np.sqrt(0.5 / m)
+        g = np.eye(m) / m
+        gdot = np.diag(np.linspace(-1.0, 1.0, m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ms.SingularJacobian,
+                               match=r"^Schur system condition number inf exceeds 1e\+12 "):
+                _rate(a, np.zeros(m * (m - 1) // 2), g, gdot, 0.625, *_triu(m))
 
 
 class TestTrajectoryAdmissibility:
