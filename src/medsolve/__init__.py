@@ -36,7 +36,6 @@ from .gram import (
     EPS_LI,
     Ensemble,
     GramMatrix,
-    dual_basis,
     ensemble_from_gram,
     random_ensemble,
     raw_gram,
@@ -90,7 +89,6 @@ __all__ = [
     "certify_povm",
     "classify_landscape",
     "derivative",
-    "dual_basis",
     "ensemble_from_gram",
     "geometric_audit",
     "helstrom",

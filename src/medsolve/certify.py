@@ -167,7 +167,7 @@ def certify_povm(ensemble: Ensemble, povm: Povm) -> Certificate:
 def certify_gram(gram: GramMatrix, f: np.ndarray) -> tuple[Certificate, Povm]:
     """(Certificate, dual-frame Povm) for a hermitian factor F offered as a solution at G.
 
-    Rejects F unless it is finite and hermitian and F^2 = D G D holds with
+    Rejects F unless it is finite, m x m and hermitian and F^2 = D G D holds with
     D = diag(sqrt(F_ii)) to RESIDUAL_GATE, then certifies the nearest
     unitary to U = G^{-1/2} D^{-1} F against the columns of G^{1/2}, the
     scaled states of the canonical realization, and returns U as the Povm.
@@ -175,8 +175,10 @@ def certify_gram(gram: GramMatrix, f: np.ndarray) -> tuple[Certificate, Povm]:
     certificate is judged at TOL_STAT and TOL_GLB.
     """
     f = np.asarray(f, dtype=complex)
-    if not np.all(np.isfinite(f)):
+    if not np.all(np.isfinite(f)):  # first, so None (a 0-d NaN here) reads as non-finite
         raise ValueError("factor F must be finite")
+    if f.shape != gram.entries.shape:
+        raise ValueError(f"factor F has shape {f.shape}, the Gram matrix has {gram.entries.shape}")
     if np.max(np.abs(f - f.conj().T)) > 1e-10:
         raise ValueError("factor F must be hermitian")
     a_sq = np.diagonal(f).real

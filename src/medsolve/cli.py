@@ -187,21 +187,22 @@ def _solve_one(gram: GramMatrix, args, via: _ViaLeg | None) -> RunReport:
     return replace(report, certificate=_judged(report.certificate, args))
 
 
-def _report_payload(report: RunReport, problem: GramMatrix | Ensemble, gram: GramMatrix) -> dict:
+def _report_payload(report: RunReport, problem: GramMatrix | Ensemble) -> dict:
     payload = run_report_to_dict(report)
     if isinstance(problem, Ensemble):
         # re-express the measurement in the ensemble's own space; the dual
         # frame vectors of the report are the polar-snapped U of the drag
         u = report.final_povm.vectors
-        payload["final_povm"] = povm_to_dict(povm_from_unitary(gram, u, ensemble=problem))
+        povm = povm_from_unitary(raw_gram(problem), u, ensemble=problem)
+        payload["final_povm"] = povm_to_dict(povm)
     return payload
 
 
 def _write_solve_outputs(
-    report: RunReport, problem: GramMatrix | Ensemble, gram: GramMatrix, out: Path, stem: str
+    report: RunReport, problem: GramMatrix | Ensemble, out: Path, stem: str
 ) -> Path:
     report_path = out / f"{stem}-report.json"
-    write_json(report_path, _report_payload(report, problem, gram))
+    write_json(report_path, _report_payload(report, problem))
     write_trace_csv(out / f"{stem}-trace.csv", report.trace)
     return report_path
 
@@ -232,7 +233,7 @@ def cmd_solve(args) -> int:
             print(f"{path.stem}: failed ({exc.code})")
             worst = max(worst, exc.code)
             continue
-        report_path = _write_solve_outputs(report, problem, gram, out, path.stem)
+        report_path = _write_solve_outputs(report, problem, out, path.stem)
         cert = report.certificate
         print(
             f"{path.stem}: {cert.status} p_success={cert.p_success:.12f} -> {report_path}"
@@ -323,7 +324,7 @@ def cmd_reproduce_fig1(args) -> int:
     gram = reference_five_state_gram()
     report = _solve_one(gram, args, None)
     out = _out_dir(args)
-    report_path = _write_solve_outputs(report, gram, gram, out, "fig1")
+    report_path = _write_solve_outputs(report, gram, out, "fig1")
     cert = report.certificate
     lg = np.log10(np.maximum(report.trace[:, 2], 1e-320))
     print(

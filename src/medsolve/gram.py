@@ -137,22 +137,6 @@ def raw_gram(ensemble: Ensemble) -> GramMatrix:
     return ensemble._gram
 
 
-def dual_basis(ensemble: Ensemble) -> np.ndarray:
-    """The unique set {|u_j>} with <psi~_i|u_j> = delta_ij.
-
-    Returned as the columns of a read-only (m, m) array: the inverse of the
-    conjugate-transposed scaled-state matrix.  Its Gram matrix equals G^{-1}.
-    """
-    scaled = ensemble.scaled_states
-    vectors = np.linalg.inv(scaled.conj().T)
-    resid = np.max(np.abs(scaled.conj().T @ vectors - np.eye(ensemble.m)))
-    if resid > 1e-10:
-        raise NearLinearDependence(
-            f"dual basis ill-conditioned (biorthogonality residual {resid:.3e})"
-        )
-    return read_only(vectors)
-
-
 def ensemble_from_gram(gram: GramMatrix) -> Ensemble:
     """Any ensemble realizing the given Gram matrix.
 

@@ -86,22 +86,18 @@ EPS_A = 1e-6
 
 
 @functools.cache
-def _layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only index tables of an m x m hermitian factor: the strict upper
-    triangle (iu, ju), its flat positions iu*m + ju, and the (m, m) table that
-    ``take`` reads F from in concatenate((a*a, f, conj f))."""
+def _layout(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index tables of an m x m hermitian factor: ``upper``, the flat
+    positions iu*m + ju of its strict upper triangle (iu, ju) = triu_indices(m, 1)
+    in row-major order, which is where f sits; and ``build``, the (m, m) table
+    that ``take`` reads F from in concatenate((a*a, f, conj f))."""
     iu, ju = np.triu_indices(m, 1)
-    upper = iu * m + ju
     n = iu.size
     build = np.empty((m, m), dtype=np.intp)
     build.flat[:: m + 1] = np.arange(m)
     build[iu, ju] = m + np.arange(n)
     build[ju, iu] = m + n + np.arange(n)
-    return read_only(iu), read_only(ju), read_only(upper), read_only(build)
-
-
-def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return _layout(m)[:2]
+    return read_only(iu * m + ju), read_only(build)
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,7 @@ class SolverState:
     @property
     def matrix(self) -> np.ndarray:
         """The hermitian factor F with F_ii = a_i^2."""
-        return _factor(self.a, self.f, *_triu(self.m))
+        return _factor(self.a, self.f)
 
     def residual(self, gram: GramMatrix) -> float:
         """HS norm of F^2 - D G D at this state."""
@@ -194,12 +190,10 @@ def initial_state(m: int) -> SolverState:
     )
 
 
-def _factor(a: np.ndarray, f: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
-    """The hermitian factor F with F_ii = a_i^2 and strict upper triangle f, in f's dtype.
-
-    (iu, ju) = _triu(m); the entries are gathered by one ``take`` through the
-    per-m table of ``_layout``, which lays them out in that same order."""
-    return np.concatenate((a * a, f, f.conj())).take(_layout(a.shape[0])[3])
+def _factor(a: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The hermitian factor F with F_ii = a_i^2 and strict upper triangle f, in f's dtype,
+    gathered by one ``take`` through the per-m table of ``_layout``."""
+    return np.concatenate((a * a, f, f.conj())).take(_layout(a.shape[0])[1])
 
 
 def _residual(a: np.ndarray, fmat: np.ndarray, g: np.ndarray) -> float:
@@ -267,13 +261,13 @@ def _tangent_solve(
 
 
 def _rate(
-    a: np.ndarray, f: np.ndarray, g: np.ndarray, gdot: np.ndarray, t: float, iu: np.ndarray,
-    ju: np.ndarray, eig: tuple[np.ndarray, np.ndarray] | None = None,
+    a: np.ndarray, f: np.ndarray, g: np.ndarray, gdot: np.ndarray, t: float,
+    eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(a', f') at (a, f); ``eig`` is eigh(F) when the caller already has it."""
-    eig = _umath_linalg.eigh_lo(_factor(a, f, iu, ju)) if eig is None else eig
+    eig = _umath_linalg.eigh_lo(_factor(a, f)) if eig is None else eig
     da, dfmat = _tangent_solve(a, eig, g, a[:, None] * gdot * a, t)
-    return da, dfmat.take(_layout(a.shape[0])[2])  # dfmat[iu, ju]
+    return da, dfmat.take(_layout(a.shape[0])[0])
 
 
 def derivative(state: SolverState, trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -283,9 +277,12 @@ def derivative(state: SolverState, trajectory: Trajectory) -> tuple[np.ndarray, 
     Lyapunov solve plus an m x m Schur system for a', O(m^4) work.  Raises
     SingularJacobian if either is conditioned beyond COND_MAX.  The returned
     direction preserves hermiticity exactly (a' real, upper triangle only).
+    ValueError if the state and the trajectory differ in dimension.
     """
+    if state.m != trajectory.m:
+        raise ValueError(f"state has dimension {state.m}, the trajectory has {trajectory.m}")
     t = state.t
-    return _rate(state.a, state.f, trajectory(t), trajectory.tangent(), t, *_triu(state.m))
+    return _rate(state.a, state.f, trajectory(t), trajectory.tangent(), t)
 
 
 def _positive_root(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, tuple, float]:
@@ -314,7 +311,7 @@ def _newton_correction(a: np.ndarray, g: np.ndarray, t: float, root: tuple) -> t
     return None
 
 
-def _finish(a: np.ndarray, g: np.ndarray, t: float, iu: np.ndarray, ju: np.ndarray) -> tuple:
+def _finish(a: np.ndarray, g: np.ndarray, t: float) -> tuple:
     """Newton on the m scales from the drag's end until no iteration lowers ||Phi||, at
     most _NEWTON_MAX: the best a and the upper triangle of (DGD)^{1/2} there."""
     root = _positive_root(a, g)
@@ -324,7 +321,7 @@ def _finish(a: np.ndarray, g: np.ndarray, t: float, iu: np.ndarray, ju: np.ndarr
         iterations, halvings = iterations + 1, halvings + k
     log.debug("newton finish: %d iterations, %d halvings, |Phi| %.3e -> %.3e",
               iterations, halvings, before, root[2])
-    return a, root[0][iu, ju]
+    return a, root[0].take(_layout(a.shape[0])[0])
 
 
 def rk4_drag(
@@ -396,7 +393,6 @@ def _integrate(
     """The RK4 loop of ``rk4_drag`` from (a, f) at t = 0, unchecked: (a, f) at
     t = 1 and the trace.  f comes back real when the path and the start have no
     imaginary part, complex otherwise."""
-    iu, ju = _triu(trajectory.m)
     g_start, g_end = trajectory.g_start.entries, trajectory.g_end.entries
     if not (g_start.imag.any() or g_end.imag.any() or f.imag.any()):
         # exact zeros only: the real parts are then the same path, so only rounding changes
@@ -413,10 +409,10 @@ def _integrate(
     half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k already rounds as (0.5 * h) * k
     for it in range(1, steps + 1):
         g_mid = path(t + half)
-        k1 = _rate(a, f, g_now, gdot, t, iu, ju, eig=eig)
-        k2 = _rate(a + half * k1[0], f + half * k1[1], g_mid, gdot, t, iu, ju)
-        k3 = _rate(a + half * k2[0], f + half * k2[1], g_mid, gdot, t, iu, ju)
-        k4 = _rate(a + h * k3[0], f + h * k3[1], path(t + h), gdot, t, iu, ju)
+        k1 = _rate(a, f, g_now, gdot, t, eig=eig)
+        k2 = _rate(a + half * k1[0], f + half * k1[1], g_mid, gdot, t)
+        k3 = _rate(a + half * k2[0], f + half * k2[1], g_mid, gdot, t)
+        k4 = _rate(a + h * k3[0], f + h * k3[1], path(t + h), gdot, t)
         a = a + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         f = f + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         # steps * h may miss 1 by up to 1e-9; the last step lands on t = 1 exactly
@@ -426,14 +422,14 @@ def _integrate(
         # and GramMatrix already holds both endpoints above EPS_LI
         g_now = path(t)
         if polish and it == steps:
-            a, f = _finish(a, g_now, t, iu, ju)
+            a, f = _finish(a, g_now, t)
 
         if a.min() <= EPS_A:
             raise NearLinearDependence(
                 f"scale a_{int(np.argmin(a))} fell to {a.min():.3e} at t={t:.6f}; "
                 "target is too close to linear dependence"
             )
-        fmat = _factor(a, f, iu, ju)
+        fmat = _factor(a, f)
         eig = _umath_linalg.eigh_lo(fmat)
         f_min = float(eig[0][0])
         if not f_min >= 0.0:  # a NaN spectrum fails here too

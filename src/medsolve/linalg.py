@@ -1,7 +1,8 @@
-"""Small dense linear-algebra helpers used throughout the package.
+"""Dense linear-algebra helpers shared by the package's modules.
 
-Everything here operates on plain ``numpy`` arrays; the matrices involved
-are tiny (m x m with m <= ~8), so readability wins over asymptotics.
+Each is a thin wrapper over one or two ``numpy`` calls on an m x m array:
+read-only marking, the hermitian part, the Hilbert-Schmidt norm, the polar
+and Haar-random unitaries, and the unitarity residual.
 """
 
 from __future__ import annotations

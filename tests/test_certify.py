@@ -1,6 +1,7 @@
 """Stationarity and global-optimality certification."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,13 @@ class TestCertifyGram:
         f = np.eye(3) / 3
         f[0, 1] = f[1, 0] = value
         with pytest.raises(ValueError, match="finite"):
+            ms.certify_gram(identity_gram(3), f)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (1, 3, 3), ()])
+    def test_rejects_factor_of_another_shape(self, shape):
+        f = np.full(shape, 1.0 / 3)
+        pattern = re.escape(f"factor F has shape {shape}, the Gram matrix has (3, 3)")
+        with pytest.raises(ValueError, match=f"^{pattern}$"):
             ms.certify_gram(identity_gram(3), f)
 
     def test_rejects_large_residual(self):

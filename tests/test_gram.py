@@ -64,26 +64,6 @@ class TestGramFromEnsemble:
         assert np.allclose(ms.raw_gram(ens).probs, ens.probs, atol=1e-14)
 
 
-class TestDualBasis:
-    def test_orthonormal_scaled_states_scale_by_sqrt_m(self):
-        ens = orthogonal_ensemble(3)
-        dual = ms.dual_basis(ens)
-        assert np.allclose(dual, np.sqrt(3) * ens.states, atol=1e-12)
-
-    def test_biorthogonality_residual(self):
-        ens = ms.random_ensemble(2, seed=5, spread=0.8)
-        dual = ms.dual_basis(ens)
-        resid = np.max(np.abs(ens.scaled_states.conj().T @ dual - np.eye(2)))
-        assert resid < 1e-12
-
-    def test_dual_gram_is_inverse(self):
-        ens = ms.random_ensemble(4, seed=11, spread=0.6)
-        dual = ms.dual_basis(ens)
-        dual_gram = dual.conj().T @ dual
-        g = ms.raw_gram(ens).entries
-        assert np.max(np.abs(dual_gram - np.linalg.inv(g))) < 1e-10
-
-
 class TestEnsembleFromGram:
     def test_identity_over_m(self):
         ens = ms.ensemble_from_gram(identity_gram(4))

@@ -13,7 +13,7 @@ from medsolve import homotopy, serialize
 from conftest import identity_gram, overlap_gram_m3, random_gram, seeded_grams, solve_direct
 from medsolve.certify import RESIDUAL_GATE
 from medsolve.homotopy import (
-    _factor, _finish, _integrate, _newton_correction, _positive_root, _rate, _triu,
+    _factor, _finish, _integrate, _newton_correction, _positive_root, _rate, _tangent_solve,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -64,6 +64,11 @@ class TestDerivative:
         assert r1 > 1e-12
         assert r2 / r1 == pytest.approx(4.0, rel=0.2)
 
+    def test_rejects_a_state_of_another_dimension(self):
+        traj = ms.Trajectory(identity_gram(3), overlap_gram_m3(0.9))
+        with pytest.raises(ValueError, match="^state has dimension 2, the trajectory has 3$"):
+            ms.derivative(ms.initial_state(2), traj)
+
     def test_matches_hand_coded_two_state_forms(self):
         # the assembled tangent solution must zero the four explicit
         # two-state rate equations at generic hermitian points
@@ -76,8 +81,7 @@ class TestDerivative:
             gd01 = rng.normal() + 1j * rng.normal()
             gdot = np.array([[rng.normal(), gd01], [np.conj(gd01), rng.normal()]])
 
-            iu, ju = _triu(2)
-            da, df = _rate(a, np.array([f12]), g, gdot, 0.0, iu, ju)
+            da, df = _rate(a, np.array([f12]), g, gdot, 0.0)
             f21, df12, df21 = np.conj(f12), df[0], np.conj(df[0])
 
             zeta11 = (4 * a[0] ** 3 * da[0] + f12 * df21 + f21 * df12
@@ -319,7 +323,7 @@ def _random_point(rng, m, real, indefinite):
     """Random a > 0, strict upper triangle f, Gram-like g and hermitian gdot,
     redrawn until F is definite or indefinite as asked and its Lyapunov
     spectrum |l_i + l_j| stays clear of zero."""
-    iu, ju = _triu(m)
+    n = m * (m - 1) // 2
     cplx = 0.0 if real else 1.0
     f_scale = 0.8 if indefinite else 0.05
     while True:
@@ -329,8 +333,8 @@ def _random_point(rng, m, real, indefinite):
         gd = rng.normal(size=(m, m)) + cplx * 1j * rng.normal(size=(m, m))
         gd = gd + gd.conj().T
         a = rng.uniform(0.3, 1.0, m)
-        f = f_scale * (rng.normal(size=iu.size) + cplx * 1j * rng.normal(size=iu.size))
-        lam = np.linalg.eigvalsh(_factor(a, f, iu, ju))
+        f = f_scale * (rng.normal(size=n) + cplx * 1j * rng.normal(size=n))
+        lam = np.linalg.eigvalsh(_factor(a, f))
         if (lam[0] < 0.0) == indefinite and np.min(np.abs(lam[:, None] + lam[None, :])) > 0.05:
             return a, f, g.astype(complex), gd.astype(complex)
 
@@ -340,17 +344,23 @@ class TestFactor:
     @pytest.mark.parametrize("real", [False, True])
     def test_hermitian_layout(self, m, real):
         rng = np.random.default_rng(200 + m)
-        iu, ju = _triu(m)
+        iu, ju = np.triu_indices(m, 1)
         a = rng.uniform(0.3, 1.0, m)
         f = rng.normal(size=iu.size) + (0.0 if real else 1j) * rng.normal(size=iu.size)
         if real:
             f = f.real
-        fmat = _factor(a, f, iu, ju)
+        fmat = _factor(a, f)
         assert fmat.shape == (m, m)
         assert fmat.dtype == (np.float64 if real else np.complex128)
         assert np.array_equal(fmat, fmat.conj().T)
         assert np.array_equal(fmat.diagonal(), a * a)
         assert np.array_equal(fmat[iu, ju], f)
+        # _rate reads f' out of the full F' by the same layout
+        a, f, g, gdot = _random_point(rng, m, real, indefinite=False)
+        eig = homotopy._umath_linalg.eigh_lo(_factor(a, f))
+        df = _rate(a, f, g, gdot, 0.0)[1]
+        dfmat = _tangent_solve(a, eig, g, a[:, None] * gdot * a, 0.0)[1]
+        assert np.array_equal(df, dfmat[iu, ju])
 
 
 class TestTangentSolve:
@@ -360,10 +370,9 @@ class TestTangentSolve:
     def test_satisfies_hermitian_equation(self, m, real, indefinite):
         rng = np.random.default_rng(100 * m + 10 * real + indefinite)
         a, f, g, gdot = _random_point(rng, m, real, indefinite)
-        iu, ju = _triu(m)
-        da, df = _rate(a, f, g, gdot, 0.0, iu, ju)
-        fmat = _factor(a, f, iu, ju)
-        dfmat = _factor(np.ones(m), df, iu, ju)
+        da, df = _rate(a, f, g, gdot, 0.0)
+        fmat = _factor(a, f)
+        dfmat = _factor(np.ones(m), df)
         dfmat[np.diag_indices(m)] = 2.0 * a * da
         d, dd = np.diag(a), np.diag(da)
         lhs = dfmat @ fmat + fmat @ dfmat - dd @ g @ d - d @ g @ dd
@@ -378,7 +387,7 @@ class TestTangentSolve:
         g = np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)
         gdot = np.array([[0.1, 0.2], [0.2, -0.1]], dtype=complex)
         with pytest.raises(ms.SingularJacobian, match=r"t=0\.250000"):
-            _rate(a, f, g, gdot, 0.25, *_triu(2))
+            _rate(a, f, g, gdot, 0.25)
 
     def test_newton_correction_reduces_residual(self):
         gram = random_gram(4, seed=150, spread=0.7)
@@ -393,10 +402,11 @@ class TestTangentSolve:
         gram = random_gram(4, seed=150, spread=0.7)
         a = solve_direct(gram).final_state.a
         a = a + 1e-4 * np.random.default_rng(151).normal(size=4)
-        f = _positive_root(a, gram.entries)[0][_triu(4)]
+        f = _positive_root(a, gram.entries)[0][np.triu_indices(4, 1)]
         assert ms.SolverState(t=1.0, a=a, f=f).residual(gram) > 1e-5
-        a, f = _finish(a, gram.entries, 1.0, *_triu(4))
+        a, f = _finish(a, gram.entries, 1.0)
         assert ms.SolverState(t=1.0, a=a, f=f).residual(gram) <= 1e-14
+        assert np.array_equal(f, _positive_root(a, gram.entries)[0][np.triu_indices(4, 1)])
 
     def test_finish_from_a_converged_optimum_stops_halving(self, monkeypatch):
         # the last iteration cannot lower ||Phi||; its halvings stop once the halved
@@ -410,7 +420,7 @@ class TestTangentSolve:
             return _positive_root(*args)
 
         monkeypatch.setattr(homotopy, "_positive_root", counted)
-        again, _ = _finish(a, gram.entries, 1.0, *_triu(4))
+        again, _ = _finish(a, gram.entries, 1.0)
         assert np.array_equal(again, a)
         assert len(calls) <= 10
 
@@ -450,7 +460,7 @@ class TestLapackKernels:
             warnings.simplefilter("error")
             with pytest.raises(ms.SingularJacobian,
                                match=r"^Schur system condition number inf exceeds 1e\+12 "):
-                _rate(a, np.zeros(m * (m - 1) // 2), g, gdot, 0.625, *_triu(m))
+                _rate(a, np.zeros(m * (m - 1) // 2), g, gdot, 0.625)
 
 
 class TestTrajectoryAdmissibility:

@@ -31,7 +31,9 @@ class TestPovmFromUnitary:
         g = ms.raw_gram(ens)
         u = haar_unitary(np.random.default_rng(3), 4)
         povm = ms.povm_from_unitary(g, u, ensemble=ens)
-        assert np.max(np.abs(povm.vectors - ms.dual_basis(ens) @ g.sqrt() @ u)) < 1e-13
+        # the dual basis {|u_j>}, <psi~_i|u_j> = delta_ij: the inverse of S^dag
+        dual = np.linalg.inv(ens.scaled_states.conj().T)
+        assert np.max(np.abs(povm.vectors - dual @ g.sqrt() @ u)) < 1e-13
 
     def test_near_dependent_ambient_basis_stays_orthonormal(self):
         # min eig G 2.0e-8: the dual basis times G^{1/2} U is off by 2.8e-9

@@ -44,7 +44,6 @@ PUBLIC = {
     "certify_povm",
     "classify_landscape",
     "derivative",
-    "dual_basis",
     "ensemble_from_gram",
     "geometric_audit",
     "helstrom",
@@ -69,7 +68,7 @@ def test_root_namespace_is_all():
 
 
 def test_all_is_the_pinned_surface():
-    assert len(ms.__all__) == len(PUBLIC) == 45
+    assert len(ms.__all__) == len(PUBLIC) == 44
     assert set(ms.__all__) == PUBLIC
 
 

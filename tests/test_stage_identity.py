@@ -19,7 +19,7 @@ import medsolve as ms
 from conftest import identity_gram, random_gram
 from medsolve import homotopy
 from medsolve.exceptions import NearLinearDependence, PositivityLost, SingularJacobian
-from medsolve.homotopy import COND_MAX, EPS_A, Trajectory, _finish, _triu
+from medsolve.homotopy import COND_MAX, EPS_A, Trajectory, _finish
 from medsolve.linalg import hs_norm
 
 # ---------------------------------------------------------------- frozen copies
@@ -103,7 +103,7 @@ def _integrate(
     """The RK4 loop of ``rk4_drag`` from (a, f) at t = 0, unchecked: (a, f) at
     t = 1 and the trace.  f comes back real when the path and the start have no
     imaginary part, complex otherwise."""
-    iu, ju = _triu(trajectory.m)
+    iu, ju = np.triu_indices(trajectory.m, 1)
     g_start, g_end = trajectory.g_start.entries, trajectory.g_end.entries
     if not (g_start.imag.any() or g_end.imag.any() or f.imag.any()):
         # exact zeros only: the real parts are then the same path, so only rounding changes
@@ -131,7 +131,7 @@ def _integrate(
         # and GramMatrix already holds both endpoints above EPS_LI
         g_now = path(t)
         if polish and it == steps:
-            a, f = _finish(a, g_now, t, iu, ju)
+            a, f = _finish(a, g_now, t)
 
         if a.min() <= EPS_A:
             raise NearLinearDependence(
@@ -178,13 +178,13 @@ def _point(rng, m, real):
 @pytest.mark.parametrize("real", [False, True])
 def test_rate_is_byte_identical(m, real):
     rng = np.random.default_rng(700 + 10 * m + real)
-    iu, ju = _triu(m)
+    iu, ju = np.triu_indices(m, 1)
     for _ in range(5):
         a, f, g, gdot = _point(rng, m, real)
-        assert _same(homotopy._factor(a, f, iu, ju), _factor(a, f, iu, ju))
+        assert _same(homotopy._factor(a, f), _factor(a, f, iu, ju))
         eig = np.linalg.eigh(_factor(a, f, iu, ju))
         for given in (None, eig):
-            da, df = homotopy._rate(a, f, g, gdot, 0.5, iu, ju, eig=given)
+            da, df = homotopy._rate(a, f, g, gdot, 0.5, eig=given)
             da_ref, df_ref = _rate(a, f, g, gdot, 0.5, iu, ju, eig=given)
             assert _same(da, da_ref) and _same(df, df_ref)
 
@@ -249,11 +249,15 @@ def test_schur_check_agrees_with_the_separate_norms(m, offset):
     f = np.zeros(m * (m - 1) // 2)
     g = np.eye(m) / m
     gdot = np.diag(np.linspace(-1.0, 1.0, m))
-    iu, ju = _triu(m)
+    iu, ju = np.triu_indices(m, 1)
+
+    def frozen(*args):
+        return _rate(*args, iu, ju)
+
     outcomes = []
-    for rate in (homotopy._rate, _rate):
+    for rate in (homotopy._rate, frozen):
         try:
-            outcomes.append(rate(a, f, g, gdot, 0.625, iu, ju))
+            outcomes.append(rate(a, f, g, gdot, 0.625))
         except SingularJacobian as exc:
             outcomes.append(str(exc))
     got, want = outcomes
