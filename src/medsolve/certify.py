@@ -59,8 +59,8 @@ class Certificate:
 
     Fields: the stationarity residual, the minimum eigenvalue of
     Z - p_i rho_i over i (>= -tol_glb certifies global optimality), the
-    minimum eigenvalue and positivity flag of the hermitian factor F, the
-    success probability and the dual value Tr(Z).
+    minimum eigenvalue of the hermitian factor F (``f_positive`` is derived
+    from it), the success probability and the dual value Tr(Z).
 
     The tolerances decide only ``status``.  The certifiers judge at TOL_STAT
     and TOL_GLB; ``dataclasses.replace(cert, tol_stat=..., tol_glb=...)``
@@ -70,7 +70,6 @@ class Certificate:
     stationarity_residual: float
     global_min_eig: float
     f_min_eig: float
-    f_positive: bool
     p_success: float
     tr_z: float
     tol_stat: float = TOL_STAT
@@ -79,6 +78,11 @@ class Certificate:
     def __post_init__(self):
         check_tolerance("tol_stat", self.tol_stat)
         check_tolerance("tol_glb", self.tol_glb)
+
+    @property
+    def f_positive(self) -> bool:
+        """Whether F is positive definite, read off ``f_min_eig``."""
+        return self.f_min_eig > 0.0
 
     @property
     def is_stationary(self) -> bool:
@@ -98,6 +102,11 @@ class Certificate:
     def exit_code(self) -> int:
         """CLI contract: 0 optimal, 2 stationary-not-global, 3 not stationary."""
         return _EXIT_CODES[self.status]
+
+
+def factor_residual(a: np.ndarray, fmat: np.ndarray, g: np.ndarray) -> float:
+    """HS norm of F^2 - D G D with D = diag(a), the constraint the optimum's factor solves."""
+    return hs_norm(fmat.dot(fmat) - a[:, None] * g * a)
 
 
 def _overlaps(ensemble: Ensemble, povm: Povm) -> np.ndarray:
@@ -136,7 +145,7 @@ def _hermitian_factor(overlaps: np.ndarray) -> np.ndarray:
     phases = diag / np.abs(diag)
     w = overlaps * phases.conj()[None, :]
     d = np.diagonal(w).real
-    return hermitize(np.diag(d) @ w)
+    return hermitize(d[:, None] * w)
 
 
 def _certify(
@@ -145,12 +154,10 @@ def _certify(
     """Certificate of the basis ``vectors`` against the scaled states, from
     their overlap matrix ``o``, the hermitian factor ``f`` and ``p_success``."""
     z = hermitize(_raw_z(scaled, vectors, o))
-    f_min = float(np.linalg.eigvalsh(f)[0])
     return Certificate(
         stationarity_residual=_stationarity_residual(o),
         global_min_eig=_global_min_eig(scaled, z),
-        f_min_eig=f_min,
-        f_positive=f_min > 0.0,
+        f_min_eig=float(np.linalg.eigvalsh(f)[0]),
         p_success=p_success,
         tr_z=float(np.trace(z).real),
     )
@@ -184,15 +191,15 @@ def certify_gram(gram: GramMatrix, f: np.ndarray) -> tuple[Certificate, Povm]:
     a_sq = np.diagonal(f).real
     if np.any(a_sq <= 0.0):
         raise ValueError("factor F must have positive diagonal")
-    d = np.diag(np.sqrt(a_sq))
-    resid = hs_norm(f @ f - d @ gram.entries @ d)
+    a = np.sqrt(a_sq)
+    resid = factor_residual(a, f, gram.entries)
     if resid > RESIDUAL_GATE:
         raise ResidualTooLarge(
             f"F^2 - DGD has HS norm {resid:.3e} (gate {RESIDUAL_GATE:.1e})"
         )
     # The factorization residual leaks into unitarity at the same order;
     # snap to the nearest unitary before certifying.
-    u = polar_unitary(gram.inv_sqrt() @ np.linalg.solve(d, f))
+    u = polar_unitary(gram.inv_sqrt() @ (f / a[:, None]))
     r = gram.sqrt()
     cert = _certify(r, u, r.conj().T @ u, hermitize(f), float(np.sum(a_sq)))
     return cert, Povm(u)

@@ -60,10 +60,10 @@ import numpy as np
 # wrapper's per-call checks and casts: the same LAPACK call on the same data
 from numpy.linalg import _umath_linalg
 
-from .certify import RESIDUAL_GATE, Certificate, certify_gram
+from .certify import RESIDUAL_GATE, Certificate, certify_gram, factor_residual
 from .exceptions import NearLinearDependence, NotCertified, PositivityLost, SingularJacobian
 from .gram import GramMatrix
-from .linalg import hs_norm, read_only
+from .linalg import read_only
 from .measurement import Povm
 
 log = logging.getLogger(__name__)
@@ -133,7 +133,7 @@ class SolverState:
 
     def residual(self, gram: GramMatrix) -> float:
         """HS norm of F^2 - D G D at this state."""
-        return _residual(self.a, self.matrix, gram.entries)
+        return factor_residual(self.a, self.matrix, gram.entries)
 
 
 @dataclass(frozen=True)
@@ -194,11 +194,6 @@ def _factor(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The hermitian factor F with F_ii = a_i^2 and strict upper triangle f, in f's dtype,
     gathered by one ``take`` through the per-m table of ``_layout``."""
     return np.concatenate((a * a, f, f.conj())).take(_layout(a.shape[0])[1])
-
-
-def _residual(a: np.ndarray, fmat: np.ndarray, g: np.ndarray) -> float:
-    """HS norm of F^2 - D G D."""
-    return hs_norm(fmat.dot(fmat) - a[:, None] * g * a)
 
 
 def _tangent_solve(
@@ -436,6 +431,6 @@ def _integrate(
             raise PositivityLost(
                 f"factor F lost positive definiteness at t={t:.6f} (min eig {f_min:.3e})"
             )
-        resid = _residual(a, fmat, g_now)
+        resid = factor_residual(a, fmat, g_now)
         trace[it - 1] = (it, t, resid, f_min, float(np.sum(a**2)))
     return a, f, trace

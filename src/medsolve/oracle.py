@@ -151,13 +151,15 @@ def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
     ascends.  _RESTARTS random starts guard against the non-global
     stationary points; they advance together as one stack of unitaries,
     each with its own step, _MAX_ITER iterations and stopping test, and the
-    best value wins (the first one on ties).  Deterministic in ``seed``;
-    restricted to m <= 4 where restarts are cheap.  NoConvergence is raised
-    if the best run keeps a gradient norm above _GTOL.
+    best value wins (the first one on ties).  Deterministic in ``seed``
+    (>= 0); restricted to m <= 4 where restarts are cheap.  NoConvergence is
+    raised if the best run keeps a gradient norm above _GTOL.
     """
     m = gram.m
     if m > 4:
         raise ValueError("direct search is cost-guarded to m <= 4")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     r = gram.sqrt()
     z = np.random.default_rng(seed).normal(size=(_RESTARTS, 2, m, m))
     u, iterations, grad_norm = _ascend(r, polar_unitary(z[:, 0] + 1j * z[:, 1]), _MAX_ITER, _GTOL)

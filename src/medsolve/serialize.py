@@ -17,6 +17,7 @@ with columns iter,t,log10_hs_residual,min_eig_F,p_success_partial.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,27 @@ def _matrix_field(data: dict, key: str, m: int, context: str) -> np.ndarray:
     return arr
 
 
+def _complex_matrix(data: dict, name: str, m: int, context: str) -> np.ndarray:
+    """The m x m matrix held in the fields ``<name>_re`` and ``<name>_im``."""
+    re = _matrix_field(data, f"{name}_re", m, context)
+    return re + 1j * _matrix_field(data, f"{name}_im", m, context)
+
+
+def _dimension(data: dict, context: str) -> int:
+    """Field 'm' of a JSON object, an integer >= 2."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{context}: expected a JSON object")
+    m = _need(data, "m", context)
+    if not isinstance(m, int) or m < 2:
+        raise SchemaError(f"{context}: field 'm' must be an integer >= 2")
+    return m
+
+
+def _fields(obj) -> dict:
+    """A dataclass instance's fields by name, read shallowly (``asdict`` deep-copies)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def gram_to_dict(gram: GramMatrix) -> dict:
     return {"m": gram.m, "gram_re": _re(gram.entries), "gram_im": _im(gram.entries)}
 
@@ -73,16 +95,9 @@ def ensemble_to_dict(ensemble: Ensemble) -> dict:
 
 def load_gram_or_ensemble(data: dict, context: str = "input") -> GramMatrix | Ensemble:
     """Parse either schema; validation errors surface from the constructors."""
-    if not isinstance(data, dict):
-        raise SchemaError(f"{context}: expected a JSON object")
-    m = _need(data, "m", context)
-    if not isinstance(m, int) or m < 2:
-        raise SchemaError(f"{context}: field 'm' must be an integer >= 2")
+    m = _dimension(data, context)
     if "gram_re" in data:
-        entries = _matrix_field(data, "gram_re", m, context) + 1j * _matrix_field(
-            data, "gram_im", m, context
-        )
-        return GramMatrix(entries)
+        return GramMatrix(_complex_matrix(data, "gram", m, context))
     if "states_re" in data:
         try:
             probs = np.asarray(_need(data, "probs", context), dtype=float)
@@ -90,10 +105,7 @@ def load_gram_or_ensemble(data: dict, context: str = "input") -> GramMatrix | En
             raise SchemaError(f"{context}: field 'probs' is not numeric") from exc
         if probs.shape != (m,):
             raise SchemaError(f"{context}: field 'probs' must have length {m}")
-        states = _matrix_field(data, "states_re", m, context) + 1j * _matrix_field(
-            data, "states_im", m, context
-        )
-        return Ensemble(states.T, probs)
+        return Ensemble(_complex_matrix(data, "states", m, context).T, probs)
     raise SchemaError(f"{context}: need either field 'gram_re' or field 'states_re'")
 
 
@@ -108,14 +120,7 @@ def povm_to_dict(povm: Povm) -> dict:
 
 
 def povm_from_dict(data: dict, context: str = "povm") -> Povm:
-    if not isinstance(data, dict):
-        raise SchemaError(f"{context}: expected a JSON object")
-    m = _need(data, "m", context)
-    if not isinstance(m, int) or m < 2:
-        raise SchemaError(f"{context}: field 'm' must be an integer >= 2")
-    basis = _matrix_field(data, "basis_re", m, context) + 1j * _matrix_field(
-        data, "basis_im", m, context
-    )
+    basis = _complex_matrix(data, "basis", _dimension(data, context), context)
     frame = _need(data, "frame", context)
     if frame not in (FRAME_DUAL, FRAME_AMBIENT):
         raise SchemaError(f"{context}: field 'frame' must be 'dual' or 'ambient', got {frame!r}")
@@ -123,17 +128,7 @@ def povm_from_dict(data: dict, context: str = "povm") -> Povm:
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "stationarity_residual": cert.stationarity_residual,
-        "global_min_eig": cert.global_min_eig,
-        "f_min_eig": cert.f_min_eig,
-        "f_positive": cert.f_positive,
-        "p_success": cert.p_success,
-        "tr_z": cert.tr_z,
-        "tol_stat": cert.tol_stat,
-        "tol_glb": cert.tol_glb,
-        "status": cert.status,
-    }
+    return dict(_fields(cert), f_positive=cert.f_positive, status=cert.status)
 
 
 def solver_state_to_dict(state: SolverState) -> dict:
@@ -186,13 +181,7 @@ def landscape_to_dict(summary: LandscapeSummary) -> dict:
 
 
 def audit_to_dict(report: AuditReport) -> dict:
-    return {
-        "k0": report.k0,
-        "residuals": dict(sorted(report.residuals.items())),
-        "strict_margins": dict(sorted(report.strict_margins.items())),
-        "tol": report.tol,
-        "passed": report.passed,
-    }
+    return dict(_fields(report), passed=report.passed)
 
 
 def write_json(path: str | Path, payload: dict) -> None:

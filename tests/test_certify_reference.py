@@ -76,7 +76,6 @@ def _reference_certificate(ensemble, povm):
         stationarity_residual=_reference_stationarity(ensemble, povm),
         global_min_eig=_reference_global_min_eig(ensemble, z),
         f_min_eig=float(f_eigs[0]),
-        f_positive=bool(f_eigs[0] > 0.0),
         p_success=float(np.sum(np.abs(np.diagonal(o)) ** 2)),
         tr_z=float(np.trace(z).real),
     )

@@ -18,10 +18,6 @@ def sorted_real_roots(roots):
 
 
 class TestSolveStationary:
-    def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            ms.solve_stationary(random_gram(3, seed=7, real=True), seed=-1)
-
     def test_symmetric_case_has_the_five_known_roots(self):
         with pytest.warns(ms.RootCountAnomaly):
             roots = ms.solve_stationary(identity_gram(3))

@@ -1,13 +1,17 @@
 """The package root exports exactly the names in ``medsolve.__all__``, the
-CLI and the solver entry points take exactly the pinned options, and the
-enumeration records hold exactly the pinned fields."""
+CLI and the solver entry points take exactly the pinned options, the
+enumeration, certificate and audit records hold exactly the pinned fields,
+and every seeded entry point rejects a negative seed alike."""
 
 import argparse
 import dataclasses
 import inspect
 import types
 
+import pytest
+
 import medsolve as ms
+from conftest import random_gram
 from medsolve import cli
 
 PUBLIC = {
@@ -115,3 +119,27 @@ def test_enumeration_records_hold_the_pinned_fields():
         "StationaryRoot": ["values", "residual", "d_inv_sq", "jacobian_rank"],
         "LandscapeSummary": ["gram", "roots", "certificates"],
     }
+
+
+def test_certificate_and_audit_hold_the_pinned_fields():
+    # f_positive, status and passed are derived; the serializers write these
+    # fields plus those derived keys
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in (ms.Certificate, ms.AuditReport)}
+    assert fields == {
+        "Certificate": ["stationarity_residual", "global_min_eig", "f_min_eig", "p_success",
+                        "tr_z", "tol_stat", "tol_glb"],
+        "AuditReport": ["k0", "residuals", "strict_margins", "tol"],
+    }
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ms.random_ensemble(3, seed=-1, spread=0.5), id="random_ensemble"),
+    pytest.param(lambda: ms.solve_stationary(random_gram(3, seed=7, real=True), seed=-1),
+                 id="solve_stationary"),
+    pytest.param(lambda: ms.search_optimum(random_gram(3, seed=7), seed=-1),
+                 id="search_optimum"),
+])
+def test_seeded_entry_points_reject_a_negative_seed(call):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        call()
