@@ -25,8 +25,10 @@ representation-independent audit of solver output.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -107,13 +109,18 @@ class AuditReport:
     """Residuals and margins of the geometric optimality conditions.
 
     Each entry of ``residuals`` must be <= tol, and each entry of
-    ``strict_margins`` must be positive, for the audit to pass.
+    ``strict_margins`` must be positive, for the audit to pass.  Both are kept
+    as read-only copies, so the verdict cannot change after construction.
     """
 
     k0: float
-    residuals: dict[str, float]
-    strict_margins: dict[str, float]
+    residuals: Mapping[str, float]
+    strict_margins: Mapping[str, float]
     tol: float
+
+    def __post_init__(self):
+        for name in ("residuals", "strict_margins"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @property
     def passed(self) -> bool:

@@ -41,6 +41,7 @@ from .gram import (
 from .homotopy import RunReport, SolverState, Trajectory, rk4_drag
 from .measurement import FRAME_AMBIENT, FRAME_DUAL, povm_from_unitary
 from .serialize import (
+    _LOG_FLOOR,
     audit_to_dict,
     certificate_to_dict,
     ensemble_to_dict,
@@ -326,7 +327,7 @@ def cmd_reproduce_fig1(args) -> int:
     out = _out_dir(args)
     report_path = _write_solve_outputs(report, gram, out, "fig1")
     cert = report.certificate
-    lg = np.log10(np.maximum(report.trace[:, 2], 1e-320))
+    lg = np.log10(np.maximum(report.trace[:, 2], _LOG_FLOOR))
     print(
         f"fig1: {cert.status} p_success={cert.p_success:.12f} "
         f"log10_residual[{lg[0]:.2f} .. {lg[-1]:.2f}] -> {report_path}"

@@ -336,13 +336,13 @@ def rk4_drag(
     path taken through admissible matrices.
 
     ``steps * h`` must equal 1 to within 1e-9 so the run covers the whole
-    trajectory, as is checked before step 1; the last step ends at t = 1
-    exactly.  The four stage derivatives use the exact trajectory values
-    G(t), G(t+h/2), G(t+h).  After every step the run records the HS
-    residual of F^2 - D G(t) D, the minimum eigenvalue of F and the partial
-    success probability.  ``polish`` (off by default, leaving the raw
-    integrator behavior observable) changes only the last step: it finishes
-    with Newton on the m scales at t = 1, driving
+    trajectory, as is checked before step 1.  The stages of step k use
+    G(t_k), G(t_k + h/2) and G(t_{k+1}), with t_k = k h and t_steps = 1, and
+    name their own time when they fail; the step check reuses G(t_{k+1}) to
+    record the HS residual of F^2 - D G D, the minimum eigenvalue of F and
+    the partial success probability.  ``polish`` (off by default, leaving the
+    raw integrator behavior observable) changes only the last step: it
+    finishes with Newton on the m scales at t = 1, driving
     Phi(a) = diag (DGD)^{1/2} - a^2 to zero with the step halved until
     ||Phi|| drops, and keeps F = (DGD)^{1/2} at the best a found.
 
@@ -403,19 +403,19 @@ def _integrate(
     eig = None  # eigh(F) at (a, f), shared by the step check and the next k1
     half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k already rounds as (0.5 * h) * k
     for it in range(1, steps + 1):
-        g_mid = path(t + half)
+        # steps * h may miss 1 by up to 1e-9; the last step lands on t = 1 exactly
+        t_mid, t_next = t + half, 1.0 if it == steps else it * h
+        g_mid, g_next = path(t_mid), path(t_next)  # k4 and the step check share G(t_next)
         k1 = _rate(a, f, g_now, gdot, t, eig=eig)
-        k2 = _rate(a + half * k1[0], f + half * k1[1], g_mid, gdot, t)
-        k3 = _rate(a + half * k2[0], f + half * k2[1], g_mid, gdot, t)
-        k4 = _rate(a + h * k3[0], f + h * k3[1], path(t + h), gdot, t)
+        k2 = _rate(a + half * k1[0], f + half * k1[1], g_mid, gdot, t_mid)
+        k3 = _rate(a + half * k2[0], f + half * k2[1], g_mid, gdot, t_mid)
+        k4 = _rate(a + h * k3[0], f + h * k3[1], g_next, gdot, t_next)
         a = a + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         f = f + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        # steps * h may miss 1 by up to 1e-9; the last step lands on t = 1 exactly
-        t = 1.0 if it == steps else it * h
+        t, g_now = t_next, g_next
 
         # no admissibility check on G(t): its smallest eigenvalue is concave in t,
         # and GramMatrix already holds both endpoints above EPS_LI
-        g_now = path(t)
         if polish and it == steps:
             a, f = _finish(a, g_now, t)
 

@@ -181,7 +181,9 @@ def landscape_to_dict(summary: LandscapeSummary) -> dict:
 
 
 def audit_to_dict(report: AuditReport) -> dict:
-    return dict(_fields(report), passed=report.passed)
+    """The report's fields with plain dict copies of its read-only mappings, and ``passed``."""
+    return dict(_fields(report), residuals=dict(report.residuals),
+                strict_margins=dict(report.strict_margins), passed=report.passed)
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import medsolve as ms
+from medsolve import serialize
 from conftest import random_gram, seeded_grams, solve_direct
 from medsolve.bloch3 import boundary_form, d_tensor, gell_mann, star, to_bloch
 from medsolve.linalg import haar_unitary
@@ -151,6 +152,25 @@ class TestGeometricAudit:
         audit = ms.geometric_audit(realization, bent)
         assert not audit.passed
         assert audit.residuals["orthogonality"] > 1e-4
+
+    def test_verdict_cannot_be_edited(self):
+        ens = ms.Ensemble(np.eye(3), np.full(3, 1 / 3))
+        report = ms.geometric_audit(ens, ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))
+        assert report.passed
+        with pytest.raises(TypeError):
+            report.residuals["orthogonality"] = 1.0
+        with pytest.raises(TypeError):
+            report.strict_margins["dual_boundary"] = -1.0
+        payload = serialize.audit_to_dict(report)
+        payload["residuals"]["orthogonality"] = 1.0
+        payload["strict_margins"]["dual_boundary"] = -1.0
+        assert report.passed and report.residuals["orthogonality"] < 1e-12
+
+    def test_keeps_a_copy_of_its_mappings(self):
+        residuals = {"orthogonality": 0.0}
+        report = ms.AuditReport(k0=1.0, residuals=residuals, strict_margins={}, tol=1e-8)
+        residuals["orthogonality"] = 1.0
+        assert report.passed
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8])
     def test_rejects_bad_tolerance(self, tol):

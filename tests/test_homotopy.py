@@ -11,7 +11,7 @@ import pytest
 import medsolve as ms
 from medsolve import homotopy, serialize
 from conftest import identity_gram, overlap_gram_m3, random_gram, seeded_grams, solve_direct
-from medsolve.certify import RESIDUAL_GATE
+from medsolve.certify import RESIDUAL_GATE, factor_residual
 from medsolve.homotopy import (
     _factor, _finish, _integrate, _newton_correction, _positive_root, _rate, _tangent_solve,
 )
@@ -209,6 +209,52 @@ class TestRk4Drag:
         assert report.trace.shape == (100, 5)
         assert report.trace[0, 0] == 1 and report.trace[-1, 0] == 100
         assert report.trace[-1, 1] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestTimeGrid:
+    """Step k evaluates G at t_k, t_k + h/2 and t_{k+1} only (t_k = k h, t_steps = 1):
+    k4, the step check and the next k1 share one G(t_{k+1}), and each stage gets its
+    own time."""
+
+    @staticmethod
+    def _drag(monkeypatch, steps, h):
+        rates, checks = [], []  # (G, t) of every _rate call; G of every step check
+
+        def rate(a, f, g, gdot, t, eig=None):
+            rates.append((g, t))
+            return _rate(a, f, g, gdot, t, eig=eig)
+
+        def residual(a, fmat, g):
+            checks.append(g)
+            return factor_residual(a, fmat, g)
+
+        monkeypatch.setattr(homotopy, "_rate", rate)
+        monkeypatch.setattr(homotopy, "factor_residual", residual)
+        trajectory = ms.Trajectory(identity_gram(4), random_gram(4, seed=97))
+        start = ms.initial_state(4)
+        _integrate(trajectory, start.a, start.f, steps, h, False)
+        assert len(rates) == 4 * steps and len(checks) == steps
+        return trajectory, rates, checks
+
+    def test_stages_and_checks_share_the_grid(self, monkeypatch):
+        # 0.05 * k + 0.05 != 0.05 * (k + 1) for k = 5, 12, 14 and 17
+        steps, h = 20, 0.05
+        _, rates, checks = self._drag(monkeypatch, steps, h)
+        for k in range(steps):
+            g_next = rates[4 * k + 3][0]
+            assert np.array_equal(checks[k], g_next)
+            if k + 1 < steps:
+                assert np.array_equal(rates[4 * k + 4][0], g_next)
+        grid = [k * h for k in range(steps)] + [1.0]
+        want = [(t, t + 0.5 * h, t + 0.5 * h, t_next) for t, t_next in zip(grid, grid[1:])]
+        assert [t for _, t in rates] == [t for stage_times in want for t in stage_times]
+
+    def test_last_k4_sees_g_at_t_one(self, monkeypatch):
+        # 3 * 0.3333333333 = 0.9999999999: the last step still ends on G(1)
+        trajectory, rates, checks = self._drag(monkeypatch, 3, 0.3333333333)
+        g_one = trajectory(1.0)
+        assert np.array_equal(rates[-1][0], g_one) and np.array_equal(checks[-1], g_one)
+        assert rates[-1][1] == 1.0
 
 
 class _KernelsWithNanEigh:

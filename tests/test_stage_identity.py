@@ -7,9 +7,14 @@ F, the sorted-spectrum shortcut of the Lyapunov check, one reduction for
 both Schur 1-norms).  That rewrite keeps every floating-point operation and
 its order, so the solver must reproduce these copies bit for bit, in real and
 complex arithmetic, and raise the same errors with the same messages; a later
-rewrite that reorders roundoff has to say so here.  The one intended
-difference in ``_integrate`` is the time of the last step, exactly 1.0 now;
-the drags below use ``steps * h == 1.0``, where both agree.
+rewrite that reorders roundoff has to say so here.  Two differences in
+``_integrate`` are intended.  The first is the time of the last step, exactly
+1.0 now; the drags below use ``steps * h == 1.0``, where both agree.  The
+second is the time grid: each step evaluates G once at t_k + h/2 and once at
+t_{k+1}, so k4, the step check and the next k1 share one G(t_{k+1}) where
+k4 used to take G(t_k + h), which differs from it in the last bit at some
+steps, and each stage receives its own time for its failure messages.  The
+copy below carries that second change; the stage functions are unchanged.
 """
 
 import numpy as np
@@ -118,18 +123,18 @@ def _integrate(
     g_now = path(t)
     eig = None  # eigh(F) at (a, f), shared by the step check and the next k1
     for it in range(1, steps + 1):
-        g_mid = path(t + 0.5 * h)
+        t_mid, t_next = t + 0.5 * h, it * h
+        g_mid, g_next = path(t_mid), path(t_next)
         k1 = _rate(a, f, g_now, gdot, t, iu, ju, eig=eig)
-        k2 = _rate(a + 0.5 * h * k1[0], f + 0.5 * h * k1[1], g_mid, gdot, t, iu, ju)
-        k3 = _rate(a + 0.5 * h * k2[0], f + 0.5 * h * k2[1], g_mid, gdot, t, iu, ju)
-        k4 = _rate(a + h * k3[0], f + h * k3[1], path(t + h), gdot, t, iu, ju)
+        k2 = _rate(a + 0.5 * h * k1[0], f + 0.5 * h * k1[1], g_mid, gdot, t_mid, iu, ju)
+        k3 = _rate(a + 0.5 * h * k2[0], f + 0.5 * h * k2[1], g_mid, gdot, t_mid, iu, ju)
+        k4 = _rate(a + h * k3[0], f + h * k3[1], g_next, gdot, t_next, iu, ju)
         a = a + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         f = f + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        t = it * h
+        t, g_now = t_next, g_next
 
         # no admissibility check on G(t): its smallest eigenvalue is concave in t,
         # and GramMatrix already holds both endpoints above EPS_LI
-        g_now = path(t)
         if polish and it == steps:
             a, f = _finish(a, g_now, t)
 
