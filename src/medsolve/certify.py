@@ -10,13 +10,13 @@ Z = sum_k p_k rho_k Pi_k dominates every weighted state:
 
     Z - p_i rho_i >= 0   for all i.
 
-There is no duality gap, so at the optimum Tr(Z) equals the success
-probability.  Every field is read off the overlap matrix O = S^dag V,
-O_ij = <psi~_i|v_j> (scaled states and measurement basis as columns): the
-stationarity block has HS norm |O_jj O_jk^* - O_kj O_kk^*|, Z equals
-S diag(O) V^dag, and the optimum is the unique stationary point whose
-hermitian factor F = D O (O phase-fixed to a non-negative diagonal D) is
-positive definite -- equivalently, F is the positive square root of D G D.
+Tr(Z) = sum_i |O_ii|^2 is the success probability of any measurement; the
+optimum is where Z also dominates.  Every field is read off the overlap
+matrix O = S^dag V, O_ij = <psi~_i|v_j> (scaled states and measurement basis
+as columns): the stationarity block has HS norm |O_jj O_jk^* - O_kj O_kk^*|,
+Z equals S diag(O) V^dag, and the optimum is the unique stationary point
+whose hermitian factor F = D O (O phase-fixed to a non-negative diagonal D)
+is positive definite -- equivalently, F is the positive square root of D G D.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ class Certificate:
     Fields: the stationarity residual, the minimum eigenvalue of
     Z - p_i rho_i over i (>= -tol_glb certifies global optimality), the
     minimum eigenvalue of the hermitian factor F (``f_positive`` is derived
-    from it), the success probability and the dual value Tr(Z).
+    from it), the success probability sum_i |O_ii|^2 and Tr(Z), equal for any
+    measurement (``global_min_eig``, not Tr(Z), tells the optimum apart).
 
     The tolerances decide only ``status``.  The certifiers judge at TOL_STAT
     and TOL_GLB; ``dataclasses.replace(cert, tol_stat=..., tol_glb=...)``
@@ -148,17 +149,16 @@ def _hermitian_factor(overlaps: np.ndarray) -> np.ndarray:
     return hermitize(d[:, None] * w)
 
 
-def _certify(
-    scaled: np.ndarray, vectors: np.ndarray, o: np.ndarray, f: np.ndarray, p_success: float
-) -> Certificate:
-    """Certificate of the basis ``vectors`` against the scaled states, from
-    their overlap matrix ``o``, the hermitian factor ``f`` and ``p_success``."""
+def _certify(scaled: np.ndarray, vectors: np.ndarray) -> Certificate:
+    """Certificate of the basis ``vectors`` against the scaled states, every
+    field read off their overlap matrix O = S^dag V."""
+    o = scaled.conj().T @ vectors
     z = hermitize(_raw_z(scaled, vectors, o))
     return Certificate(
         stationarity_residual=_stationarity_residual(o),
         global_min_eig=_global_min_eig(scaled, z),
-        f_min_eig=float(np.linalg.eigvalsh(f)[0]),
-        p_success=p_success,
+        f_min_eig=float(np.linalg.eigvalsh(_hermitian_factor(o))[0]),
+        p_success=float(np.sum(np.abs(np.diagonal(o)) ** 2)),
         tr_z=float(np.trace(z).real),
     )
 
@@ -166,9 +166,9 @@ def _certify(
 def certify_povm(ensemble: Ensemble, povm: Povm) -> Certificate:
     """Full certificate for an explicit (ensemble, measurement) pair, judged at
     TOL_STAT and TOL_GLB."""
-    o = _overlaps(ensemble, povm)
-    p_success = float(np.sum(np.abs(np.diagonal(o)) ** 2))
-    return _certify(ensemble.scaled_states, povm.vectors, o, _hermitian_factor(o), p_success)
+    if ensemble.m != povm.m:
+        raise ValueError("ensemble and measurement dimensions differ")
+    return _certify(ensemble.scaled_states, povm.vectors)
 
 
 def certify_gram(gram: GramMatrix, f: np.ndarray) -> tuple[Certificate, Povm]:
@@ -178,8 +178,9 @@ def certify_gram(gram: GramMatrix, f: np.ndarray) -> tuple[Certificate, Povm]:
     D = diag(sqrt(F_ii)) to RESIDUAL_GATE, then certifies the nearest
     unitary to U = G^{-1/2} D^{-1} F against the columns of G^{1/2}, the
     scaled states of the canonical realization, and returns U as the Povm.
-    The success probability and the factor fields come from F itself; the
-    certificate is judged at TOL_STAT and TOL_GLB.
+    The success probability and the factor fields come from the measurement
+    it returns, as ``certify_povm`` reads them; the certificate is judged at
+    TOL_STAT and TOL_GLB.
     """
     f = np.asarray(f, dtype=complex)
     if not np.all(np.isfinite(f)):  # first, so None (a 0-d NaN here) reads as non-finite
@@ -200,6 +201,4 @@ def certify_gram(gram: GramMatrix, f: np.ndarray) -> tuple[Certificate, Povm]:
     # The factorization residual leaks into unitarity at the same order;
     # snap to the nearest unitary before certifying.
     u = polar_unitary(gram.inv_sqrt() @ (f / a[:, None]))
-    r = gram.sqrt()
-    cert = _certify(r, u, r.conj().T @ u, hermitize(f), float(np.sum(a_sq)))
-    return cert, Povm(u)
+    return _certify(gram.sqrt(), u), Povm(u)

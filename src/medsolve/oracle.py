@@ -17,7 +17,7 @@ import numpy as np
 from .exceptions import NoConvergence
 from .gram import GramMatrix
 from .linalg import polar_unitary
-from .measurement import Povm, povm_from_unitary
+from .measurement import FRAME_AMBIENT, Povm, povm_from_unitary
 
 #: random starts of the direct search, iteration budget of each, and the
 #: gradient norm below which an ascent has converged
@@ -63,7 +63,7 @@ def helstrom(p1: float, p2: float, overlap: complex) -> OracleResult:
     eigvals, eigvecs = np.linalg.eigh(gap)
     # outcome 1 <-> positive eigenvector, outcome 2 <-> negative one
     basis = eigvecs[:, ::-1] if eigvals[1] > 0 else eigvecs
-    povm = Povm(basis, frame="ambient")
+    povm = Povm(basis, frame=FRAME_AMBIENT)
     return OracleResult(p_success=float(p_success), povm=povm, method="closed_form")
 
 

@@ -15,6 +15,16 @@ factor of ``_hermitian_factor``, which the matrix product's accumulation of
 exact zeros set and the row scaling does not; the values are equal, and so
 is the spectrum (checked bitwise through ``f_min_eig``).  A later rewrite
 that reorders roundoff has to say so here.
+
+``certify_gram`` has since stopped taking ``p_success`` (sum a^2) and the
+factor (hermitize(F)) from the F it is given: it reads them off the overlap
+matrix of the measurement it returns, as ``certify_povm`` does.  That
+changes those two fields (and ``f_positive`` with ``f_min_eig``) by the
+difference between F and the factor of the snapped U.  They are compared
+bitwise with the frozen ``_certify`` fed the frozen ``certify_povm``'s
+overlap, factor and success probability at the frozen copy's U and
+G^{1/2}; every other field, U, the gate and its errors still match the
+frozen ``certify_gram`` bit for bit.
 """
 
 import json
@@ -143,6 +153,12 @@ def _assert_same_certify_gram(gram: ms.GramMatrix, f: np.ndarray, label: str) ->
         assert type(got) is type(want) and str(got) == str(want), label
         return type(want).__name__
     (cert, povm), (frozen, u) = got, want
+    # p_success and the factor fields are those of the measurement U at G^{1/2}
+    r = gram.sqrt()
+    o = r.conj().T @ u
+    attained = _certify(r, u, o, _hermitian_factor(o), float(np.sum(np.abs(np.diagonal(o)) ** 2)))
+    for name in ("p_success", "f_min_eig", "f_positive"):
+        frozen[name] = attained[name]
     _assert_same_certificate(cert, frozen, label)
     assert _same_array(povm.vectors, u), label
     return cert.status

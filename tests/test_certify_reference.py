@@ -10,7 +10,9 @@ computes exactly as the reference does (the factor F and the success
 probability) bit for bit.  The last test holds ``classify_landscape``, which
 certifies each root's factor through ``certify_gram``, to the former root
 route: U = G^{-1/2} M D certified against the ``ensemble_from_gram``
-realization.
+realization.  The tests after it hold ``certify_gram`` to ``certify_povm`` of
+the measurement it returns, field by field, at drag optima, perturbed
+factors and every real landscape root.
 """
 
 import numpy as np
@@ -141,9 +143,8 @@ def test_certify_gram_matches_reference_route(m):
     d = np.diag(np.sqrt(np.diagonal(f).real))
     u = polar_unitary(gram.inv_sqrt() @ np.linalg.solve(d, f))
     ref = _reference_certificate(ms.ensemble_from_gram(gram), ms.Povm(u, frame=ms.FRAME_DUAL))
-    for field in ("stationarity_residual", "global_min_eig", "tr_z"):
+    for field in ("stationarity_residual", "global_min_eig", "f_min_eig", "p_success", "tr_z"):
         assert abs(getattr(cert, field) - getattr(ref, field)) <= ATOL, field
-    assert cert.p_success == np.sum(state.a**2)
     assert cert.status == ref.status == "optimal"
 
 
@@ -179,3 +180,54 @@ def test_landscape_certificates_match_reference_root_route(spread):
             assert cert.status == ref.status, label
             statuses.add(cert.status)
     assert statuses == {"optimal", "stationary"}
+
+
+def _two_route_bound(m: int) -> float:
+    """How far ``certify_gram`` and ``certify_povm`` may disagree on one U.
+
+    ``certify_gram`` certifies U against G^{1/2}; ``certify_povm`` against
+    ``ensemble_from_gram``'s scaled states, G^{1/2} divided and multiplied back
+    by sqrt(p_i), which moves each entry by two roundings, at most eps |R_ai|.
+    Each route forms O = S^dag U by m-term sums, off by at most m u sqrt(p_i)
+    per entry (columns of G^{1/2} have norm sqrt(p_i), those of U norm 1), so
+    the two overlap matrices differ by at most (m + 1) eps sqrt(p_i) in row i.
+    With sum_i p_i = 1 every field moves by at most 4 times that: p_success
+    and Tr Z sum |O_ii|^2 (|O_ii| <= sqrt(p_i)), the stationarity residual is
+    a difference of products of two overlaps, and global_min_eig and f_min_eig
+    are eigenvalues of matrices that move as much in Frobenius norm (Weyl),
+    plus eigvalsh's own backward error of order m eps.
+    """
+    return 4.0 * (m + 1) * np.finfo(float).eps
+
+
+def _assert_certifies_its_measurement(gram, f, label):
+    cert, povm = ms.certify_gram(gram, f)
+    ref = ms.certify_povm(ms.ensemble_from_gram(gram), povm)
+    bound = _two_route_bound(gram.m)
+    for field in ("stationarity_residual", "global_min_eig", "f_min_eig", "p_success", "tr_z"):
+        got, want = getattr(cert, field), getattr(ref, field)
+        assert abs(got - want) <= bound, f"{label}: {field} {got!r} vs {want!r}"
+    assert cert.f_positive == ref.f_positive and cert.status == ref.status, label
+    return cert.status
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("m", range(2, 9))
+def test_certify_gram_is_certify_povm_of_its_measurement(m, real):
+    gram = random_gram(m, seed=1300 + 10 * m + real, spread=0.6, real=real)
+    rng = np.random.default_rng(1400 + 10 * m + real)
+    for polish in (False, True):
+        f = solve_direct(gram, steps=100, h=1e-2, polish=polish).final_state.matrix
+        assert _assert_certifies_its_measurement(gram, f, f"polish={polish}") == "optimal"
+        for scale in (1e-11, 1e-9):
+            noise = rng.normal(size=(m, m)) + (0.0 if real else 1j) * rng.normal(size=(m, m))
+            _assert_certifies_its_measurement(gram, f + scale * (noise + noise.conj().T),
+                                              f"polish={polish} scale={scale}")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_landscape_roots_certify_their_measurements(seed):
+    gram = random_gram(3, seed=1500 + seed, spread=0.9, real=True)
+    statuses = [_assert_certifies_its_measurement(gram, root.factor, f"root {root.values}")
+                for root in ms.classify_landscape(gram).roots if root.is_real]
+    assert statuses.count("optimal") == 1 and "stationary" in statuses

@@ -81,10 +81,11 @@ def test_attained_value_on_a_wide_spectrum(m):
     assert abs(cert.tr_z - p) <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="p_success is sum a^2 of the drag's state, which "
-                   "carries the integration error (2e-12 here); tr_z does not")
-def test_reported_p_success_on_a_wide_spectrum():
-    cert, p = _drag(5, real=False, low=0.1)
+@pytest.mark.parametrize("m", [5, 16])
+def test_reported_p_success_on_a_wide_spectrum(m):
+    # the reported value is the written measurement's, not the drag's sum a^2,
+    # which carries the integration error (2e-12 at m = 5)
+    cert, p = _drag(m, real=False, low=0.1)
     assert abs(cert.p_success - p) <= 1e-12
 
 
