@@ -12,7 +12,6 @@ closed form for two states, and direct search over the unitary group.
 """
 
 from .bloch3 import AuditReport, geometric_audit
-from .cases import reference_five_state_gram
 from .certify import TOL_GLB, TOL_STAT, Certificate, certify_gram, certify_povm
 from .enumerate3 import (
     LandscapeSummary,
@@ -39,10 +38,9 @@ from .gram import (
     ensemble_from_gram,
     random_ensemble,
     raw_gram,
+    reference_five_state_gram,
 )
 from .homotopy import (
-    COND_MAX,
-    EPS_A,
     RunReport,
     SolverState,
     Trajectory,
@@ -57,9 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport",
-    "COND_MAX",
     "Certificate",
-    "EPS_A",
     "EPS_LI",
     "Ensemble",
     "FRAME_AMBIENT",

@@ -167,7 +167,8 @@ def geometric_audit(ensemble: Ensemble, povm: Povm, tol: float = 1e-8) -> AuditR
         psi = ensemble.states[:, i]
         complement = z - probs[i] * np.outer(psi, psi.conj())
         s_vecs.append(_normalized_coordinates(complement, k0 - probs[i], tol))
-        t_vecs.append(to_bloch(povm.projector(i)))
+        # a rank-one projector is hermitian with trace 1, so to_bloch's checks cannot fail
+        t_vecs.append(_coordinates(povm.projector(i)))
 
     residuals = {
         "sigma_boundary": max(abs(boundary_form(s) - 1.0) for s in s_vecs),

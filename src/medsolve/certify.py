@@ -43,8 +43,6 @@ _STATUS_OPTIMAL = "optimal"
 _STATUS_STATIONARY = "stationary"
 _STATUS_NONSTATIONARY = "nonstationary"
 
-_EXIT_CODES = {_STATUS_OPTIMAL: 0, _STATUS_STATIONARY: 2, _STATUS_NONSTATIONARY: 3}
-
 
 def check_tolerance(name: str, value: float) -> float:
     """``value`` if it is finite and >= 0, else ValueError naming ``name``."""
@@ -99,22 +97,10 @@ class Certificate:
             return _STATUS_NONSTATIONARY
         return _STATUS_OPTIMAL if self.is_optimal else _STATUS_STATIONARY
 
-    @property
-    def exit_code(self) -> int:
-        """CLI contract: 0 optimal, 2 stationary-not-global, 3 not stationary."""
-        return _EXIT_CODES[self.status]
-
 
 def factor_residual(a: np.ndarray, fmat: np.ndarray, g: np.ndarray) -> float:
     """HS norm of F^2 - D G D with D = diag(a), the constraint the optimum's factor solves."""
     return hs_norm(fmat.dot(fmat) - a[:, None] * g * a)
-
-
-def _overlaps(ensemble: Ensemble, povm: Povm) -> np.ndarray:
-    """Overlap matrix O_ij = <psi~_i | v_j>."""
-    if ensemble.m != povm.m:
-        raise ValueError("ensemble and measurement dimensions differ")
-    return ensemble.scaled_states.conj().T @ povm.vectors
 
 
 def _stationarity_residual(o: np.ndarray) -> float:
@@ -129,7 +115,8 @@ def _raw_z(scaled: np.ndarray, vectors: np.ndarray, o: np.ndarray) -> np.ndarray
 
 def z_operator(ensemble: Ensemble, povm: Povm) -> np.ndarray:
     """Dual operator Z = sum_i p_i rho_i Pi_i, hermitized."""
-    return hermitize(_raw_z(ensemble.scaled_states, povm.vectors, _overlaps(ensemble, povm)))
+    scaled, vectors = ensemble.scaled_states, povm.vectors
+    return hermitize(_raw_z(scaled, vectors, scaled.conj().T @ vectors))
 
 
 def _global_min_eig(scaled: np.ndarray, z: np.ndarray) -> float:

@@ -3,10 +3,11 @@
 Subcommands: solve, certify, enumerate, audit, generate, reproduce-fig1.
 Structured results are written as JSON (and residual traces as CSV) under
 --out; stdout carries one deterministic status line per input, stderr the
-diagnostics.  Exit codes: 0 certified optimal / success, 2 stationary but
-not global, 3 not stationary or solver failure, 64 usage or malformed
-input, 65 invalid data.  The MED_LOG environment variable (debug|info)
-raises stderr verbosity and never touches stdout.
+diagnostics.  Exit codes, defined here and nowhere else: 0 certified
+optimal / success, 2 stationary but not global, 3 not stationary or solver
+failure, 64 usage or malformed input, 65 invalid data.  The MED_LOG
+environment variable (debug|info) raises stderr verbosity and never touches
+stdout.
 
 ``main(argv)`` may be called repeatedly in one process: the parser is built
 once, on the first call, and each call parses into a fresh namespace and logs
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import __version__
 from .bloch3 import geometric_audit
-from .cases import reference_five_state_gram
 from .certify import TOL_GLB, TOL_STAT, Certificate, certify_povm, check_tolerance
 from .enumerate3 import DEFAULT_SEED, classify_landscape
 from .exceptions import MedError, SchemaError
@@ -37,11 +37,12 @@ from .gram import (
     ensemble_from_gram,
     random_ensemble,
     raw_gram,
+    reference_five_state_gram,
 )
 from .homotopy import RunReport, SolverState, Trajectory, rk4_drag
 from .measurement import FRAME_AMBIENT, FRAME_DUAL, povm_from_unitary
 from .serialize import (
-    _LOG_FLOOR,
+    LOG_FLOOR,
     audit_to_dict,
     certificate_to_dict,
     ensemble_to_dict,
@@ -146,6 +147,13 @@ def _judged(cert: Certificate, args) -> Certificate:
     return replace(cert, tol_stat=args.tol_stat, tol_glb=args.tol_glb)
 
 
+def _verdict_code(cert: Certificate) -> int:
+    """The exit code of a certificate's verdict."""
+    if cert.is_optimal:
+        return EXIT_OK
+    return EXIT_STATIONARY if cert.is_stationary else EXIT_FAILED
+
+
 class _ViaLeg:
     """The identity -> --from drag, run on first use; later inputs reuse its
     final state or re-raise its failure."""
@@ -239,7 +247,7 @@ def cmd_solve(args) -> int:
         print(
             f"{path.stem}: {cert.status} p_success={cert.p_success:.12f} -> {report_path}"
         )
-        worst = max(worst, cert.exit_code)
+        worst = max(worst, _verdict_code(cert))
     return worst
 
 
@@ -266,15 +274,12 @@ def _load_certify_input(path: Path):
 
 def cmd_certify(args) -> int:
     ensemble, povm = _load_certify_input(Path(args.input))
-    try:
-        cert = _judged(certify_povm(ensemble, povm), args)
-    except MedError as exc:
-        raise _CliFailure(EXIT_FAILED, f"certification failed: {exc}") from exc
+    cert = _judged(certify_povm(ensemble, povm), args)
     out = _out_dir(args)
     cert_path = out / f"{Path(args.input).stem}-certificate.json"
     write_json(cert_path, certificate_to_dict(cert))
     print(f"{Path(args.input).stem}: {cert.status} p_success={cert.p_success:.12f} -> {cert_path}")
-    return cert.exit_code
+    return _verdict_code(cert)
 
 
 def cmd_enumerate(args) -> int:
@@ -299,7 +304,7 @@ def cmd_audit(args) -> int:
     ensemble, povm = _load_certify_input(Path(args.input))
     try:
         report = geometric_audit(ensemble, povm)
-    except (MedError, ValueError) as exc:
+    except ValueError as exc:
         raise _CliFailure(EXIT_DATA, f"audit failed to run: {exc}") from exc
     out = _out_dir(args)
     path = out / f"{Path(args.input).stem}-audit.json"
@@ -327,12 +332,12 @@ def cmd_reproduce_fig1(args) -> int:
     out = _out_dir(args)
     report_path = _write_solve_outputs(report, gram, out, "fig1")
     cert = report.certificate
-    lg = np.log10(np.maximum(report.trace[:, 2], _LOG_FLOOR))
+    lg = np.log10(np.maximum(report.trace[:, 2], LOG_FLOOR))
     print(
         f"fig1: {cert.status} p_success={cert.p_success:.12f} "
         f"log10_residual[{lg[0]:.2f} .. {lg[-1]:.2f}] -> {report_path}"
     )
-    return cert.exit_code
+    return _verdict_code(cert)
 
 
 def _add_tolerances(sub: argparse.ArgumentParser) -> None:

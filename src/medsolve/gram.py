@@ -9,6 +9,7 @@ works on the Gram matrix of the probability-scaled states
 which is hermitian, has trace 1 (G_ii = p_i) and is positive definite
 exactly when the states are linearly independent.  ``raw_gram`` returns it,
 built once with the ensemble, in the ensemble's own order of states.
+``reference_five_state_gram`` is the built-in problem of ``reproduce-fig1``.
 """
 
 from __future__ import annotations
@@ -183,3 +184,29 @@ def random_ensemble(
     raise NearLinearDependence(
         f"could not draw a linearly independent ensemble (m={m}, seed={seed}, spread={spread})"
     )
+
+
+def reference_five_state_gram() -> GramMatrix:
+    """The five-state reference Gram matrix used by ``reproduce-fig1``.
+
+    A complex trace-one positive definite matrix with priors
+    (0.3, 0.2, 0.2, 0.15, 0.15); off-diagonal entries are the stated raw
+    overlaps scaled by sqrt(p_i p_j).  The matrix is defined by its upper
+    triangle and completed hermitian.
+    """
+    s06 = np.sqrt(0.06)
+    s045 = np.sqrt(0.045)
+    s03 = np.sqrt(0.03)
+    upper = np.array(
+        [
+            [0.3, s06 * (0.2 + 0.1j), s06 * 0.1, s045 * 0.1, s045 * 0.1],
+            [0.0, 0.2, 0.06, s03 * (0.2 + 0.2j), s03 * 0.1],
+            [0.0, 0.0, 0.2, s03 * (0.2 + 0.05j), s03 * (0.3 + 0.2j)],
+            [0.0, 0.0, 0.0, 0.15, 0.15 * (0.2 + 0.3j)],
+            [0.0, 0.0, 0.0, 0.0, 0.15],
+        ],
+        dtype=complex,
+    )
+    strict = np.triu(upper, 1)
+    entries = np.diag(np.diagonal(upper).real).astype(complex) + strict + strict.conj().T
+    return GramMatrix(entries)

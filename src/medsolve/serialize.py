@@ -30,7 +30,7 @@ from .gram import Ensemble, GramMatrix
 from .homotopy import RunReport, SolverState
 from .measurement import FRAME_AMBIENT, FRAME_DUAL, Povm
 
-_LOG_FLOOR = 1e-320  # keeps log10 finite for identically-zero residuals
+LOG_FLOOR = 1e-320  # keeps log10 finite for identically-zero residuals
 
 
 def _re(mat: np.ndarray) -> list:
@@ -203,7 +203,7 @@ def read_json(path: str | Path) -> dict:
 def write_trace_csv(path: str | Path, trace: np.ndarray) -> None:
     lines = ["iter,t,log10_hs_residual,min_eig_F,p_success_partial"]
     for row in np.asarray(trace):
-        log_resid = np.log10(max(float(row[2]), _LOG_FLOOR))
+        log_resid = np.log10(max(float(row[2]), LOG_FLOOR))
         lines.append(
             f"{int(row[0])},{row[1]:.17g},{log_resid:.17g},{row[3]:.17g},{row[4]:.17g}"
         )

@@ -58,8 +58,13 @@ class TestBlochMap:
             assert np.max(np.abs(to_density(to_bloch(mixed)) - mixed)) < 1e-12
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            to_bloch(np.eye(3))  # trace 3
+        for rho, message in [
+            (np.eye(3), "expected trace 1"),
+            (np.eye(2) / 2, "expected a 3x3 matrix"),
+            (np.triu(np.ones((3, 3))) / 3, "expected a hermitian matrix"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                to_bloch(rho)
 
     def test_orthonormal_basis_vectors_sum_to_zero(self):
         # the projectors sum to I, and I/3 maps to 0

@@ -255,6 +255,13 @@ class TestSolve:
         assert line == "medsolve solve: argument --batch: not allowed with argument input"
         assert not out.exists()
 
+    def test_empty_batch_directory_is_usage_error(self, tmp_path, capsys):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        assert main(["solve", "--batch", str(batch), "--out", str(tmp_path / "out")]) == 64
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"no .json inputs in {batch}"
+
     def test_bad_tolerance_fails_before_the_drag(self, tmp_path, monkeypatch):
         calls = []
 
@@ -456,6 +463,16 @@ class TestEnumerate:
         [line] = capsys.readouterr().err.splitlines()
         assert line == f"{path}: gram matrix must have trace 1"
 
+    @pytest.mark.parametrize("gram, reason", [
+        (random_gram(3, seed=6, spread=0.9), "requires a real Gram matrix"),
+        (random_gram(2, seed=6, spread=0.9, real=True), "is implemented for m=3 only"),
+    ], ids=["complex", "two-states"])
+    def test_gram_outside_the_enumeration_is_invalid_data(self, tmp_path, capsys, gram, reason):
+        inp = write_gram(tmp_path / "g.json", gram)
+        assert main(["enumerate", inp, "--out", str(tmp_path)]) == 65
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"enumeration failed: stationary enumeration {reason}"
+
     def test_debug_log_is_one_line_and_outputs_repeat(self, tmp_path, monkeypatch):
         inp = write_gram(tmp_path / "g3.json", random_gram(3, seed=6, spread=0.9, real=True))
         monkeypatch.setenv("MED_LOG", "debug")
@@ -509,6 +526,14 @@ class TestAudit:
                            parse_constant=lambda name: pytest.fail(f"audit JSON holds {name}"))
         assert audit["passed"] is False
         assert audit["residuals"]["sigma_boundary"] >= 1.0
+
+    def test_two_states_are_invalid_data(self, tmp_path, capsys):
+        ens = ms.Ensemble(np.eye(2), np.array([0.6, 0.4]))
+        povm = ms.Povm(np.eye(2), frame=ms.FRAME_AMBIENT)
+        inp = certify_payload(tmp_path / "pair.json", ens, povm)
+        assert main(["audit", inp, "--out", str(tmp_path)]) == 65
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "audit failed to run: the geometric audit is defined for three states"
 
 
 class TestPipeline:

@@ -1,6 +1,7 @@
 """Stationary-point enumeration for three real states."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,16 @@ class TestSolveStationary:
         caplog.set_level(logging.DEBUG, logger="medsolve.enumerate3")
         assert len(ms.solve_stationary(random_gram(3, **self.JUMPY))) == 8
         assert caplog.records[-1].getMessage().endswith(", 2 re-tracked, 0 at infinity")
+
+    @pytest.mark.xfail(strict=True, reason="a finite root at c = -8.27e7 lies beyond the path "
+                                           "cutoff _CUTOFF = 1e7 and is counted as at infinity")
+    def test_a_root_beyond_the_path_cutoff_is_found(self):
+        # pyproject ignores RootCountAnomaly suite-wide, so record it here
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            roots = ms.solve_stationary(random_gram(3, 474, spread=0.77, real=True))
+        anomalies = [w for w in caught if issubclass(w.category, ms.RootCountAnomaly)]
+        assert (len(roots), anomalies) == (8, [])
 
     def test_debug_log_reports_the_paths(self, caplog):
         caplog.set_level(logging.DEBUG, logger="medsolve.enumerate3")

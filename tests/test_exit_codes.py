@@ -67,8 +67,8 @@ flag_values = st.one_of(
     st.text(max_size=6),
 )
 flags = st.one_of(
-    st.tuples(st.sampled_from(["--steps", "--h", "--polish-every", "--tol-stat", "--tol-glb",
-                               "--seed", "--m", "--spread"]), flag_values),
+    st.tuples(st.sampled_from(["--steps", "--h", "--tol-stat", "--tol-glb", "--seed",
+                               "--m", "--spread"]), flag_values),
     st.tuples(st.sampled_from(["--from", "--batch", "--out"]), paths),
     st.tuples(st.sampled_from(["--polish", "--real", "--no-such-flag", "-x", "--"])),
     st.tuples(flag_values),

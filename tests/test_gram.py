@@ -137,6 +137,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             ms.Ensemble(states, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("states, probs, message", [
+        (np.eye(3)[:, :2], [0.5, 0.5], "states must be a square matrix with one state per column"),
+        (np.ones(3), [1.0], "states must be a square matrix with one state per column"),
+        (np.eye(3), [0.5, 0.5], "probs must have length 3"),
+        (np.eye(2), [1.0, 0.0], "every probability must be positive"),
+        (np.eye(2), [1.2, -0.2], "every probability must be positive"),
+    ], ids=["3x2", "1-d", "short-probs", "zero-prob", "negative-prob"])
+    def test_malformed_ensemble_is_rejected(self, states, probs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ms.Ensemble(states, np.array(probs))
+
+    @pytest.mark.parametrize("entries", [np.eye(3)[:2] / 2, np.full(3, 1 / 3), np.ones((1, 2, 2))],
+                             ids=["2x3", "1-d", "3-d"])
+    def test_gram_must_be_square(self, entries):
+        with pytest.raises(ValueError, match="^gram matrix must be square$"):
+            ms.GramMatrix(entries)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_entries_are_rejected(self, value):
         entries = np.eye(2) / 2

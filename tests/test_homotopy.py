@@ -38,6 +38,25 @@ class TestInitialState:
         with pytest.raises(ValueError, match="finite"):
             ms.SolverState(t=0.0, a=[0.5, 0.5], f=[value])
 
+    @pytest.mark.parametrize("a, f, message", [
+        ([0.5, 0.5], [0.0, 0.0], "f must hold the strict upper triangle of F"),
+        ([0.5, 0.5, 0.5], [0.0], "f must hold the strict upper triangle of F"),
+        ([0.5, 0.0], [0.0], "all scales a_i must be positive and finite"),
+        ([0.5, -0.5], [0.0], "all scales a_i must be positive and finite"),
+    ], ids=["long-f", "short-f", "zero-scale", "negative-scale"])
+    def test_rejects_a_malformed_state(self, a, f, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ms.SolverState(t=0.0, a=a, f=f)
+
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_rejects_fewer_than_two_states(self, m):
+        with pytest.raises(ValueError, match="^need at least two states$"):
+            ms.initial_state(m)
+
+    def test_trajectory_endpoints_must_have_equal_dimension(self):
+        with pytest.raises(ValueError, match="^trajectory endpoints must have equal dimension$"):
+            ms.Trajectory(identity_gram(2), identity_gram(3))
+
 
 class TestDerivative:
     def test_zero_for_constant_trajectory(self):

@@ -56,6 +56,26 @@ class TestPovmFromUnitary:
         with pytest.raises(ms.NotUnitary):
             ms.povm_from_unitary(identity_gram(3), np.eye(3) * 1.01)
 
+    @pytest.mark.parametrize("vectors", [np.eye(3)[:, :2], np.ones(3), np.ones((1, 2, 2))],
+                             ids=["3x2", "1-d", "3-d"])
+    def test_povm_basis_must_be_square(self, vectors):
+        with pytest.raises(ValueError, match="^measurement basis must be a square matrix$"):
+            ms.Povm(vectors)
+
+    def test_povm_frame_must_be_known(self):
+        with pytest.raises(ValueError, match="^unknown frame 'bogus'$"):
+            ms.Povm(np.eye(2), frame="bogus")
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (9,)])
+    def test_rejects_a_unitary_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match="^unitary must be 3x3$"):
+            ms.povm_from_unitary(identity_gram(3), np.ones(shape))
+
+    def test_rejects_a_gram_matrix_of_another_ensemble(self):
+        ens = ms.random_ensemble(3, seed=22, spread=0.6)
+        with pytest.raises(ValueError, match=r"^gram matrix does not match the ensemble \(max"):
+            ms.povm_from_unitary(identity_gram(3), np.eye(3), ensemble=ens)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, value):
         with pytest.raises(ms.NotUnitary):

@@ -95,6 +95,24 @@ class TestSchemaErrors:
                 {"m": 2, "gram_re": [["x", 0], [0, 0.5]], "gram_im": [[0, 0], [0, 0]]}
             )
 
+    @pytest.mark.parametrize("data", [[1, 2], "m", None], ids=["list", "string", "null"])
+    def test_a_problem_must_be_an_object(self, data):
+        with pytest.raises(ms.SchemaError, match="^input: expected a JSON object$"):
+            serialize.load_gram_or_ensemble(data)
+
+    @pytest.mark.parametrize("probs", [[1.0], [0.2, 0.3, 0.5], [[0.5, 0.5]]])
+    def test_probs_of_another_length_are_a_schema_error(self, probs):
+        data = dict(serialize.ensemble_to_dict(ms.Ensemble(np.eye(2), [0.5, 0.5])), probs=probs)
+        with pytest.raises(ms.SchemaError, match="^input: field 'probs' must have length 2$"):
+            serialize.load_gram_or_ensemble(data)
+
+    @pytest.mark.parametrize("text", ["[]", "1.5", '"m"', "null"])
+    def test_a_file_must_hold_an_object(self, tmp_path, text):
+        path = tmp_path / "top.json"
+        path.write_text(text)
+        with pytest.raises(ms.SchemaError, match="top level must be a JSON object$"):
+            serialize.read_json(path)
+
     def test_unknown_frame_is_a_schema_error(self):
         data = dict(serialize.povm_to_dict(ms.Povm(np.eye(2))), frame="bogus")
         with pytest.raises(ms.SchemaError, match="field 'frame' must be 'dual' or 'ambient'"):
