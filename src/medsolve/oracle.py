@@ -6,6 +6,8 @@ the unitary group by Riemannian gradient ascent (restricted to small
 dimensions, where exhaustive restarts are cheap).  The random restarts of
 the ascent advance together as one stack of unitaries; each keeps its own
 start, step and stopping test, so batching them changes roundoff only.
+Trial points are Cayley retractions, one stacked linear solve per
+backtracking round for all lanes still searching.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# the gufunc behind np.linalg.solve, called without that wrapper's per-call
+# checks and casts: the same LAPACK call on the same data
+from numpy.linalg import _umath_linalg
 
 from .exceptions import NoConvergence
 from .gram import GramMatrix
@@ -80,8 +85,8 @@ def _ascend(
     Each lane runs its own ascent with its own step: it stops when its
     gradient norm falls below ``gtol``, where 60 halvings of its step find
     no ascent, or after ``max_iter`` iterations.  Stopped lanes leave the
-    stack.  Returns each lane's final unitary, iteration count and last
-    gradient norm.
+    stack.  Returns each lane's final unitary, iteration count and the
+    gradient norm at that unitary.
     """
     u_out = u0.copy()
     iters_out = np.full(u0.shape[0], max_iter)
@@ -91,12 +96,21 @@ def _ascend(
     step = np.ones(u0.shape[0])
     prev_u = prev_grad = None
     rh = r.conj().T
-    for it in range(1, max_iter + 1):
+    eye = np.eye(u0.shape[1])
+    for it in range(1, max_iter + 2):
         w = np.einsum("ij,kji->ki", r, u)  # diagonals of R U
-        # project the euclidean gradient R^dag diag(w) onto the tangent space at U
+        # project the euclidean gradient R^dag diag(w) onto the tangent space
+        # at U: rgrad = U gen with gen skew-hermitian
         lam = np.swapaxes(u.conj(), 1, 2) @ (rh * w[:, None, :])
-        rgrad = u @ (0.5 * (lam - np.swapaxes(lam.conj(), 1, 2)))
+        gen = 0.5 * (lam - np.swapaxes(lam.conj(), 1, 2))
+        rgrad = u @ gen
         grad_norm = np.sqrt(np.sum(np.abs(rgrad) ** 2, axis=(1, 2)))
+        if it > max_iter:
+            # the budget is spent: the running lanes stop at their last
+            # iterate, with the gradient norm taken there
+            u_out[lanes] = u
+            grad_out[lanes] = grad_norm
+            break
         done = grad_norm < gtol
         # spectral (Barzilai-Borwein) step adapts to weakly curved
         # directions where any fixed step crawls
@@ -109,14 +123,19 @@ def _ascend(
             step = np.where(usable, np.abs(ss / np.where(usable, denom, 1.0)), step)
             step = np.clip(step, 1e-3, 1e8)
         current = np.sum(np.abs(w) ** 2, axis=1)
-        # backtrack each unconverged lane until its step ascends
+        # backtrack each unconverged lane until its step ascends; the trial
+        # point is the Cayley retraction U (I - t gen/2)^-1 (I + t gen/2),
+        # one stacked solve per round.  The eigenvalues of the skew-hermitian
+        # gen are imaginary, so those of I - t gen/2 have modulus >= 1 and it
+        # is never singular.
         trial = step.copy()
         u_next = np.empty_like(u)
         pending = np.flatnonzero(~done)
         for _ in range(60):
             if pending.size == 0:
                 break
-            candidate = polar_unitary(u[pending] + trial[pending, None, None] * rgrad[pending])
+            half = (0.5 * trial[pending])[:, None, None] * gen[pending]
+            candidate = u[pending] @ _umath_linalg.solve(eye - half, eye + half)
             ascended = _value(r, candidate) > current[pending] + 1e-15
             u_next[pending[ascended]] = candidate[ascended]
             pending = pending[~ascended]
@@ -130,14 +149,10 @@ def _ascend(
             grad_out[stopped] = grad_norm[done]
             keep = ~done
             if not keep.any():
-                return u_out, iters_out, grad_out
-            lanes, u, u_next, rgrad, grad_norm, step = (
-                x[keep] for x in (lanes, u, u_next, rgrad, grad_norm, step)
-            )
+                break
+            lanes, u, u_next, rgrad, step = (x[keep] for x in (lanes, u, u_next, rgrad, step))
         prev_u, prev_grad = u, rgrad
         u = u_next
-    u_out[lanes] = u
-    grad_out[lanes] = grad_norm
     return u_out, iters_out, grad_out
 
 
@@ -146,14 +161,15 @@ def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
 
     Riemannian gradient ascent: the euclidean gradient R^dag diag(w) (with
     R = G^{1/2}, w the diagonal of RU) is projected onto the tangent space
-    of the unitary group and the iterate is retracted by polar
-    decomposition; each step is a Barzilai-Borwein step, halved until it
-    ascends.  _RESTARTS random starts guard against the non-global
-    stationary points; they advance together as one stack of unitaries,
-    each with its own step, _MAX_ITER iterations and stopping test, and the
-    best value wins (the first one on ties).  Deterministic in ``seed``
-    (>= 0); restricted to m <= 4 where restarts are cheap.  NoConvergence is
-    raised if the best run keeps a gradient norm above _GTOL.
+    of the unitary group, U A with A skew-hermitian, and a step of length t
+    is retracted by the Cayley transform U (I - tA/2)^-1 (I + tA/2); each
+    step is a Barzilai-Borwein step, halved until it ascends.  _RESTARTS
+    random starts guard against the non-global stationary points; they
+    advance together as one stack of unitaries, each with its own step,
+    _MAX_ITER iterations and stopping test, and the best value wins (the
+    first one on ties).  Deterministic in ``seed`` (>= 0); restricted to
+    m <= 4 where restarts are cheap.  NoConvergence is raised if the best
+    run ends with a gradient norm above _GTOL.
     """
     m = gram.m
     if m > 4:

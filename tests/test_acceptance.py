@@ -7,6 +7,7 @@ criterion.  Tolerances are pinned here and nowhere else.
 import time
 
 import numpy as np
+import pytest
 
 import medsolve as ms
 from conftest import helstrom_angle_scan, overlap_gram_m3, random_gram, seeded_grams, solve_direct
@@ -36,6 +37,7 @@ def test_criterion_1_reference_error_trace(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_two_state_closed_form_agreement():
     """50 seeded pairs: continuation matches the closed form to 1e-9,
     itself pre-verified against a 1e6-point brute-force scan to 1e-6."""
@@ -57,6 +59,7 @@ def test_criterion_2_two_state_closed_form_agreement():
            "closed form verified against the angle scan to 1e-6")
 
 
+@pytest.mark.slow
 def test_criterion_3_three_way_agreement_m3():
     """25 seeded real three-state ensembles: continuation, enumeration and
     direct search agree (deterministic pair to 1e-8, search to 1e-6)."""
@@ -77,6 +80,7 @@ def test_criterion_3_three_way_agreement_m3():
            f"search worst {worst_search:.2e} < 1e-6)")
 
 
+@pytest.mark.slow
 def test_criterion_4_certificate_soundness():
     """Solver outputs certify; outcome-permuted measurements at
     non-symmetric optima are rejected with exit 2 or 3."""
@@ -98,6 +102,7 @@ def test_criterion_4_certificate_soundness():
            "outcome-permuted copy was rejected (stationary or nonstationary)")
 
 
+@pytest.mark.slow
 def test_criterion_5_rk4_order():
     """Residual accumulation scales like a fourth-order method: halving h
     changes the accumulated residual by a factor in [8, 32]."""
@@ -113,6 +118,7 @@ def test_criterion_5_rk4_order():
     report(f"PASS 5: accumulation ratios {[f'{r:.1f}' for r in ratios]} within [8, 32]")
 
 
+@pytest.mark.slow
 def test_criterion_6_geometric_audit():
     """25 seeded three-state ensembles (real and complex): every
     geometric identity holds at 1e-8 on the certified optimum."""
@@ -163,6 +169,7 @@ def test_criterion_7_two_state_rate_forms():
     report(f"PASS 7: 10/10 states zero the hand-coded rate forms (worst |zeta| {worst:.2e} < 1e-12)")
 
 
+@pytest.mark.slow
 def test_criterion_8_path_independence():
     """Chained drags agree with the direct drag to 1e-8 in the optimum."""
     worst = 0.0

@@ -173,6 +173,7 @@ class TestSolve:
         assert povm.frame == ms.FRAME_AMBIENT
         assert ms.certify_povm(ens, povm).is_optimal
 
+    @pytest.mark.slow
     def test_debug_log_names_the_newton_finish(self, tmp_path, monkeypatch):
         inp = write_gram(tmp_path / "g.json", random_gram(3, seed=823, spread=0.8))
         solve = ["-m", "medsolve.cli", "solve", inp, "--steps", "100", "--h", "1e-2",

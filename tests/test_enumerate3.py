@@ -193,6 +193,7 @@ class TestClassifyLandscape:
         assert abs(real_ps[-1] - expected_best) < 1e-9
         assert any(abs(ps - expected_swapped) < 1e-9 for ps in real_ps)
 
+    @pytest.mark.slow
     def test_exactly_one_positive_definite_root_across_seeds(self):
         for seed in range(100):
             gram = random_gram(3, seed + 400, real=True, spread=0.4 + 0.005 * seed)

@@ -91,6 +91,7 @@ def _found(gram):
     return np.array([root.values for root in ms.solve_stationary(gram)])
 
 
+@pytest.mark.slow
 def test_every_multistart_root_is_found():
     for seed in range(30):
         gram = random_gram(3, seed + 400, real=True, spread=0.4 + 0.018 * seed)
@@ -127,6 +128,7 @@ def _groebner_roots(sp, r):
     return np.array(roots, dtype=complex)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("seed, spread", [(6, 0.9), (0, 0.3)])
 def test_roots_match_groebner_basis(seed, spread):
     sp = pytest.importorskip("sympy")

@@ -9,6 +9,7 @@ and the direct search are checked separately; they share no code.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +57,7 @@ def _drag_value(gram):
     return float(np.sum(report.final_state.a**2))
 
 
+@pytest.mark.slow
 @_settings(12)
 @given(problems())
 def test_polished_drag_is_equivariant(problem):

@@ -92,6 +92,7 @@ def _exit_codes(command, path, flag_groups, body):
         return _run(argv, tmp), _run(argv, tmp)
 
 
+@pytest.mark.slow
 @SETTINGS
 @given(commands, st.none() | paths, st.lists(flags, max_size=5), file_bodies)
 def test_malformed_argv_and_files_end_in_documented_codes(command, path, flag_groups, body):
@@ -174,6 +175,7 @@ def _near_floor_gram(m, seed, real, factor):
     return (entries + entries.conj().T) / 2
 
 
+@pytest.mark.slow
 @settings(
     max_examples=25,
     deadline=None,

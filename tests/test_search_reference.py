@@ -10,13 +10,24 @@ import numpy as np
 import pytest
 
 import medsolve as ms
-from conftest import seeded_grams
-from medsolve.linalg import polar_unitary
+from conftest import random_gram, seeded_grams
+from medsolve.linalg import polar_unitary, unitarity_residual
 from medsolve.oracle import _ascend
+
+_EPS = np.finfo(float).eps
+
+
+def _gradient(r, u):
+    """(gen, U gen): the Riemannian gradient at U, gen skew-hermitian."""
+    w = np.diagonal(r @ u)
+    egrad = r.conj().T @ np.diag(w)
+    lam = u.conj().T @ egrad
+    gen = 0.5 * (lam - lam.conj().T)
+    return gen, u @ gen
 
 
 def _reference_restarts(r, rng, restarts, max_iter, gtol):
-    """Per restart: (final unitary, iterations, last gradient norm, final value)."""
+    """Per restart: (final unitary, iterations, gradient norm there, final value)."""
     m = r.shape[0]
 
     def value(u):
@@ -27,14 +38,10 @@ def _reference_restarts(r, rng, restarts, max_iter, gtol):
         z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         u = polar_unitary(z)
         step = 1.0
-        grad_norm = np.inf
         iters = 0
         prev_u = prev_grad = None
         for iters in range(1, max_iter + 1):
-            w = np.diagonal(r @ u)
-            egrad = r.conj().T @ np.diag(w)
-            lam = u.conj().T @ egrad
-            rgrad = u @ (0.5 * (lam - lam.conj().T))
+            gen, rgrad = _gradient(r, u)
             grad_norm = float(np.linalg.norm(rgrad))
             if grad_norm < gtol:
                 break
@@ -48,7 +55,9 @@ def _reference_restarts(r, rng, restarts, max_iter, gtol):
             current = value(u)
             trial_step = step
             for _ in range(60):
-                candidate = polar_unitary(u + trial_step * rgrad)
+                # Cayley retraction U (I - t gen/2)^-1 (I + t gen/2)
+                half = 0.5 * trial_step * gen
+                candidate = u @ np.linalg.solve(np.eye(m) - half, np.eye(m) + half)
                 if value(candidate) > current + 1e-15:
                     break
                 trial_step *= 0.5
@@ -56,6 +65,9 @@ def _reference_restarts(r, rng, restarts, max_iter, gtol):
                 break
             prev_u, prev_grad = u, rgrad
             u = candidate
+        else:
+            # the budget is spent: report the gradient at the last iterate
+            grad_norm = float(np.linalg.norm(_gradient(r, u)[1]))
         lanes.append((u, iters, grad_norm, value(u)))
     return lanes
 
@@ -103,3 +115,35 @@ def test_stalled_lane_stops_where_it_is():
     u, iterations, _ = _ascend(r, u_opt, max_iter=50, gtol=0.0)
     assert np.all(iterations < 50)
     assert np.max(np.abs(u - u_opt)) <= 1e-6
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("max_iter", [3, 500])
+def test_gradient_norm_is_taken_at_the_returned_unitary(m, max_iter):
+    # a lane cut off by the budget stops after its last step, and its norm
+    # must describe that unitary, not the one before the step.  Near a
+    # maximum the norm is a difference of O(1) terms: each of its m^2
+    # entries carries a rounding error of about m eps ||R||^2 <= m eps
+    # (Tr G = 1), which sets the absolute floor
+    for gram in (random_gram(m, seed=3131), *seeded_grams(m, 2, base_seed=3300 + 10 * m)):
+        r = gram.sqrt()
+        u, iterations, grad_norm = _stacked_lanes(r, seed=7, restarts=20, max_iter=max_iter, gtol=1e-7)
+        if max_iter == 3:
+            assert np.any((iterations == 3) & (grad_norm > 1e-7))
+        for k in range(u.shape[0]):
+            recomputed = float(np.linalg.norm(_gradient(r, u[k])[1]))
+            assert grad_norm[k] == pytest.approx(recomputed, rel=1e-12, abs=m**2 * _EPS), f"lane {k}"
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("real", [False, True])
+def test_composed_iterates_stay_unitary(m, real):
+    # each step multiplies U by a solved Cayley factor and nothing re-snaps
+    # U, so rounding could build up over the iterations; a stalled run from
+    # the optimum (gtol = 0) takes every step its backtracking allows
+    for gram in seeded_grams(m, 2, base_seed=3400 + 10 * m, real=real):
+        r = gram.sqrt()
+        u, _, _ = _stacked_lanes(r, seed=m, restarts=20, max_iter=500, gtol=1e-7)
+        stalled, _, _ = _ascend(r, u, max_iter=500, gtol=0.0)
+        for lane in (*u, *stalled):
+            assert unitarity_residual(lane) <= 1e-13
