@@ -32,8 +32,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .certify import check_tolerance, z_operator
-from .gram import Ensemble
+from .certify import check_tolerance, complements, z_operator
+from .gram import Ensemble, GramMatrix
 from .measurement import Povm
 
 
@@ -129,13 +129,13 @@ class AuditReport:
         )
 
 
-def geometric_audit(ensemble: Ensemble, povm: Povm, tol: float = 1e-8) -> AuditReport:
+def geometric_audit(ensemble: Ensemble | GramMatrix, povm: Povm, tol: float = 1e-8) -> AuditReport:
     """Check the Bloch-geometry conditions that single out the optimum.
 
-    With Z the dual operator, k0 = Tr(Z) and kappa_i = k0 - p_i, the
-    normalized complements sigma_i = (Z - p_i rho_i)/kappa_i have Bloch
-    vectors s_i and the measurement projectors have Bloch vectors t_i.  At
-    the optimum:
+    With Z the dual operator of ``ensemble.scaled_states`` (G^{1/2} for a
+    ``GramMatrix``), k0 = Tr(Z) and kappa_i = k0 - p_i, the normalized
+    complements sigma_i = (Z - p_i rho_i)/kappa_i have Bloch vectors s_i and
+    the measurement projectors have Bloch vectors t_i.  At the optimum:
 
     - the complements are rank two: ``sigma_boundary`` is the residual of
       (3 s - 2 s*s).s = 1, and ``sigma_norm_interior`` the margin of
@@ -161,14 +161,10 @@ def geometric_audit(ensemble: Ensemble, povm: Povm, tol: float = 1e-8) -> AuditR
     probs = ensemble.probs
     k0 = float(np.trace(z).real)
     k_vec = _normalized_coordinates(z, k0, tol)
-
-    s_vecs, t_vecs = [], []
-    for i in range(3):
-        psi = ensemble.states[:, i]
-        complement = z - probs[i] * np.outer(psi, psi.conj())
-        s_vecs.append(_normalized_coordinates(complement, k0 - probs[i], tol))
-        # a rank-one projector is hermitian with trace 1, so to_bloch's checks cannot fail
-        t_vecs.append(_coordinates(povm.projector(i)))
+    s_vecs = [_normalized_coordinates(c, k0 - p, tol)
+              for c, p in zip(complements(ensemble.scaled_states, z), probs)]
+    # a rank-one projector is hermitian with trace 1, so to_bloch's checks cannot fail
+    t_vecs = [_coordinates(povm.projector(i)) for i in range(3)]
 
     residuals = {
         "sigma_boundary": max(abs(boundary_form(s) - 1.0) for s in s_vecs),

@@ -113,16 +113,20 @@ def _raw_z(scaled: np.ndarray, vectors: np.ndarray, o: np.ndarray) -> np.ndarray
     return (scaled * np.diagonal(o)) @ vectors.conj().T
 
 
-def z_operator(ensemble: Ensemble, povm: Povm) -> np.ndarray:
-    """Dual operator Z = sum_i p_i rho_i Pi_i, hermitized."""
+def z_operator(ensemble: Ensemble | GramMatrix, povm: Povm) -> np.ndarray:
+    """Dual operator Z = sum_i p_i rho_i Pi_i of ``ensemble.scaled_states``, hermitized."""
     scaled, vectors = ensemble.scaled_states, povm.vectors
     return hermitize(_raw_z(scaled, vectors, scaled.conj().T @ vectors))
 
 
+def complements(scaled: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Stack of Z - |psi~_i><psi~_i| = Z - p_i rho_i over the columns of ``scaled``."""
+    return z - scaled.T[:, :, None] * scaled.conj().T[:, None, :]
+
+
 def _global_min_eig(scaled: np.ndarray, z: np.ndarray) -> float:
     """Minimum eigenvalue of Z - |psi~_i><psi~_i| over all i."""
-    weighted = scaled.T[:, :, None] * scaled.conj().T[:, None, :]
-    return float(np.min(np.linalg.eigvalsh(z - weighted)[:, 0]))
+    return float(np.min(np.linalg.eigvalsh(complements(scaled, z))[:, 0]))
 
 
 def _hermitian_factor(overlaps: np.ndarray) -> np.ndarray:
@@ -150,9 +154,9 @@ def _certify(scaled: np.ndarray, vectors: np.ndarray) -> Certificate:
     )
 
 
-def certify_povm(ensemble: Ensemble, povm: Povm) -> Certificate:
-    """Full certificate for an explicit (ensemble, measurement) pair, judged at
-    TOL_STAT and TOL_GLB."""
+def certify_povm(ensemble: Ensemble | GramMatrix, povm: Povm) -> Certificate:
+    """Full certificate of a measurement against ``ensemble.scaled_states``
+    (G^{1/2} for a ``GramMatrix``), judged at TOL_STAT and TOL_GLB."""
     if ensemble.m != povm.m:
         raise ValueError("ensemble and measurement dimensions differ")
     return _certify(ensemble.scaled_states, povm.vectors)
@@ -188,4 +192,4 @@ def certify_gram(gram: GramMatrix, f: np.ndarray) -> tuple[Certificate, Povm]:
     # The factorization residual leaks into unitarity at the same order;
     # snap to the nearest unitary before certifying.
     u = polar_unitary(gram.inv_sqrt() @ (f / a[:, None]))
-    return _certify(gram.sqrt(), u), Povm(u)
+    return _certify(gram.scaled_states, u), Povm(u)

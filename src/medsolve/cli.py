@@ -34,7 +34,6 @@ from .exceptions import MedError, SchemaError
 from .gram import (
     Ensemble,
     GramMatrix,
-    ensemble_from_gram,
     random_ensemble,
     raw_gram,
     reference_five_state_gram,
@@ -269,12 +268,12 @@ def _load_certify_input(path: Path):
     if povm.m != problem.m:
         raise _CliFailure(EXIT_USAGE, f"{path}: the ensemble has {problem.m} states "
                                       f"but the measurement {povm.m} outcomes")
-    return (problem if is_ensemble else ensemble_from_gram(problem)), povm
+    return problem, povm
 
 
 def cmd_certify(args) -> int:
-    ensemble, povm = _load_certify_input(Path(args.input))
-    cert = _judged(certify_povm(ensemble, povm), args)
+    problem, povm = _load_certify_input(Path(args.input))
+    cert = _judged(certify_povm(problem, povm), args)
     out = _out_dir(args)
     cert_path = out / f"{Path(args.input).stem}-certificate.json"
     write_json(cert_path, certificate_to_dict(cert))
@@ -301,9 +300,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    ensemble, povm = _load_certify_input(Path(args.input))
+    problem, povm = _load_certify_input(Path(args.input))
     try:
-        report = geometric_audit(ensemble, povm)
+        report = geometric_audit(problem, povm)
     except ValueError as exc:
         raise _CliFailure(EXIT_DATA, f"audit failed to run: {exc}") from exc
     out = _out_dir(args)

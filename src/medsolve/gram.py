@@ -85,7 +85,8 @@ class GramMatrix:
 
     Any matrix satisfying those three conditions is accepted, in whatever
     order and phases it comes, so solver routines run directly on
-    user-supplied matrices.
+    user-supplied matrices.  Like an ``Ensemble`` it has ``m``, ``probs`` and
+    ``scaled_states``, so the certifiers and the audit take either.
     """
 
     entries: np.ndarray
@@ -131,6 +132,11 @@ class GramMatrix:
     def inv_sqrt(self) -> np.ndarray:
         return self._roots[1]
 
+    @property
+    def scaled_states(self) -> np.ndarray:
+        """Columns of G^{1/2}, the canonical (FRAME_DUAL) realization's scaled states."""
+        return self.sqrt()
+
 
 def raw_gram(ensemble: Ensemble) -> GramMatrix:
     """Gram matrix G_ij = sqrt(p_i p_j) <psi_i|psi_j> in the ensemble's own indexing,
@@ -139,16 +145,11 @@ def raw_gram(ensemble: Ensemble) -> GramMatrix:
 
 
 def ensemble_from_gram(gram: GramMatrix) -> Ensemble:
-    """Any ensemble realizing the given Gram matrix.
-
-    The columns of the principal square root G^{1/2} serve as the scaled
-    states (G^{1/2} being hermitian, their overlap matrix is exactly G);
-    probabilities are read off the diagonal.
-    """
-    scaled = gram.sqrt()
-    probs = gram.probs
-    states = scaled / np.sqrt(probs)
-    return Ensemble(states, probs)
+    """The canonical realization as an ``Ensemble``: states G^{1/2} / sqrt(p_i),
+    whose scaled states are G^{1/2} to a rounding or two per entry; the
+    certifiers and the audit read G^{1/2} exactly off the ``GramMatrix``."""
+    scaled, probs = gram.scaled_states, gram.probs
+    return Ensemble(scaled / np.sqrt(probs), probs)
 
 
 def random_ensemble(

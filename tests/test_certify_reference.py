@@ -12,7 +12,9 @@ certifies each root's factor through ``certify_gram``, to the former root
 route: U = G^{-1/2} M D certified against the ``ensemble_from_gram``
 realization.  The tests after it hold ``certify_gram`` to ``certify_povm`` of
 the measurement it returns, field by field, at drag optima, perturbed
-factors and every real landscape root.
+factors and every real landscape root: within a derived bound against the
+explicit ``ensemble_from_gram`` ensemble, and exactly against the
+``GramMatrix`` itself, whose scaled states are the same G^{1/2}.
 """
 
 import numpy as np
@@ -183,11 +185,13 @@ def test_landscape_certificates_match_reference_root_route(spread):
 
 
 def _two_route_bound(m: int) -> float:
-    """How far ``certify_gram`` and ``certify_povm`` may disagree on one U.
+    """How far ``certify_gram`` and ``certify_povm`` of the explicit
+    ``ensemble_from_gram`` ensemble may disagree on one U.
 
-    ``certify_gram`` certifies U against G^{1/2}; ``certify_povm`` against
-    ``ensemble_from_gram``'s scaled states, G^{1/2} divided and multiplied back
-    by sqrt(p_i), which moves each entry by two roundings, at most eps |R_ai|.
+    ``certify_gram`` certifies U against G^{1/2}; ``certify_povm`` handed that
+    ensemble reads its scaled states, G^{1/2} divided and multiplied back by
+    sqrt(p_i), which moves each entry by two roundings, at most eps |R_ai|.
+    (Handed the ``GramMatrix`` itself it reads G^{1/2} and agrees exactly.)
     Each route forms O = S^dag U by m-term sums, off by at most m u sqrt(p_i)
     per entry (columns of G^{1/2} have norm sqrt(p_i), those of U norm 1), so
     the two overlap matrices differ by at most (m + 1) eps sqrt(p_i) in row i.
@@ -223,6 +227,21 @@ def test_certify_gram_is_certify_povm_of_its_measurement(m, real):
             noise = rng.normal(size=(m, m)) + (0.0 if real else 1j) * rng.normal(size=(m, m))
             _assert_certifies_its_measurement(gram, f + scale * (noise + noise.conj().T),
                                               f"polish={polish} scale={scale}")
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("m", range(2, 9))
+def test_certify_povm_of_the_gram_is_certify_gram(m, real):
+    # one realization: both certifiers read U against gram.scaled_states, the
+    # columns of G^{1/2}, so every field agrees exactly, not to a bound
+    gram = random_gram(m, seed=1300 + 10 * m + real, spread=0.6, real=real)
+    rng = np.random.default_rng(1400 + 10 * m + real)
+    for polish in (False, True):
+        f = solve_direct(gram, steps=100, h=1e-2, polish=polish).final_state.matrix
+        noise = rng.normal(size=(m, m)) + (0.0 if real else 1j) * rng.normal(size=(m, m))
+        for factor in (f, f + 1e-9 * (noise + noise.conj().T)):
+            cert, povm = ms.certify_gram(gram, factor)
+            assert ms.certify_povm(gram, povm) == cert, f"polish={polish}"
 
 
 @pytest.mark.parametrize("seed", range(3))

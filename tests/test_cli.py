@@ -551,6 +551,23 @@ class TestPipeline:
         serialize.write_json(tmp_path / "check.json", {"ensemble": ens, "povm": povm})
         assert main(["certify", str(tmp_path / "check.json"), "--out", str(tmp_path)]) == 0
 
+    # certified against ensemble_from_gram's states, G^{1/2} / sqrt(p_i) * sqrt(p_i),
+    # these measurements read other last digits than solve's certificate (p_success
+    # too at m = 3 and 5), so the test tells that realization from G^{1/2}
+    @pytest.mark.parametrize("m, seed, real", [(3, 830, False), (5, 833, False), (8, 836, True)])
+    def test_certify_of_a_solved_gram_reproduces_its_certificate(self, tmp_path, m, seed, real):
+        gram = random_gram(m, seed=seed, spread=0.8, real=real)
+        inp = write_gram(tmp_path / "g.json", gram)
+        solved = main(["solve", inp, "--out", str(tmp_path), "--steps", "200", "--h", "5e-3",
+                       "--polish"])
+        assert solved == 0
+        report = json.loads((tmp_path / "g-report.json").read_text())
+        serialize.write_json(tmp_path / "check.json", {"ensemble": serialize.gram_to_dict(gram),
+                                                       "povm": report["final_povm"]})
+        assert main(["certify", str(tmp_path / "check.json"), "--out", str(tmp_path)]) == solved
+        assert (json.loads((tmp_path / "check-certificate.json").read_text())
+                == report["certificate"])
+
     def test_generate_is_deterministic(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         main(["generate", "--m", "4", "--seed", "9", "--out", str(a_dir)])

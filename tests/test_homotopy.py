@@ -15,6 +15,7 @@ from medsolve.certify import RESIDUAL_GATE, factor_residual
 from medsolve.homotopy import (
     _factor, _finish, _integrate, _newton_correction, _positive_root, _rate, _tangent_solve,
 )
+from medsolve.linalg import haar_unitary, hermitize
 
 DATA = Path(__file__).parent / "data"
 
@@ -201,6 +202,27 @@ class TestRk4Drag:
         # the certificate's gate
         gram = ms.raw_gram(ms.random_ensemble(8, seed=7, spread=0.5))
         assert solve_direct(gram, steps=200, h=5e-3, polish=True).certificate.is_optimal
+
+    @staticmethod
+    def _near_dependent_m3() -> ms.GramMatrix:
+        # real, spectrum (3e-8, 3/7, 4/7) up to the trace: min eig G is three
+        # times EPS_LI, so the input is admissible
+        v = haar_unitary(np.random.default_rng(1), 3, real=True)
+        lam = np.array([3e-8, 3 / 7 * (1 - 3e-8), 4 / 7 * (1 - 3e-8)])
+        g = hermitize((v * lam) @ v.T)
+        return ms.GramMatrix(g / np.trace(g).real)
+
+    def test_landscape_certifies_the_near_dependent_m3_optimum(self):
+        landscape = ms.classify_landscape(self._near_dependent_m3())
+        [best] = [c for c in landscape.certificates if c is not None and c.status == "optimal"]
+        assert abs(best.p_success - 0.89222151777819) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="the polished drag ends at stationarity residual "
+                                           "2.0e-7 > TOL_STAT: where Phi is nearly flat, Newton "
+                                           "on the m scales does not locate the measurement")
+    def test_polish_certifies_the_near_dependent_m3_optimum(self):
+        report = solve_direct(self._near_dependent_m3(), steps=200, h=5e-3, polish=True)
+        assert report.certificate.status == "optimal"
 
     def test_finish_needs_its_step_halvings(self, monkeypatch):
         # min eig G 2.5e-6: full Newton steps raise ||Phi|| once on the way, so a

@@ -4,7 +4,9 @@ Barnum & Knill, J. Math. Phys. 43, 2097 (2002): the pretty good measurement
 (PGM) succeeds with P_PGM = sum_i ((G^{1/2})_ii)^2, and the optimum P obeys
 P_PGM <= P <= sqrt(P_PGM).  P_PGM is computed here from its own eigh of G,
 O(m^3) and shared with neither the direct search nor the drag.  The bracket
-is tight at the orthogonal ensemble, where P = P_PGM = 1.
+is tight at the orthogonal ensemble, where P = P_PGM = 1.  The polished drag
+is checked at m = 2..8; the direct search, whose restarts cost the most, at
+m <= 4.
 """
 
 import numpy as np
@@ -28,7 +30,7 @@ def _grams(m, real):
     )
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", range(2, 9))
 @pytest.mark.parametrize("real", [False, True])
 def test_both_routes_lie_in_the_bracket(m, real):
     # both P and P_PGM are sums of m squares of entries bounded by 1, taken
@@ -41,8 +43,10 @@ def test_both_routes_lie_in_the_bracket(m, real):
     margin = 8 * m * _EPS
     for k, gram in enumerate(_grams(m, real)):
         p_pgm = _pgm_success(gram)
-        searched = ms.search_optimum(gram, seed=k).p_success
         report = solve_direct(gram, steps=200, h=5e-3, polish=True)
         assert report.certificate.status == "optimal"
-        for p in (searched, report.certificate.p_success):
+        routes = [report.certificate.p_success]
+        if m <= 4:
+            routes.append(ms.search_optimum(gram, seed=k).p_success)
+        for p in routes:
             assert p_pgm - margin <= p <= np.sqrt(p_pgm) + margin, f"gram {k}: {p_pgm!r}, {p!r}"
