@@ -38,7 +38,7 @@ from .gram import (
     raw_gram,
     reference_five_state_gram,
 )
-from .homotopy import RunReport, SolverState, Trajectory, rk4_drag
+from .homotopy import RunReport, Trajectory, rk4_drag
 from .measurement import FRAME_AMBIENT, FRAME_DUAL, povm_from_unitary
 from .serialize import (
     LOG_FLOOR,
@@ -130,6 +130,15 @@ def _as_gram(problem: GramMatrix | Ensemble) -> GramMatrix:
     return raw_gram(problem)
 
 
+def _write_output(path: Path, write, payload) -> None:
+    """Write ``payload`` to ``path`` with ``write``; a file that cannot be
+    written is a usage error, as an input that cannot be read is."""
+    try:
+        write(path, payload)
+    except OSError as exc:
+        raise _CliFailure(EXIT_USAGE, f"{path}: cannot write output ({exc.strerror})") from exc
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     try:
@@ -153,38 +162,12 @@ def _verdict_code(cert: Certificate) -> int:
     return EXIT_STATIONARY if cert.is_stationary else EXIT_FAILED
 
 
-class _ViaLeg:
-    """The identity -> --from drag, run on first use; later inputs reuse its
-    final state or re-raise its failure."""
-
-    def __init__(self, gram: GramMatrix, args):
-        self.gram, self._args, self._outcome = gram, args, None
-
-    def final_state(self) -> SolverState:
-        if self._outcome is None:
-            try:
-                self._outcome = _solve_one(self.gram, self._args, None).final_state
-            except _CliFailure as exc:
-                self._outcome = exc
-        if isinstance(self._outcome, Exception):
-            raise self._outcome
-        return self._outcome
-
-
-def _solve_one(gram: GramMatrix, args, via: _ViaLeg | None) -> RunReport:
-    """Drag to ``gram`` from the known optimum at I/m, or from the solved
-    --from matrix when ``via`` is given."""
-    if via is not None and via.gram.m != gram.m:
-        raise _CliFailure(
-            EXIT_USAGE, f"--from matrix has {via.gram.m} states but the input has {gram.m}"
-        )
+def _solve_one(gram: GramMatrix, args) -> RunReport:
+    """Drag to ``gram`` from the known optimum at I/m and judge the result at
+    the --tol-stat and --tol-glb tolerances."""
     try:
-        if via is None:
-            g_start, start = GramMatrix(np.eye(gram.m) / gram.m), None
-        else:
-            g_start, start = via.gram, via.final_state()
-        report = rk4_drag(Trajectory(g_start, gram), steps=args.steps, h=args.h,
-                          polish=args.polish, initial=start)
+        report = rk4_drag(Trajectory(GramMatrix(np.eye(gram.m) / gram.m), gram),
+                          steps=args.steps, h=args.h, polish=args.polish)
     except (MedError, np.linalg.LinAlgError) as exc:
         # LinAlgError is a ValueError, but it is a numerical failure, not a bad argument
         raise _CliFailure(EXIT_FAILED, f"solver failed: {exc}") from exc
@@ -210,15 +193,13 @@ def _write_solve_outputs(
     report: RunReport, problem: GramMatrix | Ensemble, out: Path, stem: str
 ) -> Path:
     report_path = out / f"{stem}-report.json"
-    write_json(report_path, _report_payload(report, problem))
-    write_trace_csv(out / f"{stem}-trace.csv", report.trace)
+    _write_output(report_path, write_json, _report_payload(report, problem))
+    _write_output(out / f"{stem}-trace.csv", write_trace_csv, report.trace)
     return report_path
 
 
 def cmd_solve(args) -> int:
     out = _out_dir(args)
-    via_path = getattr(args, "from")
-    via = _ViaLeg(_as_gram(_load_problem(Path(via_path))), args) if via_path else None
 
     inputs: list[Path]
     if args.batch:
@@ -232,8 +213,8 @@ def cmd_solve(args) -> int:
     for path in inputs:
         try:
             problem = _load_problem(path)
-            gram = _as_gram(problem)
-            report = _solve_one(gram, args, via)
+            report = _solve_one(_as_gram(problem), args)
+            report_path = _write_solve_outputs(report, problem, out, path.stem)
         except _CliFailure as exc:
             if not args.batch:
                 raise
@@ -241,7 +222,6 @@ def cmd_solve(args) -> int:
             print(f"{path.stem}: failed ({exc.code})")
             worst = max(worst, exc.code)
             continue
-        report_path = _write_solve_outputs(report, problem, out, path.stem)
         cert = report.certificate
         print(
             f"{path.stem}: {cert.status} p_success={cert.p_success:.12f} -> {report_path}"
@@ -276,7 +256,7 @@ def cmd_certify(args) -> int:
     cert = _judged(certify_povm(problem, povm), args)
     out = _out_dir(args)
     cert_path = out / f"{Path(args.input).stem}-certificate.json"
-    write_json(cert_path, certificate_to_dict(cert))
+    _write_output(cert_path, write_json, certificate_to_dict(cert))
     print(f"{Path(args.input).stem}: {cert.status} p_success={cert.p_success:.12f} -> {cert_path}")
     return _verdict_code(cert)
 
@@ -293,7 +273,7 @@ def cmd_enumerate(args) -> int:
     ])
     out = _out_dir(args)
     path = out / f"{Path(args.input).stem}-landscape.json"
-    write_json(path, landscape_to_dict(summary))
+    _write_output(path, write_json, landscape_to_dict(summary))
     n_real = sum(1 for r in summary.roots if r.is_real)
     print(f"{Path(args.input).stem}: {len(summary.roots)} roots ({n_real} real) -> {path}")
     return EXIT_OK
@@ -307,7 +287,7 @@ def cmd_audit(args) -> int:
         raise _CliFailure(EXIT_DATA, f"audit failed to run: {exc}") from exc
     out = _out_dir(args)
     path = out / f"{Path(args.input).stem}-audit.json"
-    write_json(path, audit_to_dict(report))
+    _write_output(path, write_json, audit_to_dict(report))
     verdict = "passed" if report.passed else "FAILED"
     print(f"{Path(args.input).stem}: audit {verdict} -> {path}")
     return EXIT_OK if report.passed else EXIT_FAILED
@@ -320,14 +300,14 @@ def cmd_generate(args) -> int:
         raise _CliFailure(EXIT_DATA, f"generation failed: {exc}") from exc
     out = _out_dir(args)
     path = out / f"ensemble-m{args.m}-seed{args.seed}.json"
-    write_json(path, ensemble_to_dict(ensemble))
+    _write_output(path, write_json, ensemble_to_dict(ensemble))
     print(f"generated m={args.m} seed={args.seed} spread={args.spread} -> {path}")
     return EXIT_OK
 
 
 def cmd_reproduce_fig1(args) -> int:
     gram = reference_five_state_gram()
-    report = _solve_one(gram, args, None)
+    report = _solve_one(gram, args)
     out = _out_dir(args)
     report_path = _write_solve_outputs(report, gram, out, "fig1")
     cert = report.certificate
@@ -371,8 +351,6 @@ def build_parser() -> _Parser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("input", nargs="?", help="gram-or-ensemble JSON file")
     source.add_argument("--batch", help="directory of input JSON files")
-    p.add_argument("--from", dest="from", default=None, metavar="GRAM.json",
-                   help="route the drag through this gram matrix")
     _add_common(p, solver=True)
     p.set_defaults(fn=cmd_solve)
 

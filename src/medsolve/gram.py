@@ -125,17 +125,14 @@ class GramMatrix:
         r = np.sqrt(np.clip(w, EPS_LI, None))
         return read_only((v * r) @ v.conj().T), read_only((v / r) @ v.conj().T)
 
-    def sqrt(self) -> np.ndarray:
-        """Principal (positive) square root via hermitian eigendecomposition."""
-        return self._roots[0]
-
     def inv_sqrt(self) -> np.ndarray:
         return self._roots[1]
 
     @property
     def scaled_states(self) -> np.ndarray:
-        """Columns of G^{1/2}, the canonical (FRAME_DUAL) realization's scaled states."""
-        return self.sqrt()
+        """Columns of G^{1/2}, the principal (positive) square root: the
+        canonical (FRAME_DUAL) realization's scaled states."""
+        return self._roots[0]
 
 
 def raw_gram(ensemble: Ensemble) -> GramMatrix:

@@ -176,7 +176,7 @@ def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
         raise ValueError("direct search is cost-guarded to m <= 4")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    r = gram.sqrt()
+    r = gram.scaled_states
     z = np.random.default_rng(seed).normal(size=(_RESTARTS, 2, m, m))
     u, iterations, grad_norm = _ascend(r, polar_unitary(z[:, 0] + 1j * z[:, 1]), _MAX_ITER, _GTOL)
     values = _value(r, u)

@@ -88,7 +88,7 @@ def certify_gram(gram: ms.GramMatrix, f: np.ndarray) -> tuple[dict, np.ndarray]:
             f"F^2 - DGD has HS norm {resid:.3e} (gate {RESIDUAL_GATE:.1e})"
         )
     u = polar_unitary(gram.inv_sqrt() @ np.linalg.solve(d, f))
-    r = gram.sqrt()
+    r = gram.scaled_states
     cert = _certify(r, u, r.conj().T @ u, hermitize(f), float(np.sum(a_sq)))
     return cert, u
 
@@ -154,7 +154,7 @@ def _assert_same_certify_gram(gram: ms.GramMatrix, f: np.ndarray, label: str) ->
         return type(want).__name__
     (cert, povm), (frozen, u) = got, want
     # p_success and the factor fields are those of the measurement U at G^{1/2}
-    r = gram.sqrt()
+    r = gram.scaled_states
     o = r.conj().T @ u
     attained = _certify(r, u, o, _hermitian_factor(o), float(np.sum(np.abs(np.diagonal(o)) ** 2)))
     for name in ("p_success", "f_min_eig", "f_positive"):

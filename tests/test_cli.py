@@ -83,11 +83,9 @@ class TestSolve:
         # norms off by 0.9e-12 pass the unit-norm check, the Gram trace 1 + 1.8e-12 does not
         ens = ms.random_ensemble(3, seed=802, spread=0.6)
         path = write_scaled_ensemble(tmp_path / "ens.json", ens, 1.0 + 0.9e-12)
-        via = write_gram(tmp_path / "via.json", random_gram(3, seed=803))
-        for extra in ([], ["--from", path]):
-            assert main(["solve", via if extra else path, "--out", str(tmp_path)] + extra) == 65
-            [line] = capsys.readouterr().err.splitlines()
-            assert line == f"{path}: gram matrix must have trace 1"
+        assert main(["solve", path, "--out", str(tmp_path)]) == 65
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"{path}: gram matrix must have trace 1"
 
     def test_steps_h_mismatch_is_usage_error(self, tmp_path):
         inp = write_gram(tmp_path / "g.json", random_gram(3, seed=800))
@@ -102,20 +100,6 @@ class TestSolve:
         assert code == 0
         report = json.loads((tmp_path / "ens-report.json").read_text())
         assert report["final_povm"]["frame"] == "ambient"
-
-    def test_route_through_intermediate_gram(self, tmp_path):
-        g_a = random_gram(3, seed=802, spread=0.4)
-        g_b = random_gram(3, seed=803, spread=0.7)
-        via = write_gram(tmp_path / "via.json", g_a)
-        inp = write_gram(tmp_path / "target.json", g_b)
-        code = main(["solve", inp, "--from", via, "--out", str(tmp_path),
-                     "--steps", "250", "--h", "4e-3"])
-        assert code == 0
-        report = json.loads((tmp_path / "target-report.json").read_text())
-        direct = solve_direct(g_b)
-        assert report["certificate"]["p_success"] == pytest.approx(
-            direct.certificate.p_success, abs=1e-8
-        )
 
     def test_large_ensemble_measurement_is_snapped_to_unitary(self, tmp_path, capsys):
         # the drag ends off unitarity by ~6e-9 here; written measurements must
@@ -322,53 +306,21 @@ class TestSolve:
         assert lines[0] == "a: failed (3)" and lines[1].startswith("b: optimal")
         assert (out / "b-report.json").exists() and not (out / "a-report.json").exists()
 
-    @staticmethod
-    def _batch_via(tmp_path, monkeypatch, drag, sizes=(2, 2, 2)):
-        """Run ``solve --batch --from`` over inputs a, b, c of the given sizes
-        and a 2-state --from matrix; returns the exit code and the end matrix
-        and start of every drag, in call order (start None: from I/m)."""
+    def test_batch_goes_on_past_an_output_it_cannot_write(self, tmp_path, capsys):
         batch = tmp_path / "batch"
         batch.mkdir()
-        for name, m, seed in zip("abc", sizes, (820, 821, 822)):
-            write_gram(batch / f"{name}.json", random_gram(m, seed=seed))
-        via = write_gram(tmp_path / "via.json", random_gram(2, seed=823, spread=0.3))
-        calls = []
-
-        def counted(trajectory, **kwargs):
-            calls.append((trajectory.g_end.m, kwargs.get("initial")))
-            return drag(trajectory, **kwargs)
-
-        monkeypatch.setattr(cli, "rk4_drag", counted)
-        code = main(["solve", "--batch", str(batch), "--from", via, "--out", str(tmp_path / "out"),
+        write_gram(batch / "a.json", random_gram(2, seed=815))
+        write_gram(batch / "b.json", random_gram(2, seed=816))
+        out = tmp_path / "out"
+        (out / "a-trace.csv").mkdir(parents=True)
+        code = main(["solve", "--batch", str(batch), "--out", str(out),
                      "--steps", "100", "--h", "1e-2"])
-        return code, calls
-
-    def test_batch_drags_the_via_leg_once(self, tmp_path, monkeypatch, capsys):
-        code, calls = self._batch_via(tmp_path, monkeypatch, cli.rk4_drag)
-        legs = sum(start is None for _, start in calls)
-        assert (code, legs, len(calls)) == (0, 1, 4)
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split(":")[0] for line in lines] == ["a", "b", "c"]
-        assert all(": optimal p_success=" in line for line in lines)
-
-    def test_batch_drags_only_inputs_of_the_via_size(self, tmp_path, monkeypatch, capsys):
-        code, calls = self._batch_via(tmp_path, monkeypatch, cli.rk4_drag, sizes=(3, 2, 3))
         assert code == 64
-        # b is the one input of the --from size: the leg, then b's segment
-        assert [(m, start is None) for m, start in calls] == [(2, True), (2, False)]
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "a: failed (64)" and lines[2] == "c: failed (64)"
-        assert lines[1].startswith("b: optimal p_success=")
-
-    def test_failed_via_leg_fails_every_input(self, tmp_path, monkeypatch, capsys, caplog):
-        def failing(*args, **kwargs):
-            raise ms.PositivityLost("factor F lost positive definiteness at t=0.5")
-
-        code, calls = self._batch_via(tmp_path, monkeypatch, failing)
-        assert (code, len(calls)) == (3, 1)
-        assert capsys.readouterr().out.splitlines() == [
-            "a: failed (3)", "b: failed (3)", "c: failed (3)"]
-        assert caplog.text.count("solver failed: factor F lost positive definiteness") == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "a: failed (64)" and lines[1].startswith("b: optimal")
+        assert f"{out / 'a-trace.csv'}: cannot write output" in captured.err
+        assert (out / "b-trace.csv").is_file()
 
 
 class TestCertify:
@@ -617,6 +569,31 @@ class TestUsage:
         assert main(["generate", "--m", "2", "--seed", "1", "--out", str(blocker)]) == 64
         assert "cannot create output directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, blocked", [
+        (["solve", "g.json"], "g-report.json"),
+        (["solve", "g.json"], "g-trace.csv"),
+        (["reproduce-fig1"], "fig1-trace.csv"),
+        (["generate", "--m", "3", "--seed", "1"], "ensemble-m3-seed1.json"),
+        (["certify", "pair.json"], "pair-certificate.json"),
+        (["audit", "pair.json"], "pair-audit.json"),
+        (["enumerate", "g.json"], "g-landscape.json"),
+    ], ids=["solve-report", "solve-trace", "reproduce-fig1", "generate", "certify", "audit",
+            "enumerate"])
+    def test_output_file_that_cannot_be_written_exits_64(self, tmp_path, capsys, argv, blocked):
+        gram = random_gram(3, seed=7, real=True)
+        write_gram(tmp_path / "g.json", gram)
+        serialize.write_json(tmp_path / "pair.json", {
+            "ensemble": serialize.gram_to_dict(gram),
+            "povm": serialize.povm_to_dict(solve_direct(gram, steps=100, h=1e-2).final_povm),
+        })
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        solver = ["--steps", "100", "--h", "1e-2"] if argv[0] in ("solve", "reproduce-fig1") else []
+        assert main(argv + solver + ["--out", str(out)]) == 64
+        # an uncaught OSError would escape main here instead of returning 64
+        assert capsys.readouterr().err.startswith(f"{out / blocked}: cannot write output (")
+
     @pytest.mark.parametrize("flags", [["--steps", "0", "--h", "inf"],
                                        ["--steps", "-1", "--h", "-1"],
                                        ["--h", "nan"],
@@ -625,17 +602,6 @@ class TestUsage:
         inp = write_gram(tmp_path / "g.json", random_gram(2, seed=821))
         assert main(["solve", inp, "--out", str(tmp_path)] + flags) == 64
         assert "invalid solver arguments" in capsys.readouterr().err
-
-    def test_intermediate_gram_of_another_size_exits_64(self, tmp_path, monkeypatch, capsys):
-        def no_drag(*args, **kwargs):
-            raise AssertionError("a --from size mismatch must be caught before any drag")
-
-        monkeypatch.setattr(cli, "rk4_drag", no_drag)
-        via = write_gram(tmp_path / "via.json", random_gram(2, seed=823))
-        inp = write_gram(tmp_path / "g.json", random_gram(3, seed=824))
-        assert main(["solve", inp, "--from", via, "--out", str(tmp_path),
-                     "--steps", "100", "--h", "1e-2"]) == 64
-        assert "--from matrix has 2 states but the input has 3" in capsys.readouterr().err
 
     def test_undecodable_input_exits_64_like_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bytes.json"

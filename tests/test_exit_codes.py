@@ -5,8 +5,10 @@ traceback.  Most inputs are malformed: missing paths, directories, garbage
 files and out-of-range generator arguments.  No such file is a valid
 problem: a unit trace or probabilities summing to one cannot be formed from
 the numbers drawn (integers, 2.5, 1e308, -1e-300, infinities), so no command
-reaches a drag.  The last test feeds valid problems close to linear
-dependence to ``solve``, where the drag itself runs near its limits.
+reaches a drag.  The generator's ranges are also drawn with a directory where
+its output file goes, so a write that fails is covered too.  The last test
+feeds valid problems close to linear dependence to ``solve``, where the drag
+itself runs near its limits.
 """
 
 import json
@@ -69,8 +71,8 @@ flag_values = st.one_of(
 flags = st.one_of(
     st.tuples(st.sampled_from(["--steps", "--h", "--tol-stat", "--tol-glb", "--seed",
                                "--m", "--spread"]), flag_values),
-    st.tuples(st.sampled_from(["--from", "--batch", "--out"]), paths),
-    st.tuples(st.sampled_from(["--polish", "--real", "--no-such-flag", "-x", "--"])),
+    st.tuples(st.sampled_from(["--batch", "--out"]), paths),
+    st.tuples(st.sampled_from(["--polish", "--real", "--no-such-flag", "--from", "-x", "--"])),
     st.tuples(flag_values),
 )
 commands = st.sampled_from(["solve", "certify", "enumerate", "audit", "generate", "", "nope"])
@@ -81,10 +83,14 @@ def _run(argv, tmp):
     return cli.main(argv)
 
 
-def _exit_codes(command, path, flag_groups, body):
+def _exit_codes(command, path, flag_groups, body, blocked=None):
+    """Exit codes of two runs of one argv; ``blocked`` names an output file
+    with a directory in its way."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "garbage.json").write_bytes(body)
+        if blocked:
+            (tmp / blocked).mkdir()
         # outputs go to the temporary directory unless a drawn --out overrides it
         argv = [command, "--out", "."] + ([path] if path else [])
         argv += [x for group in flag_groups for x in group]
@@ -108,16 +114,19 @@ def test_malformed_argv_and_files_end_in_documented_codes(command, path, flag_gr
     | st.just(float("nan")),
     st.integers(-2, 2**40),
     st.booleans(),
+    st.booleans(),
 )
-def test_generate_ranges_end_in_documented_codes(m, spread, seed, real):
+def test_generate_ranges_end_in_documented_codes(m, spread, seed, real, block_output):
     # "--flag=value" keeps argparse from reading a value such as -1e-05 as a flag
     flag_groups = [(f"--m={m}",), (f"--spread={spread!r}",), (f"--seed={seed}",)]
     if real:
         flag_groups.append(("--real",))
-    first, again = _exit_codes("generate", None, flag_groups, b"")
+    blocked = f"ensemble-m{m}-seed{seed}.json" if block_output else None
+    first, again = _exit_codes("generate", None, flag_groups, b"", blocked)
     assert first == again
     in_range = m >= 2 and 0.0 < spread <= 1.0 and seed >= 0
-    assert first == (0 if in_range else 65)
+    # a directory at the output file's name makes the write fail
+    assert first == (65 if not in_range else 64 if block_output else 0)
 
 
 def test_generate_beyond_the_address_space_is_invalid_data(capsys):

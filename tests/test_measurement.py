@@ -33,7 +33,7 @@ class TestPovmFromUnitary:
         povm = ms.povm_from_unitary(g, u, ensemble=ens)
         # the dual basis {|u_j>}, <psi~_i|u_j> = delta_ij: the inverse of S^dag
         dual = np.linalg.inv(ens.scaled_states.conj().T)
-        assert np.max(np.abs(povm.vectors - dual @ g.sqrt() @ u)) < 1e-13
+        assert np.max(np.abs(povm.vectors - dual @ g.scaled_states @ u)) < 1e-13
 
     def test_near_dependent_ambient_basis_stays_orthonormal(self):
         # min eig G 2.0e-8: the dual basis times G^{1/2} U is off by 2.8e-9
@@ -98,7 +98,7 @@ class TestPovmFromUnitary:
         u = haar_unitary(rng, 4)
         povm = ms.povm_from_unitary(g, u, ensemble=ens)
         overlaps = ens.scaled_states.conj().T @ povm.vectors
-        assert np.max(np.abs(overlaps - g.sqrt() @ u)) < 1e-10
+        assert np.max(np.abs(overlaps - g.scaled_states @ u)) < 1e-10
 
 
 class TestPgm:
@@ -137,6 +137,6 @@ class TestSuccessProbability:
         ens = ms.ensemble_from_gram(g)
         rng = np.random.default_rng(4)
         u = haar_unitary(rng, 3)
-        direct = float(np.sum(np.abs(np.diagonal(g.sqrt() @ u)) ** 2))
+        direct = float(np.sum(np.abs(np.diagonal(g.scaled_states @ u)) ** 2))
         via_povm = ms.certify_povm(ens, ms.povm_from_unitary(g, u, ensemble=ens)).p_success
         assert abs(direct - via_povm) < 1e-10

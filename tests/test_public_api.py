@@ -92,7 +92,7 @@ def test_no_module_imports_a_private_name_of_another():
 
 _SOLVER_FLAGS = {"--out", "--tol-stat", "--tol-glb", "--steps", "--h", "--polish"}
 CLI_OPTIONS = {
-    "solve": _SOLVER_FLAGS | {"--batch", "--from"},
+    "solve": _SOLVER_FLAGS | {"--batch"},
     "certify": {"--out", "--tol-stat", "--tol-glb"},
     "enumerate": {"--out", "--tol-stat", "--tol-glb", "--seed"},
     "audit": {"--out"},

@@ -79,7 +79,7 @@ def _stacked_lanes(r, seed, restarts, max_iter, gtol):
 
 
 def _assert_lanes_match(gram, seed, restarts, max_iter, gtol=1e-7):
-    r = gram.sqrt()
+    r = gram.scaled_states
     reference = _reference_restarts(r, np.random.default_rng(seed), restarts, max_iter, gtol)
     u, iterations, grad_norm = _stacked_lanes(r, seed, restarts, max_iter, gtol)
     for k, (u_ref, it_ref, grad_ref, val_ref) in enumerate(reference):
@@ -110,7 +110,7 @@ def test_stalled_lane_stops_where_it_is():
     # at a maximum the gradient is zero to roundoff; a tolerance of zero
     # leaves only the exhausted backtracking to stop the lane
     gram = seeded_grams(3, 1, base_seed=3200)[0]
-    r = gram.sqrt()
+    r = gram.scaled_states
     u_opt, _, _ = _stacked_lanes(r, seed=1, restarts=4, max_iter=500, gtol=1e-7)
     u, iterations, _ = _ascend(r, u_opt, max_iter=50, gtol=0.0)
     assert np.all(iterations < 50)
@@ -126,7 +126,7 @@ def test_gradient_norm_is_taken_at_the_returned_unitary(m, max_iter):
     # entries carries a rounding error of about m eps ||R||^2 <= m eps
     # (Tr G = 1), which sets the absolute floor
     for gram in (random_gram(m, seed=3131), *seeded_grams(m, 2, base_seed=3300 + 10 * m)):
-        r = gram.sqrt()
+        r = gram.scaled_states
         u, iterations, grad_norm = _stacked_lanes(r, seed=7, restarts=20, max_iter=max_iter, gtol=1e-7)
         if max_iter == 3:
             assert np.any((iterations == 3) & (grad_norm > 1e-7))
@@ -142,7 +142,7 @@ def test_composed_iterates_stay_unitary(m, real):
     # U, so rounding could build up over the iterations; a stalled run from
     # the optimum (gtol = 0) takes every step its backtracking allows
     for gram in seeded_grams(m, 2, base_seed=3400 + 10 * m, real=real):
-        r = gram.sqrt()
+        r = gram.scaled_states
         u, _, _ = _stacked_lanes(r, seed=m, restarts=20, max_iter=500, gtol=1e-7)
         stalled, _, _ = _ascend(r, u, max_iter=500, gtol=0.0)
         for lane in (*u, *stalled):
