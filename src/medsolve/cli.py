@@ -10,8 +10,9 @@ environment variable (debug|info) raises stderr verbosity and never touches
 stdout.
 
 ``main(argv)`` may be called repeatedly in one process: the parser is built
-once, on the first call, and each call parses into a fresh namespace and logs
-at its own MED_LOG to the stderr current at the time.
+once, on the first call, and each call parses into a fresh namespace, logs
+at its own MED_LOG to the stderr current at the time, and leaves the
+``medsolve`` logger's handlers and level as it found them.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .serialize import (
     landscape_to_dict,
     load_gram_or_ensemble,
     povm_from_dict,
-    povm_to_dict,
     read_json,
     run_report_to_dict,
     write_json,
@@ -76,33 +76,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _CliFailure(EXIT_USAGE, f"{self.prog}: {message}")
-
-
-class _StderrHandler(logging.StreamHandler):
-    """Writes each record to ``sys.stderr`` as it is when the record is emitted."""
-
-    def __init__(self):
-        super().__init__()
-        self.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-
-    @property
-    def stream(self):
-        return sys.stderr
-
-    @stream.setter
-    def stream(self, _):
-        pass
-
-
-def _configure_logging() -> None:
-    """Log the package at this call's MED_LOG.  The one handler sits on the
-    package logger, not on root, so records still propagate to the caller's
-    handlers."""
-    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
-        log.addHandler(_StderrHandler())
-    log.setLevel({"debug": logging.DEBUG, "info": logging.INFO}.get(
-        os.environ.get("MED_LOG", "").lower(), logging.WARNING
-    ))
 
 
 def _read_input(path: Path, parse):
@@ -162,12 +135,27 @@ def _verdict_code(cert: Certificate) -> int:
     return EXIT_STATIONARY if cert.is_stationary else EXIT_FAILED
 
 
-def _solve_one(gram: GramMatrix, args) -> RunReport:
-    """Drag to ``gram`` from the known optimum at I/m and judge the result at
-    the --tol-stat and --tol-glb tolerances."""
+def _solve_one(
+    problem: GramMatrix | Ensemble, args, out: Path, stem: str
+) -> tuple[RunReport, Path]:
+    """Drag to ``problem`` from the known optimum at I/m, judge the result at
+    the --tol-stat and --tol-glb tolerances and write ``<stem>-report.json``
+    and ``<stem>-trace.csv`` under ``out``.  An ensemble's measurement is
+    written in the ensemble's own space.  Every failure on the way ends in a
+    _CliFailure; returns the judged report and the report's path."""
+    gram = _as_gram(problem)
+    report_path = out / f"{stem}-report.json"
     try:
         report = rk4_drag(Trajectory(GramMatrix(np.eye(gram.m) / gram.m), gram),
                           steps=args.steps, h=args.h, polish=args.polish)
+        povm = report.final_povm
+        if isinstance(problem, Ensemble):
+            # the dual frame vectors of the report are the polar-snapped U of the drag
+            povm = povm_from_unitary(gram, povm.vectors, ensemble=problem)
+        report = replace(report, final_povm=povm,
+                         certificate=_judged(report.certificate, args))
+        _write_output(report_path, write_json, run_report_to_dict(report))
+        _write_output(out / f"{stem}-trace.csv", write_trace_csv, report.trace)
     except (MedError, np.linalg.LinAlgError) as exc:
         # LinAlgError is a ValueError, but it is a numerical failure, not a bad argument
         raise _CliFailure(EXIT_FAILED, f"solver failed: {exc}") from exc
@@ -175,27 +163,7 @@ def _solve_one(gram: GramMatrix, args) -> RunReport:
         # the drag rejects --steps/--h it cannot run, and a --steps whose
         # trace cannot be allocated
         raise _CliFailure(EXIT_USAGE, f"invalid solver arguments: {exc}") from exc
-    return replace(report, certificate=_judged(report.certificate, args))
-
-
-def _report_payload(report: RunReport, problem: GramMatrix | Ensemble) -> dict:
-    payload = run_report_to_dict(report)
-    if isinstance(problem, Ensemble):
-        # re-express the measurement in the ensemble's own space; the dual
-        # frame vectors of the report are the polar-snapped U of the drag
-        u = report.final_povm.vectors
-        povm = povm_from_unitary(raw_gram(problem), u, ensemble=problem)
-        payload["final_povm"] = povm_to_dict(povm)
-    return payload
-
-
-def _write_solve_outputs(
-    report: RunReport, problem: GramMatrix | Ensemble, out: Path, stem: str
-) -> Path:
-    report_path = out / f"{stem}-report.json"
-    _write_output(report_path, write_json, _report_payload(report, problem))
-    _write_output(out / f"{stem}-trace.csv", write_trace_csv, report.trace)
-    return report_path
+    return report, report_path
 
 
 def cmd_solve(args) -> int:
@@ -212,9 +180,7 @@ def cmd_solve(args) -> int:
     worst = EXIT_OK
     for path in inputs:
         try:
-            problem = _load_problem(path)
-            report = _solve_one(_as_gram(problem), args)
-            report_path = _write_solve_outputs(report, problem, out, path.stem)
+            report, report_path = _solve_one(_load_problem(path), args, out, path.stem)
         except _CliFailure as exc:
             if not args.batch:
                 raise
@@ -306,10 +272,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_reproduce_fig1(args) -> int:
-    gram = reference_five_state_gram()
-    report = _solve_one(gram, args)
-    out = _out_dir(args)
-    report_path = _write_solve_outputs(report, gram, out, "fig1")
+    report, report_path = _solve_one(reference_five_state_gram(), args, _out_dir(args), "fig1")
     cert = report.certificate
     lg = np.log10(np.maximum(report.trace[:, 2], LOG_FLOOR))
     print(
@@ -395,10 +358,17 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
-    parser = build_parser()
+    # the handler lives for this call only, on the package logger and not on
+    # root, so records still propagate to the caller's handlers
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel({"debug": logging.DEBUG, "info": logging.INFO}.get(
+        os.environ.get("MED_LOG", "").lower(), logging.WARNING
+    ))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except _CliFailure as exc:
         print(str(exc), file=sys.stderr)
@@ -408,6 +378,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAILED
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def entry() -> None:

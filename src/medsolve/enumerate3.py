@@ -39,6 +39,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .certify import Certificate, certify_gram
 from .exceptions import RootCountAnomaly
@@ -170,14 +171,13 @@ def _evaluate(q: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a_n y_n = b_n for every lane n; an exactly singular lane gets nan."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        regular = np.linalg.det(a) != 0.0
-        out = np.full(b.shape, np.nan, dtype=complex)
-        out[regular] = np.linalg.solve(a[regular], b[regular])
-        return out
+    """Solve a_n y_n = b_n for every lane n; an exactly singular lane gets nan.
+
+    numpy's LAPACK gufunc fills a lane whose factorization meets an exact
+    zero pivot with nan and flags the invalid operation that np.linalg.solve
+    turns into LinAlgError; the flag is ignored here."""
+    with np.errstate(invalid="ignore"):
+        return _umath_linalg.solve(a, b)
 
 
 def _homotopy(q, gamma, x, s):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -205,6 +206,7 @@ class TestSolve:
                 assert abs(gram.entries[i, j] - expected) < 1e-14
 
     def test_escaping_toolkit_error_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the ensemble's re-expression runs inside the solve's failure mapping
         def broken(*args, **kwargs):
             raise ms.NotUnitary("matrix is not unitary (residual 1.0e-03)")
 
@@ -214,8 +216,8 @@ class TestSolve:
         serialize.write_json(path, serialize.ensemble_to_dict(ens))
         code = main(["solve", str(path), "--out", str(tmp_path), "--steps", "100", "--h", "1e-2"])
         assert code == 3
-        err = capsys.readouterr().err
-        assert "NotUnitary" in err and "Traceback" not in err
+        assert capsys.readouterr().err == "solver failed: matrix is not unitary (residual 1.0e-03)\n"
+        assert not (tmp_path / "ens-report.json").exists()
 
     def test_batch_mode(self, tmp_path):
         batch = tmp_path / "batch"
@@ -306,6 +308,33 @@ class TestSolve:
         assert lines[0] == "a: failed (3)" and lines[1].startswith("b: optimal")
         assert (out / "b-report.json").exists() and not (out / "a-report.json").exists()
 
+    def test_batch_goes_on_past_a_failed_re_expression(self, tmp_path, capsys, monkeypatch):
+        re_express = cli.povm_from_unitary
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ms.NotUnitary("basis is not orthonormal (residual 1.0e-03)")
+            return re_express(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "povm_from_unitary", fails_once)
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        for name, seed in (("e1", 801), ("e2", 802)):
+            serialize.write_json(batch / f"{name}.json",
+                                 serialize.ensemble_to_dict(ms.random_ensemble(3, seed, 0.5)))
+        out = tmp_path / "out"
+        code = main(["solve", "--batch", str(batch), "--out", str(out),
+                     "--steps", "100", "--h", "1e-2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "e1: failed (3)" and lines[1].startswith("e2: optimal")
+        assert "solver failed: basis is not orthonormal" in captured.err
+        assert "Traceback" not in captured.err
+        assert sorted(p.name for p in out.iterdir()) == ["e2-report.json", "e2-trace.csv"]
+
     def test_batch_goes_on_past_an_output_it_cannot_write(self, tmp_path, capsys):
         batch = tmp_path / "batch"
         batch.mkdir()
@@ -331,6 +360,18 @@ class TestCertify:
         assert main(["certify", inp, "--out", str(tmp_path)]) == 0
         cert = json.loads((tmp_path / "ok-certificate.json").read_text())
         assert cert["status"] == "optimal"
+
+    def test_escaping_toolkit_error_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
+        # no per-command mapping catches it: main's net does
+        def broken(*args, **kwargs):
+            raise ms.NotUnitary("basis is not orthonormal (residual 1.0e-03)")
+
+        monkeypatch.setattr(cli, "certify_povm", broken)
+        ens = ms.Ensemble(np.eye(3), np.full(3, 1 / 3))
+        inp = certify_payload(tmp_path / "ok.json", ens, ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))
+        assert main(["certify", inp, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "medsolve: NotUnitary: basis is not orthonormal (residual 1.0e-03)\n"
 
     def test_swapped_two_state_point_exits_2(self, tmp_path):
         result = ms.helstrom(0.6, 0.4, 0.5)
@@ -655,6 +696,34 @@ class TestRepeatedCalls:
         assert main(first) == code
         assert main(["generate", "--m", "2", "--seed", "3", "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.endswith(f"-> {tmp_path / 'ensemble-m2-seed3.json'}\n")
+
+    def test_a_call_leaves_the_package_logger_as_it_found_it(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def broken(*args, **kwargs):
+            raise ms.NotUnitary("basis is not orthonormal (residual 1.0e-03)")
+
+        ens = ms.Ensemble(np.eye(3), np.full(3, 1 / 3))
+        inp = certify_payload(tmp_path / "ok.json", ens, ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))
+        monkeypatch.setattr(cli, "certify_povm", broken)
+        monkeypatch.setenv("MED_LOG", "debug")
+        calls = [
+            (["generate", "--m", "2", "--seed", "3", "--out", str(tmp_path)], 0),  # success
+            (["solve", str(tmp_path / "missing.json"), "--out", str(tmp_path)], 64),  # _CliFailure
+            (["certify", inp, "--out", str(tmp_path)], 3),  # a MedError reaches main
+            (["--help"], 0),
+        ]
+        logger = logging.getLogger("medsolve")
+        level, own = logger.level, logging.NullHandler()
+        logger.addHandler(own)
+        logger.setLevel(logging.ERROR)
+        try:
+            handlers = list(logger.handlers)
+            for argv, code in calls:
+                assert main(argv) == code
+                assert logger.handlers == handlers and logger.level == logging.ERROR
+        finally:
+            logger.removeHandler(own)
+            logger.setLevel(level)
 
     def test_each_call_logs_at_its_own_level_to_its_own_stderr(self, tmp_path, monkeypatch):
         inp = write_gram(tmp_path / "g.json", random_gram(2, seed=824))

@@ -90,7 +90,7 @@ def test_reported_p_success_on_a_wide_spectrum(m):
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-@pytest.mark.parametrize("m", CASES)
+@pytest.mark.parametrize("m", [*CASES, 64, 128])
 def test_pretty_good_measurement_is_certified_optimal(m, real):
     # the canonical realization: the scaled states are the columns of G^{1/2}
     _, root, p = _gu_problem(m, real)

@@ -1,0 +1,207 @@
+"""Byte-identity check of the CLI between this checkout and a git revision.
+
+    python tools/identity.py [--against REV]      # REV defaults to HEAD
+
+Run from anywhere inside the repository.  The tool extracts REV's ``src``
+tree with ``git archive REV src | tar -x``, writes one set of inputs with
+``perfbench/inputs.py`` and runs the same list of CLI operations on both
+trees, each tree in its own Python process that imports ``medsolve`` from
+that tree and calls ``medsolve.cli.main`` in process.  The operations:
+
+- ``solve`` on the batch-small inputs of seeds 0 and 1, with the benchmark's
+  flags ``--steps 200 --h 5e-3 --polish`` and with the same flags without
+  ``--polish``;
+- for the verify-m3 inputs of seed 0: ``certify`` and ``audit`` on the
+  optimum and on an outcome-permuted copy, and ``enumerate`` on the real
+  problems;
+- ``reproduce-fig1`` at its defaults and at ``--steps 200 --h 5e-3 --polish``;
+- one ``solve --batch`` over the whole input directory, whose certify files
+  fail per input with exit 64;
+- ``generate``.
+
+For each operation it records the exit code, stdout and stderr (with the
+work directory masked), an escaped exception's type, and the sha256 of every
+output file.  It prints each difference and exits 1 when there is any, 0
+otherwise.  MED_LOG is removed from the children's environment, since its
+records carry wall-clock times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import inputs  # noqa: E402
+
+SOLVE_FLAGS = ["--steps", "200", "--h", "5e-3"]
+PERMUTATION = [1, 2, 0]
+
+
+def _povm_dict(vectors: np.ndarray, frame: str) -> dict:
+    rows = vectors.T
+    return {"m": rows.shape[0], "basis_re": rows.real.tolist(),
+            "basis_im": rows.imag.tolist(), "frame": frame}
+
+
+def _certify_files(work: Path, problems: list[inputs.Problem]) -> list[Path]:
+    """Optimum and permuted-optimum files for the verify-m3 problems.  The
+    optimum comes from this checkout's drag; both trees read the same files."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import medsolve as ms
+
+    paths = []
+    for p in problems:
+        gram = ms.GramMatrix(p.gram())
+        u = ms.rk4_drag(ms.Trajectory(ms.GramMatrix(np.eye(3) / 3), gram),
+                        steps=200, h=5e-3, polish=True).final_povm.vectors
+        if p.schema == "ensemble":
+            ensemble = ms.Ensemble(p.states, p.probs)
+            vectors = ms.povm_from_unitary(gram, u, ensemble=ensemble).vectors
+            frame = ms.FRAME_AMBIENT
+        else:
+            vectors, frame = u, ms.FRAME_DUAL
+        for label, vecs in (("opt", vectors), ("perm", vectors[:, PERMUTATION])):
+            paths.append(inputs.write(work / f"{p.name}-{label}.json",
+                                      {"ensemble": p.to_dict(),
+                                       "povm": _povm_dict(vecs, frame)}))
+    return paths
+
+
+def operations(work: Path) -> list[tuple[str, list[str]]]:
+    """Write the inputs under ``work`` and return (key, argv without --out)."""
+    ops = []
+    for seed in (0, 1):
+        for p in inputs.batch_small(seed):
+            path = str(inputs.write(work / f"s{seed}-{p.name}.json", p.to_dict()))
+            ops.append((f"s{seed}-{p.name}-polish", ["solve", path, *SOLVE_FLAGS, "--polish"]))
+            ops.append((f"s{seed}-{p.name}-plain", ["solve", path, *SOLVE_FLAGS]))
+    problems = inputs.verify_m3(0)
+    for p in problems:
+        path = inputs.write(work / f"{p.name}.json", p.to_dict())
+        if p.real:
+            ops.append((f"{p.name}-enumerate", ["enumerate", str(path)]))
+    for path in _certify_files(work, problems):
+        ops.append((f"{path.stem}-certify", ["certify", str(path)]))
+        ops.append((f"{path.stem}-audit", ["audit", str(path)]))
+    ops.append(("fig1", ["reproduce-fig1"]))
+    ops.append(("fig1-polish", ["reproduce-fig1", *SOLVE_FLAGS, "--polish"]))
+    ops.append(("batch", ["solve", "--batch", str(work), *SOLVE_FLAGS, "--polish"]))
+    ops.append(("generate", ["generate", "--m", "3", "--seed", "0"]))
+    return ops
+
+
+def run_tree(src: Path, ops: list, work: Path, out: Path) -> dict:
+    """Run ``ops`` on the medsolve under ``src`` in this process."""
+    sys.path.insert(0, str(src))
+    import medsolve.cli
+
+    if Path(medsolve.__file__).resolve().parent != (src / "medsolve").resolve():
+        raise SystemExit(f"imported {medsolve.__file__}, not the tree under {src}")
+
+    def mask(text: str) -> str:
+        return text.replace(str(out), "<out>").replace(str(work), "<work>")
+
+    results = {}
+    for key, argv in ops:
+        target = out / key
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code, escaped = None, None
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = medsolve.cli.main(argv + ["--out", str(target)])
+            except Exception as exc:  # an escaped exception is a result too
+                escaped = type(exc).__name__
+        files = {}
+        if target.is_dir():
+            for path in sorted(target.rglob("*")):
+                if path.is_file():
+                    files[str(path.relative_to(target))] = hashlib.sha256(
+                        path.read_bytes()).hexdigest()
+        results[key] = {"code": code, "escaped": escaped, "stdout": mask(stdout.getvalue()),
+                        "stderr": mask(stderr.getvalue()), "files": files}
+    return results
+
+
+def _child(src: Path, work: Path, out: Path, ops: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "MED_LOG"}
+    env.pop("PYTHONPATH", None)
+    done = subprocess.run(
+        [sys.executable, __file__, "--child", str(src), str(work), str(out), str(ops)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"the run on {src} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def compare(ours: dict, theirs: dict) -> list[str]:
+    diffs = []
+    for key in ours:
+        a, b = ours[key], theirs[key]
+        for field in ("code", "escaped"):
+            if a[field] != b[field]:
+                diffs.append(f"{key}: {field} {b[field]!r} -> {a[field]!r}")
+        for field in ("stdout", "stderr"):
+            if a[field] != b[field]:
+                ours_lines, theirs_lines = a[field].splitlines(), b[field].splitlines()
+                n = next((i for i, pair in enumerate(zip(ours_lines, theirs_lines))
+                          if pair[0] != pair[1]), min(len(ours_lines), len(theirs_lines)))
+                first = [lines[n] if n < len(lines) else "<end>"
+                         for lines in (theirs_lines, ours_lines)]
+                diffs.append(f"{key}: {field} line {n + 1}: {first[0]!r} -> {first[1]!r}")
+        for name in sorted(set(a["files"]) | set(b["files"])):
+            if a["files"].get(name) != b["files"].get(name):
+                state = ("only here" if name not in b["files"] else
+                         "only in the revision" if name not in a["files"] else "bytes differ")
+                diffs.append(f"{key}: {name} {state}")
+    return diffs
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", default="HEAD", metavar="REV",
+                        help="git revision to compare this checkout with (default: HEAD)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="medsolve-identity-") as tmp:
+        tmp = Path(tmp)
+        rev_root, work = tmp / "rev", tmp / "inputs"
+        rev_root.mkdir()
+        work.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against, "src"],
+                                 capture_output=True, check=False)
+        if archive.returncode != 0:
+            print(archive.stderr.decode(), file=sys.stderr, end="")
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(rev_root)], input=archive.stdout, check=True)
+        ops = operations(work)
+        ops_file = tmp / "ops.json"
+        ops_file.write_text(json.dumps(ops))
+        theirs = _child(rev_root / "src", work, tmp / "out-rev", ops_file)
+        ours = _child(ROOT / "src", work, tmp / "out-here", ops_file)
+    diffs = compare(ours, theirs)
+    for line in diffs:
+        print(line)
+    n_files = sum(len(r["files"]) for r in ours.values())
+    print(f"{len(ops)} operations, {n_files} output files: "
+          f"{len(diffs)} difference(s) against {args.against}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        src, work, out, ops = map(Path, sys.argv[2:6])
+        print(json.dumps(run_tree(src, json.loads(ops.read_text()), work, out)))
+    else:
+        sys.exit(main())
