@@ -43,6 +43,10 @@ duty is kept: the kernel flags a singular Schur matrix as an invalid
 operation, which the solve raises as SingularJacobian without a warning.
 A non-finite F yields NaN eigenvalues rather than an error, which the
 Lyapunov check and the positivity check after each step reject.
+The RK4 loop carries the state as one vector z = (a, f) in f's dtype, so
+each stage argument and each update is one array expression; the imaginary
+part of a complex z's scale entries stays exactly zero, and the scales
+round as they would in a separate real array.
 
 Hermiticity is preserved structurally: the state stores a_i and the strict
 upper triangle of F, so a_i stays real and f_ji = conj(f_ij) exactly.
@@ -213,7 +217,7 @@ def _tangent_solve(
     m = a.shape[0]
     vc = v.conj()
     vh = vc.T
-    s = lam[:, None] + lam[None, :]
+    s = lam[:, None] + lam
     # eigh sorts lam ascending and rounding is monotone, so for lam_0 > 0 the
     # extremes of |l_i + l_j| are exactly 2 l_0 and 2 l_{m-1}; any other
     # spectrum, or one that fails the check, takes the full reduction
@@ -240,7 +244,7 @@ def _tangent_solve(
             schur_inv = _umath_linalg.inv(schur)
         # the 1-norms of M and M^-1: column sums of |.|, both in one reduction
         pair = np.abs(np.concatenate((schur, schur_inv))).reshape(2, m, m)
-        norms = pair.sum(axis=1).max(axis=1)
+        norms = np.maximum.reduce(np.add.reduce(pair, 1), 1)
         cond = norms[0] * norms[1]
     except FloatingPointError:
         cond = np.inf
@@ -398,6 +402,10 @@ def _integrate(
 
     gdot = g_end - g_start
     trace = np.empty((steps, 5))
+    m = a.shape[0]
+    # (a, f) as one vector in f's dtype, one expression per RK4 combination; real
+    # coefficients keep the scales' imaginary part 0 and round them as real arithmetic
+    z = np.concatenate((a, f))
     t = 0.0
     g_now = path(t)
     eig = None  # eigh(F) at (a, f), shared by the step check and the next k1
@@ -406,12 +414,15 @@ def _integrate(
         # steps * h may miss 1 by up to 1e-9; the last step lands on t = 1 exactly
         t_mid, t_next = t + half, 1.0 if it == steps else it * h
         g_mid, g_next = path(t_mid), path(t_next)  # k4 and the step check share G(t_next)
-        k1 = _rate(a, f, g_now, gdot, t, eig=eig)
-        k2 = _rate(a + half * k1[0], f + half * k1[1], g_mid, gdot, t_mid)
-        k3 = _rate(a + half * k2[0], f + half * k2[1], g_mid, gdot, t_mid)
-        k4 = _rate(a + h * k3[0], f + h * k3[1], g_next, gdot, t_next)
-        a = a + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        f = f + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        k1 = np.concatenate(_rate(a, f, g_now, gdot, t, eig=eig))
+        w = z + half * k1
+        k2 = np.concatenate(_rate(w[:m].real, w[m:], g_mid, gdot, t_mid))
+        w = z + half * k2
+        k3 = np.concatenate(_rate(w[:m].real, w[m:], g_mid, gdot, t_mid))
+        w = z + h * k3
+        k4 = np.concatenate(_rate(w[:m].real, w[m:], g_next, gdot, t_next))
+        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a, f = z[:m].real, z[m:]
         t, g_now = t_next, g_next
 
         # no admissibility check on G(t): its smallest eigenvalue is concave in t,
@@ -419,9 +430,10 @@ def _integrate(
         if polish and it == steps:
             a, f = _finish(a, g_now, t)
 
-        if a.min() <= EPS_A:
+        a_min = np.minimum.reduce(a)
+        if a_min <= EPS_A:
             raise NearLinearDependence(
-                f"scale a_{int(np.argmin(a))} fell to {a.min():.3e} at t={t:.6f}; "
+                f"scale a_{int(np.argmin(a))} fell to {a_min:.3e} at t={t:.6f}; "
                 "target is too close to linear dependence"
             )
         fmat = _factor(a, f)
@@ -432,5 +444,5 @@ def _integrate(
                 f"factor F lost positive definiteness at t={t:.6f} (min eig {f_min:.3e})"
             )
         resid = factor_residual(a, fmat, g_now)
-        trace[it - 1] = (it, t, resid, f_min, float(np.sum(a**2)))
-    return a, f, trace
+        trace[it - 1] = (it, t, resid, f_min, float(np.add.reduce(a * a)))
+    return a.copy(), f, trace  # a is a view of z, strided when z is complex

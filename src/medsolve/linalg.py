@@ -7,6 +7,8 @@ and Haar-random unitaries, and the unitarity residual.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -23,7 +25,7 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
 
 def hs_norm(mat: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.sqrt(np.vdot(mat, mat).real))
+    return math.sqrt(np.vdot(mat, mat).real)
 
 
 def polar_unitary(mat: np.ndarray) -> np.ndarray:

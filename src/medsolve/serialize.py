@@ -201,10 +201,9 @@ def read_json(path: str | Path) -> dict:
 
 
 def write_trace_csv(path: str | Path, trace: np.ndarray) -> None:
+    trace = np.asarray(trace)
+    log_resid = np.log10(np.maximum(trace[:, 2], LOG_FLOOR)).tolist()
     lines = ["iter,t,log10_hs_residual,min_eig_F,p_success_partial"]
-    for row in np.asarray(trace):
-        log_resid = np.log10(max(float(row[2]), LOG_FLOOR))
-        lines.append(
-            f"{int(row[0])},{row[1]:.17g},{log_resid:.17g},{row[3]:.17g},{row[4]:.17g}"
-        )
+    lines += [f"{int(it)},{t:.17g},{lr:.17g},{f_min:.17g},{p:.17g}"
+              for (it, t, _, f_min, p), lr in zip(trace.tolist(), log_resid)]
     Path(path).write_text("\n".join(lines) + "\n")

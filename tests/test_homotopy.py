@@ -298,6 +298,56 @@ class TestTimeGrid:
         assert rates[-1][1] == 1.0
 
 
+def _two_array_integrate(trajectory, a, f, steps, h, polish):
+    """Frozen copy of the RK4 loop as it stood with a and f in separate arrays,
+    its failure branches left out; it calls the module's stage and residual."""
+    g_start, g_end = trajectory.g_start.entries, trajectory.g_end.entries
+    if not (g_start.imag.any() or g_end.imag.any() or f.imag.any()):
+        g_start, g_end, f = g_start.real, g_end.real, f.real
+
+    def path(t):
+        return (1.0 - t) * g_start + t * g_end
+
+    gdot, trace, t, eig = g_end - g_start, np.empty((steps, 5)), 0.0, None
+    g_now, half, sixth = path(t), 0.5 * h, h / 6.0
+    for it in range(1, steps + 1):
+        t_mid, t_next = t + half, 1.0 if it == steps else it * h
+        g_mid, g_next = path(t_mid), path(t_next)
+        k1 = _rate(a, f, g_now, gdot, t, eig=eig)
+        k2 = _rate(a + half * k1[0], f + half * k1[1], g_mid, gdot, t_mid)
+        k3 = _rate(a + half * k2[0], f + half * k2[1], g_mid, gdot, t_mid)
+        k4 = _rate(a + h * k3[0], f + h * k3[1], g_next, gdot, t_next)
+        a = a + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        f = f + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        t, g_now = t_next, g_next
+        if polish and it == steps:
+            a, f = _finish(a, g_now, t)
+        fmat = _factor(a, f)
+        eig = homotopy._umath_linalg.eigh_lo(fmat)
+        f_min = float(eig[0][0])
+        trace[it - 1] = (it, t, factor_residual(a, fmat, g_now), f_min, float(np.sum(a**2)))
+    return a, f, trace
+
+
+class TestStateVector:
+    """The loop carries (a, f) as one vector and must round every value as the
+    two-array loop did, in real and complex arithmetic."""
+
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("polish", [False, True])
+    def test_matches_the_two_array_loop(self, m, real, polish):
+        trajectory = ms.Trajectory(identity_gram(m),
+                                   random_gram(m, seed=180 + m, spread=0.7, real=real))
+        start = ms.initial_state(m)
+        got = _integrate(trajectory, start.a, start.f, 200, 5e-3, polish)
+        want = _two_array_integrate(trajectory, start.a, start.f, 200, 5e-3, polish)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        a = got[0]  # its own contiguous float64 array, not a view of the loop's state
+        assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.owndata
+
+
 class _KernelsWithNanEigh:
     """numpy's LAPACK gufuncs, except that call ``nan_call`` of eigh_lo returns NaNs."""
 

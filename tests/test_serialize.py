@@ -154,3 +154,24 @@ class TestTraceCsv:
         serialize.write_trace_csv(path, trace)
         val = float(path.read_text().strip().splitlines()[1].split(",")[2])
         assert np.isfinite(val)
+
+    def test_bytes_match_the_per_row_formula(self, tmp_path):
+        # the column-wise log10 and the formatted tolist() rows write what one
+        # scalar log10 per row wrote, residual floor and signs included
+        report = solve_direct(random_gram(4, seed=703, real=False), steps=50, h=2e-2)
+        synthetic = np.array([
+            [1, 0.25, 0.0, 0.5, 0.75],
+            [2, 0.5, 5e-324, -1e-3, 0.8],
+            [3, 0.75, 1e-300, -0.0, 0.9],
+            [4, 1.0, 1.0, -2.5, 1.0],
+        ])
+        for trace in (report.trace, synthetic):
+            lines = ["iter,t,log10_hs_residual,min_eig_F,p_success_partial"]
+            for row in trace:
+                log_resid = np.log10(max(float(row[2]), serialize.LOG_FLOOR))
+                lines.append(
+                    f"{int(row[0])},{row[1]:.17g},{log_resid:.17g},{row[3]:.17g},{row[4]:.17g}"
+                )
+            path = tmp_path / "trace.csv"
+            serialize.write_trace_csv(path, trace)
+            assert path.read_text() == "\n".join(lines) + "\n"

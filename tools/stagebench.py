@@ -1,0 +1,128 @@
+"""Per-layer timing of the drag's stage and loop: this checkout against a git revision.
+
+    python tools/stagebench.py [--against REV]      # REV defaults to HEAD
+
+Run from anywhere inside the repository.  The tool extracts REV's ``src``
+tree with ``git archive REV src | tar -x`` and times both trees in fresh
+Python processes, five rounds of one process per tree, alternating which
+tree goes first so that drift in the host's load falls on both.  Each
+process imports ``medsolve`` from its tree and measures:
+
+- ``homotopy._rate`` at a fixed mid-path state, for m = 2, 5 and 8 in real
+  and complex arithmetic: the best of 5 repeats of 2000 calls, in us per call.
+  The state is the polished drag's solution at G(1/2) of the path from I/m
+  to a seeded random Gram matrix (``random_ensemble(m, 90 + m, 0.6)``), with
+  G(1/2) and dG/dt as the stage sees them mid-drag;
+- one polished 200-step ``rk4_drag`` along that path, per m and arithmetic,
+  the best of 3, in ms.
+
+The table gives, per row, the best over all rounds for REV and for this
+checkout, and their ratio (below 1 is faster here).  Both trees must provide
+``_rate(a, f, g, gdot, t)`` and the public ``rk4_drag``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+DIMENSIONS = (2, 5, 8)
+ROUNDS, RATE_CALLS, RATE_REPEATS, DRAG_REPEATS = 5, 2000, 5, 3
+STEPS, H = 200, 5e-3
+
+
+def measure(src: Path) -> dict[str, float]:
+    """Time the medsolve under ``src`` in this process: {row key: best time}."""
+    sys.path.insert(0, str(src))
+    import medsolve as ms
+    from medsolve import homotopy
+
+    if Path(ms.__file__).resolve().parent != (src / "medsolve").resolve():
+        raise SystemExit(f"imported {ms.__file__}, not the tree under {src}")
+    cases = []  # (m, arithmetic, path, _rate's arguments at the mid-path state)
+    for m in DIMENSIONS:
+        for real in (True, False):
+            target = ms.raw_gram(ms.random_ensemble(m, 90 + m, 0.6, real=real))
+            path = ms.Trajectory(ms.GramMatrix(np.eye(m) / m), target)
+            half = ms.GramMatrix(path(0.5))
+            mid = ms.rk4_drag(ms.Trajectory(path.g_start, half), steps=STEPS, h=H,
+                              polish=True).final_state
+            args = (mid.a, mid.f, path(0.5), path.tangent(), 0.5)
+            if real:
+                args = (mid.a, mid.f.real, path(0.5).real, path.tangent().real, 0.5)
+            cases.append((m, "real" if real else "complex", path, args))
+    out = {}
+    for m, arith, _, args in cases:
+        best = np.inf
+        for _ in range(RATE_REPEATS):
+            began = time.perf_counter()
+            for _ in range(RATE_CALLS):
+                homotopy._rate(*args)
+            best = min(best, time.perf_counter() - began)
+        out[f"_rate us|{m}|{arith}"] = 1e6 * best / RATE_CALLS
+    for m, arith, path, _ in cases:
+        best = np.inf
+        for _ in range(DRAG_REPEATS):
+            began = time.perf_counter()
+            ms.rk4_drag(path, steps=STEPS, h=H, polish=True)
+            best = min(best, time.perf_counter() - began)
+        out[f"rk4_drag ms|{m}|{arith}"] = 1e3 * best
+    return out
+
+
+def _child(src: Path) -> dict[str, float]:
+    env = {k: v for k, v in os.environ.items() if k not in ("MED_LOG", "PYTHONPATH")}
+    done = subprocess.run([sys.executable, __file__, "--child", str(src)], env=env,
+                          capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise SystemExit(f"the run on {src} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", default="HEAD", metavar="REV",
+                        help="git revision to compare this checkout with (default: HEAD)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="medsolve-stagebench-") as tmp:
+        rev_root = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against, "src"],
+                                 capture_output=True, check=False)
+        if archive.returncode != 0:
+            print(archive.stderr.decode(), file=sys.stderr, end="")
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(rev_root)], input=archive.stdout, check=True)
+        trees = {"rev": rev_root / "src", "here": ROOT / "src"}
+        best: dict[str, dict[str, float]] = {"rev": {}, "here": {}}
+        for k in range(ROUNDS):
+            for name in (("rev", "here") if k % 2 == 0 else ("here", "rev")):
+                for key, value in _child(trees[name]).items():
+                    best[name][key] = min(best[name].get(key, value), value)
+
+    print(f"Python {platform.python_version()}, numpy {np.__version__}, "
+          f"{os.cpu_count()} CPUs; best of {ROUNDS} alternated processes per tree")
+    rev = args.against[:12]
+    print(f"{'layer':<12} {'m':>2} {'arith':<8} {rev:>12} {'here':>10} {'here/rev':>9}")
+    for key, theirs in best["rev"].items():
+        layer, m, arith = key.split("|")
+        ours = best["here"][key]
+        print(f"{layer:<12} {m:>2} {arith:<8} {theirs:>12.1f} {ours:>10.1f} "
+              f"{ours / theirs:>9.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        print(json.dumps(measure(Path(sys.argv[2]))))
+    else:
+        sys.exit(main())
