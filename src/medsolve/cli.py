@@ -328,7 +328,7 @@ def build_parser() -> _Parser:
                         help="enumerate all stationary measurements (m=3, real)")
     p.add_argument("input", help="gram-or-ensemble JSON file")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="seed of the homotopy's random complex gamma")
+                   help="seed of the random linear forms")
     _add_common(p)
     _add_tolerances(p)
     p.set_defaults(fn=cmd_enumerate)

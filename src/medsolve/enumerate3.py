@@ -17,23 +17,28 @@ real root is a stationary point of the success probability on the manifold
 of rank-one projective measurements, and exactly one of them -- the one
 with M positive definite -- is the global optimum.
 
-Roots are found by a total-degree homotopy with the "gamma trick" (Morgan,
-*Solving Polynomial Systems Using Continuation*, 1987; Sommese & Wampler,
-*The Numerical Solution of Systems of Polynomials*, 2005, ch. 7-8):
-
-    H(x, s) = (1 - s) gamma (x_i^2 - 1) + s E(x),   s from 0 to 1,
-
-with gamma a fixed random point of the unit circle.  The eight start roots
-(+-1, +-1, +-1) are followed together as one stack of paths, each with its
-own step: an RK4 predictor on dx/ds = -H_x^{-1} H_s and a Newton corrector.
-Every isolated root of E ends one path; a path that leaves every bound ends
-at a root at infinity.  M is affine in x, so E_k(x) = x~^T Q_k x~ with
-x~ = (1, x) and one (3, 4, 4) coefficient tensor Q gives E and its Jacobian.
-No symbolic elimination is attempted.
+Roots are found by linear algebra, without path tracking (Cox, Little &
+O'Shea, *Using Algebraic Geometry*, ch. 3; Telen, Mourrain & Van Barel,
+SIAM J. Matrix Anal. Appl. 39, 2018).  M is affine in x, so
+E_k(x) = x~^T Q_k x~ with x~ = (1, x) and one (3, 4, 4) coefficient tensor Q.
+Homogenized in z = (z0, a, b, c), E_k(z) = z^T Q_k z has 8 roots in
+projective space.  Every product mu E_k, with mu one of the 10 monomials of
+degree 2, vanishes at them, so the 30 x 35 Macaulay matrix A of these
+products annihilates v4(z), the 35 monomials of degree 4 at a root.  For 8
+simple roots the null space N of A is spanned by the eight v4(z_r).  The
+degree-3 monomials times a linear form g, read through N, give
+B_g = V3 diag(g(z_r)) T with T the unknown mixing of the v4(z_r) in N, so
+for two random linear forms g and h the 8 x 8 pencil B_g y = lambda B_h y
+has the eigenvalues g(z_r) / h(z_r) and the eigenvectors with N y ~ v4(z_r).
+Each z is read from the entries z_i z_j^3 of its largest coordinate z_j and
+refined by Newton in the chart z_j = 1.  It is a root at infinity when
+|z0| / |z| is below what the null space resolves: numpy's rank tolerance
+35 eps |A| carried to N by Wedin's bound, 35 eps |A| / sigma_27(A).
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import warnings
 from dataclasses import dataclass
@@ -50,32 +55,14 @@ log = logging.getLogger(__name__)
 
 #: total-degree bound on the number of isolated complex roots
 DEGREE_BOUND = 8
-#: seed of the homotopy's random complex gamma unless the caller gives one
+#: seed of the random linear forms g and h unless the caller gives one
 DEFAULT_SEED = 8128
 
 _REAL_TOL = 1e-9
 _DEDUP_TOL = 1e-7
 _ROOT_RESID = 1e-9
-
-# Path tracking: each lane's step in s doubles after an accepted step, up to
-# _STEP_MAX, and halves after a rejected one.  A step is accepted when at
-# most _NEWTON corrections reach _TRACK_TOL (relative to 1 + |x|) and the
-# first of them is below _GUARD times the predictor's move, so a predictor
-# that overshot into the basin of a neighbouring path is refused.
-_STEP_MAX = 0.25
-_TRACK_TOL = 1e-6
-_GUARD = 0.1
-_NEWTON = 3
-#: a path whose largest coordinate passes this ends at a root at infinity
-_CUTOFF = 1e7
-#: a lane whose step falls below _STEP_MIN or that takes _MAX_STEPS steps stops
-_STEP_MIN = 1e-12
-_MAX_STEPS = 1000
-#: rounds of re-tracking, each with a 4x smaller step cap and 100x tighter tolerance
-_RETRACKS = 2
+#: Newton steps that refine each root read from the null space
 _POLISH = 3
-#: an endpoint is nonsingular when its Jacobian's condition number is below this
-_REGULAR_COND = 1e8
 
 # the off-diagonal entry of M H M that E_k is, and of M that x_k is
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -84,11 +71,32 @@ _BASIS = np.zeros((4, 3, 3))
 _BASIS[0] = np.eye(3)
 for _k, (_p, _q) in enumerate(_PAIRS):
     _BASIS[_k + 1, _p, _q] = _BASIS[_k + 1, _q, _p] = 1.0
-_EYE = np.eye(3)
-#: the 2^3 roots of the start system x_i^2 = 1
-_STARTS = np.array(
-    [[a, b, c] for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)], dtype=complex
-)
+
+
+def _monomials(degree: int) -> np.ndarray:
+    """Exponents of the monomials of ``degree`` in z = (z0, a, b, c), one per row."""
+    return np.array([e for e in itertools.product(range(degree + 1), repeat=4)
+                     if sum(e) == degree])
+
+
+# column of the Macaulay matrix that each monomial of degree 4 owns
+_COLUMN = {tuple(e): k for k, e in enumerate(_monomials(4))}
+_UNIT = np.eye(4, dtype=int)
+# row 4i + j maps Q_k[i, j] to the columns of z_i z_j mu, one block of 35 per mu
+_MACAULAY = np.zeros((16, 10, 35))
+for _p, _mu in enumerate(_monomials(2)):
+    for _i, _j in itertools.product(range(4), repeat=2):
+        _MACAULAY[4 * _i + _j, _p, _COLUMN[tuple(_mu + _UNIT[_i] + _UNIT[_j])]] = 1.0
+_MACAULAY = _MACAULAY.reshape(16, 350)
+#: rank of the 30 x 35 Macaulay matrix of 8 isolated roots
+_RANK = 27
+#: _SHIFT[i]: the columns of z_i times each monomial of degree 3
+_SHIFT = np.array([[_COLUMN[tuple(nu + _UNIT[i])] for nu in _monomials(3)] for i in range(4)])
+#: _POWERS[j, i]: the column of z_i z_j^3
+_POWERS = np.array([[_COLUMN[tuple(_UNIT[i] + 3 * _UNIT[j])] for i in range(4)]
+                    for j in range(4)])
+#: _CHART[j]: the coordinates that Newton moves in the chart z_j = 1
+_CHART = np.array([[i for i in range(4) if i != j] for j in range(4)])
 
 
 @dataclass(frozen=True)
@@ -161,13 +169,10 @@ def _coefficients(h: np.ndarray) -> np.ndarray:
     return 0.5 * (q + np.swapaxes(q, 1, 2))
 
 
-def _evaluate(q: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E and its Jacobian dE/dx at every point of the stack x, shape (n, 3)."""
-    # Q_k x~ is affine in x; its entries 1..3 are half the Jacobian row
-    qx = (q[:, :, 0].reshape(12) + x @ q[:, :, 1:].transpose(2, 0, 1).reshape(3, 12))
-    qx = qx.reshape(-1, 3, 4)
-    half_jac = qx[..., 1:]
-    return qx[..., 0] + (half_jac @ x[:, :, None])[..., 0], 2.0 * half_jac
+def _evaluate(q: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E(z) = z^T Q_k z and its gradient 2 Q_k z at every point of the stack z, shape (n, 4)."""
+    qz = (q @ z.T).transpose(2, 0, 1)
+    return (qz @ z[:, :, None])[..., 0], 2.0 * qz
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,89 +185,29 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _umath_linalg.solve(a, b)
 
 
-def _homotopy(q, gamma, x, s):
-    """H, dH/ds and dH/dx at the points x (n, 3) and times s (n,)."""
-    e, jac = _evaluate(q, x)
-    g = gamma * (x * x - 1.0)
-    t = s[:, None]
-    h_x = t[:, :, None] * jac + ((2.0 * gamma) * (1.0 - t) * x)[:, :, None] * _EYE
-    return g + t * (e - g), e - g, h_x
-
-
-def _tangent(q, gamma, x, s) -> np.ndarray:
-    """dx/ds = -H_x^{-1} H_s along the paths through x at times s."""
-    _, h_s, h_x = _homotopy(q, gamma, x, s)
-    return -_solve(h_x, h_s[..., None])[..., 0]
-
-
-def _track(q, gamma, starts, step_max, tol):
-    """Follow the homotopy paths from ``starts`` (n, 3) at s = 0 to s = 1.
-
-    Every lane runs its own predictor-corrector with its own step and stops
-    on its own: at s = 1, past _CUTOFF (a root at infinity), or stalled.
-    Stopped lanes leave the stack.  Returns each lane's last point, step
-    count, and whether it ended at infinity.
-    """
-    n = starts.shape[0]
-    x_out = starts.copy()
-    steps_out = np.zeros(n, dtype=int)
-    inf_out = np.zeros(n, dtype=bool)
-    lanes = np.arange(n)  # index in starts of each running lane
-    x = starts.copy()
-    s = np.zeros(n)
-    step = np.full(n, step_max)
-    steps = np.zeros(n, dtype=int)
-    k1 = _tangent(q, gamma, x, s)
-    while lanes.size:
-        s_next = np.minimum(s + step, 1.0)
-        ds = (s_next - s)[:, None]
-        s_mid = 0.5 * (s + s_next)
-        k2 = _tangent(q, gamma, x + 0.5 * ds * k1, s_mid)
-        k3 = _tangent(q, gamma, x + 0.5 * ds * k2, s_mid)
-        k4 = _tangent(q, gamma, x + ds * k3, s_next)
-        predicted = x + ds / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # Newton on H(., s_next); the same solve gives the tangent there,
-        # which is the next step's k1
-        corrected = predicted
-        converged = np.zeros(lanes.size, dtype=bool)
-        for it in range(_NEWTON):
-            h_val, h_s, h_x = _homotopy(q, gamma, corrected, s_next)
-            sol = _solve(h_x, np.stack([h_val, h_s], axis=-1))
-            corrected = corrected - sol[..., 0]
-            size = np.max(np.abs(sol[..., 0]), axis=1)
-            if it == 0:
-                first = size
-            converged |= size <= tol * (1.0 + np.max(np.abs(corrected), axis=1))
-            if converged.all():
-                break
-        move = np.max(np.abs(predicted - x), axis=1)
-        ok = (
-            converged
-            & (first <= _GUARD * move + tol * (1.0 + np.max(np.abs(x), axis=1)))
-            & np.all(np.isfinite(corrected), axis=1)
-        )
-        x = np.where(ok[:, None], corrected, x)
-        k1 = np.where(ok[:, None], -sol[..., 1], k1)
-        s = np.where(ok, s_next, s)
-        step = np.where(ok, np.minimum(2.0 * step, step_max), 0.5 * step)
-        steps += 1
-        at_inf = np.max(np.abs(x), axis=1) > _CUTOFF
-        done = (s >= 1.0) | at_inf | (step < _STEP_MIN) | (steps >= _MAX_STEPS)
-        if done.any():
-            x_out[lanes[done]] = x[done]
-            steps_out[lanes[done]] = steps[done]
-            inf_out[lanes[done]] = at_inf[done]
-            keep = ~done
-            lanes, x, s, step, steps, k1 = (a[keep] for a in (lanes, x, s, step, steps, k1))
-    return x_out, steps_out, inf_out
-
-
-def _polish(q, x) -> np.ndarray:
-    """A few Newton iterations on E itself (s = 1)."""
+def _projective_roots(q: np.ndarray, seed: int):
+    """The 8 roots z of z^T Q_k z = 0, each scaled so its largest coordinate
+    z_j is 1 and refined by Newton in the chart z_j = 1, whether each is at
+    infinity, and the null-space gap sigma_27 / sigma_28 of the Macaulay matrix."""
+    macaulay = (q.reshape(3, 16) @ _MACAULAY).reshape(30, 35)
+    _, sigma, vt = np.linalg.svd(macaulay)
+    null = vt[_RANK:].T
+    b_g, b_h = np.tensordot(np.random.default_rng(seed).standard_normal((2, 4)), null[_SHIFT], 1)
+    basis, tri = np.linalg.qr(b_h)
+    _, y = np.linalg.eig(np.linalg.solve(tri, basis.T @ b_g))
+    v4 = null @ y  # column r is v4(z_r) up to scale
+    lanes = np.arange(v4.shape[1])
+    j = np.argmax(np.abs(v4[_POWERS.diagonal()]), axis=0)
+    z = v4[_POWERS[j], lanes[:, None]] / v4[_POWERS[j, j], lanes][:, None]
+    moved = _CHART[j]
     for _ in range(_POLISH):
-        e, jac = _evaluate(q, x)
-        x = x - _solve(jac, e[..., None])[..., 0]
-    return x
+        e, grad = _evaluate(q, z)
+        z[lanes[:, None], moved] -= _solve(np.take_along_axis(grad, moved[:, None], 2),
+                                           e[..., None])[..., 0]
+    bound = max(macaulay.shape) * np.finfo(float).eps * sigma[0] / sigma[_RANK - 1]
+    at_inf = np.abs(z[:, 0]) <= bound * np.linalg.norm(z, axis=1)
+    with np.errstate(divide="ignore"):  # an exactly rank-27 matrix has an infinite gap
+        return z, at_inf, sigma[_RANK - 1] / sigma[_RANK]
 
 
 def _close(x) -> np.ndarray:
@@ -270,51 +215,16 @@ def _close(x) -> np.ndarray:
     return np.max(np.abs(x[:, None] - x[None]), axis=-1) < _DEDUP_TOL
 
 
-def _shared_regular_endpoints(q, x) -> np.ndarray:
-    """Lanes whose endpoint coincides with another lane's at a nonsingular
-    root: one of them jumped paths, since a nonsingular root ends exactly
-    one path."""
-    shared = _close(x)
-    np.fill_diagonal(shared, False)
-    shared = shared.any(axis=1)
-    if shared.any():
-        _, jac = _evaluate(q, x[shared])
-        shared[shared] = np.linalg.cond(jac) < _REGULAR_COND
-    return shared
-
-
-def _endpoints(q, gamma):
-    """Polished endpoints of all eight paths (nan for a root at infinity),
-    steps per path, which paths were re-tracked and which end at infinity."""
-    with np.errstate(all="ignore"):
-        x, steps, at_inf = _track(q, gamma, _STARTS, _STEP_MAX, _TRACK_TOL)
-        x[at_inf] = np.nan
-        x = _polish(q, x)
-        retracked = np.zeros(len(x), dtype=bool)
-        step_max, tol = _STEP_MAX, _TRACK_TOL
-        for _ in range(_RETRACKS):
-            redo = _shared_regular_endpoints(q, x)
-            if not redo.any():
-                break
-            step_max, tol = step_max / 4.0, tol / 100.0
-            ends, more, ends_inf = _track(q, gamma, _STARTS[redo], step_max, tol)
-            ends[ends_inf] = np.nan
-            at_inf[redo] = ends_inf
-            x[redo] = _polish(q, ends)
-            steps[redo] += more
-            retracked |= redo
-    return x, steps, retracked, at_inf
-
-
 def solve_stationary(gram: GramMatrix, seed: int = DEFAULT_SEED) -> list[StationaryRoot]:
     """All stationary roots of the three-state system, classified.
 
-    The eight paths of the total-degree homotopy are tracked from the start
-    roots (+-1, +-1, +-1) with a complex gamma drawn from ``seed`` (>= 0); their
-    endpoints are polished by Newton on the system itself, kept when the
-    residual is below 1e-9 relative to the size of the terms, and
-    deduplicated at distance 1e-7.  Paths whose endpoints coincide at a
-    nonsingular root have jumped and are tracked again with smaller steps.
+    The 8 projective roots are the eigenvectors of a shift pencil on the
+    null space of the degree-4 Macaulay matrix, for two linear forms drawn
+    from ``seed`` (>= 0); each is refined by Newton in the chart of its
+    largest coordinate.  A root whose homogenizing coordinate z0 falls below
+    the null space's accuracy, 35 eps |A| / sigma_27(A) of |z|, is at
+    infinity.  The finite roots are kept when the residual is below 1e-9
+    relative to the size of the terms, and deduplicated at distance 1e-7.
     If fewer distinct roots than the degree bound survive, a
     RootCountAnomaly warning is issued: some roots are at infinity (as for
     symmetric ensembles) or singular, which is informational, not an error.
@@ -323,19 +233,17 @@ def solve_stationary(gram: GramMatrix, seed: int = DEFAULT_SEED) -> list[Station
         raise ValueError(f"seed must be >= 0, got {seed}")
     h = _check_real_m3(gram)
     q = _coefficients(h)
-    gamma = np.exp(2j * np.pi * np.random.default_rng(seed).uniform())
-    x, steps, retracked, at_inf = _endpoints(q / np.max(np.abs(q)), gamma)
-    log.debug(
-        "homotopy: %d paths, steps per path %s, %d re-tracked, %d at infinity",
-        len(x), steps.tolist(), int(retracked.sum()), int(at_inf.sum()),
-    )
-    x = x[np.all(np.isfinite(x), axis=1)]
-    e, jac = _evaluate(q, x)
-    resid = np.max(np.abs(e), axis=1)
+    z, at_inf, gap = _projective_roots(q / np.max(np.abs(q)), seed)
+    log.debug("macaulay: %d eigenvectors, %d at infinity, null-space gap sigma_27/sigma_28 = %.3g",
+              len(z), int(at_inf.sum()), gap)
+    z = z[~at_inf] / z[~at_inf, :1]
+    z = z[np.all(np.isfinite(z), axis=1)]
+    e, grad = _evaluate(q, z)
+    x, jac, resid = z[:, 1:], grad[..., 1:], np.max(np.abs(e), axis=1)
     # E is quadratic, so its terms grow like (1 + |x|)^2
     good = resid < _ROOT_RESID * np.max(np.abs(q)) * (1.0 + np.max(np.abs(x), axis=1)) ** 2
     x, resid, jac = x[good], resid[good], jac[good]
-    # keep each endpoint that is the first within _DEDUP_TOL of itself
+    # keep each root that is the first within _DEDUP_TOL of itself
     distinct = np.argmax(_close(x), axis=1) == np.arange(len(x))
 
     roots = [_classify_root(*args, h) for args in zip(x[distinct], resid[distinct], jac[distinct])]

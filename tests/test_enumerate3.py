@@ -72,48 +72,47 @@ class TestSolveStationary:
         with pytest.raises(ValueError):
             ms.solve_stationary(random_gram(3, seed=1, real=False))
 
+    # two of this problem's roots lie 0.025 apart, near a nearly dependent Gram matrix
+    JUMPY = dict(seed=5312, spread=0.4964, real=True)
+
     def test_all_eight_roots_on_generic_problems(self):
         grams = [random_gram(3, seed, spread=0.3, real=True) for seed in range(30)]
         grams.append(random_gram(3, 6, spread=0.9, real=True))
+        grams.append(random_gram(3, **self.JUMPY))
         for k, gram in enumerate(grams):
             assert len(ms.solve_stationary(gram)) == enumerate3.DEGREE_BOUND, f"problem {k}"
 
-    # Without the first-correction guard and without re-tracking, one path of
-    # this problem jumps onto a neighbour's nonsingular root and 7 roots remain.
-    JUMPY = dict(seed=5312, spread=0.4964, real=True)
-
-    def test_guard_alone_keeps_the_path(self, monkeypatch):
-        monkeypatch.setattr(enumerate3, "_RETRACKS", 0)
-        assert len(ms.solve_stationary(random_gram(3, **self.JUMPY))) == 8
-        monkeypatch.setattr(enumerate3, "_GUARD", np.inf)
-        with pytest.warns(ms.RootCountAnomaly):
-            assert len(ms.solve_stationary(random_gram(3, **self.JUMPY))) == 7
-
-    def test_retracking_alone_recovers_the_jumped_path(self, monkeypatch, caplog):
-        monkeypatch.setattr(enumerate3, "_GUARD", np.inf)
-        caplog.set_level(logging.DEBUG, logger="medsolve.enumerate3")
-        assert len(ms.solve_stationary(random_gram(3, **self.JUMPY))) == 8
-        assert caplog.records[-1].getMessage().endswith(", 2 re-tracked, 0 at infinity")
-
-    @pytest.mark.xfail(strict=True, reason="a finite root at c = -8.27e7 lies beyond the path "
-                                           "cutoff _CUTOFF = 1e7 and is counted as at infinity")
     def test_a_root_beyond_the_path_cutoff_is_found(self):
-        # pyproject ignores RootCountAnomaly suite-wide, so record it here
+        # a real root at c = -8.27e7; pyproject ignores RootCountAnomaly
+        # suite-wide, so record it here
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             roots = ms.solve_stationary(random_gram(3, 474, spread=0.77, real=True))
         anomalies = [w for w in caught if issubclass(w.category, ms.RootCountAnomaly)]
         assert (len(roots), anomalies) == (8, [])
+        assert min(r.values[2].real for r in roots) == pytest.approx(-8.27e7, rel=1e-3)
 
-    def test_debug_log_reports_the_paths(self, caplog):
+    def test_a_root_at_infinity_is_refined_before_it_is_told_apart(self, caplog):
+        # with H_02 = 0 one root lies at infinity in the direction of b; read
+        # straight from its eigenvector it has |z0|/|z| = 5.8e-13, above the
+        # bound of 3.8e-13, and after Newton 6.7e-16
+        h = np.array([[1.0, -1.5701, 0.0], [-1.5701, 8.6885, 2.6671], [0.0, 2.6671, 3.5115]])
+        g = np.linalg.inv(h)
+        caplog.set_level(logging.DEBUG, logger="medsolve.enumerate3")
+        with pytest.warns(ms.RootCountAnomaly):
+            roots = ms.solve_stationary(ms.GramMatrix(g / np.trace(g)))
+        assert len(roots) == 7
+        assert caplog.records[-1].getMessage().startswith("macaulay: 8 eigenvectors, 1 at infinity,")
+
+    def test_debug_log_reports_the_eigenvectors(self, caplog):
         caplog.set_level(logging.DEBUG, logger="medsolve.enumerate3")
         with pytest.warns(ms.RootCountAnomaly):
             ms.solve_stationary(identity_gram(3))
         [record] = caplog.records
         assert record.levelno == logging.DEBUG
-        message = record.getMessage()
-        assert message.startswith("homotopy: 8 paths, steps per path [")
-        assert message.endswith("], 0 re-tracked, 3 at infinity")
+        head, gap = record.getMessage().split(" = ")
+        assert head == "macaulay: 8 eigenvectors, 3 at infinity, null-space gap sigma_27/sigma_28"
+        assert float(gap) > 1e12
 
     def test_exactly_singular_lane_solves_to_nan(self):
         a = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)]).astype(complex)
@@ -193,7 +192,6 @@ class TestClassifyLandscape:
         assert abs(real_ps[-1] - expected_best) < 1e-9
         assert any(abs(ps - expected_swapped) < 1e-9 for ps in real_ps)
 
-    @pytest.mark.slow
     def test_exactly_one_positive_definite_root_across_seeds(self):
         for seed in range(100):
             gram = random_gram(3, seed + 400, real=True, spread=0.4 + 0.005 * seed)

@@ -22,14 +22,18 @@ that tree and calls ``medsolve.cli.main`` in process.  The operations:
 For each operation it records the exit code, stdout and stderr (with the
 work directory masked), an escaped exception's type, and the sha256 of every
 output file.  It prints each difference and exits 1 when there is any, 0
-otherwise.  MED_LOG is removed from the children's environment, since its
-records carry wall-clock times.
+otherwise.  Under a JSON or CSV file whose bytes differ it lists the largest
+|delta| of each numeric key (list indices folded into ``[]``) or column
+whose values moved, and names any other key that changed.  MED_LOG is
+removed from the children's environment, since its records carry
+wall-clock times.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -146,7 +150,52 @@ def _child(src: Path, work: Path, out: Path, ops: Path) -> dict:
     return json.loads(done.stdout)
 
 
-def compare(ours: dict, theirs: dict) -> list[str]:
+def _leaves(value, key: str = "") -> dict[str, list]:
+    """The leaves of a JSON value by key path, list indices folded into ``[]``."""
+    if isinstance(value, dict):
+        items = [(f"{key}.{k}" if key else k, v) for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{key}[]", v) for v in value]
+    else:
+        return {key: [value]}
+    leaves: dict[str, list] = {}
+    for k, v in items:
+        for path, values in _leaves(v, k).items():
+            leaves.setdefault(path, []).extend(values)
+    return leaves
+
+
+def _columns(path: Path) -> dict[str, list]:
+    rows = list(csv.reader(path.read_text().splitlines()))
+    return {name: [float(row[i]) for row in rows[1:]] for i, name in enumerate(rows[0])}
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def value_deltas(theirs: Path, ours: Path) -> list[str]:
+    """The largest |delta| of each key (JSON) or column (CSV) that differs."""
+    if theirs.suffix == ".json":
+        a, b = _leaves(json.loads(theirs.read_text())), _leaves(json.loads(ours.read_text()))
+    elif theirs.suffix == ".csv":
+        a, b = _columns(theirs), _columns(ours)
+    else:
+        return []
+    lines = []
+    for key in sorted(set(a) | set(b)):
+        old, new = a.get(key, []), b.get(key, [])
+        if old == new:
+            continue
+        if len(old) == len(new) and all(map(_number, old + new)):
+            delta = max(abs(x - y) for x, y in zip(old, new))
+            lines.append(f"{key}: max |delta| {delta:.3g}")
+        else:
+            lines.append(f"{key}: changed")
+    return lines
+
+
+def compare(ours: dict, theirs: dict, ours_out: Path, theirs_out: Path) -> list[str]:
     diffs = []
     for key in ours:
         a, b = ours[key], theirs[key]
@@ -166,6 +215,9 @@ def compare(ours: dict, theirs: dict) -> list[str]:
                 state = ("only here" if name not in b["files"] else
                          "only in the revision" if name not in a["files"] else "bytes differ")
                 diffs.append(f"{key}: {name} {state}")
+                if state == "bytes differ":
+                    diffs += [f"    {line}" for line in
+                              value_deltas(theirs_out / key / name, ours_out / key / name)]
     return diffs
 
 
@@ -190,13 +242,14 @@ def main(argv: list[str] | None = None) -> int:
         ops_file.write_text(json.dumps(ops))
         theirs = _child(rev_root / "src", work, tmp / "out-rev", ops_file)
         ours = _child(ROOT / "src", work, tmp / "out-here", ops_file)
-    diffs = compare(ours, theirs)
+        diffs = compare(ours, theirs, tmp / "out-here", tmp / "out-rev")
     for line in diffs:
         print(line)
     n_files = sum(len(r["files"]) for r in ours.values())
+    n_diffs = sum(not line.startswith(" ") for line in diffs)
     print(f"{len(ops)} operations, {n_files} output files: "
-          f"{len(diffs)} difference(s) against {args.against}")
-    return 1 if diffs else 0
+          f"{n_diffs} difference(s) against {args.against}")
+    return 1 if n_diffs else 0
 
 
 if __name__ == "__main__":
