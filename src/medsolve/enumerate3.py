@@ -149,8 +149,9 @@ class StationaryRoot:
 
 
 def _symmetric(x: np.ndarray) -> np.ndarray:
-    """M(x) = I + sum_k x_k B_{k+1}, the unit-diagonal matrix with x at _PAIRS."""
-    return np.tensordot(np.r_[1.0, x], _BASIS, 1)
+    """M(x) = I + sum_k x_k B_{k+1}, the unit-diagonal matrix with x at _PAIRS,
+    for one x of shape (3,) or each x of a stack (n, 3)."""
+    return np.tensordot(np.concatenate((np.ones_like(x[..., :1]), x), axis=-1), _BASIS, 1)
 
 
 def _check_real_m3(gram: GramMatrix) -> np.ndarray:
@@ -246,8 +247,7 @@ def solve_stationary(gram: GramMatrix, seed: int = DEFAULT_SEED) -> list[Station
     # keep each root that is the first within _DEDUP_TOL of itself
     distinct = np.argmax(_close(x), axis=1) == np.arange(len(x))
 
-    roots = [_classify_root(*args, h) for args in zip(x[distinct], resid[distinct], jac[distinct])]
-    roots.sort(key=_root_order)
+    roots = _classify(x[distinct], resid[distinct], jac[distinct], h)
     if len(roots) < DEGREE_BOUND:
         warnings.warn(
             f"found {len(roots)} stationary roots; the degree bound allows "
@@ -258,19 +258,22 @@ def solve_stationary(gram: GramMatrix, seed: int = DEFAULT_SEED) -> list[Station
     return roots
 
 
-def _root_order(root: StationaryRoot):
-    ps = -(root.p_success or 0.0)
-    v = root.values
-    return (not root.is_real, ps, tuple(np.round(v.real, 9)), tuple(np.round(v.imag, 9)))
-
-
-def _classify_root(v: np.ndarray, resid: float, jac: np.ndarray, h: np.ndarray) -> StationaryRoot:
-    is_real = bool(np.max(np.abs(v.imag)) < _REAL_TOL)
-    x = v.real if is_real else v
-    m_mat = _symmetric(x)
-    return StationaryRoot(values=x, residual=float(resid),
-                          d_inv_sq=np.diagonal(m_mat @ h @ m_mat) if is_real else None,
-                          jacobian_rank=int(np.linalg.matrix_rank(jac, tol=1e-8)))
+def _classify(x: np.ndarray, resid: np.ndarray, jac: np.ndarray, h: np.ndarray
+              ) -> list[StationaryRoot]:
+    """The roots x (n, 3) with their residuals and Jacobians, classified in one
+    pass over the stack: real roots first by decreasing success probability,
+    then by rounded coordinates."""
+    is_real = np.max(np.abs(x.imag), axis=1) < _REAL_TOL
+    x = np.where(is_real[:, None], x.real, x)
+    m_mat = _symmetric(x.real)
+    d_inv_sq = np.diagonal(m_mat @ h @ m_mat, axis1=1, axis2=2)
+    ranks = np.linalg.matrix_rank(jac, tol=1e-8)
+    roots = [StationaryRoot(values=v, residual=float(r), d_inv_sq=d if real else None,
+                            jacobian_rank=int(k))
+             for v, r, d, k, real in zip(x, resid, d_inv_sq, ranks, is_real)]
+    keys = zip((~is_real).tolist(), [-(root.p_success or 0.0) for root in roots],
+               map(tuple, np.round(x.real, 9).tolist()), map(tuple, np.round(x.imag, 9).tolist()))
+    return [root for _, root in sorted(zip(keys, roots), key=lambda pair: pair[0])]
 
 
 LABEL_GLOBAL = "global maximum"

@@ -74,7 +74,13 @@ def helstrom(p1: float, p2: float, overlap: complex) -> OracleResult:
 
 def _value(r: np.ndarray, u: np.ndarray) -> np.ndarray:
     """sum_i |(R U)_ii|^2 for each unitary U of the stack ``u``."""
-    return np.sum(np.abs(np.einsum("ij,...ji->...i", r, u)) ** 2, axis=-1)
+    return np.add.reduce(np.abs(np.einsum("ij,...ji->...i", r, u)) ** 2, axis=-1)
+
+
+def _retract(u: np.ndarray, t: np.ndarray, gen: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """The Cayley retraction U (I - t gen/2)^-1 (I + t gen/2) of each lane."""
+    half = (0.5 * t)[:, None, None] * gen
+    return u @ _umath_linalg.solve(eye - half, eye + half)
 
 
 def _ascend(
@@ -87,6 +93,11 @@ def _ascend(
     no ascent, or after ``max_iter`` iterations.  Stopped lanes leave the
     stack.  Returns each lane's final unitary, iteration count and the
     gradient norm at that unitary.
+
+    Every lane's arithmetic is its own, whatever else the stack holds, so a
+    round may run on the whole stack or on the lanes still searching alone.
+    At m <= 4 numpy's per-call cost outweighs the arithmetic, so the loop
+    takes the cheapest form of each call (ufunc reductions, transposed views).
     """
     u_out = u0.copy()
     iters_out = np.full(u0.shape[0], max_iter)
@@ -101,10 +112,10 @@ def _ascend(
         w = np.einsum("ij,kji->ki", r, u)  # diagonals of R U
         # project the euclidean gradient R^dag diag(w) onto the tangent space
         # at U: rgrad = U gen with gen skew-hermitian
-        lam = np.swapaxes(u.conj(), 1, 2) @ (rh * w[:, None, :])
-        gen = 0.5 * (lam - np.swapaxes(lam.conj(), 1, 2))
+        lam = u.conj().transpose(0, 2, 1) @ (rh * w[:, None, :])
+        gen = 0.5 * (lam - lam.conj().transpose(0, 2, 1))
         rgrad = u @ gen
-        grad_norm = np.sqrt(np.sum(np.abs(rgrad) ** 2, axis=(1, 2)))
+        grad_norm = np.sqrt(np.add.reduce(np.abs(rgrad) ** 2, axis=(1, 2)))
         if it > max_iter:
             # the budget is spent: the running lanes stop at their last
             # iterate, with the gradient norm taken there
@@ -117,25 +128,26 @@ def _ascend(
         if prev_u is not None:
             s_vec = (u - prev_u).reshape(lanes.size, -1)
             y_vec = (rgrad - prev_grad).reshape(lanes.size, -1)
-            denom = np.sum(s_vec.conj() * y_vec, axis=1).real
+            denom = np.add.reduce(s_vec.conj() * y_vec, axis=1).real
             usable = np.abs(denom) > 1e-300
-            ss = np.sum(np.abs(s_vec) ** 2, axis=1)
+            ss = np.add.reduce(np.abs(s_vec) ** 2, axis=1)
             step = np.where(usable, np.abs(ss / np.where(usable, denom, 1.0)), step)
-            step = np.clip(step, 1e-3, 1e8)
-        current = np.sum(np.abs(w) ** 2, axis=1)
-        # backtrack each unconverged lane until its step ascends; the trial
-        # point is the Cayley retraction U (I - t gen/2)^-1 (I + t gen/2),
-        # one stacked solve per round.  The eigenvalues of the skew-hermitian
+            step = np.minimum(np.maximum(step, 1e-3), 1e8)
+        current = np.add.reduce(np.abs(w) ** 2, axis=1)
+        # backtrack each unconverged lane until its step ascends, one stacked
+        # Cayley retraction per round.  The eigenvalues of the skew-hermitian
         # gen are imaginary, so those of I - t gen/2 have modulus >= 1 and it
-        # is never singular.
+        # is never singular.  The first round takes the whole stack with no
+        # gather: a lane that had converged or did not ascend has its entry
+        # of u_next overwritten in a later round or leaves the stack.
         trial = step.copy()
-        u_next = np.empty_like(u)
-        pending = np.flatnonzero(~done)
-        for _ in range(60):
+        u_next = _retract(u, trial, gen, eye)
+        pending = (~done & ~(_value(r, u_next) > current + 1e-15)).nonzero()[0]
+        trial[pending] *= 0.5
+        for _ in range(59):
             if pending.size == 0:
                 break
-            half = (0.5 * trial[pending])[:, None, None] * gen[pending]
-            candidate = u[pending] @ _umath_linalg.solve(eye - half, eye + half)
+            candidate = _retract(u[pending], trial[pending], gen[pending], eye)
             ascended = _value(r, candidate) > current[pending] + 1e-15
             u_next[pending[ascended]] = candidate[ascended]
             pending = pending[~ascended]

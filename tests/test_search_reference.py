@@ -147,3 +147,21 @@ def test_composed_iterates_stay_unitary(m, real):
         stalled, _, _ = _ascend(r, u, max_iter=500, gtol=0.0)
         for lane in (*u, *stalled):
             assert unitarity_residual(lane) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("real", [False, True])
+def test_a_lane_does_not_depend_on_its_stack(m, real):
+    # a backtracking round runs on the whole stack or on the lanes still
+    # searching, so each lane must take bit for bit the same iterates alone
+    # as beside any other lanes
+    for k, gram in enumerate(seeded_grams(m, 2, base_seed=3600 + 10 * m, real=real)):
+        r = gram.scaled_states
+        z = np.random.default_rng(k).normal(size=(20, 2, m, m))
+        u0 = polar_unitary(z[:, 0] + 1j * z[:, 1])
+        u, iterations, grad_norm = _ascend(r, u0, max_iter=500, gtol=1e-7)
+        for lane in range(u0.shape[0]):
+            u1, iterations1, grad_norm1 = _ascend(r, u0[lane:lane + 1], max_iter=500, gtol=1e-7)
+            assert iterations1[0] == iterations[lane], f"lane {lane}"
+            assert u1[0].tobytes() == u[lane].tobytes(), f"lane {lane}"
+            assert grad_norm1[0].tobytes() == grad_norm[lane].tobytes(), f"lane {lane}"

@@ -1,4 +1,4 @@
-"""Byte-identity check of the CLI between this checkout and a git revision.
+"""Byte-identity check of the CLI and the direct search between this checkout and a git revision.
 
     python tools/identity.py [--against REV]      # REV defaults to HEAD
 
@@ -6,7 +6,8 @@ Run from anywhere inside the repository.  The tool extracts REV's ``src``
 tree with ``git archive REV src | tar -x``, writes one set of inputs with
 ``perfbench/inputs.py`` and runs the same list of CLI operations on both
 trees, each tree in its own Python process that imports ``medsolve`` from
-that tree and calls ``medsolve.cli.main`` in process.  The operations:
+that tree and calls ``medsolve.cli.main`` (or, for a search, the API) in
+process.  The operations:
 
 - ``solve`` on the batch-small inputs of seeds 0 and 1, with the benchmark's
   flags ``--steps 200 --h 5e-3 --polish`` and with the same flags without
@@ -17,16 +18,20 @@ that tree and calls ``medsolve.cli.main`` in process.  The operations:
 - ``reproduce-fig1`` at its defaults and at ``--steps 200 --h 5e-3 --polish``;
 - one ``solve --batch`` over the whole input directory, whose certify files
   fail per input with exit 64;
-- ``generate``.
+- ``generate``;
+- ``search_optimum(gram, seed=k)`` through the API on the Gram matrices of the
+  verify-m3 inputs of seed 0 and of six seeded m = 2 and six m = 4 problems
+  (half real), k the index of the problem in that list; each writes
+  ``search.json`` with ``p_success``, the convergence's ``iterations`` and
+  ``grad_norm`` and the measurement's ``vectors_re`` and ``vectors_im``.
 
 For each operation it records the exit code, stdout and stderr (with the
 work directory masked), an escaped exception's type, and the sha256 of every
 output file.  It prints each difference and exits 1 when there is any, 0
 otherwise.  Under a JSON or CSV file whose bytes differ it lists the largest
-|delta| of each numeric key (list indices folded into ``[]``) or column
-whose values moved, and names any other key that changed.  MED_LOG is
-removed from the children's environment, since its records carry
-wall-clock times.
+|delta| of each numeric key (list indices folded into ``[]``) or column whose
+values moved, and names any other key that changed.  MED_LOG is removed from
+the children's environment, since its records carry wall-clock times.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ import inputs  # noqa: E402
 
 SOLVE_FLAGS = ["--steps", "200", "--h", "5e-3"]
 PERMUTATION = [1, 2, 0]
+#: first item of an operation that calls ``search_optimum``, not the CLI
+SEARCH = "api:search_optimum"
+#: dimensions, count per arithmetic and spread of the extra search problems
+SEARCH_M, SEARCH_PER_ARITH, SEARCH_SPREAD = (2, 4), 3, 0.3
 
 
 def _povm_dict(vectors: np.ndarray, frame: str) -> dict:
@@ -103,7 +112,28 @@ def operations(work: Path) -> list[tuple[str, list[str]]]:
     ops.append(("fig1-polish", ["reproduce-fig1", *SOLVE_FLAGS, "--polish"]))
     ops.append(("batch", ["solve", "--batch", str(work), *SOLVE_FLAGS, "--polish"]))
     ops.append(("generate", ["generate", "--m", "3", "--seed", "0"]))
+    rng = np.random.default_rng(0)
+    searched = problems + [inputs.draw(rng, f"m{m}-{'real' if real else 'complex'}-{k}", m,
+                                       SEARCH_SPREAD, real=real, schema="gram")
+                           for m in SEARCH_M for real in (True, False)
+                           for k in range(SEARCH_PER_ARITH)]
+    for k, p in enumerate(searched):
+        path = work / f"{p.name}-gram.npy"
+        np.save(path, p.gram())
+        ops.append((f"{p.name}-search", [SEARCH, str(path), str(k)]))
     return ops
+
+
+def _search(ms, target: Path, path: str, seed: str) -> None:
+    """One ``search_optimum`` call on the Gram matrix saved at ``path``, its
+    record written to ``target/search.json`` (floats round-trip exactly)."""
+    found = ms.search_optimum(ms.GramMatrix(np.load(path)), seed=int(seed))
+    vectors = found.povm.vectors
+    target.mkdir(parents=True)
+    (target / "search.json").write_text(json.dumps(
+        {"p_success": float(found.p_success), "iterations": int(found.convergence.iterations),
+         "grad_norm": float(found.convergence.grad_norm),
+         "vectors_re": vectors.real.tolist(), "vectors_im": vectors.imag.tolist()}))
 
 
 def run_tree(src: Path, ops: list, work: Path, out: Path) -> dict:
@@ -124,7 +154,10 @@ def run_tree(src: Path, ops: list, work: Path, out: Path) -> dict:
         code, escaped = None, None
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
-                code = medsolve.cli.main(argv + ["--out", str(target)])
+                if argv[0] == SEARCH:
+                    _search(medsolve, target, *argv[1:])
+                else:
+                    code = medsolve.cli.main(argv + ["--out", str(target)])
             except Exception as exc:  # an escaped exception is a result too
                 escaped = type(exc).__name__
         files = {}

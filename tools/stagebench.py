@@ -1,4 +1,4 @@
-"""Per-layer timing of the drag's stage and loop: this checkout against a git revision.
+"""Per-layer timing of the drag and the direct search: this checkout against a git revision.
 
     python tools/stagebench.py [--against REV]      # REV defaults to HEAD
 
@@ -14,11 +14,16 @@ process imports ``medsolve`` from its tree and measures:
   to a seeded random Gram matrix (``random_ensemble(m, 90 + m, 0.6)``), with
   G(1/2) and dG/dt as the stage sees them mid-drag;
 - one polished 200-step ``rk4_drag`` along that path, per m and arithmetic,
-  the best of 3, in ms.
+  the best of 3, in ms;
+- one ``search_optimum(gram, seed=0)`` for m = 2, 3 and 4 in real and complex
+  arithmetic on ``raw_gram(random_ensemble(m, 90 + m, 0.6))``, the best of
+  5, in ms.
 
-The table gives, per row, the best over all rounds for REV and for this
-checkout, and their ratio (below 1 is faster here).  Both trees must provide
-``_rate(a, f, g, gdot, t)`` and the public ``rk4_drag``.
+The table gives, per row, the best and the median over the rounds of each
+process's time, for REV and for this checkout, and their ratios (below 1 is
+faster here).  The median shows how far the best alone can be trusted: fresh
+processes of one tree differ by several percent.  Both trees must provide
+``_rate(a, f, g, gdot, t)`` and the public ``rk4_drag`` and ``search_optimum``.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-DIMENSIONS = (2, 5, 8)
-ROUNDS, RATE_CALLS, RATE_REPEATS, DRAG_REPEATS = 5, 2000, 5, 3
+DIMENSIONS, SEARCH_DIMENSIONS = (2, 5, 8), (2, 3, 4)
+ROUNDS, RATE_CALLS, RATE_REPEATS, DRAG_REPEATS, SEARCH_REPEATS = 5, 2000, 5, 3, 5
 STEPS, H = 200, 5e-3
 
 
@@ -77,6 +82,15 @@ def measure(src: Path) -> dict[str, float]:
             ms.rk4_drag(path, steps=STEPS, h=H, polish=True)
             best = min(best, time.perf_counter() - began)
         out[f"rk4_drag ms|{m}|{arith}"] = 1e3 * best
+    for m in SEARCH_DIMENSIONS:
+        for real in (True, False):
+            gram = ms.raw_gram(ms.random_ensemble(m, 90 + m, 0.6, real=real))
+            best = np.inf
+            for _ in range(SEARCH_REPEATS):
+                began = time.perf_counter()
+                ms.search_optimum(gram, seed=0)
+                best = min(best, time.perf_counter() - began)
+            out[f"search_optimum ms|{m}|{'real' if real else 'complex'}"] = 1e3 * best
     return out
 
 
@@ -103,21 +117,25 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         subprocess.run(["tar", "-x", "-C", str(rev_root)], input=archive.stdout, check=True)
         trees = {"rev": rev_root / "src", "here": ROOT / "src"}
-        best: dict[str, dict[str, float]] = {"rev": {}, "here": {}}
+        runs: dict[str, dict[str, list[float]]] = {"rev": {}, "here": {}}
         for k in range(ROUNDS):
             for name in (("rev", "here") if k % 2 == 0 else ("here", "rev")):
                 for key, value in _child(trees[name]).items():
-                    best[name][key] = min(best[name].get(key, value), value)
+                    runs[name].setdefault(key, []).append(value)
 
     print(f"Python {platform.python_version()}, numpy {np.__version__}, "
-          f"{os.cpu_count()} CPUs; best of {ROUNDS} alternated processes per tree")
+          f"{os.cpu_count()} CPUs; {ROUNDS} alternated processes per tree")
     rev = args.against[:12]
-    print(f"{'layer':<12} {'m':>2} {'arith':<8} {rev:>12} {'here':>10} {'here/rev':>9}")
-    for key, theirs in best["rev"].items():
+    print(f"{'layer':<17} {'m':>2} {'arith':<8} {'best: ' + rev:>18} {'here':>8} {'here/rev':>9}"
+          f" {'median: rev':>12} {'here':>8} {'here/rev':>9}")
+    for key, theirs in runs["rev"].items():
         layer, m, arith = key.split("|")
-        ours = best["here"][key]
-        print(f"{layer:<12} {m:>2} {arith:<8} {theirs:>12.1f} {ours:>10.1f} "
-              f"{ours / theirs:>9.3f}")
+        ours = runs["here"][key]
+        best = min(theirs), min(ours)
+        median = float(np.median(theirs)), float(np.median(ours))
+        print(f"{layer:<17} {m:>2} {arith:<8} {best[0]:>18.2f} {best[1]:>8.2f} "
+              f"{best[1] / best[0]:>9.3f} {median[0]:>12.2f} {median[1]:>8.2f} "
+              f"{median[1] / median[0]:>9.3f}")
     return 0
 
 
