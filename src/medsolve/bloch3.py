@@ -77,26 +77,13 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
         raise ValueError("expected a hermitian matrix")
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ValueError("expected trace 1")
-    return _coordinates(rho)
-
-
-def _coordinates(rho: np.ndarray) -> np.ndarray:
     return (np.sqrt(3.0) / 2.0) * np.einsum("kab,ba->k", gell_mann(), rho).real
 
 
-def _normalized_coordinates(c: np.ndarray, weight: float, tol: float) -> np.ndarray:
-    """Bloch coordinates of c / weight for a hermitian c of trace ``weight``,
-    unchecked, since rounding in c over a small weight can trip the checks of
-    ``to_bloch``.  A weight within tol of 0 leaves nothing to normalize and
-    gives the centre 0: the maximally mixed state, which misses rank two by 1."""
-    if abs(weight) <= tol:
-        return np.zeros(8)
-    return _coordinates(c / weight)
-
-
 def star(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
-    """Symmetric bilinear product (n1*n2)_l = sqrt(3) d_jkl n1_j n2_k."""
-    return np.sqrt(3.0) * np.einsum("jkl,j,k->l", d_tensor(), n1, n2)
+    """Symmetric bilinear product (n1*n2)_l = sqrt(3) d_jkl n1_j n2_k, row by
+    row for stacks of vectors, C-ordered."""
+    return np.sqrt(3.0) * np.einsum("jkl,...j,...k->...l", d_tensor(), n1, n2, order="C")
 
 
 def boundary_form(n: np.ndarray) -> float:
@@ -159,23 +146,39 @@ def geometric_audit(ensemble: Ensemble | GramMatrix, povm: Povm, tol: float = 1e
     z = z_operator(ensemble, povm)
 
     probs = ensemble.probs
-    k0 = float(np.trace(z).real)
-    k_vec = _normalized_coordinates(z, k0, tol)
-    s_vecs = [_normalized_coordinates(c, k0 - p, tol)
-              for c, p in zip(complements(ensemble.scaled_states, z), probs)]
-    # a rank-one projector is hermitian with trace 1, so to_bloch's checks cannot fail
-    t_vecs = [_coordinates(povm.projector(i)) for i in range(3)]
+    k0 = float(z.trace().real)
+    # Z, the three complements and the three outcome projectors, each over its
+    # trace: k0, kappa_i, and 1 for a projector.  Unchecked, since rounding in
+    # a matrix over a small weight can trip the checks of to_bloch; a weight
+    # within tol of 0 leaves nothing to normalize and gives the centre 0, the
+    # maximally mixed state, which misses rank two by 1
+    vectors = povm.vectors
+    mats = np.concatenate((z[None], complements(ensemble.scaled_states, z),
+                           vectors.T[:, :, None] * vectors.conj().T[:, None, :]))
+    weights = np.ones(7)
+    weights[0], weights[1:4] = k0, k0 - probs
+    centre = np.abs(weights) <= tol
+    centre[4:] = False
+    weights[centre] = 1.0
+    # one call per stack; order="C" keeps every row contiguous, so each
+    # dot below takes the BLAS path of a fresh 8-vector
+    coords = (np.sqrt(3.0) / 2.0) * np.einsum(
+        "kab,nba->nk", gell_mann(), mats / weights[:, None, None], order="C").real
+    coords[centre] = 0.0
+    k_vec, s_vecs, t_vecs = coords[0], coords[1:4], coords[4:]
+    # boundary_form of k and the s_i, from one stacked n*n
+    cubic = [float(c @ n) for c, n in
+             zip(3.0 * coords[:4] - 2.0 * star(coords[:4], coords[:4]), coords[:4])]
 
     residuals = {
-        "sigma_boundary": max(abs(boundary_form(s) - 1.0) for s in s_vecs),
-        "orthogonality": max(
-            float(np.max(np.abs(s + t + star(t, s)))) for s, t in zip(s_vecs, t_vecs)
-        ),
+        "sigma_boundary": max(abs(c - 1.0) for c in cubic[1:]),
+        "orthogonality": float(np.maximum.reduce(np.abs(s_vecs + t_vecs + star(t_vecs, s_vecs)),
+                                                 axis=None)),
     }
     margins = {
         "sigma_norm_interior": min(1.0 - float(s @ s) for s in s_vecs),
-        "dual_weight_lower": k0 - float(np.max(probs)) + tol,
+        "dual_weight_lower": k0 - float(np.maximum.reduce(probs)) + tol,
         "dual_norm_interior": 1.0 - float(k_vec @ k_vec),
-        "dual_boundary": 1.0 - boundary_form(k_vec) + tol,
+        "dual_boundary": 1.0 - cubic[0] + tol,
     }
     return AuditReport(k0=k0, residuals=residuals, strict_margins=margins, tol=tol)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import ResidualTooLarge
 from .gram import GramMatrix, Ensemble
-from .linalg import hermitize, hs_norm, polar_unitary
+from .linalg import hermitian_eig, hermitize, hs_norm, polar_unitary
 from .measurement import Povm
 
 #: default stationarity tolerance: one order above the observed integration
@@ -104,13 +104,14 @@ def factor_residual(a: np.ndarray, fmat: np.ndarray, g: np.ndarray) -> float:
 
 
 def _stationarity_residual(o: np.ndarray) -> float:
-    d = np.diagonal(o)
-    return float(np.max(np.abs(d[:, None] * o.conj() - o.T * d.conj()[None, :])))
+    d = o.diagonal()
+    return float(np.maximum.reduce(np.abs(d[:, None] * o.conj() - o.T * d.conj()[None, :]),
+                                   axis=None))
 
 
 def _raw_z(scaled: np.ndarray, vectors: np.ndarray, o: np.ndarray) -> np.ndarray:
     """Z = sum_i |psi~_i><psi~_i|v_i><v_i| = S diag(O) V^dag, before hermitizing."""
-    return (scaled * np.diagonal(o)) @ vectors.conj().T
+    return (scaled * o.diagonal()) @ vectors.conj().T
 
 
 def z_operator(ensemble: Ensemble | GramMatrix, povm: Povm) -> np.ndarray:
@@ -126,31 +127,33 @@ def complements(scaled: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _global_min_eig(scaled: np.ndarray, z: np.ndarray) -> float:
     """Minimum eigenvalue of Z - |psi~_i><psi~_i| over all i."""
-    return float(np.min(np.linalg.eigvalsh(complements(scaled, z))[:, 0]))
+    return float(np.minimum.reduce(hermitian_eig(complements(scaled, z))[:, 0]))
 
 
 def _hermitian_factor(overlaps: np.ndarray) -> np.ndarray:
     """Candidate factor F = D W from the overlap matrix, with per-outcome
     phases fixed so the diagonal of W is real non-negative."""
-    diag = np.diagonal(overlaps).copy()
+    diag = overlaps.diagonal().copy()
     diag[np.abs(diag) < 1e-15] = 1.0
     phases = diag / np.abs(diag)
     w = overlaps * phases.conj()[None, :]
-    d = np.diagonal(w).real
+    d = w.diagonal().real
     return hermitize(d[:, None] * w)
 
 
 def _certify(scaled: np.ndarray, vectors: np.ndarray) -> Certificate:
     """Certificate of the basis ``vectors`` against the scaled states, every
-    field read off their overlap matrix O = S^dag V."""
+    field read off their overlap matrix O = S^dag V.  At m <= 8 numpy's
+    per-call cost outweighs the arithmetic, so each call takes its cheapest
+    form (ufunc reductions, the bare eigenvalue gufunc), with the same bits."""
     o = scaled.conj().T @ vectors
     z = hermitize(_raw_z(scaled, vectors, o))
     return Certificate(
         stationarity_residual=_stationarity_residual(o),
         global_min_eig=_global_min_eig(scaled, z),
-        f_min_eig=float(np.linalg.eigvalsh(_hermitian_factor(o))[0]),
-        p_success=float(np.sum(np.abs(np.diagonal(o)) ** 2)),
-        tr_z=float(np.trace(z).real),
+        f_min_eig=float(hermitian_eig(_hermitian_factor(o))[0]),
+        p_success=float(np.add.reduce(np.abs(o.diagonal()) ** 2)),
+        tr_z=float(z.trace().real),
     )
 
 
@@ -174,14 +177,14 @@ def certify_gram(gram: GramMatrix, f: np.ndarray) -> tuple[Certificate, Povm]:
     TOL_STAT and TOL_GLB.
     """
     f = np.asarray(f, dtype=complex)
-    if not np.all(np.isfinite(f)):  # first, so None (a 0-d NaN here) reads as non-finite
+    if not np.isfinite(f).all():  # first, so None (a 0-d NaN here) reads as non-finite
         raise ValueError("factor F must be finite")
     if f.shape != gram.entries.shape:
         raise ValueError(f"factor F has shape {f.shape}, the Gram matrix has {gram.entries.shape}")
-    if np.max(np.abs(f - f.conj().T)) > 1e-10:
+    if np.maximum.reduce(np.abs(f - f.conj().T), axis=None) > 1e-10:
         raise ValueError("factor F must be hermitian")
-    a_sq = np.diagonal(f).real
-    if np.any(a_sq <= 0.0):
+    a_sq = f.diagonal().real
+    if (a_sq <= 0.0).any():
         raise ValueError("factor F must have positive diagonal")
     a = np.sqrt(a_sq)
     resid = factor_residual(a, f, gram.entries)

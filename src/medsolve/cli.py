@@ -114,6 +114,8 @@ def _write_output(path: Path, write, payload) -> None:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
+    if out.is_dir():  # one stat; mkdir(exist_ok=True) raises and catches FileExistsError
+        return out
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -219,7 +221,11 @@ def _load_certify_input(path: Path):
 
 def cmd_certify(args) -> int:
     problem, povm = _load_certify_input(Path(args.input))
-    cert = _judged(certify_povm(problem, povm), args)
+    try:
+        cert = _judged(certify_povm(problem, povm), args)
+    except np.linalg.LinAlgError as exc:
+        # a numerical failure, as in solve
+        raise _CliFailure(EXIT_FAILED, f"certification failed: {exc}") from exc
     out = _out_dir(args)
     cert_path = out / f"{Path(args.input).stem}-certificate.json"
     _write_output(cert_path, write_json, certificate_to_dict(cert))

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import NearLinearDependence
-from .linalg import haar_unitary, hermitize, read_only
+from .linalg import haar_unitary, hermitian_eig, hermitize, read_only
 
 # Smallest admissible eigenvalue of a Gram matrix.  Below this the ensemble
 # is treated as linearly dependent: the continuation method needs headroom
@@ -53,14 +53,17 @@ class Ensemble:
         m = states.shape[0]
         if probs.shape != (m,):
             raise ValueError(f"probs must have length {m}")
-        if not (np.all(np.isfinite(states)) and np.all(np.isfinite(probs))):
+        if not (np.isfinite(states).all() and np.isfinite(probs).all()):
             raise ValueError("states and probabilities must be finite")
-        norms = np.linalg.norm(states, axis=0)
-        if np.max(np.abs(norms - 1.0)) > _ATOL_UNIT:
+        # np.linalg.norm(states, axis=0) written out as numpy computes it, and
+        # ufunc reductions for np.max and np.sum: at m <= 8 the wrappers cost
+        # more than the checks, here and in GramMatrix
+        norms = np.sqrt(np.add.reduce((states.conj() * states).real, axis=0))
+        if np.maximum.reduce(np.abs(norms - 1.0), axis=None) > _ATOL_UNIT:
             raise ValueError("every state must have unit norm")
-        if np.any(probs <= 0.0):
+        if (probs <= 0.0).any():
             raise ValueError("every probability must be positive")
-        if abs(probs.sum() - 1.0) > _ATOL_TRACE:
+        if abs(np.add.reduce(probs) - 1.0) > _ATOL_TRACE:
             raise ValueError("probabilities must sum to 1")
         # valid only if its Gram matrix is; kept for raw_gram, which every
         # solver route calls
@@ -95,13 +98,13 @@ class GramMatrix:
         entries = np.array(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("gram matrix must be square")
-        if not np.all(np.isfinite(entries)):
+        if not np.isfinite(entries).all():
             raise ValueError("gram matrix entries must be finite")
-        if np.max(np.abs(entries - entries.conj().T)) > _ATOL_HERM:
+        if np.maximum.reduce(np.abs(entries - entries.conj().T), axis=None) > _ATOL_HERM:
             raise ValueError("gram matrix must be hermitian")
-        if abs(np.trace(entries).real - 1.0) > _ATOL_TRACE:
+        if abs(entries.trace().real - 1.0) > _ATOL_TRACE:
             raise ValueError("gram matrix must have trace 1")
-        min_eig = float(np.linalg.eigvalsh(hermitize(entries))[0])
+        min_eig = float(hermitian_eig(hermitize(entries))[0])
         if min_eig <= EPS_LI:
             raise NearLinearDependence(
                 f"gram matrix is not positive definite enough (min eigenvalue {min_eig:.3e})"
@@ -115,14 +118,14 @@ class GramMatrix:
     @property
     def probs(self) -> np.ndarray:
         """Diagonal of G, which equals the probability vector."""
-        return np.diagonal(self.entries).real.copy()
+        return self.entries.diagonal().real.copy()
 
     @cached_property
     def _roots(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (G^{1/2}, G^{-1/2}) from one hermitian eigendecomposition,
         eigenvalues clamped at EPS_LI so rounding-level values cannot leak in."""
-        w, v = np.linalg.eigh(hermitize(self.entries))
-        r = np.sqrt(np.clip(w, EPS_LI, None))
+        w, v = hermitian_eig(hermitize(self.entries), vectors=True)
+        r = np.sqrt(np.maximum(w, EPS_LI))
         return read_only((v * r) @ v.conj().T), read_only((v / r) @ v.conj().T)
 
     def inv_sqrt(self) -> np.ndarray:

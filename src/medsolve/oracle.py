@@ -2,12 +2,13 @@
 
 Two routes that share no code with the continuation solver: the closed-form
 two-state optimum, and direct maximization of the success probability over
-the unitary group by Riemannian gradient ascent (restricted to small
-dimensions, where exhaustive restarts are cheap).  The random restarts of
-the ascent advance together as one stack of unitaries; each keeps its own
-start, step and stopping test, so batching them changes roundoff only.
-Trial points are Cayley retractions, one stacked linear solve per
-backtracking round for all lanes still searching.
+the unitary group, or the orthogonal group for a real Gram matrix, by
+Riemannian gradient ascent (restricted to small dimensions, where exhaustive
+restarts are cheap).  The random restarts of the ascent advance together as
+one stack of unitaries; each keeps its own start, step and stopping test, so
+batching them changes roundoff only.  Trial points are Cayley retractions,
+one stacked linear solve per backtracking round for all lanes still
+searching.
 """
 
 from __future__ import annotations
@@ -179,9 +180,12 @@ def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
     random starts guard against the non-global stationary points; they
     advance together as one stack of unitaries, each with its own step,
     _MAX_ITER iterations and stopping test, and the best value wins (the
-    first one on ties).  Deterministic in ``seed`` (>= 0); restricted to
-    m <= 4 where restarts are cheap.  NoConvergence is raised if the best
-    run ends with a gradient norm above _GTOL.
+    first one on ties).  A G whose imaginary part is exactly zero has a
+    real optimum up to column phases, so it is searched over the orthogonal
+    group in real arithmetic, from the real parts of the same seeded
+    draws.  Deterministic in ``seed`` (>= 0); restricted to m <= 4 where
+    restarts are cheap.  NoConvergence is raised if the best run ends with a
+    gradient norm above _GTOL.
     """
     m = gram.m
     if m > 4:
@@ -190,7 +194,14 @@ def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
         raise ValueError(f"seed must be >= 0, got {seed}")
     r = gram.scaled_states
     z = np.random.default_rng(seed).normal(size=(_RESTARTS, 2, m, m))
-    u, iterations, grad_norm = _ascend(r, polar_unitary(z[:, 0] + 1j * z[:, 1]), _MAX_ITER, _GTOL)
+    if gram.entries.imag.any():
+        u0 = polar_unitary(z[:, 0] + 1j * z[:, 1])
+    else:
+        # conjugation maps an optimum of a real G to an optimum, and the
+        # optimum is unique up to column phases, so it is real up to them:
+        # the ascent searches O(m) in real arithmetic from real starts
+        r, u0 = r.real.copy(), polar_unitary(z[:, 0])
+    u, iterations, grad_norm = _ascend(r, u0, _MAX_ITER, _GTOL)
     values = _value(r, u)
     best = int(np.argmax(values))
     stats = SearchStats(iterations=int(iterations[best]), grad_norm=float(grad_norm[best]))

@@ -1,8 +1,12 @@
 """Shared helpers for the test suite."""
 
+import types
+
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 import medsolve as ms
+from medsolve import linalg
 
 
 def identity_gram(m: int) -> ms.GramMatrix:
@@ -73,3 +77,27 @@ def overlap_gram_m3(c: float, probs=(0.4, 0.35, 0.25)) -> ms.GramMatrix:
     states = np.stack([psi1, psi2, psi3], axis=1)
     scaled = states * np.sqrt(np.asarray(probs))
     return ms.GramMatrix(scaled.T @ scaled)
+
+
+def nan_spectrum_from_call(monkeypatch, first: int) -> list[int]:
+    """Make the LAPACK gufuncs behind ``linalg.hermitian_eig`` report
+    non-convergence from their ``first``-th call (counting from 1) on, as
+    numpy's gufuncs do: NaN eigenvalues and eigenvectors in place of an
+    error.  Returns the list that records the ndim of each call's argument.
+    A later call replaces an earlier one's patch."""
+    calls: list[int] = []
+
+    def failing(gufunc):
+        def call(mat):
+            calls.append(mat.ndim)
+            out = gufunc(mat)
+            if len(calls) < first:
+                return out
+            if isinstance(out, tuple):
+                return tuple(np.full_like(x, np.nan) for x in out)
+            return np.full_like(out, np.nan)
+        return call
+
+    monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(
+        eigvalsh_lo=failing(_umath_linalg.eigvalsh_lo), eigh_lo=failing(_umath_linalg.eigh_lo)))
+    return calls

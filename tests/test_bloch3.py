@@ -7,6 +7,7 @@ import medsolve as ms
 from medsolve import serialize
 from conftest import random_gram, seeded_grams, solve_direct
 from medsolve.bloch3 import boundary_form, d_tensor, gell_mann, star, to_bloch
+from medsolve.certify import complements, z_operator
 from medsolve.linalg import haar_unitary
 
 
@@ -88,13 +89,86 @@ class TestStarProduct:
         rhs = 2.0 * star(x, y) + star(x, z)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    def test_a_stack_is_starred_row_by_row_bitwise(self):
+        rng = np.random.default_rng(9)
+        x, y = rng.normal(size=(2, 4, 8))
+        stacked = star(x, y)
+        assert stacked.flags.c_contiguous
+        for k in range(4):
+            assert stacked[k].tobytes() == _star(x[k], y[k]).tobytes()
+            assert star(x[k], y[k]).tobytes() == _star(x[k], y[k]).tobytes()
+
     def test_pure_state_cubic_identity(self):
         for seed in range(5):
             n = to_bloch(random_pure_qutrit(seed + 20))
             assert abs((3.0 * n - 2.0 * star(n, n)) @ n - 1.0) < 1e-10
 
 
+def _coordinates(rho):
+    return (np.sqrt(3.0) / 2.0) * np.einsum("kab,ba->k", gell_mann(), rho).real
+
+
+def _star(n1, n2):
+    return np.sqrt(3.0) * np.einsum("jkl,j,k->l", d_tensor(), n1, n2)
+
+
+def _boundary_form(n):
+    return float((3.0 * n - 2.0 * _star(n, n)) @ n)
+
+
+def _frozen_audit(ensemble, povm, tol):
+    """(k0, residuals, margins) of the audit as it stood when it took one
+    Bloch vector and one star product of two vectors per call: the reference
+    that the stacked audit must reproduce bit for bit."""
+
+    def normalized(c, weight):
+        return np.zeros(8) if abs(weight) <= tol else _coordinates(c / weight)
+
+    z = z_operator(ensemble, povm)
+    probs = ensemble.probs
+    k0 = float(np.trace(z).real)
+    k_vec = normalized(z, k0)
+    s_vecs = [normalized(c, k0 - p) for c, p in zip(complements(ensemble.scaled_states, z), probs)]
+    t_vecs = [_coordinates(povm.projector(i)) for i in range(3)]
+    residuals = {
+        "sigma_boundary": max(abs(_boundary_form(s) - 1.0) for s in s_vecs),
+        "orthogonality": max(
+            float(np.max(np.abs(s + t + _star(t, s)))) for s, t in zip(s_vecs, t_vecs)
+        ),
+    }
+    margins = {
+        "sigma_norm_interior": min(1.0 - float(s @ s) for s in s_vecs),
+        "dual_weight_lower": k0 - float(np.max(probs)) + tol,
+        "dual_norm_interior": 1.0 - float(k_vec @ k_vec),
+        "dual_boundary": 1.0 - _boundary_form(k_vec) + tol,
+    }
+    return k0, residuals, margins
+
+
 class TestGeometricAudit:
+    @pytest.mark.parametrize("real", [True, False])
+    def test_stacked_audit_matches_the_per_vector_audit_bitwise(self, real):
+        # the optimum, a permuted copy and a Haar-random measurement, in the
+        # Gram and the ensemble frame, at tolerances that also send some
+        # complements (tol >= kappa_i) or Z (tol >= k0) to the centre
+        rng = np.random.default_rng(21 + real)
+        for k in range(8):
+            ensemble = ms.random_ensemble(3, 1500 + k, (0.2, 0.6, 0.95, 1.0)[k % 4], real=real)
+            gram = ms.raw_gram(ensemble)
+            u = solve_direct(gram, steps=100, h=1e-2, polish=True).final_povm.vectors
+            for v in (u, u[:, [1, 2, 0]], haar_unitary(rng, 3, real=real)):
+                for problem, povm in ((gram, ms.Povm(v)),
+                                      (ensemble, ms.povm_from_unitary(gram, v, ensemble=ensemble))):
+                    for tol in (0.0, 1e-8, 0.7, 1.5):
+                        report = ms.geometric_audit(problem, povm, tol=tol)
+                        k0, residuals, margins = _frozen_audit(problem, povm, tol)
+                        assert report.k0.hex() == k0.hex()
+                        for got, want in ((report.residuals, residuals),
+                                          (report.strict_margins, margins)):
+                            assert list(got) == list(want)
+                            assert [float(x).hex() for x in got.values()] == \
+                                [float(x).hex() for x in want.values()]
+
     def test_orthogonal_equiprobable_case(self):
         ens = ms.Ensemble(np.eye(3), np.full(3, 1 / 3))
         povm = ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT)

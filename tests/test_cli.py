@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import medsolve as ms
-from conftest import random_gram, solve_direct
-from medsolve import cli, homotopy, serialize
+from conftest import nan_spectrum_from_call, random_gram, solve_direct
+from medsolve import certify, cli, homotopy, serialize
 from medsolve.cli import main
 from medsolve.homotopy import _rate
 from medsolve.linalg import haar_unitary
@@ -294,6 +294,16 @@ class TestSolve:
         assert capsys.readouterr().err == "solver failed: SVD did not converge\n"
         assert not (tmp_path / "g-report.json").exists()
 
+    def test_a_nan_spectrum_in_the_input_check_is_invalid_data(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # numpy's gufunc returns NaN where np.linalg.eigvalsh raised; the
+        # input check still reports numpy's error as invalid data
+        inp = write_gram(tmp_path / "g.json", random_gram(3, seed=817))
+        nan_spectrum_from_call(monkeypatch, 1)
+        assert main(["solve", inp, "--out", str(tmp_path)]) == 65
+        assert capsys.readouterr().err == f"{inp}: Eigenvalues did not converge\n"
+        assert not (tmp_path / "g-report.json").exists()
+
     def test_batch_goes_on_past_a_linalg_error(self, tmp_path, capsys, monkeypatch):
         self._svd_fails_at(monkeypatch, 3)
         batch = tmp_path / "batch"
@@ -372,6 +382,58 @@ class TestCertify:
         assert main(["certify", inp, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err == "medsolve: NotUnitary: basis is not orthonormal (residual 1.0e-03)\n"
+
+    @staticmethod
+    def _spectrum_fails_on_stacks(monkeypatch):
+        """Make the spectrum of every stack of matrices (the complements
+        Z - p_i rho_i of the certificate) fail."""
+        spectrum = certify.hermitian_eig
+
+        def failing(mat, *args, **kwargs):
+            if mat.ndim == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return spectrum(mat, *args, **kwargs)
+
+        monkeypatch.setattr(certify, "hermitian_eig", failing)
+
+    def test_linalg_error_is_a_certification_failure(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, but it is a numerical failure, as in solve
+        self._spectrum_fails_on_stacks(monkeypatch)
+        ens = ms.random_ensemble(3, seed=806, spread=0.6)
+        inp = certify_payload(tmp_path / "c.json", ens, ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))
+        out = tmp_path / "out"
+        assert main(["certify", inp, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "certification failed: Eigenvalues did not converge\n"
+        assert not (out / "c-certificate.json").exists()
+
+    @pytest.mark.parametrize("schema", ["ensemble", "gram"])
+    def test_every_eigen_call_refuses_a_nan_spectrum(self, tmp_path, capsys, monkeypatch, schema):
+        # numpy's gufunc returns NaN where its wrapper raised.  NaN from the
+        # input check exits 65 with numpy's message; from any later call
+        # (G^{1/2} of a Gram input, the complements, the factor) the
+        # certificate fails with 3; no call ends in a traceback
+        ens = ms.random_ensemble(3, seed=809, spread=0.5)
+        gram = ms.raw_gram(ens)
+        u = solve_direct(gram, steps=100, h=1e-2, polish=True).final_povm.vectors
+        if schema == "ensemble":
+            problem = serialize.ensemble_to_dict(ens)
+            povm = ms.povm_from_unitary(gram, u, ensemble=ens)
+        else:
+            problem, povm = serialize.gram_to_dict(gram), ms.Povm(u)
+        path = tmp_path / "c.json"
+        serialize.write_json(path, {"ensemble": problem, "povm": serialize.povm_to_dict(povm)})
+        argv = ["certify", str(path), "--out", str(tmp_path)]
+        calls = nan_spectrum_from_call(monkeypatch, 10**6)
+        assert main(argv) == 0
+        assert calls == ([2, 3, 2] if schema == "ensemble" else [2, 2, 3, 2])
+        capsys.readouterr()
+        for first in range(1, len(calls) + 1):
+            nan_spectrum_from_call(monkeypatch, first)
+            code, err = main(argv), capsys.readouterr().err
+            if first == 1:
+                assert (code, err) == (65, f"{path}: Eigenvalues did not converge\n")
+            else:
+                assert (code, err) == (3, "certification failed: Eigenvalues did not converge\n")
 
     def test_swapped_two_state_point_exits_2(self, tmp_path):
         result = ms.helstrom(0.6, 0.4, 0.5)

@@ -3,8 +3,12 @@
 ``_reference_restarts`` runs the restarts one after another, each with its
 own scalar Barzilai-Borwein step and backtracking loop.  ``oracle._ascend``
 advances all restarts together as one stack; every lane must follow the same
-iterates, so only roundoff may differ.
+iterates, so only roundoff may differ.  A real Gram matrix is searched over
+the orthogonal group from real starts; the complex ascent from the same
+seed's complex starts must reach the same value.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ import pytest
 import medsolve as ms
 from conftest import random_gram, seeded_grams
 from medsolve.linalg import polar_unitary, unitarity_residual
-from medsolve.oracle import _ascend
+from medsolve.oracle import _ascend, _value
 
 _EPS = np.finfo(float).eps
 
@@ -165,3 +169,35 @@ def test_a_lane_does_not_depend_on_its_stack(m, real):
             assert iterations1[0] == iterations[lane], f"lane {lane}"
             assert u1[0].tobytes() == u[lane].tobytes(), f"lane {lane}"
             assert grad_norm1[0].tobytes() == grad_norm[lane].tobytes(), f"lane {lane}"
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_a_real_search_reaches_the_complex_ascents_optimum(m):
+    # conjugation maps an optimum of a real G to an optimum, and the optimum
+    # is unique up to column phases, so the real search loses nothing.  The
+    # ascent stops at a gradient norm below 1e-7, so its measurement is
+    # judged stationary at 1e-6, as test_oracle judges the search's output
+    for k, gram in enumerate(seeded_grams(m, 3, base_seed=3700 + 10 * m, real=True)):
+        assert not gram.entries.imag.any()
+        found = ms.search_optimum(gram, seed=k)
+        assert not found.povm.vectors.imag.any()
+        r = gram.scaled_states
+        u, _, _ = _stacked_lanes(r, seed=k, restarts=20, max_iter=500, gtol=1e-7)
+        assert abs(found.p_success - float(np.max(_value(r, u)))) <= 1e-12
+        cert = ms.certify_povm(gram, found.povm)
+        assert dataclasses.replace(cert, tol_stat=1e-6).status == "optimal"
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_a_complex_search_is_the_complex_ascent_bitwise(m):
+    for k, gram in enumerate(seeded_grams(m, 2, base_seed=3800 + 10 * m)):
+        assert gram.entries.imag.any()
+        found = ms.search_optimum(gram, seed=k)
+        r = gram.scaled_states
+        u, iterations, grad_norm = _stacked_lanes(r, seed=k, restarts=20, max_iter=500, gtol=1e-7)
+        values = _value(r, u)
+        best = int(np.argmax(values))
+        assert found.p_success.hex() == float(values[best]).hex()
+        assert found.povm.vectors.tobytes() == u[best].tobytes()
+        assert found.convergence.iterations == iterations[best]
+        assert found.convergence.grad_norm.hex() == float(grad_norm[best]).hex()

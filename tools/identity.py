@@ -7,14 +7,15 @@ tree with ``git archive REV src | tar -x``, writes one set of inputs with
 ``perfbench/inputs.py`` and runs the same list of CLI operations on both
 trees, each tree in its own Python process that imports ``medsolve`` from
 that tree and calls ``medsolve.cli.main`` (or, for a search, the API) in
-process.  The operations:
+process.  The 274 operations (250 CLI calls and 24 searches):
 
 - ``solve`` on the batch-small inputs of seeds 0 and 1, with the benchmark's
   flags ``--steps 200 --h 5e-3 --polish`` and with the same flags without
   ``--polish``;
 - for the verify-m3 inputs of seed 0: ``certify`` and ``audit`` on the
-  optimum and on an outcome-permuted copy, and ``enumerate`` on the real
-  problems;
+  optimum, on an outcome-permuted copy and on a seeded Haar-random
+  measurement (orthogonal for a real problem), which take the generic
+  non-stationary branches, and ``enumerate`` on the real problems;
 - ``reproduce-fig1`` at its defaults and at ``--steps 200 --h 5e-3 --polish``;
 - one ``solve --batch`` over the whole input directory, whose certify files
   fail per input with exit 64;
@@ -69,23 +70,29 @@ def _povm_dict(vectors: np.ndarray, frame: str) -> dict:
 
 
 def _certify_files(work: Path, problems: list[inputs.Problem]) -> list[Path]:
-    """Optimum and permuted-optimum files for the verify-m3 problems.  The
-    optimum comes from this checkout's drag; both trees read the same files."""
+    """Optimum, permuted-optimum and Haar-random files for the verify-m3
+    problems.  The optimum comes from this checkout's drag; both trees read
+    the same files."""
     sys.path.insert(0, str(ROOT / "src"))
     import medsolve as ms
+    from medsolve.linalg import haar_unitary
 
+    rng = np.random.default_rng(0)
     paths = []
     for p in problems:
         gram = ms.GramMatrix(p.gram())
         u = ms.rk4_drag(ms.Trajectory(ms.GramMatrix(np.eye(3) / 3), gram),
                         steps=200, h=5e-3, polish=True).final_povm.vectors
+        haar = haar_unitary(rng, 3, real=p.real)
         if p.schema == "ensemble":
             ensemble = ms.Ensemble(p.states, p.probs)
-            vectors = ms.povm_from_unitary(gram, u, ensemble=ensemble).vectors
+            vectors, haar = (ms.povm_from_unitary(gram, x, ensemble=ensemble).vectors
+                             for x in (u, haar))
             frame = ms.FRAME_AMBIENT
         else:
             vectors, frame = u, ms.FRAME_DUAL
-        for label, vecs in (("opt", vectors), ("perm", vectors[:, PERMUTATION])):
+        for label, vecs in (("opt", vectors), ("perm", vectors[:, PERMUTATION]),
+                            ("haar", haar)):
             paths.append(inputs.write(work / f"{p.name}-{label}.json",
                                       {"ensemble": p.to_dict(),
                                        "povm": _povm_dict(vecs, frame)}))

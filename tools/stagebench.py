@@ -1,4 +1,4 @@
-"""Per-layer timing of the drag and the direct search: this checkout against a git revision.
+"""Per-layer timing against a git revision: the drag, the direct search and the verification layers.
 
     python tools/stagebench.py [--against REV]      # REV defaults to HEAD
 
@@ -17,18 +17,27 @@ process imports ``medsolve`` from its tree and measures:
   the best of 3, in ms;
 - one ``search_optimum(gram, seed=0)`` for m = 2, 3 and 4 in real and complex
   arithmetic on ``raw_gram(random_ensemble(m, 90 + m, 0.6))``, the best of
-  5, in ms.
+  5, in ms;
+- the verification layers at m = 3 on the certify input of
+  ``random_ensemble(3, 93, 0.6)``'s polished optimum, held in memory as the
+  CLI reads it from its JSON file: the real ensemble (arithmetic ``real``)
+  and the complex problem's Gram matrix (``complex``).  ``load`` parses the
+  input with ``load_gram_or_ensemble`` and ``povm_from_dict`` (the input
+  checks), then ``certify_povm`` and ``geometric_audit`` run on the parsed
+  input: the best of 5 repeats of 2000 calls, in us per call.
 
 The table gives, per row, the best and the median over the rounds of each
 process's time, for REV and for this checkout, and their ratios (below 1 is
 faster here).  The median shows how far the best alone can be trusted: fresh
 processes of one tree differ by several percent.  Both trees must provide
-``_rate(a, f, g, gdot, t)`` and the public ``rk4_drag`` and ``search_optimum``.
+``_rate(a, f, g, gdot, t)``, the public ``rk4_drag``, ``search_optimum``,
+``certify_povm`` and ``geometric_audit``, and the ``serialize`` functions named here.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -43,6 +52,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 DIMENSIONS, SEARCH_DIMENSIONS = (2, 5, 8), (2, 3, 4)
 ROUNDS, RATE_CALLS, RATE_REPEATS, DRAG_REPEATS, SEARCH_REPEATS = 5, 2000, 5, 3, 5
+VERIFY_CALLS, VERIFY_REPEATS = 2000, 5
 STEPS, H = 200, 5e-3
 
 
@@ -50,7 +60,7 @@ def measure(src: Path) -> dict[str, float]:
     """Time the medsolve under ``src`` in this process: {row key: best time}."""
     sys.path.insert(0, str(src))
     import medsolve as ms
-    from medsolve import homotopy
+    from medsolve import homotopy, serialize
 
     if Path(ms.__file__).resolve().parent != (src / "medsolve").resolve():
         raise SystemExit(f"imported {ms.__file__}, not the tree under {src}")
@@ -91,6 +101,31 @@ def measure(src: Path) -> dict[str, float]:
                 ms.search_optimum(gram, seed=0)
                 best = min(best, time.perf_counter() - began)
             out[f"search_optimum ms|{m}|{'real' if real else 'complex'}"] = 1e3 * best
+    for real in (True, False):
+        ensemble = ms.random_ensemble(3, 93, 0.6, real=real)
+        gram = ms.raw_gram(ensemble)
+        u = ms.rk4_drag(ms.Trajectory(ms.GramMatrix(np.eye(3) / 3), gram), steps=STEPS, h=H,
+                        polish=True).final_povm.vectors
+        if real:
+            problem = serialize.ensemble_to_dict(ensemble)
+            povm = serialize.povm_to_dict(ms.povm_from_unitary(gram, u, ensemble=ensemble))
+        else:
+            problem, povm = serialize.gram_to_dict(gram), serialize.povm_to_dict(ms.Povm(u))
+
+        def load(problem=problem, povm=povm):
+            return serialize.load_gram_or_ensemble(problem), serialize.povm_from_dict(povm)
+
+        parsed = load()
+        for layer, call in (("load", load),
+                            ("certify_povm", functools.partial(ms.certify_povm, *parsed)),
+                            ("geometric_audit", functools.partial(ms.geometric_audit, *parsed))):
+            best = np.inf
+            for _ in range(VERIFY_REPEATS):
+                began = time.perf_counter()
+                for _ in range(VERIFY_CALLS):
+                    call()
+                best = min(best, time.perf_counter() - began)
+            out[f"{layer} us|3|{'real' if real else 'complex'}"] = 1e6 * best / VERIFY_CALLS
     return out
 
 
@@ -126,14 +161,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"Python {platform.python_version()}, numpy {np.__version__}, "
           f"{os.cpu_count()} CPUs; {ROUNDS} alternated processes per tree")
     rev = args.against[:12]
-    print(f"{'layer':<17} {'m':>2} {'arith':<8} {'best: ' + rev:>18} {'here':>8} {'here/rev':>9}"
+    print(f"{'layer':<18} {'m':>2} {'arith':<8} {'best: ' + rev:>18} {'here':>8} {'here/rev':>9}"
           f" {'median: rev':>12} {'here':>8} {'here/rev':>9}")
     for key, theirs in runs["rev"].items():
         layer, m, arith = key.split("|")
         ours = runs["here"][key]
         best = min(theirs), min(ours)
         median = float(np.median(theirs)), float(np.median(ours))
-        print(f"{layer:<17} {m:>2} {arith:<8} {best[0]:>18.2f} {best[1]:>8.2f} "
+        print(f"{layer:<18} {m:>2} {arith:<8} {best[0]:>18.2f} {best[1]:>8.2f} "
               f"{best[1] / best[0]:>9.3f} {median[0]:>12.2f} {median[1]:>8.2f} "
               f"{median[1] / median[0]:>9.3f}")
     return 0
