@@ -130,7 +130,7 @@ def _global_min_eig(scaled: np.ndarray, z: np.ndarray) -> float:
     return float(np.minimum.reduce(hermitian_eig(complements(scaled, z))[:, 0]))
 
 
-def _hermitian_factor(overlaps: np.ndarray) -> np.ndarray:
+def hermitian_factor(overlaps: np.ndarray) -> np.ndarray:
     """Candidate factor F = D W from the overlap matrix, with per-outcome
     phases fixed so the diagonal of W is real non-negative."""
     diag = overlaps.diagonal().copy()
@@ -151,7 +151,7 @@ def _certify(scaled: np.ndarray, vectors: np.ndarray) -> Certificate:
     return Certificate(
         stationarity_residual=_stationarity_residual(o),
         global_min_eig=_global_min_eig(scaled, z),
-        f_min_eig=float(hermitian_eig(_hermitian_factor(o))[0]),
+        f_min_eig=float(hermitian_eig(hermitian_factor(o))[0]),
         p_success=float(np.add.reduce(np.abs(o.diagonal()) ** 2)),
         tr_z=float(z.trace().real),
     )

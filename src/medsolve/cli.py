@@ -152,7 +152,7 @@ def _solve_one(
                           steps=args.steps, h=args.h, polish=args.polish)
         povm = report.final_povm
         if isinstance(problem, Ensemble):
-            # the dual frame vectors of the report are the polar-snapped U of the drag
+            # the dual frame vectors of the report are the U the drag certified
             povm = povm_from_unitary(gram, povm.vectors, ensemble=problem)
         report = replace(report, final_povm=povm,
                          certificate=_judged(report.certificate, args))
@@ -239,7 +239,9 @@ def cmd_enumerate(args) -> int:
     try:
         summary = classify_landscape(gram, seed=args.seed)
     except (MedError, ValueError) as exc:
-        raise _CliFailure(EXIT_DATA, f"enumeration failed: {exc}") from exc
+        # LinAlgError is a ValueError, but it is a numerical failure, as in solve
+        code = EXIT_FAILED if isinstance(exc, np.linalg.LinAlgError) else EXIT_DATA
+        raise _CliFailure(code, f"enumeration failed: {exc}") from exc
     summary = replace(summary, certificates=[
         None if cert is None else _judged(cert, args) for cert in summary.certificates
     ])
@@ -255,6 +257,9 @@ def cmd_audit(args) -> int:
     problem, povm = _load_certify_input(Path(args.input))
     try:
         report = geometric_audit(problem, povm)
+    except np.linalg.LinAlgError as exc:
+        # a numerical failure, as in solve
+        raise _CliFailure(EXIT_FAILED, f"audit failed: {exc}") from exc
     except ValueError as exc:
         raise _CliFailure(EXIT_DATA, f"audit failed to run: {exc}") from exc
     out = _out_dir(args)
@@ -305,7 +310,7 @@ def _add_common(sub: argparse.ArgumentParser, solver: bool = False) -> None:
         sub.add_argument("--steps", type=int, default=1000, help="integration steps")
         sub.add_argument("--h", type=float, default=1e-3, help="step size (steps*h must be 1)")
         sub.add_argument("--polish", action="store_true",
-                         help="finish with Newton on the m scales at t = 1")
+                         help="correct the measurement at t = 1 by ascent to stationarity")
 
 
 @functools.cache

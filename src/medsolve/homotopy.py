@@ -64,10 +64,13 @@ import numpy as np
 # wrapper's per-call checks and casts: the same LAPACK call on the same data
 from numpy.linalg import _umath_linalg
 
-from .certify import RESIDUAL_GATE, Certificate, certify_gram, factor_residual
-from .exceptions import NearLinearDependence, NotCertified, PositivityLost, SingularJacobian
+from . import ascent
+from .certify import (RESIDUAL_GATE, TOL_STAT, Certificate, certify_gram, certify_povm,
+                      factor_residual, hermitian_factor)
+from .exceptions import (NearLinearDependence, NoConvergence, NotCertified, PositivityLost,
+                         SingularJacobian)
 from .gram import GramMatrix
-from .linalg import read_only
+from .linalg import polar_unitary, read_only
 from .measurement import Povm
 
 log = logging.getLogger(__name__)
@@ -78,11 +81,10 @@ log = logging.getLogger(__name__)
 #: near-dependence) and the run aborts
 COND_MAX = 1e12
 
-#: most Newton iterations on the m scales that a polished run applies at t = 1
-_NEWTON_MAX = 50
-
-#: most step halvings one of those iterations tries before the finish stops
-_HALVINGS_MAX = 30
+#: most gradient norm the corrector of a polished run may end at: the
+#: certificate's stationarity residual is at most sqrt 2 times the gradient
+#: norm (see ``medsolve.ascent``), so this leaves it at most TOL_STAT / 2
+_GTOL = TOL_STAT / (2.0 * np.sqrt(2.0))
 
 #: floor on the diagonal scales a_i; one of them tending to zero signals the
 #: boundary of the admissible Gram region
@@ -284,43 +286,27 @@ def derivative(state: SolverState, trajectory: Trajectory) -> tuple[np.ndarray, 
     return _rate(state.a, state.f, trajectory(t), trajectory.tangent(), t)
 
 
-def _positive_root(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, tuple, float]:
-    """F = (DGD)^{1/2}, its eigenpairs (s, V) from eigh(DGD) = (s^2, V), and ||Phi(a)||_2."""
-    lam, v = _umath_linalg.eigh_lo(a[:, None] * g * a)
-    s = np.sqrt(np.maximum(lam, 0.0))
-    fmat = (v * s) @ v.conj().T
-    return fmat, (s, v), float(np.linalg.norm(fmat.diagonal().real - a * a))
-
-
-def _newton_correction(a: np.ndarray, g: np.ndarray, t: float, root: tuple) -> tuple | None:
-    """One Newton iteration on Phi(a) = diag (DGD)^{1/2} - a^2 from ``root`` at a, the
-    step halved until ||Phi|| drops and every a_i > 0: (a, its root, halvings), or
-    None when _HALVINGS_MAX halvings fail or the halved step no longer moves a.  For
-    E = diag Phi the Lyapunov solve of EF + FE is E, so the tangent solve gives the
-    step (its Schur matrix is -Phi')."""
-    fmat, eig, norm = root
-    phi = fmat.diagonal().real - a * a
-    da = _tangent_solve(a, eig, g, phi[:, None] * fmat + fmat * phi, t)[0]
-    for halvings in range(_HALVINGS_MAX + 1):
-        trial = a + 0.5**halvings * da
-        if np.array_equal(trial, a):  # every shorter step rounds to a as well
-            return None
-        if trial.min() > 0.0 and (new := _positive_root(trial, g))[2] < norm:
-            return trial, new, halvings
-    return None
-
-
-def _finish(a: np.ndarray, g: np.ndarray, t: float) -> tuple:
-    """Newton on the m scales from the drag's end until no iteration lowers ||Phi||, at
-    most _NEWTON_MAX: the best a and the upper triangle of (DGD)^{1/2} there."""
-    root = _positive_root(a, g)
-    before, iterations, halvings = root[2], 0, 0
-    while iterations < _NEWTON_MAX and (step := _newton_correction(a, g, t, root)) is not None:
-        a, root, k = step
-        iterations, halvings = iterations + 1, halvings + k
-    log.debug("newton finish: %d iterations, %d halvings, |Phi| %.3e -> %.3e",
-              iterations, halvings, before, root[2])
-    return a, root[0].take(_layout(a.shape[0])[0])
+def _correct(a: np.ndarray, f: np.ndarray, gram: GramMatrix) -> tuple:
+    """Ascend U = polar(G^{-1/2} D^{-1} F) of the drag's (a, f) at G = ``gram``, a
+    drop of twice P's rounding allowed, until its gradient norm is down to
+    rounding or MAX_ITER iterations: (a, f, U) of F = D O, O = G^{1/2} U, with
+    U's column phases fixed so that diag O >= 0, real when f is.
+    NoConvergence if the ascent stops above _GTOL."""
+    m = a.shape[0]
+    r, r_inv = gram.scaled_states, gram.inv_sqrt()
+    if not np.iscomplexobj(f):  # a real drag has a real optimum, as in search_optimum
+        r, r_inv = r.real, r_inv.real
+    u0 = polar_unitary(r_inv.dot(_factor(a, f) / a[:, None]))[None]
+    rise = -2.0 * ascent.rounding_bound(m) * float(ascent.success(r, u0)[0])
+    u, stopped_at, grad = ascent.ascend(r, u0, ascent.MAX_ITER, ascent.gradient_noise(m), rise)
+    if not grad[0] <= _GTOL:
+        raise NoConvergence(f"corrector stopped at iteration {stopped_at[0]} with gradient "
+                            f"norm {grad[0]:.3e} above {_GTOL:.3e}")
+    log.debug("corrector: stopped at iteration %d, gradient norm %.3e", stopped_at[0], grad[0])
+    o = r.dot(u[0])
+    phases = o.diagonal().conj() / np.abs(o.diagonal())  # P ignores them: make diag O >= 0
+    fmat = hermitian_factor(o * phases)
+    return np.sqrt(fmat.diagonal().real), fmat.take(_layout(m)[0]), u[0] * phases
 
 
 def rk4_drag(
@@ -346,9 +332,11 @@ def rk4_drag(
     record the HS residual of F^2 - D G D, the minimum eigenvalue of F and
     the partial success probability.  ``polish`` (off by default, leaving the
     raw integrator behavior observable) changes only the last step: it
-    finishes with Newton on the m scales at t = 1, driving
-    Phi(a) = diag (DGD)^{1/2} - a^2 to zero with the step halved until
-    ||Phi|| drops, and keeps F = (DGD)^{1/2} at the best a found.
+    takes the measurement U = G(1)^{-1/2} D^{-1} F of the drag's end, ascends
+    it on the unitary group until its gradient is down to rounding (see
+    ``medsolve.ascent``), and keeps F = D O of O = G(1)^{1/2} U; NoConvergence
+    if the ascent stops where the certificate's stationarity residual may
+    exceed TOL_STAT / 2.
 
     A path whose G_start, G_end and starting f have imaginary parts that are
     all exactly zero (``-0.0`` included) is integrated in real arithmetic,
@@ -361,7 +349,8 @@ def rk4_drag(
     it certified, U = G(1)^{-1/2} D^{-1} F snapped to unitary; the certificate
     is judged at the default tolerances (see ``Certificate``).  A run that
     drifted too far off the constraint to certify (targets close to the
-    near-dependence floor) raises ResidualTooLarge instead of returning.
+    near-dependence floor) raises ResidualTooLarge instead of returning.  A
+    polished run certifies its corrected U itself with ``certify_povm``.
     """
     began = time.perf_counter()
     if steps < 1:
@@ -376,10 +365,14 @@ def rk4_drag(
     if not resid <= RESIDUAL_GATE:
         raise NotCertified(f"starting state is not a solution at g_start: F^2 - DGD has HS "
                            f"norm {resid:.3e} (gate {RESIDUAL_GATE:.1e})")
-    a, f, trace = _integrate(trajectory, start.a, start.f, steps, h, polish)
+    a, f, trace, u = _integrate(trajectory, start.a, start.f, steps, h, polish)
 
     final = SolverState(t=1.0, a=a, f=f)
-    certificate, final_povm = certify_gram(trajectory.g_end, final.matrix)
+    if u is None:
+        certificate, final_povm = certify_gram(trajectory.g_end, final.matrix)
+    else:
+        final_povm = Povm(u)
+        certificate = certify_povm(trajectory.g_end, final_povm)
     log.info("drag: m=%d steps=%d polish=%s arithmetic=%s %.3f s", m, steps, polish,
              "complex" if np.iscomplexobj(f) else "real", time.perf_counter() - began)
     return RunReport(steps=steps, h=h, polish=polish, trace=read_only(trace), final_state=final,
@@ -388,9 +381,10 @@ def rk4_drag(
 
 def _integrate(
     trajectory: Trajectory, a: np.ndarray, f: np.ndarray, steps: int, h: float, polish: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """The RK4 loop of ``rk4_drag`` from (a, f) at t = 0, unchecked: (a, f) at
-    t = 1 and the trace.  f comes back real when the path and the start have no
+    t = 1, the trace, and the corrected measurement U of a polished run (None
+    otherwise).  f comes back real when the path and the start have no
     imaginary part, complex otherwise."""
     g_start, g_end = trajectory.g_start.entries, trajectory.g_end.entries
     if not (g_start.imag.any() or g_end.imag.any() or f.imag.any()):
@@ -410,6 +404,7 @@ def _integrate(
     g_now = path(t)
     eig = None  # eigh(F) at (a, f), shared by the step check and the next k1
     half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k already rounds as (0.5 * h) * k
+    u = None
     for it in range(1, steps + 1):
         # steps * h may miss 1 by up to 1e-9; the last step lands on t = 1 exactly
         t_mid, t_next = t + half, 1.0 if it == steps else it * h
@@ -428,7 +423,7 @@ def _integrate(
         # no admissibility check on G(t): its smallest eigenvalue is concave in t,
         # and GramMatrix already holds both endpoints above EPS_LI
         if polish and it == steps:
-            a, f = _finish(a, g_now, t)
+            a, f, u = _correct(a, f, trajectory.g_end)
 
         a_min = np.minimum.reduce(a)
         if a_min <= EPS_A:
@@ -445,4 +440,4 @@ def _integrate(
             )
         resid = factor_residual(a, fmat, g_now)
         trace[it - 1] = (it, t, resid, f_min, float(np.add.reduce(a * a)))
-    return a.copy(), f, trace  # a is a view of z, strided when z is complex
+    return a.copy(), f, trace, u  # a is a view of z, strided when z is complex

@@ -1,14 +1,11 @@
-"""Independent ground-truth solvers used to cross-check the main pipeline.
+"""Ground-truth solvers used to cross-check the main pipeline.
 
-Two routes that share no code with the continuation solver: the closed-form
-two-state optimum, and direct maximization of the success probability over
-the unitary group, or the orthogonal group for a real Gram matrix, by
-Riemannian gradient ascent (restricted to small dimensions, where exhaustive
-restarts are cheap).  The random restarts of the ascent advance together as
-one stack of unitaries; each keeps its own start, step and stopping test, so
-batching them changes roundoff only.  Trial points are Cayley retractions,
-one stacked linear solve per backtracking round for all lanes still
-searching.
+The closed-form two-state optimum, and direct maximization of the success
+probability by Riemannian gradient ascent from random starts (restricted to
+small dimensions, where exhaustive restarts are cheap).  Neither shares code
+with the drag's integrator, but the search runs the ascent kernel of
+``medsolve.ascent``, which also corrects a polished drag's end: it checks the
+drag's path, not the corrector.
 """
 
 from __future__ import annotations
@@ -16,19 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# the gufunc behind np.linalg.solve, called without that wrapper's per-call
-# checks and casts: the same LAPACK call on the same data
-from numpy.linalg import _umath_linalg
 
+from .ascent import MAX_ITER, ascend, success
 from .exceptions import NoConvergence
 from .gram import GramMatrix
 from .linalg import polar_unitary
 from .measurement import FRAME_AMBIENT, Povm, povm_from_unitary
 
-#: random starts of the direct search, iteration budget of each, and the
-#: gradient norm below which an ascent has converged
+#: random starts of the direct search, and the gradient norm below which an
+#: ascent has converged (each has the ascent's budget of MAX_ITER iterations)
 _RESTARTS = 20
-_MAX_ITER = 500
 _GTOL = 1e-7
 
 
@@ -73,119 +67,25 @@ def helstrom(p1: float, p2: float, overlap: complex) -> OracleResult:
     return OracleResult(p_success=float(p_success), povm=povm, method="closed_form")
 
 
-def _value(r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_i |(R U)_ii|^2 for each unitary U of the stack ``u``."""
-    return np.add.reduce(np.abs(np.einsum("ij,...ji->...i", r, u)) ** 2, axis=-1)
-
-
-def _retract(u: np.ndarray, t: np.ndarray, gen: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """The Cayley retraction U (I - t gen/2)^-1 (I + t gen/2) of each lane."""
-    half = (0.5 * t)[:, None, None] * gen
-    return u @ _umath_linalg.solve(eye - half, eye + half)
-
-
-def _ascend(
-    r: np.ndarray, u0: np.ndarray, max_iter: int, gtol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Riemannian gradient ascent from every unitary of the stack ``u0`` at once.
-
-    Each lane runs its own ascent with its own step: it stops when its
-    gradient norm falls below ``gtol``, where 60 halvings of its step find
-    no ascent, or after ``max_iter`` iterations.  Stopped lanes leave the
-    stack.  Returns each lane's final unitary, iteration count and the
-    gradient norm at that unitary.
-
-    Every lane's arithmetic is its own, whatever else the stack holds, so a
-    round may run on the whole stack or on the lanes still searching alone.
-    At m <= 4 numpy's per-call cost outweighs the arithmetic, so the loop
-    takes the cheapest form of each call (ufunc reductions, transposed views).
-    """
-    u_out = u0.copy()
-    iters_out = np.full(u0.shape[0], max_iter)
-    grad_out = np.full(u0.shape[0], np.inf)
-    lanes = np.arange(u0.shape[0])  # index in u0 of each running lane
-    u = u0
-    step = np.ones(u0.shape[0])
-    prev_u = prev_grad = None
-    rh = r.conj().T
-    eye = np.eye(u0.shape[1])
-    for it in range(1, max_iter + 2):
-        w = np.einsum("ij,kji->ki", r, u)  # diagonals of R U
-        # project the euclidean gradient R^dag diag(w) onto the tangent space
-        # at U: rgrad = U gen with gen skew-hermitian
-        lam = u.conj().transpose(0, 2, 1) @ (rh * w[:, None, :])
-        gen = 0.5 * (lam - lam.conj().transpose(0, 2, 1))
-        rgrad = u @ gen
-        grad_norm = np.sqrt(np.add.reduce(np.abs(rgrad) ** 2, axis=(1, 2)))
-        if it > max_iter:
-            # the budget is spent: the running lanes stop at their last
-            # iterate, with the gradient norm taken there
-            u_out[lanes] = u
-            grad_out[lanes] = grad_norm
-            break
-        done = grad_norm < gtol
-        # spectral (Barzilai-Borwein) step adapts to weakly curved
-        # directions where any fixed step crawls
-        if prev_u is not None:
-            s_vec = (u - prev_u).reshape(lanes.size, -1)
-            y_vec = (rgrad - prev_grad).reshape(lanes.size, -1)
-            denom = np.add.reduce(s_vec.conj() * y_vec, axis=1).real
-            usable = np.abs(denom) > 1e-300
-            ss = np.add.reduce(np.abs(s_vec) ** 2, axis=1)
-            step = np.where(usable, np.abs(ss / np.where(usable, denom, 1.0)), step)
-            step = np.minimum(np.maximum(step, 1e-3), 1e8)
-        current = np.add.reduce(np.abs(w) ** 2, axis=1)
-        # backtrack each unconverged lane until its step ascends, one stacked
-        # Cayley retraction per round.  The eigenvalues of the skew-hermitian
-        # gen are imaginary, so those of I - t gen/2 have modulus >= 1 and it
-        # is never singular.  The first round takes the whole stack with no
-        # gather: a lane that had converged or did not ascend has its entry
-        # of u_next overwritten in a later round or leaves the stack.
-        trial = step.copy()
-        u_next = _retract(u, trial, gen, eye)
-        pending = (~done & ~(_value(r, u_next) > current + 1e-15)).nonzero()[0]
-        trial[pending] *= 0.5
-        for _ in range(59):
-            if pending.size == 0:
-                break
-            candidate = _retract(u[pending], trial[pending], gen[pending], eye)
-            ascended = _value(r, candidate) > current[pending] + 1e-15
-            u_next[pending[ascended]] = candidate[ascended]
-            pending = pending[~ascended]
-            trial[pending] *= 0.5
-        # converged lanes and lanes whose backtracking ran out stop where they are
-        done[pending] = True
-        if done.any():
-            stopped = lanes[done]
-            u_out[stopped] = u[done]
-            iters_out[stopped] = it
-            grad_out[stopped] = grad_norm[done]
-            keep = ~done
-            if not keep.any():
-                break
-            lanes, u, u_next, rgrad, step = (x[keep] for x in (lanes, u, u_next, rgrad, step))
-        prev_u, prev_grad = u, rgrad
-        u = u_next
-    return u_out, iters_out, grad_out
-
-
 def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
     """Maximize sum_i |(G^{1/2} U)_{ii}|^2 over unitary U directly.
 
-    Riemannian gradient ascent: the euclidean gradient R^dag diag(w) (with
-    R = G^{1/2}, w the diagonal of RU) is projected onto the tangent space
-    of the unitary group, U A with A skew-hermitian, and a step of length t
-    is retracted by the Cayley transform U (I - tA/2)^-1 (I + tA/2); each
-    step is a Barzilai-Borwein step, halved until it ascends.  _RESTARTS
-    random starts guard against the non-global stationary points; they
-    advance together as one stack of unitaries, each with its own step,
-    _MAX_ITER iterations and stopping test, and the best value wins (the
-    first one on ties).  A G whose imaginary part is exactly zero has a
-    real optimum up to column phases, so it is searched over the orthogonal
-    group in real arithmetic, from the real parts of the same seeded
-    draws.  Deterministic in ``seed`` (>= 0); restricted to m <= 4 where
-    restarts are cheap.  NoConvergence is raised if the best run ends with a
-    gradient norm above _GTOL.
+    The Riemannian Barzilai-Borwein ascent of ``medsolve.ascent``, each step
+    halved until it ascends.  _RESTARTS random starts guard against the
+    non-global stationary points; they advance together as one stack of
+    unitaries, each with its own step, MAX_ITER iterations and stopping test
+    (batching them changes roundoff only), and the best value wins (the
+    first one on ties).  A G whose
+    imaginary part is exactly zero has a real optimum up to column phases,
+    so it is searched over the orthogonal group in real arithmetic, from the
+    real parts of the same seeded draws.  Deterministic in ``seed`` (>= 0);
+    restricted to m <= 4 where restarts are cheap.  NoConvergence is raised
+    if the best run ends with a gradient norm above _GTOL.
+
+    The measurement is stationary only to sqrt 2 * _GTOL ~ 1.4e-7 (the
+    certificate's residual is at most sqrt 2 times the gradient norm), well
+    above TOL_STAT, so ``certify_povm`` and ``medsolve certify`` of it at the
+    default tolerance may judge it nonstationary (exit 3).
     """
     m = gram.m
     if m > 4:
@@ -201,8 +101,8 @@ def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
         # optimum is unique up to column phases, so it is real up to them:
         # the ascent searches O(m) in real arithmetic from real starts
         r, u0 = r.real.copy(), polar_unitary(z[:, 0])
-    u, iterations, grad_norm = _ascend(r, u0, _MAX_ITER, _GTOL)
-    values = _value(r, u)
+    u, iterations, grad_norm = ascend(r, u0, MAX_ITER, _GTOL)
+    values = success(r, u)
     best = int(np.argmax(values))
     stats = SearchStats(iterations=int(iterations[best]), grad_norm=float(grad_norm[best]))
     if stats.grad_norm > _GTOL:

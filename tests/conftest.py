@@ -37,8 +37,8 @@ def seeded_grams(
 
     Draws skip ensembles whose smallest eigenvalue falls below ``min_eig``:
     the fixed-step solver's accuracy guarantees hold away from the
-    near-dependent boundary (``polish``, which finishes with Newton on the m
-    scales at t = 1, covers the rest)."""
+    near-dependent boundary (``polish``, which corrects the measurement at
+    t = 1 by ascent on the unitary group, covers the rest)."""
     grams: list[ms.GramMatrix] = []
     probe = 0
     while len(grams) < count:

@@ -201,7 +201,7 @@ def test_hermitian_factor_and_certify_povm_are_byte_identical(m, real):
         povm = ms.Povm(u, frame=ms.FRAME_DUAL)
         o = ensemble.scaled_states.conj().T @ povm.vectors
         factor = _hermitian_factor(o)
-        live = certify._hermitian_factor(o)
+        live = certify.hermitian_factor(o)
         assert live.dtype == factor.dtype and np.array_equal(live, factor), f"basis {k}"
         p_success = float(np.sum(np.abs(np.diagonal(o)) ** 2))
         frozen = _certify(ensemble.scaled_states, povm.vectors, o, factor, p_success)

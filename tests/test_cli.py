@@ -52,6 +52,23 @@ def certify_payload(path, ensemble, povm):
     return str(path)
 
 
+def _assert_nan_spectrum_exit_codes(monkeypatch, capsys, argv, path, failed):
+    """Run ``argv`` with NaN from each eigen call in turn: the input check (the
+    first call) exits 65 with numpy's message, every later call exits 3 with
+    ``failed``.  Returns the ndim of each call's argument in a clean run."""
+    calls = nan_spectrum_from_call(monkeypatch, 10**6)
+    assert main(argv) == 0
+    capsys.readouterr()
+    for first in range(1, len(calls) + 1):
+        nan_spectrum_from_call(monkeypatch, first)
+        code, err = main(argv), capsys.readouterr().err
+        if first == 1:
+            assert (code, err) == (65, f"{path}: Eigenvalues did not converge\n")
+        else:
+            assert (code, err) == (3, f"{failed}: Eigenvalues did not converge\n"), first
+    return calls
+
+
 class TestSolve:
     def test_reference_matrix_defaults(self, tmp_path):
         inp = write_gram(tmp_path / "ref5.json", ms.reference_five_state_gram())
@@ -131,7 +148,7 @@ class TestSolve:
 
     def test_polished_near_dependent_pair_matches_helstrom(self, tmp_path):
         # min eig G 2.5e-6: the 200-step drag ends at HS residual 2.5e-3, 2.5e5
-        # times the certificate's gate; the finish needs 18 Newton iterations
+        # times the certificate's gate, and the corrector starts far from the optimum
         path = DATA / "near-dependent-m2-ensemble.json"
         code = main(["solve", str(path), "--out", str(tmp_path), "--steps", "200", "--h", "5e-3",
                      "--polish"])
@@ -159,7 +176,7 @@ class TestSolve:
         assert ms.certify_povm(ens, povm).is_optimal
 
     @pytest.mark.slow
-    def test_debug_log_names_the_newton_finish(self, tmp_path, monkeypatch):
+    def test_debug_log_names_the_corrector(self, tmp_path, monkeypatch):
         inp = write_gram(tmp_path / "g.json", random_gram(3, seed=823, spread=0.8))
         solve = ["-m", "medsolve.cli", "solve", inp, "--steps", "100", "--h", "1e-2",
                  "--out", str(tmp_path)]
@@ -177,9 +194,9 @@ class TestSolve:
         drag = r"INFO drag: m=3 steps=100 polish=True arithmetic=complex \d+\.\d{3} s"
         [line] = info.stderr.splitlines()
         assert re.fullmatch(drag, line)
-        finish, line = loud.stderr.splitlines()
-        assert re.fullmatch(r"DEBUG newton finish: \d+ iterations, \d+ halvings, "
-                            r"\|Phi\| \S+ -> \S+", finish)
+        corrector, line = loud.stderr.splitlines()
+        assert re.fullmatch(r"DEBUG corrector: stopped at iteration \d+, "
+                            r"gradient norm \d\.\d{3}e[+-]\d\d", corrector)
         assert re.fullmatch(drag, line)
         assert files == [(tmp_path / name).read_bytes() for name in names]
         [line] = run_python(*solve).stderr.splitlines()
@@ -542,6 +559,22 @@ class TestEnumerate:
         assert a == (tmp_path / "b" / "g3-landscape.json").read_bytes()
 
 
+    @pytest.mark.parametrize("schema", ["ensemble", "gram"])
+    def test_every_eigen_call_refuses_a_nan_spectrum(self, tmp_path, capsys, monkeypatch, schema):
+        # NaN from the input check exits 65 with numpy's message; from any later
+        # call (G^{1/2}, then the complements and the factor of each root's
+        # certificate) the enumeration fails with 3, as solve and certify do;
+        # no call ends in a traceback
+        ens = ms.random_ensemble(3, seed=807, spread=0.6, real=True)
+        path = tmp_path / "e.json"
+        serialize.write_json(path, serialize.ensemble_to_dict(ens) if schema == "ensemble"
+                             else serialize.gram_to_dict(ms.raw_gram(ens)))
+        argv = ["enumerate", str(path), "--out", str(tmp_path)]
+        calls = _assert_nan_spectrum_exit_codes(monkeypatch, capsys, argv, path,
+                                                "enumeration failed")
+        assert calls == [2, 2] + [3, 2] * 8
+
+
 class TestAudit:
     def test_solved_three_state_passes(self, tmp_path):
         gram = random_gram(3, seed=808)
@@ -590,6 +623,26 @@ class TestAudit:
         assert main(["audit", inp, "--out", str(tmp_path)]) == 65
         [line] = capsys.readouterr().err.splitlines()
         assert line == "audit failed to run: the geometric audit is defined for three states"
+
+
+    @pytest.mark.parametrize("schema", ["ensemble", "gram"])
+    def test_every_eigen_call_refuses_a_nan_spectrum(self, tmp_path, capsys, monkeypatch, schema):
+        # NaN from the input check exits 65 with numpy's message; from the one
+        # later call (G^{1/2} of a Gram input) the audit fails with 3, as solve
+        # and certify do; no call ends in a traceback
+        ens = ms.random_ensemble(3, seed=809, spread=0.5)
+        gram = ms.raw_gram(ens)
+        u = solve_direct(gram, steps=100, h=1e-2, polish=True).final_povm.vectors
+        if schema == "ensemble":
+            problem = serialize.ensemble_to_dict(ens)
+            povm = ms.povm_from_unitary(gram, u, ensemble=ens)
+        else:
+            problem, povm = serialize.gram_to_dict(gram), ms.Povm(u)
+        path = tmp_path / "a.json"
+        serialize.write_json(path, {"ensemble": problem, "povm": serialize.povm_to_dict(povm)})
+        argv = ["audit", str(path), "--out", str(tmp_path)]
+        calls = _assert_nan_spectrum_exit_codes(monkeypatch, capsys, argv, path, "audit failed")
+        assert calls == ([2] if schema == "ensemble" else [2, 2])
 
 
 class TestPipeline:

@@ -12,9 +12,7 @@ import medsolve as ms
 from medsolve import homotopy, serialize
 from conftest import identity_gram, overlap_gram_m3, random_gram, seeded_grams, solve_direct
 from medsolve.certify import RESIDUAL_GATE, factor_residual
-from medsolve.homotopy import (
-    _factor, _finish, _integrate, _newton_correction, _positive_root, _rate, _tangent_solve,
-)
+from medsolve.homotopy import _correct, _factor, _integrate, _rate, _tangent_solve
 from medsolve.linalg import haar_unitary, hermitize
 
 DATA = Path(__file__).parent / "data"
@@ -134,8 +132,13 @@ class TestRk4Drag:
     def test_final_povm_is_the_certified_measurement(self, m, polish):
         gram = random_gram(m, seed=160 + m)
         report = solve_direct(gram, polish=polish)
+        assert ms.certify_povm(gram, report.final_povm) == report.certificate
         _, certified = ms.certify_gram(gram, report.final_state.matrix)
-        assert np.array_equal(report.final_povm.vectors, certified.vectors)
+        if polish:
+            # the corrected U itself; the round trip through F moves it by rounding
+            assert np.max(np.abs(report.final_povm.vectors - certified.vectors)) <= 1e-12
+        else:
+            assert np.array_equal(report.final_povm.vectors, certified.vectors)
         assert report.final_povm.frame == ms.FRAME_DUAL
 
     def test_two_state_matches_closed_form(self):
@@ -217,22 +220,13 @@ class TestRk4Drag:
         [best] = [c for c in landscape.certificates if c is not None and c.status == "optimal"]
         assert abs(best.p_success - 0.89222151777819) <= 1e-12
 
-    @pytest.mark.xfail(strict=True, reason="the polished drag ends at stationarity residual "
-                                           "2.0e-7 > TOL_STAT: where Phi is nearly flat, Newton "
-                                           "on the m scales does not locate the measurement")
     def test_polish_certifies_the_near_dependent_m3_optimum(self):
+        # Phi(a) = diag (DGD)^{1/2} - a^2 is nearly flat here: Newton on the m
+        # scales stopped at stationarity residual 2.0e-7, while the corrector
+        # works on the measurement itself
         report = solve_direct(self._near_dependent_m3(), steps=200, h=5e-3, polish=True)
         assert report.certificate.status == "optimal"
-
-    def test_finish_needs_its_step_halvings(self, monkeypatch):
-        # min eig G 2.5e-6: full Newton steps raise ||Phi|| once on the way, so a
-        # finish that stops at the first increase cannot certify
-        ens = serialize.load_gram_or_ensemble(
-            serialize.read_json(DATA / "near-dependent-m2-ensemble.json"))
-        assert solve_direct(ms.raw_gram(ens), steps=200, h=5e-3, polish=True).certificate.is_optimal
-        monkeypatch.setattr(homotopy, "_HALVINGS_MAX", 0)
-        with pytest.raises(ms.ResidualTooLarge):
-            solve_direct(ms.raw_gram(ens), steps=200, h=5e-3, polish=True)
+        assert abs(report.certificate.p_success - 0.89222151777819) <= 1e-12
 
     @pytest.mark.parametrize("step", [4, 10], ids=["mid-run", "last"])
     def test_nan_spectrum_at_the_step_check_loses_positivity(self, monkeypatch, step):
@@ -300,7 +294,8 @@ class TestTimeGrid:
 
 def _two_array_integrate(trajectory, a, f, steps, h, polish):
     """Frozen copy of the RK4 loop as it stood with a and f in separate arrays,
-    its failure branches left out; it calls the module's stage and residual."""
+    its failure branches left out; it calls the module's stage, residual and
+    corrector."""
     g_start, g_end = trajectory.g_start.entries, trajectory.g_end.entries
     if not (g_start.imag.any() or g_end.imag.any() or f.imag.any()):
         g_start, g_end, f = g_start.real, g_end.real, f.real
@@ -308,7 +303,7 @@ def _two_array_integrate(trajectory, a, f, steps, h, polish):
     def path(t):
         return (1.0 - t) * g_start + t * g_end
 
-    gdot, trace, t, eig = g_end - g_start, np.empty((steps, 5)), 0.0, None
+    gdot, trace, t, eig, u = g_end - g_start, np.empty((steps, 5)), 0.0, None, None
     g_now, half, sixth = path(t), 0.5 * h, h / 6.0
     for it in range(1, steps + 1):
         t_mid, t_next = t + half, 1.0 if it == steps else it * h
@@ -321,12 +316,12 @@ def _two_array_integrate(trajectory, a, f, steps, h, polish):
         f = f + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         t, g_now = t_next, g_next
         if polish and it == steps:
-            a, f = _finish(a, g_now, t)
+            a, f, u = _correct(a, f, trajectory.g_end)
         fmat = _factor(a, f)
         eig = homotopy._umath_linalg.eigh_lo(fmat)
         f_min = float(eig[0][0])
         trace[it - 1] = (it, t, factor_residual(a, fmat, g_now), f_min, float(np.sum(a**2)))
-    return a, f, trace
+    return a, f, trace, u
 
 
 class TestStateVector:
@@ -342,7 +337,8 @@ class TestStateVector:
         start = ms.initial_state(m)
         got = _integrate(trajectory, start.a, start.f, 200, 5e-3, polish)
         want = _two_array_integrate(trajectory, start.a, start.f, 200, 5e-3, polish)
-        for x, y in zip(got, want):
+        assert (got[3] is None, want[3] is None) == (not polish, not polish)
+        for x, y in zip(got, want[:3] + want[3:] * polish):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         a = got[0]  # its own contiguous float64 array, not a view of the loop's state
         assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.owndata
@@ -526,40 +522,91 @@ class TestTangentSolve:
         with pytest.raises(ms.SingularJacobian, match=r"t=0\.250000"):
             _rate(a, f, g, gdot, 0.25)
 
-    def test_newton_correction_reduces_residual(self):
-        gram = random_gram(4, seed=150, spread=0.7)
-        a = solve_direct(gram).final_state.a
-        a = a + 1e-4 * np.random.default_rng(151).normal(size=4)
-        start = _positive_root(a, gram.entries)
-        _, root, halvings = _newton_correction(a, gram.entries, 1.0, start)
-        assert start[2] > 1e-5
-        assert root[2] < 1e-3 * start[2] and halvings == 0
 
-    def test_newton_finish_restores_a_perturbed_optimum(self):
+
+class TestCorrector:
+    """The corrector that ends a polished drag: a non-monotone Riemannian ascent
+    from the drag's measurement down to the rounding of the gradient."""
+
+    @staticmethod
+    def _optimum(caplog):
         gram = random_gram(4, seed=150, spread=0.7)
-        a = solve_direct(gram).final_state.a
-        a = a + 1e-4 * np.random.default_rng(151).normal(size=4)
-        f = _positive_root(a, gram.entries)[0][np.triu_indices(4, 1)]
-        assert ms.SolverState(t=1.0, a=a, f=f).residual(gram) > 1e-5
-        a, f = _finish(a, gram.entries, 1.0)
+        state = solve_direct(gram, polish=True).final_state
+        caplog.set_level(logging.DEBUG, logger="medsolve.homotopy")
+        return gram, state
+
+    def test_corrector_restores_a_perturbed_optimum(self, caplog):
+        gram, optimum = self._optimum(caplog)
+        a = optimum.a + 1e-4 * np.random.default_rng(151).normal(size=4)
+        assert ms.SolverState(t=1.0, a=a, f=optimum.f).residual(gram) > 1e-5
+        a, f, u = _correct(a, optimum.f, gram)
+        [record] = caplog.records
+        assert re.fullmatch(r"corrector: stopped at iteration \d+, gradient norm \S+",
+                            record.getMessage())
+        assert int(record.getMessage().split()[4][:-1]) > 1
         assert ms.SolverState(t=1.0, a=a, f=f).residual(gram) <= 1e-14
-        assert np.array_equal(f, _positive_root(a, gram.entries)[0][np.triu_indices(4, 1)])
+        assert np.max(np.abs(a - optimum.a)) <= 1e-13
+        assert ms.certify_povm(gram, ms.Povm(u)).status == "optimal"
 
-    def test_finish_from_a_converged_optimum_stops_halving(self, monkeypatch):
-        # the last iteration cannot lower ||Phi||; its halvings stop once the halved
-        # step no longer moves a, instead of trying all _HALVINGS_MAX + 1 lengths
-        gram = random_gram(4, seed=150, spread=0.7)
-        a = solve_direct(gram, polish=True).final_state.a
-        calls = []
+    def test_corrector_from_a_converged_optimum_takes_no_step(self, caplog):
+        gram, optimum = self._optimum(caplog)
+        a, f, _ = _correct(optimum.a, optimum.f, gram)
+        [record] = caplog.records
+        assert record.getMessage().startswith("corrector: stopped at iteration 1, ")
+        assert np.max(np.abs(a - optimum.a)) <= 1e-15
+        assert np.max(np.abs(f - optimum.f)) <= 1e-15
 
-        def counted(*args):
-            calls.append(1)
-            return _positive_root(*args)
+    def test_corrector_certifies_the_near_dependent_m2_ensemble(self):
+        # min eig G 2.5e-6: the 200-step drag ends at HS residual 2.5e-3, 2.5e5
+        # times certify_gram's gate, and the corrector still certifies it
+        ens = serialize.load_gram_or_ensemble(
+            serialize.read_json(DATA / "near-dependent-m2-ensemble.json"))
+        gram = ms.raw_gram(ens)
+        with pytest.raises(ms.ResidualTooLarge):
+            solve_direct(gram, steps=200, h=5e-3)
+        polished = solve_direct(gram, steps=200, h=5e-3, polish=True)
+        assert polished.certificate.is_optimal
+        closed = ms.helstrom(*ens.probs, np.vdot(ens.states[:, 0], ens.states[:, 1])).p_success
+        assert abs(polished.certificate.p_success - closed) <= 1e-12
 
-        monkeypatch.setattr(homotopy, "_positive_root", counted)
-        again, _ = _finish(a, gram.entries, 1.0)
-        assert np.array_equal(again, a)
-        assert len(calls) <= 10
+    def test_a_budget_spent_below_the_certificates_bound_is_accepted(self, caplog,
+                                                                      monkeypatch):
+        # 12 iterations take the near-dependent m = 3 input below _GTOL but not
+        # down to the gradient's rounding, which it reaches at iteration 17
+        caplog.set_level(logging.DEBUG, logger="medsolve.homotopy")
+        monkeypatch.setattr(homotopy.ascent, "MAX_ITER", 12)
+        report = solve_direct(TestRk4Drag._near_dependent_m3(), steps=200, h=5e-3, polish=True)
+        assert [r.getMessage().split(",")[0] for r in caplog.records
+                if r.levelno == logging.DEBUG] == ["corrector: stopped at iteration 12"]
+        assert report.certificate.status == "optimal"
+
+    @pytest.mark.slow
+    def test_every_near_dependent_probe_draw_certifies(self):
+        # m uniform in 2..8, real or complex by a coin, min eig G = 10^-k with k
+        # uniform in [1, 7.5], the other eigenvalues uniform in [0.1, 1] and
+        # rescaled to trace 1, Haar eigenvectors
+        rng = np.random.default_rng(2026)
+        seen = set()
+        for draw in range(30):
+            m, real = int(rng.integers(2, 9)), bool(rng.integers(2))
+            lam = np.concatenate(([10.0 ** -rng.uniform(1.0, 7.5)],
+                                  rng.uniform(0.1, 1.0, m - 1)))
+            lam[1:] *= (1.0 - lam[0]) / lam[1:].sum()
+            v = haar_unitary(rng, m, real)
+            gram = ms.GramMatrix(hermitize((v * lam) @ v.conj().T))
+            report = solve_direct(gram, steps=200, h=5e-3, polish=True)
+            assert report.certificate.status == "optimal", f"draw {draw}"
+            seen.add((m, real))
+        assert {m for m, _ in seen} == set(range(2, 9)) and len(seen) >= 10
+
+    def test_an_exhausted_budget_raises_no_convergence(self, caplog, monkeypatch):
+        gram, optimum = self._optimum(caplog)
+        a = optimum.a + 1e-4 * np.random.default_rng(151).normal(size=4)
+        monkeypatch.setattr(homotopy.ascent, "MAX_ITER", 1)
+        with pytest.raises(ms.NoConvergence,
+                           match=r"^corrector stopped at iteration 1 with gradient norm \S+ "
+                                 r"above 3\.536e-10$"):
+            _correct(a, optimum.f, gram)
 
 
 class TestLapackKernels:

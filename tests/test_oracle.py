@@ -94,7 +94,7 @@ class TestSearchOptimum:
 
     def test_exhausted_budget_raises(self, monkeypatch):
         monkeypatch.setattr(oracle, "_RESTARTS", 1)
-        monkeypatch.setattr(oracle, "_MAX_ITER", 1)
+        monkeypatch.setattr(oracle, "MAX_ITER", 1)
         with pytest.raises(ms.NoConvergence, match="best ascent stalled"):
             ms.search_optimum(random_gram(3, seed=620), seed=0)
 

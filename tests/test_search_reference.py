@@ -1,7 +1,7 @@
 """The stacked direct search against a plain copy of the sequential restart loop.
 
 ``_reference_restarts`` runs the restarts one after another, each with its
-own scalar Barzilai-Borwein step and backtracking loop.  ``oracle._ascend``
+own scalar Barzilai-Borwein step and backtracking loop.  ``ascent.ascend``
 advances all restarts together as one stack; every lane must follow the same
 iterates, so only roundoff may differ.  A real Gram matrix is searched over
 the orthogonal group from real starts; the complex ascent from the same
@@ -15,8 +15,8 @@ import pytest
 
 import medsolve as ms
 from conftest import random_gram, seeded_grams
+from medsolve.ascent import ascend, success
 from medsolve.linalg import polar_unitary, unitarity_residual
-from medsolve.oracle import _ascend, _value
 
 _EPS = np.finfo(float).eps
 
@@ -79,7 +79,7 @@ def _reference_restarts(r, rng, restarts, max_iter, gtol):
 def _stacked_lanes(r, seed, restarts, max_iter, gtol):
     m = r.shape[0]
     z = np.random.default_rng(seed).normal(size=(restarts, 2, m, m))
-    return _ascend(r, polar_unitary(z[:, 0] + 1j * z[:, 1]), max_iter, gtol)
+    return ascend(r, polar_unitary(z[:, 0] + 1j * z[:, 1]), max_iter, gtol)
 
 
 def _assert_lanes_match(gram, seed, restarts, max_iter, gtol=1e-7):
@@ -116,7 +116,7 @@ def test_stalled_lane_stops_where_it_is():
     gram = seeded_grams(3, 1, base_seed=3200)[0]
     r = gram.scaled_states
     u_opt, _, _ = _stacked_lanes(r, seed=1, restarts=4, max_iter=500, gtol=1e-7)
-    u, iterations, _ = _ascend(r, u_opt, max_iter=50, gtol=0.0)
+    u, iterations, _ = ascend(r, u_opt, max_iter=50, gtol=0.0)
     assert np.all(iterations < 50)
     assert np.max(np.abs(u - u_opt)) <= 1e-6
 
@@ -148,7 +148,7 @@ def test_composed_iterates_stay_unitary(m, real):
     for gram in seeded_grams(m, 2, base_seed=3400 + 10 * m, real=real):
         r = gram.scaled_states
         u, _, _ = _stacked_lanes(r, seed=m, restarts=20, max_iter=500, gtol=1e-7)
-        stalled, _, _ = _ascend(r, u, max_iter=500, gtol=0.0)
+        stalled, _, _ = ascend(r, u, max_iter=500, gtol=0.0)
         for lane in (*u, *stalled):
             assert unitarity_residual(lane) <= 1e-13
 
@@ -163,9 +163,9 @@ def test_a_lane_does_not_depend_on_its_stack(m, real):
         r = gram.scaled_states
         z = np.random.default_rng(k).normal(size=(20, 2, m, m))
         u0 = polar_unitary(z[:, 0] + 1j * z[:, 1])
-        u, iterations, grad_norm = _ascend(r, u0, max_iter=500, gtol=1e-7)
+        u, iterations, grad_norm = ascend(r, u0, max_iter=500, gtol=1e-7)
         for lane in range(u0.shape[0]):
-            u1, iterations1, grad_norm1 = _ascend(r, u0[lane:lane + 1], max_iter=500, gtol=1e-7)
+            u1, iterations1, grad_norm1 = ascend(r, u0[lane:lane + 1], max_iter=500, gtol=1e-7)
             assert iterations1[0] == iterations[lane], f"lane {lane}"
             assert u1[0].tobytes() == u[lane].tobytes(), f"lane {lane}"
             assert grad_norm1[0].tobytes() == grad_norm[lane].tobytes(), f"lane {lane}"
@@ -183,7 +183,7 @@ def test_a_real_search_reaches_the_complex_ascents_optimum(m):
         assert not found.povm.vectors.imag.any()
         r = gram.scaled_states
         u, _, _ = _stacked_lanes(r, seed=k, restarts=20, max_iter=500, gtol=1e-7)
-        assert abs(found.p_success - float(np.max(_value(r, u)))) <= 1e-12
+        assert abs(found.p_success - float(np.max(success(r, u)))) <= 1e-12
         cert = ms.certify_povm(gram, found.povm)
         assert dataclasses.replace(cert, tol_stat=1e-6).status == "optimal"
 
@@ -195,7 +195,7 @@ def test_a_complex_search_is_the_complex_ascent_bitwise(m):
         found = ms.search_optimum(gram, seed=k)
         r = gram.scaled_states
         u, iterations, grad_norm = _stacked_lanes(r, seed=k, restarts=20, max_iter=500, gtol=1e-7)
-        values = _value(r, u)
+        values = success(r, u)
         best = int(np.argmax(values))
         assert found.p_success.hex() == float(values[best]).hex()
         assert found.povm.vectors.tobytes() == u[best].tobytes()

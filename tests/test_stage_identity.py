@@ -15,6 +15,8 @@ t_{k+1}, so k4, the step check and the next k1 share one G(t_{k+1}) where
 k4 used to take G(t_k + h), which differs from it in the last bit at some
 steps, and each stage receives its own time for its failure messages.  The
 copy below carries that second change; the stage functions are unchanged.
+The polished step is not frozen: the copy calls the live corrector, as it
+called the live finish it replaced, and returns its measurement U.
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ import medsolve as ms
 from conftest import identity_gram, random_gram
 from medsolve import homotopy
 from medsolve.exceptions import NearLinearDependence, PositivityLost, SingularJacobian
-from medsolve.homotopy import COND_MAX, EPS_A, Trajectory, _finish
+from medsolve.homotopy import COND_MAX, EPS_A, Trajectory, _correct
 from medsolve.linalg import hs_norm
 
 # ---------------------------------------------------------------- frozen copies
@@ -104,9 +106,9 @@ def _rate(
 
 def _integrate(
     trajectory: Trajectory, a: np.ndarray, f: np.ndarray, steps: int, h: float, polish: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple:
     """The RK4 loop of ``rk4_drag`` from (a, f) at t = 0, unchecked: (a, f) at
-    t = 1 and the trace.  f comes back real when the path and the start have no
+    t = 1, the trace and a polished run's U.  f comes back real when the path and the start have no
     imaginary part, complex otherwise."""
     iu, ju = np.triu_indices(trajectory.m, 1)
     g_start, g_end = trajectory.g_start.entries, trajectory.g_end.entries
@@ -122,6 +124,7 @@ def _integrate(
     t = 0.0
     g_now = path(t)
     eig = None  # eigh(F) at (a, f), shared by the step check and the next k1
+    u = None
     for it in range(1, steps + 1):
         t_mid, t_next = t + 0.5 * h, it * h
         g_mid, g_next = path(t_mid), path(t_next)
@@ -136,7 +139,7 @@ def _integrate(
         # no admissibility check on G(t): its smallest eigenvalue is concave in t,
         # and GramMatrix already holds both endpoints above EPS_LI
         if polish and it == steps:
-            a, f = _finish(a, g_now, t)
+            a, f, u = _correct(a, f, trajectory.g_end)
 
         if a.min() <= EPS_A:
             raise NearLinearDependence(
@@ -152,7 +155,7 @@ def _integrate(
             )
         resid = _residual(a, fmat, g_now)
         trace[it - 1] = (it, t, resid, f_min, float(np.sum(a**2)))
-    return a, f, trace
+    return a, f, trace, u
 
 
 # ---------------------------------------------------------------- comparisons
@@ -204,7 +207,8 @@ def test_integrate_is_byte_identical(m, real, polish):
     assert steps * h == 1.0
     got = homotopy._integrate(trajectory, start.a, start.f, steps, h, polish)
     want = _integrate(trajectory, start.a, start.f, steps, h, polish)
-    for x, y in zip(got, want):
+    assert (got[3] is None, want[3] is None) == (not polish, not polish)
+    for x, y in zip(got, want[:3] + want[3:] * polish):
         assert _same(x, y)
 
 

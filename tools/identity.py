@@ -7,11 +7,16 @@ tree with ``git archive REV src | tar -x``, writes one set of inputs with
 ``perfbench/inputs.py`` and runs the same list of CLI operations on both
 trees, each tree in its own Python process that imports ``medsolve`` from
 that tree and calls ``medsolve.cli.main`` (or, for a search, the API) in
-process.  The 274 operations (250 CLI calls and 24 searches):
+process.  The 276 operations (252 CLI calls and 24 searches):
 
 - ``solve`` on the batch-small inputs of seeds 0 and 1, with the benchmark's
   flags ``--steps 200 --h 5e-3 --polish`` and with the same flags without
   ``--polish``;
+- ``solve`` with those flags and ``--polish`` on two near-dependent inputs,
+  where the polished drag's corrector starts far from the optimum: the real
+  m = 3 Gram matrix with spectrum (3e-8, 3/7, 4/7) up to the trace and
+  eigenvectors ``haar_unitary(default_rng(1), 3, real=True)``, and
+  ``tests/data/near-dependent-m2-ensemble.json`` (min eigenvalue 2.5e-6);
 - for the verify-m3 inputs of seed 0: ``certify`` and ``audit`` on the
   optimum, on an outcome-permuted copy and on a seeded Haar-random
   measurement (orthogonal for a real problem), which take the generic
@@ -99,6 +104,22 @@ def _certify_files(work: Path, problems: list[inputs.Problem]) -> list[Path]:
     return paths
 
 
+def _near_dependent_inputs(work: Path) -> list[Path]:
+    """The two near-dependent polish inputs, the m = 3 Gram matrix written
+    under ``work/near-dependent`` so that the batch operation does not read it."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import medsolve as ms
+    from medsolve import serialize
+    from medsolve.linalg import haar_unitary, hermitize
+
+    v = haar_unitary(np.random.default_rng(1), 3, real=True)
+    g = hermitize((v * np.array([3e-8, 3 / 7 * (1 - 3e-8), 4 / 7 * (1 - 3e-8)])) @ v.T)
+    path = work / "near-dependent" / "near-dependent-m3-gram.json"
+    path.parent.mkdir()
+    serialize.write_json(path, serialize.gram_to_dict(ms.GramMatrix(g / np.trace(g).real)))
+    return [path, ROOT / "tests" / "data" / "near-dependent-m2-ensemble.json"]
+
+
 def operations(work: Path) -> list[tuple[str, list[str]]]:
     """Write the inputs under ``work`` and return (key, argv without --out)."""
     ops = []
@@ -107,6 +128,8 @@ def operations(work: Path) -> list[tuple[str, list[str]]]:
             path = str(inputs.write(work / f"s{seed}-{p.name}.json", p.to_dict()))
             ops.append((f"s{seed}-{p.name}-polish", ["solve", path, *SOLVE_FLAGS, "--polish"]))
             ops.append((f"s{seed}-{p.name}-plain", ["solve", path, *SOLVE_FLAGS]))
+    for path in _near_dependent_inputs(work):
+        ops.append((f"{path.stem}-polish", ["solve", str(path), *SOLVE_FLAGS, "--polish"]))
     problems = inputs.verify_m3(0)
     for p in problems:
         path = inputs.write(work / f"{p.name}.json", p.to_dict())
