@@ -43,7 +43,8 @@ class SchemaError(MedError):
 class RootCountAnomaly(UserWarning):
     """Fewer distinct stationary roots exist than the degree bound of 8.
 
-    Every path of the total-degree homotopy is tracked to its end, so the
-    shortfall is genuine: the remaining roots are at infinity (their paths
-    diverge, as for symmetric ensembles) or coincide at a singular root.
+    The enumeration reads the projective roots from the null space of the
+    Macaulay matrix by linear algebra, with no path that could be lost, so
+    the shortfall is genuine: the remaining roots are at infinity (as for
+    symmetric ensembles) or coincide at a singular root.
     It does not signal a missed root."""

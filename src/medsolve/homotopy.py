@@ -65,10 +65,9 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import ascent
-from .certify import (RESIDUAL_GATE, TOL_STAT, Certificate, certify_gram, certify_povm,
-                      factor_residual, hermitian_factor)
-from .exceptions import (NearLinearDependence, NoConvergence, NotCertified, PositivityLost,
-                         SingularJacobian)
+from .certify import (RESIDUAL_GATE, Certificate, certify_gram, certify_povm, factor_residual,
+                      hermitian_factor)
+from .exceptions import NearLinearDependence, NotCertified, PositivityLost, SingularJacobian
 from .gram import GramMatrix
 from .linalg import polar_unitary, read_only
 from .measurement import Povm
@@ -80,11 +79,6 @@ log = logging.getLogger(__name__)
 #: implicit function theorem no longer vouches for the step (bifurcation or
 #: near-dependence) and the run aborts
 COND_MAX = 1e12
-
-#: most gradient norm the corrector of a polished run may end at: the
-#: certificate's stationarity residual is at most sqrt 2 times the gradient
-#: norm (see ``medsolve.ascent``), so this leaves it at most TOL_STAT / 2
-_GTOL = TOL_STAT / (2.0 * np.sqrt(2.0))
 
 #: floor on the diagonal scales a_i; one of them tending to zero signals the
 #: boundary of the admissible Gram region
@@ -287,26 +281,19 @@ def derivative(state: SolverState, trajectory: Trajectory) -> tuple[np.ndarray, 
 
 
 def _correct(a: np.ndarray, f: np.ndarray, gram: GramMatrix) -> tuple:
-    """Ascend U = polar(G^{-1/2} D^{-1} F) of the drag's (a, f) at G = ``gram``, a
-    drop of twice P's rounding allowed, until its gradient norm is down to
-    rounding or MAX_ITER iterations: (a, f, U) of F = D O, O = G^{1/2} U, with
-    U's column phases fixed so that diag O >= 0, real when f is.
-    NoConvergence if the ascent stops above _GTOL."""
+    """Finish U = polar(G^{-1/2} D^{-1} F) of the drag's (a, f) at G = ``gram`` by
+    ``ascent.finish``: (a, f, U) of F = D O, O = G^{1/2} U, with U's column
+    phases fixed so that diag O >= 0, real when f is."""
     m = a.shape[0]
     r, r_inv = gram.scaled_states, gram.inv_sqrt()
     if not np.iscomplexobj(f):  # a real drag has a real optimum, as in search_optimum
         r, r_inv = r.real, r_inv.real
-    u0 = polar_unitary(r_inv.dot(_factor(a, f) / a[:, None]))[None]
-    rise = -2.0 * ascent.rounding_bound(m) * float(ascent.success(r, u0)[0])
-    u, stopped_at, grad = ascent.ascend(r, u0, ascent.MAX_ITER, ascent.gradient_noise(m), rise)
-    if not grad[0] <= _GTOL:
-        raise NoConvergence(f"corrector stopped at iteration {stopped_at[0]} with gradient "
-                            f"norm {grad[0]:.3e} above {_GTOL:.3e}")
-    log.debug("corrector: stopped at iteration %d, gradient norm %.3e", stopped_at[0], grad[0])
-    o = r.dot(u[0])
+    u, stopped_at, grad = ascent.finish(r, polar_unitary(r_inv.dot(_factor(a, f) / a[:, None])))
+    log.debug("corrector: stopped at iteration %d, gradient norm %.3e", stopped_at, grad)
+    o = r.dot(u)
     phases = o.diagonal().conj() / np.abs(o.diagonal())  # P ignores them: make diag O >= 0
     fmat = hermitian_factor(o * phases)
-    return np.sqrt(fmat.diagonal().real), fmat.take(_layout(m)[0]), u[0] * phases
+    return np.sqrt(fmat.diagonal().real), fmat.take(_layout(m)[0]), u * phases
 
 
 def rk4_drag(
@@ -332,11 +319,11 @@ def rk4_drag(
     record the HS residual of F^2 - D G D, the minimum eigenvalue of F and
     the partial success probability.  ``polish`` (off by default, leaving the
     raw integrator behavior observable) changes only the last step: it
-    takes the measurement U = G(1)^{-1/2} D^{-1} F of the drag's end, ascends
-    it on the unitary group until its gradient is down to rounding (see
-    ``medsolve.ascent``), and keeps F = D O of O = G(1)^{1/2} U; NoConvergence
-    if the ascent stops where the certificate's stationarity residual may
-    exceed TOL_STAT / 2.
+    takes the measurement U = G(1)^{-1/2} D^{-1} F of the drag's end, runs
+    the fixed-point step U <- polar(G(1)^{1/2} diag(w)), w = diag(G(1)^{1/2} U),
+    until its gradient is down to rounding (``ascent.finish``), and keeps
+    F = D O of O = G(1)^{1/2} U; NoConvergence if the ascent stops where the
+    certificate's stationarity residual may exceed TOL_STAT / 2.
 
     A path whose G_start, G_end and starting f have imaginary parts that are
     all exactly zero (``-0.0`` included) is integrated in real arithmetic,

@@ -1,10 +1,10 @@
 """Ground-truth solvers used to cross-check the main pipeline.
 
 The closed-form two-state optimum, and direct maximization of the success
-probability by Riemannian gradient ascent from random starts (restricted to
-small dimensions, where exhaustive restarts are cheap).  Neither shares code
-with the drag's integrator, but the search runs the ascent kernel of
-``medsolve.ascent``, which also corrects a polished drag's end: it checks the
+probability by the fixed-point ascent from random starts (restricted to small
+dimensions, where exhaustive restarts are cheap).  Neither shares code with
+the drag's integrator, but the search runs the ascent and the corrector of
+``medsolve.ascent``, which also correct a polished drag's end: it checks the
 drag's path, not the corrector.
 """
 
@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascent import MAX_ITER, ascend, success
-from .exceptions import NoConvergence
+from .ascent import ascend, finish, success
 from .gram import GramMatrix
 from .linalg import polar_unitary
 from .measurement import FRAME_AMBIENT, Povm, povm_from_unitary
 
-#: random starts of the direct search, and the gradient norm below which an
-#: ascent has converged (each has the ascent's budget of MAX_ITER iterations)
+#: random starts of the direct search, and the gradient norm that ends their
+#: ascent (each has the ascent's budget of MAX_ITER iterations)
 _RESTARTS = 20
 _GTOL = 1e-7
 
@@ -70,22 +69,20 @@ def helstrom(p1: float, p2: float, overlap: complex) -> OracleResult:
 def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
     """Maximize sum_i |(G^{1/2} U)_{ii}|^2 over unitary U directly.
 
-    The Riemannian Barzilai-Borwein ascent of ``medsolve.ascent``, each step
-    halved until it ascends.  _RESTARTS random starts guard against the
-    non-global stationary points; they advance together as one stack of
-    unitaries, each with its own step, MAX_ITER iterations and stopping test
-    (batching them changes roundoff only), and the best value wins (the
-    first one on ties).  A G whose
-    imaginary part is exactly zero has a real optimum up to column phases,
-    so it is searched over the orthogonal group in real arithmetic, from the
-    real parts of the same seeded draws.  Deterministic in ``seed`` (>= 0);
-    restricted to m <= 4 where restarts are cheap.  NoConvergence is raised
-    if the best run ends with a gradient norm above _GTOL.
-
-    The measurement is stationary only to sqrt 2 * _GTOL ~ 1.4e-7 (the
-    certificate's residual is at most sqrt 2 times the gradient norm), well
-    above TOL_STAT, so ``certify_povm`` and ``medsolve certify`` of it at the
-    default tolerance may judge it nonstationary (exit 3).
+    The fixed-point ascent of ``medsolve.ascent``.  _RESTARTS random starts
+    guard against the non-global stationary points; they advance together
+    as one stack of unitaries, each with its own MAX_ITER iterations and
+    stopping test at a gradient norm of _GTOL (batching them changes nothing),
+    and the best value wins (the first one on ties).  ``ascent.finish`` then
+    takes that lane's gradient norm down to rounding, so the measurement is
+    certified stationary at TOL_STAT; NoConvergence if it stops where the
+    certificate's residual may exceed TOL_STAT / 2.  ``convergence`` counts
+    the lane's iterations and the finish's steps, and gives the final
+    gradient norm.  A G whose imaginary part is exactly zero has a real
+    optimum up to column phases, so it is searched over the orthogonal group
+    in real arithmetic, from the real parts of the same seeded draws.
+    Deterministic in ``seed`` (>= 0); restricted to m <= 4 where restarts
+    are cheap.
     """
     m = gram.m
     if m > 4:
@@ -101,13 +98,9 @@ def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
         # optimum is unique up to column phases, so it is real up to them:
         # the ascent searches O(m) in real arithmetic from real starts
         r, u0 = r.real.copy(), polar_unitary(z[:, 0])
-    u, iterations, grad_norm = ascend(r, u0, MAX_ITER, _GTOL)
-    values = success(r, u)
-    best = int(np.argmax(values))
-    stats = SearchStats(iterations=int(iterations[best]), grad_norm=float(grad_norm[best]))
-    if stats.grad_norm > _GTOL:
-        raise NoConvergence(f"best ascent stalled with gradient norm {stats.grad_norm:.3e}")
-    povm = povm_from_unitary(gram, u[best])
-    return OracleResult(
-        p_success=float(values[best]), povm=povm, method="search", convergence=stats
-    )
+    u, iterations, _ = ascend(r, u0, _GTOL)
+    best = int(np.argmax(success(r, u)))
+    u_best, stopped_at, grad_norm = finish(r, u[best])
+    stats = SearchStats(iterations=int(iterations[best]) + stopped_at - 1, grad_norm=grad_norm)
+    return OracleResult(p_success=float(success(r, u_best)), povm=povm_from_unitary(gram, u_best),
+                        method="search", convergence=stats)

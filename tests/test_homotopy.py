@@ -572,7 +572,7 @@ class TestCorrector:
     def test_a_budget_spent_below_the_certificates_bound_is_accepted(self, caplog,
                                                                       monkeypatch):
         # 12 iterations take the near-dependent m = 3 input below _GTOL but not
-        # down to the gradient's rounding, which it reaches at iteration 17
+        # down to the gradient's rounding, which it reaches at iteration 21
         caplog.set_level(logging.DEBUG, logger="medsolve.homotopy")
         monkeypatch.setattr(homotopy.ascent, "MAX_ITER", 12)
         report = solve_direct(TestRk4Drag._near_dependent_m3(), steps=200, h=5e-3, polish=True)
