@@ -288,8 +288,10 @@ def _correct(a: np.ndarray, f: np.ndarray, gram: GramMatrix) -> tuple:
     r, r_inv = gram.scaled_states, gram.inv_sqrt()
     if not np.iscomplexobj(f):  # a real drag has a real optimum, as in search_optimum
         r, r_inv = r.real, r_inv.real
-    u, stopped_at, grad = ascent.finish(r, polar_unitary(r_inv.dot(_factor(a, f) / a[:, None])))
-    log.debug("corrector: stopped at iteration %d, gradient norm %.3e", stopped_at, grad)
+    u, stopped_at, newton, grad = ascent.finish(
+        r, polar_unitary(r_inv.dot(_factor(a, f) / a[:, None])))
+    log.debug("corrector: stopped at iteration %d, newton steps %d, gradient norm %.3e",
+              stopped_at, newton, grad)
     o = r.dot(u)
     phases = o.diagonal().conj() / np.abs(o.diagonal())  # P ignores them: make diag O >= 0
     fmat = hermitian_factor(o * phases)
@@ -321,7 +323,8 @@ def rk4_drag(
     raw integrator behavior observable) changes only the last step: it
     takes the measurement U = G(1)^{-1/2} D^{-1} F of the drag's end, runs
     the fixed-point step U <- polar(G(1)^{1/2} diag(w)), w = diag(G(1)^{1/2} U),
-    until its gradient is down to rounding (``ascent.finish``), and keeps
+    and where it crawls the guarded Newton step on U, until its gradient is
+    down to rounding (``ascent.finish``), and keeps
     F = D O of O = G(1)^{1/2} U; NoConvergence if the ascent stops where the
     certificate's stationarity residual may exceed TOL_STAT / 2.
 

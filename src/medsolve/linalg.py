@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-# the gufuncs behind np.linalg.eigvalsh and np.linalg.eigh, called without
-# that wrapper's per-call checks and casts: the same LAPACK call on the same data
+# the gufuncs behind np.linalg.eigvalsh, np.linalg.eigh and np.linalg.svd, called
+# without that wrapper's per-call checks and casts: the same LAPACK call on the
+# same data
 from numpy.linalg import _umath_linalg
 
 
@@ -51,8 +52,17 @@ def hermitian_eig(
 
 
 def polar_unitary(mat: np.ndarray) -> np.ndarray:
-    """Unitary factor of the polar decomposition (closest unitary in HS norm)."""
-    u, _, vh = np.linalg.svd(mat)
+    """Unitary factor of the polar decomposition (closest unitary in HS norm) of
+    each float64 or complex128 matrix of the stack ``mat``.
+
+    The SVD's gufunc is called bare, as in ``hermitian_eig``: where
+    np.linalg.svd raised LinAlgError on non-convergence, the gufunc returns
+    NaN (numpy flags it as an invalid operation), so singular values that are
+    not finite raise that LinAlgError here.
+    """
+    u, s, vh = _umath_linalg.svd_f(mat)
+    if not np.isfinite(s).all():
+        raise np.linalg.LinAlgError("SVD did not converge")
     return u @ vh
 
 

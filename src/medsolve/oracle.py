@@ -74,7 +74,8 @@ def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
     as one stack of unitaries, each with its own MAX_ITER iterations and
     stopping test at a gradient norm of _GTOL (batching them changes nothing),
     and the best value wins (the first one on ties).  ``ascent.finish`` then
-    takes that lane's gradient norm down to rounding, so the measurement is
+    takes that lane's gradient norm down to rounding, by Newton steps where
+    the fixed-point step crawls, so the measurement is
     certified stationary at TOL_STAT; NoConvergence if it stops where the
     certificate's residual may exceed TOL_STAT / 2.  ``convergence`` counts
     the lane's iterations and the finish's steps, and gives the final
@@ -100,7 +101,7 @@ def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
         r, u0 = r.real.copy(), polar_unitary(z[:, 0])
     u, iterations, _ = ascend(r, u0, _GTOL)
     best = int(np.argmax(success(r, u)))
-    u_best, stopped_at, grad_norm = finish(r, u[best])
+    u_best, stopped_at, _, grad_norm = finish(r, u[best])
     stats = SearchStats(iterations=int(iterations[best]) + stopped_at - 1, grad_norm=grad_norm)
     return OracleResult(p_success=float(success(r, u_best)), povm=povm_from_unitary(gram, u_best),
                         method="search", convergence=stats)

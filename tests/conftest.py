@@ -83,7 +83,8 @@ def nan_spectrum_from_call(monkeypatch, first: int) -> list[int]:
     """Make the LAPACK gufuncs behind ``linalg.hermitian_eig`` report
     non-convergence from their ``first``-th call (counting from 1) on, as
     numpy's gufuncs do: NaN eigenvalues and eigenvectors in place of an
-    error.  Returns the list that records the ndim of each call's argument.
+    error.  The SVD behind ``linalg.polar_unitary`` is left as it is.
+    Returns the list that records the ndim of each call's argument.
     A later call replaces an earlier one's patch."""
     calls: list[int] = []
 
@@ -99,5 +100,6 @@ def nan_spectrum_from_call(monkeypatch, first: int) -> list[int]:
         return call
 
     monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(
-        eigvalsh_lo=failing(_umath_linalg.eigvalsh_lo), eigh_lo=failing(_umath_linalg.eigh_lo)))
+        eigvalsh_lo=failing(_umath_linalg.eigvalsh_lo), eigh_lo=failing(_umath_linalg.eigh_lo),
+        svd_f=_umath_linalg.svd_f))
     return calls

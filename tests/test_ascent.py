@@ -1,15 +1,19 @@
-"""The rounding facts the ascent rests on, and its fixed-point property.
+"""The rounding facts the ascent rests on, its fixed-point property and its
+Newton step.
 
 The corrector of a polished drag may stop on the gradient norm because the
 certificate's stationarity residual is 2 max |gen_ij|, at most sqrt 2 times
-that norm.  One evaluation of P = sum_i |(R U)_ii|^2 is good to 3 m eps P,
-which bounds how far P may appear to fall along the ascent's iterates.  The
-step U <- polar(R^dag diag(w)) holds the optimum in place and leaves every
-other stationary point, as the independent m = 3 enumeration tells them
-apart.
+that norm.  One evaluation of P = sum_i |(R U)_ii|^2 is good to
+``ascent.rounding_bound``, which bounds how far P may appear to fall along the
+ascent's iterates and guards the Newton step.  The step
+U <- polar(R^dag diag(w)) holds the optimum in place and leaves every other
+stationary point, as the independent m = 3 enumeration tells them apart.  The
+Newton step's gradient and Hessian are the derivatives of P along U exp(t Xi).
 """
 
+import itertools
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,7 @@ import pytest
 
 import medsolve as ms
 from conftest import random_gram, seeded_grams, solve_direct
-from medsolve import ascent
+from medsolve import ascent, oracle
 from medsolve.enumerate3 import LABEL_GLOBAL, LABEL_STATIONARY
 from medsolve.linalg import haar_unitary, polar_unitary
 
@@ -25,15 +29,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import inputs  # noqa: E402
 
 _EPS = np.finfo(float).eps
-
-
-def _rounding_bound(m):
-    """Relative rounding of one evaluation of P at dimension m >= 2: each (R U)_ii
-    is an m-term complex inner product, good to gamma_{m+2} ~ (m + 2) eps/2
-    where it does not cancel (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 3.6); squaring its modulus doubles that and adds eps,
-    and summing m squares adds (m - 1) eps/2: (1.5 m + 2.5) eps <= 3 m eps."""
-    return 3.0 * m * _EPS
 
 
 def _step(r, u):
@@ -48,6 +43,12 @@ def _measurements(m, real, count=20):
         gram = random_gram(m, seed=500 + 20 * m + k, spread=0.3 + 0.03 * k, real=real)
         r = gram.scaled_states.real.copy() if real else gram.scaled_states
         yield r, haar_unitary(rng, m, real), gram
+
+
+def _exact_success(r, u):
+    """P at U = ``u``, summed in extended precision."""
+    w = (r.astype(np.clongdouble) * u.T.astype(np.clongdouble)).sum(axis=1)
+    return (w.real**2 + w.imag**2).sum()
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -68,10 +69,9 @@ def test_stationarity_residual_is_twice_the_largest_generator_entry(m, real):
 def test_one_evaluation_of_p_is_within_its_rounding_bound(m, real):
     # the reference sums in extended precision
     for r, u, _ in _measurements(m, real):
-        w = (r.astype(np.clongdouble) * u.T.astype(np.clongdouble)).sum(axis=1)
-        exact = (w.real**2 + w.imag**2).sum()
+        exact = _exact_success(r, u)
         p = ascent.success(r, u)
-        assert abs(p - exact) <= _rounding_bound(m) * p
+        assert abs(p - exact) <= ascent.rounding_bound(m) * p
 
 
 @pytest.mark.slow
@@ -84,7 +84,7 @@ def test_one_step_from_a_drag_certified_optimum_moves_p_by_rounding():
         assert report.certificate.status == "optimal", f"gram {k}"
         r, u = gram.scaled_states.real, report.final_povm.vectors.real
         p = float(ascent.success(r, u))
-        assert abs(float(ascent.success(r, _step(r, u))) - p) <= 2.0 * _rounding_bound(3) * p
+        assert abs(float(ascent.success(r, _step(r, u))) - p) <= 2.0 * ascent.rounding_bound(3) * p
 
 
 def test_one_step_from_a_non_global_stationary_point_raises_p():
@@ -105,10 +105,13 @@ def test_one_step_from_a_non_global_stationary_point_raises_p():
     assert seen >= 100
 
 
-def test_a_lane_stuck_at_the_rounding_of_its_step_stops():
+def test_a_lane_stuck_at_the_rounding_of_its_step_stops(monkeypatch):
     # the best restart of this search lands on a fixed point of the computed
-    # step whose gradient norm, 2.2e-15, exceeds gradient_noise(3) = 1.9e-15:
-    # the finish stops where the norm no longer falls, not after MAX_ITER steps
+    # fixed-point step whose gradient norm, 2.2e-15, exceeds gradient_noise(3)
+    # = 1.9e-15: the finish stops where the norm no longer falls, not after
+    # MAX_ITER steps.  The Newton step takes this lane to 1.8e-16 at once, so
+    # it is switched off to reach the fixed-point step alone
+    monkeypatch.setattr(ascent, "_newton_step", lambda r, u: None)
     problem = inputs.verify_m3(104)[8]
     gram = ms.GramMatrix(problem.gram())
     found = ms.search_optimum(gram, seed=8)
@@ -120,26 +123,134 @@ def test_a_lane_stuck_at_the_rounding_of_its_step_stops():
 @pytest.mark.slow
 def test_p_never_falls_along_the_correctors_iterates(monkeypatch):
     # every unitary the polished drag's corrector steps to on the batch-small
-    # inputs of seed 0, recorded as the kernel's polar step returns it
-    starts, steps = [], []
+    # inputs of seed 0, as the finish's iterates yield them, once with the
+    # Newton step and once with the fixed-point step alone.  P is summed in
+    # extended precision, not as the Newton step's guard evaluates it, and
+    # every accepted Newton step must also lower the gradient norm
+    runs = []
 
     def finish(r, u):
-        starts.append((r, u, len(steps)))
-        return real_finish(r, u)
-
-    def polar(b):
-        steps.append(polar_unitary(b)[0])
-        return steps[-1][None]
+        out = real_finish(r, u)
+        runs.append((r, u, out[1], out[2]))
+        return out
 
     real_finish = ascent.finish
     monkeypatch.setattr(ascent, "finish", finish)
-    monkeypatch.setattr(ascent, "polar_unitary", polar)
-    for problem in inputs.batch_small(0):
-        report = solve_direct(ms.GramMatrix(problem.gram()), steps=200, h=5e-3, polish=True)
-        assert report.certificate.status == "optimal", problem.name
-    assert len(steps) > len(starts) == len(inputs.batch_small(0))
-    for k, (r, u, first) in enumerate(starts):
-        end = starts[k + 1][2] if k + 1 < len(starts) else len(steps)
-        values = ascent.success(r, np.array([u, *steps[first:end]]))
-        bound = _rounding_bound(r.shape[0]) * values[:-1]
-        assert np.all(values[1:] >= values[:-1] - bound), f"corrector {k}"
+    for newton_on in (True, False):
+        if not newton_on:
+            monkeypatch.setattr(ascent, "_newton_step", lambda r, u: None)
+        runs.clear()
+        for problem in inputs.batch_small(0):
+            report = solve_direct(ms.GramMatrix(problem.gram()), steps=200, h=5e-3, polish=True)
+            assert report.certificate.status == "optimal", problem.name
+        assert len(runs) == len(inputs.batch_small(0))
+        steps = newton = 0
+        for k, (r, u, stopped_at, newton_steps) in enumerate(runs):
+            iterates = list(itertools.islice(ascent._iterates(r, u), stopped_at))
+            values = np.array([_exact_success(r, v) for v, _, _ in iterates])
+            bound = ascent.rounding_bound(r.shape[0]) * values[:-1]
+            assert np.all(values[1:] >= values[:-1] - bound), f"corrector {k}"
+            for (_, grad, before), (_, grad_next, after) in itertools.pairwise(iterates):
+                assert after == before or grad_next < grad, f"corrector {k}"
+            assert iterates[-1][2] == newton_steps
+            steps, newton = steps + stopped_at - 1, newton + newton_steps
+        assert steps > 0 and (newton > 0) == newton_on, (newton_on, steps, newton)
+
+
+def _expm_skew(xi):
+    """exp(Xi) of a skew-hermitian Xi, from the eigenvectors of the hermitian i Xi."""
+    lam, v = np.linalg.eigh(1j * xi)
+    return (v * np.exp(-1j * lam)) @ v.conj().T
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_newton_system_is_the_derivatives_of_p_along_the_basis(m, real):
+    # central differences of P(U exp(t Xi)) at t = +-h: the first derivative
+    # along Xi_k is g_k and the second along Xi_k +- Xi_l is H(Xi_k +- Xi_l, same),
+    # whose difference is 4 H_kl; truncation h^2 and rounding eps / h^2 both
+    # stay near 1e-8 at h = 1e-4
+    (i, j), *_ = ascent._directions(m, not real)
+    basis = []
+    for a, b in zip(i, j):
+        for z in ((1.0,) if real else (1.0, 1j)):
+            xi = np.zeros((m, m), complex)
+            xi[a, b], xi[b, a] = z, -np.conj(z)
+            basis.append(xi)
+    h = 1e-4
+    for r, u, _ in itertools.islice(_measurements(m, real), 3):
+        def p(xi):
+            return float(ascent.success(r, u @ _expm_skew(xi)))
+
+        def second(xi):
+            return (p(h * xi) - 2.0 * p(0.0 * xi) + p(-h * xi)) / h**2
+
+        g, curv = ascent._newton_system(r, u)
+        assert g.shape == (len(basis),) and curv.shape == (len(basis), len(basis))
+        assert np.array_equal(curv, curv.T)
+        want = [(p(h * xi) - p(-h * xi)) / (2.0 * h) for xi in basis]
+        assert np.max(np.abs(g - want)) <= 1e-7
+        hess = [[(second(x + y) - second(x - y)) / 4.0 for y in basis] for x in basis]
+        assert np.max(np.abs(-curv - np.array(hess))) <= 1e-6
+
+
+def _finishes(monkeypatch):
+    """Record (iteration stopped at, Newton steps) of every finish from now on,
+    the corrector's and the search's."""
+    runs = []
+
+    def finish(r, u):
+        out = real_finish(r, u)
+        runs.append(out[1:3])
+        return out
+
+    real_finish = ascent.finish
+    monkeypatch.setattr(ascent, "finish", finish)
+    monkeypatch.setattr(oracle, "finish", finish)
+    return runs
+
+
+def test_a_corrector_one_step_from_rounding_takes_no_newton_step(monkeypatch):
+    # the sweep-large inputs at m = 10, 12 and 16 and well-separated ensembles
+    # at m = 8 and 12: one or two fixed-point steps from the drag's raw end
+    # reach the gradient's rounding, where one Newton step costs 3 to 17 of them
+    runs = _finishes(monkeypatch)
+    grams = [ms.GramMatrix(p.gram()) for p in inputs.sweep_large(0)]
+    grams += [ms.raw_gram(ms.random_ensemble(m, 190 + m, 0.3)) for m in (8, 12)]
+    for gram in grams:
+        report = solve_direct(gram, steps=200, h=5e-3, polish=True)
+        assert report.certificate.status == "optimal"
+    assert len(runs) == len(grams) and all(n == 0 and it <= 3 for it, n in runs), runs
+
+
+def test_a_searchs_finish_takes_a_newton_step_after_one_fixed_point_step(monkeypatch):
+    # at m = 3 the search's best restart needs 5 to 9 fixed-point steps, each
+    # shrinking the gradient norm about tenfold; after the first, the rest
+    # would cost more than a Newton step, which reaches rounding at once
+    runs = _finishes(monkeypatch)
+    grams = [ms.GramMatrix(p.gram()) for p in inputs.verify_m3(0)]
+    for gram in grams:
+        ms.search_optimum(gram, seed=0)
+    with_newton = list(runs)
+    monkeypatch.setattr(ascent, "_newton_step", lambda r, u: None)
+    runs.clear()
+    for gram in grams:
+        ms.search_optimum(gram, seed=0)
+    assert all(it <= 4 for it, _ in with_newton) and sum(n for _, n in with_newton) >= 6
+    assert all(a[0] <= b[0] for a, b in zip(with_newton, runs)), (with_newton, runs)
+    assert sum(it for it, _ in runs) >= sum(it for it, _ in with_newton) + 2 * len(grams)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_a_real_start_against_a_complex_r_ascends_in_complex_arithmetic(m):
+    # the pretty-good measurement's start: U = I in the G^{1/2} realization
+    gram = random_gram(m, seed=600 + m, spread=0.6)
+    r = gram.scaled_states
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, _, _ = ascent.ascend(r, np.eye(m)[None], 1e-7)
+        v, _, _, _ = ascent.finish(r, np.eye(m))
+    assert u.dtype == v.dtype == np.complex128
+    assert np.abs(u.imag).max() > 1e-3 and np.abs(v.imag).max() > 1e-3
+    assert ms.certify_povm(gram, ms.Povm(v)).status == "optimal"
+    assert abs(float(ascent.success(r, u[0])) - float(ascent.success(r, v))) <= 1e-12

@@ -8,14 +8,16 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 import medsolve as ms
 from conftest import nan_spectrum_from_call, random_gram, solve_direct
-from medsolve import certify, cli, homotopy, serialize
+from medsolve import certify, cli, homotopy, linalg, serialize
 from medsolve.cli import main
 from medsolve.homotopy import _rate
 from medsolve.linalg import haar_unitary
@@ -195,7 +197,7 @@ class TestSolve:
         [line] = info.stderr.splitlines()
         assert re.fullmatch(drag, line)
         corrector, line = loud.stderr.splitlines()
-        assert re.fullmatch(r"DEBUG corrector: stopped at iteration \d+, "
+        assert re.fullmatch(r"DEBUG corrector: stopped at iteration \d+, newton steps \d+, "
                             r"gradient norm \d\.\d{3}e[+-]\d\d", corrector)
         assert re.fullmatch(drag, line)
         assert files == [(tmp_path / name).read_bytes() for name in names]
@@ -292,15 +294,16 @@ class TestSolve:
 
     @staticmethod
     def _svd_fails_at(monkeypatch, m):
-        """Make the SVD of every m x m matrix (the polar snap of certify_gram) fail."""
-        svd = np.linalg.svd
+        """Make the SVD of every m x m matrix (the polar snap of certify_gram) fail
+        as numpy's gufunc does: NaN in place of an error."""
+        svd_f = _umath_linalg.svd_f
 
-        def failing(mat, *args, **kwargs):
-            if mat.shape[0] == m:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(mat, *args, **kwargs)
+        def failing(mat):
+            out = svd_f(mat)
+            return tuple(np.full_like(x, np.nan) for x in out) if mat.shape[-1] == m else out
 
-        monkeypatch.setattr(np.linalg, "svd", failing)
+        monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(
+            eigvalsh_lo=_umath_linalg.eigvalsh_lo, eigh_lo=_umath_linalg.eigh_lo, svd_f=failing))
 
     def test_linalg_error_is_a_solver_failure(self, tmp_path, capsys, monkeypatch):
         # LinAlgError subclasses ValueError, which --steps/--h rejections raise

@@ -13,7 +13,7 @@ from medsolve import homotopy, serialize
 from conftest import identity_gram, overlap_gram_m3, random_gram, seeded_grams, solve_direct
 from medsolve.certify import RESIDUAL_GATE, factor_residual
 from medsolve.homotopy import _correct, _factor, _integrate, _rate, _tangent_solve
-from medsolve.linalg import haar_unitary, hermitize
+from medsolve.linalg import haar_unitary, hermitize, polar_unitary
 
 DATA = Path(__file__).parent / "data"
 
@@ -541,8 +541,8 @@ class TestCorrector:
         assert ms.SolverState(t=1.0, a=a, f=optimum.f).residual(gram) > 1e-5
         a, f, u = _correct(a, optimum.f, gram)
         [record] = caplog.records
-        assert re.fullmatch(r"corrector: stopped at iteration \d+, gradient norm \S+",
-                            record.getMessage())
+        assert re.fullmatch(r"corrector: stopped at iteration \d+, newton steps \d+, "
+                            r"gradient norm \S+", record.getMessage())
         assert int(record.getMessage().split()[4][:-1]) > 1
         assert ms.SolverState(t=1.0, a=a, f=f).residual(gram) <= 1e-14
         assert np.max(np.abs(a - optimum.a)) <= 1e-13
@@ -571,20 +571,32 @@ class TestCorrector:
 
     def test_a_budget_spent_below_the_certificates_bound_is_accepted(self, caplog,
                                                                       monkeypatch):
-        # 12 iterations take the near-dependent m = 3 input below _GTOL but not
-        # down to the gradient's rounding, which it reaches at iteration 21
+        # 12 fixed-point iterations take the near-dependent m = 3 input below
+        # _GTOL but not down to the gradient's rounding, which they reach at
+        # iteration 21.  The Newton step takes it from 1.1e-8 to 7.7e-17 at
+        # once, so it is switched off to reach a budget spent between the two
         caplog.set_level(logging.DEBUG, logger="medsolve.homotopy")
         monkeypatch.setattr(homotopy.ascent, "MAX_ITER", 12)
+        monkeypatch.setattr(homotopy.ascent, "_newton_step", lambda r, u: None)
         report = solve_direct(TestRk4Drag._near_dependent_m3(), steps=200, h=5e-3, polish=True)
         assert [r.getMessage().split(",")[0] for r in caplog.records
                 if r.levelno == logging.DEBUG] == ["corrector: stopped at iteration 12"]
         assert report.certificate.status == "optimal"
 
     @pytest.mark.slow
-    def test_every_near_dependent_probe_draw_certifies(self):
+    def test_every_near_dependent_probe_draw_certifies(self, monkeypatch):
         # m uniform in 2..8, real or complex by a coin, min eig G = 10^-k with k
         # uniform in [1, 7.5], the other eigenvalues uniform in [0.1, 1] and
         # rescaled to trace 1, Haar eigenvectors
+        newton = []
+
+        def finish(r, u):
+            out = real_finish(r, u)
+            newton.append(out[2])
+            return out
+
+        real_finish = homotopy.ascent.finish
+        monkeypatch.setattr(homotopy.ascent, "finish", finish)
         rng = np.random.default_rng(2026)
         seen = set()
         for draw in range(30):
@@ -596,6 +608,7 @@ class TestCorrector:
             gram = ms.GramMatrix(hermitize((v * lam) @ v.conj().T))
             report = solve_direct(gram, steps=200, h=5e-3, polish=True)
             assert report.certificate.status == "optimal", f"draw {draw}"
+            assert len(newton) == draw + 1 and newton[-1] <= 10, f"draw {draw}"
             seen.add((m, real))
         assert {m for m, _ in seen} == set(range(2, 9)) and len(seen) >= 10
 
@@ -610,9 +623,9 @@ class TestCorrector:
 
 
 class TestLapackKernels:
-    """The drag calls numpy's LAPACK gufuncs without np.linalg's wrapper: they must
-    exist and give the wrapper's results bit for bit, else a numpy upgrade changes
-    the drag's output or breaks it."""
+    """The drag and the polar factor call numpy's LAPACK gufuncs without
+    np.linalg's wrapper: they must exist and give the wrapper's results bit for
+    bit, else a numpy upgrade changes the drag's output or breaks it."""
 
     @staticmethod
     def _same(x, y):
@@ -631,6 +644,18 @@ class TestLapackKernels:
         assert self._same(lam, want.eigenvalues) and self._same(v, want.eigenvectors)
         assert lam.dtype == np.float64 and v.dtype == z.dtype
         assert self._same(homotopy._umath_linalg.inv(z), np.linalg.inv(z))
+        for mat in (z, np.stack([z, 2.0 * z.T, herm])):
+            u, _, vh = np.linalg.svd(mat)
+            assert self._same(polar_unitary(mat), u @ vh)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_polar_factor_of_a_nan_matrix_raises_numpys_linalg_error(self, real):
+        # the gufunc flags the failed SVD as an invalid operation and returns NaN
+        mat = np.eye(3) if real else np.eye(3, dtype=complex)
+        mat[1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            with pytest.warns(RuntimeWarning, match="invalid value encountered in svd_f"):
+                polar_unitary(np.stack([np.eye(3), mat]))
 
     @pytest.mark.parametrize("m", [2, 3, 8])
     def test_singular_schur_raises_without_a_warning(self, m):

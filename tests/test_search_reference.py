@@ -167,7 +167,7 @@ def test_a_complex_search_is_the_complex_ascent_bitwise(m):
         r = gram.scaled_states
         u, iterations, _ = _stacked_lanes(r, seed=k, restarts=20, gtol=1e-7)
         best = int(np.argmax(success(r, u)))
-        u_best, stopped_at, grad_norm = finish(r, u[best])
+        u_best, stopped_at, _, grad_norm = finish(r, u[best])
         assert found.p_success.hex() == float(success(r, u_best)).hex()
         assert found.povm.vectors.tobytes() == u_best.tobytes()
         assert found.convergence.iterations == iterations[best] + stopped_at - 1

@@ -18,6 +18,11 @@ process imports ``medsolve`` from its tree and measures:
 - one ``search_optimum(gram, seed=0)`` for m = 2, 3 and 4 in real and complex
   arithmetic on ``raw_gram(random_ensemble(m, 90 + m, 0.6))``, the best of
   5, in ms;
+- the corrector of a polished drag, ``homotopy._correct``, from the raw end
+  of the unpolished 200-step drag from I/m to a seeded near-dependent Gram
+  matrix (smallest eigenvalue 1e-6, the others uniform in [0.1, 1] and
+  rescaled to trace 1, eigenvectors ``haar_unitary(default_rng(80 + m), m)``)
+  for m = 3 and 8 in real and complex arithmetic, the best of 5, in ms;
 - the verification layers at m = 3 on the certify input of
   ``random_ensemble(3, 93, 0.6)``'s polished optimum, held in memory as the
   CLI reads it from its JSON file: the real ensemble (arithmetic ``real``)
@@ -30,8 +35,9 @@ The table gives, per row, the best and the median over the rounds of each
 process's time, for REV and for this checkout, and their ratios (below 1 is
 faster here).  The median shows how far the best alone can be trusted: fresh
 processes of one tree differ by several percent.  Both trees must provide
-``_rate(a, f, g, gdot, t)``, the public ``rk4_drag``, ``search_optimum``,
-``certify_povm`` and ``geometric_audit``, and the ``serialize`` functions named here.
+``_rate(a, f, g, gdot, t)``, ``_integrate`` and ``_correct(a, f, gram)``, the
+public ``rk4_drag``, ``search_optimum``, ``certify_povm`` and
+``geometric_audit``, and the ``serialize`` functions named here.
 """
 
 from __future__ import annotations
@@ -50,8 +56,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-DIMENSIONS, SEARCH_DIMENSIONS = (2, 5, 8), (2, 3, 4)
+DIMENSIONS, SEARCH_DIMENSIONS, FINISH_DIMENSIONS = (2, 5, 8), (2, 3, 4), (3, 8)
 ROUNDS, RATE_CALLS, RATE_REPEATS, DRAG_REPEATS, SEARCH_REPEATS = 5, 2000, 5, 3, 5
+FINISH_REPEATS, FINISH_MIN_EIG = 5, 1e-6
 VERIFY_CALLS, VERIFY_REPEATS = 2000, 5
 STEPS, H = 200, 5e-3
 
@@ -61,6 +68,7 @@ def measure(src: Path) -> dict[str, float]:
     sys.path.insert(0, str(src))
     import medsolve as ms
     from medsolve import homotopy, serialize
+    from medsolve.linalg import haar_unitary, hermitize
 
     if Path(ms.__file__).resolve().parent != (src / "medsolve").resolve():
         raise SystemExit(f"imported {ms.__file__}, not the tree under {src}")
@@ -101,6 +109,22 @@ def measure(src: Path) -> dict[str, float]:
                 ms.search_optimum(gram, seed=0)
                 best = min(best, time.perf_counter() - began)
             out[f"search_optimum ms|{m}|{'real' if real else 'complex'}"] = 1e3 * best
+    for m in FINISH_DIMENSIONS:
+        for real in (True, False):
+            rng = np.random.default_rng(80 + m)
+            lam = np.concatenate(([FINISH_MIN_EIG], rng.uniform(0.1, 1.0, m - 1)))
+            lam[1:] *= (1.0 - lam[0]) / lam[1:].sum()
+            v = haar_unitary(rng, m, real)
+            path = ms.Trajectory(ms.GramMatrix(np.eye(m) / m),
+                                 ms.GramMatrix(hermitize((v * lam) @ v.conj().T)))
+            start = ms.initial_state(m)
+            a, f = homotopy._integrate(path, start.a, start.f, STEPS, H, polish=False)[:2]
+            best = np.inf
+            for _ in range(FINISH_REPEATS):
+                began = time.perf_counter()
+                homotopy._correct(a, f, path.g_end)
+                best = min(best, time.perf_counter() - began)
+            out[f"finish ms|{m}|{'real' if real else 'complex'}"] = 1e3 * best
     for real in (True, False):
         ensemble = ms.random_ensemble(3, 93, 0.6, real=real)
         gram = ms.raw_gram(ensemble)
