@@ -114,50 +114,6 @@ def _grad_norm(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.abs(_generator(u, b)) ** 2, axis=(-2, -1)))
 
 
-def ascend(
-    r: np.ndarray, u0: np.ndarray, gtol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-point ascent of P from every unitary of the stack ``u0`` at once.
-
-    Each lane stops when its gradient norm falls below ``gtol``, when a step
-    fails to lower a norm already below TOL_STAT / (2 sqrt 2), or after
-    MAX_ITER steps, and stopped lanes leave the stack.  The second test ends
-    a lane at the rounding of the step itself: U is a polar factor computed
-    in floating point, so the step has fixed points of its own near the
-    optimum, whose gradient norm may exceed ``gradient_noise``.  Returns
-    each lane's final unitary, in the arithmetic of R and ``u0`` together,
-    the iteration it stopped at (1 for the start, MAX_ITER when the budget
-    ran out) and the gradient norm at that unitary.
-
-    Every lane's arithmetic is its own, whatever else the stack holds, so a
-    lane takes bit for bit the same iterates alone as beside other lanes.
-    """
-    u_out = u0.astype(np.result_type(r, u0))
-    iters_out = np.full(u0.shape[0], MAX_ITER)
-    grad_out = np.empty(u0.shape[0])
-    lanes = np.arange(u0.shape[0])  # index in u0 of each running lane
-    u = u0
-    rh = r.conj().T
-    prev = np.full(u0.shape[0], np.inf)  # each running lane's last gradient norm
-    for it in range(1, MAX_ITER + 2):
-        b = rh * np.einsum("ij,kji->ki", r, u)[:, None, :]  # R^dag diag(w)
-        grad_norm = _grad_norm(u, b)
-        # past the budget the running lanes stop at their last iterate
-        done = (grad_norm < gtol) | ((grad_norm <= _GTOL) & (grad_norm >= prev)) | (it > MAX_ITER)
-        if done.any():
-            stopped = lanes[done]
-            u_out[stopped] = u[done]
-            iters_out[stopped] = min(it, MAX_ITER)
-            grad_out[stopped] = grad_norm[done]
-            keep = ~done
-            if not keep.any():
-                break
-            lanes, u, b, grad_norm = lanes[keep], u[keep], b[keep], grad_norm[keep]
-        prev = grad_norm
-        u = polar_unitary(b)
-    return u_out, iters_out, grad_out
-
-
 @functools.lru_cache(maxsize=None)
 def _directions(m: int, cplx: bool) -> tuple:
     """The Newton step's basis at dimension m and its gather table.
@@ -281,11 +237,15 @@ def _iterates(r: np.ndarray, u: np.ndarray):
 def finish(r: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int, int, float]:
     """The corrector: ascend the one unitary ``u`` by the steps of ``_iterates``
     until its gradient norm is down to rounding, ``gradient_noise(m)``, a step
-    fails to lower a norm already below TOL_STAT / (2 sqrt 2) (as in
-    ``ascend``), or MAX_ITER steps.  Returns the final unitary, the iteration
-    it stopped at, the Newton steps among the steps taken and its gradient
-    norm; NoConvergence if that norm is above TOL_STAT / (2 sqrt 2), where the
-    certificate's stationarity residual may exceed TOL_STAT / 2."""
+    fails to lower a norm already below TOL_STAT / (2 sqrt 2), or MAX_ITER
+    steps.  The second test ends the finish at the rounding of the step
+    itself: U is a polar factor computed in floating point, so the step has
+    fixed points of its own near the optimum, whose gradient norm may exceed
+    ``gradient_noise``.  Returns the final unitary, the iteration it stopped
+    at (1 for the start, MAX_ITER when the budget ran out), the Newton steps
+    among the steps taken and its gradient norm; NoConvergence if that norm
+    is above TOL_STAT / (2 sqrt 2), where the certificate's stationarity
+    residual may exceed TOL_STAT / 2."""
     gtol, prev = gradient_noise(r.shape[0]), np.inf
     for it, (u, grad, newton) in enumerate(_iterates(r, u), 1):
         if grad < gtol or prev <= grad <= _GTOL or it > MAX_ITER:

@@ -1,11 +1,13 @@
 """Ground-truth solvers used to cross-check the main pipeline.
 
 The closed-form two-state optimum, and direct maximization of the success
-probability by the fixed-point ascent from random starts (restricted to small
-dimensions, where exhaustive restarts are cheap).  Neither shares code with
-the drag's integrator, but the search runs the ascent and the corrector of
-``medsolve.ascent``, which also correct a polished drag's end: it checks the
-drag's path, not the corrector.
+probability by the ascent of ``medsolve.ascent`` from one seeded random start
+(restricted to m <= 4, where the start's sufficiency is checked).  Every
+stationary point of P other than the global optimum is a saddle, so an
+ascent from a random start leaves it and one start is enough.  Neither
+shares code with the drag's integrator, but the search runs the corrector of
+a polished drag, ``ascent.finish``: it checks the drag's path, not the
+corrector.
 """
 
 from __future__ import annotations
@@ -14,16 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascent import ascend, finish, success
+from .ascent import finish, success
 from .gram import GramMatrix
 from .linalg import polar_unitary
 from .measurement import FRAME_AMBIENT, Povm, povm_from_unitary
-
-#: random starts of the direct search, and the gradient norm that ends their
-#: ascent (each has the ascent's budget of MAX_ITER iterations)
-_RESTARTS = 20
-_GTOL = 1e-7
-
 
 @dataclass(frozen=True)
 class SearchStats:
@@ -69,39 +65,42 @@ def helstrom(p1: float, p2: float, overlap: complex) -> OracleResult:
 def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
     """Maximize sum_i |(G^{1/2} U)_{ii}|^2 over unitary U directly.
 
-    The fixed-point ascent of ``medsolve.ascent``.  _RESTARTS random starts
-    guard against the non-global stationary points; they advance together
-    as one stack of unitaries, each with its own MAX_ITER iterations and
-    stopping test at a gradient norm of _GTOL (batching them changes nothing),
-    and the best value wins (the first one on ties).  ``ascent.finish`` then
-    takes that lane's gradient norm down to rounding, by Newton steps where
-    the fixed-point step crawls, so the measurement is
-    certified stationary at TOL_STAT; NoConvergence if it stops where the
-    certificate's residual may exceed TOL_STAT / 2.  ``convergence`` counts
-    the lane's iterations and the finish's steps, and gives the final
+    ``ascent.finish`` runs from one Haar-random unitary, the polar factor of
+    a seeded complex Gaussian matrix, until the gradient norm is down to
+    rounding, so the measurement is certified stationary at TOL_STAT;
+    NoConvergence if it stops where the certificate's residual may exceed
+    TOL_STAT / 2.  One start suffices because the global optimum is the only
+    local maximum of P: at every other stationary point the Hessian has an
+    ascent direction and U^dag R^dag diag(w) is indefinite, so the
+    fixed-point step leaves it (the ``ascent`` module docstring), and the
+    finish leaves a perturbed saddle for the global optimum.  The finish
+    stops before its first step where the gradient norm is already down to
+    rounding, so a start lying exactly on a stationary point would be
+    returned as it is; a seeded Haar draw lands there with probability
+    zero.  The saddle property is checked
+    by enumeration at m = 3 (``classify_landscape``) and by the closed form
+    at m = 2, and the one start against twenty sequential restarts at
+    m <= 4, so the search is restricted to m <= 4.  ``convergence`` counts
+    the finish's iterations (the start counts as 1) and gives the final
     gradient norm.  A G whose imaginary part is exactly zero has a real
     optimum up to column phases, so it is searched over the orthogonal group
-    in real arithmetic, from the real parts of the same seeded draws.
-    Deterministic in ``seed`` (>= 0); restricted to m <= 4 where restarts
-    are cheap.
+    in real arithmetic, from the real part of the same seeded draw.
+    Deterministic in ``seed`` (>= 0).
     """
     m = gram.m
     if m > 4:
-        raise ValueError("direct search is cost-guarded to m <= 4")
+        raise ValueError("direct search is restricted to m <= 4, where one start is checked")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     r = gram.scaled_states
-    z = np.random.default_rng(seed).normal(size=(_RESTARTS, 2, m, m))
+    z = np.random.default_rng(seed).normal(size=(2, m, m))
     if gram.entries.imag.any():
-        u0 = polar_unitary(z[:, 0] + 1j * z[:, 1])
+        u0 = polar_unitary(z[0] + 1j * z[1])
     else:
         # conjugation maps an optimum of a real G to an optimum, and the
         # optimum is unique up to column phases, so it is real up to them:
-        # the ascent searches O(m) in real arithmetic from real starts
-        r, u0 = r.real.copy(), polar_unitary(z[:, 0])
-    u, iterations, _ = ascend(r, u0, _GTOL)
-    best = int(np.argmax(success(r, u)))
-    u_best, stopped_at, _, grad_norm = finish(r, u[best])
-    stats = SearchStats(iterations=int(iterations[best]) + stopped_at - 1, grad_norm=grad_norm)
-    return OracleResult(p_success=float(success(r, u_best)), povm=povm_from_unitary(gram, u_best),
-                        method="search", convergence=stats)
+        # the ascent searches O(m) in real arithmetic from a real start
+        r, u0 = r.real.copy(), polar_unitary(z[0])
+    u, iterations, _, grad_norm = finish(r, u0)
+    return OracleResult(p_success=float(success(r, u)), povm=povm_from_unitary(gram, u),
+                        method="search", convergence=SearchStats(iterations, grad_norm))

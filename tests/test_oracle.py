@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import medsolve as ms
-from medsolve import ascent, oracle
+from medsolve import ascent
 from conftest import helstrom_angle_scan, identity_gram, random_gram
 
 
@@ -93,7 +93,6 @@ class TestSearchOptimum:
             assert abs(closed - searched) < 1e-7, f"seed {seed}"
 
     def test_exhausted_budget_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_RESTARTS", 1)
         monkeypatch.setattr(ascent, "MAX_ITER", 1)
         with pytest.raises(ms.NoConvergence, match="^corrector stopped at iteration 1 "):
             ms.search_optimum(random_gram(3, seed=620), seed=0)

@@ -5,7 +5,7 @@ Barnum & Knill, J. Math. Phys. 43, 2097 (2002): the pretty good measurement
 P_PGM <= P <= sqrt(P_PGM).  P_PGM is computed here from its own eigh of G,
 O(m^3) and shared with neither the direct search nor the drag.  The bracket
 is tight at the orthogonal ensemble, where P = P_PGM = 1.  The polished drag
-is checked at m = 2..8; the direct search, whose restarts cost the most, at
+is checked at m = 2..8; the direct search, restricted to m <= 4, at
 m <= 4.
 """
 

@@ -7,7 +7,7 @@ tree with ``git archive REV src | tar -x``, writes one set of inputs with
 ``perfbench/inputs.py`` and runs the same list of CLI operations on both
 trees, each tree in its own Python process that imports ``medsolve`` from
 that tree and calls ``medsolve.cli.main`` (or, for a search, the API) in
-process.  The 276 operations (252 CLI calls and 24 searches):
+process.  The 278 operations (252 CLI calls and 26 searches):
 
 - ``solve`` on the batch-small inputs of seeds 0 and 1, with the benchmark's
   flags ``--steps 200 --h 5e-3 --polish`` and with the same flags without
@@ -26,8 +26,9 @@ process.  The 276 operations (252 CLI calls and 24 searches):
   fail per input with exit 64;
 - ``generate``;
 - ``search_optimum(gram, seed=k)`` through the API on the Gram matrices of the
-  verify-m3 inputs of seed 0 and of six seeded m = 2 and six m = 4 problems
-  (half real), k the index of the problem in that list; each writes
+  verify-m3 inputs of seed 0, of six seeded m = 2 and six m = 4 problems
+  (half real) and of one real and one complex near-dependent m = 4 problem
+  (least eigenvalue 1e-6), k the index of the problem in that list; each writes
   ``search.json`` with ``p_success``, the convergence's ``iterations`` and
   ``grad_norm`` and the measurement's ``vectors_re`` and ``vectors_im``.
 
@@ -147,11 +148,30 @@ def operations(work: Path) -> list[tuple[str, list[str]]]:
                                        SEARCH_SPREAD, real=real, schema="gram")
                            for m in SEARCH_M for real in (True, False)
                            for k in range(SEARCH_PER_ARITH)]
-    for k, p in enumerate(searched):
-        path = work / f"{p.name}-gram.npy"
-        np.save(path, p.gram())
-        ops.append((f"{p.name}-search", [SEARCH, str(path), str(k)]))
+    searched = [(p.name, p.gram()) for p in searched] + _near_dependent_search_grams()
+    for k, (name, gram) in enumerate(searched):
+        path = work / f"{name}-gram.npy"
+        np.save(path, gram)
+        ops.append((f"{name}-search", [SEARCH, str(path), str(k)]))
     return ops
+
+
+def _near_dependent_search_grams() -> list[tuple[str, np.ndarray]]:
+    """(name, G) of one real and one complex m = 4 search problem with least
+    eigenvalue 1e-6, drawn as the near-dependence probe draws them: the other
+    eigenvalues uniform in [0.1, 1], scaled to trace 1, Haar eigenvectors."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from medsolve.linalg import haar_unitary, hermitize
+
+    rng = np.random.default_rng(4)
+    grams = []
+    for real in (True, False):
+        lam = np.concatenate(([1e-6], rng.uniform(0.1, 1.0, 3)))
+        lam[1:] *= (1.0 - lam[0]) / lam[1:].sum()
+        v = haar_unitary(rng, 4, real)
+        grams.append((f"near-dependent-m4-{'real' if real else 'complex'}",
+                      hermitize((v * lam) @ v.conj().T)))
+    return grams
 
 
 def _search(ms, target: Path, path: str, seed: str) -> None:
