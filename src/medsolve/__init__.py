@@ -23,7 +23,6 @@ from .exceptions import (
     MedError,
     NearLinearDependence,
     NoConvergence,
-    NotCertified,
     NotUnitary,
     PositivityLost,
     ResidualTooLarge,
@@ -65,7 +64,6 @@ __all__ = [
     "MedError",
     "NearLinearDependence",
     "NoConvergence",
-    "NotCertified",
     "NotUnitary",
     "OracleResult",
     "PositivityLost",

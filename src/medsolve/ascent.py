@@ -221,7 +221,7 @@ def _iterates(r: np.ndarray, u: np.ndarray):
         b = rh * w  # R^dag diag(w)
         grad = _grad_norm(u, b)
         yield u, grad, newton
-        rate = grad / prev  # 0 at the start
+        rate = grad / prev if prev > 0.0 else 0.0  # 0 at the start and after a norm of 0
         # steps left at that rate: log(gtol / grad) / log(rate), both logs negative
         if newton_last or rate >= 1.0 or (
                 rate > 0.0 and math.log(gtol / grad) < price * math.log(rate)):

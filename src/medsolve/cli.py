@@ -18,6 +18,7 @@ at its own MED_LOG to the stderr current at the time, and leaves the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import logging
 import os
@@ -92,6 +93,17 @@ def _read_input(path: Path, parse):
         raise _CliFailure(EXIT_DATA, f"{path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _numerical(stage: str):
+    """Map a MedError or numpy's LinAlgError raised on a parsed input to exit 3
+    with ``<stage> failed: <message>``: a numerical failure, not bad data."""
+    try:
+        yield
+    except (MedError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError, but it is a numerical failure, not a bad value
+        raise _CliFailure(EXIT_FAILED, f"{stage} failed: {exc}") from exc
+
+
 def _load_problem(path: Path) -> GramMatrix | Ensemble:
     """Read a Gram-or-ensemble JSON file."""
     return _read_input(path, lambda data: load_gram_or_ensemble(data, context=str(path)))
@@ -148,19 +160,17 @@ def _solve_one(
     gram = _as_gram(problem)
     report_path = out / f"{stem}-report.json"
     try:
-        report = rk4_drag(Trajectory(GramMatrix(np.eye(gram.m) / gram.m), gram),
-                          steps=args.steps, h=args.h, polish=args.polish)
-        povm = report.final_povm
-        if isinstance(problem, Ensemble):
-            # the dual frame vectors of the report are the U the drag certified
-            povm = povm_from_unitary(gram, povm.vectors, ensemble=problem)
-        report = replace(report, final_povm=povm,
-                         certificate=_judged(report.certificate, args))
-        _write_output(report_path, write_json, run_report_to_dict(report))
-        _write_output(out / f"{stem}-trace.csv", write_trace_csv, report.trace)
-    except (MedError, np.linalg.LinAlgError) as exc:
-        # LinAlgError is a ValueError, but it is a numerical failure, not a bad argument
-        raise _CliFailure(EXIT_FAILED, f"solver failed: {exc}") from exc
+        with _numerical("solver"):
+            report = rk4_drag(Trajectory(GramMatrix(np.eye(gram.m) / gram.m), gram),
+                              steps=args.steps, h=args.h, polish=args.polish)
+            povm = report.final_povm
+            if isinstance(problem, Ensemble):
+                # the dual frame vectors of the report are the U the drag certified
+                povm = povm_from_unitary(gram, povm.vectors, ensemble=problem)
+            report = replace(report, final_povm=povm,
+                             certificate=_judged(report.certificate, args))
+            _write_output(report_path, write_json, run_report_to_dict(report))
+            _write_output(out / f"{stem}-trace.csv", write_trace_csv, report.trace)
     except (ValueError, MemoryError) as exc:
         # the drag rejects --steps/--h it cannot run, and a --steps whose
         # trace cannot be allocated
@@ -221,11 +231,8 @@ def _load_certify_input(path: Path):
 
 def cmd_certify(args) -> int:
     problem, povm = _load_certify_input(Path(args.input))
-    try:
+    with _numerical("certification"):
         cert = _judged(certify_povm(problem, povm), args)
-    except np.linalg.LinAlgError as exc:
-        # a numerical failure, as in solve
-        raise _CliFailure(EXIT_FAILED, f"certification failed: {exc}") from exc
     out = _out_dir(args)
     cert_path = out / f"{Path(args.input).stem}-certificate.json"
     _write_output(cert_path, write_json, certificate_to_dict(cert))
@@ -237,11 +244,10 @@ def cmd_enumerate(args) -> int:
     problem = _load_problem(Path(args.input))
     gram = _as_gram(problem)
     try:
-        summary = classify_landscape(gram, seed=args.seed)
-    except (MedError, ValueError) as exc:
-        # LinAlgError is a ValueError, but it is a numerical failure, as in solve
-        code = EXIT_FAILED if isinstance(exc, np.linalg.LinAlgError) else EXIT_DATA
-        raise _CliFailure(code, f"enumeration failed: {exc}") from exc
+        with _numerical("enumeration"):
+            summary = classify_landscape(gram, seed=args.seed)
+    except ValueError as exc:
+        raise _CliFailure(EXIT_DATA, f"enumeration failed: {exc}") from exc
     summary = replace(summary, certificates=[
         None if cert is None else _judged(cert, args) for cert in summary.certificates
     ])
@@ -256,10 +262,8 @@ def cmd_enumerate(args) -> int:
 def cmd_audit(args) -> int:
     problem, povm = _load_certify_input(Path(args.input))
     try:
-        report = geometric_audit(problem, povm)
-    except np.linalg.LinAlgError as exc:
-        # a numerical failure, as in solve
-        raise _CliFailure(EXIT_FAILED, f"audit failed: {exc}") from exc
+        with _numerical("audit"):
+            report = geometric_audit(problem, povm)
     except ValueError as exc:
         raise _CliFailure(EXIT_DATA, f"audit failed to run: {exc}") from exc
     out = _out_dir(args)

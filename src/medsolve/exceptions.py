@@ -27,11 +27,6 @@ class PositivityLost(MedError):
     cannot happen on a trajectory of valid Gram matrices; fatal diagnostic."""
 
 
-class NotCertified(MedError):
-    """A starting state handed to a continuation segment is not a certified
-    solution at its starting Gram matrix."""
-
-
 class NoConvergence(MedError):
     """An iterative search exhausted its budget without converging."""
 

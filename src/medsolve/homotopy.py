@@ -67,7 +67,7 @@ from numpy.linalg import _umath_linalg
 from . import ascent
 from .certify import (RESIDUAL_GATE, Certificate, certify_gram, certify_povm, factor_residual,
                       hermitian_factor)
-from .exceptions import NearLinearDependence, NotCertified, PositivityLost, SingularJacobian
+from .exceptions import NearLinearDependence, PositivityLost, ResidualTooLarge, SingularJacobian
 from .gram import GramMatrix
 from .linalg import polar_unitary, read_only
 from .measurement import Povm
@@ -308,9 +308,10 @@ def rk4_drag(
     """Integrate the implicit system from t=0 to t=1 with fixed-step RK4.
 
     The start ``initial`` (default ``initial_state(m)``, the solution at I/m)
-    must solve ``trajectory.g_start``: the same dimension and HS norm of
-    F^2 - D G D at most RESIDUAL_GATE there, else NotCertified is raised
-    before the first step.  Passing an earlier run's ``final_state`` chains
+    must solve ``trajectory.g_start``, checked before the first step: a start
+    of another dimension raises ValueError, and one whose HS norm of
+    F^2 - D G D there exceeds RESIDUAL_GATE raises ResidualTooLarge, as an end
+    that misses the gate does.  Passing an earlier run's ``final_state`` chains
     segments; by uniqueness of the optimum the result is independent of the
     path taken through admissible matrices.
 
@@ -350,11 +351,11 @@ def rk4_drag(
     m = trajectory.m
     start = initial_state(m) if initial is None else initial
     if start.m != m:
-        raise NotCertified(f"starting state has dimension {start.m}, g_start has {m}")
+        raise ValueError(f"starting state has dimension {start.m}, g_start has {m}")
     resid = start.residual(trajectory.g_start)
     if not resid <= RESIDUAL_GATE:
-        raise NotCertified(f"starting state is not a solution at g_start: F^2 - DGD has HS "
-                           f"norm {resid:.3e} (gate {RESIDUAL_GATE:.1e})")
+        raise ResidualTooLarge(f"starting state is not a solution at g_start: F^2 - DGD has "
+                               f"HS norm {resid:.3e} (gate {RESIDUAL_GATE:.1e})")
     a, f, trace, u = _integrate(trajectory, start.a, start.f, steps, h, polish)
 
     final = SolverState(t=1.0, a=a, f=f)

@@ -224,6 +224,17 @@ def test_p_never_falls_along_the_correctors_iterates(monkeypatch):
         assert steps > 0 and (newton > 0) == newton_on, (newton_on, steps, newton)
 
 
+def test_the_iterates_go_on_past_a_gradient_norm_of_exactly_zero():
+    # at a diagonal R, U = I is stationary with a gradient norm of exactly 0;
+    # the step after it forms no rate from that norm (under the suite's
+    # error::RuntimeWarning, 0 / 0 would raise)
+    r = ms.GramMatrix(np.diag([0.5, 0.3, 0.2])).scaled_states.real
+    iterates = list(itertools.islice(ascent._iterates(r, np.eye(3)), 4))
+    assert [grad for _, grad, _ in iterates] == [0.0] * 4
+    for u, _, _ in iterates:
+        np.testing.assert_allclose(u, np.eye(3), atol=1e-15)
+
+
 def _expm_skew(xi):
     """exp(Xi) of a skew-hermitian Xi, from the eigenvectors of the hermitian i Xi."""
     lam, v = np.linalg.eigh(1j * xi)

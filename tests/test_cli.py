@@ -392,11 +392,11 @@ class TestCertify:
         assert cert["status"] == "optimal"
 
     def test_escaping_toolkit_error_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
-        # no per-command mapping catches it: main's net does
+        # raised after the certification's failure mapping: main's net catches it
         def broken(*args, **kwargs):
             raise ms.NotUnitary("basis is not orthonormal (residual 1.0e-03)")
 
-        monkeypatch.setattr(cli, "certify_povm", broken)
+        monkeypatch.setattr(cli, "certificate_to_dict", broken)
         ens = ms.Ensemble(np.eye(3), np.full(3, 1 / 3))
         inp = certify_payload(tmp_path / "ok.json", ens, ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))
         assert main(["certify", inp, "--out", str(tmp_path)]) == 3
@@ -700,6 +700,32 @@ class TestUsage:
     def test_unknown_flag_exits_64(self, capsys):
         assert main(["solve", "--no-such-flag"]) == 64
 
+    @pytest.mark.parametrize("command, computation, stage", [
+        ("solve", "rk4_drag", "solver"),
+        ("certify", "certify_povm", "certification"),
+        ("enumerate", "classify_landscape", "enumeration"),
+        ("audit", "geometric_audit", "audit"),
+    ])
+    def test_factor_missing_the_gate_exits_3_from_every_command(self, tmp_path, capsys,
+                                                                monkeypatch, command,
+                                                                computation, stage):
+        # one mapping for a numerical failure on a parsed input: exit 3, never
+        # 65 (invalid data), and no output file
+        def broken(*args, **kwargs):
+            raise ms.ResidualTooLarge("F^2 - DGD has HS norm 2.011e-06 (gate 1.0e-08)")
+
+        monkeypatch.setattr(cli, computation, broken)
+        gram = random_gram(3, seed=6, spread=0.9, real=True)
+        path = tmp_path / "in.json"
+        serialize.write_json(path, serialize.gram_to_dict(gram) if command in ("solve", "enumerate")
+                             else {"ensemble": serialize.gram_to_dict(gram),
+                                   "povm": serialize.povm_to_dict(ms.Povm(np.eye(3)))})
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"{stage} failed: F^2 - DGD has HS norm 2.011e-06 (gate 1.0e-08)\n")
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("flag", ["--tol-stat", "--tol-glb"])
     @pytest.mark.parametrize("argv", [["audit", "in.json"], ["generate", "--m", "2", "--seed", "1"]])
     def test_tolerance_flags_are_rejected_where_unused(self, tmp_path, capsys, argv, flag):
@@ -822,7 +848,7 @@ class TestRepeatedCalls:
 
         ens = ms.Ensemble(np.eye(3), np.full(3, 1 / 3))
         inp = certify_payload(tmp_path / "ok.json", ens, ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))
-        monkeypatch.setattr(cli, "certify_povm", broken)
+        monkeypatch.setattr(cli, "certificate_to_dict", broken)
         monkeypatch.setenv("MED_LOG", "debug")
         calls = [
             (["generate", "--m", "2", "--seed", "3", "--out", str(tmp_path)], 0),  # success

@@ -413,7 +413,7 @@ class TestDragBetween:
     def test_uncertified_start_is_rejected(self, rate_calls):
         g_a = random_gram(3, seed=96, spread=0.4)
         g_b = random_gram(3, seed=97, spread=0.7)
-        with pytest.raises(ms.NotCertified, match="not a solution at g_start"):
+        with pytest.raises(ms.ResidualTooLarge, match="not a solution at g_start"):
             ms.rk4_drag(ms.Trajectory(g_a, g_b), steps=100, h=1e-2, initial=ms.initial_state(3))
         assert rate_calls == []
 
@@ -423,12 +423,12 @@ class TestDragBetween:
         # in PositivityLost at t = 0.615 and the polished one certifies by luck
         g_a = ms.raw_gram(ms.random_ensemble(4, 1, 0.5))
         g_b = ms.raw_gram(ms.random_ensemble(4, 2, 0.5))
-        with pytest.raises(ms.NotCertified, match="not a solution at g_start"):
+        with pytest.raises(ms.ResidualTooLarge, match="not a solution at g_start"):
             ms.rk4_drag(ms.Trajectory(g_a, g_b), polish=polish)
         assert rate_calls == []
 
     def test_start_of_another_dimension_is_rejected(self, rate_calls):
-        with pytest.raises(ms.NotCertified, match="dimension 3, g_start has 4"):
+        with pytest.raises(ValueError, match="dimension 3, g_start has 4"):
             ms.rk4_drag(ms.Trajectory(identity_gram(4), identity_gram(4)), steps=100, h=1e-2,
                         initial=ms.initial_state(3))
         assert rate_calls == []
@@ -444,7 +444,7 @@ class TestDragBetween:
         trajectory = ms.Trajectory(g_from, random_gram(4, seed=100, spread=0.3))
         for initial in (start, None):
             if ratio > 1.0:
-                with pytest.raises(ms.NotCertified, match="gate 1.0e-08"):
+                with pytest.raises(ms.ResidualTooLarge, match="gate 1.0e-08"):
                     ms.rk4_drag(trajectory, steps=100, h=1e-2, initial=initial)
             else:
                 # accepted: the drag runs (its start error is carried, not certified)

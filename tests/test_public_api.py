@@ -28,7 +28,6 @@ PUBLIC = {
     "MedError",
     "NearLinearDependence",
     "NoConvergence",
-    "NotCertified",
     "NotUnitary",
     "OracleResult",
     "PositivityLost",
@@ -72,7 +71,7 @@ def test_root_namespace_is_all():
 
 
 def test_all_is_the_pinned_surface():
-    assert len(ms.__all__) == len(PUBLIC) == 42
+    assert len(ms.__all__) == len(PUBLIC) == 41
     assert set(ms.__all__) == PUBLIC
 
 
