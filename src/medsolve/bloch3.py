@@ -32,9 +32,13 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .certify import check_tolerance, complements, z_operator
+from .certify import complements, z_operator
 from .gram import Ensemble, GramMatrix
 from .measurement import Povm
+
+#: the audit's tolerance: the bound on each residual, the slack of the two
+#: non-strict dual margins, and the |trace| up to which a matrix is centred
+AUDIT_TOL = 1e-8
 
 
 @lru_cache(maxsize=1)
@@ -67,28 +71,10 @@ def d_tensor() -> np.ndarray:
     return d
 
 
-def to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch coordinates n_k = (sqrt(3)/2) Tr(rho l_k) of a unit-trace
-    hermitian 3x3 matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (3, 3):
-        raise ValueError("expected a 3x3 matrix")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("expected a hermitian matrix")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValueError("expected trace 1")
-    return (np.sqrt(3.0) / 2.0) * np.einsum("kab,ba->k", gell_mann(), rho).real
-
-
 def star(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     """Symmetric bilinear product (n1*n2)_l = sqrt(3) d_jkl n1_j n2_k, row by
     row for stacks of vectors, C-ordered."""
     return np.sqrt(3.0) * np.einsum("jkl,...j,...k->...l", d_tensor(), n1, n2, order="C")
-
-
-def boundary_form(n: np.ndarray) -> float:
-    """The cubic (3 n - 2 n*n).n; equals 1 on the rank-deficient boundary."""
-    return float((3.0 * n - 2.0 * star(n, n)) @ n)
 
 
 @dataclass(frozen=True)
@@ -116,7 +102,7 @@ class AuditReport:
         )
 
 
-def geometric_audit(ensemble: Ensemble | GramMatrix, povm: Povm, tol: float = 1e-8) -> AuditReport:
+def geometric_audit(ensemble: Ensemble | GramMatrix, povm: Povm) -> AuditReport:
     """Check the Bloch-geometry conditions that single out the optimum.
 
     With Z the dual operator of ``ensemble.scaled_states`` (G^{1/2} for a
@@ -136,28 +122,26 @@ def geometric_audit(ensemble: Ensemble | GramMatrix, povm: Povm, tol: float = 1e
     Conditions that every orthonormal basis satisfies (pure outcome
     vectors, sum_i t_i = 0, k0 <= 1, the mirror relations between the
     kappa_i s_i and the p_i n_i) are not checked.  A complement or Z with
-    |trace| <= tol (kappa_i = 0 when Z = p_i rho_i) has no Bloch vector and
-    gets the centre 0, so the report fails with finite entries.  Returns
-    the report whether or not it passed; ``tol`` must be finite and >= 0.
+    |trace| <= AUDIT_TOL (kappa_i = 0 when Z = p_i rho_i) has no Bloch
+    vector and gets the centre 0, so the report fails with finite entries.
+    Returns the report whether or not it passed, judged at ``AUDIT_TOL``.
     """
     if ensemble.m != 3 or povm.m != 3:
         raise ValueError("the geometric audit is defined for three states")
-    check_tolerance("tol", tol)
     z = z_operator(ensemble, povm)
 
     probs = ensemble.probs
     k0 = float(z.trace().real)
     # Z, the three complements and the three outcome projectors, each over its
-    # trace: k0, kappa_i, and 1 for a projector.  Unchecked, since rounding in
-    # a matrix over a small weight can trip the checks of to_bloch; a weight
-    # within tol of 0 leaves nothing to normalize and gives the centre 0, the
-    # maximally mixed state, which misses rank two by 1
+    # trace: k0, kappa_i, and 1 for a projector.  A weight within AUDIT_TOL
+    # of 0 leaves nothing to normalize and gives the centre 0, the maximally
+    # mixed state, which misses rank two by 1
     vectors = povm.vectors
     mats = np.concatenate((z[None], complements(ensemble.scaled_states, z),
                            vectors.T[:, :, None] * vectors.conj().T[:, None, :]))
     weights = np.ones(7)
     weights[0], weights[1:4] = k0, k0 - probs
-    centre = np.abs(weights) <= tol
+    centre = np.abs(weights) <= AUDIT_TOL
     centre[4:] = False
     weights[centre] = 1.0
     # one call per stack; order="C" keeps every row contiguous, so each
@@ -166,7 +150,7 @@ def geometric_audit(ensemble: Ensemble | GramMatrix, povm: Povm, tol: float = 1e
         "kab,nba->nk", gell_mann(), mats / weights[:, None, None], order="C").real
     coords[centre] = 0.0
     k_vec, s_vecs, t_vecs = coords[0], coords[1:4], coords[4:]
-    # boundary_form of k and the s_i, from one stacked n*n
+    # the cubic form (3 n - 2 n*n).n of k and the s_i, from one stacked n*n
     cubic = [float(c @ n) for c, n in
              zip(3.0 * coords[:4] - 2.0 * star(coords[:4], coords[:4]), coords[:4])]
 
@@ -177,8 +161,8 @@ def geometric_audit(ensemble: Ensemble | GramMatrix, povm: Povm, tol: float = 1e
     }
     margins = {
         "sigma_norm_interior": min(1.0 - float(s @ s) for s in s_vecs),
-        "dual_weight_lower": k0 - float(np.maximum.reduce(probs)) + tol,
+        "dual_weight_lower": k0 - float(np.maximum.reduce(probs)) + AUDIT_TOL,
         "dual_norm_interior": 1.0 - float(k_vec @ k_vec),
-        "dual_boundary": 1.0 - cubic[0] + tol,
+        "dual_boundary": 1.0 - cubic[0] + AUDIT_TOL,
     }
-    return AuditReport(k0=k0, residuals=residuals, strict_margins=margins, tol=tol)
+    return AuditReport(k0=k0, residuals=residuals, strict_margins=margins, tol=AUDIT_TOL)

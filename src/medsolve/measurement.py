@@ -59,10 +59,6 @@ class Povm:
     def m(self) -> int:
         return self.vectors.shape[0]
 
-    def projector(self, i: int) -> np.ndarray:
-        v = self.vectors[:, i]
-        return np.outer(v, v.conj())
-
 
 def povm_from_unitary(
     gram: GramMatrix, u: np.ndarray, ensemble: Ensemble | None = None

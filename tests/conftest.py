@@ -7,6 +7,7 @@ from numpy.linalg import _umath_linalg
 
 import medsolve as ms
 from medsolve import linalg
+from medsolve.linalg import haar_unitary, hermitize
 
 
 def identity_gram(m: int) -> ms.GramMatrix:
@@ -47,6 +48,22 @@ def seeded_grams(
         probe += 1
         if np.linalg.eigvalsh(gram.entries)[0] > min_eig:
             grams.append(gram)
+    return grams
+
+
+def probe_grams(seed: int, count: int, m_high: int) -> list[ms.GramMatrix]:
+    """The first ``count`` draws of the near-dependence probe from
+    ``default_rng(seed)``: m uniform in 2..``m_high``, real or complex by a
+    coin, lambda_min(G) = 10^-k with k uniform in [1, 7.5], the other
+    eigenvalues uniform in [0.1, 1] scaled to trace 1, Haar eigenvectors."""
+    rng = np.random.default_rng(seed)
+    grams = []
+    for _ in range(count):
+        m, real = int(rng.integers(2, m_high + 1)), bool(rng.integers(2))
+        lam = np.concatenate(([10.0 ** -rng.uniform(1.0, 7.5)], rng.uniform(0.1, 1.0, m - 1)))
+        lam[1:] *= (1.0 - lam[0]) / lam[1:].sum()
+        v = haar_unitary(rng, m, real)
+        grams.append(ms.GramMatrix(hermitize((v * lam) @ v.conj().T)))
     return grams
 
 

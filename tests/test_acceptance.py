@@ -128,8 +128,8 @@ def test_criterion_6_geometric_audit():
     for seed, gram in enumerate(real_grams + complex_grams):
         rep = solve_direct(gram)
         realization = ms.ensemble_from_gram(gram)
-        audit = ms.geometric_audit(realization, rep.final_povm, tol=1e-8)
-        assert audit.passed
+        audit = ms.geometric_audit(realization, rep.final_povm)
+        assert audit.tol == 1e-8 and audit.passed
         worst = max(worst, max(audit.residuals.values()))
     report(f"PASS 6: 25/25 audits passed, worst identity residual {worst:.2e} < 1e-8")
 

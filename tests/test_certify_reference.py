@@ -34,17 +34,19 @@ def _anti_hermitian_norm(mat):
 
 def _reference_z(ensemble, povm):
     scaled = ensemble.scaled_states
+    v = povm.vectors
     z = np.zeros((ensemble.m, ensemble.m), dtype=complex)
     for i in range(ensemble.m):
         rho_w = np.outer(scaled[:, i], scaled[:, i].conj())
-        z += rho_w @ povm.projector(i)
+        z += rho_w @ np.outer(v[:, i], v[:, i].conj())
     return hermitize(z), _anti_hermitian_norm(z)
 
 
 def _reference_stationarity(ensemble, povm):
     m = ensemble.m
     scaled = ensemble.scaled_states
-    projs = [povm.projector(i) for i in range(m)]
+    v = povm.vectors
+    projs = [np.outer(v[:, i], v[:, i].conj()) for i in range(m)]
     weighted = [np.outer(scaled[:, i], scaled[:, i].conj()) for i in range(m)]
     resid = 0.0
     for j in range(m):

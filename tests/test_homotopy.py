@@ -10,7 +10,8 @@ import pytest
 
 import medsolve as ms
 from medsolve import homotopy, serialize
-from conftest import identity_gram, overlap_gram_m3, random_gram, seeded_grams, solve_direct
+from conftest import (identity_gram, overlap_gram_m3, probe_grams, random_gram, seeded_grams,
+                      solve_direct)
 from medsolve.certify import RESIDUAL_GATE, factor_residual
 from medsolve.homotopy import _correct, _factor, _integrate, _rate, _tangent_solve
 from medsolve.linalg import haar_unitary, hermitize, polar_unitary
@@ -585,9 +586,7 @@ class TestCorrector:
 
     @pytest.mark.slow
     def test_every_near_dependent_probe_draw_certifies(self, monkeypatch):
-        # m uniform in 2..8, real or complex by a coin, min eig G = 10^-k with k
-        # uniform in [1, 7.5], the other eigenvalues uniform in [0.1, 1] and
-        # rescaled to trace 1, Haar eigenvectors
+        # the probe's draws with m up to 8
         newton = []
 
         def finish(r, u):
@@ -597,19 +596,12 @@ class TestCorrector:
 
         real_finish = homotopy.ascent.finish
         monkeypatch.setattr(homotopy.ascent, "finish", finish)
-        rng = np.random.default_rng(2026)
         seen = set()
-        for draw in range(30):
-            m, real = int(rng.integers(2, 9)), bool(rng.integers(2))
-            lam = np.concatenate(([10.0 ** -rng.uniform(1.0, 7.5)],
-                                  rng.uniform(0.1, 1.0, m - 1)))
-            lam[1:] *= (1.0 - lam[0]) / lam[1:].sum()
-            v = haar_unitary(rng, m, real)
-            gram = ms.GramMatrix(hermitize((v * lam) @ v.conj().T))
+        for draw, gram in enumerate(probe_grams(2026, 30, m_high=8)):
             report = solve_direct(gram, steps=200, h=5e-3, polish=True)
             assert report.certificate.status == "optimal", f"draw {draw}"
             assert len(newton) == draw + 1 and newton[-1] <= 10, f"draw {draw}"
-            seen.add((m, real))
+            seen.add((gram.m, not gram.entries.imag.any()))
         assert {m for m, _ in seen} == set(range(2, 9)) and len(seen) >= 10
 
     def test_an_exhausted_budget_raises_no_convergence(self, caplog, monkeypatch):

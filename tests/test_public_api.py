@@ -7,6 +7,7 @@ import argparse
 import ast
 import dataclasses
 import inspect
+import re
 import types
 from pathlib import Path
 
@@ -89,6 +90,60 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
+def _public_definitions(tree: ast.Module):
+    """(qualified name, name) of each public module-level function, class and
+    constant, and of each public method and property of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Every identifier the code reads as a name or an attribute, or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a public name that only the tests use is surface to maintain for
+    # nothing; the root names are pinned by test_all_is_the_pinned_surface
+    root = Path(ms.__file__).resolve().parents[2]
+    package = sorted(Path(ms.__file__).parent.glob("*.py"))
+    readme = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    trees = [ast.parse(path.read_text())
+             for path in (*sorted((root / "src").rglob("*.py")),
+                          *sorted((root / "tools").rglob("*.py")),
+                          *sorted((root / "perfbench").rglob("*.py")))
+             if not path.name.startswith("test_")]
+    used = set().union(*map(_referenced_names, trees + [ast.parse(b) for b in readme]))
+    unused = [
+        f"{path.stem}.{qualified}"
+        for path in package
+        for qualified, name in _public_definitions(ast.parse(path.read_text()))
+        if name not in used and qualified not in ms.__all__
+    ]
+    assert unused == []
+
+
 _SOLVER_FLAGS = {"--out", "--tol-stat", "--tol-glb", "--steps", "--h", "--polish"}
 CLI_OPTIONS = {
     "solve": _SOLVER_FLAGS | {"--batch"},
@@ -112,8 +167,8 @@ def test_cli_options_are_the_pinned_surface():
 
 def test_solver_entry_points_take_the_pinned_parameters():
     params = {f.__name__: list(inspect.signature(f).parameters)
-              for f in (ms.rk4_drag, ms.search_optimum, ms.derivative,
-                        ms.certify_povm, ms.certify_gram, ms.classify_landscape)}
+              for f in (ms.rk4_drag, ms.search_optimum, ms.derivative, ms.certify_povm,
+                        ms.certify_gram, ms.classify_landscape, ms.geometric_audit)}
     assert params == {
         "rk4_drag": ["trajectory", "steps", "h", "polish", "initial"],
         "search_optimum": ["gram", "seed"],
@@ -121,6 +176,7 @@ def test_solver_entry_points_take_the_pinned_parameters():
         "certify_povm": ["ensemble", "povm"],
         "certify_gram": ["gram", "f"],
         "classify_landscape": ["gram", "seed"],
+        "geometric_audit": ["ensemble", "povm"],
     }
 
 

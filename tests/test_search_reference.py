@@ -2,9 +2,10 @@
 
 ``_reference_restarts`` runs twenty restarts one after another, each its own
 fixed-point loop U <- polar(R^dag diag(w)).  The search runs
-``ascent.finish`` from the first of those starts only: every stationary point
-but the global optimum is a saddle, so the one start must reach the best
-restart's value, up to roundoff.  A real Gram matrix is
+``ascent.finish`` from the first of those starts only, one (2, m, m) draw
+from the same seed: every stationary point but the global optimum is a
+saddle, so the one start must reach the best restart's value, up to
+roundoff.  A real Gram matrix is
 searched over the orthogonal group from a real start; the complex restarts
 from the same seed must reach the same value.
 """
@@ -15,10 +16,10 @@ import numpy as np
 import pytest
 
 import medsolve as ms
-from conftest import random_gram, seeded_grams
+from conftest import probe_grams, random_gram, seeded_grams
 from medsolve import ascent
 from medsolve.ascent import finish, success
-from medsolve.linalg import haar_unitary, hermitize, polar_unitary, unitarity_residual
+from medsolve.linalg import polar_unitary, unitarity_residual
 
 _EPS = np.finfo(float).eps
 #: restarts of the reference, as many as the search ran before one start sufficed
@@ -65,19 +66,6 @@ def _best_restart(gram, seed, gtol=1e-7):
     return max(lane[3] for lane in reference)
 
 
-def _near_dependent_grams(count):
-    """The first ``count`` near-dependent probe draws with m <= 4: lambda_min(G) =
-    10^-k, k uniform in [1, 7.5], the other eigenvalues uniform in [0.1, 1]
-    scaled to trace 1, Haar eigenvectors, real or complex by a coin."""
-    rng = np.random.default_rng(2026)
-    for _ in range(count):
-        m, real = int(rng.integers(2, 5)), bool(rng.integers(2))
-        lam = np.concatenate(([10.0 ** -rng.uniform(1.0, 7.5)], rng.uniform(0.1, 1.0, m - 1)))
-        lam[1:] *= (1.0 - lam[0]) / lam[1:].sum()
-        v = haar_unitary(rng, m, real)
-        yield ms.GramMatrix(hermitize((v * lam) @ v.conj().T))
-
-
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("real", [False, True])
 def test_lanes_match_sequential_restarts(m, real):
@@ -95,7 +83,7 @@ def test_one_start_reaches_the_best_restart_on_near_dependent_draws():
     # the fixed-point step crawls where P is weakly curved (up to 113 steps
     # per restart here), but the restarts' value at a gradient norm of 1e-7
     # is still within 3e-13 of the optimum
-    grams = list(_near_dependent_grams(16))
+    grams = probe_grams(2026, 16, m_high=4)
     assert {g.m for g in grams} == {2, 3, 4}
     assert {bool(g.entries.imag.any()) for g in grams} == {False, True}
     for k, gram in enumerate(grams):
@@ -103,13 +91,13 @@ def test_one_start_reaches_the_best_restart_on_near_dependent_draws():
 
 
 def _start(gram, seed):
-    """(R, start) of the search: the polar factor of the first restart's draw
-    of the twenty stacked restarts, its real part and R's for a real G."""
+    """(R, start) of the search: the polar factor of the seeded (2, m, m) draw,
+    which is the first restart's, its real part and R's for a real G."""
     m, r = gram.m, gram.scaled_states
-    z = np.random.default_rng(seed).normal(size=(_RESTARTS, 2, m, m))
+    z = np.random.default_rng(seed).normal(size=(2, m, m))
     if gram.entries.imag.any():
-        return r, polar_unitary(z[:, 0] + 1j * z[:, 1])[0]
-    return r.real.copy(), polar_unitary(z[:, 0])[0]
+        return r, polar_unitary(z[0] + 1j * z[1])
+    return r.real.copy(), polar_unitary(z[0])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -168,18 +156,6 @@ def test_composed_iterates_stay_unitary(m, real):
         for u, _, _ in iterates:
             assert unitarity_residual(u) <= 1e-13
         assert unitarity_residual(ms.search_optimum(gram, seed=m).povm.vectors) <= 1e-13
-
-
-@pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("real", [False, True])
-def test_a_lane_does_not_depend_on_its_stack(m, real):
-    # the search draws one (2, m, m) block where the twenty restarts drew a
-    # (20, 2, m, m) stack; numpy fills the stack in C order, so the one start
-    # is bit for bit the first lane's, and so is its polar factor
-    for k, gram in enumerate(seeded_grams(m, 2, base_seed=3600 + 10 * m, real=real)):
-        z = np.random.default_rng(k).normal(size=(2, m, m))
-        u0 = polar_unitary(z[0]) if real else polar_unitary(z[0] + 1j * z[1])
-        assert u0.tobytes() == _start(gram, k)[1].tobytes()
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

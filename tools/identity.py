@@ -7,7 +7,7 @@ tree with ``git archive REV src | tar -x``, writes one set of inputs with
 ``perfbench/inputs.py`` and runs the same list of CLI operations on both
 trees, each tree in its own Python process that imports ``medsolve`` from
 that tree and calls ``medsolve.cli.main`` (or, for a search, the API) in
-process.  The 278 operations (252 CLI calls and 26 searches):
+process.  The 282 operations (256 CLI calls and 26 searches):
 
 - ``solve`` on the batch-small inputs of seeds 0 and 1, with the benchmark's
   flags ``--steps 200 --h 5e-3 --polish`` and with the same flags without
@@ -21,6 +21,9 @@ process.  The 278 operations (252 CLI calls and 26 searches):
   optimum, on an outcome-permuted copy and on a seeded Haar-random
   measurement (orthogonal for a real problem), which take the generic
   non-stationary branches, and ``enumerate`` on the real problems;
+- ``certify`` and ``audit`` on G = I/3 measured by its basis permuted
+  cyclically (Z = 0) and with its last two outcomes swapped (every
+  kappa_i = 0), which take the audit's branch for a zero weight;
 - ``reproduce-fig1`` at its defaults and at ``--steps 200 --h 5e-3 --polish``;
 - one ``solve --batch`` over the whole input directory, whose certify files
   fail per input with exit 64;
@@ -121,6 +124,17 @@ def _near_dependent_inputs(work: Path) -> list[Path]:
     return [path, ROOT / "tests" / "data" / "near-dependent-m2-ensemble.json"]
 
 
+def _centre_inputs(work: Path) -> list[Path]:
+    """The two G = I/3 certify inputs whose zero weights send Z, or every
+    complement, to the audit's centre, written under ``work/centre`` so that
+    the batch operation does not read them."""
+    gram = {"m": 3, "gram_re": (np.eye(3) / 3).tolist(), "gram_im": np.zeros((3, 3)).tolist()}
+    (work / "centre").mkdir()
+    return [inputs.write(work / "centre" / f"identity-m3-{name}.json",
+                         {"ensemble": gram, "povm": _povm_dict(np.eye(3)[:, columns], "dual")})
+            for name, columns in (("cyclic", [1, 2, 0]), ("swap", [0, 2, 1]))]
+
+
 def operations(work: Path) -> list[tuple[str, list[str]]]:
     """Write the inputs under ``work`` and return (key, argv without --out)."""
     ops = []
@@ -136,7 +150,7 @@ def operations(work: Path) -> list[tuple[str, list[str]]]:
         path = inputs.write(work / f"{p.name}.json", p.to_dict())
         if p.real:
             ops.append((f"{p.name}-enumerate", ["enumerate", str(path)]))
-    for path in _certify_files(work, problems):
+    for path in _certify_files(work, problems) + _centre_inputs(work):
         ops.append((f"{path.stem}-certify", ["certify", str(path)]))
         ops.append((f"{path.stem}-audit", ["audit", str(path)]))
     ops.append(("fig1", ["reproduce-fig1"]))
