@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .bloch3 import geometric_audit
 from .certify import TOL_GLB, TOL_STAT, Certificate, certify_povm, check_tolerance
-from .enumerate3 import DEFAULT_SEED, classify_landscape
+from .enumerate3 import classify_landscape
 from .exceptions import MedError, SchemaError
 from .gram import (
     Ensemble,
@@ -245,7 +245,7 @@ def cmd_enumerate(args) -> int:
     gram = _as_gram(problem)
     try:
         with _numerical("enumeration"):
-            summary = classify_landscape(gram, seed=args.seed)
+            summary = classify_landscape(gram)
     except ValueError as exc:
         raise _CliFailure(EXIT_DATA, f"enumeration failed: {exc}") from exc
     summary = replace(summary, certificates=[
@@ -342,8 +342,6 @@ def build_parser() -> _Parser:
     p = subs.add_parser("enumerate",
                         help="enumerate all stationary measurements (m=3, real)")
     p.add_argument("input", help="gram-or-ensemble JSON file")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="seed of the random linear forms")
     _add_common(p)
     _add_tolerances(p)
     p.set_defaults(fn=cmd_enumerate)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .certify import Certificate, certify_gram
+from .certify import RESIDUAL_GATE, Certificate, certify_gram, factor_residual
 from .exceptions import RootCountAnomaly
 from .gram import GramMatrix
 from .linalg import read_only
@@ -55,8 +55,8 @@ log = logging.getLogger(__name__)
 
 #: total-degree bound on the number of isolated complex roots
 DEGREE_BOUND = 8
-#: seed of the random linear forms g and h unless the caller gives one
-DEFAULT_SEED = 8128
+#: attempt k < _ATTEMPTS draws the linear forms g and h from default_rng(_SEED + k)
+_SEED, _ATTEMPTS = 8128, 4
 
 _REAL_TOL = 1e-9
 _DEDUP_TOL = 1e-7
@@ -216,27 +216,42 @@ def _close(x) -> np.ndarray:
     return np.max(np.abs(x[:, None] - x[None]), axis=-1) < _DEDUP_TOL
 
 
-def solve_stationary(gram: GramMatrix, seed: int = DEFAULT_SEED) -> list[StationaryRoot]:
+def solve_stationary(gram: GramMatrix) -> list[StationaryRoot]:
     """All stationary roots of the three-state system, classified.
 
     The 8 projective roots are the eigenvectors of a shift pencil on the
-    null space of the degree-4 Macaulay matrix, for two linear forms drawn
-    from ``seed`` (>= 0); each is refined by Newton in the chart of its
-    largest coordinate.  A root whose homogenizing coordinate z0 falls below
-    the null space's accuracy, 35 eps |A| / sigma_27(A) of |z|, is at
-    infinity.  The finite roots are kept when the residual is below 1e-9
-    relative to the size of the terms, and deduplicated at distance 1e-7.
-    If fewer distinct roots than the degree bound survive, a
-    RootCountAnomaly warning is issued: some roots are at infinity (as for
-    symmetric ensembles) or singular, which is informational, not an error.
+    null space of the degree-4 Macaulay matrix, for two random linear forms;
+    each is refined by Newton in the chart of its largest coordinate.  A
+    root whose homogenizing coordinate z0 falls below the null space's
+    accuracy, 35 eps |A| / sigma_27(A) of |z|, is at infinity.  The finite
+    roots are kept when the residual is below 1e-9 relative to the size of
+    the terms, and deduplicated at distance 1e-7.  Rounding can mix the
+    eigenvectors of two nearby roots, so up to 4 pencils are tried until one
+    has exactly one positive definite real root and every real root's factor
+    within RESIDUAL_GATE as ``certify_gram`` gates it, else the last one's
+    roots are returned.  A shortfall against the degree bound warns RootCountAnomaly.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     h = _check_real_m3(gram)
+    for attempt in range(_ATTEMPTS):
+        roots, at_inf, gap = _find_roots(h, _SEED + attempt)
+        log.debug("macaulay attempt %d (seed %d): %d eigenvectors, %d at infinity, "
+                  "null-space gap sigma_27/sigma_28 = %.3g",
+                  attempt, _SEED + attempt, len(at_inf), int(at_inf.sum()), gap)
+        if (why := _rejection(gram, roots)) is None:
+            break
+        log.debug("macaulay attempt %d rejected: %s", attempt, why)
+    if len(roots) < DEGREE_BOUND:
+        warnings.warn(f"found {len(roots)} stationary roots; the degree bound allows "
+                      f"{DEGREE_BOUND}: the others are at infinity, coincide at a singular "
+                      "root or were lost by the pencil", RootCountAnomaly, stacklevel=2)
+    return roots
+
+
+def _find_roots(h: np.ndarray, seed: int):
+    """The distinct finite roots for H = G^{-1} from the pencil of the forms of
+    ``seed``, classified, and ``_projective_roots``'s at-infinity flags and gap."""
     q = _coefficients(h)
     z, at_inf, gap = _projective_roots(q / np.max(np.abs(q)), seed)
-    log.debug("macaulay: %d eigenvectors, %d at infinity, null-space gap sigma_27/sigma_28 = %.3g",
-              len(z), int(at_inf.sum()), gap)
     z = z[~at_inf] / z[~at_inf, :1]
     z = z[np.all(np.isfinite(z), axis=1)]
     e, grad = _evaluate(q, z)
@@ -246,16 +261,20 @@ def solve_stationary(gram: GramMatrix, seed: int = DEFAULT_SEED) -> list[Station
     x, resid, jac = x[good], resid[good], jac[good]
     # keep each root that is the first within _DEDUP_TOL of itself
     distinct = np.argmax(_close(x), axis=1) == np.arange(len(x))
+    return _classify(x[distinct], resid[distinct], jac[distinct], h), at_inf, gap
 
-    roots = _classify(x[distinct], resid[distinct], jac[distinct], h)
-    if len(roots) < DEGREE_BOUND:
-        warnings.warn(
-            f"found {len(roots)} stationary roots; the degree bound allows "
-            f"{DEGREE_BOUND}: the others are at infinity or coincide at a singular root",
-            RootCountAnomaly,
-            stacklevel=2,
-        )
-    return roots
+
+def _rejection(gram: GramMatrix, roots: list[StationaryRoot]) -> str | None:
+    """Why ``roots`` cannot be ``gram``'s landscape, or None (M, F stacked bit for bit)."""
+    real = [root for root in roots if root.d_inv_sq is not None]
+    m_mat = _symmetric(np.array([root.values.real for root in real]).reshape(-1, 3))
+    if (n_pd := int(np.sum(np.all(np.linalg.eigvalsh(m_mat) > 0.0, axis=1)))) != 1:
+        return f"{n_pd} positive definite roots, not 1"
+    d = 1.0 / np.sqrt([root.d_inv_sq for root in real])
+    worst = np.max([factor_residual(np.sqrt(f.diagonal().real), f, gram.entries)
+                    for f in (d[:, :, None] * m_mat * d[:, None, :]).astype(complex)])
+    return None if worst <= RESIDUAL_GATE else (
+        f"worst real-root factor residual {worst:.3e} (gate {RESIDUAL_GATE:.1e})")
 
 
 def _classify(x: np.ndarray, resid: np.ndarray, jac: np.ndarray, h: np.ndarray
@@ -305,7 +324,7 @@ class LandscapeSummary:
         return self.labels.index(LABEL_GLOBAL)
 
 
-def classify_landscape(gram: GramMatrix, seed: int = DEFAULT_SEED) -> LandscapeSummary:
+def classify_landscape(gram: GramMatrix) -> LandscapeSummary:
     """Enumerate and certify every stationary point.
 
     Each real root's certificate is ``certify_gram(gram, root.factor)[0]``,
@@ -315,6 +334,6 @@ def classify_landscape(gram: GramMatrix, seed: int = DEFAULT_SEED) -> LandscapeS
     certified stationary-non-global points whose success probabilities
     chart the optimization landscape.
     """
-    roots = solve_stationary(gram, seed=seed)
+    roots = solve_stationary(gram)
     certs = [certify_gram(gram, root.factor)[0] if root.is_real else None for root in roots]
     return LandscapeSummary(gram=gram, roots=roots, certificates=certs)

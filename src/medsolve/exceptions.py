@@ -38,8 +38,7 @@ class SchemaError(MedError):
 class RootCountAnomaly(UserWarning):
     """Fewer distinct stationary roots exist than the degree bound of 8.
 
-    The enumeration reads the projective roots from the null space of the
-    Macaulay matrix by linear algebra, with no path that could be lost, so
-    the shortfall is genuine: the remaining roots are at infinity (as for
-    symmetric ensembles) or coincide at a singular root.
-    It does not signal a missed root."""
+    The others are at infinity (as for symmetric ensembles), coincide at a
+    singular root, or were lost when rounding mixed the pencil's eigenvectors
+    of two nearby roots.  The enumeration retries a pencil that loses the
+    global root, so unless all its pencils did, only non-global roots are missing."""

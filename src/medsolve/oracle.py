@@ -29,11 +29,10 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Ground-truth optimum: value, measurement and how it was obtained."""
+    """Ground-truth optimum: value, measurement and, for a search, its convergence."""
 
     p_success: float
     povm: Povm
-    method: str
     convergence: SearchStats | None = None
 
 
@@ -59,7 +58,7 @@ def helstrom(p1: float, p2: float, overlap: complex) -> OracleResult:
     # outcome 1 <-> positive eigenvector, outcome 2 <-> negative one
     basis = eigvecs[:, ::-1] if eigvals[1] > 0 else eigvecs
     povm = Povm(basis, frame=FRAME_AMBIENT)
-    return OracleResult(p_success=float(p_success), povm=povm, method="closed_form")
+    return OracleResult(p_success=float(p_success), povm=povm)
 
 
 def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
@@ -103,4 +102,4 @@ def search_optimum(gram: GramMatrix, seed: int) -> OracleResult:
         r, u0 = r.real.copy(), polar_unitary(z[0])
     u, iterations, _, grad_norm = finish(r, u0)
     return OracleResult(p_success=float(success(r, u)), povm=povm_from_unitary(gram, u),
-                        method="search", convergence=SearchStats(iterations, grad_norm))
+                        convergence=SearchStats(iterations, grad_norm))

@@ -556,8 +556,8 @@ class TestEnumerate:
             run = run_python("-m", "medsolve.cli", "enumerate", inp, "--out", str(tmp_path / name))
             assert run.returncode == 0
             [line] = run.stderr.splitlines()
-            assert line.startswith("DEBUG macaulay: 8 eigenvectors, 0 at infinity, "
-                                   "null-space gap sigma_27/sigma_28 = ")
+            assert line.startswith("DEBUG macaulay attempt 0 (seed 8128): 8 eigenvectors, "
+                                   "0 at infinity, null-space gap sigma_27/sigma_28 = ")
         a = (tmp_path / "a" / "g3-landscape.json").read_bytes()
         assert a == (tmp_path / "b" / "g3-landscape.json").read_bytes()
 

@@ -1,7 +1,9 @@
 """Stationary-point enumeration for three real states."""
 
+import json
 import logging
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,11 @@ from hypothesis import strategies as st
 
 import medsolve as ms
 from conftest import identity_gram, random_gram, solve_direct
-from medsolve import enumerate3
+from medsolve import enumerate3, serialize
+from medsolve.cli import main
+from medsolve.linalg import haar_unitary, hermitize
+
+DATA = Path(__file__).parent / "data"
 
 
 def sorted_real_roots(roots):
@@ -102,7 +108,8 @@ class TestSolveStationary:
         with pytest.warns(ms.RootCountAnomaly):
             roots = ms.solve_stationary(ms.GramMatrix(g / np.trace(g)))
         assert len(roots) == 7
-        assert caplog.records[-1].getMessage().startswith("macaulay: 8 eigenvectors, 1 at infinity,")
+        assert caplog.records[-1].getMessage().startswith(
+            "macaulay attempt 0 (seed 8128): 8 eigenvectors, 1 at infinity,")
 
     def test_debug_log_reports_the_eigenvectors(self, caplog):
         caplog.set_level(logging.DEBUG, logger="medsolve.enumerate3")
@@ -111,7 +118,8 @@ class TestSolveStationary:
         [record] = caplog.records
         assert record.levelno == logging.DEBUG
         head, gap = record.getMessage().split(" = ")
-        assert head == "macaulay: 8 eigenvectors, 3 at infinity, null-space gap sigma_27/sigma_28"
+        assert head == ("macaulay attempt 0 (seed 8128): 8 eigenvectors, 3 at infinity, "
+                        "null-space gap sigma_27/sigma_28")
         assert float(gap) > 1e12
 
     def test_exactly_singular_lane_solves_to_nan(self):
@@ -193,11 +201,13 @@ class TestClassifyLandscape:
         assert any(abs(ps - expected_swapped) < 1e-9 for ps in real_ps)
 
     def test_exactly_one_positive_definite_root_across_seeds(self):
+        # each problem through the pencil of its own linear forms, without the retry
         for seed in range(100):
             gram = random_gram(3, seed + 400, real=True, spread=0.4 + 0.005 * seed)
-            roots = ms.solve_stationary(gram, seed=seed)
+            roots, _, _ = enumerate3._find_roots(enumerate3._check_real_m3(gram), seed)
             pd = [r for r in roots if r.is_positive_definite]
             assert len(pd) == 1, f"seed {seed}: {len(pd)} positive definite roots"
+            assert enumerate3._rejection(gram, roots) is None, f"seed {seed}"
             real_ps = [r.p_success for r in roots if r.is_real]
             assert pd[0].p_success == pytest.approx(max(real_ps), abs=1e-9)
 
@@ -208,6 +218,104 @@ class TestClassifyLandscape:
             best = landscape.roots[landscape.global_index]
             hom = solve_direct(gram)
             assert abs(best.p_success - hom.certificate.p_success) < 1e-8
+
+
+def _merged(z: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """z with the root nearest ``best`` and that root's nearest neighbour
+    replaced by one complex-conjugate pair at their midpoint, as a pencil
+    whose two near-coincident eigenvectors rounding mixed returns them."""
+    x = z[:, 1:] / z[:, :1]
+    r = int(np.argmin(np.max(np.abs(x - best), axis=1)))
+    gaps = np.max(np.abs(x - x[r]), axis=1)
+    gaps[r] = np.inf
+    s = int(np.argmin(gaps))
+    mid, half = 0.5 * (x[r] + x[s]), 0.5 * np.abs(x[r] - x[s])
+    z = z.astype(complex)
+    z[r], z[s] = np.concatenate(([1.0], mid + 1j * half)), np.concatenate(([1.0], mid - 1j * half))
+    return z
+
+
+class TestRetry:
+    GRAM = dict(m=3, seed=201, real=True)
+
+    def _merging(self, monkeypatch, calls: int) -> list[int]:
+        """Merge the global root with its neighbour in the first ``calls``
+        pencils; returns the list that records each pencil's seed."""
+        best = ms.solve_stationary(random_gram(**self.GRAM))[0].values
+        finder, seeds = enumerate3._projective_roots, []
+
+        def merging(q, seed):
+            seeds.append(seed)
+            z, at_inf, gap = finder(q, seed)
+            return (_merged(z, best) if len(seeds) <= calls else z), at_inf, gap
+
+        monkeypatch.setattr(enumerate3, "_projective_roots", merging)
+        return seeds
+
+    def test_a_pencil_that_loses_the_global_root_is_retried(self, monkeypatch, caplog):
+        gram = random_gram(**self.GRAM)
+        expected = ms.solve_stationary(gram)
+        seeds = self._merging(monkeypatch, calls=1)
+        caplog.set_level(logging.DEBUG, logger="medsolve.enumerate3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ms.RootCountAnomaly)
+            roots = ms.solve_stationary(gram)
+        assert seeds == [8128, 8129]
+        assert "macaulay attempt 0 rejected: 0 positive definite roots, not 1" in caplog.messages
+        assert caplog.messages[-1].startswith("macaulay attempt 1 (seed 8129): 8 eigenvectors,")
+        assert len(roots) == len(expected) == enumerate3.DEGREE_BOUND
+        assert [r.is_positive_definite for r in roots].count(True) == 1
+        np.testing.assert_allclose([r.values for r in roots], [r.values for r in expected],
+                                   rtol=0, atol=1e-9)
+
+    def test_an_exhausted_budget_returns_the_last_pencil(self, monkeypatch):
+        gram = random_gram(**self.GRAM)
+        seeds = self._merging(monkeypatch, calls=enumerate3._ATTEMPTS)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            landscape = ms.classify_landscape(gram)
+        assert seeds == [8128, 8129, 8130, 8131]
+        assert [w.category for w in caught] == [ms.RootCountAnomaly]
+        assert len(landscape.roots) == 6
+        assert enumerate3.LABEL_GLOBAL not in landscape.labels
+
+    @pytest.mark.parametrize("name", ["nd150", "nd361"])
+    def test_near_dependent_landscape_has_its_global_root(self, tmp_path, name):
+        # at the first linear forms nd150 loses its global root (6 roots, no
+        # global label) and a factor of nd361 misses the gate (exit 3)
+        path = DATA / f"near-dependent-m3-{name}-gram.json"
+        assert main(["enumerate", str(path), "--out", str(tmp_path)]) == 0
+        roots = json.loads((tmp_path / f"{path.stem}-landscape.json").read_text())["roots"]
+        [best] = [r for r in roots if r["label"] == enumerate3.LABEL_GLOBAL]
+        assert best["certificate"]["status"] == "optimal"
+        gram = serialize.load_gram_or_ensemble(serialize.read_json(path))
+        drag = solve_direct(gram, steps=200, h=5e-3, polish=True)
+        assert abs(best["p_success"] - drag.certificate.p_success) <= 1e-9
+        # the program picks its own linear forms
+        assert main(["enumerate", str(path), "--seed", "1", "--out", str(tmp_path)]) == 64
+
+
+@pytest.mark.slow
+def test_near_floor_probe_enumerates_one_certified_global_root():
+    # real m = 3 with lambda_min(G) = 10^-k, k uniform in [7, 7.95]
+    rng = np.random.default_rng(2026)
+    kept = 0
+    for draw in range(300):
+        k = rng.uniform(7.0, 7.95)
+        lam = rng.uniform(0.1, 1.0, 3)
+        lam[0] = 10.0 ** -k
+        lam[1:] *= (1.0 - lam[0]) / lam[1:].sum()
+        v = haar_unitary(rng, 3, real=True)
+        g = hermitize((v * lam) @ v.T)
+        try:
+            gram = ms.GramMatrix(g / np.trace(g))
+        except (ms.MedError, ValueError):
+            continue
+        kept += 1
+        landscape = ms.classify_landscape(gram)
+        assert landscape.labels.count(enumerate3.LABEL_GLOBAL) == 1, f"draw {draw}"
+        assert landscape.certificates[landscape.global_index].status == "optimal", f"draw {draw}"
+    assert kept > 0
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None,

@@ -15,7 +15,6 @@ class TestHelstrom:
     def test_equiprobable_overlap_06(self):
         result = ms.helstrom(0.5, 0.5, 0.6)
         assert result.p_success == pytest.approx(0.9, abs=1e-12)
-        assert result.method == "closed_form"
 
     def test_skewed_priors_value(self):
         result = ms.helstrom(0.9, 0.1, 0.5)
@@ -69,7 +68,6 @@ class TestSearchOptimum:
     def test_orthogonal_case(self):
         result = ms.search_optimum(identity_gram(3), seed=0)
         assert result.p_success == pytest.approx(1.0, abs=1e-9)
-        assert result.method == "search"
         assert result.convergence.grad_norm < 1e-7
 
     def test_cost_guard(self):

@@ -7,7 +7,7 @@ tree with ``git archive REV src | tar -x``, writes one set of inputs with
 ``perfbench/inputs.py`` and runs the same list of CLI operations on both
 trees, each tree in its own Python process that imports ``medsolve`` from
 that tree and calls ``medsolve.cli.main`` (or, for a search, the API) in
-process.  The 282 operations (256 CLI calls and 26 searches):
+process.  The 284 operations (258 CLI calls and 26 searches):
 
 - ``solve`` on the batch-small inputs of seeds 0 and 1, with the benchmark's
   flags ``--steps 200 --h 5e-3 --polish`` and with the same flags without
@@ -21,6 +21,10 @@ process.  The 282 operations (256 CLI calls and 26 searches):
   optimum, on an outcome-permuted copy and on a seeded Haar-random
   measurement (orthogonal for a real problem), which take the generic
   non-stationary branches, and ``enumerate`` on the real problems;
+- ``enumerate`` on ``tests/data/near-dependent-m3-nd150-gram.json`` and
+  ``...-nd361-gram.json`` (least eigenvalues 2.4e-8 and 1.25e-8), where the
+  first pencil loses the global root or a root's factor misses the gate, with
+  numpy 2.4's OpenBLAS;
 - ``certify`` and ``audit`` on G = I/3 measured by its basis permuted
   cyclically (Z = 0) and with its last two outcomes swapped (every
   kappa_i = 0), which take the audit's branch for a zero weight;
@@ -150,6 +154,9 @@ def operations(work: Path) -> list[tuple[str, list[str]]]:
         path = inputs.write(work / f"{p.name}.json", p.to_dict())
         if p.real:
             ops.append((f"{p.name}-enumerate", ["enumerate", str(path)]))
+    for name in ("nd150", "nd361"):
+        path = ROOT / "tests" / "data" / f"near-dependent-m3-{name}-gram.json"
+        ops.append((f"{path.stem}-enumerate", ["enumerate", str(path)]))
     for path in _certify_files(work, problems) + _centre_inputs(work):
         ops.append((f"{path.stem}-certify", ["certify", str(path)]))
         ops.append((f"{path.stem}-audit", ["audit", str(path)]))

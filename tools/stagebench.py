@@ -29,15 +29,18 @@ process imports ``medsolve`` from its tree and measures:
   and the complex problem's Gram matrix (``complex``).  ``load`` parses the
   input with ``load_gram_or_ensemble`` and ``povm_from_dict`` (the input
   checks), then ``certify_povm`` and ``geometric_audit`` run on the parsed
-  input: the best of 5 repeats of 2000 calls, in us per call.
+  input: the best of 5 repeats of 2000 calls, in us per call;
+- ``classify_landscape`` on the real ensemble's Gram matrix, the enumeration
+  and every real root's certificate: the best of 5 repeats of 100 calls, in
+  us per call.
 
 The table gives, per row, the best and the median over the rounds of each
 process's time, for REV and for this checkout, and their ratios (below 1 is
 faster here).  The median shows how far the best alone can be trusted: fresh
 processes of one tree differ by several percent.  Both trees must provide
 ``_rate(a, f, g, gdot, t)``, ``_integrate`` and ``_correct(a, f, gram)``, the
-public ``rk4_drag``, ``search_optimum``, ``certify_povm`` and
-``geometric_audit``, and the ``serialize`` functions named here.
+public ``rk4_drag``, ``search_optimum``, ``certify_povm``, ``geometric_audit``
+and ``classify_landscape``, and the ``serialize`` functions named here.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DIMENSIONS, SEARCH_DIMENSIONS, FINISH_DIMENSIONS = (2, 5, 8), (2, 3, 4), (3, 8)
 ROUNDS, RATE_CALLS, RATE_REPEATS, DRAG_REPEATS, SEARCH_REPEATS = 5, 2000, 5, 3, 5
 FINISH_REPEATS, FINISH_MIN_EIG = 5, 1e-6
-VERIFY_CALLS, VERIFY_REPEATS = 2000, 5
+VERIFY_CALLS, VERIFY_REPEATS, ENUMERATE_CALLS = 2000, 5, 100
 STEPS, H = 200, 5e-3
 
 
@@ -140,16 +143,21 @@ def measure(src: Path) -> dict[str, float]:
             return serialize.load_gram_or_ensemble(problem), serialize.povm_from_dict(povm)
 
         parsed = load()
-        for layer, call in (("load", load),
-                            ("certify_povm", functools.partial(ms.certify_povm, *parsed)),
-                            ("geometric_audit", functools.partial(ms.geometric_audit, *parsed))):
+        layers = [("load", load, VERIFY_CALLS),
+                  ("certify_povm", functools.partial(ms.certify_povm, *parsed), VERIFY_CALLS),
+                  ("geometric_audit", functools.partial(ms.geometric_audit, *parsed),
+                   VERIFY_CALLS)]
+        if real:
+            layers.append(("classify_landscape", functools.partial(ms.classify_landscape, gram),
+                           ENUMERATE_CALLS))
+        for layer, call, calls in layers:
             best = np.inf
             for _ in range(VERIFY_REPEATS):
                 began = time.perf_counter()
-                for _ in range(VERIFY_CALLS):
+                for _ in range(calls):
                     call()
                 best = min(best, time.perf_counter() - began)
-            out[f"{layer} us|3|{'real' if real else 'complex'}"] = 1e6 * best / VERIFY_CALLS
+            out[f"{layer} us|3|{'real' if real else 'complex'}"] = 1e6 * best / calls
     return out
 
 
@@ -185,14 +193,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"Python {platform.python_version()}, numpy {np.__version__}, "
           f"{os.cpu_count()} CPUs; {ROUNDS} alternated processes per tree")
     rev = args.against[:12]
-    print(f"{'layer':<18} {'m':>2} {'arith':<8} {'best: ' + rev:>18} {'here':>8} {'here/rev':>9}"
+    print(f"{'layer':<21} {'m':>2} {'arith':<8} {'best: ' + rev:>18} {'here':>8} {'here/rev':>9}"
           f" {'median: rev':>12} {'here':>8} {'here/rev':>9}")
     for key, theirs in runs["rev"].items():
         layer, m, arith = key.split("|")
         ours = runs["here"][key]
         best = min(theirs), min(ours)
         median = float(np.median(theirs)), float(np.median(ours))
-        print(f"{layer:<18} {m:>2} {arith:<8} {best[0]:>18.2f} {best[1]:>8.2f} "
+        print(f"{layer:<21} {m:>2} {arith:<8} {best[0]:>18.2f} {best[1]:>8.2f} "
               f"{best[1] / best[0]:>9.3f} {median[0]:>12.2f} {median[1]:>8.2f} "
               f"{median[1] / median[0]:>9.3f}")
     return 0
