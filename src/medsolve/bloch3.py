@@ -81,23 +81,26 @@ def star(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
 class AuditReport:
     """Residuals and margins of the geometric optimality conditions.
 
-    Each entry of ``residuals`` must be <= tol, and each entry of
-    ``strict_margins`` must be positive, for the audit to pass.  Both are kept
-    as read-only copies, so the verdict cannot change after construction.
+    Each entry of ``residuals`` must be <= AUDIT_TOL (``tol``), and each entry
+    of ``strict_margins`` must be positive, for the audit to pass.  Both are
+    kept as read-only copies, so the verdict cannot change after construction.
     """
 
     k0: float
     residuals: Mapping[str, float]
     strict_margins: Mapping[str, float]
-    tol: float
 
     def __post_init__(self):
         for name in ("residuals", "strict_margins"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @property
+    def tol(self) -> float:
+        return AUDIT_TOL
+
+    @property
     def passed(self) -> bool:
-        return all(v <= self.tol for v in self.residuals.values()) and all(
+        return all(v <= AUDIT_TOL for v in self.residuals.values()) and all(
             v > 0.0 for v in self.strict_margins.values()
         )
 
@@ -165,4 +168,4 @@ def geometric_audit(ensemble: Ensemble | GramMatrix, povm: Povm) -> AuditReport:
         "dual_norm_interior": 1.0 - float(k_vec @ k_vec),
         "dual_boundary": 1.0 - cubic[0] + AUDIT_TOL,
     }
-    return AuditReport(k0=k0, residuals=residuals, strict_margins=margins, tol=AUDIT_TOL)
+    return AuditReport(k0=k0, residuals=residuals, strict_margins=margins)

@@ -30,10 +30,10 @@ from .gram import GramMatrix, Ensemble
 from .linalg import hermitian_eig, hermitize, hs_norm, polar_unitary
 from .measurement import Povm
 
-#: default stationarity tolerance: one order above the observed integration
+#: stationarity tolerance: one order above the observed integration
 #: error floor (~1e-15), with margin for dimensions up to ~8
 TOL_STAT = 1e-9
-#: default global-optimality tolerance on the minimum eigenvalue
+#: global-optimality tolerance on the minimum eigenvalue
 TOL_GLB = 1e-9
 
 #: admissible deviation of F^2 from DGD for a state offered as a solution
@@ -44,26 +44,19 @@ _STATUS_STATIONARY = "stationary"
 _STATUS_NONSTATIONARY = "nonstationary"
 
 
-def check_tolerance(name: str, value: float) -> float:
-    """``value`` if it is finite and >= 0, else ValueError naming ``name``."""
-    if not 0.0 <= value < np.inf:  # also rejects NaN
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Machine-readable optimality certificate for one measurement.
 
     Fields: the stationarity residual, the minimum eigenvalue of
-    Z - p_i rho_i over i (>= -tol_glb certifies global optimality), the
+    Z - p_i rho_i over i (>= -TOL_GLB certifies global optimality), the
     minimum eigenvalue of the hermitian factor F (``f_positive`` is derived
     from it), the success probability sum_i |O_ii|^2 and Tr(Z), equal for any
     measurement (``global_min_eig``, not Tr(Z), tells the optimum apart).
 
-    The tolerances decide only ``status``.  The certifiers judge at TOL_STAT
-    and TOL_GLB; ``dataclasses.replace(cert, tol_stat=..., tol_glb=...)``
-    judges at others.  Each must be finite and >= 0, else ValueError names it.
+    ``status`` judges the fields at TOL_STAT and TOL_GLB, which ``tol_stat``
+    and ``tol_glb`` report; a caller who needs another threshold applies it
+    to the fields.
     """
 
     stationarity_residual: float
@@ -71,12 +64,14 @@ class Certificate:
     f_min_eig: float
     p_success: float
     tr_z: float
-    tol_stat: float = TOL_STAT
-    tol_glb: float = TOL_GLB
 
-    def __post_init__(self):
-        check_tolerance("tol_stat", self.tol_stat)
-        check_tolerance("tol_glb", self.tol_glb)
+    @property
+    def tol_stat(self) -> float:
+        return TOL_STAT
+
+    @property
+    def tol_glb(self) -> float:
+        return TOL_GLB
 
     @property
     def f_positive(self) -> bool:
@@ -85,11 +80,11 @@ class Certificate:
 
     @property
     def is_stationary(self) -> bool:
-        return self.stationarity_residual <= self.tol_stat
+        return self.stationarity_residual <= TOL_STAT
 
     @property
     def is_optimal(self) -> bool:
-        return self.is_stationary and self.global_min_eig >= -self.tol_glb
+        return self.is_stationary and self.global_min_eig >= -TOL_GLB
 
     @property
     def status(self) -> str:
@@ -187,11 +182,16 @@ def certify_gram(gram: GramMatrix, f: np.ndarray) -> tuple[Certificate, Povm]:
     if (a_sq <= 0.0).any():
         raise ValueError("factor F must have positive diagonal")
     a = np.sqrt(a_sq)
-    resid = factor_residual(a, f, gram.entries)
-    if resid > RESIDUAL_GATE:
-        raise ResidualTooLarge(
-            f"F^2 - DGD has HS norm {resid:.3e} (gate {RESIDUAL_GATE:.1e})"
-        )
+    return certify_factor(gram, f, a, factor_residual(a, f, gram.entries))
+
+
+def certify_factor(gram: GramMatrix, f: np.ndarray, a: np.ndarray, resid: float
+                   ) -> tuple[Certificate, Povm]:
+    """``certify_gram`` past its input checks, for a complex hermitian F with
+    a = sqrt(diag F) > 0 whose ``factor_residual(a, f, gram.entries)`` the
+    caller holds as ``resid``: ResidualTooLarge unless it meets RESIDUAL_GATE."""
+    if not resid <= RESIDUAL_GATE:
+        raise ResidualTooLarge(f"F^2 - DGD has HS norm {resid:.3e} (gate {RESIDUAL_GATE:.1e})")
     # The factorization residual leaks into unitarity at the same order;
     # snap to the nearest unitary before certifying.
     u = polar_unitary(gram.inv_sqrt() @ (f / a[:, None]))

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .bloch3 import geometric_audit
-from .certify import TOL_GLB, TOL_STAT, Certificate, certify_povm, check_tolerance
+from .certify import Certificate, certify_povm
 from .enumerate3 import classify_landscape
 from .exceptions import MedError, SchemaError
 from .gram import (
@@ -137,11 +137,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _judged(cert: Certificate, args) -> Certificate:
-    """``cert`` judged at the --tol-stat and --tol-glb tolerances."""
-    return replace(cert, tol_stat=args.tol_stat, tol_glb=args.tol_glb)
-
-
 def _verdict_code(cert: Certificate) -> int:
     """The exit code of a certificate's verdict."""
     if cert.is_optimal:
@@ -152,23 +147,21 @@ def _verdict_code(cert: Certificate) -> int:
 def _solve_one(
     problem: GramMatrix | Ensemble, args, out: Path, stem: str
 ) -> tuple[RunReport, Path]:
-    """Drag to ``problem`` from the known optimum at I/m, judge the result at
-    the --tol-stat and --tol-glb tolerances and write ``<stem>-report.json``
-    and ``<stem>-trace.csv`` under ``out``.  An ensemble's measurement is
-    written in the ensemble's own space.  Every failure on the way ends in a
-    _CliFailure; returns the judged report and the report's path."""
+    """Drag to ``problem`` from the known optimum at I/m and write
+    ``<stem>-report.json`` and ``<stem>-trace.csv`` under ``out``.  An
+    ensemble's measurement is written in the ensemble's own space.  Every
+    failure on the way ends in a _CliFailure; returns the report and the
+    report's path."""
     gram = _as_gram(problem)
     report_path = out / f"{stem}-report.json"
     try:
         with _numerical("solver"):
             report = rk4_drag(Trajectory(GramMatrix(np.eye(gram.m) / gram.m), gram),
                               steps=args.steps, h=args.h, polish=args.polish)
-            povm = report.final_povm
             if isinstance(problem, Ensemble):
                 # the dual frame vectors of the report are the U the drag certified
-                povm = povm_from_unitary(gram, povm.vectors, ensemble=problem)
-            report = replace(report, final_povm=povm,
-                             certificate=_judged(report.certificate, args))
+                report = replace(report, final_povm=povm_from_unitary(
+                    gram, report.final_povm.vectors, ensemble=problem))
             _write_output(report_path, write_json, run_report_to_dict(report))
             _write_output(out / f"{stem}-trace.csv", write_trace_csv, report.trace)
     except (ValueError, MemoryError) as exc:
@@ -183,7 +176,10 @@ def cmd_solve(args) -> int:
 
     inputs: list[Path]
     if args.batch:
-        inputs = sorted(Path(args.batch).glob("*.json"))
+        found = sorted(Path(args.batch).glob("*.json"))
+        # a batch written into its own directory finds its reports there on the next run
+        own = {os.path.realpath(out / f"{path.stem}-report.json") for path in found}
+        inputs = [path for path in found if os.path.realpath(path) not in own]
         if not inputs:
             raise _CliFailure(EXIT_USAGE, f"no .json inputs in {args.batch}")
     else:
@@ -232,7 +228,7 @@ def _load_certify_input(path: Path):
 def cmd_certify(args) -> int:
     problem, povm = _load_certify_input(Path(args.input))
     with _numerical("certification"):
-        cert = _judged(certify_povm(problem, povm), args)
+        cert = certify_povm(problem, povm)
     out = _out_dir(args)
     cert_path = out / f"{Path(args.input).stem}-certificate.json"
     _write_output(cert_path, write_json, certificate_to_dict(cert))
@@ -248,9 +244,6 @@ def cmd_enumerate(args) -> int:
             summary = classify_landscape(gram)
     except ValueError as exc:
         raise _CliFailure(EXIT_DATA, f"enumeration failed: {exc}") from exc
-    summary = replace(summary, certificates=[
-        None if cert is None else _judged(cert, args) for cert in summary.certificates
-    ])
     out = _out_dir(args)
     path = out / f"{Path(args.input).stem}-landscape.json"
     _write_output(path, write_json, landscape_to_dict(summary))
@@ -297,20 +290,9 @@ def cmd_reproduce_fig1(args) -> int:
     return _verdict_code(cert)
 
 
-def _add_tolerances(sub: argparse.ArgumentParser) -> None:
-    def tolerance(text: str) -> float:
-        return check_tolerance("tolerance", float(text))
-
-    sub.add_argument("--tol-stat", type=tolerance, default=TOL_STAT,
-                     help="stationarity tolerance (finite, >= 0)")
-    sub.add_argument("--tol-glb", type=tolerance, default=TOL_GLB,
-                     help="global-optimality tolerance (finite, >= 0)")
-
-
 def _add_common(sub: argparse.ArgumentParser, solver: bool = False) -> None:
     sub.add_argument("--out", default=".", help="output directory (default: current)")
     if solver:
-        _add_tolerances(sub)
         sub.add_argument("--steps", type=int, default=1000, help="integration steps")
         sub.add_argument("--h", type=float, default=1e-3, help="step size (steps*h must be 1)")
         sub.add_argument("--polish", action="store_true",
@@ -336,14 +318,12 @@ def build_parser() -> _Parser:
                         help="certify a measurement against an ensemble")
     p.add_argument("input", help="JSON file with fields 'ensemble' and 'povm'")
     _add_common(p)
-    _add_tolerances(p)
     p.set_defaults(fn=cmd_certify)
 
     p = subs.add_parser("enumerate",
                         help="enumerate all stationary measurements (m=3, real)")
     p.add_argument("input", help="gram-or-ensemble JSON file")
     _add_common(p)
-    _add_tolerances(p)
     p.set_defaults(fn=cmd_enumerate)
 
     p = subs.add_parser("audit",

@@ -42,14 +42,15 @@ import itertools
 import logging
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .certify import RESIDUAL_GATE, Certificate, certify_gram, factor_residual
+from .certify import RESIDUAL_GATE, Certificate, certify_factor, factor_residual
 from .exceptions import RootCountAnomaly
 from .gram import GramMatrix
-from .linalg import read_only
+from .linalg import hermitian_eig, read_only
 
 log = logging.getLogger(__name__)
 
@@ -107,8 +108,8 @@ class StationaryRoot:
     inverse squared scales) of a real root and is None otherwise.  M
     (``symmetric_matrix``) and F = D M D (``factor``, None for a complex root;
     ``certify_gram(gram, root.factor)`` gives the root's certificate and
-    measurement) are derived.  Exactly one real root per generic Gram matrix
-    is positive definite.
+    measurement) are derived on first use and kept, as is whether M is
+    positive definite, which exactly one real root per generic Gram matrix is.
     """
 
     values: np.ndarray
@@ -125,22 +126,22 @@ class StationaryRoot:
     def is_real(self) -> bool:
         return not np.any(self.values.imag)
 
-    @property
+    @cached_property
     def symmetric_matrix(self) -> np.ndarray:
         """M, real for a real root."""
-        return _symmetric(self.values.real if self.is_real else self.values)
+        return read_only(_symmetric(self.values.real if self.is_real else self.values))
 
-    @property
+    @cached_property
     def factor(self) -> np.ndarray | None:
         """F = D M D, whose F^2 - DGD = D (M D^2 M - G) D is 0 iff M H M = D^-2."""
         if self.d_inv_sq is None:
             return None
         d = 1.0 / np.sqrt(self.d_inv_sq)
-        return d[:, None] * self.symmetric_matrix * d[None, :]
+        return read_only(d[:, None] * self.symmetric_matrix * d[None, :])
 
-    @property
+    @cached_property
     def is_positive_definite(self) -> bool:
-        return self.is_real and bool(np.all(np.linalg.eigvalsh(self.symmetric_matrix) > 0.0))
+        return self.is_real and bool(np.all(hermitian_eig(self.symmetric_matrix) > 0.0))
 
     @property
     def p_success(self) -> float | None:
@@ -231,20 +232,26 @@ def solve_stationary(gram: GramMatrix) -> list[StationaryRoot]:
     within RESIDUAL_GATE as ``certify_gram`` gates it, else the last one's
     roots are returned.  A shortfall against the degree bound warns RootCountAnomaly.
     """
+    return _stationary(gram)[0]
+
+
+def _stationary(gram: GramMatrix) -> tuple[list[StationaryRoot], list]:
+    """``solve_stationary``'s roots and the ``_gate`` of each, which decided the attempt."""
     h = _check_real_m3(gram)
     for attempt in range(_ATTEMPTS):
         roots, at_inf, gap = _find_roots(h, _SEED + attempt)
         log.debug("macaulay attempt %d (seed %d): %d eigenvectors, %d at infinity, "
                   "null-space gap sigma_27/sigma_28 = %.3g",
                   attempt, _SEED + attempt, len(at_inf), int(at_inf.sum()), gap)
-        if (why := _rejection(gram, roots)) is None:
+        gates = [_gate(gram, root) for root in roots]
+        if (why := _rejection(roots, gates)) is None:
             break
         log.debug("macaulay attempt %d rejected: %s", attempt, why)
     if len(roots) < DEGREE_BOUND:
         warnings.warn(f"found {len(roots)} stationary roots; the degree bound allows "
                       f"{DEGREE_BOUND}: the others are at infinity, coincide at a singular "
-                      "root or were lost by the pencil", RootCountAnomaly, stacklevel=2)
-    return roots
+                      "root or were lost by the pencil", RootCountAnomaly, stacklevel=3)
+    return roots, gates
 
 
 def _find_roots(h: np.ndarray, seed: int):
@@ -264,15 +271,20 @@ def _find_roots(h: np.ndarray, seed: int):
     return _classify(x[distinct], resid[distinct], jac[distinct], h), at_inf, gap
 
 
-def _rejection(gram: GramMatrix, roots: list[StationaryRoot]) -> str | None:
-    """Why ``roots`` cannot be ``gram``'s landscape, or None (M, F stacked bit for bit)."""
-    real = [root for root in roots if root.d_inv_sq is not None]
-    m_mat = _symmetric(np.array([root.values.real for root in real]).reshape(-1, 3))
-    if (n_pd := int(np.sum(np.all(np.linalg.eigvalsh(m_mat) > 0.0, axis=1)))) != 1:
+def _gate(gram: GramMatrix, root: StationaryRoot):
+    """A real root's (F, sqrt(diag F), F^2 - DGD residual) for ``certify_factor``, else None."""
+    if root.factor is None:
+        return None
+    f = root.factor.astype(complex)
+    a = np.sqrt(f.diagonal().real)
+    return f, a, factor_residual(a, f, gram.entries)
+
+
+def _rejection(roots: list[StationaryRoot], gates: list) -> str | None:
+    """Why ``roots``, with their ``_gate``s, cannot be the landscape, or None."""
+    if (n_pd := sum(root.is_positive_definite for root in roots)) != 1:
         return f"{n_pd} positive definite roots, not 1"
-    d = 1.0 / np.sqrt([root.d_inv_sq for root in real])
-    worst = np.max([factor_residual(np.sqrt(f.diagonal().real), f, gram.entries)
-                    for f in (d[:, :, None] * m_mat * d[:, None, :]).astype(complex)])
+    worst = np.max([gate[2] for gate in gates if gate is not None])
     return None if worst <= RESIDUAL_GATE else (
         f"worst real-root factor residual {worst:.3e} (gate {RESIDUAL_GATE:.1e})")
 
@@ -327,13 +339,15 @@ class LandscapeSummary:
 def classify_landscape(gram: GramMatrix) -> LandscapeSummary:
     """Enumerate and certify every stationary point.
 
-    Each real root's certificate is ``certify_gram(gram, root.factor)[0]``,
-    judged at the default tolerances (see ``Certificate``); the second item
-    of that pair is the root's measurement.  The unique positive definite
-    root is labeled as the global maximum; the remaining real roots are
-    certified stationary-non-global points whose success probabilities
-    chart the optimization landscape.
+    Each real root's certificate is ``certify_gram(gram, root.factor)[0]``
+    (see ``Certificate``); the second item of that pair is the root's
+    measurement.  The residual that decided the attempt is the one gated, so
+    none is computed twice; a factor of a last attempt that misses the gate
+    raises ResidualTooLarge.  The unique positive definite root is labeled
+    as the global maximum; the remaining real roots are certified
+    stationary-non-global points whose success probabilities chart the
+    optimization landscape.
     """
-    roots = solve_stationary(gram)
-    certs = [certify_gram(gram, root.factor)[0] if root.is_real else None for root in roots]
+    roots, gates = _stationary(gram)
+    certs = [None if gate is None else certify_factor(gram, *gate)[0] for gate in gates]
     return LandscapeSummary(gram=gram, roots=roots, certificates=certs)

@@ -128,7 +128,8 @@ def povm_from_dict(data: dict, context: str = "povm") -> Povm:
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    return dict(_fields(cert), f_positive=cert.f_positive, status=cert.status)
+    return dict(_fields(cert), tol_stat=cert.tol_stat, tol_glb=cert.tol_glb,
+                f_positive=cert.f_positive, status=cert.status)
 
 
 def solver_state_to_dict(state: SolverState) -> dict:
@@ -181,9 +182,10 @@ def landscape_to_dict(summary: LandscapeSummary) -> dict:
 
 
 def audit_to_dict(report: AuditReport) -> dict:
-    """The report's fields with plain dict copies of its read-only mappings, and ``passed``."""
+    """The report's fields with plain dict copies of its read-only mappings,
+    ``tol`` and ``passed``."""
     return dict(_fields(report), residuals=dict(report.residuals),
-                strict_margins=dict(report.strict_margins), passed=report.passed)
+                strict_margins=dict(report.strict_margins), tol=report.tol, passed=report.passed)
 
 
 def write_json(path: str | Path, payload: dict) -> None:

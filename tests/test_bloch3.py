@@ -257,7 +257,7 @@ class TestGeometricAudit:
 
     def test_keeps_a_copy_of_its_mappings(self):
         residuals = {"orthogonality": 0.0}
-        report = ms.AuditReport(k0=1.0, residuals=residuals, strict_margins={}, tol=1e-8)
+        report = ms.AuditReport(k0=1.0, residuals=residuals, strict_margins={})
         residuals["orthogonality"] = 1.0
         assert report.passed
 

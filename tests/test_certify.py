@@ -166,8 +166,8 @@ class TestCertifyGram:
 
 
 class TestTolerances:
-    """The tolerances belong to the Certificate: set at construction, or
-    through dataclasses.replace to judge the same measurement at others."""
+    """Every certificate is judged at TOL_STAT and TOL_GLB, which it reports;
+    no route sets another tolerance."""
 
     @pytest.mark.parametrize("name", ["tol_stat", "tol_glb"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -1e-9])
@@ -175,26 +175,12 @@ class TestTolerances:
         ens, povm = orthogonal_setup()
         cert = ms.certify_povm(ens, povm)
         fields = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
-        match = f"{name} must be finite and >= 0"
-        with pytest.raises(ValueError, match=match):
+        match = f"unexpected keyword argument '{name}'"
+        with pytest.raises(TypeError, match=match):
             ms.Certificate(**dict(fields, **{name: value}))
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(TypeError, match=match):
             dataclasses.replace(cert, **{name: value})
-
-    def test_zero_is_a_tolerance(self):
-        ens, povm = orthogonal_setup()
-        cert = dataclasses.replace(ms.certify_povm(ens, povm), tol_stat=0.0, tol_glb=0.0)
-        assert (cert.tol_stat, cert.tol_glb) == (0.0, 0.0)
-
-    def test_replaced_tolerances_change_only_the_status(self):
-        cert = solve_direct(random_gram(3, seed=83)).certificate
-        assert cert.status == "optimal" and 0.0 < cert.stationarity_residual
-        assert cert.global_min_eig < 0.0  # the optimum's minimum sits at rounding level
-        tight_stat = dataclasses.replace(cert, tol_stat=0.0)
-        tight_glb = dataclasses.replace(cert, tol_glb=0.0)
-        assert tight_stat.status == "nonstationary"
-        assert tight_glb.status == "stationary"
-        assert dataclasses.replace(tight_stat, tol_stat=ms.TOL_STAT) == cert
+        assert (cert.tol_stat, cert.tol_glb) == (ms.TOL_STAT, ms.TOL_GLB)
 
 
 class TestCertificateConsistency:

@@ -134,7 +134,7 @@ def _assert_same_certificate(cert: ms.Certificate, frozen: dict, label: str) -> 
     for name, want in frozen.items():
         got = getattr(cert, name)
         assert type(got) is type(want) and repr(got) == repr(want), f"{label}: {name}"
-    old = types.SimpleNamespace(**frozen, tol_stat=cert.tol_stat, tol_glb=cert.tol_glb,
+    old = types.SimpleNamespace(**frozen, tol_stat=ms.TOL_STAT, tol_glb=ms.TOL_GLB,
                                 status=cert.status)
     assert _dumps(serialize.certificate_to_dict(cert)) == _dumps(certificate_to_dict(old)), label
 

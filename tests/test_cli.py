@@ -292,6 +292,24 @@ class TestSolve:
         assert (out / "good-report.json").exists()
         assert "broken: failed (64)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("out", ["d", "./d/", "link"])
+    def test_batch_rerun_into_its_own_directory_skips_its_reports(self, tmp_path, capsys,
+                                                                  monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--m", "3", "--seed", "1", "--out", "d"]) == 0
+        Path("link").symlink_to("d")  # the same directory under another name
+        argv = ["solve", "--batch", "d", "--out", out, "--steps", "100", "--h", "1e-2"]
+        outputs = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert main(argv) == 0
+            [line] = capsys.readouterr().out.splitlines()
+            assert line.startswith("ensemble-m3-seed1: optimal ")
+            outputs.append({p.name: p.read_bytes() for p in sorted(Path("d").iterdir())})
+        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0]) == ["ensemble-m3-seed1-report.json",
+                                      "ensemble-m3-seed1-trace.csv", "ensemble-m3-seed1.json"]
+
     @staticmethod
     def _svd_fails_at(monkeypatch, m):
         """Make the SVD of every m x m matrix (the polar snap of certify_gram) fail
@@ -514,13 +532,6 @@ class TestCertify:
         assert len(run.stderr.splitlines()) == 1
         assert "not orthonormal" in run.stderr
 
-    def test_tolerance_flags_reach_the_certificate(self, tmp_path):
-        ens = ms.Ensemble(np.eye(3), np.full(3, 1 / 3))
-        inp = certify_payload(tmp_path / "ok.json", ens, ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))
-        assert main(["certify", inp, "--out", str(tmp_path), "--tol-stat", "1e-3"]) == 0
-        cert = json.loads((tmp_path / "ok-certificate.json").read_text())
-        assert cert["tol_stat"] == 0.001
-
 
 class TestEnumerate:
     def test_symmetric_case_reports_five_real_roots(self, tmp_path):
@@ -565,9 +576,9 @@ class TestEnumerate:
     @pytest.mark.parametrize("schema", ["ensemble", "gram"])
     def test_every_eigen_call_refuses_a_nan_spectrum(self, tmp_path, capsys, monkeypatch, schema):
         # NaN from the input check exits 65 with numpy's message; from any later
-        # call (G^{1/2}, then the complements and the factor of each root's
-        # certificate) the enumeration fails with 3, as solve and certify do;
-        # no call ends in a traceback
+        # call (each root's definiteness, G^{1/2}, then the complements and the
+        # factor of each root's certificate) the enumeration fails with 3, as
+        # solve and certify do; no call ends in a traceback
         ens = ms.random_ensemble(3, seed=807, spread=0.6, real=True)
         path = tmp_path / "e.json"
         serialize.write_json(path, serialize.ensemble_to_dict(ens) if schema == "ensemble"
@@ -575,7 +586,7 @@ class TestEnumerate:
         argv = ["enumerate", str(path), "--out", str(tmp_path)]
         calls = _assert_nan_spectrum_exit_codes(monkeypatch, capsys, argv, path,
                                                 "enumeration failed")
-        assert calls == [2, 2] + [3, 2] * 8
+        assert calls == [2] + [2] * 8 + [2] + [3, 2] * 8
 
 
 class TestAudit:
@@ -727,8 +738,11 @@ class TestUsage:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("flag", ["--tol-stat", "--tol-glb"])
-    @pytest.mark.parametrize("argv", [["audit", "in.json"], ["generate", "--m", "2", "--seed", "1"]])
+    @pytest.mark.parametrize("argv", [["audit", "in.json"], ["generate", "--m", "2", "--seed", "1"],
+                                      ["solve", "in.json"], ["certify", "in.json"],
+                                      ["enumerate", "in.json"], ["reproduce-fig1"]])
     def test_tolerance_flags_are_rejected_where_unused(self, tmp_path, capsys, argv, flag):
+        # every verdict is judged at TOL_STAT and TOL_GLB, so no subcommand takes them
         assert main(argv + ["--out", str(tmp_path), flag, "1e-3"]) == 64
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
@@ -824,15 +838,6 @@ class TestRepeatedCalls:
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
-
-    def test_tolerance_flags_do_not_carry_over(self, tmp_path):
-        ens = ms.Ensemble(np.eye(3), np.full(3, 1 / 3))
-        inp = certify_payload(tmp_path / "ok.json", ens, ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))
-        cert_path = tmp_path / "ok-certificate.json"
-        assert main(["certify", inp, "--tol-stat", "1e-3", "--out", str(tmp_path)]) == 0
-        assert json.loads(cert_path.read_text())["tol_stat"] == 1e-3
-        assert main(["certify", inp, "--out", str(tmp_path)]) == 0
-        assert json.loads(cert_path.read_text())["tol_stat"] == ms.TOL_STAT
 
     @pytest.mark.parametrize("first, code", [(["--version"], 0), (["--help"], 0), (["solve"], 64)])
     def test_a_call_that_exits_early_leaves_the_next_one_intact(self, tmp_path, capsys,

@@ -207,7 +207,8 @@ class TestClassifyLandscape:
             roots, _, _ = enumerate3._find_roots(enumerate3._check_real_m3(gram), seed)
             pd = [r for r in roots if r.is_positive_definite]
             assert len(pd) == 1, f"seed {seed}: {len(pd)} positive definite roots"
-            assert enumerate3._rejection(gram, roots) is None, f"seed {seed}"
+            gates = [enumerate3._gate(gram, root) for root in roots]
+            assert enumerate3._rejection(roots, gates) is None, f"seed {seed}"
             real_ps = [r.p_success for r in roots if r.is_real]
             assert pd[0].p_success == pytest.approx(max(real_ps), abs=1e-9)
 

@@ -157,22 +157,10 @@ def test_solve_beyond_the_address_space_is_a_usage_error(tmp_path, capsys):
                                   ["certify", "in.json"], ["enumerate", "in.json"]],
                          ids=["solve", "reproduce-fig1", "certify", "enumerate"])
 def test_invalid_tolerances_are_usage_errors(capsys, argv, flag, value):
-    # "--flag=value" keeps argparse from reading -inf or -1e-12 as a flag
+    # no subcommand takes a tolerance any more; "--flag=value" keeps argparse
+    # from reading -inf or -1e-12 as a flag of its own
     assert cli.main(argv + [f"{flag}={value}"]) == 64
-    assert f"argument {flag}: invalid tolerance value: '{value}'" in capsys.readouterr().err
-
-
-def test_zero_tolerances_are_accepted(tmp_path):
-    ens = ms.Ensemble(np.eye(3), np.full(3, 1 / 3))
-    serialize.write_json(tmp_path / "ok.json", {
-        "ensemble": serialize.ensemble_to_dict(ens),
-        "povm": serialize.povm_to_dict(ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT)),
-    })
-    code = cli.main(["certify", str(tmp_path / "ok.json"), "--out", str(tmp_path),
-                     "--tol-stat=0", "--tol-glb=0"])
-    assert code in (0, 2, 3)
-    cert = json.loads((tmp_path / "ok-certificate.json").read_text())
-    assert (cert["tol_stat"], cert["tol_glb"]) == (0.0, 0.0)
+    assert f"unrecognized arguments: {flag}={value}" in capsys.readouterr().err
 
 
 def _near_floor_gram(m, seed, real, factor):

@@ -181,11 +181,11 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused == []
 
 
-_SOLVER_FLAGS = {"--out", "--tol-stat", "--tol-glb", "--steps", "--h", "--polish"}
+_SOLVER_FLAGS = {"--out", "--steps", "--h", "--polish"}
 CLI_OPTIONS = {
     "solve": _SOLVER_FLAGS | {"--batch"},
-    "certify": {"--out", "--tol-stat", "--tol-glb"},
-    "enumerate": {"--out", "--tol-stat", "--tol-glb"},
+    "certify": {"--out"},
+    "enumerate": {"--out"},
     "audit": {"--out"},
     "generate": {"--out", "--m", "--seed", "--spread", "--real"},
     "reproduce-fig1": _SOLVER_FLAGS,
@@ -230,14 +230,14 @@ def test_enumeration_records_hold_the_pinned_fields():
 
 
 def test_certificate_and_audit_hold_the_pinned_fields():
-    # f_positive, status and passed are derived; the serializers write these
-    # fields plus those derived keys
+    # f_positive, status and passed are derived, and the tolerances are the
+    # package's constants; the serializers write these fields plus those keys
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
               for cls in (ms.Certificate, ms.AuditReport)}
     assert fields == {
         "Certificate": ["stationarity_residual", "global_min_eig", "f_min_eig", "p_success",
-                        "tr_z", "tol_stat", "tol_glb"],
-        "AuditReport": ["k0", "residuals", "strict_margins", "tol"],
+                        "tr_z"],
+        "AuditReport": ["k0", "residuals", "strict_margins"],
     }
 
 

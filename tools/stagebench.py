@@ -31,8 +31,9 @@ process imports ``medsolve`` from its tree and measures:
   checks), then ``certify_povm`` and ``geometric_audit`` run on the parsed
   input: the best of 5 repeats of 2000 calls, in us per call;
 - ``classify_landscape`` on the real ensemble's Gram matrix, the enumeration
-  and every real root's certificate: the best of 5 repeats of 100 calls, in
-  us per call.
+  and every real root's certificate, and ``landscape_to_dict`` of its
+  landscape, enumerated once before the timing as ``medsolve enumerate``
+  serializes it: the best of 5 repeats of 100 calls, in us per call.
 
 The table gives, per row, the best and the median over the rounds of each
 process's time, for REV and for this checkout, and their ratios (below 1 is
@@ -148,8 +149,11 @@ def measure(src: Path) -> dict[str, float]:
                   ("geometric_audit", functools.partial(ms.geometric_audit, *parsed),
                    VERIFY_CALLS)]
         if real:
-            layers.append(("classify_landscape", functools.partial(ms.classify_landscape, gram),
-                           ENUMERATE_CALLS))
+            layers += [("classify_landscape", functools.partial(ms.classify_landscape, gram),
+                        ENUMERATE_CALLS),
+                       ("landscape_to_dict", functools.partial(
+                           serialize.landscape_to_dict, ms.classify_landscape(gram)),
+                        ENUMERATE_CALLS)]
         for layer, call, calls in layers:
             best = np.inf
             for _ in range(VERIFY_REPEATS):
