@@ -48,7 +48,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .certify import RESIDUAL_GATE, Certificate, certify_factor, factor_residual
-from .exceptions import RootCountAnomaly
+from .exceptions import NoConvergence, RootCountAnomaly
 from .gram import GramMatrix
 from .linalg import hermitian_eig, read_only
 
@@ -343,11 +343,15 @@ def classify_landscape(gram: GramMatrix) -> LandscapeSummary:
     (see ``Certificate``); the second item of that pair is the root's
     measurement.  The residual that decided the attempt is the one gated, so
     none is computed twice; a factor of a last attempt that misses the gate
-    raises ResidualTooLarge.  The unique positive definite root is labeled
-    as the global maximum; the remaining real roots are certified
-    stationary-non-global points whose success probabilities chart the
-    optimization landscape.
+    raises ResidualTooLarge, and a last attempt without exactly one positive
+    definite root then raises NoConvergence.  The unique positive definite
+    root is labeled as the global maximum; the remaining real roots are
+    certified stationary-non-global points whose success probabilities chart
+    the optimization landscape.
     """
     roots, gates = _stationary(gram)
     certs = [None if gate is None else certify_factor(gram, *gate)[0] for gate in gates]
+    if (why := _rejection(roots, gates)) is not None:
+        raise NoConvergence(f"none of {_ATTEMPTS} pencils held one positive definite "
+                            f"root: the last had {why}")
     return LandscapeSummary(gram=gram, roots=roots, certificates=certs)

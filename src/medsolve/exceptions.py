@@ -41,4 +41,5 @@ class RootCountAnomaly(UserWarning):
     The others are at infinity (as for symmetric ensembles), coincide at a
     singular root, or were lost when rounding mixed the pencil's eigenvectors
     of two nearby roots.  The enumeration retries a pencil that loses the
-    global root, so unless all its pencils did, only non-global roots are missing."""
+    global root, so only non-global roots are missing: if all its pencils
+    lose it, ``classify_landscape`` raises NoConvergence instead."""

@@ -274,11 +274,25 @@ class TestRetry:
         seeds = self._merging(monkeypatch, calls=enumerate3._ATTEMPTS)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            landscape = ms.classify_landscape(gram)
+            roots = ms.solve_stationary(gram)
         assert seeds == [8128, 8129, 8130, 8131]
         assert [w.category for w in caught] == [ms.RootCountAnomaly]
-        assert len(landscape.roots) == 6
-        assert enumerate3.LABEL_GLOBAL not in landscape.labels
+        assert len(roots) == 6
+        assert not any(root.is_positive_definite for root in roots)
+
+    def test_a_landscape_without_its_global_root_is_not_written(self, monkeypatch, tmp_path,
+                                                                 capsys):
+        gram = random_gram(**self.GRAM)
+        self._merging(monkeypatch, calls=2 * enumerate3._ATTEMPTS)
+        with pytest.raises(ms.NoConvergence, match="none of 4 pencils held one positive "
+                           "definite root: the last had 0 positive definite roots, not 1"):
+            ms.classify_landscape(gram)
+        path = tmp_path / "merged.json"
+        serialize.write_json(path, serialize.gram_to_dict(gram))
+        capsys.readouterr()
+        assert main(["enumerate", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("enumeration failed: none of 4 pencils")
+        assert not (tmp_path / "merged-landscape.json").exists()
 
     @pytest.mark.parametrize("name", ["nd150", "nd361"])
     def test_near_dependent_landscape_has_its_global_root(self, tmp_path, name):

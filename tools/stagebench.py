@@ -2,11 +2,13 @@
 
     python tools/stagebench.py [--against REV]      # REV defaults to HEAD
 
-Run from anywhere inside the repository.  The tool extracts REV's ``src``
-tree with ``git archive REV src | tar -x`` and times both trees in fresh
-Python processes, five rounds of one process per tree, alternating which
-tree goes first so that drift in the host's load falls on both.  Each
-process imports ``medsolve`` from its tree and measures:
+Run from anywhere inside the repository.  The tool extracts REV's
+``src/medsolve`` with ``git archive`` and imports it as ``medsolve_rev``
+beside this checkout's ``medsolve``, in one process; every module of each
+must come from its own tree.  Each package builds every row's call and inputs
+once, and one routine times every row as the best of its repeats, alternating
+the packages row by row over five rounds with the order flipped each round, so
+that drift in the host's load falls on both.  The rows:
 
 - ``homotopy._rate`` at a fixed mid-path state, for m = 2, 5 and 8 in real
   and complex arithmetic: the best of 5 repeats of 2000 calls, in us per call.
@@ -35,27 +37,29 @@ process imports ``medsolve`` from its tree and measures:
   landscape, enumerated once before the timing as ``medsolve enumerate``
   serializes it: the best of 5 repeats of 100 calls, in us per call.
 
-The table gives, per row, the best and the median over the rounds of each
-process's time, for REV and for this checkout, and their ratios (below 1 is
-faster here).  The median shows how far the best alone can be trusted: fresh
-processes of one tree differ by several percent.  Both trees must provide
-``_rate(a, f, g, gdot, t)``, ``_integrate`` and ``_correct(a, f, gram)``, the
-public ``rk4_drag``, ``search_optimum``, ``certify_povm``, ``geometric_audit``
-and ``classify_landscape``, and the ``serialize`` functions named here.
+The table gives, per row, the best and the median over the rounds, for REV
+and for this checkout, and their ratios (below 1 is faster here).  A run
+against HEAD with nothing changed (an A/A run) shows how far the ratios stray
+by noise alone; a gap inside that band is not resolved.  Both trees
+must provide every function named here, with ``_rate(a, f, g, gdot, t)``,
+``_integrate`` and ``_correct(a, f, gram)`` among them; REV's lack of one
+exits 2 with its name.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
-import json
+import gc
+import importlib.util
 import os
 import platform
 import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 
@@ -67,111 +71,100 @@ VERIFY_CALLS, VERIFY_REPEATS, ENUMERATE_CALLS = 2000, 5, 100
 STEPS, H = 200, 5e-3
 
 
-def measure(src: Path) -> dict[str, float]:
-    """Time the medsolve under ``src`` in this process: {row key: best time}."""
-    sys.path.insert(0, str(src))
-    import medsolve as ms
-    from medsolve import homotopy, serialize
-    from medsolve.linalg import haar_unitary, hermitize
+def load(name: str, src: Path) -> ModuleType:
+    """Import the package in ``src/medsolve``, and every module of it, as ``name``."""
+    tree = (src / "medsolve").resolve()
+    spec = importlib.util.spec_from_file_location(name, tree / "__init__.py",
+                                                  submodule_search_locations=[str(tree)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for path in sorted(tree.glob("*.py")):
+        if path.stem != "__init__":
+            importlib.import_module(f"{name}.{path.stem}")
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == name and Path(module.__file__).resolve().parent != tree:
+            raise SystemExit(f"{key} was loaded from {module.__file__}, not from {tree}")
+    return package
 
-    if Path(ms.__file__).resolve().parent != (src / "medsolve").resolve():
-        raise SystemExit(f"imported {ms.__file__}, not the tree under {src}")
-    cases = []  # (m, arithmetic, path, _rate's arguments at the mid-path state)
+
+def rows(ms: ModuleType) -> dict[tuple[str, int, str], tuple]:
+    """{(layer and unit, m, arithmetic): (call, calls per repeat, repeats, units per
+    second)} for the package ``ms``, every call bound to inputs built once."""
+    out, drag = {}, {}
     for m in DIMENSIONS:
-        for real in (True, False):
-            target = ms.raw_gram(ms.random_ensemble(m, 90 + m, 0.6, real=real))
+        for arith in ("real", "complex"):
+            target = ms.raw_gram(ms.random_ensemble(m, 90 + m, 0.6, real=arith == "real"))
             path = ms.Trajectory(ms.GramMatrix(np.eye(m) / m), target)
-            half = ms.GramMatrix(path(0.5))
-            mid = ms.rk4_drag(ms.Trajectory(path.g_start, half), steps=STEPS, h=H,
-                              polish=True).final_state
-            args = (mid.a, mid.f, path(0.5), path.tangent(), 0.5)
-            if real:
-                args = (mid.a, mid.f.real, path(0.5).real, path.tangent().real, 0.5)
-            cases.append((m, "real" if real else "complex", path, args))
-    out = {}
-    for m, arith, _, args in cases:
-        best = np.inf
-        for _ in range(RATE_REPEATS):
-            began = time.perf_counter()
-            for _ in range(RATE_CALLS):
-                homotopy._rate(*args)
-            best = min(best, time.perf_counter() - began)
-        out[f"_rate us|{m}|{arith}"] = 1e6 * best / RATE_CALLS
-    for m, arith, path, _ in cases:
-        best = np.inf
-        for _ in range(DRAG_REPEATS):
-            began = time.perf_counter()
-            ms.rk4_drag(path, steps=STEPS, h=H, polish=True)
-            best = min(best, time.perf_counter() - began)
-        out[f"rk4_drag ms|{m}|{arith}"] = 1e3 * best
+            mid = ms.rk4_drag(ms.Trajectory(path.g_start, ms.GramMatrix(path(0.5))),
+                              steps=STEPS, h=H, polish=True).final_state
+            f, g, gdot = mid.f, path(0.5), path.tangent()
+            if arith == "real":
+                f, g, gdot = f.real, g.real, gdot.real
+            out["_rate us", m, arith] = (partial(ms.homotopy._rate, mid.a, f, g, gdot, 0.5),
+                                         RATE_CALLS, RATE_REPEATS, 1e6)
+            drag["rk4_drag ms", m, arith] = (partial(ms.rk4_drag, path, steps=STEPS, h=H,
+                                                     polish=True), 1, DRAG_REPEATS, 1e3)
+    out.update(drag)
     for m in SEARCH_DIMENSIONS:
-        for real in (True, False):
-            gram = ms.raw_gram(ms.random_ensemble(m, 90 + m, 0.6, real=real))
-            best = np.inf
-            for _ in range(SEARCH_REPEATS):
-                began = time.perf_counter()
-                ms.search_optimum(gram, seed=0)
-                best = min(best, time.perf_counter() - began)
-            out[f"search_optimum ms|{m}|{'real' if real else 'complex'}"] = 1e3 * best
+        for arith in ("real", "complex"):
+            gram = ms.raw_gram(ms.random_ensemble(m, 90 + m, 0.6, real=arith == "real"))
+            out["search_optimum ms", m, arith] = (partial(ms.search_optimum, gram, seed=0),
+                                                  1, SEARCH_REPEATS, 1e3)
     for m in FINISH_DIMENSIONS:
-        for real in (True, False):
+        for arith in ("real", "complex"):
             rng = np.random.default_rng(80 + m)
             lam = np.concatenate(([FINISH_MIN_EIG], rng.uniform(0.1, 1.0, m - 1)))
             lam[1:] *= (1.0 - lam[0]) / lam[1:].sum()
-            v = haar_unitary(rng, m, real)
+            v = ms.linalg.haar_unitary(rng, m, arith == "real")
             path = ms.Trajectory(ms.GramMatrix(np.eye(m) / m),
-                                 ms.GramMatrix(hermitize((v * lam) @ v.conj().T)))
+                                 ms.GramMatrix(ms.linalg.hermitize((v * lam) @ v.conj().T)))
             start = ms.initial_state(m)
-            a, f = homotopy._integrate(path, start.a, start.f, STEPS, H, polish=False)[:2]
-            best = np.inf
-            for _ in range(FINISH_REPEATS):
-                began = time.perf_counter()
-                homotopy._correct(a, f, path.g_end)
-                best = min(best, time.perf_counter() - began)
-            out[f"finish ms|{m}|{'real' if real else 'complex'}"] = 1e3 * best
-    for real in (True, False):
-        ensemble = ms.random_ensemble(3, 93, 0.6, real=real)
+            a, f = ms.homotopy._integrate(path, start.a, start.f, STEPS, H, polish=False)[:2]
+            out["finish ms", m, arith] = (partial(ms.homotopy._correct, a, f, path.g_end),
+                                          1, FINISH_REPEATS, 1e3)
+    serialize = ms.serialize
+    for arith in ("real", "complex"):
+        ensemble = ms.random_ensemble(3, 93, 0.6, real=arith == "real")
         gram = ms.raw_gram(ensemble)
         u = ms.rk4_drag(ms.Trajectory(ms.GramMatrix(np.eye(3) / 3), gram), steps=STEPS, h=H,
                         polish=True).final_povm.vectors
-        if real:
+        if arith == "real":
             problem = serialize.ensemble_to_dict(ensemble)
             povm = serialize.povm_to_dict(ms.povm_from_unitary(gram, u, ensemble=ensemble))
         else:
             problem, povm = serialize.gram_to_dict(gram), serialize.povm_to_dict(ms.Povm(u))
 
-        def load(problem=problem, povm=povm):
+        def parse(problem=problem, povm=povm):
             return serialize.load_gram_or_ensemble(problem), serialize.povm_from_dict(povm)
 
-        parsed = load()
-        layers = [("load", load, VERIFY_CALLS),
-                  ("certify_povm", functools.partial(ms.certify_povm, *parsed), VERIFY_CALLS),
-                  ("geometric_audit", functools.partial(ms.geometric_audit, *parsed),
-                   VERIFY_CALLS)]
-        if real:
-            layers += [("classify_landscape", functools.partial(ms.classify_landscape, gram),
-                        ENUMERATE_CALLS),
-                       ("landscape_to_dict", functools.partial(
-                           serialize.landscape_to_dict, ms.classify_landscape(gram)),
-                        ENUMERATE_CALLS)]
-        for layer, call, calls in layers:
-            best = np.inf
-            for _ in range(VERIFY_REPEATS):
-                began = time.perf_counter()
-                for _ in range(calls):
-                    call()
-                best = min(best, time.perf_counter() - began)
-            out[f"{layer} us|3|{'real' if real else 'complex'}"] = 1e6 * best / calls
+        parsed = parse()
+        layers = {"load": parse, "certify_povm": partial(ms.certify_povm, *parsed),
+                  "geometric_audit": partial(ms.geometric_audit, *parsed)}
+        if arith == "real":
+            layers["classify_landscape"] = partial(ms.classify_landscape, gram)
+            layers["landscape_to_dict"] = partial(serialize.landscape_to_dict,
+                                                  ms.classify_landscape(gram))
+        for layer, call in layers.items():
+            calls = ENUMERATE_CALLS if "landscape" in layer else VERIFY_CALLS
+            out[f"{layer} us", 3, arith] = (call, calls, VERIFY_REPEATS, 1e6)
     return out
 
 
-def _child(src: Path) -> dict[str, float]:
-    env = {k: v for k, v in os.environ.items() if k not in ("MED_LOG", "PYTHONPATH")}
-    done = subprocess.run([sys.executable, __file__, "--child", str(src)], env=env,
-                          capture_output=True, text=True, check=False)
-    if done.returncode != 0:
-        raise SystemExit(f"the run on {src} failed:\n{done.stderr}")
-    return json.loads(done.stdout)
+def best_per_call(call, calls: int, repeats: int) -> float:
+    """The best of ``repeats`` timings of ``calls`` calls, in seconds per call,
+    with the cyclic garbage collector off, as ``timeit`` times."""
+    best = np.inf
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            began = time.perf_counter()
+            for _ in range(calls):
+                call()
+            best = min(best, time.perf_counter() - began)
+    finally:
+        gc.enable()
+    return best / calls
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -180,28 +173,34 @@ def main(argv: list[str] | None = None) -> int:
                         help="git revision to compare this checkout with (default: HEAD)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="medsolve-stagebench-") as tmp:
-        rev_root = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against, "src"],
-                                 capture_output=True, check=False)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against,
+                                  "src/medsolve"], capture_output=True, check=False)
         if archive.returncode != 0:
             print(archive.stderr.decode(), file=sys.stderr, end="")
             return 2
-        subprocess.run(["tar", "-x", "-C", str(rev_root)], input=archive.stdout, check=True)
-        trees = {"rev": rev_root / "src", "here": ROOT / "src"}
-        runs: dict[str, dict[str, list[float]]] = {"rev": {}, "here": {}}
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        packages = {"rev": load("medsolve_rev", Path(tmp) / "src"),
+                    "here": load("medsolve", ROOT / "src")}
+        try:
+            built = {name: rows(package) for name, package in packages.items()}
+        except AttributeError as exc:
+            print(f"{exc}, which a row calls (medsolve_rev is {args.against})", file=sys.stderr)
+            return 2
+        times: dict[str, dict] = {"rev": {}, "here": {}}
         for k in range(ROUNDS):
-            for name in (("rev", "here") if k % 2 == 0 else ("here", "rev")):
-                for key, value in _child(trees[name]).items():
-                    runs[name].setdefault(key, []).append(value)
+            for key in built["rev"]:
+                for name in (("rev", "here") if k % 2 == 0 else ("here", "rev")):
+                    call, calls, repeats, unit = built[name][key]
+                    times[name].setdefault(key, []).append(
+                        unit * best_per_call(call, calls, repeats))
 
     print(f"Python {platform.python_version()}, numpy {np.__version__}, "
-          f"{os.cpu_count()} CPUs; {ROUNDS} alternated processes per tree")
+          f"{os.cpu_count()} CPUs; {ROUNDS} alternated rounds per tree in one process")
     rev = args.against[:12]
     print(f"{'layer':<21} {'m':>2} {'arith':<8} {'best: ' + rev:>18} {'here':>8} {'here/rev':>9}"
           f" {'median: rev':>12} {'here':>8} {'here/rev':>9}")
-    for key, theirs in runs["rev"].items():
-        layer, m, arith = key.split("|")
-        ours = runs["here"][key]
+    for (layer, m, arith), theirs in times["rev"].items():
+        ours = times["here"][layer, m, arith]
         best = min(theirs), min(ours)
         median = float(np.median(theirs)), float(np.median(ours))
         print(f"{layer:<21} {m:>2} {arith:<8} {best[0]:>18.2f} {best[1]:>8.2f} "
@@ -211,7 +210,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--child"]:
-        print(json.dumps(measure(Path(sys.argv[2]))))
-    else:
-        sys.exit(main())
+    sys.exit(main())
