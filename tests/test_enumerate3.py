@@ -283,7 +283,7 @@ class TestRetry:
     def test_a_landscape_without_its_global_root_is_not_written(self, monkeypatch, tmp_path,
                                                                  capsys):
         gram = random_gram(**self.GRAM)
-        self._merging(monkeypatch, calls=2 * enumerate3._ATTEMPTS)
+        self._merging(monkeypatch, calls=2 * enumerate3._ATTEMPTS)  # two enumerations
         with pytest.raises(ms.NoConvergence, match="none of 4 pencils held one positive "
                            "definite root: the last had 0 positive definite roots, not 1"):
             ms.classify_landscape(gram)
