@@ -121,8 +121,15 @@ def complements(scaled: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _global_min_eig(scaled: np.ndarray, z: np.ndarray) -> float:
-    """Minimum eigenvalue of Z - |psi~_i><psi~_i| over all i."""
-    return float(np.minimum.reduce(hermitian_eig(complements(scaled, z))[:, 0]))
+    """Minimum eigenvalue of Z - |psi~_i><psi~_i| over all i.  The complements
+    are built 8 columns at a time, so memory stays O(8 m^2), not O(m^3); the
+    eigenvalue gufunc treats each matrix of a stack on its own, so the bits are
+    those of the full stack, and at m <= 8 it is one call."""
+    lowest = np.inf
+    for k in range(0, scaled.shape[1], 8):
+        block = hermitian_eig(complements(scaled[:, k:k + 8], z))[:, 0]
+        lowest = min(lowest, np.minimum.reduce(block))
+    return float(lowest)
 
 
 def hermitian_factor(overlaps: np.ndarray) -> np.ndarray:

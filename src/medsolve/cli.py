@@ -227,8 +227,11 @@ def _load_certify_input(path: Path):
 
 def cmd_certify(args) -> int:
     problem, povm = _load_certify_input(Path(args.input))
-    with _numerical("certification"):
-        cert = certify_povm(problem, povm)
+    try:
+        with _numerical("certification"):
+            cert = certify_povm(problem, povm)
+    except MemoryError as exc:  # numpy's message names the shape and the bytes
+        raise _CliFailure(EXIT_FAILED, f"certification failed: {exc}") from exc
     out = _out_dir(args)
     cert_path = out / f"{Path(args.input).stem}-certificate.json"
     _write_output(cert_path, write_json, certificate_to_dict(cert))

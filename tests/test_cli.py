@@ -444,6 +444,50 @@ class TestCertify:
         assert capsys.readouterr().err == "certification failed: Eigenvalues did not converge\n"
         assert not (out / "c-certificate.json").exists()
 
+    def test_memory_error_is_a_certification_failure(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 122. MiB for an array with shape "
+                              "(200, 200, 200) and data type complex128")
+
+        monkeypatch.setattr(cli, "certify_povm", exhausted)
+        ens = ms.random_ensemble(3, seed=806, spread=0.6)
+        inp = certify_payload(tmp_path / "c.json", ens, ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))
+        out = tmp_path / "out"
+        assert main(["certify", inp, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "certification failed: Unable to allocate 122. MiB for an array with shape "
+            "(200, 200, 200) and data type complex128\n")
+        assert not (out / "c-certificate.json").exists()
+
+    @pytest.mark.slow
+    def test_large_m_certifies_in_a_bounded_address_space(self, tmp_path):
+        # all m complements Z - p_i rho_i at once take m^3 entries, 122 MiB of
+        # complex128 at m = 200; the child's address space may grow by half that
+        m, seed = 200, 811
+        rng = np.random.default_rng(seed)
+        basis = haar_unitary(rng, m)
+        ens = ms.Ensemble(basis, rng.dirichlet(np.full(m, 20.0)))
+        big = certify_payload(tmp_path / "big.json", ens, ms.Povm(basis, frame=ms.FRAME_AMBIENT))
+        small = certify_payload(tmp_path / "small.json", ms.random_ensemble(3, seed, 0.6),
+                                ms.Povm(np.eye(3), frame=ms.FRAME_AMBIENT))
+        child = (
+            "import resource, sys\n"
+            "from medsolve.cli import main\n"
+            "main(['certify', sys.argv[1], '--out', sys.argv[3]])  # numpy's and BLAS's buffers\n"
+            "with open('/proc/self/status') as status:\n"
+            "    kb = next(int(line.split()[1]) for line in status if line.startswith('VmSize:'))\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (kb * 1024 + 200**3 * 16 // 2, hard))\n"
+            "sys.exit(main(['certify', sys.argv[2], '--out', sys.argv[3]]))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", child, small, big, str(tmp_path)],
+                             env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1"),
+                             capture_output=True, text=True, timeout=120)
+        assert run.stderr == ""
+        assert run.returncode == 0
+        cert = json.loads((tmp_path / "big-certificate.json").read_text())
+        assert cert["status"] == "optimal"
+
     @pytest.mark.parametrize("schema", ["ensemble", "gram"])
     def test_every_eigen_call_refuses_a_nan_spectrum(self, tmp_path, capsys, monkeypatch, schema):
         # numpy's gufunc returns NaN where its wrapper raised.  NaN from the

@@ -1,4 +1,5 @@
-"""The tree loader of tools/stagebench.py: a second copy of the package beside ``medsolve``."""
+"""tools/stagebench.py: the tree loader, a second copy of the package beside
+``medsolve``, and the per-row summary of the timed samples."""
 
 import importlib.util
 import shutil
@@ -40,3 +41,22 @@ def test_each_package_is_loaded_from_its_own_tree(rev):
         assert Path(ours.__file__).resolve().parent == here
     assert package is not ms
     assert package.GramMatrix is not ms.GramMatrix
+
+
+@pytest.fixture
+def stagebench():
+    spec = importlib.util.spec_from_file_location("stagebench", ROOT / "tools" / "stagebench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_summary_pairs_sample_k_of_each_package(stagebench):
+    # host load that moves both packages' sample k alike leaves the paired
+    # ratios at 1.1; sorting either side first would spread them
+    rev = [10.0, 30.0, 20.0, 50.0, 40.0]
+    here = [11.0, 33.0, 22.0, 55.0, 44.0]
+    assert stagebench.summary(rev, here) == (10.0, 11.0, 1.1, 1.1, 1.1, 1.1)
+    # 0.5, 2, 1, 0.5, 2 paired: q1, median and q3 at the 2nd, 3rd and 4th of five
+    assert stagebench.summary([2.0, 1.0, 3.0, 8.0, 1.5], [1.0, 2.0, 3.0, 4.0, 3.0]) == (
+        1.0, 1.0, 1.0, 0.5, 1.0, 2.0)

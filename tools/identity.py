@@ -45,7 +45,9 @@ output file.  It prints each difference and exits 1 when there is any, 0
 otherwise.  Under a JSON or CSV file whose bytes differ it lists the largest
 |delta| of each numeric key (list indices folded into ``[]``) or column whose
 values moved, and names any other key that changed.  MED_LOG is removed from
-the children's environment, since its records carry wall-clock times.
+the children's environment, since its records carry wall-clock times, and
+OPENBLAS_NUM_THREADS is set to 1 there, since output bytes hold for one thread
+count (README, exit codes), so that a comparison does not depend on host load.
 """
 
 from __future__ import annotations
@@ -245,6 +247,7 @@ def run_tree(src: Path, ops: list, work: Path, out: Path) -> dict:
 def _child(src: Path, work: Path, out: Path, ops: Path) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "MED_LOG"}
     env.pop("PYTHONPATH", None)
+    env["OPENBLAS_NUM_THREADS"] = "1"
     done = subprocess.run(
         [sys.executable, __file__, "--child", str(src), str(work), str(out), str(ops)],
         env=env, capture_output=True, text=True, check=False,

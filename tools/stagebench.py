@@ -6,44 +6,46 @@ Run from anywhere inside the repository.  The tool extracts REV's
 ``src/medsolve`` with ``git archive`` and imports it as ``medsolve_rev``
 beside this checkout's ``medsolve``, in one process; every module of each
 must come from its own tree.  Each package builds every row's call and inputs
-once, and one routine times every row as the best of its repeats, alternating
-the packages row by row over five rounds with the order flipped each round, so
-that drift in the host's load falls on both.  The rows:
+once.  One loop then times each row in turn: 21 samples per package,
+alternating the packages and flipping their order each sample, so that a burst
+of host load falls on one pair of samples, not on one package.  A sample is
+one timing, with the garbage collector off, of as many calls as take about
+0.05 s, worked out once per row from the fastest of three single calls of
+REV's; both packages make that many.  The rows, in ms or us per call:
 
 - ``homotopy._rate`` at a fixed mid-path state, for m = 2, 5 and 8 in real
-  and complex arithmetic: the best of 5 repeats of 2000 calls, in us per call.
-  The state is the polished drag's solution at G(1/2) of the path from I/m
-  to a seeded random Gram matrix (``random_ensemble(m, 90 + m, 0.6)``), with
-  G(1/2) and dG/dt as the stage sees them mid-drag;
-- one polished 200-step ``rk4_drag`` along that path, per m and arithmetic,
-  the best of 3, in ms;
+  and complex arithmetic.  The state is the polished drag's solution at
+  G(1/2) of the path from I/m to a seeded random Gram matrix
+  (``random_ensemble(m, 90 + m, 0.6)``), with G(1/2) and dG/dt as the stage
+  sees them mid-drag;
+- one polished 200-step ``rk4_drag`` along that path, per m and arithmetic;
 - one ``search_optimum(gram, seed=0)`` for m = 2, 3 and 4 in real and complex
-  arithmetic on ``raw_gram(random_ensemble(m, 90 + m, 0.6))``, the best of
-  5, in ms;
+  arithmetic on ``raw_gram(random_ensemble(m, 90 + m, 0.6))``;
 - the corrector of a polished drag, ``homotopy._correct``, from the raw end
   of the unpolished 200-step drag from I/m to a seeded near-dependent Gram
   matrix (smallest eigenvalue 1e-6, the others uniform in [0.1, 1] and
   rescaled to trace 1, eigenvectors ``haar_unitary(default_rng(80 + m), m)``)
-  for m = 3 and 8 in real and complex arithmetic, the best of 5, in ms;
+  for m = 3 and 8 in real and complex arithmetic;
 - the verification layers at m = 3 on the certify input of
   ``random_ensemble(3, 93, 0.6)``'s polished optimum, held in memory as the
   CLI reads it from its JSON file: the real ensemble (arithmetic ``real``)
   and the complex problem's Gram matrix (``complex``).  ``load`` parses the
   input with ``load_gram_or_ensemble`` and ``povm_from_dict`` (the input
   checks), then ``certify_povm`` and ``geometric_audit`` run on the parsed
-  input: the best of 5 repeats of 2000 calls, in us per call;
+  input;
 - ``classify_landscape`` on the real ensemble's Gram matrix, the enumeration
   and every real root's certificate, and ``landscape_to_dict`` of its
   landscape, enumerated once before the timing as ``medsolve enumerate``
-  serializes it: the best of 5 repeats of 100 calls, in us per call.
+  serializes it.
 
-The table gives, per row, the best and the median over the rounds, for REV
-and for this checkout, and their ratios (below 1 is faster here).  A run
-against HEAD with nothing changed (an A/A run) shows how far the ratios stray
-by noise alone; a gap inside that band is not resolved.  Both trees
-must provide every function named here, with ``_rate(a, f, g, gdot, t)``,
-``_integrate`` and ``_correct(a, f, gram)`` among them; REV's lack of one
-exits 2 with its name.
+The table gives, per row, each package's best sample and their ratio, and
+the median of the 21 paired ratios here/rev (sample k of this checkout over
+sample k of REV) with its quartiles q1 and q3; below 1 is faster here.  A run
+against HEAD with nothing changed (an A/A run) shows how far the paired
+medians stray by noise alone (A/A_BAND); a gap inside that band is not
+resolved.  Both trees must provide every function named here, with
+``_rate(a, f, g, gdot, t)``, ``_integrate`` and ``_correct(a, f, gram)``
+among them; REV's lack of one exits 2 with its name.
 """
 
 from __future__ import annotations
@@ -65,9 +67,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 DIMENSIONS, SEARCH_DIMENSIONS, FINISH_DIMENSIONS = (2, 5, 8), (2, 3, 4), (3, 8)
-ROUNDS, RATE_CALLS, RATE_REPEATS, DRAG_REPEATS, SEARCH_REPEATS = 5, 2000, 5, 3, 5
-FINISH_REPEATS, FINISH_MIN_EIG = 5, 1e-6
-VERIFY_CALLS, VERIFY_REPEATS, ENUMERATE_CALLS = 2000, 5, 100
+SAMPLES, SAMPLE_S, FINISH_MIN_EIG = 21, 0.05, 1e-6
 STEPS, H = 200, 5e-3
 
 
@@ -89,8 +89,8 @@ def load(name: str, src: Path) -> ModuleType:
 
 
 def rows(ms: ModuleType) -> dict[tuple[str, int, str], tuple]:
-    """{(layer and unit, m, arithmetic): (call, calls per repeat, repeats, units per
-    second)} for the package ``ms``, every call bound to inputs built once."""
+    """{(layer and unit, m, arithmetic): (call, units per second)} for the
+    package ``ms``, every call bound to inputs built once."""
     out, drag = {}, {}
     for m in DIMENSIONS:
         for arith in ("real", "complex"):
@@ -101,16 +101,14 @@ def rows(ms: ModuleType) -> dict[tuple[str, int, str], tuple]:
             f, g, gdot = mid.f, path(0.5), path.tangent()
             if arith == "real":
                 f, g, gdot = f.real, g.real, gdot.real
-            out["_rate us", m, arith] = (partial(ms.homotopy._rate, mid.a, f, g, gdot, 0.5),
-                                         RATE_CALLS, RATE_REPEATS, 1e6)
+            out["_rate us", m, arith] = (partial(ms.homotopy._rate, mid.a, f, g, gdot, 0.5), 1e6)
             drag["rk4_drag ms", m, arith] = (partial(ms.rk4_drag, path, steps=STEPS, h=H,
-                                                     polish=True), 1, DRAG_REPEATS, 1e3)
+                                                     polish=True), 1e3)
     out.update(drag)
     for m in SEARCH_DIMENSIONS:
         for arith in ("real", "complex"):
             gram = ms.raw_gram(ms.random_ensemble(m, 90 + m, 0.6, real=arith == "real"))
-            out["search_optimum ms", m, arith] = (partial(ms.search_optimum, gram, seed=0),
-                                                  1, SEARCH_REPEATS, 1e3)
+            out["search_optimum ms", m, arith] = (partial(ms.search_optimum, gram, seed=0), 1e3)
     for m in FINISH_DIMENSIONS:
         for arith in ("real", "complex"):
             rng = np.random.default_rng(80 + m)
@@ -121,8 +119,7 @@ def rows(ms: ModuleType) -> dict[tuple[str, int, str], tuple]:
                                  ms.GramMatrix(ms.linalg.hermitize((v * lam) @ v.conj().T)))
             start = ms.initial_state(m)
             a, f = ms.homotopy._integrate(path, start.a, start.f, STEPS, H, polish=False)[:2]
-            out["finish ms", m, arith] = (partial(ms.homotopy._correct, a, f, path.g_end),
-                                          1, FINISH_REPEATS, 1e3)
+            out["finish ms", m, arith] = (partial(ms.homotopy._correct, a, f, path.g_end), 1e3)
     serialize = ms.serialize
     for arith in ("real", "complex"):
         ensemble = ms.random_ensemble(3, 93, 0.6, real=arith == "real")
@@ -146,25 +143,28 @@ def rows(ms: ModuleType) -> dict[tuple[str, int, str], tuple]:
             layers["landscape_to_dict"] = partial(serialize.landscape_to_dict,
                                                   ms.classify_landscape(gram))
         for layer, call in layers.items():
-            calls = ENUMERATE_CALLS if "landscape" in layer else VERIFY_CALLS
-            out[f"{layer} us", 3, arith] = (call, calls, VERIFY_REPEATS, 1e6)
+            out[f"{layer} us", 3, arith] = (call, 1e6)
     return out
 
 
-def best_per_call(call, calls: int, repeats: int) -> float:
-    """The best of ``repeats`` timings of ``calls`` calls, in seconds per call,
-    with the cyclic garbage collector off, as ``timeit`` times."""
-    best = np.inf
+def per_call(call, calls: int) -> float:
+    """One timing of ``calls`` calls, in seconds per call, with the cyclic
+    garbage collector off, as ``timeit`` times."""
     gc.disable()
     try:
-        for _ in range(repeats):
-            began = time.perf_counter()
-            for _ in range(calls):
-                call()
-            best = min(best, time.perf_counter() - began)
+        began = time.perf_counter()
+        for _ in range(calls):
+            call()
+        return (time.perf_counter() - began) / calls
     finally:
         gc.enable()
-    return best / calls
+
+
+def summary(rev: list[float], here: list[float]) -> tuple[float, ...]:
+    """One row's (best of REV, best here, here/rev of the bests, and q1, median
+    and q3 of the paired ratios here[k] / rev[k]) from its samples."""
+    best = min(rev), min(here)
+    return (*best, best[1] / best[0], *np.percentile(np.divide(here, rev), [25, 50, 75]))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -187,25 +187,23 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{exc}, which a row calls (medsolve_rev is {args.against})", file=sys.stderr)
             return 2
         times: dict[str, dict] = {"rev": {}, "here": {}}
-        for k in range(ROUNDS):
-            for key in built["rev"]:
+        for key, (call, unit) in built["rev"].items():
+            calls = max(1, round(SAMPLE_S / min(per_call(call, 1) for _ in range(3))))
+            for k in range(SAMPLES):
                 for name in (("rev", "here") if k % 2 == 0 else ("here", "rev")):
-                    call, calls, repeats, unit = built[name][key]
                     times[name].setdefault(key, []).append(
-                        unit * best_per_call(call, calls, repeats))
+                        unit * per_call(built[name][key][0], calls))
 
     print(f"Python {platform.python_version()}, numpy {np.__version__}, "
-          f"{os.cpu_count()} CPUs; {ROUNDS} alternated rounds per tree in one process")
+          f"{os.cpu_count()} CPUs; {SAMPLES} alternated samples of about {SAMPLE_S} s "
+          f"per row and tree in one process")
     rev = args.against[:12]
     print(f"{'layer':<21} {'m':>2} {'arith':<8} {'best: ' + rev:>18} {'here':>8} {'here/rev':>9}"
-          f" {'median: rev':>12} {'here':>8} {'here/rev':>9}")
+          f" {'paired: q1':>11} {'median':>7} {'q3':>6}")
     for (layer, m, arith), theirs in times["rev"].items():
-        ours = times["here"][layer, m, arith]
-        best = min(theirs), min(ours)
-        median = float(np.median(theirs)), float(np.median(ours))
-        print(f"{layer:<21} {m:>2} {arith:<8} {best[0]:>18.2f} {best[1]:>8.2f} "
-              f"{best[1] / best[0]:>9.3f} {median[0]:>12.2f} {median[1]:>8.2f} "
-              f"{median[1] / median[0]:>9.3f}")
+        row = summary(theirs, times["here"][layer, m, arith])
+        print(f"{layer:<21} {m:>2} {arith:<8} {row[0]:>18.2f} {row[1]:>8.2f} {row[2]:>9.3f} "
+              f"{row[3]:>11.3f} {row[4]:>7.3f} {row[5]:>6.3f}")
     return 0
 
 
