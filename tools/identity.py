@@ -46,8 +46,8 @@ otherwise.  Under a JSON or CSV file whose bytes differ it lists the largest
 |delta| of each numeric key (list indices folded into ``[]``) or column whose
 values moved, and names any other key that changed.  MED_LOG is removed from
 the children's environment, since its records carry wall-clock times, and
-OPENBLAS_NUM_THREADS is set to 1 there, since output bytes hold for one thread
-count (README, exit codes), so that a comparison does not depend on host load.
+OPENBLAS_NUM_THREADS is set to 1 there, since output bytes repeat only at one
+BLAS thread count (README, exit codes).
 """
 
 from __future__ import annotations
