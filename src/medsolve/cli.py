@@ -164,10 +164,12 @@ def _solve_one(
                     gram, report.final_povm.vectors, ensemble=problem))
             _write_output(report_path, write_json, run_report_to_dict(report))
             _write_output(out / f"{stem}-trace.csv", write_trace_csv, report.trace)
-    except (ValueError, MemoryError) as exc:
+    except ValueError as exc:
         # the drag rejects --steps/--h it cannot run, and a --steps whose
         # trace cannot be allocated
         raise _CliFailure(EXIT_USAGE, f"invalid solver arguments: {exc}") from exc
+    except MemoryError as exc:  # a stage's arrays at large m; numpy names the bytes
+        raise _CliFailure(EXIT_FAILED, f"solver failed: {exc}") from exc
     return report, report_path
 
 

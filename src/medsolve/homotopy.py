@@ -38,11 +38,20 @@ Schur matrix and its inverse come from one reduction.  ``eigh`` and ``inv``
 call numpy's LAPACK gufuncs (``_umath_linalg.eigh_lo`` and ``.inv``, what
 ``np.linalg.eigh`` and ``np.linalg.inv`` call) without the wrapper's
 per-call array checks, dtype casts and error-state context, which cost as
-much as the factorization itself at these sizes.  The wrapper's one other
-duty is kept: the kernel flags a singular Schur matrix as an invalid
-operation, which the solve raises as SingularJacobian without a warning.
-A non-finite F yields NaN eigenvalues rather than an error, which the
-Lyapunov check and the positivity check after each step reject.
+much as the factorization itself at these sizes.  The drag has one error
+state of its own in place of the wrapper's per-call one: the RK4 stages and
+the step checks run under ``np.errstate(invalid="ignore")``, entered once
+per block of steps rather than once per stage, so the kernel's flag on a
+singular Schur matrix neither warns nor raises; the solve reads the
+singularity off the NaN inverse the kernel returns (a NaN condition number
+fails the COND_MAX check) and raises SingularJacobian.  ``_rate``, the entry
+point for direct callers, wraps the stage in the same state; the corrector
+runs under the caller's.  A non-finite F yields NaN eigenvalues rather than
+an error, which the Lyapunov check and the positivity check after each step
+reject.  The loop computes G(t) for a block of at most 64 steps and 2^16
+entries (one step from m = 182 on) in one stacked expression
+(1 - t) G_start + t G_end over the block's times, which rounds element by
+element as the scalar expression at each time does.
 The RK4 loop carries the state as one vector z = (a, f) in f's dtype, so
 each stage argument and each update is one array expression; the imaginary
 part of a complex z's scale entries stays exactly zero, and the scales
@@ -83,6 +92,10 @@ COND_MAX = 1e12
 #: floor on the diagonal scales a_i; one of them tending to zero signals the
 #: boundary of the admissible Gram region
 EPS_A = 1e-6
+
+#: the RK4 loop stacks G(t) for at most this many steps at a time, and at most
+#: _BLOCK_ENTRIES entries of G (1 MiB complex); from m = 182 on a block is one step
+_BLOCK_STEPS, _BLOCK_ENTRIES = 64, 2**16
 
 
 @functools.cache
@@ -233,21 +246,18 @@ def _tangent_solve(
     schur.ravel()[:: m + 1] += 2.0 * a  # a view: schur is contiguous
     y = vh.dot(rhs).dot(v)
     b = bnij.dot(y.ravel()).real
-    try:
-        # the kernel flags a singular matrix as an invalid operation (and
-        # returns NaNs), which np.linalg.inv raised as LinAlgError
-        with np.errstate(invalid="raise"):
-            schur_inv = _umath_linalg.inv(schur)
-        # the 1-norms of M and M^-1: column sums of |.|, both in one reduction
-        pair = np.abs(np.concatenate((schur, schur_inv))).reshape(2, m, m)
-        norms = np.maximum.reduce(np.add.reduce(pair, 1), 1)
-        cond = norms[0] * norms[1]
-    except FloatingPointError:
-        cond = np.inf
+    # the kernel returns NaNs for a singular matrix and flags an invalid
+    # operation, which the caller's error state ignores; cond is then NaN,
+    # which fails the check below
+    schur_inv = _umath_linalg.inv(schur)
+    # the 1-norms of M and M^-1: column sums of |.|, both in one reduction
+    pair = np.abs(np.concatenate((schur, schur_inv))).reshape(2, m, m)
+    norms = np.maximum.reduce(np.add.reduce(pair, 1), 1)
+    cond = norms[0] * norms[1]
     if not cond <= COND_MAX:
         raise SingularJacobian(
-            f"Schur system condition number {cond:.3e} exceeds {COND_MAX:.0e} "
-            f"at t={t:.6f} (bifurcation or near-dependence)"
+            f"Schur system condition number {np.inf if np.isnan(cond) else cond:.3e} exceeds "
+            f"{COND_MAX:.0e} at t={t:.6f} (bifurcation or near-dependence)"
         )
     da = schur_inv.dot(b)
     # V^dag (D'GD + DGD') V = X + X^dag with X = V^dag D' P
@@ -255,14 +265,25 @@ def _tangent_solve(
     return da, v.dot((y + x + x.conj().T) * w).dot(vh)
 
 
+def _stage(
+    a: np.ndarray, f: np.ndarray, g: np.ndarray, gdot: np.ndarray, t: float,
+    eig: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a', f') at (a, f); ``eig`` is eigh(F) when the caller already has it.
+    Runs under the caller's error state, which must ignore invalid operations
+    for a singular Schur matrix to raise SingularJacobian without a warning."""
+    eig = _umath_linalg.eigh_lo(_factor(a, f)) if eig is None else eig
+    da, dfmat = _tangent_solve(a, eig, g, a[:, None] * gdot * a, t)
+    return da, dfmat.take(_layout(a.shape[0])[0])
+
+
 def _rate(
     a: np.ndarray, f: np.ndarray, g: np.ndarray, gdot: np.ndarray, t: float,
     eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(a', f') at (a, f); ``eig`` is eigh(F) when the caller already has it."""
-    eig = _umath_linalg.eigh_lo(_factor(a, f)) if eig is None else eig
-    da, dfmat = _tangent_solve(a, eig, g, a[:, None] * gdot * a, t)
-    return da, dfmat.take(_layout(a.shape[0])[0])
+    """``_stage`` under its own error state, warning-free for direct callers."""
+    with np.errstate(invalid="ignore"):
+        return _stage(a, f, g, gdot, t, eig=eig)
 
 
 def derivative(state: SolverState, trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +337,8 @@ def rk4_drag(
     path taken through admissible matrices.
 
     ``steps * h`` must equal 1 to within 1e-9 so the run covers the whole
-    trajectory, as is checked before step 1.  The stages of step k use
+    trajectory, as is checked before step 1, and a ``steps`` whose trace cannot
+    be allocated raises ValueError there too.  The stages of step k use
     G(t_k), G(t_k + h/2) and G(t_{k+1}), with t_k = k h and t_steps = 1, and
     name their own time when they fail; the step check reuses G(t_{k+1}) to
     record the HS residual of F^2 - D G D, the minimum eigenvalue of F and
@@ -376,59 +398,82 @@ def _integrate(
     """The RK4 loop of ``rk4_drag`` from (a, f) at t = 0, unchecked: (a, f) at
     t = 1, the trace, and the corrected measurement U of a polished run (None
     otherwise).  f comes back real when the path and the start have no
-    imaginary part, complex otherwise."""
+    imaginary part, complex otherwise.  ValueError, before step 1, when the
+    trace of ``steps`` rows cannot be allocated."""
+    try:
+        trace = np.empty((steps, 5))
+    except MemoryError as exc:  # numpy's message names the bytes
+        raise ValueError(f"steps={steps}: the trace does not fit in memory ({exc})") from exc
     g_start, g_end = trajectory.g_start.entries, trajectory.g_end.entries
     if not (g_start.imag.any() or g_end.imag.any() or f.imag.any()):
         # exact zeros only: the real parts are then the same path, so only rounding changes
         g_start, g_end, f = g_start.real, g_end.real, f.real
-
-    def path(t: float) -> np.ndarray:  # Trajectory.__call__ in the dtype chosen above
-        return (1.0 - t) * g_start + t * g_end
-
     gdot = g_end - g_start
-    trace = np.empty((steps, 5))
     m = a.shape[0]
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_ENTRIES // (2 * m * m)))
     # (a, f) as one vector in f's dtype, one expression per RK4 combination; real
     # coefficients keep the scales' imaginary part 0 and round them as real arithmetic
     z = np.concatenate((a, f))
     t = 0.0
-    g_now = path(t)
+    g_now = (1.0 - t) * g_start + t * g_end  # Trajectory.__call__ in the dtype chosen above
     eig = None  # eigh(F) at (a, f), shared by the step check and the next k1
     half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k already rounds as (0.5 * h) * k
+    for first in range(1, steps + 1, block):
+        its = range(first, min(first + block, steps + 1))
+        # t_k + h/2 and t_{k+1} of each step; steps * h may miss 1 by up to 1e-9,
+        # and the last step lands on t = 1 exactly
+        times, t_k = [], t
+        for it in its:
+            t_next = 1.0 if it == steps else it * h
+            times += (t_k + half, t_next)
+            t_k = t_next
+        tt = np.array(times)[:, None, None]
+        # G(t) of every time at once, each rounded as the scalar (1 - t) G_start + t G_end
+        gs = (1.0 - tt) * g_start + tt * g_end
+        with np.errstate(invalid="ignore"):  # see _stage
+            # k4, the step check and the next k1 share G(t_next)
+            for it, t_mid, t_next, g_mid, g_next in zip(its, times[::2], times[1::2], gs[::2],
+                                                        gs[1::2]):
+                k1 = np.concatenate(_stage(a, f, g_now, gdot, t, eig=eig))
+                w = z + half * k1
+                k2 = np.concatenate(_stage(w[:m].real, w[m:], g_mid, gdot, t_mid))
+                w = z + half * k2
+                k3 = np.concatenate(_stage(w[:m].real, w[m:], g_mid, gdot, t_mid))
+                w = z + h * k3
+                k4 = np.concatenate(_stage(w[:m].real, w[m:], g_next, gdot, t_next))
+                z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                a, f = z[:m].real, z[m:]
+                t, g_now = t_next, g_next
+                if not (polish and it == steps):
+                    eig = _check_step(a, f, g_now, t, it, trace)
     u = None
-    for it in range(1, steps + 1):
-        # steps * h may miss 1 by up to 1e-9; the last step lands on t = 1 exactly
-        t_mid, t_next = t + half, 1.0 if it == steps else it * h
-        g_mid, g_next = path(t_mid), path(t_next)  # k4 and the step check share G(t_next)
-        k1 = np.concatenate(_rate(a, f, g_now, gdot, t, eig=eig))
-        w = z + half * k1
-        k2 = np.concatenate(_rate(w[:m].real, w[m:], g_mid, gdot, t_mid))
-        w = z + half * k2
-        k3 = np.concatenate(_rate(w[:m].real, w[m:], g_mid, gdot, t_mid))
-        w = z + h * k3
-        k4 = np.concatenate(_rate(w[:m].real, w[m:], g_next, gdot, t_next))
-        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        a, f = z[:m].real, z[m:]
-        t, g_now = t_next, g_next
-
-        # no admissibility check on G(t): its smallest eigenvalue is concave in t,
-        # and GramMatrix already holds both endpoints above EPS_LI
-        if polish and it == steps:
-            a, f, u = _correct(a, f, trajectory.g_end)
-
-        a_min = np.minimum.reduce(a)
-        if a_min <= EPS_A:
-            raise NearLinearDependence(
-                f"scale a_{int(np.argmin(a))} fell to {a_min:.3e} at t={t:.6f}; "
-                "target is too close to linear dependence"
-            )
-        fmat = _factor(a, f)
-        eig = _umath_linalg.eigh_lo(fmat)
-        f_min = float(eig[0][0])
-        if not f_min >= 0.0:  # a NaN spectrum fails here too
-            raise PositivityLost(
-                f"factor F lost positive definiteness at t={t:.6f} (min eig {f_min:.3e})"
-            )
-        resid = factor_residual(a, fmat, g_now)
-        trace[it - 1] = (it, t, resid, f_min, float(np.add.reduce(a * a)))
+    if polish:  # the last step, corrected and checked under the caller's error state
+        a, f, u = _correct(a, f, trajectory.g_end)
+        _check_step(a, f, g_now, t, steps, trace)
     return a.copy(), f, trace, u  # a is a view of z, strided when z is complex
+
+
+def _check_step(
+    a: np.ndarray, f: np.ndarray, g: np.ndarray, t: float, it: int, trace: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The check after step ``it``, which ended at t with G(t) = g: the scale
+    floor and the positivity of F, then trace row it - 1 (it, t, the HS residual
+    of F^2 - D G D, the minimum eigenvalue of F, the partial success
+    probability).  Returns eigh(F), which the next step's k1 reuses."""
+    # no admissibility check on G(t): its smallest eigenvalue is concave in t,
+    # and GramMatrix already holds both endpoints above EPS_LI
+    a_min = np.minimum.reduce(a)
+    if a_min <= EPS_A:
+        raise NearLinearDependence(
+            f"scale a_{int(np.argmin(a))} fell to {a_min:.3e} at t={t:.6f}; "
+            "target is too close to linear dependence"
+        )
+    fmat = _factor(a, f)
+    eig = _umath_linalg.eigh_lo(fmat)
+    f_min = float(eig[0][0])
+    if not f_min >= 0.0:  # a NaN spectrum fails here too
+        raise PositivityLost(
+            f"factor F lost positive definiteness at t={t:.6f} (min eig {f_min:.3e})"
+        )
+    trace[it - 1] = (it, t, factor_residual(a, fmat, g), f_min, float(np.add.reduce(a * a)))
+    return eig

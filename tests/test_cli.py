@@ -19,7 +19,7 @@ import medsolve as ms
 from conftest import nan_spectrum_from_call, random_gram, solve_direct
 from medsolve import certify, cli, homotopy, linalg, serialize
 from medsolve.cli import main
-from medsolve.homotopy import _rate
+from medsolve.homotopy import _stage
 from medsolve.linalg import haar_unitary
 
 DATA = Path(__file__).parent / "data"
@@ -273,12 +273,31 @@ class TestSolve:
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return _rate(*args, **kwargs)
+            return _stage(*args, **kwargs)
 
-        monkeypatch.setattr(homotopy, "_rate", counted)
+        monkeypatch.setattr(homotopy, "_stage", counted)
         inp = write_gram(tmp_path / "g.json", random_gram(3, seed=806))
         assert main(["solve", inp, "--out", str(tmp_path), "--tol-stat", "nan"]) == 64
         assert calls == []
+        # the counter sees every stage of a drag that does run
+        assert main(["solve", inp, "--out", str(tmp_path), "--steps", "10", "--h", "0.1",
+                     "--polish"]) == 0
+        assert len(calls) == 4 * 10
+
+    def test_memory_error_in_a_stage_is_a_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # not "invalid solver arguments": that is only a trace that cannot be allocated
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.98 GiB for an array with shape "
+                              "(500, 400000) and data type complex128")
+
+        monkeypatch.setattr(homotopy, "_stage", exhausted)
+        inp = write_gram(tmp_path / "g.json", random_gram(3, seed=806))
+        out = tmp_path / "out"
+        assert main(["solve", inp, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "solver failed: Unable to allocate 2.98 GiB for an array with shape "
+            "(500, 400000) and data type complex128\n")
+        assert list(out.iterdir()) == []
 
     def test_batch_mode_continues_past_bad_inputs(self, tmp_path, capsys):
         batch = tmp_path / "batch"

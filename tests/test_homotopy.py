@@ -13,7 +13,7 @@ from medsolve import homotopy, serialize
 from conftest import (identity_gram, overlap_gram_m3, probe_grams, random_gram, seeded_grams,
                       solve_direct)
 from medsolve.certify import RESIDUAL_GATE, factor_residual
-from medsolve.homotopy import _correct, _factor, _integrate, _rate, _tangent_solve
+from medsolve.homotopy import _correct, _factor, _integrate, _rate, _stage, _tangent_solve
 from medsolve.linalg import haar_unitary, hermitize, polar_unitary
 
 DATA = Path(__file__).parent / "data"
@@ -253,22 +253,23 @@ class TestTimeGrid:
     own time."""
 
     @staticmethod
-    def _drag(monkeypatch, steps, h):
-        rates, checks = [], []  # (G, t) of every _rate call; G of every step check
+    def _drag(monkeypatch, steps, h, target=None, polish=False):
+        rates, checks = [], []  # (G, t) of every stage; G of every step check
 
-        def rate(a, f, g, gdot, t, eig=None):
+        def stage(a, f, g, gdot, t, eig=None):
             rates.append((g, t))
-            return _rate(a, f, g, gdot, t, eig=eig)
+            return _stage(a, f, g, gdot, t, eig=eig)
 
         def residual(a, fmat, g):
             checks.append(g)
             return factor_residual(a, fmat, g)
 
-        monkeypatch.setattr(homotopy, "_rate", rate)
+        monkeypatch.setattr(homotopy, "_stage", stage)
         monkeypatch.setattr(homotopy, "factor_residual", residual)
-        trajectory = ms.Trajectory(identity_gram(4), random_gram(4, seed=97))
+        trajectory = ms.Trajectory(identity_gram(4),
+                                   random_gram(4, seed=97) if target is None else target)
         start = ms.initial_state(4)
-        _integrate(trajectory, start.a, start.f, steps, h, False)
+        _integrate(trajectory, start.a, start.f, steps, h, polish)
         assert len(rates) == 4 * steps and len(checks) == steps
         return trajectory, rates, checks
 
@@ -291,6 +292,31 @@ class TestTimeGrid:
         g_one = trajectory(1.0)
         assert np.array_equal(rates[-1][0], g_one) and np.array_equal(checks[-1], g_one)
         assert rates[-1][1] == 1.0
+
+    @pytest.mark.parametrize("polish", [False, True])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_stacked_blocks_round_as_the_scalar_path(self, monkeypatch, polish, real):
+        # 150 steps at m = 4 are three blocks of G(t) (64, 64 and 22 steps); at
+        # h = 1/150, t_k + h/2 + h/2 and t_{k+1} = (k + 1) h differ at k = 10, ...
+        steps, h = 150, 1.0 / 150
+        assert -(-steps // homotopy._BLOCK_STEPS) == 3
+        assert any(k * h + 0.5 * h + 0.5 * h != (k + 1) * h for k in range(steps))
+        trajectory, rates, checks = self._drag(
+            monkeypatch, steps, h, random_gram(4, seed=97, real=real), polish)
+        g_start, g_end = trajectory.g_start.entries, trajectory.g_end.entries
+        if real:
+            g_start, g_end = g_start.real, g_end.real
+
+        def same(g, t):  # bitwise G(t) of the scalar expression, in the drag's dtype
+            want = (1.0 - t) * g_start + t * g_end
+            return g.dtype == want.dtype and g.tobytes() == want.tobytes()
+
+        grid = [k * h for k in range(steps)] + [1.0]
+        want = [(t, t + 0.5 * h, t + 0.5 * h, t_next) for t, t_next in zip(grid, grid[1:])]
+        assert [t for _, t in rates] == [t for stage_times in want for t in stage_times]
+        assert all(same(g, t) for g, t in rates)
+        assert all(same(g, t) for g, t in zip(checks, grid[1:]))
+        assert rates[-1][1] == 1.0 and same(rates[-1][0], 1.0) and same(checks[-1], 1.0)
 
 
 def _two_array_integrate(trajectory, a, f, steps, h, polish):
@@ -364,15 +390,70 @@ class _KernelsWithNanEigh:
 
 @pytest.fixture
 def rate_calls(monkeypatch):
-    """Counts the tangent evaluations of the drags a test runs."""
+    """Counts the tangent evaluations (calls of ``_stage``) of the drags a test runs."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return _rate(*args, **kwargs)
+        return _stage(*args, **kwargs)
 
-    monkeypatch.setattr(homotopy, "_rate", counted)
+    monkeypatch.setattr(homotopy, "_stage", counted)
     return calls
+
+
+def test_rate_calls_counts_every_stage_of_a_drag(rate_calls):
+    report = solve_direct(random_gram(3, seed=96), steps=10, h=0.1, polish=True)
+    assert report.certificate.is_optimal and len(rate_calls) == 4 * 10
+
+
+class TestErrorState:
+    """The drag's stages and step checks ignore invalid operations; nothing else
+    does: the caller's error state holds after the drag and in its corrector."""
+
+    def test_a_drag_leaves_the_error_state_as_it_found_it(self, monkeypatch):
+        before = np.geterr()
+        solve_direct(random_gram(3, seed=96), steps=10, h=0.1, polish=True)
+        assert np.geterr() == before
+        # NaN at the check after step 4 (see test_nan_spectrum_at_the_step_check_loses_positivity)
+        monkeypatch.setattr(homotopy, "_umath_linalg", _KernelsWithNanEigh(5 + 4 * 3))
+        with pytest.raises(ms.PositivityLost, match=r"at t=0\.400000 "):
+            solve_direct(random_gram(3, seed=96), steps=10, h=0.1)
+        assert np.geterr() == before
+
+    def test_the_corrector_runs_under_the_callers_error_state(self, monkeypatch):
+        stages, corrector = set(), []
+
+        def stage(*args, **kwargs):
+            stages.add(np.geterr()["invalid"])
+            return _stage(*args, **kwargs)
+
+        def correct(*args):
+            corrector.append(np.geterr()["invalid"])
+            return _correct(*args)
+
+        monkeypatch.setattr(homotopy, "_stage", stage)
+        monkeypatch.setattr(homotopy, "_correct", correct)
+        trajectory = ms.Trajectory(identity_gram(3), random_gram(3, seed=96))
+        start = ms.initial_state(3)
+        with np.errstate(invalid="raise"):
+            u = _integrate(trajectory, start.a, start.f, 20, 0.05, True)[3]
+            assert np.geterr()["invalid"] == "raise"
+        assert u is not None and stages == {"ignore"} and corrector == ["raise"]
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_stage_reads_a_singular_schur_off_its_nan_inverse(self, m):
+        # the pinned point of test_singular_schur_raises_without_a_warning, under
+        # the drag's error state in place of _rate's
+        a = np.full(m, 0.8)
+        a[0] = np.sqrt(0.5 / m)
+        g = np.eye(m) / m
+        gdot = np.diag(np.linspace(-1.0, 1.0, m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(ms.SingularJacobian,
+                                   match=r"^Schur system condition number inf exceeds 1e\+12 "):
+                    _stage(a, np.zeros(m * (m - 1) // 2), g, gdot, 0.625)
 
 
 class TestDragBetween:

@@ -19,6 +19,9 @@ REV's; both packages make that many.  The rows, in ms or us per call:
   (``random_ensemble(m, 90 + m, 0.6)``), with G(1/2) and dG/dt as the stage
   sees them mid-drag;
 - one polished 200-step ``rk4_drag`` along that path, per m and arithmetic;
+- the fig1 drag: one unpolished 1000-step ``rk4_drag`` (h = 1e-3) from I/5
+  to ``reference_five_state_gram()``, complex, as ``medsolve reproduce-fig1``
+  runs it at its defaults;
 - one ``search_optimum(gram, seed=0)`` for m = 2, 3 and 4 in real and complex
   arithmetic on ``raw_gram(random_ensemble(m, 90 + m, 0.6))``;
 - the corrector of a polished drag, ``homotopy._correct``, from the raw end
@@ -106,6 +109,8 @@ def rows(ms: ModuleType) -> dict[tuple[str, int, str], tuple]:
             drag["rk4_drag ms", m, arith] = (partial(ms.rk4_drag, path, steps=STEPS, h=H,
                                                      polish=True), 1e3)
     out.update(drag)
+    fig1 = ms.Trajectory(ms.GramMatrix(np.eye(5) / 5), ms.reference_five_state_gram())
+    out["rk4_drag fig1 ms", 5, "complex"] = (partial(ms.rk4_drag, fig1, steps=1000, h=1e-3), 1e3)
     for m in SEARCH_DIMENSIONS:
         for arith in ("real", "complex"):
             gram = ms.raw_gram(ms.random_ensemble(m, 90 + m, 0.6, real=arith == "real"))
