@@ -82,9 +82,12 @@ class _Parser(argparse.ArgumentParser):
 def _read_input(path: Path, parse):
     """Read a JSON file and ``parse`` its data, mapping failures to exit codes:
     an unreadable file or a schema violation is a usage error, invalid
-    numbers are invalid data."""
+    numbers are invalid data.  The parse ignores overflow and invalid
+    operations: a huge finite value fails its check as data, with no numpy
+    warning."""
     try:
-        return parse(read_json(path))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return parse(read_json(path))
     except OSError as exc:
         raise _CliFailure(EXIT_USAGE, f"{path}: cannot read input ({exc.strerror})") from exc
     except SchemaError as exc:
@@ -94,14 +97,22 @@ def _read_input(path: Path, parse):
 
 
 @contextlib.contextmanager
-def _numerical(stage: str):
-    """Map a MedError or numpy's LinAlgError raised on a parsed input to exit 3
-    with ``<stage> failed: <message>``: a numerical failure, not bad data."""
+def _numerical(stage: str, bad_value: tuple[int, str] | None = None):
+    """Map a failure on a parsed input to its exit code.  A MedError, numpy's
+    LinAlgError or a MemoryError (numpy's message names the bytes) is exit 3
+    with ``<stage> failed: <message>``: a numerical failure, not bad data.  With
+    ``bad_value=(code, prefix)``, any other ValueError is exit ``code`` with
+    ``<prefix>: <message>``; without it, the ValueError propagates."""
     try:
         yield
-    except (MedError, np.linalg.LinAlgError) as exc:
+    except (MedError, np.linalg.LinAlgError, MemoryError) as exc:
         # LinAlgError is a ValueError, but it is a numerical failure, not a bad value
         raise _CliFailure(EXIT_FAILED, f"{stage} failed: {exc}") from exc
+    except ValueError as exc:
+        if bad_value is None:
+            raise
+        code, prefix = bad_value
+        raise _CliFailure(code, f"{prefix}: {exc}") from exc
 
 
 def _load_problem(path: Path) -> GramMatrix | Ensemble:
@@ -154,22 +165,17 @@ def _solve_one(
     report's path."""
     gram = _as_gram(problem)
     report_path = out / f"{stem}-report.json"
-    try:
-        with _numerical("solver"):
-            report = rk4_drag(Trajectory(GramMatrix(np.eye(gram.m) / gram.m), gram),
-                              steps=args.steps, h=args.h, polish=args.polish)
-            if isinstance(problem, Ensemble):
-                # the dual frame vectors of the report are the U the drag certified
-                report = replace(report, final_povm=povm_from_unitary(
-                    gram, report.final_povm.vectors, ensemble=problem))
-            _write_output(report_path, write_json, run_report_to_dict(report))
-            _write_output(out / f"{stem}-trace.csv", write_trace_csv, report.trace)
-    except ValueError as exc:
-        # the drag rejects --steps/--h it cannot run, and a --steps whose
-        # trace cannot be allocated
-        raise _CliFailure(EXIT_USAGE, f"invalid solver arguments: {exc}") from exc
-    except MemoryError as exc:  # a stage's arrays at large m; numpy names the bytes
-        raise _CliFailure(EXIT_FAILED, f"solver failed: {exc}") from exc
+    # the drag rejects --steps/--h it cannot run, and a --steps whose trace
+    # cannot be allocated, with a ValueError
+    with _numerical("solver", bad_value=(EXIT_USAGE, "invalid solver arguments")):
+        report = rk4_drag(Trajectory(GramMatrix(np.eye(gram.m) / gram.m), gram),
+                          steps=args.steps, h=args.h, polish=args.polish)
+        if isinstance(problem, Ensemble):
+            # the dual frame vectors of the report are the U the drag certified
+            report = replace(report, final_povm=povm_from_unitary(
+                gram, report.final_povm.vectors, ensemble=problem))
+        _write_output(report_path, write_json, run_report_to_dict(report))
+        _write_output(out / f"{stem}-trace.csv", write_trace_csv, report.trace)
     return report, report_path
 
 
@@ -229,11 +235,8 @@ def _load_certify_input(path: Path):
 
 def cmd_certify(args) -> int:
     problem, povm = _load_certify_input(Path(args.input))
-    try:
-        with _numerical("certification"):
-            cert = certify_povm(problem, povm)
-    except MemoryError as exc:  # numpy's message names the shape and the bytes
-        raise _CliFailure(EXIT_FAILED, f"certification failed: {exc}") from exc
+    with _numerical("certification"):
+        cert = certify_povm(problem, povm)
     out = _out_dir(args)
     cert_path = out / f"{Path(args.input).stem}-certificate.json"
     _write_output(cert_path, write_json, certificate_to_dict(cert))
@@ -244,11 +247,8 @@ def cmd_certify(args) -> int:
 def cmd_enumerate(args) -> int:
     problem = _load_problem(Path(args.input))
     gram = _as_gram(problem)
-    try:
-        with _numerical("enumeration"):
-            summary = classify_landscape(gram)
-    except ValueError as exc:
-        raise _CliFailure(EXIT_DATA, f"enumeration failed: {exc}") from exc
+    with _numerical("enumeration", bad_value=(EXIT_DATA, "enumeration failed")):
+        summary = classify_landscape(gram)
     out = _out_dir(args)
     path = out / f"{Path(args.input).stem}-landscape.json"
     _write_output(path, write_json, landscape_to_dict(summary))
@@ -259,11 +259,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_audit(args) -> int:
     problem, povm = _load_certify_input(Path(args.input))
-    try:
-        with _numerical("audit"):
-            report = geometric_audit(problem, povm)
-    except ValueError as exc:
-        raise _CliFailure(EXIT_DATA, f"audit failed to run: {exc}") from exc
+    with _numerical("audit", bad_value=(EXIT_DATA, "audit failed to run")):
+        report = geometric_audit(problem, povm)
     out = _out_dir(args)
     path = out / f"{Path(args.input).stem}-audit.json"
     _write_output(path, write_json, audit_to_dict(report))

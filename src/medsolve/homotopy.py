@@ -38,18 +38,18 @@ Schur matrix and its inverse come from one reduction.  ``eigh`` and ``inv``
 call numpy's LAPACK gufuncs (``_umath_linalg.eigh_lo`` and ``.inv``, what
 ``np.linalg.eigh`` and ``np.linalg.inv`` call) without the wrapper's
 per-call array checks, dtype casts and error-state context, which cost as
-much as the factorization itself at these sizes.  The drag has one error
-state of its own in place of the wrapper's per-call one: the RK4 stages and
-the step checks run under ``np.errstate(invalid="ignore")``, entered once
-per block of steps rather than once per stage, so the kernel's flag on a
-singular Schur matrix neither warns nor raises; the solve reads the
-singularity off the NaN inverse the kernel returns (a NaN condition number
-fails the COND_MAX check) and raises SingularJacobian.  ``_rate``, the entry
-point for direct callers, wraps the stage in the same state; the corrector
-runs under the caller's.  A non-finite F yields NaN eigenvalues rather than
-an error, which the Lyapunov check and the positivity check after each step
-reject.  The loop computes G(t) for a block of at most 64 steps and 2^16
-entries (one step from m = 182 on) in one stacked expression
+much as the factorization itself at these sizes.  In place of the
+wrapper's per-call error state, the stage ``_rate`` runs under its caller's,
+and exactly two callers enter ``np.errstate(invalid="ignore")``: ``_integrate``
+once per drag, around all its RK4 stages and step checks, and ``derivative``
+around its one stage.  The kernel's flag on a singular Schur matrix then
+neither warns nor raises; the solve reads the singularity off the NaN inverse
+the kernel returns (a NaN condition number fails the COND_MAX check) and
+raises SingularJacobian.  A polished drag's corrector and its check run after
+the loop, under the caller's state.  A non-finite F yields NaN eigenvalues
+rather than an error, which the Lyapunov check and the positivity check after
+each step reject.  The loop computes G(t) for a block of at most 64 steps and
+2^16 entries (one step from m = 182 on) in one stacked expression
 (1 - t) G_start + t G_end over the block's times, which rounds element by
 element as the scalar expression at each time does.
 The RK4 loop carries the state as one vector z = (a, f) in f's dtype, so
@@ -265,25 +265,17 @@ def _tangent_solve(
     return da, v.dot((y + x + x.conj().T) * w).dot(vh)
 
 
-def _stage(
-    a: np.ndarray, f: np.ndarray, g: np.ndarray, gdot: np.ndarray, t: float,
-    eig: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(a', f') at (a, f); ``eig`` is eigh(F) when the caller already has it.
-    Runs under the caller's error state, which must ignore invalid operations
-    for a singular Schur matrix to raise SingularJacobian without a warning."""
-    eig = _umath_linalg.eigh_lo(_factor(a, f)) if eig is None else eig
-    da, dfmat = _tangent_solve(a, eig, g, a[:, None] * gdot * a, t)
-    return da, dfmat.take(_layout(a.shape[0])[0])
-
-
 def _rate(
     a: np.ndarray, f: np.ndarray, g: np.ndarray, gdot: np.ndarray, t: float,
     eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_stage`` under its own error state, warning-free for direct callers."""
-    with np.errstate(invalid="ignore"):
-        return _stage(a, f, g, gdot, t, eig=eig)
+    """The stage: (a', f') at (a, f); ``eig`` is eigh(F) when the caller already
+    has it.  Runs under the caller's error state, which must ignore invalid
+    operations for a singular Schur matrix to raise SingularJacobian without a
+    warning: ``_integrate`` enters it once per drag, ``derivative`` per call."""
+    eig = _umath_linalg.eigh_lo(_factor(a, f)) if eig is None else eig
+    da, dfmat = _tangent_solve(a, eig, g, a[:, None] * gdot * a, t)
+    return da, dfmat.take(_layout(a.shape[0])[0])
 
 
 def derivative(state: SolverState, trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -298,7 +290,8 @@ def derivative(state: SolverState, trajectory: Trajectory) -> tuple[np.ndarray, 
     if state.m != trajectory.m:
         raise ValueError(f"state has dimension {state.m}, the trajectory has {trajectory.m}")
     t = state.t
-    return _rate(state.a, state.f, trajectory(t), trajectory.tangent(), t)
+    with np.errstate(invalid="ignore"):  # see _rate
+        return _rate(state.a, state.f, trajectory(t), trajectory.tangent(), t)
 
 
 def _correct(a: np.ndarray, f: np.ndarray, gram: GramMatrix) -> tuple:
@@ -418,29 +411,29 @@ def _integrate(
     g_now = (1.0 - t) * g_start + t * g_end  # Trajectory.__call__ in the dtype chosen above
     eig = None  # eigh(F) at (a, f), shared by the step check and the next k1
     half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k already rounds as (0.5 * h) * k
-    for first in range(1, steps + 1, block):
-        its = range(first, min(first + block, steps + 1))
-        # t_k + h/2 and t_{k+1} of each step; steps * h may miss 1 by up to 1e-9,
-        # and the last step lands on t = 1 exactly
-        times, t_k = [], t
-        for it in its:
-            t_next = 1.0 if it == steps else it * h
-            times += (t_k + half, t_next)
-            t_k = t_next
-        tt = np.array(times)[:, None, None]
-        # G(t) of every time at once, each rounded as the scalar (1 - t) G_start + t G_end
-        gs = (1.0 - tt) * g_start + tt * g_end
-        with np.errstate(invalid="ignore"):  # see _stage
+    with np.errstate(invalid="ignore"):  # see _rate; the corrector runs after it
+        for first in range(1, steps + 1, block):
+            its = range(first, min(first + block, steps + 1))
+            # t_k + h/2 and t_{k+1} of each step; steps * h may miss 1 by up to 1e-9,
+            # and the last step lands on t = 1 exactly
+            times, t_k = [], t
+            for it in its:
+                t_next = 1.0 if it == steps else it * h
+                times += (t_k + half, t_next)
+                t_k = t_next
+            tt = np.array(times)[:, None, None]
+            # G(t) of every time at once, each rounded as the scalar (1 - t) G_start + t G_end
+            gs = (1.0 - tt) * g_start + tt * g_end
             # k4, the step check and the next k1 share G(t_next)
             for it, t_mid, t_next, g_mid, g_next in zip(its, times[::2], times[1::2], gs[::2],
                                                         gs[1::2]):
-                k1 = np.concatenate(_stage(a, f, g_now, gdot, t, eig=eig))
+                k1 = np.concatenate(_rate(a, f, g_now, gdot, t, eig=eig))
                 w = z + half * k1
-                k2 = np.concatenate(_stage(w[:m].real, w[m:], g_mid, gdot, t_mid))
+                k2 = np.concatenate(_rate(w[:m].real, w[m:], g_mid, gdot, t_mid))
                 w = z + half * k2
-                k3 = np.concatenate(_stage(w[:m].real, w[m:], g_mid, gdot, t_mid))
+                k3 = np.concatenate(_rate(w[:m].real, w[m:], g_mid, gdot, t_mid))
                 w = z + h * k3
-                k4 = np.concatenate(_stage(w[:m].real, w[m:], g_next, gdot, t_next))
+                k4 = np.concatenate(_rate(w[:m].real, w[m:], g_next, gdot, t_next))
                 z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 a, f = z[:m].real, z[m:]
                 t, g_now = t_next, g_next

@@ -195,7 +195,8 @@ def write_json(path: str | Path, payload: dict) -> None:
 def read_json(path: str | Path) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the decoder recurses
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")

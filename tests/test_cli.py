@@ -19,7 +19,7 @@ import medsolve as ms
 from conftest import nan_spectrum_from_call, random_gram, solve_direct
 from medsolve import certify, cli, homotopy, linalg, serialize
 from medsolve.cli import main
-from medsolve.homotopy import _stage
+from medsolve.homotopy import _rate
 from medsolve.linalg import haar_unitary
 
 DATA = Path(__file__).parent / "data"
@@ -273,9 +273,9 @@ class TestSolve:
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return _stage(*args, **kwargs)
+            return _rate(*args, **kwargs)
 
-        monkeypatch.setattr(homotopy, "_stage", counted)
+        monkeypatch.setattr(homotopy, "_rate", counted)
         inp = write_gram(tmp_path / "g.json", random_gram(3, seed=806))
         assert main(["solve", inp, "--out", str(tmp_path), "--tol-stat", "nan"]) == 64
         assert calls == []
@@ -290,7 +290,7 @@ class TestSolve:
             raise MemoryError("Unable to allocate 2.98 GiB for an array with shape "
                               "(500, 400000) and data type complex128")
 
-        monkeypatch.setattr(homotopy, "_stage", exhausted)
+        monkeypatch.setattr(homotopy, "_rate", exhausted)
         inp = write_gram(tmp_path / "g.json", random_gram(3, seed=806))
         out = tmp_path / "out"
         assert main(["solve", inp, "--out", str(out)]) == 3
@@ -303,13 +303,15 @@ class TestSolve:
         batch = tmp_path / "batch"
         batch.mkdir()
         (batch / "broken.json").write_text("{not json")
+        (batch / "deep.json").write_text("[" * 100_000)  # deeper than the decoder recurses
         write_gram(batch / "good.json", random_gram(2, seed=810))
         out = tmp_path / "out"
         code = main(["solve", "--batch", str(batch), "--out", str(out),
                      "--steps", "250", "--h", "4e-3"])
         assert code == 64  # worst per-file code wins
         assert (out / "good-report.json").exists()
-        assert "broken: failed (64)" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "broken: failed (64)" in stdout and "deep: failed (64)" in stdout
 
     @pytest.mark.parametrize("out", ["d", "./d/", "link"])
     def test_batch_rerun_into_its_own_directory_skips_its_reports(self, tmp_path, capsys,
@@ -870,6 +872,34 @@ class TestUsage:
         path.write_bytes(b"\xff\xfe\xfa")
         assert main(["solve", str(path), "--out", str(tmp_path)]) == 64
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "certify", "enumerate", "audit"])
+    @pytest.mark.parametrize("depth", [3000, 100_000])
+    def test_deeply_nested_json_is_invalid_json(self, tmp_path, capsys, command, depth):
+        # the decoder's RecursionError, not a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * depth)
+        assert main([command, str(path), "--out", str(tmp_path)]) == 64
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"{path}: not valid JSON (maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("data, reason", [
+        ({"m": 2, "probs": [0.5, 0.5], "states_re": [[1e300, 0.0], [0.0, 1.0]],
+          "states_im": [[0.0, 0.0], [0.0, 0.0]]}, "every state must have unit norm"),
+        ({"m": 2, "probs": [1e308, 1e308], "states_re": [[1.0, 0.0], [0.0, 1.0]],
+          "states_im": [[0.0, 0.0], [0.0, 0.0]]}, "probabilities must sum to 1"),
+        ({"m": 2, "gram_re": [[1e308, 0.0], [0.0, 1e308]], "gram_im": [[0.0, 0.0], [0.0, 0.0]]},
+         "gram matrix must have trace 1"),
+        ({"m": 2, "gram_re": [[0.5, 1e308], [-1e308, 0.5]], "gram_im": [[0.0, 0.0], [0.0, 0.0]]},
+         "gram matrix must be hermitian"),
+    ], ids=["state-1e300", "probs-1e308", "gram-diagonal-1e308", "antisymmetric-1e308"])
+    def test_huge_finite_values_are_invalid_data_without_a_warning(self, tmp_path, capsys, data,
+                                                                   reason):
+        # the checks overflow; under error::RuntimeWarning a numpy warning escapes main
+        path = tmp_path / "huge.json"
+        serialize.write_json(path, data)
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == 65
+        assert capsys.readouterr().err.splitlines() == [f"{path}: {reason}"]
 
     def test_non_numeric_probs_exit_64(self, tmp_path):
         path = tmp_path / "ens.json"

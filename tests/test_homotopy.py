@@ -13,7 +13,7 @@ from medsolve import homotopy, serialize
 from conftest import (identity_gram, overlap_gram_m3, probe_grams, random_gram, seeded_grams,
                       solve_direct)
 from medsolve.certify import RESIDUAL_GATE, factor_residual
-from medsolve.homotopy import _correct, _factor, _integrate, _rate, _stage, _tangent_solve
+from medsolve.homotopy import _correct, _factor, _integrate, _rate, _tangent_solve
 from medsolve.linalg import haar_unitary, hermitize, polar_unitary
 
 DATA = Path(__file__).parent / "data"
@@ -258,13 +258,13 @@ class TestTimeGrid:
 
         def stage(a, f, g, gdot, t, eig=None):
             rates.append((g, t))
-            return _stage(a, f, g, gdot, t, eig=eig)
+            return _rate(a, f, g, gdot, t, eig=eig)
 
         def residual(a, fmat, g):
             checks.append(g)
             return factor_residual(a, fmat, g)
 
-        monkeypatch.setattr(homotopy, "_stage", stage)
+        monkeypatch.setattr(homotopy, "_rate", stage)
         monkeypatch.setattr(homotopy, "factor_residual", residual)
         trajectory = ms.Trajectory(identity_gram(4),
                                    random_gram(4, seed=97) if target is None else target)
@@ -390,14 +390,14 @@ class _KernelsWithNanEigh:
 
 @pytest.fixture
 def rate_calls(monkeypatch):
-    """Counts the tangent evaluations (calls of ``_stage``) of the drags a test runs."""
+    """Counts the tangent evaluations (calls of ``_rate``) of the drags a test runs."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return _stage(*args, **kwargs)
+        return _rate(*args, **kwargs)
 
-    monkeypatch.setattr(homotopy, "_stage", counted)
+    monkeypatch.setattr(homotopy, "_rate", counted)
     return calls
 
 
@@ -407,8 +407,9 @@ def test_rate_calls_counts_every_stage_of_a_drag(rate_calls):
 
 
 class TestErrorState:
-    """The drag's stages and step checks ignore invalid operations; nothing else
-    does: the caller's error state holds after the drag and in its corrector."""
+    """The drag's stages and step checks ignore invalid operations, under the one
+    error state the drag enters; the caller's holds after the drag and in its
+    corrector."""
 
     def test_a_drag_leaves_the_error_state_as_it_found_it(self, monkeypatch):
         before = np.geterr()
@@ -425,13 +426,13 @@ class TestErrorState:
 
         def stage(*args, **kwargs):
             stages.add(np.geterr()["invalid"])
-            return _stage(*args, **kwargs)
+            return _rate(*args, **kwargs)
 
         def correct(*args):
             corrector.append(np.geterr()["invalid"])
             return _correct(*args)
 
-        monkeypatch.setattr(homotopy, "_stage", stage)
+        monkeypatch.setattr(homotopy, "_rate", stage)
         monkeypatch.setattr(homotopy, "_correct", correct)
         trajectory = ms.Trajectory(identity_gram(3), random_gram(3, seed=96))
         start = ms.initial_state(3)
@@ -443,7 +444,7 @@ class TestErrorState:
     @pytest.mark.parametrize("m", [2, 3, 8])
     def test_stage_reads_a_singular_schur_off_its_nan_inverse(self, m):
         # the pinned point of test_singular_schur_raises_without_a_warning, under
-        # the drag's error state in place of _rate's
+        # the drag's error state in place of derivative's
         a = np.full(m, 0.8)
         a[0] = np.sqrt(0.5 / m)
         g = np.eye(m) / m
@@ -453,7 +454,7 @@ class TestErrorState:
             with np.errstate(invalid="ignore"):
                 with pytest.raises(ms.SingularJacobian,
                                    match=r"^Schur system condition number inf exceeds 1e\+12 "):
-                    _stage(a, np.zeros(m * (m - 1) // 2), g, gdot, 0.625)
+                    _rate(a, np.zeros(m * (m - 1) // 2), g, gdot, 0.625)
 
 
 class TestDragBetween:
@@ -733,16 +734,20 @@ class TestLapackKernels:
     @pytest.mark.parametrize("m", [2, 3, 8])
     def test_singular_schur_raises_without_a_warning(self, m):
         # F = diag(a^2) at G = I/m: the Schur matrix diag(2 a_n - 1 / (m a_n)) has
-        # an exact zero in its first entry, which the bare inv flags as invalid
+        # an exact zero in its first entry, which the bare inv flags as invalid;
+        # derivative reaches it on a path through I/m at t = 0.625
         a = np.full(m, 0.8)
         a[0] = np.sqrt(0.5 / m)
-        g = np.eye(m) / m
-        gdot = np.diag(np.linspace(-1.0, 1.0, m))
+        d = np.diag(np.linspace(-1.0, 1.0, m)) / (4 * m)
+        traj = ms.Trajectory(ms.GramMatrix(np.eye(m) / m - 0.625 * d),
+                             ms.GramMatrix(np.eye(m) / m + 0.375 * d))
+        assert np.array_equal(traj(0.625), np.eye(m) / m)
+        state = ms.SolverState(t=0.625, a=a, f=np.zeros(m * (m - 1) // 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ms.SingularJacobian,
                                match=r"^Schur system condition number inf exceeds 1e\+12 "):
-                _rate(a, np.zeros(m * (m - 1) // 2), g, gdot, 0.625)
+                ms.derivative(state, traj)
 
 
 class TestTrajectoryAdmissibility:

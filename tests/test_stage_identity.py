@@ -266,7 +266,8 @@ def test_schur_check_agrees_with_the_separate_norms(m, offset):
     outcomes = []
     for rate in (homotopy._rate, frozen):
         try:
-            outcomes.append(rate(a, f, g, gdot, 0.625))
+            with np.errstate(invalid="ignore"):  # the drag's error state for its stages
+                outcomes.append(rate(a, f, g, gdot, 0.625))
         except SingularJacobian as exc:
             outcomes.append(str(exc))
     got, want = outcomes

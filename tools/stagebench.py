@@ -13,11 +13,14 @@ one timing, with the garbage collector off, of as many calls as take about
 0.05 s, worked out once per row from the fastest of three single calls of
 REV's; both packages make that many.  The rows, in ms or us per call:
 
-- ``homotopy._rate`` at a fixed mid-path state, for m = 2, 5 and 8 in real
-  and complex arithmetic.  The state is the polished drag's solution at
-  G(1/2) of the path from I/m to a seeded random Gram matrix
+- ``homotopy._rate``, the drag's stage, at a fixed mid-path state, for m = 2,
+  5 and 8 in real and complex arithmetic.  The state is the polished drag's
+  solution at G(1/2) of the path from I/m to a seeded random Gram matrix
   (``random_ensemble(m, 90 + m, 0.6)``), with G(1/2) and dG/dt as the stage
-  sees them mid-drag;
+  sees them mid-drag.  The stage runs under its caller's error state, here
+  numpy's default; a REV whose ``_rate`` was a wrapper that entered its own
+  ``np.errstate`` around the stage makes this row the wrapper's cost, not a
+  gain of the stage;
 - one polished 200-step ``rk4_drag`` along that path, per m and arithmetic;
 - the fig1 drag: one unpolished 1000-step ``rk4_drag`` (h = 1e-3) from I/5
   to ``reference_five_state_gram()``, complex, as ``medsolve reproduce-fig1``
