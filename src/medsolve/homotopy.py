@@ -330,17 +330,17 @@ def rk4_drag(
     path taken through admissible matrices.
 
     ``steps * h`` must equal 1 to within 1e-9 so the run covers the whole
-    trajectory, as is checked before step 1, and a ``steps`` whose trace cannot
-    be allocated raises ValueError there too.  The stages of step k use
-    G(t_k), G(t_k + h/2) and G(t_{k+1}), with t_k = k h and t_steps = 1, and
-    name their own time when they fail; the step check reuses G(t_{k+1}) to
-    record the HS residual of F^2 - D G D, the minimum eigenvalue of F and
-    the partial success probability.  ``polish`` (off by default, leaving the
-    raw integrator behavior observable) changes only the last step: it
-    takes the measurement U = G(1)^{-1/2} D^{-1} F of the drag's end, runs
-    the fixed-point step U <- polar(G(1)^{1/2} diag(w)), w = diag(G(1)^{1/2} U),
-    and where it crawls the guarded Newton step on U, until its gradient is
-    down to rounding (``ascent.finish``), and keeps
+    trajectory, as is checked before step 1, and a ``steps`` beyond the double
+    range or whose trace cannot be allocated raises ValueError there too.  The
+    stages of step k use G(t_k), G(t_k + h/2) and G(t_{k+1}), with t_k = k h
+    and t_steps = 1, and name their own time when they fail; the step check
+    reuses G(t_{k+1}) to record the HS residual of F^2 - D G D, the minimum
+    eigenvalue of F and the partial success probability.  ``polish`` (off by
+    default, leaving the raw integrator behavior observable) changes only the
+    last step: it takes the measurement U = G(1)^{-1/2} D^{-1} F of the drag's
+    end, runs the fixed-point step U <- polar(G(1)^{1/2} diag(w)),
+    w = diag(G(1)^{1/2} U), and where it crawls the guarded Newton step on U,
+    until its gradient is down to rounding (``ascent.finish``), and keeps
     F = D O of O = G(1)^{1/2} U; NoConvergence if the ascent stops where the
     certificate's stationarity residual may exceed TOL_STAT / 2.
 
@@ -361,8 +361,12 @@ def rk4_drag(
     began = time.perf_counter()
     if steps < 1:
         raise ValueError("need at least one step")
-    if not abs(steps * h - 1.0) <= 1e-9:
-        raise ValueError(f"steps*h must equal 1, got {steps} * {h} = {steps * h}")
+    try:
+        span = steps * h
+    except OverflowError as exc:  # an int too large to convert to a double
+        raise ValueError("steps is beyond the double range") from exc
+    if not abs(span - 1.0) <= 1e-9:
+        raise ValueError(f"steps*h must equal 1, got {steps} * {h} = {span}")
     m = trajectory.m
     start = initial_state(m) if initial is None else initial
     if start.m != m:

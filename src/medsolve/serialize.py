@@ -1,6 +1,6 @@
 """JSON and CSV input/output.
 
-Schemas (row-major nested lists of IEEE-754 doubles):
+Schemas (row-major nested lists of JSON numbers, read as IEEE-754 doubles):
 
 - Gram matrix:   {"m": int, "gram_re": [[..]], "gram_im": [[..]]}
 - Ensemble:      {"m": int, "probs": [..], "states_re": [[..]], "states_im": [[..]]}
@@ -47,21 +47,24 @@ def _need(data: dict, key: str, context: str):
     return data[key]
 
 
-def _matrix_field(data: dict, key: str, m: int, context: str) -> np.ndarray:
-    raw = _need(data, key, context)
+def _numbers(data: dict, key: str, shape: tuple[int, ...], context: str) -> np.ndarray:
+    """Field ``key`` as float64 of ``shape``.  Strings, null, integers beyond 64 bits
+    (numpy objects) and all-boolean fields are refused; mixed booleans read as 1, 0."""
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(_need(data, key, context))
+    except ValueError as exc:  # ragged, or nested deeper than numpy's 64 dimensions
         raise SchemaError(f"{context}: field {key!r} is not numeric") from exc
-    if arr.shape != (m, m):
-        raise SchemaError(f"{context}: field {key!r} must be {m}x{m}, got {arr.shape}")
-    return arr
+    if arr.dtype.kind not in "iuf":
+        raise SchemaError(f"{context}: field {key!r} is not numeric")
+    if arr.shape != shape:
+        raise SchemaError(f"{context}: field {key!r} must have shape {shape}, got {arr.shape}")
+    return arr.astype(np.float64, copy=False)
 
 
 def _complex_matrix(data: dict, name: str, m: int, context: str) -> np.ndarray:
     """The m x m matrix held in the fields ``<name>_re`` and ``<name>_im``."""
-    re = _matrix_field(data, f"{name}_re", m, context)
-    return re + 1j * _matrix_field(data, f"{name}_im", m, context)
+    re = _numbers(data, f"{name}_re", (m, m), context)
+    return re + 1j * _numbers(data, f"{name}_im", (m, m), context)
 
 
 def _dimension(data: dict, context: str) -> int:
@@ -99,12 +102,7 @@ def load_gram_or_ensemble(data: dict, context: str = "input") -> GramMatrix | En
     if "gram_re" in data:
         return GramMatrix(_complex_matrix(data, "gram", m, context))
     if "states_re" in data:
-        try:
-            probs = np.asarray(_need(data, "probs", context), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{context}: field 'probs' is not numeric") from exc
-        if probs.shape != (m,):
-            raise SchemaError(f"{context}: field 'probs' must have length {m}")
+        probs = _numbers(data, "probs", (m,), context)
         return Ensemble(_complex_matrix(data, "states", m, context).T, probs)
     raise SchemaError(f"{context}: need either field 'gram_re' or field 'states_re'")
 
@@ -195,8 +193,9 @@ def write_json(path: str | Path, payload: dict) -> None:
 def read_json(path: str | Path) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested deeper than the decoder recurses
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad syntax, bytes that are not UTF-8, or an integer literal past
+        # Python's 4300-digit conversion limit; RecursionError: nesting too deep
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")

@@ -54,6 +54,31 @@ def certify_payload(path, ensemble, povm):
     return str(path)
 
 
+BEYOND_DOUBLES = 10**400  # a JSON integer literal that no double holds
+
+
+def set_entry(payload, keys, value):
+    """``payload`` with the entry reached by ``keys`` set to ``value``."""
+    *path, last = keys
+    target = payload
+    for key in path:
+        target = target[key]
+    target[last] = value
+    return payload
+
+
+def identity_gram_dict():
+    return serialize.gram_to_dict(ms.GramMatrix(np.eye(3) / 3))
+
+
+def orthogonal_ensemble_dict():
+    return serialize.ensemble_to_dict(ms.Ensemble(np.eye(3), np.full(3, 1 / 3)))
+
+
+def identity_certify_dict():
+    return {"ensemble": identity_gram_dict(), "povm": serialize.povm_to_dict(ms.Povm(np.eye(3)))}
+
+
 def _assert_nan_spectrum_exit_codes(monkeypatch, capsys, argv, path, failed):
     """Run ``argv`` with NaN from each eigen call in turn: the input check (the
     first call) exits 65 with numpy's message, every later call exits 3 with
@@ -304,6 +329,9 @@ class TestSolve:
         batch.mkdir()
         (batch / "broken.json").write_text("{not json")
         (batch / "deep.json").write_text("[" * 100_000)  # deeper than the decoder recurses
+        # the first file of the batch: no double holds the integer
+        serialize.write_json(batch / "a-huge.json", set_entry(
+            identity_gram_dict(), ["gram_re", 0, 0], BEYOND_DOUBLES))
         write_gram(batch / "good.json", random_gram(2, seed=810))
         out = tmp_path / "out"
         code = main(["solve", "--batch", str(batch), "--out", str(out),
@@ -311,6 +339,7 @@ class TestSolve:
         assert code == 64  # worst per-file code wins
         assert (out / "good-report.json").exists()
         stdout = capsys.readouterr().out
+        assert stdout.startswith("a-huge: failed (64)\n")
         assert "broken: failed (64)" in stdout and "deep: failed (64)" in stdout
 
     @pytest.mark.parametrize("out", ["d", "./d/", "link"])
@@ -873,6 +902,15 @@ class TestUsage:
         assert main(["solve", str(path), "--out", str(tmp_path)]) == 64
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_an_integer_literal_past_the_digit_limit_exits_64(self, tmp_path, capsys):
+        # json's int() refuses more than 4300 digits with a ValueError, which
+        # is not a JSONDecodeError
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(identity_gram_dict()).replace("0.0", "1" + "0" * 5000, 1))
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == 64
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"{path}: not valid JSON (Exceeds the limit (4300 digits)")
+
     @pytest.mark.parametrize("command", ["solve", "certify", "enumerate", "audit"])
     @pytest.mark.parametrize("depth", [3000, 100_000])
     def test_deeply_nested_json_is_invalid_json(self, tmp_path, capsys, command, depth):
@@ -900,6 +938,56 @@ class TestUsage:
         serialize.write_json(path, data)
         assert main(["solve", str(path), "--out", str(tmp_path)]) == 65
         assert capsys.readouterr().err.splitlines() == [f"{path}: {reason}"]
+
+    @pytest.mark.parametrize("command, payload, keys, value, where", [
+        ("solve", identity_gram_dict, ["gram_re", 0, 0], BEYOND_DOUBLES, ": field 'gram_re'"),
+        ("enumerate", identity_gram_dict, ["gram_re", 0, 0], BEYOND_DOUBLES, ": field 'gram_re'"),
+        ("solve", orthogonal_ensemble_dict, ["probs", 0], BEYOND_DOUBLES, ": field 'probs'"),
+        ("certify", identity_certify_dict, ["povm", "basis_re", 0, 0], BEYOND_DOUBLES,
+         ":povm: field 'basis_re'"),
+        ("audit", identity_certify_dict, ["povm", "basis_re", 0, 0], BEYOND_DOUBLES,
+         ":povm: field 'basis_re'"),
+        ("solve", orthogonal_ensemble_dict, ["probs"], ["1", "0", "0"], ": field 'probs'"),
+        ("solve", identity_gram_dict, ["gram_re", 1], ["0", "0.3333", "0"], ": field 'gram_re'"),
+        ("solve", orthogonal_ensemble_dict, ["states_re"],
+         np.eye(3, dtype=bool).tolist(), ": field 'states_re'"),
+        ("certify", identity_certify_dict, ["povm", "basis_im"],
+         np.zeros((3, 3), dtype=bool).tolist(), ":povm: field 'basis_im'"),
+    ], ids=["solve-gram", "enumerate-gram", "solve-probs", "certify-basis", "audit-basis",
+            "string-probs", "string-gram", "boolean-states", "boolean-basis"])
+    def test_a_field_of_anything_but_json_numbers_exits_64(self, tmp_path, capsys, command,
+                                                          payload, keys, value, where):
+        # numpy holds an integer beyond 64 bits as an object, which no double
+        # holds either; a numeric string or a boolean is not a JSON number
+        path = tmp_path / "in.json"
+        serialize.write_json(path, set_entry(payload(), keys, value))
+        argv = [command, str(path), "--out", str(tmp_path)]
+        assert main(argv + (["--steps", "100", "--h", "1e-2"] if command == "solve" else [])) == 64
+        assert capsys.readouterr().err.splitlines() == [f"{path}{where} is not numeric"]
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("solve", dict(identity_gram_dict(), m=1), ": field 'm' must be an integer >= 2"),
+        ("solve", dict(identity_gram_dict(), m=2.5), ": field 'm' must be an integer >= 2"),
+        ("solve", dict(identity_gram_dict(), m="3"), ": field 'm' must be an integer >= 2"),
+        ("certify", {"ensemble": identity_gram_dict()}, ": need fields 'ensemble' and 'povm'"),
+        ("audit", {"ensemble": identity_gram_dict()}, ": need fields 'ensemble' and 'povm'"),
+    ], ids=["m-1", "m-2.5", "m-string", "certify-no-povm", "audit-no-povm"])
+    def test_schema_violations_exit_64_with_one_line(self, tmp_path, capsys, command, payload,
+                                                     message):
+        path = tmp_path / "in.json"
+        serialize.write_json(path, payload)
+        assert main([command, str(path), "--out", str(tmp_path)]) == 64
+        assert capsys.readouterr().err.splitlines() == [f"{path}{message}"]
+
+    @pytest.mark.parametrize("argv", [["solve", "g.json"], ["reproduce-fig1"]])
+    def test_steps_beyond_the_double_range_exit_64(self, tmp_path, capsys, argv):
+        # steps * h cannot convert the int to a double
+        write_gram(tmp_path / "g.json", random_gram(2, seed=821))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        flags = ["--steps", str(BEYOND_DOUBLES), "--h", "1e-3", "--out", str(tmp_path)]
+        assert main(argv + flags) == 64
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid solver arguments: steps is beyond the double range"]
 
     def test_non_numeric_probs_exit_64(self, tmp_path):
         path = tmp_path / "ens.json"

@@ -162,6 +162,12 @@ class TestRk4Drag:
         with pytest.raises(ValueError, match="steps\\*h must equal 1"):
             ms.rk4_drag(ms.Trajectory(identity_gram(3), g), steps=100, h=float("nan"))
 
+    def test_steps_beyond_the_double_range_are_a_value_error(self):
+        # steps * h would raise OverflowError converting the int to a double
+        g = random_gram(3, seed=91)
+        with pytest.raises(ValueError, match="^steps is beyond the double range$"):
+            ms.rk4_drag(ms.Trajectory(identity_gram(3), g), steps=10**400, h=1e-3)
+
     def test_last_step_lands_on_t_one(self):
         # 3 * 0.3333333333 is within 1e-9 of 1 but not 1: the polished finish and
         # the certificate must both work at G(1)

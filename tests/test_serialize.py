@@ -1,6 +1,7 @@
 """JSON/CSV schemas, round trips and determinism."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -103,7 +104,8 @@ class TestSchemaErrors:
     @pytest.mark.parametrize("probs", [[1.0], [0.2, 0.3, 0.5], [[0.5, 0.5]]])
     def test_probs_of_another_length_are_a_schema_error(self, probs):
         data = dict(serialize.ensemble_to_dict(ms.Ensemble(np.eye(2), [0.5, 0.5])), probs=probs)
-        with pytest.raises(ms.SchemaError, match="^input: field 'probs' must have length 2$"):
+        message = f"input: field 'probs' must have shape (2,), got {np.shape(probs)}"
+        with pytest.raises(ms.SchemaError, match=f"^{re.escape(message)}$"):
             serialize.load_gram_or_ensemble(data)
 
     @pytest.mark.parametrize("text", ["[]", "1.5", '"m"', "null"])

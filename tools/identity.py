@@ -78,18 +78,13 @@ SEARCH = "api:search_optimum"
 SEARCH_M, SEARCH_PER_ARITH, SEARCH_SPREAD = (2, 4), 3, 0.3
 
 
-def _povm_dict(vectors: np.ndarray, frame: str) -> dict:
-    rows = vectors.T
-    return {"m": rows.shape[0], "basis_re": rows.real.tolist(),
-            "basis_im": rows.imag.tolist(), "frame": frame}
-
-
 def _certify_files(work: Path, problems: list[inputs.Problem]) -> list[Path]:
     """Optimum, permuted-optimum and Haar-random files for the verify-m3
     problems.  The optimum comes from this checkout's drag; both trees read
     the same files."""
     sys.path.insert(0, str(ROOT / "src"))
     import medsolve as ms
+    from medsolve import serialize
     from medsolve.linalg import haar_unitary
 
     rng = np.random.default_rng(0)
@@ -110,7 +105,8 @@ def _certify_files(work: Path, problems: list[inputs.Problem]) -> list[Path]:
                             ("haar", haar)):
             paths.append(inputs.write(work / f"{p.name}-{label}.json",
                                       {"ensemble": p.to_dict(),
-                                       "povm": _povm_dict(vecs, frame)}))
+                                       "povm": serialize.povm_to_dict(
+                                           ms.Povm(vecs, frame=frame))}))
     return paths
 
 
@@ -134,10 +130,15 @@ def _centre_inputs(work: Path) -> list[Path]:
     """The two G = I/3 certify inputs whose zero weights send Z, or every
     complement, to the audit's centre, written under ``work/centre`` so that
     the batch operation does not read them."""
-    gram = {"m": 3, "gram_re": (np.eye(3) / 3).tolist(), "gram_im": np.zeros((3, 3)).tolist()}
+    sys.path.insert(0, str(ROOT / "src"))
+    import medsolve as ms
+    from medsolve import serialize
+
+    gram = serialize.gram_to_dict(ms.GramMatrix(np.eye(3) / 3))
     (work / "centre").mkdir()
     return [inputs.write(work / "centre" / f"identity-m3-{name}.json",
-                         {"ensemble": gram, "povm": _povm_dict(np.eye(3)[:, columns], "dual")})
+                         {"ensemble": gram,
+                          "povm": serialize.povm_to_dict(ms.Povm(np.eye(3)[:, columns]))})
             for name, columns in (("cyclic", [1, 2, 0]), ("swap", [0, 2, 1]))]
 
 
