@@ -58,10 +58,8 @@ import functools
 import math
 
 import numpy as np
-# the gufuncs behind np.linalg.cholesky and np.linalg.solve, called bare as in
-# ``linalg.hermitian_eig``
-from numpy.linalg import _umath_linalg
 
+from . import linalg  # linalg.lapack: the bare gufuncs of np.linalg, see ``linalg``
 from .certify import TOL_STAT
 from .exceptions import NoConvergence
 from .linalg import polar_unitary
@@ -178,10 +176,10 @@ def _newton_step(r: np.ndarray, u: np.ndarray) -> np.ndarray | None:
     where -H has no Cholesky factor."""
     g, curv = _newton_system(r, u)
     with np.errstate(invalid="ignore"):  # the gufunc flags a failed factor, all NaN
-        factor = _umath_linalg.cholesky_lo(curv)
+        factor = linalg.lapack.cholesky_lo(curv)
     if np.isnan(factor[-1, -1]):
         return None
-    c = _umath_linalg.solve1(curv, g)
+    c = linalg.lapack.solve1(curv, g)
     m = u.shape[0]
     xi = np.zeros((m, m), np.result_type(r, u))
     xi[_directions(m, xi.dtype.kind == "c")[0]] = c.view(xi.dtype)

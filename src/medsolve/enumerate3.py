@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
+from . import linalg
 from .certify import RESIDUAL_GATE, Certificate, certify_factor, factor_residual
 from .exceptions import NoConvergence, RootCountAnomaly
 from .gram import GramMatrix
@@ -180,11 +180,11 @@ def _evaluate(q: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a_n y_n = b_n for every lane n; an exactly singular lane gets nan.
 
-    numpy's LAPACK gufunc fills a lane whose factorization meets an exact
-    zero pivot with nan and flags the invalid operation that np.linalg.solve
-    turns into LinAlgError; the flag is ignored here."""
+    The bare gufunc ``linalg.lapack.solve`` fills a lane whose factorization
+    meets an exact zero pivot with nan and flags the invalid operation that
+    np.linalg.solve turns into LinAlgError; the flag is ignored here."""
     with np.errstate(invalid="ignore"):
-        return _umath_linalg.solve(a, b)
+        return linalg.lapack.solve(a, b)
 
 
 def _projective_roots(q: np.ndarray, seed: int):

@@ -35,21 +35,19 @@ call of ``@`` with less dispatch), F is gathered by one ``take`` through a
 per-m index table, the Lyapunov check reads the extremes of a positive
 spectrum off the ends of the sorted eigenvalues, and the 1-norms of the
 Schur matrix and its inverse come from one reduction.  ``eigh`` and ``inv``
-call numpy's LAPACK gufuncs (``_umath_linalg.eigh_lo`` and ``.inv``, what
-``np.linalg.eigh`` and ``np.linalg.inv`` call) without the wrapper's
-per-call array checks, dtype casts and error-state context, which cost as
-much as the factorization itself at these sizes.  In place of the
-wrapper's per-call error state, the stage ``_rate`` runs under its caller's,
-and exactly two callers enter ``np.errstate(invalid="ignore")``: ``_integrate``
-once per drag, around all its RK4 stages and step checks, and ``derivative``
-around its one stage.  The kernel's flag on a singular Schur matrix then
-neither warns nor raises; the solve reads the singularity off the NaN inverse
-the kernel returns (a NaN condition number fails the COND_MAX check) and
-raises SingularJacobian.  A polished drag's corrector and its check run after
-the loop, under the caller's state.  A non-finite F yields NaN eigenvalues
-rather than an error, which the Lyapunov check and the positivity check after
-each step reject.  The loop computes G(t) for a block of at most 64 steps and
-2^16 entries (one step from m = 182 on) in one stacked expression
+are the bare gufuncs ``linalg.lapack.eigh_lo`` and ``.inv``, under the
+contract stated in ``linalg``: NaN and an invalid flag where np.linalg raised,
+and the caller owns the error state.  The stage ``_rate`` runs under its
+caller's, and exactly two callers enter ``np.errstate(invalid="ignore")``:
+``_integrate`` once per drag, around all its RK4 stages and step checks, and
+``derivative`` around its one stage.  The kernel's flag on a singular Schur
+matrix then neither warns nor raises; the solve reads the singularity off the
+NaN inverse the kernel returns (a NaN condition number fails the COND_MAX
+check) and raises SingularJacobian.  A polished drag's corrector and its check
+run after the loop, under the caller's state.  A non-finite F yields NaN
+eigenvalues rather than an error, which the Lyapunov check and the positivity
+check after each step reject.  The loop computes G(t) for a block of at most
+64 steps and 2^16 entries (one step from m = 182 on) in one stacked expression
 (1 - t) G_start + t G_end over the block's times, which rounds element by
 element as the scalar expression at each time does.
 The RK4 loop carries the state as one vector z = (a, f) in f's dtype, so
@@ -69,11 +67,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-# the gufuncs behind np.linalg.eigh and np.linalg.inv, called without that
-# wrapper's per-call checks and casts: the same LAPACK call on the same data
-from numpy.linalg import _umath_linalg
 
-from . import ascent
+from . import ascent, linalg
 from .certify import (RESIDUAL_GATE, Certificate, certify_gram, certify_povm, factor_residual,
                       hermitian_factor)
 from .exceptions import NearLinearDependence, PositivityLost, ResidualTooLarge, SingularJacobian
@@ -249,7 +244,7 @@ def _tangent_solve(
     # the kernel returns NaNs for a singular matrix and flags an invalid
     # operation, which the caller's error state ignores; cond is then NaN,
     # which fails the check below
-    schur_inv = _umath_linalg.inv(schur)
+    schur_inv = linalg.lapack.inv(schur)
     # the 1-norms of M and M^-1: column sums of |.|, both in one reduction
     pair = np.abs(np.concatenate((schur, schur_inv))).reshape(2, m, m)
     norms = np.maximum.reduce(np.add.reduce(pair, 1), 1)
@@ -273,7 +268,7 @@ def _rate(
     has it.  Runs under the caller's error state, which must ignore invalid
     operations for a singular Schur matrix to raise SingularJacobian without a
     warning: ``_integrate`` enters it once per drag, ``derivative`` per call."""
-    eig = _umath_linalg.eigh_lo(_factor(a, f)) if eig is None else eig
+    eig = linalg.lapack.eigh_lo(_factor(a, f)) if eig is None else eig
     da, dfmat = _tangent_solve(a, eig, g, a[:, None] * gdot * a, t)
     return da, dfmat.take(_layout(a.shape[0])[0])
 
@@ -466,7 +461,7 @@ def _check_step(
             "target is too close to linear dependence"
         )
     fmat = _factor(a, f)
-    eig = _umath_linalg.eigh_lo(fmat)
+    eig = linalg.lapack.eigh_lo(fmat)
     f_min = float(eig[0][0])
     if not f_min >= 0.0:  # a NaN spectrum fails here too
         raise PositivityLost(

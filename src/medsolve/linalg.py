@@ -4,6 +4,17 @@ Each is a thin wrapper over one or two ``numpy`` calls on an m x m array:
 read-only marking, the hermitian part, the Hilbert-Schmidt norm, the
 hermitian spectrum, the polar and Haar-random unitaries, and the unitarity
 residual.
+
+``lapack`` is numpy's private module of LAPACK gufuncs, the one door through
+which the package reaches it.  Its ``eigvalsh_lo``, ``eigh_lo``, ``svd_f``,
+``inv``, ``cholesky_lo``, ``solve1`` and ``solve`` are what np.linalg.eigvalsh,
+eigh, svd, inv, cholesky and solve call, here without the wrapper's per-call
+array checks, dtype casts and error-state context, which at m <= 8 cost as
+much as the factorization: the same LAPACK call on the same data.  Where the
+wrapper raised LinAlgError, a gufunc returns NaN in its outputs and flags an
+invalid operation, so each caller owns its error state and reads the failure
+off the NaN.  Callers look the gufuncs up as ``linalg.lapack.<name>`` at call
+time, never binding one at import, so a test can replace the module.
 """
 
 from __future__ import annotations
@@ -11,10 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-# the gufuncs behind np.linalg.eigvalsh, np.linalg.eigh and np.linalg.svd, called
-# without that wrapper's per-call checks and casts: the same LAPACK call on the
-# same data
-from numpy.linalg import _umath_linalg
+from numpy.linalg import _umath_linalg as lapack
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
@@ -40,12 +48,10 @@ def hermitian_eig(
     from its lower triangle, as np.linalg.eigvalsh returns them, or with
     ``vectors`` the (eigenvalues, eigenvectors) of np.linalg.eigh.
 
-    At m <= 8 numpy's wrapper costs more than the factorization, so the
-    LAPACK gufunc is called bare.  Where the wrapper raised LinAlgError on
-    non-convergence, the gufunc returns NaN (numpy flags it as an invalid
-    operation), so a spectrum that is not finite raises that LinAlgError here.
+    The gufunc of ``lapack`` runs under the caller's error state; a spectrum
+    that is not finite raises the wrapper's LinAlgError here.
     """
-    out = _umath_linalg.eigh_lo(mat) if vectors else _umath_linalg.eigvalsh_lo(mat)
+    out = lapack.eigh_lo(mat) if vectors else lapack.eigvalsh_lo(mat)
     if not np.isfinite(out[0] if vectors else out).all():
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return out
@@ -55,12 +61,11 @@ def polar_unitary(mat: np.ndarray) -> np.ndarray:
     """Unitary factor of the polar decomposition (closest unitary in HS norm) of
     each float64 or complex128 matrix of the stack ``mat``.
 
-    The SVD's gufunc is called bare, as in ``hermitian_eig``: where
-    np.linalg.svd raised LinAlgError on non-convergence, the gufunc returns
-    NaN (numpy flags it as an invalid operation), so singular values that are
-    not finite raise that LinAlgError here.
+    The gufunc of ``lapack`` runs under the caller's error state, as in
+    ``hermitian_eig``; singular values that are not finite raise the wrapper's
+    LinAlgError here.
     """
-    u, s, vh = _umath_linalg.svd_f(mat)
+    u, s, vh = lapack.svd_f(mat)
     if not np.isfinite(s).all():
         raise np.linalg.LinAlgError("SVD did not converge")
     return u @ vh

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -49,15 +50,19 @@ def _need(data: dict, key: str, context: str):
 
 def _numbers(data: dict, key: str, shape: tuple[int, ...], context: str) -> np.ndarray:
     """Field ``key`` as float64 of ``shape``.  Strings, null, integers beyond 64 bits
-    (numpy objects) and all-boolean fields are refused; mixed booleans read as 1, 0."""
+    (numpy objects) and booleans are refused."""
+    field = _need(data, key, context)
     try:
-        arr = np.asarray(_need(data, key, context))
+        arr = np.asarray(field)
     except ValueError as exc:  # ragged, or nested deeper than numpy's 64 dimensions
         raise SchemaError(f"{context}: field {key!r} is not numeric") from exc
     if arr.dtype.kind not in "iuf":
         raise SchemaError(f"{context}: field {key!r} is not numeric")
     if arr.shape != shape:
         raise SchemaError(f"{context}: field {key!r} must have shape {shape}, got {arr.shape}")
+    # numpy casts a boolean among numbers to 1 or 0; the field's nesting is now ``shape``
+    if bool in map(type, chain.from_iterable(field) if len(shape) == 2 else field):
+        raise SchemaError(f"{context}: field {key!r} is not numeric")
     return arr.astype(np.float64, copy=False)
 
 

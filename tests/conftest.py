@@ -3,11 +3,16 @@
 import types
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 import medsolve as ms
 from medsolve import linalg
 from medsolve.linalg import haar_unitary, hermitize
+
+#: numpy's LAPACK gufuncs, taken before any test replaces ``linalg.lapack``
+LAPACK = linalg.lapack
+
+#: the gufuncs of the hermitian spectrum, ``linalg.hermitian_eig``
+EIGEN = ("eigvalsh_lo", "eigh_lo")
 
 
 def identity_gram(m: int) -> ms.GramMatrix:
@@ -96,27 +101,28 @@ def overlap_gram_m3(c: float, probs=(0.4, 0.35, 0.25)) -> ms.GramMatrix:
     return ms.GramMatrix(scaled.T @ scaled)
 
 
-def nan_spectrum_from_call(monkeypatch, first: int) -> list[int]:
-    """Make the LAPACK gufuncs behind ``linalg.hermitian_eig`` report
-    non-convergence from their ``first``-th call (counting from 1) on, as
-    numpy's gufuncs do: NaN eigenvalues and eigenvectors in place of an
-    error.  The SVD behind ``linalg.polar_unitary`` is left as it is.
-    Returns the list that records the ndim of each call's argument.
+def lapack_nan_from_call(monkeypatch, first: int, *names: str,
+                         last: int | None = None) -> list[int]:
+    """Replace ``linalg.lapack`` by numpy's LAPACK gufuncs, except that the gufuncs
+    ``names``, their calls counted together from 1, return NaN in every output from
+    call ``first`` on (to call ``last``, if given), as numpy's gufuncs report a failed
+    factorization, without raising the invalid flag.  Every caller in the package
+    looks ``linalg.lapack`` up at call time, so this reaches each of its calls.
+    Returns the list that records the ndim of each named call's first argument.
     A later call replaces an earlier one's patch."""
     calls: list[int] = []
 
     def failing(gufunc):
-        def call(mat):
-            calls.append(mat.ndim)
-            out = gufunc(mat)
-            if len(calls) < first:
+        def call(*args):
+            calls.append(args[0].ndim)
+            out = gufunc(*args)
+            if len(calls) < first or last is not None and len(calls) > last:
                 return out
             if isinstance(out, tuple):
                 return tuple(np.full_like(x, np.nan) for x in out)
             return np.full_like(out, np.nan)
         return call
 
-    monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(
-        eigvalsh_lo=failing(_umath_linalg.eigvalsh_lo), eigh_lo=failing(_umath_linalg.eigh_lo),
-        svd_f=_umath_linalg.svd_f))
+    monkeypatch.setattr(linalg, "lapack", types.SimpleNamespace(
+        **vars(LAPACK) | {name: failing(getattr(LAPACK, name)) for name in names}))
     return calls

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import medsolve as ms
-from conftest import random_gram, seeded_grams, solve_direct
+from conftest import lapack_nan_from_call, random_gram, seeded_grams, solve_direct
 from medsolve import ascent, oracle
 from medsolve.enumerate3 import LABEL_GLOBAL, LABEL_STATIONARY
 from medsolve.linalg import haar_unitary, polar_unitary
@@ -319,6 +319,20 @@ def test_a_searchs_finish_takes_a_newton_step_after_one_fixed_point_step(monkeyp
     assert all(it - 1 - n == 1 and n >= 2 for it, n in with_newton), with_newton
     assert all(a[0] <= b[0] for a, b in zip(with_newton, runs)), (with_newton, runs)
     assert sum(it for it, _ in runs) >= sum(it for it, _ in with_newton) + 2 * len(grams)
+
+
+def test_a_search_whose_cholesky_always_fails_finishes_by_fixed_point_steps(monkeypatch):
+    # a NaN factor declines every Newton attempt; the fixed-point steps alone
+    # reach the same optimum, to rounding, in more iterations
+    gram = random_gram(3, seed=7)
+    want = ms.search_optimum(gram, seed=0)
+    calls = lapack_nan_from_call(monkeypatch, 1, "cholesky_lo")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ms.search_optimum(gram, seed=0)
+    assert (want.convergence.iterations, got.convergence.iterations, len(calls)) == (5, 11, 8)
+    assert abs(got.p_success - want.p_success) <= 2 * _EPS
+    assert ms.certify_povm(gram, got.povm).status == "optimal"
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8])

@@ -8,16 +8,14 @@ import os
 import re
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.linalg import _umath_linalg
 
 import medsolve as ms
-from conftest import nan_spectrum_from_call, random_gram, solve_direct
-from medsolve import certify, cli, homotopy, linalg, serialize
+from conftest import EIGEN, lapack_nan_from_call, random_gram, solve_direct
+from medsolve import certify, cli, homotopy, serialize
 from medsolve.cli import main
 from medsolve.homotopy import _rate
 from medsolve.linalg import haar_unitary
@@ -83,17 +81,32 @@ def _assert_nan_spectrum_exit_codes(monkeypatch, capsys, argv, path, failed):
     """Run ``argv`` with NaN from each eigen call in turn: the input check (the
     first call) exits 65 with numpy's message, every later call exits 3 with
     ``failed``.  Returns the ndim of each call's argument in a clean run."""
-    calls = nan_spectrum_from_call(monkeypatch, 10**6)
+    calls = lapack_nan_from_call(monkeypatch, 10**6, *EIGEN)
     assert main(argv) == 0
     capsys.readouterr()
     for first in range(1, len(calls) + 1):
-        nan_spectrum_from_call(monkeypatch, first)
+        lapack_nan_from_call(monkeypatch, first, *EIGEN)
         code, err = main(argv), capsys.readouterr().err
         if first == 1:
             assert (code, err) == (65, f"{path}: Eigenvalues did not converge\n")
         else:
             assert (code, err) == (3, f"{failed}: Eigenvalues did not converge\n"), first
     return calls
+
+
+def _solved_m3_input(path, schema):
+    """A certify or audit input at ``path``: the polished optimum of
+    ``random_ensemble(3, 809, 0.5)``, with the ensemble or its Gram matrix."""
+    ens = ms.random_ensemble(3, seed=809, spread=0.5)
+    gram = ms.raw_gram(ens)
+    u = solve_direct(gram, steps=100, h=1e-2, polish=True).final_povm.vectors
+    if schema == "ensemble":
+        problem = serialize.ensemble_to_dict(ens)
+        povm = ms.povm_from_unitary(gram, u, ensemble=ens)
+    else:
+        problem, povm = serialize.gram_to_dict(gram), ms.Povm(u)
+    serialize.write_json(path, {"ensemble": problem, "povm": serialize.povm_to_dict(povm)})
+    return path
 
 
 class TestSolve:
@@ -342,6 +355,20 @@ class TestSolve:
         assert stdout.startswith("a-huge: failed (64)\n")
         assert "broken: failed (64)" in stdout and "deep: failed (64)" in stdout
 
+    def test_batch_goes_on_past_a_boolean_among_numbers(self, tmp_path, capsys):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        serialize.write_json(batch / "a.json", {"m": 2, "gram_re": [[0.5, False], [False, 0.5]],
+                                                "gram_im": [[0, 0], [0, 0]]})
+        write_gram(batch / "b.json", random_gram(2, seed=810))
+        out = tmp_path / "out"
+        code = main(["solve", "--batch", str(batch), "--out", str(out),
+                     "--steps", "250", "--h", "4e-3"])
+        assert code == 64
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "a: failed (64)" and lines[1].startswith("b: optimal ")
+        assert (out / "b-report.json").exists() and not (out / "a-report.json").exists()
+
     @pytest.mark.parametrize("out", ["d", "./d/", "link"])
     def test_batch_rerun_into_its_own_directory_skips_its_reports(self, tmp_path, capsys,
                                                                   monkeypatch, out):
@@ -360,40 +387,38 @@ class TestSolve:
         assert sorted(outputs[0]) == ["ensemble-m3-seed1-report.json",
                                       "ensemble-m3-seed1-trace.csv", "ensemble-m3-seed1.json"]
 
-    @staticmethod
-    def _svd_fails_at(monkeypatch, m):
-        """Make the SVD of every m x m matrix (the polar snap of certify_gram) fail
-        as numpy's gufunc does: NaN in place of an error."""
-        svd_f = _umath_linalg.svd_f
-
-        def failing(mat):
-            out = svd_f(mat)
-            return tuple(np.full_like(x, np.nan) for x in out) if mat.shape[-1] == m else out
-
-        monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(
-            eigvalsh_lo=_umath_linalg.eigvalsh_lo, eigh_lo=_umath_linalg.eigh_lo, svd_f=failing))
-
     def test_linalg_error_is_a_solver_failure(self, tmp_path, capsys, monkeypatch):
-        # LinAlgError subclasses ValueError, which --steps/--h rejections raise
-        self._svd_fails_at(monkeypatch, 3)
+        # LinAlgError subclasses ValueError, which --steps/--h rejections raise;
+        # the solve's one SVD is the polar snap of certify_gram
+        lapack_nan_from_call(monkeypatch, 1, "svd_f")
         inp = write_gram(tmp_path / "g.json", random_gram(3, seed=814))
         code = main(["solve", inp, "--out", str(tmp_path), "--steps", "100", "--h", "1e-2"])
         assert code == 3
         assert capsys.readouterr().err == "solver failed: SVD did not converge\n"
         assert not (tmp_path / "g-report.json").exists()
 
+    def test_a_nan_spectrum_in_a_drag_stage_is_a_solver_failure(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the input checks call eigvalsh_lo; eigh_lo call 6 is k2 of the drag's step 2
+        inp = write_gram(tmp_path / "g.json", random_gram(3, seed=96))
+        lapack_nan_from_call(monkeypatch, 6, "eigh_lo")
+        assert main(["solve", inp, "--out", str(tmp_path), "--steps", "10", "--h", "0.1"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "solver failed: Lyapunov spectrum ratio max|l_i+l_j|/min|l_i+l_j| = nan/nan exceeds "
+            "1e+12 at t=0.150000 (bifurcation or near-dependence)"]
+
     def test_a_nan_spectrum_in_the_input_check_is_invalid_data(self, tmp_path, capsys,
                                                                  monkeypatch):
         # numpy's gufunc returns NaN where np.linalg.eigvalsh raised; the
         # input check still reports numpy's error as invalid data
         inp = write_gram(tmp_path / "g.json", random_gram(3, seed=817))
-        nan_spectrum_from_call(monkeypatch, 1)
+        lapack_nan_from_call(monkeypatch, 1, *EIGEN)
         assert main(["solve", inp, "--out", str(tmp_path)]) == 65
         assert capsys.readouterr().err == f"{inp}: Eigenvalues did not converge\n"
         assert not (tmp_path / "g-report.json").exists()
 
     def test_batch_goes_on_past_a_linalg_error(self, tmp_path, capsys, monkeypatch):
-        self._svd_fails_at(monkeypatch, 3)
+        lapack_nan_from_call(monkeypatch, 1, "svd_f", last=1)  # a's polar snap, not b's
         batch = tmp_path / "batch"
         batch.mkdir()
         write_gram(batch / "a.json", random_gram(3, seed=815))
@@ -544,28 +569,11 @@ class TestCertify:
         # input check exits 65 with numpy's message; from any later call
         # (G^{1/2} of a Gram input, the complements, the factor) the
         # certificate fails with 3; no call ends in a traceback
-        ens = ms.random_ensemble(3, seed=809, spread=0.5)
-        gram = ms.raw_gram(ens)
-        u = solve_direct(gram, steps=100, h=1e-2, polish=True).final_povm.vectors
-        if schema == "ensemble":
-            problem = serialize.ensemble_to_dict(ens)
-            povm = ms.povm_from_unitary(gram, u, ensemble=ens)
-        else:
-            problem, povm = serialize.gram_to_dict(gram), ms.Povm(u)
-        path = tmp_path / "c.json"
-        serialize.write_json(path, {"ensemble": problem, "povm": serialize.povm_to_dict(povm)})
+        path = _solved_m3_input(tmp_path / "c.json", schema)
         argv = ["certify", str(path), "--out", str(tmp_path)]
-        calls = nan_spectrum_from_call(monkeypatch, 10**6)
-        assert main(argv) == 0
+        calls = _assert_nan_spectrum_exit_codes(monkeypatch, capsys, argv, path,
+                                                "certification failed")
         assert calls == ([2, 3, 2] if schema == "ensemble" else [2, 2, 3, 2])
-        capsys.readouterr()
-        for first in range(1, len(calls) + 1):
-            nan_spectrum_from_call(monkeypatch, first)
-            code, err = main(argv), capsys.readouterr().err
-            if first == 1:
-                assert (code, err) == (65, f"{path}: Eigenvalues did not converge\n")
-            else:
-                assert (code, err) == (3, "certification failed: Eigenvalues did not converge\n")
 
     def test_swapped_two_state_point_exits_2(self, tmp_path):
         result = ms.helstrom(0.6, 0.4, 0.5)
@@ -738,16 +746,7 @@ class TestAudit:
         # NaN from the input check exits 65 with numpy's message; from the one
         # later call (G^{1/2} of a Gram input) the audit fails with 3, as solve
         # and certify do; no call ends in a traceback
-        ens = ms.random_ensemble(3, seed=809, spread=0.5)
-        gram = ms.raw_gram(ens)
-        u = solve_direct(gram, steps=100, h=1e-2, polish=True).final_povm.vectors
-        if schema == "ensemble":
-            problem = serialize.ensemble_to_dict(ens)
-            povm = ms.povm_from_unitary(gram, u, ensemble=ens)
-        else:
-            problem, povm = serialize.gram_to_dict(gram), ms.Povm(u)
-        path = tmp_path / "a.json"
-        serialize.write_json(path, {"ensemble": problem, "povm": serialize.povm_to_dict(povm)})
+        path = _solved_m3_input(tmp_path / "a.json", schema)
         argv = ["audit", str(path), "--out", str(tmp_path)]
         calls = _assert_nan_spectrum_exit_codes(monkeypatch, capsys, argv, path, "audit failed")
         assert calls == ([2] if schema == "ensemble" else [2, 2])
@@ -953,12 +952,21 @@ class TestUsage:
          np.eye(3, dtype=bool).tolist(), ": field 'states_re'"),
         ("certify", identity_certify_dict, ["povm", "basis_im"],
          np.zeros((3, 3), dtype=bool).tolist(), ":povm: field 'basis_im'"),
+        ("solve", identity_gram_dict, ["gram_re", 0, 1], False, ": field 'gram_re'"),
+        ("solve", orthogonal_ensemble_dict, ["probs", 0], True, ": field 'probs'"),
+        ("certify", identity_certify_dict, ["povm", "basis_re", 0, 0], True,
+         ":povm: field 'basis_re'"),
+        ("audit", identity_certify_dict, ["povm", "basis_re", 0, 0], True,
+         ":povm: field 'basis_re'"),
     ], ids=["solve-gram", "enumerate-gram", "solve-probs", "certify-basis", "audit-basis",
-            "string-probs", "string-gram", "boolean-states", "boolean-basis"])
+            "string-probs", "string-gram", "boolean-states", "boolean-basis",
+            "gram-with-a-boolean", "probs-with-a-boolean", "certify-basis-with-a-boolean",
+            "audit-basis-with-a-boolean"])
     def test_a_field_of_anything_but_json_numbers_exits_64(self, tmp_path, capsys, command,
                                                           payload, keys, value, where):
         # numpy holds an integer beyond 64 bits as an object, which no double
-        # holds either; a numeric string or a boolean is not a JSON number
+        # holds either; a numeric string or a boolean is not a JSON number,
+        # also where numpy would cast it to 1 or 0 among numbers
         path = tmp_path / "in.json"
         serialize.write_json(path, set_entry(payload(), keys, value))
         argv = [command, str(path), "--out", str(tmp_path)]

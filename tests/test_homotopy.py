@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import medsolve as ms
-from medsolve import homotopy, serialize
-from conftest import (identity_gram, overlap_gram_m3, probe_grams, random_gram, seeded_grams,
-                      solve_direct)
+from medsolve import homotopy, linalg, serialize
+from conftest import (identity_gram, lapack_nan_from_call, overlap_gram_m3, probe_grams,
+                      random_gram, seeded_grams, solve_direct)
 from medsolve.certify import RESIDUAL_GATE, factor_residual
 from medsolve.homotopy import _correct, _factor, _integrate, _rate, _tangent_solve
 from medsolve.linalg import haar_unitary, hermitize, polar_unitary
@@ -239,12 +239,21 @@ class TestRk4Drag:
     def test_nan_spectrum_at_the_step_check_loses_positivity(self, monkeypatch, step):
         # step 1 calls eigh for k1..k4 and the check, every later step for k2..k4 and
         # the check (k1 reuses it): the check after ``step`` is call 5 + 4 (step - 1)
-        nan_at = _KernelsWithNanEigh(5 + 4 * (step - 1))
-        monkeypatch.setattr(homotopy, "_umath_linalg", nan_at)
+        calls = lapack_nan_from_call(monkeypatch, 5 + 4 * (step - 1), "eigh_lo")
         t = f"{step / 10:.6f}"
         with pytest.raises(ms.PositivityLost, match=rf"at t={t} \(min eig nan\)$"):
             solve_direct(random_gram(3, seed=96), steps=10, h=0.1)
-        assert nan_at.calls == nan_at.nan_call
+        assert len(calls) == 5 + 4 * (step - 1)
+
+    def test_nan_spectrum_in_a_stage_is_a_singular_jacobian_at_the_stage_time(self,
+                                                                             monkeypatch):
+        # call 6 is k2 of step 2, at its own time t_1 + h/2
+        lapack_nan_from_call(monkeypatch, 6, "eigh_lo")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ms.SingularJacobian, match=r"= nan/nan exceeds 1e\+12 at "
+                                                          r"t=0\.150000 "):
+                solve_direct(random_gram(3, seed=96), steps=10, h=0.1)
 
     def test_trace_layout(self):
         report = solve_direct(random_gram(2, seed=95), steps=100, h=1e-2)
@@ -351,7 +360,7 @@ def _two_array_integrate(trajectory, a, f, steps, h, polish):
         if polish and it == steps:
             a, f, u = _correct(a, f, trajectory.g_end)
         fmat = _factor(a, f)
-        eig = homotopy._umath_linalg.eigh_lo(fmat)
+        eig = linalg.lapack.eigh_lo(fmat)
         f_min = float(eig[0][0])
         trace[it - 1] = (it, t, factor_residual(a, fmat, g_now), f_min, float(np.sum(a**2)))
     return a, f, trace, u
@@ -375,23 +384,6 @@ class TestStateVector:
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         a = got[0]  # its own contiguous float64 array, not a view of the loop's state
         assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.owndata
-
-
-class _KernelsWithNanEigh:
-    """numpy's LAPACK gufuncs, except that call ``nan_call`` of eigh_lo returns NaNs."""
-
-    def __init__(self, nan_call):
-        self.nan_call, self.calls = nan_call, 0
-
-    def __getattr__(self, name):
-        return getattr(np.linalg._umath_linalg, name)
-
-    def eigh_lo(self, mat):
-        self.calls += 1
-        lam, v = np.linalg._umath_linalg.eigh_lo(mat)
-        if self.calls == self.nan_call:
-            return np.full_like(lam, np.nan), np.full_like(v, np.nan)
-        return lam, v
 
 
 @pytest.fixture
@@ -422,7 +414,7 @@ class TestErrorState:
         solve_direct(random_gram(3, seed=96), steps=10, h=0.1, polish=True)
         assert np.geterr() == before
         # NaN at the check after step 4 (see test_nan_spectrum_at_the_step_check_loses_positivity)
-        monkeypatch.setattr(homotopy, "_umath_linalg", _KernelsWithNanEigh(5 + 4 * 3))
+        lapack_nan_from_call(monkeypatch, 5 + 4 * 3, "eigh_lo")
         with pytest.raises(ms.PositivityLost, match=r"at t=0\.400000 "):
             solve_direct(random_gram(3, seed=96), steps=10, h=0.1)
         assert np.geterr() == before
@@ -579,7 +571,7 @@ class TestFactor:
         assert np.array_equal(fmat[iu, ju], f)
         # _rate reads f' out of the full F' by the same layout
         a, f, g, gdot = _random_point(rng, m, real, indefinite=False)
-        eig = homotopy._umath_linalg.eigh_lo(_factor(a, f))
+        eig = linalg.lapack.eigh_lo(_factor(a, f))
         df = _rate(a, f, g, gdot, 0.0)[1]
         dfmat = _tangent_solve(a, eig, g, a[:, None] * gdot * a, 0.0)[1]
         assert np.array_equal(df, dfmat[iu, ju])
@@ -719,11 +711,11 @@ class TestLapackKernels:
         if real:
             z = z.real
         herm = z + z.conj().T
-        lam, v = homotopy._umath_linalg.eigh_lo(herm)
+        lam, v = linalg.lapack.eigh_lo(herm)
         want = np.linalg.eigh(herm)
         assert self._same(lam, want.eigenvalues) and self._same(v, want.eigenvectors)
         assert lam.dtype == np.float64 and v.dtype == z.dtype
-        assert self._same(homotopy._umath_linalg.inv(z), np.linalg.inv(z))
+        assert self._same(linalg.lapack.inv(z), np.linalg.inv(z))
         for mat in (z, np.stack([z, 2.0 * z.T, herm])):
             u, _, vh = np.linalg.svd(mat)
             assert self._same(polar_unitary(mat), u @ vh)

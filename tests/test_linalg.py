@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import medsolve as ms
-from conftest import nan_spectrum_from_call
+from conftest import EIGEN, lapack_nan_from_call
 from medsolve.linalg import hermitian_eig, hs_norm, unitarity_residual
 
 
@@ -43,14 +43,14 @@ def test_hermitian_eig_is_numpys_eigvalsh_and_eigh_bitwise(real):
 
 @pytest.mark.parametrize("vectors", [False, True])
 def test_a_nan_spectrum_raises_numpys_linalg_error(monkeypatch, vectors):
-    nan_spectrum_from_call(monkeypatch, 1)
+    lapack_nan_from_call(monkeypatch, 1, *EIGEN)
     with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
         hermitian_eig(np.eye(3), vectors=vectors)
 
 
 def test_gram_matrix_refuses_a_nan_spectrum(monkeypatch):
     # a NaN smallest eigenvalue would pass the min_eig <= EPS_LI test
-    calls = nan_spectrum_from_call(monkeypatch, 1)
+    calls = lapack_nan_from_call(monkeypatch, 1, *EIGEN)
     with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
         ms.GramMatrix(np.eye(3) / 3)
     assert calls == [2]

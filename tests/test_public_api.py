@@ -90,6 +90,28 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
+def test_only_linalg_names_numpys_private_lapack_module():
+    # numpy's private module is reached through linalg.lapack, looked up at call
+    # time, so that one test fake replaces every LAPACK call of the package
+    root = Path(ms.__file__).resolve().parents[2]
+    named, bound = set(), []
+    for path in sorted(p for d in ("src", "tools", "perfbench") for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                if (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+                        and "lapack" in names):
+                    bound.append(f"{path.relative_to(root)}:{node.lineno}")
+            else:
+                continue
+            if any("_umath_linalg" in name.split(".") for name in names):
+                named.add(str(path.relative_to(root)))
+    assert named == {"src/medsolve/linalg.py"}
+    assert bound == []
+
+
 def _public_definitions(tree: ast.Module):
     """(qualified name, name) of each public module-level function, class and
     constant, and of each public method and property of a module-level class."""
