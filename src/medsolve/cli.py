@@ -13,6 +13,14 @@ stdout.
 once, on the first call, and each call parses into a fresh namespace, logs
 at its own MED_LOG to the stderr current at the time, and leaves the
 ``medsolve`` logger's handlers and level as it found them.
+
+``main`` holds the CLI's one floating-point policy, around the whole command
+(the parse and input checks, every stage and the writes): numpy's error state
+ignores every flag, since each stage reads a failure off its NaN, and each
+warning the command shows, the package's RootCountAnomaly under any filter,
+becomes one ``WARNING <message>`` line once the command returns.  A failure
+drops them, so its line stays the only one.  The library leaves numpy's error
+state and the warning filters to its callers.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import functools
 import logging
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,7 +41,7 @@ from . import __version__
 from .bloch3 import geometric_audit
 from .certify import Certificate, certify_povm
 from .enumerate3 import classify_landscape
-from .exceptions import MedError, SchemaError
+from .exceptions import MedError, RootCountAnomaly, SchemaError
 from .gram import (
     Ensemble,
     GramMatrix,
@@ -82,12 +91,9 @@ class _Parser(argparse.ArgumentParser):
 def _read_input(path: Path, parse):
     """Read a JSON file and ``parse`` its data, mapping failures to exit codes:
     an unreadable file or a schema violation is a usage error, invalid
-    numbers are invalid data.  The parse ignores overflow and invalid
-    operations: a huge finite value fails its check as data, with no numpy
-    warning."""
+    numbers are invalid data."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return parse(read_json(path))
+        return parse(read_json(path))
     except OSError as exc:
         raise _CliFailure(EXIT_USAGE, f"{path}: cannot read input ({exc.strerror})") from exc
     except SchemaError as exc:
@@ -282,7 +288,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_reproduce_fig1(args) -> int:
-    report, report_path = _solve_one(reference_five_state_gram(), args, _out_dir(args), "fig1")
+    with _numerical("solver"):  # the reference's checks call LAPACK, as an input's do
+        reference = reference_five_state_gram()
+    report, report_path = _solve_one(reference, args, _out_dir(args), "fig1")
     cert = report.certificate
     lg = np.log10(np.maximum(report.trace[:, 2], LOG_FLOOR))
     print(
@@ -364,7 +372,12 @@ def main(argv: list[str] | None = None) -> int:
     ))
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always", RootCountAnomaly)
+            code = args.fn(args)
+        for warning in shown:
+            log.warning("%s", warning.message)
+        return code
     except _CliFailure as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

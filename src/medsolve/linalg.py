@@ -13,8 +13,11 @@ array checks, dtype casts and error-state context, which at m <= 8 cost as
 much as the factorization: the same LAPACK call on the same data.  Where the
 wrapper raised LinAlgError, a gufunc returns NaN in its outputs and flags an
 invalid operation, so each caller owns its error state and reads the failure
-off the NaN.  Callers look the gufuncs up as ``linalg.lapack.<name>`` at call
-time, never binding one at import, so a test can replace the module.
+off the NaN.  The CLI holds one error state, in ``cli.main``, around each
+whole command; library callers keep numpy's default, under which a failed
+gufunc also warns with numpy's RuntimeWarning before the LinAlgError.
+Callers look the gufuncs up as ``linalg.lapack.<name>`` at call time, never
+binding one at import, so a test can replace the module.
 """
 
 from __future__ import annotations

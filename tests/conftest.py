@@ -13,6 +13,10 @@ LAPACK = linalg.lapack
 
 #: the gufuncs of the hermitian spectrum, ``linalg.hermitian_eig``
 EIGEN = ("eigvalsh_lo", "eigh_lo")
+#: the gufuncs that fail by not converging; the others fail at a zero pivot
+NO_CONVERGENCE = (*EIGEN, "svd_f")
+#: every gufunc of ``linalg.lapack`` that the package calls
+GUFUNCS = (*NO_CONVERGENCE, "inv", "cholesky_lo", "solve1", "solve")
 
 
 def identity_gram(m: int) -> ms.GramMatrix:
@@ -102,27 +106,35 @@ def overlap_gram_m3(c: float, probs=(0.4, 0.35, 0.25)) -> ms.GramMatrix:
 
 
 def lapack_nan_from_call(monkeypatch, first: int, *names: str,
-                         last: int | None = None) -> list[int]:
+                         last: int | None = None, flagged: bool = False) -> list[int]:
     """Replace ``linalg.lapack`` by numpy's LAPACK gufuncs, except that the gufuncs
     ``names``, their calls counted together from 1, return NaN in every output from
     call ``first`` on (to call ``last``, if given), as numpy's gufuncs report a failed
-    factorization, without raising the invalid flag.  Every caller in the package
+    factorization, without raising the invalid flag.  With ``flagged``, a failing
+    call runs the real gufunc on an input that LAPACK fails on, and so also raises
+    the flag, as a real failure does: all NaN for those of ``NO_CONVERGENCE``, all
+    zeros, an exact zero pivot, for the others.  Every caller in the package
     looks ``linalg.lapack`` up at call time, so this reaches each of its calls.
     Returns the list that records the ndim of each named call's first argument.
     A later call replaces an earlier one's patch."""
     calls: list[int] = []
 
-    def failing(gufunc):
+    def failing(name):
+        gufunc = getattr(LAPACK, name)
+        fill = np.nan if name in NO_CONVERGENCE else 0.0
+
         def call(*args):
             calls.append(args[0].ndim)
-            out = gufunc(*args)
             if len(calls) < first or last is not None and len(calls) > last:
-                return out
+                return gufunc(*args)
+            if flagged:
+                return gufunc(np.full_like(args[0], fill), *args[1:])
+            out = gufunc(*args)
             if isinstance(out, tuple):
                 return tuple(np.full_like(x, np.nan) for x in out)
             return np.full_like(out, np.nan)
         return call
 
     monkeypatch.setattr(linalg, "lapack", types.SimpleNamespace(
-        **vars(LAPACK) | {name: failing(getattr(LAPACK, name)) for name in names}))
+        **vars(LAPACK) | {name: failing(name) for name in names}))
     return calls

@@ -7,7 +7,7 @@ tree with ``git archive REV src | tar -x``, writes one set of inputs with
 ``perfbench/inputs.py`` and runs the same list of CLI operations on both
 trees, each tree in its own Python process that imports ``medsolve`` from
 that tree and calls ``medsolve.cli.main`` (or, for a search, the API) in
-process.  The 284 operations (258 CLI calls and 26 searches):
+process.  The 285 operations (259 CLI calls and 26 searches):
 
 - ``solve`` on the batch-small inputs of seeds 0 and 1, with the benchmark's
   flags ``--steps 200 --h 5e-3 --polish`` and with the same flags without
@@ -25,6 +25,8 @@ process.  The 284 operations (258 CLI calls and 26 searches):
   ``...-nd361-gram.json`` (least eigenvalues 2.4e-8 and 1.25e-8), where the
   first pencil loses the global root or a root's factor misses the gate, with
   numpy 2.4's OpenBLAS;
+- ``enumerate`` on G = I/3, whose 5 roots fall short of the degree bound and
+  warn RootCountAnomaly;
 - ``certify`` and ``audit`` on G = I/3 measured by its basis permuted
   cyclically (Z = 0) and with its last two outcomes swapped (every
   kappa_i = 0), which take the audit's branch for a zero weight;
@@ -127,19 +129,21 @@ def _near_dependent_inputs(work: Path) -> list[Path]:
 
 
 def _centre_inputs(work: Path) -> list[Path]:
-    """The two G = I/3 certify inputs whose zero weights send Z, or every
-    complement, to the audit's centre, written under ``work/centre`` so that
-    the batch operation does not read them."""
+    """G = I/3, then the two G = I/3 certify inputs whose zero weights send Z,
+    or every complement, to the audit's centre, written under ``work/centre``
+    so that the batch operation does not read them."""
     sys.path.insert(0, str(ROOT / "src"))
     import medsolve as ms
     from medsolve import serialize
 
     gram = serialize.gram_to_dict(ms.GramMatrix(np.eye(3) / 3))
-    (work / "centre").mkdir()
-    return [inputs.write(work / "centre" / f"identity-m3-{name}.json",
-                         {"ensemble": gram,
-                          "povm": serialize.povm_to_dict(ms.Povm(np.eye(3)[:, columns]))})
-            for name, columns in (("cyclic", [1, 2, 0]), ("swap", [0, 2, 1]))]
+    centre = work / "centre"
+    centre.mkdir()
+    return [inputs.write(centre / "identity-m3-gram.json", gram)] + [
+        inputs.write(centre / f"identity-m3-{name}.json",
+                     {"ensemble": gram,
+                      "povm": serialize.povm_to_dict(ms.Povm(np.eye(3)[:, columns]))})
+        for name, columns in (("cyclic", [1, 2, 0]), ("swap", [0, 2, 1]))]
 
 
 def operations(work: Path) -> list[tuple[str, list[str]]]:
@@ -160,7 +164,9 @@ def operations(work: Path) -> list[tuple[str, list[str]]]:
     for name in ("nd150", "nd361"):
         path = ROOT / "tests" / "data" / f"near-dependent-m3-{name}-gram.json"
         ops.append((f"{path.stem}-enumerate", ["enumerate", str(path)]))
-    for path in _certify_files(work, problems) + _centre_inputs(work):
+    identity, *centre = _centre_inputs(work)
+    ops.append((f"{identity.stem}-enumerate", ["enumerate", str(identity)]))
+    for path in _certify_files(work, problems) + centre:
         ops.append((f"{path.stem}-certify", ["certify", str(path)]))
         ops.append((f"{path.stem}-audit", ["audit", str(path)]))
     ops.append(("fig1", ["reproduce-fig1"]))
