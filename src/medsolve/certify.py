@@ -17,6 +17,10 @@ as columns): the stationarity block has HS norm |O_jj O_jk^* - O_kj O_kk^*|,
 Z equals S diag(O) V^dag, and the optimum is the unique stationary point
 whose hermitian factor F = D O (O phase-fixed to a non-negative diagonal D)
 is positive definite -- equivalently, F is the positive square root of D G D.
+
+Two entry points: ``certify_povm`` certifies a measurement, and
+``certify_gram`` is the one route from a hermitian factor F, the drag's or
+an enumerated root's, to its certificate and measurement.
 """
 
 from __future__ import annotations
@@ -189,14 +193,7 @@ def certify_gram(gram: GramMatrix, f: np.ndarray) -> tuple[Certificate, Povm]:
     if (a_sq <= 0.0).any():
         raise ValueError("factor F must have positive diagonal")
     a = np.sqrt(a_sq)
-    return certify_factor(gram, f, a, factor_residual(a, f, gram.entries))
-
-
-def certify_factor(gram: GramMatrix, f: np.ndarray, a: np.ndarray, resid: float
-                   ) -> tuple[Certificate, Povm]:
-    """``certify_gram`` past its input checks, for a complex hermitian F with
-    a = sqrt(diag F) > 0 whose ``factor_residual(a, f, gram.entries)`` the
-    caller holds as ``resid``: ResidualTooLarge unless it meets RESIDUAL_GATE."""
+    resid = factor_residual(a, f, gram.entries)
     if not resid <= RESIDUAL_GATE:
         raise ResidualTooLarge(f"F^2 - DGD has HS norm {resid:.3e} (gate {RESIDUAL_GATE:.1e})")
     # The factorization residual leaks into unitarity at the same order;

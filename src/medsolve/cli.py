@@ -90,12 +90,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_input(path: Path, parse):
     """Read a JSON file and ``parse`` its data, mapping failures to exit codes:
-    an unreadable file or a schema violation is a usage error, invalid
-    numbers are invalid data."""
+    an unreadable file, one too large to read into memory or a schema
+    violation is a usage error, invalid numbers are invalid data."""
     try:
         return parse(read_json(path))
     except OSError as exc:
         raise _CliFailure(EXIT_USAGE, f"{path}: cannot read input ({exc.strerror})") from exc
+    except MemoryError as exc:
+        raise _CliFailure(EXIT_USAGE, f"{path}: cannot read input (out of memory)") from exc
     except SchemaError as exc:
         raise _CliFailure(EXIT_USAGE, str(exc)) from exc
     except (MedError, ValueError) as exc:

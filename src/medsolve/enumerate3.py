@@ -11,7 +11,8 @@ three off-diagonal entries give three coupled quadratics E(x) = 0 in
 x = (a, b, c), whose complex solution set is finite (Bezout bound 8).  A
 ``StationaryRoot`` stores x alone; M, and for a real root the diagonal D
 and the factor F = D M D, follow from it, and ``certify_gram(gram,
-root.factor)`` turns F into the root's certificate and measurement.
+root.factor)`` turns F into the root's certificate and measurement, for
+``classify_landscape`` as for any caller.
 Complex roots do not correspond to measurements and get neither; every
 real root is a stationary point of the success probability on the manifold
 of rank-one projective measurements, and exactly one of them -- the one
@@ -47,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .certify import RESIDUAL_GATE, Certificate, certify_factor, factor_residual
+from .certify import RESIDUAL_GATE, Certificate, certify_gram, factor_residual
 from .exceptions import NoConvergence, RootCountAnomaly
 from .gram import GramMatrix
 from .linalg import hermitian_eig, read_only
@@ -232,26 +233,26 @@ def solve_stationary(gram: GramMatrix) -> list[StationaryRoot]:
     within RESIDUAL_GATE as ``certify_gram`` gates it, else the last one's
     roots are returned.  A shortfall against the degree bound warns RootCountAnomaly.
     """
-    return _stationary(gram)[0]
+    return _stationary(gram)
 
 
-def _stationary(gram: GramMatrix) -> tuple[list[StationaryRoot], list]:
-    """``solve_stationary``'s roots and the ``_gate`` of each, which decided the attempt."""
+def _stationary(gram: GramMatrix) -> list[StationaryRoot]:
+    """``solve_stationary``'s roots; its RootCountAnomaly points at the caller
+    of ``solve_stationary`` or ``classify_landscape``."""
     h = _check_real_m3(gram)
     for attempt in range(_ATTEMPTS):
         roots, at_inf, gap = _find_roots(h, _SEED + attempt)
         log.debug("macaulay attempt %d (seed %d): %d eigenvectors, %d at infinity, "
                   "null-space gap sigma_27/sigma_28 = %.3g",
                   attempt, _SEED + attempt, len(at_inf), int(at_inf.sum()), gap)
-        gates = [_gate(gram, root) for root in roots]
-        if (why := _rejection(roots, gates)) is None:
+        if (why := _rejection(gram, roots)) is None:
             break
         log.debug("macaulay attempt %d rejected: %s", attempt, why)
     if len(roots) < DEGREE_BOUND:
         warnings.warn(f"found {len(roots)} stationary roots; the degree bound allows "
                       f"{DEGREE_BOUND}: the others are at infinity, coincide at a singular "
                       "root or were lost by the pencil", RootCountAnomaly, stacklevel=3)
-    return roots, gates
+    return roots
 
 
 def _find_roots(h: np.ndarray, seed: int):
@@ -271,20 +272,15 @@ def _find_roots(h: np.ndarray, seed: int):
     return _classify(x[distinct], resid[distinct], jac[distinct], h), at_inf, gap
 
 
-def _gate(gram: GramMatrix, root: StationaryRoot):
-    """A real root's (F, sqrt(diag F), F^2 - DGD residual) for ``certify_factor``, else None."""
-    if root.factor is None:
-        return None
-    f = root.factor.astype(complex)
-    a = np.sqrt(f.diagonal().real)
-    return f, a, factor_residual(a, f, gram.entries)
-
-
-def _rejection(roots: list[StationaryRoot], gates: list) -> str | None:
-    """Why ``roots``, with their ``_gate``s, cannot be the landscape, or None."""
+def _rejection(gram: GramMatrix, roots: list[StationaryRoot]) -> str | None:
+    """Why ``roots`` cannot be the landscape of ``gram``, or None: the count of
+    positive definite roots, then the worst real root's factor residual as
+    ``certify_gram`` computes it (np.max, so a NaN residual rejects)."""
     if (n_pd := sum(root.is_positive_definite for root in roots)) != 1:
         return f"{n_pd} positive definite roots, not 1"
-    worst = np.max([gate[2] for gate in gates if gate is not None])
+    factors = [root.factor.astype(complex) for root in roots if root.factor is not None]
+    worst = np.max([factor_residual(np.sqrt(f.diagonal().real), f, gram.entries)
+                    for f in factors])
     return None if worst <= RESIDUAL_GATE else (
         f"worst real-root factor residual {worst:.3e} (gate {RESIDUAL_GATE:.1e})")
 
@@ -341,17 +337,18 @@ def classify_landscape(gram: GramMatrix) -> LandscapeSummary:
 
     Each real root's certificate is ``certify_gram(gram, root.factor)[0]``
     (see ``Certificate``); the second item of that pair is the root's
-    measurement.  The residual that decided the attempt is the one gated, so
-    none is computed twice; a factor of a last attempt that misses the gate
-    raises ResidualTooLarge, and a last attempt without exactly one positive
-    definite root then raises NoConvergence.  The unique positive definite
-    root is labeled as the global maximum; the remaining real roots are
-    certified stationary-non-global points whose success probabilities chart
-    the optimization landscape.
+    measurement.  ``certify_gram`` gates each factor again after the
+    enumeration has gated it to pick the pencil, so a factor of a last
+    attempt that misses the gate raises ResidualTooLarge, and a last attempt
+    without exactly one positive definite root then raises NoConvergence.
+    The unique positive definite root is labeled as the global maximum; the
+    remaining real roots are certified stationary-non-global points whose
+    success probabilities chart the optimization landscape.
     """
-    roots, gates = _stationary(gram)
-    certs = [None if gate is None else certify_factor(gram, *gate)[0] for gate in gates]
-    if (why := _rejection(roots, gates)) is not None:
+    roots = _stationary(gram)
+    certs = [None if root.factor is None else certify_gram(gram, root.factor)[0]
+             for root in roots]
+    if (n_pd := sum(root.is_positive_definite for root in roots)) != 1:
         raise NoConvergence(f"none of {_ATTEMPTS} pencils held one positive definite "
-                            f"root: the last had {why}")
+                            f"root: the last had {n_pd} positive definite roots, not 1")
     return LandscapeSummary(gram=gram, roots=roots, certificates=certs)

@@ -867,6 +867,61 @@ class TestUsage:
         assert main(["certify", str(tmp_path), "--out", str(tmp_path)]) == 64
         assert "cannot read input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "certify", "enumerate", "audit"])
+    def test_an_input_too_large_for_memory_exits_64(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        def exhausted(path):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "read_json", exhausted)
+        path = str(tmp_path / "g.json")
+        assert main([command, path, "--out", str(tmp_path)]) == 64
+        assert capsys.readouterr().err == f"{path}: cannot read input (out of memory)\n"
+
+    def test_a_batch_file_too_large_for_memory_fails_alone(self, tmp_path, capsys, monkeypatch):
+        write_gram(tmp_path / "a.json", random_gram(2, 1))
+        write_gram(tmp_path / "b.json", random_gram(2, 2))
+        read_json = cli.read_json
+
+        def exhausted(path):
+            if Path(path).stem == "a":
+                raise MemoryError
+            return read_json(path)
+
+        monkeypatch.setattr(cli, "read_json", exhausted)
+        argv = ["solve", "--batch", str(tmp_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "a: failed (64)"
+        assert out.splitlines()[1].startswith("b: optimal")
+        assert err == f"ERROR {tmp_path / 'a.json'}: {tmp_path / 'a.json'}: cannot read input " \
+                      "(out of memory)\n"
+
+    def test_a_valid_input_too_large_for_the_address_space_exits_64(self, tmp_path):
+        # 2,000,000 numbers in an extra field: the file is 10 MB, and json.loads
+        # builds a float object for each, more than the child's 32 MiB of headroom
+        small = write_gram(tmp_path / "small.json", random_gram(2, 3))
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(dict(json.loads(Path(small).read_text()),
+                                       padding=[0.5] * 2_000_000)))
+        argv = ["solve", str(big), "--out", str(tmp_path), "--steps", "100", "--h", "1e-2"]
+        assert run_python("-m", "medsolve.cli", *argv).returncode == 0  # valid and readable
+        child = (
+            "import resource, sys\n"
+            "from medsolve.cli import main\n"
+            "main(['solve', sys.argv[1], '--out', sys.argv[2]])  # numpy's and BLAS's buffers\n"
+            "with open('/proc/self/status') as status:\n"
+            "    kb = next(int(line.split()[1]) for line in status if line.startswith('VmSize:'))\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (kb * 1024 + 32 * 2**20, hard))\n"
+            "sys.exit(main(['solve', *sys.argv[3:]]))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", child, small, str(tmp_path), *argv[1:]],
+                             env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1"),
+                             capture_output=True, text=True, timeout=120)
+        assert run.stderr == f"{big}: cannot read input (out of memory)\n"
+        assert run.returncode == 64
+
     def test_output_path_on_a_file_exits_64(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -11,7 +11,9 @@ run on an input that LAPACK fails on, so numpy raises the invalid flag as a
 real non-convergence or zero pivot does (``conftest.lapack_nan_from_call``).
 The fuzz makes 1-3 seeded edits to valid inputs at m = 2, 3 and 4, runs each
 mutated file through its two commands, and runs one of them again under a
-flagged failure of a seeded gufunc and call.
+flagged failure of a seeded gufunc and call.  Most of those edits break the
+schema, so a second seeded batch makes only numeric edits, which keep the
+file well formed and reach the input checks and the numerics.
 """
 
 import ast
@@ -179,6 +181,51 @@ def mutate(data: dict, rng: random.Random) -> dict:
         else:
             node[key] = copy.deepcopy(rng.choice(LEAVES))
     return data
+
+
+#: the numeric edits' seeds start here, apart from the first batch's
+NUMERIC_SEED = 10_000
+#: numerically edited files per valid input: 16 inputs make 512
+NUMERIC_MUTANTS = 32
+
+
+def mutate_numbers(data: dict, rng: random.Random) -> dict:
+    """``data`` with 1-3 edits that keep it well formed: a number in a list
+    scaled by 1 +- 1e-13 or set to 5e-324 or -0.0, two rows of a matrix
+    swapped, or one prior negated (a number scaled, where there are none)."""
+    data = copy.deepcopy(data)
+    for _ in range(rng.randint(1, 3)):
+        slots = list(_slots(data))
+        numbers = [(node, key) for node, key in slots
+                   if isinstance(node, list) and type(node[key]) in (int, float)]
+        matrices = [node[key] for node, key in slots
+                    if isinstance(node[key], list) and len(node[key]) > 1
+                    and all(isinstance(row, list) for row in node[key])]
+        priors = [(node[key], i) for node, key in slots if key == "probs"
+                  for i in range(len(node[key]))]
+        edit = rng.randrange(4)
+        if edit == 2 and matrices:
+            rows = rng.choice(matrices)
+            i, j = rng.sample(range(len(rows)), 2)
+            rows[i], rows[j] = rows[j], rows[i]
+        elif edit == 3 and priors:
+            node, key = rng.choice(priors)
+            node[key] = -node[key]
+        else:
+            node, key = rng.choice(numbers)
+            node[key] = (rng.choice((5e-324, -0.0)) if edit == 1
+                         else node[key] * (1 + rng.choice((1e-13, -1e-13))))
+    return data
+
+
+@pytest.mark.parametrize("name", VALID)
+def test_numerically_edited_inputs_keep_the_contract(tmp_path, valid_inputs, name):
+    data = json.loads(valid_inputs[name].read_text())
+    for seed in range(NUMERIC_SEED, NUMERIC_SEED + NUMERIC_MUTANTS):
+        path = tmp_path / f"{seed}-{valid_inputs[name].name}"
+        path.write_text(json.dumps(mutate_numbers(data, random.Random(seed))))
+        for k, argv in enumerate(commands(path)):
+            assert_contract(argv, tmp_path / f"{seed}-{k}", f"seed {seed}")
 
 
 @pytest.mark.parametrize("name", VALID)

@@ -1,7 +1,9 @@
 """Stationary-point enumeration for three real states."""
 
+import dataclasses
 import json
 import logging
+import sys
 import warnings
 from pathlib import Path
 
@@ -16,7 +18,20 @@ from medsolve import enumerate3, serialize
 from medsolve.cli import main
 from medsolve.linalg import haar_unitary, hermitize
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import inputs  # noqa: E402
+
 DATA = Path(__file__).parent / "data"
+
+
+def _enumerated_problems():
+    """The real problems of the benchmark's verify-m3 inputs of seed 0 and the
+    two near-dependent Gram files, each as ``medsolve enumerate`` reads it."""
+    problems = [pytest.param(p.to_dict(), id=p.name) for p in inputs.verify_m3(0) if p.real]
+    for name in ("nd150", "nd361"):
+        path = DATA / f"near-dependent-m3-{name}-gram.json"
+        problems.append(pytest.param(serialize.read_json(path), id=name))
+    return problems
 
 
 def sorted_real_roots(roots):
@@ -207,10 +222,21 @@ class TestClassifyLandscape:
             roots, _, _ = enumerate3._find_roots(enumerate3._check_real_m3(gram), seed)
             pd = [r for r in roots if r.is_positive_definite]
             assert len(pd) == 1, f"seed {seed}: {len(pd)} positive definite roots"
-            gates = [enumerate3._gate(gram, root) for root in roots]
-            assert enumerate3._rejection(roots, gates) is None, f"seed {seed}"
+            assert enumerate3._rejection(gram, roots) is None, f"seed {seed}"
             real_ps = [r.p_success for r in roots if r.is_real]
             assert pd[0].p_success == pytest.approx(max(real_ps), abs=1e-9)
+
+    @pytest.mark.parametrize("data", _enumerated_problems())
+    def test_every_real_root_is_certified_by_certify_gram(self, data):
+        problem = serialize.load_gram_or_ensemble(data)
+        gram = problem if isinstance(problem, ms.GramMatrix) else ms.raw_gram(problem)
+        landscape = ms.classify_landscape(gram)
+        real = [k for k, root in enumerate(landscape.roots) if root.is_real]
+        assert real and len(real) == sum(c is not None for c in landscape.certificates)
+        for k in real:
+            expected = ms.certify_gram(gram, landscape.roots[k].factor)[0]
+            assert [float(v).hex() for v in dataclasses.astuple(landscape.certificates[k])] == \
+                [float(v).hex() for v in dataclasses.astuple(expected)], f"root {k}"
 
     def test_agrees_with_continuation_solver(self):
         for seed in range(3):

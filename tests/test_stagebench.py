@@ -1,11 +1,14 @@
 """tools/stagebench.py: the tree loader, a second copy of the package beside
-``medsolve``, and the per-row summary of the timed samples."""
+``medsolve``, the per-row summary of the timed samples, and the
+``BENCH_<n>.json`` writer."""
 
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import medsolve as ms
@@ -60,3 +63,35 @@ def test_the_summary_pairs_sample_k_of_each_package(stagebench):
     # 0.5, 2, 1, 0.5, 2 paired: q1, median and q3 at the 2nd, 3rd and 4th of five
     assert stagebench.summary([2.0, 1.0, 3.0, 8.0, 1.5], [1.0, 2.0, 3.0, 4.0, 3.0]) == (
         1.0, 1.0, 1.0, 0.5, 1.0, 2.0)
+
+
+def test_the_bench_file_takes_the_first_free_number(stagebench, tmp_path):
+    (tmp_path / "BENCH_1.json").write_text("{}")
+    (tmp_path / "BENCH_3.json").write_text("{}")
+    table = {("_rate us", 5, "real"): (60.0, 57.0, 0.95, 0.9, 0.96, 1.0),
+             ("rk4_drag fig1 ms", 5, "complex"): (450.0, 450.0, 1.0, 0.99, 1.0, 1.01)}
+    revisions = {"rev": {"name": "HEAD", "commit": "a" * 40},
+                 "here": {"commit": "a" * 40, "src_modified": False}}
+    host = stagebench.host()
+    path = stagebench.write_bench(stagebench.bench_record(table, host, revisions), tmp_path)
+    assert path == tmp_path / "BENCH_2.json"
+    assert stagebench.write_bench({}, tmp_path) == tmp_path / "BENCH_4.json"
+    record = json.loads(path.read_text())
+    assert record["revisions"] == revisions
+    assert record["samples"] == stagebench.SAMPLES
+    assert set(record["host"]) == {"python", "numpy", "blas", "blas_threads",
+                                   "openblas_num_threads_env", "nproc"}
+    assert record["host"]["numpy"] == np.__version__
+    assert record["rows"] == [
+        {"layer": "_rate", "unit": "us", "m": 5, "arith": "real", "best_rev": 60.0,
+         "best_here": 57.0, "best_ratio": 0.95, "q1": 0.9, "median": 0.96, "q3": 1.0},
+        {"layer": "rk4_drag fig1", "unit": "ms", "m": 5, "arith": "complex", "best_rev": 450.0,
+         "best_here": 450.0, "best_ratio": 1.0, "q1": 0.99, "median": 1.0, "q3": 1.01}]
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs the git checkout")
+def test_an_unchanged_checkout_names_one_commit_twice(stagebench):
+    revisions = stagebench.revisions("HEAD")
+    assert revisions["rev"]["commit"] == revisions["here"]["commit"]
+    assert len(revisions["here"]["commit"]) == 40
+    assert isinstance(revisions["here"]["src_modified"], bool)

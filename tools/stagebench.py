@@ -1,6 +1,6 @@
 """Per-layer timing against a git revision: the drag, the direct search and the verification layers.
 
-    python tools/stagebench.py [--against REV]      # REV defaults to HEAD
+    python tools/stagebench.py [--against REV] [--json]      # REV defaults to HEAD
 
 Run from anywhere inside the repository.  The tool extracts REV's
 ``src/medsolve`` with ``git archive`` and imports it as ``medsolve_rev``
@@ -53,6 +53,13 @@ row within 0.983-1.014 and 0.963-1.021.  A gap inside that band is not
 resolved.  Both trees must provide every function named here, with
 ``_rate(a, f, g, gdot, t)``, ``_integrate`` and ``_correct(a, f, gram)``
 among them; REV's lack of one exits 2 with its name.
+
+With ``--json`` the run is also written to ``BENCH_<n>.json`` at the
+repository root, n the first integer from 1 whose file does not exist: the
+host (Python, numpy, the BLAS build and the thread count of each OpenBLAS
+loaded, as perfbench records them, and nproc), both revisions as commits,
+with whether this checkout's ``src/medsolve`` differs from its own HEAD,
+and each row's bests and paired quartiles as the table prints them.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import json
 import os
 import platform
 import subprocess
@@ -176,10 +184,64 @@ def summary(rev: list[float], here: list[float]) -> tuple[float, ...]:
     return (*best, best[1] / best[0], *np.percentile(np.divide(here, rev), [25, 50, 75]))
 
 
+def host() -> dict:
+    """The host as perfbench records it: Python, numpy, the BLAS build, each
+    loaded OpenBLAS and its thread count, and nproc."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    perfbench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclass
+    spec.loader.exec_module(perfbench)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}", "blas_threads": perfbench._blas_threads(),
+            "openblas_num_threads_env": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "nproc": os.cpu_count()}
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def revisions(against: str) -> dict:
+    """REV and this checkout as commits; ``src_modified`` says whether this
+    checkout's ``src/medsolve`` differs from its HEAD, untracked files included."""
+    return {"rev": {"name": against,
+                    "commit": git("rev-parse", "--verify", f"{against}^{{commit}}")},
+            "here": {"commit": git("rev-parse", "HEAD"),
+                     "src_modified": bool(git("status", "--porcelain", "--", "src/medsolve"))}}
+
+
+def write_bench(record: dict, root: Path = ROOT) -> Path:
+    """Write ``record`` to ``root/BENCH_<n>.json``, n the first integer from 1
+    whose file does not exist, and return its path."""
+    n = 1
+    while (root / f"BENCH_{n}.json").exists():
+        n += 1
+    path = root / f"BENCH_{n}.json"
+    with open(path, "x") as fh:  # a run that took n meanwhile is not overwritten
+        fh.write(json.dumps(record, indent=1) + "\n")
+    return path
+
+
+def bench_record(table: dict, host: dict, revisions: dict) -> dict:
+    """The ``BENCH_<n>.json`` record of the ``table`` {(layer and unit, m,
+    arithmetic): ``summary`` of its samples}."""
+    rows = []
+    for (name, m, arith), row in table.items():
+        layer, unit = name.rsplit(" ", 1)
+        rows.append({"layer": layer, "unit": unit, "m": m, "arith": arith,
+                     **dict(zip(("best_rev", "best_here", "best_ratio", "q1", "median", "q3"),
+                                map(float, row)))})
+    return {"tool": "tools/stagebench.py", "host": host, "revisions": revisions,
+            "samples": SAMPLES, "sample_s": SAMPLE_S, "rows": rows}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", default="HEAD", metavar="REV",
                         help="git revision to compare this checkout with (default: HEAD)")
+    parser.add_argument("--json", action="store_true",
+                        help="also write the run to BENCH_<n>.json at the repository root")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="medsolve-stagebench-") as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against,
@@ -187,6 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         if archive.returncode != 0:
             print(archive.stderr.decode(), file=sys.stderr, end="")
             return 2
+        revs = revisions(args.against)
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         packages = {"rev": load("medsolve_rev", Path(tmp) / "src"),
                     "here": load("medsolve", ROOT / "src")}
@@ -209,10 +272,12 @@ def main(argv: list[str] | None = None) -> int:
     rev = args.against[:12]
     print(f"{'layer':<21} {'m':>2} {'arith':<8} {'best: ' + rev:>18} {'here':>8} {'here/rev':>9}"
           f" {'paired: q1':>11} {'median':>7} {'q3':>6}")
-    for (layer, m, arith), theirs in times["rev"].items():
-        row = summary(theirs, times["here"][layer, m, arith])
+    table = {key: summary(theirs, times["here"][key]) for key, theirs in times["rev"].items()}
+    for (layer, m, arith), row in table.items():
         print(f"{layer:<21} {m:>2} {arith:<8} {row[0]:>18.2f} {row[1]:>8.2f} {row[2]:>9.3f} "
               f"{row[3]:>11.3f} {row[4]:>7.3f} {row[5]:>6.3f}")
+    if args.json:
+        print(f"wrote {write_bench(bench_record(table, host(), revs))}")
     return 0
 
 
