@@ -203,12 +203,15 @@ def cmd_solve(args) -> int:
 
     worst = EXIT_OK
     for path in inputs:
+        problem = None
         try:
-            report, report_path = _solve_one(_load_problem(path), args, out, path.stem)
+            problem = _load_problem(path)
+            report, report_path = _solve_one(problem, args, out, path.stem)
         except _CliFailure as exc:
             if not args.batch:
                 raise
-            log.error("%s: %s", path, exc)
+            # a read failure's message already starts with the path
+            log.error("%s%s", "" if problem is None else f"{path}: ", exc)
             print(f"{path.stem}: failed ({exc.code})")
             worst = max(worst, exc.code)
             continue

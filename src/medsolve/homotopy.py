@@ -28,19 +28,21 @@ parts that are exactly zero, the whole drag runs in real arithmetic (real
 ``eigh`` and real products, cheaper than complex ones); a tolerance on the
 imaginary parts would instead change the problem being solved.
 
-For m <= 8 a stage costs about as much as its numpy calls, so the stage is
-written to make few and cheap ones without changing any floating-point
-operation or its order: 2-D products go through ``ndarray.dot`` (the BLAS
-call of ``@`` with less dispatch), F is gathered by one ``take`` through a
-per-m index table, the Lyapunov check reads the extremes of a positive
-spectrum off the ends of the sorted eigenvalues, and the 1-norms of the
-Schur matrix and its inverse come from one reduction.  ``eigh`` and ``inv``
-are the bare gufuncs ``linalg.lapack.eigh_lo`` and ``.inv``, under the
-contract stated in ``linalg``: NaN and an invalid flag where np.linalg raised,
-and the caller owns the error state.  The stage ``_rate`` runs under its
-caller's, and exactly two callers enter ``np.errstate(invalid="ignore")``:
-``_integrate`` once per drag, around all its RK4 stages and step checks, and
-``derivative`` around its one stage.  The kernel's flag on a singular Schur
+One function, ``_rate``, is the stage: from eigh(F) it solves the Lyapunov
+equation and the Schur system and reads f' off F'.  For m <= 8 a stage costs
+about as much as its numpy calls, so it is written to make few and cheap ones
+without changing any floating-point operation or its order: 2-D products go
+through ``ndarray.dot`` (the BLAS call of ``@`` with less dispatch), F is
+gathered by one ``take`` through a per-m index table, the Lyapunov check
+reads the extremes of a positive spectrum off the ends of the sorted
+eigenvalues, and the 1-norms of the Schur matrix and its inverse come from
+one reduction.  ``eigh`` and ``inv`` are the bare gufuncs
+``linalg.lapack.eigh_lo`` and ``.inv``, under the contract stated in
+``linalg``: NaN and an invalid flag where np.linalg raised, and the caller
+owns the error state.  The stage runs under its caller's, and exactly two
+callers enter ``np.errstate(invalid="ignore")``: ``_integrate`` once per
+drag, around all its RK4 stages and step checks, and ``derivative`` around
+its one stage.  The kernel's flag on a singular Schur
 matrix then neither warns nor raises; the solve reads the singularity off the
 NaN inverse the kernel returns (a NaN condition number fails the COND_MAX
 check) and raises SingularJacobian.  A polished drag's corrector and its check
@@ -204,20 +206,27 @@ def _factor(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.concatenate((a * a, f, f.conj())).take(_layout(a.shape[0])[1])
 
 
-def _tangent_solve(
-    a: np.ndarray, eig: tuple[np.ndarray, np.ndarray], g: np.ndarray, rhs: np.ndarray, t: float
+def _rate(
+    a: np.ndarray, f: np.ndarray, g: np.ndarray, gdot: np.ndarray, t: float,
+    eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve F'F + FF' - D'GD - DGD' = rhs for (a', F'), with (lam, V) = eig = eigh(F).
+    """The stage: (a', f') at (a, f) on G(t) = g with dG/dt = gdot; ``eig`` is
+    eigh(F) = (lam, V) when the caller already has it, and f is then not read.
 
-    The Lyapunov operator X -> XF + FX has the inverse
-    L^-1(C) = V [(V^dag C V)_ij w_ij] V^dag with w_ij = 1/(lam_i + lam_j), so
-    F' = L^-1(rhs + D'GD + DGD') is linear in a'.  The m conditions
-    F'_nn = 2 a_n a'_n then form the real Schur system
-    (2 diag(a) - M) a' = diag L^-1(rhs), M_nk = diag L^-1(E_kk GD + DG E_kk)_n;
-    both sides contract B_nij = V_ni conj(V_nj) w_ij.
-    Raises SingularJacobian when either operator is too ill-conditioned.
+    Solves F'F + FF' - D'GD - DGD' = DG'D for (a', F').  The Lyapunov operator
+    X -> XF + FX has the inverse L^-1(C) = V [(V^dag C V)_ij w_ij] V^dag with
+    w_ij = 1/(lam_i + lam_j), so F' = L^-1(DG'D + D'GD + DGD') is linear in a'.
+    The m conditions F'_nn = 2 a_n a'_n then form the real Schur system
+    (2 diag(a) - M) a' = diag L^-1(DG'D), M_nk = diag L^-1(E_kk GD + DG E_kk)_n;
+    both sides contract B_nij = V_ni conj(V_nj) w_ij.  f' is the strict upper
+    triangle of F'.  Raises SingularJacobian when either operator is too
+    ill-conditioned.  Runs under the caller's error state, which must ignore
+    invalid operations for a singular Schur matrix to raise SingularJacobian
+    without a warning: ``_integrate`` enters it once per drag, ``derivative``
+    per call.
     """
-    lam, v = eig
+    lam, v = linalg.lapack.eigh_lo(_factor(a, f)) if eig is None else eig
+    rhs = a[:, None] * gdot * a
     m = a.shape[0]
     vc = v.conj()
     vh = vc.T
@@ -257,20 +266,7 @@ def _tangent_solve(
     da = schur_inv.dot(b)
     # V^dag (D'GD + DGD') V = X + X^dag with X = V^dag D' P
     x = (vh * da).dot(p)
-    return da, v.dot((y + x + x.conj().T) * w).dot(vh)
-
-
-def _rate(
-    a: np.ndarray, f: np.ndarray, g: np.ndarray, gdot: np.ndarray, t: float,
-    eig: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The stage: (a', f') at (a, f); ``eig`` is eigh(F) when the caller already
-    has it.  Runs under the caller's error state, which must ignore invalid
-    operations for a singular Schur matrix to raise SingularJacobian without a
-    warning: ``_integrate`` enters it once per drag, ``derivative`` per call."""
-    eig = linalg.lapack.eigh_lo(_factor(a, f)) if eig is None else eig
-    da, dfmat = _tangent_solve(a, eig, g, a[:, None] * gdot * a, t)
-    return da, dfmat.take(_layout(a.shape[0])[0])
+    return da, v.dot((y + x + x.conj().T) * w).dot(vh).take(_layout(m)[0])
 
 
 def derivative(state: SolverState, trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:

@@ -894,8 +894,25 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out.splitlines()[0] == "a: failed (64)"
         assert out.splitlines()[1].startswith("b: optimal")
-        assert err == f"ERROR {tmp_path / 'a.json'}: {tmp_path / 'a.json'}: cannot read input " \
-                      "(out of memory)\n"
+        assert err == f"ERROR {tmp_path / 'a.json'}: cannot read input (out of memory)\n"
+
+    def test_each_batch_error_names_its_input_once(self, tmp_path, capsys):
+        # a schema failure at the read and a drag that misses the factor gate after it
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"m": 2}))
+        good = write_gram(tmp_path / "good.json", random_gram(2, 4))
+        argv = ["solve", "--batch", str(tmp_path), "--out", str(tmp_path / "out"),
+                "--steps", "1", "--h", "1"]
+        assert main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "bad: failed (64)"
+        assert out.splitlines()[1] == "good: failed (3)"
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0] == f"ERROR {bad}: need either field 'gram_re' or field 'states_re'"
+        assert lines[1].startswith(f"ERROR {good}: solver failed: F^2 - DGD has HS norm ")
+        for line, path in zip(lines, (bad, good)):
+            assert line.count(str(path)) == 1
 
     def test_a_valid_input_too_large_for_the_address_space_exits_64(self, tmp_path):
         # 2,000,000 numbers in an extra field: the file is 10 MB, and json.loads

@@ -13,7 +13,7 @@ from medsolve import homotopy, linalg, serialize
 from conftest import (identity_gram, lapack_nan_from_call, overlap_gram_m3, probe_grams,
                       random_gram, seeded_grams, solve_direct)
 from medsolve.certify import RESIDUAL_GATE, factor_residual
-from medsolve.homotopy import _correct, _factor, _integrate, _rate, _tangent_solve
+from medsolve.homotopy import _correct, _factor, _integrate, _rate
 from medsolve.linalg import haar_unitary, hermitize, polar_unitary
 
 DATA = Path(__file__).parent / "data"
@@ -569,12 +569,6 @@ class TestFactor:
         assert np.array_equal(fmat, fmat.conj().T)
         assert np.array_equal(fmat.diagonal(), a * a)
         assert np.array_equal(fmat[iu, ju], f)
-        # _rate reads f' out of the full F' by the same layout
-        a, f, g, gdot = _random_point(rng, m, real, indefinite=False)
-        eig = linalg.lapack.eigh_lo(_factor(a, f))
-        df = _rate(a, f, g, gdot, 0.0)[1]
-        dfmat = _tangent_solve(a, eig, g, a[:, None] * gdot * a, 0.0)[1]
-        assert np.array_equal(df, dfmat[iu, ju])
 
 
 class TestTangentSolve:

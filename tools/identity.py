@@ -335,6 +335,18 @@ def compare(ours: dict, theirs: dict, ours_out: Path, theirs_out: Path) -> list[
     return diffs
 
 
+def extract(rev: str, dest: Path) -> bool:
+    """Write REV's ``src`` tree under ``dest`` (``git archive REV src | tar -x``).
+    False, with git's message on stderr, when git cannot archive it."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             capture_output=True, check=False)
+    if archive.returncode != 0:
+        print(archive.stderr.decode(), file=sys.stderr, end="")
+        return False
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", default="HEAD", metavar="REV",
@@ -345,12 +357,8 @@ def main(argv: list[str] | None = None) -> int:
         rev_root, work = tmp / "rev", tmp / "inputs"
         rev_root.mkdir()
         work.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against, "src"],
-                                 capture_output=True, check=False)
-        if archive.returncode != 0:
-            print(archive.stderr.decode(), file=sys.stderr, end="")
+        if not extract(args.against, rev_root):
             return 2
-        subprocess.run(["tar", "-x", "-C", str(rev_root)], input=archive.stdout, check=True)
         ops = operations(work)
         ops_file = tmp / "ops.json"
         ops_file.write_text(json.dumps(ops))

@@ -2,8 +2,8 @@
 
     python tools/stagebench.py [--against REV] [--json]      # REV defaults to HEAD
 
-Run from anywhere inside the repository.  The tool extracts REV's
-``src/medsolve`` with ``git archive`` and imports it as ``medsolve_rev``
+Run from anywhere inside the repository.  The tool extracts REV's ``src``
+tree as ``tools/identity.py`` does and imports it as ``medsolve_rev``
 beside this checkout's ``medsolve``, in one process; every module of each
 must come from its own tree.  Each package builds every row's call and inputs
 once.  One loop then times each row in turn: 21 samples per package,
@@ -51,8 +51,9 @@ against HEAD with nothing changed (an A/A run) shows how far the paired
 medians stray by noise alone: on 2 shared cores two such runs read every
 row within 0.983-1.014 and 0.963-1.021.  A gap inside that band is not
 resolved.  Both trees must provide every function named here, with
-``_rate(a, f, g, gdot, t)``, ``_integrate`` and ``_correct(a, f, gram)``
-among them; REV's lack of one exits 2 with its name.
+``_rate(a, f, g, gdot, t)``, the whole stage in one function, ``_integrate``
+and ``_correct(a, f, gram)`` among them; REV's lack of one exits 2 with its
+name.
 
 With ``--json`` the run is also written to ``BENCH_<n>.json`` at the
 repository root, n the first integer from 1 whose file does not exist: the
@@ -81,6 +82,9 @@ from types import ModuleType
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+from identity import extract  # noqa: E402
+
 DIMENSIONS, SEARCH_DIMENSIONS, FINISH_DIMENSIONS = (2, 5, 8), (2, 3, 4), (3, 8)
 SAMPLES, SAMPLE_S, FINISH_MIN_EIG = 21, 0.05, 1e-6
 STEPS, H = 200, 5e-3
@@ -244,13 +248,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="also write the run to BENCH_<n>.json at the repository root")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="medsolve-stagebench-") as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against,
-                                  "src/medsolve"], capture_output=True, check=False)
-        if archive.returncode != 0:
-            print(archive.stderr.decode(), file=sys.stderr, end="")
+        if not extract(args.against, Path(tmp)):
             return 2
         revs = revisions(args.against)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         packages = {"rev": load("medsolve_rev", Path(tmp) / "src"),
                     "here": load("medsolve", ROOT / "src")}
         try:
