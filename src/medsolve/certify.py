@@ -97,9 +97,11 @@ class Certificate:
         return _STATUS_OPTIMAL if self.is_optimal else _STATUS_STATIONARY
 
 
-def factor_residual(a: np.ndarray, fmat: np.ndarray, g: np.ndarray) -> float:
-    """HS norm of F^2 - D G D with D = diag(a), the constraint the optimum's factor solves."""
-    return hs_norm(fmat.dot(fmat) - a[:, None] * g * a)
+def factor_residual(a: np.ndarray, fmat: np.ndarray, g: np.ndarray) -> float | np.ndarray:
+    """HS norm of F^2 - D G D with D = diag(a), the constraint the optimum's factor
+    solves; for (n, m), (n, m, m) and (n, m, m) stacks of a, F and G (the drag's
+    trace rows of a block) the array of the n norms, each rounded as alone."""
+    return hs_norm(fmat @ fmat - a[..., :, None] * g * a[..., None, :])
 
 
 def _stationarity_residual(o: np.ndarray) -> float:

@@ -51,11 +51,21 @@ eigenvalues rather than an error, which the Lyapunov check and the positivity
 check after each step reject.  The loop computes G(t) for a block of at most
 64 steps and 2^16 entries (one step from m = 182 on) in one stacked expression
 (1 - t) G_start + t G_end over the block's times, which rounds element by
-element as the scalar expression at each time does.
+element as the scalar expression at each time does.  The check after a step
+is split by whether it can end the drag.  ``_check_step`` runs after every
+step, before the next stage: the scale floor, F, built into its slot of a
+per-block stack, and the positivity of F.  ``_trace_rows`` writes the
+block's trace rows once, after its steps, from the stacks of the scales, of
+F, of the minimum eigenvalues and of G(t): the HS residual is one stacked
+``factor_residual``, rounded per matrix as the lone one is.  The polished last
+step's row goes through it as a one-row stack.
 The RK4 loop carries the state as one vector z = (a, f) in f's dtype, so
 each stage argument and each update is one array expression; the imaginary
 part of a complex z's scale entries stays exactly zero, and the scales
-round as they would in a separate real array.
+round as they would in a separate real array.  The stages take the scales as
+z's view in z's own dtype, and ``_rate`` casts its real w_ij and a' to that
+dtype once: numpy casts a real operand of a complex product the same way, so
+a complex stage skips the cast of each mixed product with the same bits.
 
 Hermiticity is preserved structurally: the state stores a_i and the strict
 upper triangle of F, so a_i stays real and f_ji = conj(f_ij) exactly.
@@ -91,7 +101,8 @@ COND_MAX = 1e12
 EPS_A = 1e-6
 
 #: the RK4 loop stacks G(t) for at most this many steps at a time, and at most
-#: _BLOCK_ENTRIES entries of G (1 MiB complex); from m = 182 on a block is one step
+#: _BLOCK_ENTRIES entries of G (1 MiB complex), and F of each step in half as many;
+#: from m = 182 on a block is one step
 _BLOCK_STEPS, _BLOCK_ENTRIES = 64, 2**16
 
 
@@ -122,6 +133,8 @@ class SolverState:
     def __post_init__(self):
         a = np.array(self.a, dtype=float)
         f = np.array(self.f, dtype=complex)
+        if a.ndim != 1:  # a saved state chained as ``initial=`` is outside input
+            raise ValueError("a must be a 1-D array of the scales a_i")
         m = a.shape[0]
         if f.shape != (m * (m - 1) // 2,):
             raise ValueError("f must hold the strict upper triangle of F")
@@ -212,6 +225,7 @@ def _rate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The stage: (a', f') at (a, f) on G(t) = g with dG/dt = gdot; ``eig`` is
     eigh(F) = (lam, V) when the caller already has it, and f is then not read.
+    a' comes back in a's dtype: the drag passes a complex path's scales complex.
 
     Solves F'F + FF' - D'GD - DGD' = DG'D for (a', F').  The Lyapunov operator
     X -> XF + FX has the inverse L^-1(C) = V [(V^dag C V)_ij w_ij] V^dag with
@@ -242,12 +256,13 @@ def _rate(
                 f"Lyapunov spectrum ratio max|l_i+l_j|/min|l_i+l_j| = {s_max:.3e}/{s_min:.3e} "
                 f"exceeds {COND_MAX:.0e} at t={t:.6f} (bifurcation or near-dependence)"
             )
-    w = 1.0 / s
+    # cast once where the products below are complex, as numpy would cast per product
+    w = (1.0 / s).astype(v.dtype, copy=False)
     p = (g * a).dot(v)
     bnij = (v[:, :, None] * (vc[:, None, :] * w)).reshape(m, m * m)
     # M_nk = 2 Re sum_ij B_nij conj(V_ki) P_kj with P = G D V
     schur = -2.0 * bnij.dot((vc[:, :, None] * p[:, None, :]).reshape(m, m * m).T).real
-    schur.ravel()[:: m + 1] += 2.0 * a  # a view: schur is contiguous
+    schur.ravel()[:: m + 1] += 2.0 * a.real  # a view: schur is contiguous
     y = vh.dot(rhs).dot(v)
     b = bnij.dot(y.ravel()).real
     # the kernel returns NaNs for a singular matrix and flags an invalid
@@ -263,7 +278,7 @@ def _rate(
             f"Schur system condition number {np.inf if np.isnan(cond) else cond:.3e} exceeds "
             f"{COND_MAX:.0e} at t={t:.6f} (bifurcation or near-dependence)"
         )
-    da = schur_inv.dot(b)
+    da = schur_inv.dot(b).astype(a.dtype, copy=False)
     # V^dag (D'GD + DGD') V = X + X^dag with X = V^dag D' P
     x = (vh * da).dot(p)
     return da, v.dot((y + x + x.conj().T) * w).dot(vh).take(_layout(m)[0])
@@ -324,8 +339,8 @@ def rk4_drag(
     trajectory, as is checked before step 1, and a ``steps`` beyond the double
     range or whose trace cannot be allocated raises ValueError there too.  The
     stages of step k use G(t_k), G(t_k + h/2) and G(t_{k+1}), with t_k = k h
-    and t_steps = 1, and name their own time when they fail; the step check
-    reuses G(t_{k+1}) to record the HS residual of F^2 - D G D, the minimum
+    and t_steps = 1, and name their own time when they fail; the step's trace
+    row reuses G(t_{k+1}) to record the HS residual of F^2 - D G D, the minimum
     eigenvalue of F and the partial success probability.  ``polish`` (off by
     default, leaving the raw integrator behavior observable) changes only the
     last step: it takes the measurement U = G(1)^{-1/2} D^{-1} F of the drag's
@@ -406,6 +421,8 @@ def _integrate(
     g_now = (1.0 - t) * g_start + t * g_end  # Trajectory.__call__ in the dtype chosen above
     eig = None  # eigh(F) at (a, f), shared by the step check and the next k1
     half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k already rounds as (0.5 * h) * k
+    # a, F and min eig F after each checked step of a block, for its trace rows
+    scales, fmats, lows = np.empty((block, m)), np.empty((block, m, m), f.dtype), np.empty(block)
     with np.errstate(invalid="ignore"):  # see _rate; the corrector runs after it
         for first in range(1, steps + 1, block):
             its = range(first, min(first + block, steps + 1))
@@ -419,35 +436,40 @@ def _integrate(
             tt = np.array(times)[:, None, None]
             # G(t) of every time at once, each rounded as the scalar (1 - t) G_start + t G_end
             gs = (1.0 - tt) * g_start + tt * g_end
-            # k4, the step check and the next k1 share G(t_next)
-            for it, t_mid, t_next, g_mid, g_next in zip(its, times[::2], times[1::2], gs[::2],
-                                                        gs[1::2]):
-                k1 = np.concatenate(_rate(a, f, g_now, gdot, t, eig=eig))
+            # k4, the trace row and the next k1 share G(t_next); the stages take the
+            # scales in z's dtype (see the module docstring)
+            checked = len(its) - (polish and its[-1] == steps)  # polish checks after the loop
+            for j, (t_mid, t_next, g_mid, g_next) in enumerate(
+                    zip(times[::2], times[1::2], gs[::2], gs[1::2])):
+                k1 = np.concatenate(_rate(z[:m], z[m:], g_now, gdot, t, eig=eig))
                 w = z + half * k1
-                k2 = np.concatenate(_rate(w[:m].real, w[m:], g_mid, gdot, t_mid))
+                k2 = np.concatenate(_rate(w[:m], w[m:], g_mid, gdot, t_mid))
                 w = z + half * k2
-                k3 = np.concatenate(_rate(w[:m].real, w[m:], g_mid, gdot, t_mid))
+                k3 = np.concatenate(_rate(w[:m], w[m:], g_mid, gdot, t_mid))
                 w = z + h * k3
-                k4 = np.concatenate(_rate(w[:m].real, w[m:], g_next, gdot, t_next))
+                k4 = np.concatenate(_rate(w[:m], w[m:], g_next, gdot, t_next))
                 z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                a, f = z[:m].real, z[m:]
                 t, g_now = t_next, g_next
-                if not (polish and it == steps):
-                    eig = _check_step(a, f, g_now, t, it, trace)
-    u = None
+                if j < checked:
+                    a = z[:m].real
+                    eig = _check_step(a, z[m:], t, fmats[j])
+                    scales[j], lows[j] = a, eig[0][0]
+            _trace_rows(trace, first, times[1::2], scales[:checked], fmats[:checked], gs[1::2],
+                        lows[:checked])
+    a, f, u = z[:m].real, z[m:], None
     if polish:  # the last step, corrected and checked under the caller's error state
         a, f, u = _correct(a, f, trajectory.g_end)
-        _check_step(a, f, g_now, t, steps, trace)
+        lows[0] = _check_step(a, f, t, fmats[0])[0][0]
+        _trace_rows(trace, steps, [t], a[None], fmats[:1], g_now[None], lows[:1])
     return a.copy(), f, trace, u  # a is a view of z, strided when z is complex
 
 
-def _check_step(
-    a: np.ndarray, f: np.ndarray, g: np.ndarray, t: float, it: int, trace: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The check after step ``it``, which ended at t with G(t) = g: the scale
-    floor and the positivity of F, then trace row it - 1 (it, t, the HS residual
-    of F^2 - D G D, the minimum eigenvalue of F, the partial success
-    probability).  Returns eigh(F), which the next step's k1 reuses."""
+def _check_step(a: np.ndarray, f: np.ndarray, t: float, fmat: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The checks after the step that ended at t, each of which can end the drag
+    and so runs before the next stage: the scale floor, then F, built into
+    ``fmat`` (its slot in the block's stack), and its positivity.  Returns
+    eigh(F), which the next step's k1 reuses; ``_trace_rows`` records the step."""
     # no admissibility check on G(t): its smallest eigenvalue is concave in t,
     # and GramMatrix already holds both endpoints above EPS_LI
     a_min = np.minimum.reduce(a)
@@ -456,12 +478,27 @@ def _check_step(
             f"scale a_{int(np.argmin(a))} fell to {a_min:.3e} at t={t:.6f}; "
             "target is too close to linear dependence"
         )
-    fmat = _factor(a, f)
+    fmat[...] = _factor(a, f)
     eig = linalg.lapack.eigh_lo(fmat)
     f_min = float(eig[0][0])
     if not f_min >= 0.0:  # a NaN spectrum fails here too
         raise PositivityLost(
             f"factor F lost positive definiteness at t={t:.6f} (min eig {f_min:.3e})"
         )
-    trace[it - 1] = (it, t, factor_residual(a, fmat, g), f_min, float(np.add.reduce(a * a)))
     return eig
+
+
+def _trace_rows(trace: np.ndarray, first: int, t: list[float], a: np.ndarray,
+                fmat: np.ndarray, g: np.ndarray, f_min: np.ndarray) -> None:
+    """Write the trace rows of the checked steps first, first + 1, ... from
+    stacks with one entry per step (``t`` and ``g`` may run on past the last):
+    row it - 1 is (it, t, the HS residual of F^2 - D G D, the minimum eigenvalue
+    of F, the partial success probability sum a_i^2).  None of it can raise,
+    so it runs once per block, after the block's steps."""
+    n = a.shape[0]
+    rows = trace[first - 1:first - 1 + n]
+    rows[:, 0] = np.arange(first, first + n)
+    rows[:, 1] = t[:n]
+    rows[:, 2] = factor_residual(a, fmat, g[:n])
+    rows[:, 3] = f_min
+    rows[:, 4] = np.add.reduce(a * a, axis=-1)

@@ -39,9 +39,12 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-def hs_norm(mat: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return math.sqrt(np.vdot(mat, mat).real)
+def hs_norm(mat: np.ndarray) -> float | np.ndarray:
+    """Hilbert-Schmidt (Frobenius) norm of a matrix, or the array of the norms of
+    the matrices of an (n, m, m) stack, one ``vdot`` per matrix as for a lone one."""
+    if mat.ndim == 2:
+        return math.sqrt(np.vdot(mat, mat).real)
+    return np.sqrt([np.vdot(x, x).real for x in mat])
 
 
 def hermitian_eig(

@@ -43,7 +43,9 @@ class TestInitialState:
         ([0.5, 0.5, 0.5], [0.0], "f must hold the strict upper triangle of F"),
         ([0.5, 0.0], [0.0], "all scales a_i must be positive and finite"),
         ([0.5, -0.5], [0.0], "all scales a_i must be positive and finite"),
-    ], ids=["long-f", "short-f", "zero-scale", "negative-scale"])
+        ([[0.5], [0.5]], [0.1], "a must be a 1-D array of the scales a_i"),
+        (0.5, [], "a must be a 1-D array of the scales a_i"),
+    ], ids=["long-f", "short-f", "zero-scale", "negative-scale", "column-a", "scalar-a"])
     def test_rejects_a_malformed_state(self, a, f, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             ms.SolverState(t=0.0, a=a, f=f)
@@ -275,8 +277,8 @@ class TestTimeGrid:
             rates.append((g, t))
             return _rate(a, f, g, gdot, t, eig=eig)
 
-        def residual(a, fmat, g):
-            checks.append(g)
+        def residual(a, fmat, g):  # one call per block, on the stack of its checks' G
+            checks.extend(g)
             return factor_residual(a, fmat, g)
 
         monkeypatch.setattr(homotopy, "_rate", stage)

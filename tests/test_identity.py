@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-ORIGINAL = "a[:, None] * g * a"
-PLANTED = "a[:, None] * (g * a)"
+ORIGINAL = "a[..., :, None] * g * a[..., None, :]"
+PLANTED = "a[..., :, None] * (g * a[..., None, :])"
 
 
 @pytest.fixture

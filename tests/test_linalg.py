@@ -22,11 +22,16 @@ def _matrices(real: bool):
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_hs_norm_is_numpys_square_root(real):
-    # math.sqrt and np.sqrt are both correctly rounded
-    for mat in _matrices(real):
+    # math.sqrt and np.sqrt are both correctly rounded; a stack of m x m matrices
+    # gives each matrix's norm bit for bit
+    mats = list(_matrices(real))
+    for mat in mats:
         got = hs_norm(mat)
         assert type(got) is float
         assert got.hex() == float(np.sqrt(np.vdot(mat, mat).real)).hex()
+    for m in range(2, 9):
+        same_m = [mat for mat in mats if mat.shape[0] == m]
+        assert hs_norm(np.stack(same_m)).tolist() == [hs_norm(mat) for mat in same_m]
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])

@@ -22,16 +22,19 @@ two frozen stage functions stand for it together.
 """
 
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import medsolve as ms
-from conftest import identity_gram, random_gram
-from medsolve import homotopy
+from conftest import identity_gram, lapack_nan_from_call, random_gram
+from medsolve import homotopy, serialize
 from medsolve.exceptions import NearLinearDependence, PositivityLost, SingularJacobian
 from medsolve.homotopy import COND_MAX, EPS_A, Trajectory, _correct
 from medsolve.linalg import hs_norm
+
+DATA = Path(__file__).parent / "data"
 
 # ---------------------------------------------------------------- frozen copies
 
@@ -204,16 +207,71 @@ def test_rate_is_byte_identical(m, real):
 @pytest.mark.parametrize("m", [2, 3, 5, 8])
 @pytest.mark.parametrize("real", [False, True])
 @pytest.mark.parametrize("polish", [False, True])
-def test_integrate_is_byte_identical(m, real, polish):
+# one block; a full block of 64 steps; one step past it; two full blocks and one step
+@pytest.mark.parametrize("steps", [20, 64, 65, 129])
+def test_integrate_is_byte_identical(m, real, polish, steps):
     trajectory = Trajectory(identity_gram(m), random_gram(m, seed=710 + m, spread=0.5, real=real))
     start = ms.initial_state(m)
-    steps, h = 20, 0.05
-    assert steps * h == 1.0
+    h = 1.0 / steps
+    assert steps * h == 1.0 and homotopy._BLOCK_STEPS == 64
     got = homotopy._integrate(trajectory, start.a, start.f, steps, h, polish)
     want = _integrate(trajectory, start.a, start.f, steps, h, polish)
     assert (got[3] is None, want[3] is None) == (not polish, not polish)
     for x, y in zip(got, want[:3] + want[3:] * polish):
         assert _same(x, y)
+
+
+def _near_dependent_m3() -> ms.GramMatrix:
+    return serialize.load_gram_or_ensemble(
+        serialize.read_json(DATA / "near-dependent-m3-nd150-gram.json"))
+
+
+def _near_dependent_m3_drag(integrate, a0, steps):
+    """What ``integrate`` does on the path from the near-dependent m = 3 Gram matrix
+    of ``tests/data`` (least eigenvalue 2.4e-8) to I/3, from the start a = (a0,
+    1/sqrt 3, 1/sqrt 3), f = 0, which solves neither end: its error, or None."""
+    trajectory = Trajectory(_near_dependent_m3(), identity_gram(3))
+    a = np.full(3, 1.0 / np.sqrt(3.0))
+    a[0] = a0
+    try:
+        integrate(trajectory, a, np.zeros(3), steps, 1.0 / steps, False)
+    except (NearLinearDependence, PositivityLost, SingularJacobian) as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("a0, steps, error, message", [
+    (1.2e-6, 20, NearLinearDependence,
+     "scale a_1 fell to -1.094e+00 at t=0.950000; target is too close to linear dependence"),
+    (3e-6, 20, PositivityLost,
+     "factor F lost positive definiteness at t=0.750000 (min eig -1.036e-11)"),
+    (1.2e-6, 129, SingularJacobian,
+     "Lyapunov spectrum ratio max|l_i+l_j|/min|l_i+l_j| = 3.266e+00/1.905e-12 exceeds 1e+12 "
+     "at t=0.620155 (bifurcation or near-dependence)"),
+], ids=["scale-floor-step-19-of-20", "positivity-step-15-of-20", "stage-step-80-of-129"])
+def test_a_drag_that_fails_inside_a_block_raises_as_the_frozen_loop(a0, steps, error, message):
+    # each failing step lies inside its block of G(t), whose trace rows are not yet written
+    got = _near_dependent_m3_drag(homotopy._integrate, a0, steps)
+    want = _near_dependent_m3_drag(_integrate, a0, steps)
+    assert type(got) is type(want) is error
+    assert str(got) == str(want) == message
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (5 + 4 * 69, PositivityLost,
+     "factor F lost positive definiteness at t=0.542636 (min eig nan)"),
+    (6 + 4 * 69, SingularJacobian,
+     "Lyapunov spectrum ratio max|l_i+l_j|/min|l_i+l_j| = nan/nan exceeds 1e+12 "
+     "at t=0.546512 (bifurcation or near-dependence)"),
+], ids=["check-of-step-70", "k2-of-step-71"])
+def test_a_nan_spectrum_inside_a_block_raises_as_before(monkeypatch, call, error, message):
+    # step 1 calls eigh for k1..k4 and its check, each later step for k2..k4 and its
+    # check: call 5 + 4 (k - 1) is the check of step k, the next one k2 of step k + 1;
+    # steps 65..128 of 129 are the second block of G(t)
+    calls = lapack_nan_from_call(monkeypatch, call, "eigh_lo")
+    with pytest.raises(error) as raised:
+        ms.rk4_drag(Trajectory(identity_gram(3), _near_dependent_m3()), steps=129, h=1.0 / 129)
+    assert str(raised.value) == message and len(calls) == call
 
 
 def _lyapunov_outcome(rate, lam, v, a, f, g, gdot):

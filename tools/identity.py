@@ -7,11 +7,15 @@ tree with ``git archive REV src | tar -x``, writes one set of inputs with
 ``perfbench/inputs.py`` and runs the same list of CLI operations on both
 trees, each tree in its own Python process that imports ``medsolve`` from
 that tree and calls ``medsolve.cli.main`` (or, for a search, the API) in
-process.  The 285 operations (259 CLI calls and 26 searches):
+process.  The 286 operations (260 CLI calls and 26 searches):
 
 - ``solve`` on the batch-small inputs of seeds 0 and 1, with the benchmark's
   flags ``--steps 200 --h 5e-3 --polish`` and with the same flags without
   ``--polish``;
+- ``solve --steps 193 --h 0.0051813471502590676 --polish`` on the batch-small
+  input ``10-m5-gram`` of seed 0: at m = 5 a block of the drag's G(t) is 64
+  steps, so the last block holds only the polished step, whose trace row the
+  loop does not write;
 - ``solve`` with those flags and ``--polish`` on two near-dependent inputs,
   where the polished drag's corrector starts far from the optimum: the real
   m = 3 Gram matrix with spectrum (3e-8, 3/7, 4/7) up to the trace and
@@ -154,6 +158,9 @@ def operations(work: Path) -> list[tuple[str, list[str]]]:
             path = str(inputs.write(work / f"s{seed}-{p.name}.json", p.to_dict()))
             ops.append((f"s{seed}-{p.name}-polish", ["solve", path, *SOLVE_FLAGS, "--polish"]))
             ops.append((f"s{seed}-{p.name}-plain", ["solve", path, *SOLVE_FLAGS]))
+    # 193 = 3 * 64 + 1 steps at m = 5: the last block of G(t) holds only the polished step
+    ops.append(("s0-10-m5-gram-polish-193", ["solve", str(work / "s0-10-m5-gram.json"), "--steps",
+                                             "193", "--h", "0.0051813471502590676", "--polish"]))
     for path in _near_dependent_inputs(work):
         ops.append((f"{path.stem}-polish", ["solve", str(path), *SOLVE_FLAGS, "--polish"]))
     problems = inputs.verify_m3(0)
